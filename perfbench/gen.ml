@@ -223,7 +223,7 @@ type churn_case = {
   horizon : int;
 }
 
-let churn_cases = 32
+let churn_cases = 128
 
 (* Sizes are stratified over 64 .. 256 so every seed has the same size
    profile; the seed picks the graphs, tags and fault plans.  Span 2
