@@ -979,7 +979,6 @@ let run_mc a =
           [
             m "setup_s" "s" setup; m "peak_rss_mb" "MiB" rss;
             m "ops_per_s" "1/s" rate; m "latency_p50_ms" "ms" (1e3 *. p50);
-            m "latency_p99_ms" "ms" (1e3 *. p99);
           ];
         report =
           [
