@@ -95,18 +95,28 @@ let repeat_schedule = 8192
 let repeat_large_share = 0.04
 let repeat_elect_share = 0.05
 
-let small_config st =
-  let n = between st 4 8 in
-  let span = between st 1 3 in
-  match Random.State.int st 4 with
-  | 0 -> ("gnp", RC.connected_gnp st ~n ~p:0.4 ~span)
-  | 1 -> ("tree", RC.random_tree st ~n ~span)
-  | 2 -> ("path", RC.random_path st ~n ~span)
-  | _ -> ("cycle", RC.on_graph st ~span (Radio_graph.Gen.cycle n))
+(* The base set is stratified by popularity rank: rank [b] always has the
+   same family, size and tag multiset, and the seed picks the graph and
+   which vertex carries which tag.  Canonical-form cost grows with the
+   sizes of the tag classes, so every seed has the same cost profile at
+   every rank. *)
+let small_config st b =
+  let n = 4 + (b / 4 mod 5) in
+  let span = 1 + (b / 20 mod 3) in
+  let tags = Array.init n (fun i -> i mod (span + 1)) in
+  shuffle st tags;
+  let family, g =
+    match b mod 4 with
+    | 0 -> ("gnp", Radio_graph.Gen.random_connected_gnp st n 0.4)
+    | 1 -> ("tree", Radio_graph.Gen.random_tree st n)
+    | 2 -> ("path", Radio_graph.Gen.path n)
+    | _ -> ("cycle", Radio_graph.Gen.cycle n)
+  in
+  (family, C.create g tags)
 
 let serve_repeat seed =
   let st = rng ~salt:2 seed in
-  let base = Array.init repeat_base (fun _ -> small_config st) in
+  let base = Array.init repeat_base (small_config st) in
   (* template (b, v) at index b * (variants + 1) + v; v = 0 is verbatim *)
   let small =
     Array.init

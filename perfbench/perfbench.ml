@@ -61,6 +61,28 @@ let quantile xs q =
 
 let median xs = quantile xs 0.5
 
+(* Set-up samples taken at [setup_samples] points spread evenly over a
+   timed run, so that their median sees the host as the run does: [tick]
+   goes between two timed operations, [finish] takes the samples the run
+   did not reach and returns the median. *)
+let spread_setup ~seconds sample =
+  let t0 = now () and got = ref [] in
+  let taken () = List.length !got in
+  let tick () =
+    if
+      taken () < setup_samples
+      && now ()
+         >= t0 +. (float_of_int (taken ()) *. seconds /. float_of_int setup_samples)
+    then got := sample () :: !got
+  in
+  let finish () =
+    while taken () < setup_samples do
+      got := sample () :: !got
+    done;
+    median !got
+  in
+  (tick, finish)
+
 let vm_hwm_mb pid =
   let path = Printf.sprintf "/proc/%s/status" pid in
   match In_channel.with_open_text path In_channel.input_all with
@@ -277,9 +299,9 @@ let close_daemon d =
 
 type loop = {
   mutable completed : int;
-  mutable latencies : float list;
+  mutable latencies : float list;  (** newest first *)
+  mutable stamps : float list;  (** completion times, newest first *)
   mutable t_first : float;
-  mutable t_last : float;
 }
 
 (* Closed loop over one connection: [window] requests outstanding; each
@@ -325,7 +347,7 @@ let closed_loop d ~first ~deadline ~request ~expected st =
               let t = now () in
               st.latencies <- (t -. t_sent) :: st.latencies;
               st.completed <- st.completed + 1;
-              st.t_last <- t;
+              st.stamps <- t :: st.stamps;
               if not (String.equal line (expected i)) then
                 fail "response %d differs from the reference: %s" i
                   (if String.length line > 160 then String.sub line 0 160
@@ -500,11 +522,13 @@ let probe_line =
     (Gen.line_tail
        { Gen.kind = Gen.Classify; family = "h_m"; config = Radio_config.Families.h_family 2 })
 
-(* Set-up: daemon spawn to its first answered request. *)
-let serve_setup a ~err_path =
+(* Set-up: daemon spawn to its first answered request.  Spawning a second
+   daemon beside the loaded one would time the benchmark's own load, so
+   half the samples come before the timed loop and half after it. *)
+let serve_setup_sample a ~err_path =
   let expected = Server.run_string reference_opts (probe_line ^ "\n") in
   let expected = String.trim expected in
-  let sample () =
+  fun () ->
     let t0 = now () in
     let d = spawn a ~err_path in
     write_all d.to_d (probe_line ^ "\n");
@@ -513,8 +537,6 @@ let serve_setup a ~err_path =
     if line <> expected then fail "set-up probe response differs";
     close_daemon d;
     dt
-  in
-  median (List.init setup_samples (fun _ -> sample ()))
 
 type serve_daemon_result = {
   d_loop : loop;
@@ -527,12 +549,12 @@ let serve_daemon a inp ~seconds ~err_path =
   let d = spawn a ~err_path in
   Unix.set_nonblock d.to_d;
   let request = request_of inp and expected = expected_of inp in
-  let warm = { completed = 0; latencies = []; t_first = 0.; t_last = 0. } in
+  let warm = { completed = 0; latencies = []; stamps = []; t_first = 0. } in
   let warm_s = Float.min 1.0 (0.1 *. seconds) in
   let next =
     closed_loop d ~first:0 ~deadline:(now () +. warm_s) ~request ~expected warm
   in
-  let st = { completed = 0; latencies = []; t_first = 0.; t_last = 0. } in
+  let st = { completed = 0; latencies = []; stamps = []; t_first = 0. } in
   let next =
     closed_loop d ~first:next ~deadline:(now () +. seconds) ~request ~expected
       st
@@ -566,7 +588,24 @@ let serve_daemon a inp ~seconds ~err_path =
   in
   { d_loop = st; d_rss = rss; d_telemetry = tele }
 
-let serve_rate l = float_of_int l.completed /. (l.t_last -. l.t_first)
+(* The run cut into passes of [block] responses (one walk of the
+   schedule); returns the median over passes of the pass's rate and of its
+   p50 latency, so a burst of host load that hits a few passes moves
+   neither.  A run shorter than one pass is one pass. *)
+let serve_passes l ~block =
+  let stamps = Array.of_list (List.rev l.stamps) in
+  let lat = Array.of_list (List.rev l.latencies) in
+  let n = Array.length stamps in
+  let block = max 1 (min n block) in
+  let rates = ref [] and p50s = ref [] in
+  let start = ref l.t_first in
+  for b = 0 to (n / block) - 1 do
+    let last = ((b + 1) * block) - 1 in
+    rates := float_of_int block /. (stamps.(last) -. !start) :: !rates;
+    p50s := median (Array.to_list (Array.sub lat (b * block) block)) :: !p50s;
+    start := stamps.(last)
+  done;
+  (median !rates, median !p50s, List.length !rates)
 
 (* ------------------------------------------------------------------ *)
 (* Serve: the traced in-process replay                                *)
@@ -828,13 +867,18 @@ let run_serve a =
   let err_path = Filename.concat a.out "daemon.stderr" in
   let inp = serve_inputs a in
   let counters = serve_counters inp in
-  let setup = serve_setup a ~err_path in
-  let attempted_setup = setup_samples + Array.length inp.stream.templates in
+  let attempted_setup = Array.length inp.stream.templates in
+  let block = Array.length inp.stream.schedule in
   if not a.trace then begin
+    let sample = serve_setup_sample a ~err_path:(err_path ^ ".setup") in
+    let before = List.init ((setup_samples + 1) / 2) (fun _ -> sample ()) in
     let r = serve_daemon a inp ~seconds:a.seconds ~err_path in
+    let after = List.init (setup_samples / 2) (fun _ -> sample ()) in
+    let setup = median (before @ after) in
+    let attempted_setup = attempted_setup + setup_samples in
     let l = r.d_loop in
-    let rate = serve_rate l in
-    let p50 = quantile l.latencies 0.5 and p99 = quantile l.latencies 0.99 in
+    let rate, p50, passes = serve_passes l ~block in
+    let p99 = quantile l.latencies 0.99 in
     {
       attempted = attempted_setup + l.completed;
       metrics =
@@ -846,8 +890,8 @@ let run_serve a =
         [
           ("setup_s", Printf.sprintf "%.4f s (median of %d)" setup setup_samples);
           ("peak_rss_mb", Printf.sprintf "%.1f MiB (daemon VmHWM)" r.d_rss);
-          ("req_per_s", Printf.sprintf "%.1f req/s" rate);
-          ("latency_p50_ms", ms p50);
+          ("req_per_s", Printf.sprintf "%.1f req/s (median of %d passes)" rate passes);
+          ("latency_p50_ms", ms p50 ^ " (median of pass medians)");
           ( "latency_p99_ms",
             Printf.sprintf "%s (%d samples)" (ms p99) (List.length l.latencies) );
         ];
@@ -857,10 +901,9 @@ let run_serve a =
   else begin
     let half = a.seconds /. 2. in
     let r = serve_daemon a inp ~seconds:half ~err_path in
-    let untraced = serve_rate r.d_loop in
+    let untraced, lat50, _ = serve_passes r.d_loop ~block in
     let n, _wall, wave_wall, ms_, mean_wave = serve_traced a inp ~seconds:half in
     let traced = float_of_int n /. wave_wall in
-    let lat50 = quantile r.d_loop.latencies 0.5 in
     {
       attempted = attempted_setup + r.d_loop.completed + n;
       metrics =
@@ -898,27 +941,26 @@ let run_mc a =
   let probe = C.uniform (Radio_graph.Gen.cycle 4) 0 in
   let probe_ref = Checker.explore ~depth:4 ~faults:1 probe in
   (* Set-up: pool start to the first answered explore (a small one). *)
-  let setup =
-    median
-      (List.init setup_samples (fun _ ->
-           let t0 = now () in
-           let pool = Pool.create ~jobs:a.jobs () in
-           let e = Checker.explore ~pool ~depth:4 ~faults:1 probe in
-           let dt = now () -. t0 in
-           Pool.shutdown pool;
-           if not (same_exploration e probe_ref) then fail "mc set-up probe";
-           dt))
+  let setup_sample () =
+    let t0 = now () in
+    let pool = Pool.create ~jobs:a.jobs () in
+    let e = Checker.explore ~pool ~depth:4 ~faults:1 probe in
+    let dt = now () -. t0 in
+    Pool.shutdown pool;
+    if not (same_exploration e probe_ref) then fail "mc set-up probe";
+    dt
   in
   let pool = Pool.create ~jobs:a.jobs () in
   let explores = ref 0 in
   (* one round = every row once; returns (states, seconds) per round *)
-  let rounds ~seconds ~tr =
+  let rounds ?(tick = ignore) ~seconds ~tr () =
     let rates = ref [] and waves = ref [] and states = ref 0 and busy = ref 0. in
     let deadline = now () +. seconds in
     while now () < deadline do
       let st = ref 0 and dt = ref 0. in
       List.iter2
         (fun (r : Gen.mc_row) ref_ ->
+          tick ();
           let t0 = now () in
           let last = ref t0 in
           let req = !explores in
@@ -969,7 +1011,9 @@ let run_mc a =
   in
   let o =
     if not a.trace then begin
-      let rates, waves, _, _ = rounds ~seconds:a.seconds ~tr:None in
+      let tick, setup = spread_setup ~seconds:a.seconds setup_sample in
+      let rates, waves, _, _ = rounds ~tick ~seconds:a.seconds ~tr:None () in
+      let setup = setup () in
       let rate = median rates in
       let rss = vm_hwm_mb "self" in
       let p50 = quantile waves 0.5 and p99 = quantile waves 0.99 in
@@ -997,13 +1041,15 @@ let run_mc a =
     end
     else begin
       let half = a.seconds /. 2. in
-      let rates, _, _, _ = rounds ~seconds:half ~tr:None in
+      let rates, _, _, _ = rounds ~seconds:half ~tr:None () in
       let untraced = median rates in
       let tr = Span.create () in
       let p0 = Pool.stats pool in
       let g0 = Gc.quick_stat () in
       let t0 = now () in
-      let rates, _, states, busy = rounds ~seconds:half ~tr:(Some (tr, ref (-1))) in
+      let rates, _, states, busy =
+        rounds ~seconds:half ~tr:(Some (tr, ref (-1))) ()
+      in
       let wall = now () -. t0 in
       let minor, majors = gc_delta g0 in
       let p1 = Pool.stats pool in
@@ -1011,7 +1057,7 @@ let run_mc a =
       let layers = finish_trace a tr ~wall in
       let stat f = float_of_int (per_round f) in
       {
-        attempted = !explores + setup_samples;
+        attempted = !explores;
         metrics =
           [
             m "mc.explore_share" "" (busy /. wall);
@@ -1094,6 +1140,19 @@ let replay_edits (c : Gen.churn_case) =
     (FP.normalize c.plan);
   !st
 
+(* Each case's fastest time over the run gives the pass rate (cases ÷ the
+   sum of the fastest times) and the typical schedule (their median).  On
+   a shared host, load from neighbours slows whole stretches of a run by
+   up to a third; a case's fastest time is the one such a stretch left
+   alone.  Cases not reached yet are left out. *)
+let fastest per_case =
+  let best =
+    List.filter_map
+      (function [] -> None | t :: ts -> Some (List.fold_left Float.min t ts))
+      (Array.to_list per_case)
+  in
+  (float_of_int (List.length best) /. List.fold_left ( +. ) 0. best, median best)
+
 let run_churn a =
   let cases = Gen.churn a.seed in
   let reference = Array.map (fun c -> digest (run_case c)) cases in
@@ -1108,23 +1167,22 @@ let run_churn a =
     }
   in
   let probe_ref = digest (run_case probe) in
-  let setup =
-    median
-      (List.init setup_samples (fun _ ->
-           let t0 = now () in
-           let r = run_case probe in
-           let dt = now () -. t0 in
-           if digest r <> probe_ref then fail "churn set-up probe";
-           dt))
+  let setup_sample () =
+    let t0 = now () in
+    let r = run_case probe in
+    let dt = now () -. t0 in
+    if digest r <> probe_ref then fail "churn set-up probe";
+    dt
   in
   let calls = ref 0 in
-  let loop ~seconds ~tr =
+  let loop ?(tick = ignore) ~seconds ~tr () =
     let times = ref [] and busy = ref 0. and apply = ref 0. in
+    let per_case = Array.make (Array.length cases) [] in
     let epochs = ref 0 and attempts = ref 0 and rounds = ref 0 in
     let computed = ref 0 and reused = ref 0 and rebuilds = ref 0 in
-    let t_start = now () in
-    let deadline = t_start +. seconds in
+    let deadline = now () +. seconds in
     while now () < deadline do
+      tick ();
       let k = !calls mod Array.length cases in
       let c = cases.(k) in
       let t0 = now () in
@@ -1148,6 +1206,7 @@ let run_churn a =
         fail "Churn.run on case %d differs from the reference" k;
       incr calls;
       times := dt :: !times;
+      per_case.(k) <- dt :: per_case.(k);
       busy := !busy +. dt;
       epochs := !epochs + List.length r.epochs;
       List.iter
@@ -1162,7 +1221,7 @@ let run_churn a =
     let n = float_of_int (List.length !times) in
     let per x = float_of_int !x /. n in
     ( !times,
-      n /. (now () -. t_start),
+      fastest per_case,
       !busy,
       !apply,
       [
@@ -1188,9 +1247,11 @@ let run_churn a =
     ]
   in
   if not a.trace then begin
-    let times, rate, _, _, _ = loop ~seconds:a.seconds ~tr:None in
+    let tick, setup = spread_setup ~seconds:a.seconds setup_sample in
+    let times, (rate, p50), _, _, _ = loop ~tick ~seconds:a.seconds ~tr:None () in
+    let setup = setup () in
     let rss = vm_hwm_mb "self" in
-    let p50 = quantile times 0.5 and p99 = quantile times 0.99 in
+    let p99 = quantile times 0.99 in
     {
       attempted = !calls + setup_samples;
       metrics =
@@ -1202,8 +1263,9 @@ let run_churn a =
         [
           ("setup_s", Printf.sprintf "%.4f s (median of %d)" setup setup_samples);
           ("peak_rss_mb", Printf.sprintf "%.1f MiB (VmHWM)" rss);
-          ("schedules_per_s", Printf.sprintf "%.1f 1/s" rate);
-          ("schedule_p50_ms", ms p50);
+          ( "schedules_per_s",
+            Printf.sprintf "%.1f 1/s (cases / sum of per-case fastest)" rate );
+          ("schedule_p50_ms", ms p50 ^ " (median of per-case fastest)");
           ( "schedule_p99_ms",
             Printf.sprintf "%s (%d samples)" (ms p99) (List.length times) );
         ];
@@ -1212,18 +1274,19 @@ let run_churn a =
   end
   else begin
     let half = a.seconds /. 2. in
-    let _, untraced, _, _, _ = loop ~seconds:half ~tr:None in
+    let _, (untraced, _), _, _, _ = loop ~seconds:half ~tr:None () in
     let tr = Span.create () in
     let g0 = Gc.quick_stat () in
     let t0 = now () in
-    let times, _, busy, apply, ms_ = loop ~seconds:half ~tr:(Some tr) in
+    let times, (traced, _), busy, apply, ms_ =
+      loop ~seconds:half ~tr:(Some tr) ()
+    in
     let wall = now () -. t0 in
     let minor, majors = gc_delta g0 in
-    let traced = float_of_int (List.length times) /. busy in
     let layers = finish_trace a tr ~wall in
     let residual = busy -. apply in
     {
-      attempted = !calls + setup_samples;
+      attempted = !calls;
       metrics =
         ms_
         @ [
