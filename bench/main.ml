@@ -800,49 +800,15 @@ let e17 () =
      precisely the gap open problem 2 asks to close.\n"
 
 (* ------------------------------------------------------------------ *)
-(* E18 - fault layer: empty-plan overhead and degradation workloads    *)
+(* E18 - fault layer: planned-fault run costs                          *)
 (* ------------------------------------------------------------------ *)
 
 let e18 () =
-  section "E18  Fault layer: identity-law overhead and faulty-run costs";
-  let module FP = Radio_faults.Fault_plan in
-  let module FE = Radio_faults.Faulty_engine in
-  (* Empty-plan overhead on the canonical DRIP: the fault layer replicates
-     the engine loop with per-round branch tests, so executing an empty
-     plan must cost essentially nothing.  Asserted at <= 5%. *)
-  let h64 = F.h_family 64 in
-  let plan_h64 = Can.plan_of_run (Cl.classify h64) in
-  let bare () =
-    ignore (Engine.run ~max_rounds:10_000_000 (Can.protocol plan_h64) h64)
-  in
-  let empty_faulty () =
-    ignore
-      (FE.run ~max_rounds:10_000_000 FP.empty (Can.protocol plan_h64) h64)
-  in
-  (* Warm both paths once before timing. *)
-  bare ();
-  empty_faulty ();
-  let overhead_once () =
-    let t_bare = Sweep.repeat_timed 7 bare in
-    let t_empty = Sweep.repeat_timed 7 empty_faulty in
-    t_empty /. Float.max t_bare 1e-9
-  in
-  (* Medians damp most scheduler noise; take the best of three estimates
-     before holding the 5% line. *)
-  let overhead =
-    List.fold_left min (overhead_once ())
-      [ overhead_once (); overhead_once () ]
-  in
-  Printf.printf
-    "empty-plan fault-layer overhead on canonical(H_64): %.2f%% (budget \
-     5%%)\n"
-    (100.0 *. (overhead -. 1.0));
-  assert (overhead <= 1.05);
-  (* Faulty-run costs across the named faults workload. *)
+  section "E18  Fault layer: faulty-run costs";
   let table =
     Table.create
       ~title:
-        "Faulty engine on the faults workload (seeded crash/drop/noise/\
+        "Engine.run_plan on the faults workload (seeded crash/drop/noise/\
          jitter plans)"
       ~columns:
         [ "n"; "faults"; "fired"; "rounds"; "elects"; "bare ms"; "faulty ms" ]
@@ -857,7 +823,8 @@ let e18 () =
       let horizon = baseline.Runner.outcome.Engine.rounds + 1 in
       let plan = Workloads.faults_plan ~horizon config in
       let fo =
-        FE.run ~max_rounds:10_000_000 plan election.Runner.protocol config
+        Engine.run_plan ~max_rounds:10_000_000 plan election.Runner.protocol
+          config
       in
       let t_bare =
         Sweep.repeat_timed 3 (fun () ->
@@ -868,26 +835,25 @@ let e18 () =
       let t_faulty =
         Sweep.repeat_timed 3 (fun () ->
             ignore
-              (FE.run ~max_rounds:10_000_000 plan election.Runner.protocol
-                 config))
+              (Engine.run_plan ~max_rounds:10_000_000 plan
+                 election.Runner.protocol config))
       in
       Table.add_row table
         [
           string_of_int n;
           string_of_int (List.length plan);
-          string_of_int (List.length fo.FE.ledger);
-          string_of_int fo.FE.base.Engine.rounds;
+          string_of_int (List.length fo.Engine.ledger);
+          string_of_int fo.Engine.base.Engine.rounds;
           Table.cell_bool
-            (Option.is_some (FE.elected election.Runner.decision fo));
+            (Option.is_some (Engine.elected election.Runner.decision fo));
           Table.cell_float ~decimals:3 (1000.0 *. t_bare);
           Table.cell_float ~decimals:3 (1000.0 *. t_faulty);
         ])
     [ 16; 32; 64 ];
   Table.print table;
   Printf.printf
-    "The identity law (empty plan = bit-for-bit the pristine outcome) is\n\
-     property-tested; the 5%% ceiling above keeps the fault layer honest\n\
-     as the engine evolves.\n"
+    "Engine.run is the empty-plan run of the same round loop, so 'bare'\n\
+     and 'faulty' differ only by the plan's crash, drop and noise work.\n"
 
 (* ------------------------------------------------------------------ *)
 (* E19 - model checker: universal-mode exploration throughput          *)
@@ -1164,7 +1130,7 @@ let e20 ?(quick = false) () =
 let e21 ?(quick = false) ?(jobs = 2) () =
   section "E21  Churn: incremental re-classification + re-election";
   let module G = Radio_graph.Graph in
-  let module FP = Radio_faults.Fault_plan in
+  let module FP = Radio_sim.Fault_plan in
   let module Ch = Radio_faults.Churn in
   let module I = Election.Incremental in
   let module Pool = Radio_exec.Pool in
@@ -1582,19 +1548,14 @@ let bechamel_tests () =
        Staged.stage (fun () ->
            ignore (Runner.run Election.Min_beacon.election cfg)));
     (* E18: fault layer kernels *)
-    Test.make ~name:"E18/faulty-engine-empty/H64"
-      (Staged.stage (fun () ->
-           ignore
-             (Radio_faults.Faulty_engine.run ~max_rounds:10_000_000
-                Radio_faults.Fault_plan.empty (Can.protocol plan_h64) h64)));
     Test.make ~name:"E18/faulty-engine-planned/H64"
       (let plan =
-         Radio_faults.Fault_plan.sample ~seed:Workloads.seed ~crashes:2
+         Radio_sim.Fault_plan.sample ~seed:Workloads.seed ~crashes:2
            ~drops:8 ~noise:8 ~horizon:600 h64
        in
        Staged.stage (fun () ->
            ignore
-             (Radio_faults.Faulty_engine.run ~max_rounds:10_000_000 plan
+             (Engine.run_plan ~max_rounds:10_000_000 plan
                 (Can.protocol plan_h64) h64)));
     (* E9: randomized baseline *)
     Test.make ~name:"E9/randomized-election/n32"

@@ -47,5 +47,5 @@ let named_families =
 let faults_config st n = feasible_gnp st ~n ~p:0.3 ~span:3
 
 let faults_plan ~horizon config =
-  Radio_faults.Fault_plan.sample ~seed ~crashes:2 ~drops:8 ~noise:8
+  Radio_sim.Fault_plan.sample ~seed ~crashes:2 ~drops:8 ~noise:8
     ~jitters:2 ~horizon config

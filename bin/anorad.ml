@@ -31,6 +31,7 @@ module Can = Election.Canonical
 module Fe = Election.Feasibility
 module Imp = Election.Impossibility
 module Engine = Radio_sim.Engine
+module FP = Radio_sim.Fault_plan
 module Runner = Radio_sim.Runner
 module Trace = Radio_sim.Trace
 
@@ -50,6 +51,21 @@ let config_arg =
 let load_config path =
   if path = "-" then CIo.of_string (In_channel.input_all In_channel.stdin)
   else CIo.read_file path
+
+(* The one fault-plan loader: parse, then validate against the
+   configuration.  A malformed line or an out-of-range node is a positioned
+   message on stderr and exit code 2, never an uncaught exception. *)
+let load_plan ~cmd config path =
+  let invalid msg =
+    Format.eprintf "anorad %s: invalid plan: %s@." cmd msg;
+    exit 2
+  in
+  match FP.read_file path with
+  | exception (Failure msg | Sys_error msg) -> invalid msg
+  | plan -> (
+      match FP.validate config plan with
+      | Ok () -> plan
+      | Error msg -> invalid msg)
 
 let impl_arg =
   let doc = "Classifier implementation: 'reference' (literal Algorithms 1-4) or 'fast' (hash-based refinement)." in
@@ -1080,16 +1096,13 @@ let check_trace_cmd =
           let o = Engine.run ~max_rounds ~record_trace:true proto config in
           (o, Radio_lint.Invariants.validate ~protocol:proto o)
       | Some plan_path ->
-          let plan = Radio_faults.Fault_plan.read_file plan_path in
+          let plan = load_plan ~cmd:"check-trace" config plan_path in
           let fo =
-            Radio_faults.Faulty_engine.run ~max_rounds ~record_trace:true
-              plan proto config
+            Engine.run_plan ~max_rounds ~record_trace:true plan proto config
           in
           (* Deliberately the pristine validator: the point of --plan here
              is to show which model invariants the faults break. *)
-          ( fo.Radio_faults.Faulty_engine.base,
-            Radio_lint.Invariants.validate
-              fo.Radio_faults.Faulty_engine.base )
+          (fo.Engine.base, Radio_lint.Invariants.validate fo.Engine.base)
     in
     Format.printf "protocol: %s@." proto.Radio_drip.Protocol.name;
     Format.printf "rounds: %d, all terminated: %b@." o.Engine.rounds
@@ -1119,8 +1132,6 @@ let check_trace_cmd =
 (* ------------------------------------------------------------------ *)
 
 let faults_cmd =
-  let module FP = Radio_faults.Fault_plan in
-  let module FE = Radio_faults.Faulty_engine in
   let plan_pos1 =
     let doc =
       "Fault plan file ('faults' header, then 'crash <node> <round>', \
@@ -1138,20 +1149,15 @@ let faults_cmd =
   in
   let run path plan_path max_rounds supervise =
     let config = load_config path in
-    let plan = FP.read_file plan_path in
-    (match FP.validate config plan with
-    | Ok () -> ()
-    | Error msg ->
-        Format.eprintf "anorad faults: invalid plan: %s@." msg;
-        exit 2);
+    let plan = load_plan ~cmd:"faults" config plan_path in
     let a = Fe.analyze config in
     let proto = Can.protocol a.Fe.plan in
-    let fo = FE.run ~max_rounds ~record_trace:true plan proto config in
+    let fo = Engine.run_plan ~max_rounds ~record_trace:true plan proto config in
     Format.printf "rounds: %d, survivors all terminated: %b@."
-      fo.FE.base.Engine.rounds fo.FE.base.Engine.all_terminated;
+      fo.Engine.base.Engine.rounds fo.Engine.base.Engine.all_terminated;
     Format.printf "fault ledger (%d fired):@.%a@."
-      (List.length fo.FE.ledger)
-      FE.pp_ledger fo.FE.ledger;
+      (List.length fo.Engine.ledger)
+      Engine.pp_ledger fo.Engine.ledger;
     (match Radio_lint.Invariants.validate_faulty ~protocol:proto fo with
     | [] -> Format.printf "fault-aware model invariants hold@."
     | vs ->
@@ -1162,7 +1168,7 @@ let faults_cmd =
       1
     end
     else begin
-      match FE.elected (Can.decision a.Fe.plan) fo with
+      match Engine.elected (Can.decision a.Fe.plan) fo with
       | Some v ->
           Format.printf "leader: node %d@." v;
           0
@@ -1239,7 +1245,6 @@ let resilience_cmd =
 (* ------------------------------------------------------------------ *)
 
 let churn_cmd =
-  let module FP = Radio_faults.Fault_plan in
   let module Ch = Radio_faults.Churn in
   let module I = Election.Incremental in
   let plan_arg =
@@ -1300,7 +1305,7 @@ let churn_cmd =
         let config = load_config path in
         let plan =
           match plan_path with
-          | Some p -> FP.read_file p
+          | Some p -> load_plan ~cmd:"churn" config p
           | None ->
               FP.sample ~seed ~crashes ~link_flaps ~node_flaps ~retags
                 ~horizon config

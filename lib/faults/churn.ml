@@ -1,5 +1,6 @@
 module Config = Radio_config.Config
 module Engine = Radio_sim.Engine
+module Fault_plan = Radio_sim.Fault_plan
 module Runner = Radio_sim.Runner
 module Fe = Election.Feasibility
 module I = Election.Incremental

@@ -1,11 +1,11 @@
 (** Churn supervision: keeping a leader standing while the network flaps.
 
-    The engine ({!Faulty_engine}) answers "what happens to one election run
-    while the topology changes under it".  This module is the control-plane
-    view an operator has over a {e long-lived} deployment: the fault plan's
-    topology events (and crashes) partition the timeline [0 .. horizon)
-    into {b epochs} of static topology, and at every epoch boundary the
-    supervisor
+    The engine ({!Radio_sim.Engine.run_plan}) answers "what happens to one
+    election run while the topology changes under it".  This module is the
+    control-plane view an operator has over a {e long-lived} deployment:
+    the fault plan's topology events (and crashes) partition the timeline
+    [0 .. horizon) into {b epochs} of static topology, and at every epoch
+    boundary the supervisor
 
     + {b applies} the boundary's events to an {!Election.Incremental} state
       (link flaps become edge edits, leaves/crashes and joins become
@@ -31,7 +31,8 @@
 type epoch = {
   index : int;  (** 0-based; epoch 0 opens at round 0 (cold start) *)
   round : int;  (** global round the epoch opens at *)
-  events : Fault_plan.t;  (** boundary events applied, normalized order *)
+  events : Radio_sim.Fault_plan.t;
+      (** boundary events applied, normalized order *)
   edits_applied : int;  (** incremental edits (incl. repair write-backs) *)
   labels_computed : int;  (** labels recomputed at this boundary *)
   labels_reused : int;  (** memoized labels reused at this boundary *)
@@ -60,7 +61,7 @@ type report = {
 val run :
   ?max_attempts:int ->
   ?max_timeout:int ->
-  plan:Fault_plan.t ->
+  plan:Radio_sim.Fault_plan.t ->
   horizon:int ->
   Radio_config.Config.t ->
   report
@@ -69,6 +70,6 @@ val run :
     [max_attempts] (default 5) bounds elections per epoch; [max_timeout]
     (default unbounded) caps the doubled per-attempt round budget.
     Raises [Invalid_argument] when [horizon <= 0] or the plan does not
-    {!Fault_plan.validate} against the configuration. *)
+    {!Radio_sim.Fault_plan.validate} against the configuration. *)
 
 val pp : Format.formatter -> report -> unit

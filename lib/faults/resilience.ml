@@ -1,5 +1,6 @@
 module Config = Radio_config.Config
 module Engine = Radio_sim.Engine
+module Fault_plan = Radio_sim.Fault_plan
 module Runner = Radio_sim.Runner
 module Fe = Election.Feasibility
 
@@ -57,7 +58,7 @@ let crash_sweep ?pool ?(seed = 0xFA17) ?(trials = 20) ?max_intensity
   in
   (* One intensity level is an independent unit of work: every trial's
      plan is derived from the precomputed (read-only) schedules, and
-     Faulty_engine allocates all run state per call.  Mapping over the
+     Engine.run_plan allocates all run state per call.  Mapping over the
      levels with a pool preserves the ascending-intensity order, so the
      curve is byte-identical at any jobs count. *)
   let point_at k =
@@ -68,12 +69,14 @@ let crash_sweep ?pool ?(seed = 0xFA17) ?(trials = 20) ?max_intensity
         Array.to_list (Array.sub schedules.(t) 0 k)
         |> List.map (fun (node, round) -> Fault_plan.Crash { node; round })
       in
-      let o = Faulty_engine.run ~max_rounds plan election.Runner.protocol config in
-      match Faulty_engine.elected election.Runner.decision o with
+      let o =
+        Engine.run_plan ~max_rounds plan election.Runner.protocol config
+      in
+      match Engine.elected election.Runner.decision o with
       | Some v ->
           incr successes;
           if v = baseline_leader then incr stable;
-          rounds_sum := !rounds_sum + o.Faulty_engine.base.Engine.rounds
+          rounds_sum := !rounds_sum + o.Engine.base.Engine.rounds
       | None -> ()
     done;
     {

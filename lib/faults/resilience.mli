@@ -4,9 +4,9 @@
     A sweep fixes a feasible configuration, compiles its dedicated election
     (Theorem 3.15), and then raises the fault intensity: at intensity [k],
     each trial crash-stops [k] nodes at seed-determined rounds.  Trials use
-    {e nested} crash sets ({!Fault_plan.crash_schedule}): the intensity-[k+1]
-    plan of a trial is its intensity-[k] plan plus one more crash, so curves
-    degrade rather than jump around.  Everything is derived from the integer
+    {e nested} crash sets ({!Radio_sim.Fault_plan.crash_schedule}): the
+    intensity-[k+1] plan of a trial is its intensity-[k] plan plus one more
+    crash, so curves degrade rather than jump around.  Everything is derived from the integer
     [seed]; the emitted csv and chart are reproducible byte-for-byte.
 
     Three curves per configuration:

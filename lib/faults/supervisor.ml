@@ -1,5 +1,6 @@
 module Config = Radio_config.Config
 module Engine = Radio_sim.Engine
+module Fault_plan = Radio_sim.Fault_plan
 module Runner = Radio_sim.Runner
 module Fe = Election.Feasibility
 
@@ -15,7 +16,7 @@ type attempt = {
   timeout : int;
   rounds : int;
   faults_fired : int;
-  ledger : Faulty_engine.fired list;
+  ledger : Engine.fired list;
   detection : detection;
 }
 
@@ -81,21 +82,21 @@ let supervise ?(seed = 0xFA17) ?(max_attempts = 5) ?base_timeout ?max_timeout
           (0, [], No_unique_winner [])
       | Some election ->
           let o =
-            Faulty_engine.run ~max_rounds:timeout plan
+            Engine.run_plan ~max_rounds:timeout plan
               election.Runner.protocol cfg
           in
           let detection =
-            match Faulty_engine.elected election.Runner.decision o with
+            match Engine.elected election.Runner.decision o with
             | Some v -> Elected v
             | None ->
-                if o.Faulty_engine.base.Engine.all_terminated then
+                if o.Engine.base.Engine.all_terminated then
                   No_unique_winner
-                    (Faulty_engine.surviving_winners
+                    (Engine.surviving_winners
                        election.Runner.decision o)
                 else Timed_out
           in
-          ( o.Faulty_engine.base.Engine.rounds,
-            o.Faulty_engine.ledger,
+          ( o.Engine.base.Engine.rounds,
+            o.Engine.ledger,
             detection )
     in
     attempts :=
@@ -162,5 +163,5 @@ let pp ppf r =
   with
   | Some _, [ a ] when a.ledger <> [] ->
       Format.fprintf ppf "faults survived by the elected attempt:@.  @[<v>%a@]@."
-        Faulty_engine.pp_ledger a.ledger
+        Engine.pp_ledger a.ledger
   | _ -> ()

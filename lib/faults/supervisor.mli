@@ -33,7 +33,7 @@ type attempt = {
   timeout : int;  (** round budget of this attempt *)
   rounds : int;  (** global rounds actually consumed *)
   faults_fired : int;  (** ledger length of the faulty run *)
-  ledger : Faulty_engine.fired list;
+  ledger : Radio_sim.Engine.fired list;
       (** the attempt's fired-fault ledger, chronological; {!pp} prints the
           elected attempt's ledger so a survived election is auditable *)
   detection : detection;
@@ -51,7 +51,7 @@ val supervise :
   ?max_attempts:int ->
   ?base_timeout:int ->
   ?max_timeout:int ->
-  plan:Fault_plan.t ->
+  plan:Radio_sim.Fault_plan.t ->
   Radio_config.Config.t ->
   report
 (** [supervise ~plan config] retries up to [max_attempts] (default 5)

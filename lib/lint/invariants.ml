@@ -417,90 +417,89 @@ let validate_exn ?protocol o =
   | vs -> failwith (Report.to_string vs)
 
 (* -------------------------------------------------------------------- *)
-(* Faulty outcomes: the conformance checker for [Radio_faults].          *)
+(* Outcomes under a fault plan: the conformance checker for run_plan.    *)
 
-module Fault_plan = Radio_faults.Fault_plan
-module Faulty = Radio_faults.Faulty_engine
+module Fault_plan = Radio_sim.Fault_plan
 
-let ledger_consistency (fo : Faulty.outcome) =
+let ledger_consistency (fo : Engine.plan_outcome) =
   Report.collect @@ fun rep ->
-  let o = fo.Faulty.base in
+  let o = fo.Engine.base in
   let n = Array.length o.Engine.histories in
-  let plan = Fault_plan.normalize fo.Faulty.plan in
-  if Array.length fo.Faulty.crashed_at <> n then
+  let plan = Fault_plan.normalize fo.Engine.plan in
+  if Array.length fo.Engine.crashed_at <> n then
     rep.Report.f ~check:"shape" "crashed_at has length %d, expected n = %d"
-      (Array.length fo.Faulty.crashed_at)
+      (Array.length fo.Engine.crashed_at)
       n
-  else if Array.length fo.Faulty.departed_at <> n then
+  else if Array.length fo.Engine.departed_at <> n then
     rep.Report.f ~check:"shape" "departed_at has length %d, expected n = %d"
-      (Array.length fo.Faulty.departed_at)
+      (Array.length fo.Engine.departed_at)
       n
   else begin
     List.iter
-      (fun (ev : Faulty.fired) ->
-        if not (List.mem ev.Faulty.fault plan) then
-          rep.Report.f ~round:ev.Faulty.round ~check:"fault-ledger"
+      (fun (ev : Engine.fired) ->
+        if not (List.mem ev.Engine.fault plan) then
+          rep.Report.f ~round:ev.Engine.round ~check:"fault-ledger"
             "ledger fires %s, which the plan never schedules"
-            (Format.asprintf "%a" Fault_plan.pp_fault ev.Faulty.fault);
-        if ev.Faulty.round < 0 || ev.Faulty.round > o.Engine.rounds then
-          rep.Report.f ~round:ev.Faulty.round ~check:"fault-ledger"
+            (Format.asprintf "%a" Fault_plan.pp_fault ev.Engine.fault);
+        if ev.Engine.round < 0 || ev.Engine.round > o.Engine.rounds then
+          rep.Report.f ~round:ev.Engine.round ~check:"fault-ledger"
             "ledger event fired outside the %d simulated rounds"
             o.Engine.rounds;
-        let obs = ev.Faulty.observed_by in
+        let obs = ev.Engine.observed_by in
         if List.sort_uniq compare obs <> obs then
-          rep.Report.f ~round:ev.Faulty.round ~check:"fault-ledger"
+          rep.Report.f ~round:ev.Engine.round ~check:"fault-ledger"
             "observed_by is not sorted and duplicate-free";
         List.iter
           (fun v ->
             if v < 0 || v >= n then
-              rep.Report.f ~node:v ~round:ev.Faulty.round
+              rep.Report.f ~node:v ~round:ev.Engine.round
                 ~check:"fault-ledger" "observed_by names an out-of-range node")
           obs;
-        match ev.Faulty.fault with
+        match ev.Engine.fault with
         | Fault_plan.Crash { node; round } ->
             if obs <> [] then
-              rep.Report.f ~node ~round:ev.Faulty.round ~check:"fault-ledger"
+              rep.Report.f ~node ~round:ev.Engine.round ~check:"fault-ledger"
                 "a crash is never directly observed but observed_by is \
                  non-empty";
-            if ev.Faulty.round <> round then
-              rep.Report.f ~node ~round:ev.Faulty.round ~check:"fault-ledger"
+            if ev.Engine.round <> round then
+              rep.Report.f ~node ~round:ev.Engine.round ~check:"fault-ledger"
                 "crash scheduled for round %d fired at round %d" round
-                ev.Faulty.round;
+                ev.Engine.round;
             if
               node < 0 || node >= n
-              || fo.Faulty.crashed_at.(node) <> round
+              || fo.Engine.crashed_at.(node) <> round
             then
               rep.Report.f ~node ~round ~check:"fault-ledger"
                 "ledger crashes the node here but crashed_at disagrees"
         | Fault_plan.Link_down { round; _ } | Fault_plan.Link_up { round; _ }
           ->
             if obs <> [] then
-              rep.Report.f ~round:ev.Faulty.round ~check:"fault-ledger"
+              rep.Report.f ~round:ev.Engine.round ~check:"fault-ledger"
                 "a link event is never directly observed but observed_by is \
                  non-empty";
-            if ev.Faulty.round <> round then
-              rep.Report.f ~round:ev.Faulty.round ~check:"fault-ledger"
+            if ev.Engine.round <> round then
+              rep.Report.f ~round:ev.Engine.round ~check:"fault-ledger"
                 "link event scheduled for round %d fired at round %d" round
-                ev.Faulty.round
+                ev.Engine.round
         | Fault_plan.Leave { node; round } ->
-            if ev.Faulty.round <> round then
-              rep.Report.f ~node ~round:ev.Faulty.round ~check:"fault-ledger"
+            if ev.Engine.round <> round then
+              rep.Report.f ~node ~round:ev.Engine.round ~check:"fault-ledger"
                 "leave scheduled for round %d fired at round %d" round
-                ev.Faulty.round;
+                ev.Engine.round;
             if obs <> [] && obs <> [ node ] then
               rep.Report.f ~node ~round ~check:"fault-ledger"
                 "a leave is observed by at most the departing node itself"
         | Fault_plan.Join { node; round; _ }
         | Fault_plan.Retag { node; round; _ } ->
-            if ev.Faulty.round <> round then
-              rep.Report.f ~node ~round:ev.Faulty.round ~check:"fault-ledger"
+            if ev.Engine.round <> round then
+              rep.Report.f ~node ~round:ev.Engine.round ~check:"fault-ledger"
                 "join/retag scheduled for round %d fired at round %d" round
-                ev.Faulty.round;
+                ev.Engine.round;
             if obs <> [ node ] then
               rep.Report.f ~node ~round ~check:"fault-ledger"
                 "a join/retag is observed by exactly the affected node"
         | Fault_plan.Drop _ | Fault_plan.Noise _ | Fault_plan.Jitter _ -> ())
-      fo.Faulty.ledger;
+      fo.Engine.ledger;
     Array.iteri
       (fun v r ->
         if
@@ -515,7 +514,7 @@ let ledger_consistency (fo : Faulty.outcome) =
         then
           rep.Report.f ~node:v ~round:r ~check:"fault-ledger"
             "departed_at records a departure the plan never schedules")
-      fo.Faulty.departed_at;
+      fo.Engine.departed_at;
     Array.iteri
       (fun v r ->
         if r >= 0 then begin
@@ -526,31 +525,31 @@ let ledger_consistency (fo : Faulty.outcome) =
           if
             not
               (List.exists
-                 (fun (ev : Faulty.fired) ->
-                   match ev.Faulty.fault with
+                 (fun (ev : Engine.fired) ->
+                   match ev.Engine.fault with
                    | Fault_plan.Crash { node; _ } -> node = v
                    | _ -> false)
-                 fo.Faulty.ledger)
+                 fo.Engine.ledger)
           then
             rep.Report.f ~node:v ~round:r ~check:"fault-ledger"
               "node crashed but the ledger has no crash event for it"
         end)
-      fo.Faulty.crashed_at
+      fo.Engine.crashed_at
   end
 
 (* Fault-aware trace conformance: the same reception/wake-up recomputation
    as [trace_conformance], with the plan's drops removed from the air,
    noise forcing [Collision], and crashed nodes excused from every round at
    or after their crash. *)
-let faulty_trace (fo : Faulty.outcome) =
-  let o = fo.Faulty.base in
+let faulty_trace (fo : Engine.plan_outcome) =
+  let o = fo.Engine.base in
   if o.Engine.trace = [] then []
   else
     Report.collect @@ fun rep ->
     let g = Config.graph o.Engine.config in
     let n = Config.size o.Engine.config in
-    let plan = fo.Faulty.plan in
-    let crashed_at v = crash_of fo.Faulty.crashed_at v in
+    let plan = fo.Engine.plan in
+    let crashed_at v = crash_of fo.Engine.crashed_at v in
     let dead_at r v =
       let c = crashed_at v in
       c >= 0 && r >= c
@@ -675,30 +674,30 @@ let faulty_trace (fo : Faulty.outcome) =
       rep.Report.f ~check:"trace"
         "first_transmission disagrees with the earliest traced transmission"
 
-let validate_faulty ?protocol (fo : Faulty.outcome) =
-  if Fault_plan.is_empty fo.Faulty.plan && fo.Faulty.ledger = [] then
-    validate ?protocol fo.Faulty.base
-  else if Fault_plan.has_topology fo.Faulty.plan then
+let validate_faulty ?protocol (fo : Engine.plan_outcome) =
+  if Fault_plan.is_empty fo.Engine.plan && fo.Engine.ledger = [] then
+    validate ?protocol fo.Engine.base
+  else if Fault_plan.has_topology fo.Engine.plan then
     (* Every other check recomputes semantics against the static graph and
        the original tags; under topology events only the ledger's internal
        consistency is checkable without re-simulating the churn. *)
     ledger_consistency fo
   else
     ledger_consistency fo
-    @ structural_with ~crashed:fo.Faulty.crashed_at fo.Faulty.base
+    @ structural_with ~crashed:fo.Engine.crashed_at fo.Engine.base
     @ faulty_trace fo
     (* A crashed node stops deciding mid-history, which the anonymity
        replay cannot distinguish from a deliberate Listen — the DRIP law is
        only checked when no crash fired. *)
-    @ (if Array.for_all (fun c -> c < 0) fo.Faulty.crashed_at then
-         anonymity fo.Faulty.base
+    @ (if Array.for_all (fun c -> c < 0) fo.Engine.crashed_at then
+         anonymity fo.Engine.base
        else [])
     @
-    (* Re-running the pristine engine cannot reproduce a faulty outcome, so
+    (* A fault-free re-run cannot reproduce a faulty outcome, so
        only the per-node history replay applies here. *)
     match protocol with
     | None -> []
-    | Some p -> Purity.replay p fo.Faulty.base
+    | Some p -> Purity.replay p fo.Engine.base
 
 let validate_faulty_exn ?protocol fo =
   match validate_faulty ?protocol fo with

@@ -56,7 +56,7 @@ val validate_exn :
 
 (** {1 Faulty outcomes}
 
-    {!Radio_faults.Faulty_engine} runs deviate from the pristine model on
+    {!Radio_sim.Engine.run_plan} runs deviate from the pristine model on
     purpose, so the pristine checks would flag every injected fault.  The
     fault-aware validator instead checks the outcome against the model
     {e as perturbed by the plan}:
@@ -81,7 +81,7 @@ val validate_exn :
 
 val validate_faulty :
   ?protocol:Radio_drip.Protocol.t ->
-  Radio_faults.Faulty_engine.outcome ->
+  Radio_sim.Engine.plan_outcome ->
   Report.t
 (** [protocol] adds the per-node history replay ({!Purity.replay}); the
     whole-configuration rerun is skipped on non-empty plans (the pristine
@@ -89,5 +89,5 @@ val validate_faulty :
 
 val validate_faulty_exn :
   ?protocol:Radio_drip.Protocol.t ->
-  Radio_faults.Faulty_engine.outcome ->
+  Radio_sim.Engine.plan_outcome ->
   unit

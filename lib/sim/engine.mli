@@ -17,7 +17,13 @@
     - terminated nodes are permanently silent and deaf.
 
     The engine is deterministic given a deterministic protocol; randomized
-    protocols own their random state. *)
+    protocols own their random state.
+
+    There is one round loop, {!run_plan}, which also executes the
+    deviations of a {!Fault_plan}.  The fault-free run is its empty-plan
+    run: [run proto config] is [(run_plan Fault_plan.empty proto config).base].
+    An empty plan costs only a few per-round tests of the compiled plan
+    (crash, drop, noise, topology) that skip every fault phase. *)
 
 type outcome = {
   config : Radio_config.Config.t;
@@ -71,3 +77,101 @@ val global_done_round : outcome -> int -> int
 val completion_round : outcome -> int
 (** Largest {!global_done_round} over all nodes — the election time measured
     on the global clock.  Raises if some node had not terminated. *)
+
+(** {1 Runs under a fault plan}
+
+    Fault semantics per global round [r] (in order):
+
+    + {b crash}: a node whose crash round is [r] dies before acting — it
+      neither decides, transmits, observes, wakes nor terminates from round
+      [r] on.  Its history simply stops.  A crash scheduled after the node
+      already terminated is a no-op and does not fire.
+    + {b decisions}: as in the fault-free model, for live running nodes.
+    + {b drops}: a dropped directed copy [src -> dst] is removed from the
+      air before anyone counts transmissions — [dst] neither hears it nor
+      counts it towards a collision or a forced wake-up.
+    + {b noise}: after drops, a noisy listening node hears [Collision]
+      whatever remains in the air, and a noisy sleeping node cannot be
+      woken this round (collisions do not wake; its tag may still wake it
+      spontaneously).
+
+    {b Topology events} ({!Fault_plan.has_topology}) precede even the
+    crashes of their round, applied in normalized order:
+
+    - [Link_down]/[Link_up] toggle an undirected link in the air; a toggle
+      to the state the link is already in is inert.  Links may come up
+      that the base graph never had.
+    - [Leave] removes a present, non-crashed node: its history stops, its
+      [done_local] stays [-1] unless it had already terminated, and
+      [departed_at] records the round.
+    - [Join] revives an absent (left, never crashed) node as a {e fresh}
+      protocol instance with an {e empty history} — the incarnation before
+      departure is discarded from [base.histories].  The new alarm is
+      global round [max tag r].  Joins scheduled after every other node
+      terminated never execute: the run ends when no running node remains.
+    - [Retag] moves a still-sleeping node's alarm to [max tag r]; awake,
+      terminated, crashed or absent nodes are unaffected.
+
+    Without topology events the loop reads the static graph; a dynamic
+    adjacency matrix is built only for plans that have them.
+
+    The {b ledger} records every fault that actually fired — changed some
+    node's execution or the network state — with the global round and the
+    nodes that perceived a difference.  Faults that were scheduled but
+    changed nothing (a drop on a silent round, noise at a terminated node,
+    a crash after termination, a link flap to the current state, a retag
+    of an awake node) do not fire and are absent from the ledger. *)
+
+type fired = {
+  round : int;  (** global round in which the fault took effect *)
+  fault : Fault_plan.fault;
+  observed_by : int list;
+      (** nodes whose perception the fault altered, ascending; empty when
+          the deviation is invisible (e.g. a crash, or a drop towards a
+          sleeping node that its tag would not have woken) *)
+}
+
+type plan_outcome = {
+  base : outcome;
+      (** [base.config] is the {e effective} (jitter-applied) configuration
+          the run actually executed, and [base.all_terminated] means
+          {e every non-crashed node} terminated.  Crashed nodes keep
+          [done_local = -1]. *)
+  original : Radio_config.Config.t;  (** the configuration before jitter *)
+  plan : Fault_plan.t;
+  crashed_at : int array;
+      (** per node: the global round it crash-stopped, [-1] if it never
+          crashed (including crashes scheduled after termination) *)
+  departed_at : int array;
+      (** per node: the global round of its last un-rejoined [Leave],
+          [-1] if present at the end of the run *)
+  ledger : fired list;  (** chronological *)
+}
+
+val run_plan :
+  ?max_rounds:int ->
+  ?record_trace:bool ->
+  Fault_plan.t ->
+  Radio_drip.Protocol.t ->
+  Radio_config.Config.t ->
+  plan_outcome
+(** Same defaults as {!run} (100_000 rounds, no trace). *)
+
+val surviving_winners :
+  (Radio_drip.History.t -> bool) -> plan_outcome -> int list
+(** Terminated (hence complete-history) nodes whose final history satisfies
+    the decision function.  Crashed and still-running nodes never qualify:
+    their histories are prefixes the decision function may not accept. *)
+
+val elected : (Radio_drip.History.t -> bool) -> plan_outcome -> int option
+(** [Some v] iff every surviving node terminated and [v] is the unique
+    surviving winner. *)
+
+val outcome_equal : outcome -> outcome -> bool
+(** Field-by-field equality of engine outcomes (configurations compared
+    with {!Radio_config.Config.equal}) — the predicate behind the
+    replay-determinism property tests. *)
+
+val pp_fired : Format.formatter -> fired -> unit
+
+val pp_ledger : Format.formatter -> fired list -> unit

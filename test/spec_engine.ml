@@ -2,6 +2,7 @@ module C = Radio_config.Config
 module G = Radio_graph.Graph
 module H = Radio_drip.History
 module P = Radio_drip.Protocol
+module Engine = Radio_sim.Engine
 
 type result = {
   histories : H.t array;

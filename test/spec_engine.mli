@@ -1,11 +1,12 @@
 (** An executable {e specification} of the radio model, independent of
-    {!Engine}.
+    {!Radio_sim.Engine}: the reference oracle of the engine tests.
 
     This implementation is deliberately naive: it models the network as an
     immutable value, recomputes every round from scratch with folds over
     association lists, and derives node histories at the end from the global
     event log instead of accumulating them per node.  It shares no round
-    bookkeeping with {!Engine} — only the [Protocol] instance interface.
+    bookkeeping with {!Radio_sim.Engine} — only the [Protocol] instance
+    interface.
 
     Its only purpose is differential testing: the property suite runs both
     engines on random protocols and configurations and requires identical
@@ -27,7 +28,7 @@ val run :
   Radio_drip.Protocol.t ->
   Radio_config.Config.t ->
   result
-(** Same semantics as {!Engine.run} (default [max_rounds] 100_000). *)
+(** Same semantics as {!Radio_sim.Engine.run} (default [max_rounds] 100_000). *)
 
-val agrees_with_engine : result -> Engine.outcome -> bool
-(** Field-by-field comparison against an {!Engine} outcome. *)
+val agrees_with_engine : result -> Radio_sim.Engine.outcome -> bool
+(** Field-by-field comparison against a {!Radio_sim.Engine} outcome. *)

@@ -14,8 +14,9 @@ let binary =
     (Filename.dirname (Filename.dirname Sys.executable_name))
     "bin/anorad.exe"
 
-let run_cmd cmd =
-  let ic = Unix.open_process_in (cmd ^ " 2>/dev/null") in
+(* Exit code and stdout of a shell command line. *)
+let run_shell cmd =
+  let ic = Unix.open_process_in cmd in
   let output = In_channel.input_all ic in
   let status = Unix.close_process_in ic in
   let code =
@@ -25,7 +26,13 @@ let run_cmd cmd =
   in
   (code, output)
 
+let run_cmd cmd = run_shell (cmd ^ " 2>/dev/null")
+
 let anorad args = run_cmd (Filename.quote binary ^ " " ^ args)
+
+(* Exit code and stderr of one invocation; stdout is discarded. *)
+let anorad_stderr args =
+  run_shell (Filename.quote binary ^ " " ^ args ^ " 2>&1 >/dev/null")
 
 let contains hay needle =
   let nl = String.length needle and hl = String.length hay in
@@ -303,6 +310,37 @@ let test_churn_cli () =
       (* Degenerate horizon is a usage error, not a crash. *)
       let code, _ = anorad (Printf.sprintf "churn %s --horizon 0" (Filename.quote cfg)) in
       check_int "bad horizon exit 2" 2 code)
+
+(* Every command that reads a fault plan rejects a bad one the same way: a
+   positioned message naming the command and exit code 2, never an
+   uncaught exception (exit 125). *)
+let test_bad_plan_cli () =
+  with_plan "config 4\ntags 0 1 2 3\n0 1\n1 2\n2 3\n3 0\n" (fun cfg ->
+      let commands =
+        [
+          ("check-trace", Printf.sprintf "check-trace %s --plan %s");
+          ("faults", Printf.sprintf "faults %s %s");
+          ("churn", Printf.sprintf "churn %s --plan %s");
+        ]
+      in
+      List.iter
+        (fun (text, detail) ->
+          with_plan text (fun plan ->
+              List.iter
+                (fun (cmd, args) ->
+                  let code, err =
+                    anorad_stderr
+                      (args (Filename.quote cfg) (Filename.quote plan))
+                  in
+                  check_int (cmd ^ " exit 2") 2 code;
+                  check (cmd ^ " headline") true
+                    (contains err ("anorad " ^ cmd ^ ": invalid plan: "));
+                  check (cmd ^ " detail") true (contains err detail))
+                commands))
+        [
+          ("faults\nlink-down 0 99 1\n", "link event names node outside 0..3");
+          ("faults\nbogus 1 2\n", "line 2: unrecognized line \"bogus 1 2\"");
+        ])
 
 let test_check_trace_plan_cli () =
   with_family "h" 2 (fun cfg ->
@@ -740,6 +778,7 @@ let () =
           Alcotest.test_case "churn" `Quick test_churn_cli;
           Alcotest.test_case "check-trace --plan" `Quick
             test_check_trace_plan_cli;
+          Alcotest.test_case "bad plan" `Quick test_bad_plan_cli;
         ] );
       ( "lint",
         [

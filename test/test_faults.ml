@@ -1,6 +1,6 @@
 (* Unit tests for the fault layer (lib/faults): plan data type and
-   serialization, the per-fault semantics of the fault-injecting engine and
-   its ledger, resilience degradation curves, and the supervised
+   serialization, the per-fault semantics of Engine.run_plan and its
+   ledger, resilience degradation curves, and the supervised
    re-election loop.  The cross-cutting laws (empty-plan identity, replay
    determinism, perturbed-model conformance) live in test_properties.ml
    (P25-P27); everything here is small and deterministic. *)
@@ -12,8 +12,7 @@ module H = Radio_drip.History
 module P = Radio_drip.Protocol
 module Engine = Radio_sim.Engine
 module Fe = Election.Feasibility
-module FP = Radio_faults.Fault_plan
-module FE = Radio_faults.Faulty_engine
+module FP = Radio_sim.Fault_plan
 module R = Radio_faults.Resilience
 module S = Radio_faults.Supervisor
 module Ch = Radio_faults.Churn
@@ -35,7 +34,7 @@ let dedicated config =
   | None -> Alcotest.fail "expected a feasible configuration"
 
 let frun ?(config = cycle4) plan proto =
-  FE.run ~max_rounds:1_000 ~record_trace:true plan proto config
+  Engine.run_plan ~max_rounds:1_000 ~record_trace:true plan proto config
 
 (* ------------------------------------------------------------------ *)
 (* Fault_plan: data, validation, serialization, sampling               *)
@@ -251,7 +250,7 @@ let test_topology_at () =
   check "crash removes presence" false t6.FP.present.(1)
 
 (* ------------------------------------------------------------------ *)
-(* Faulty_engine: per-fault semantics and the ledger                   *)
+(* Engine.run_plan: per-fault semantics and the ledger                 *)
 (* ------------------------------------------------------------------ *)
 
 let test_crash_semantics () =
@@ -260,15 +259,15 @@ let test_crash_semantics () =
      still counts as fully terminated (crashed nodes are written off). *)
   let proto = P.silent ~lifetime:5 () in
   let fo = frun [ FP.Crash { node = 1; round = 3 } ] proto in
-  check_int "crashed_at" 3 fo.FE.crashed_at.(1);
-  check_int "never terminates" (-1) fo.FE.base.Engine.done_local.(1);
-  check_int "history frozen" 2 (Array.length fo.FE.base.Engine.histories.(1));
-  check "others unaffected" true fo.FE.base.Engine.all_terminated;
+  check_int "crashed_at" 3 fo.Engine.crashed_at.(1);
+  check_int "never terminates" (-1) fo.Engine.base.Engine.done_local.(1);
+  check_int "history frozen" 2 (Array.length fo.Engine.base.Engine.histories.(1));
+  check "others unaffected" true fo.Engine.base.Engine.all_terminated;
   check "crash fires unobserved" true
-    (fo.FE.ledger
+    (fo.Engine.ledger
     = [
         {
-          FE.round = 3;
+          Engine.round = 3;
           fault = FP.Crash { node = 1; round = 3 };
           observed_by = [];
         };
@@ -283,22 +282,22 @@ let test_drop_semantics () =
   check "pristine forced wake" true pristine.Engine.forced.(1);
   let plan = [ FP.Drop { src = 0; dst = 1; round = 1 } ] in
   let fo = frun ~config plan (P.beacon ()) in
-  check "drop suppresses forced wake" false fo.FE.base.Engine.forced.(1);
+  check "drop suppresses forced wake" false fo.Engine.base.Engine.forced.(1);
   check "wakes into silence" true
-    (fo.FE.base.Engine.histories.(1).(0) = H.Silence);
+    (fo.Engine.base.Engine.histories.(1).(0) = H.Silence);
   check "drop fires at the receiver" true
-    (match fo.FE.ledger with
-    | [ { FE.round = 1; fault = FP.Drop _; observed_by = [ 1 ] } ] -> true
+    (match fo.Engine.ledger with
+    | [ { Engine.round = 1; fault = FP.Drop _; observed_by = [ 1 ] } ] -> true
     | _ -> false)
 
 let test_noise_semantics () =
   (* A listening node hears Collision whatever its neighbours did. *)
   let fo = frun [ FP.Noise { node = 0; round = 2 } ] (P.silent ~lifetime:5 ()) in
   check "listener hears collision" true
-    (fo.FE.base.Engine.histories.(0).(2) = H.Collision);
+    (fo.Engine.base.Engine.histories.(0).(2) = H.Collision);
   check "noise fires at the listener" true
-    (match fo.FE.ledger with
-    | [ { FE.round = 2; fault = FP.Noise _; observed_by = [ 0 ] } ] -> true
+    (match fo.Engine.ledger with
+    | [ { Engine.round = 2; fault = FP.Noise _; observed_by = [ 0 ] } ] -> true
     | _ -> false)
 
 let test_noise_suppresses_forced_wake () =
@@ -306,21 +305,21 @@ let test_noise_suppresses_forced_wake () =
      collisions do not wake, so node 1 again wakes spontaneously. *)
   let config = F.two_cells () in
   let fo = frun ~config [ FP.Noise { node = 1; round = 1 } ] (P.beacon ()) in
-  check "no forced wake under noise" false fo.FE.base.Engine.forced.(1);
+  check "no forced wake under noise" false fo.Engine.base.Engine.forced.(1);
   check "wakes into silence" true
-    (fo.FE.base.Engine.histories.(1).(0) = H.Silence)
+    (fo.Engine.base.Engine.histories.(1).(0) = H.Silence)
 
 let test_jitter_semantics () =
   let config = F.two_cells () in
   let plan = [ FP.Jitter { node = 0; delta = 2 } ] in
   let fo = frun ~config plan (P.silent ~lifetime:1 ()) in
   check "effective config jittered" true
-    (C.tags fo.FE.base.Engine.config = [| 2; 1 |]);
-  check "original kept" true (C.tags fo.FE.original = [| 0; 1 |]);
-  check_int "wakes at the jittered tag" 2 fo.FE.base.Engine.wake_round.(0);
+    (C.tags fo.Engine.base.Engine.config = [| 2; 1 |]);
+  check "original kept" true (C.tags fo.Engine.original = [| 0; 1 |]);
+  check_int "wakes at the jittered tag" 2 fo.Engine.base.Engine.wake_round.(0);
   check "jitter fires up-front" true
-    (match fo.FE.ledger with
-    | [ { FE.round = 0; fault = FP.Jitter _; observed_by = [ 0 ] } ] -> true
+    (match fo.Engine.ledger with
+    | [ { Engine.round = 0; fault = FP.Jitter _; observed_by = [ 0 ] } ] -> true
     | _ -> false)
 
 let test_inert_faults_never_fire () =
@@ -338,11 +337,11 @@ let test_inert_faults_never_fire () =
     ]
   in
   let fo = frun plan proto in
-  check "ledger empty" true (fo.FE.ledger = []);
+  check "ledger empty" true (fo.Engine.ledger = []);
   check "no crash recorded" true
-    (Array.for_all (fun c -> c = -1) fo.FE.crashed_at);
+    (Array.for_all (fun c -> c = -1) fo.Engine.crashed_at);
   check "run equals pristine" true
-    (FE.outcome_equal fo.FE.base
+    (Engine.outcome_equal fo.Engine.base
        (Engine.run ~max_rounds:1_000 ~record_trace:true proto cycle4))
 
 let test_election_under_faults () =
@@ -350,17 +349,17 @@ let test_election_under_faults () =
   let proto = e.Radio_sim.Runner.protocol in
   let decision = e.Radio_sim.Runner.decision in
   let clean = frun ~config:h2 FP.empty proto in
-  check "empty plan elects the leader" true (FE.elected decision clean = Some 0);
-  check "leader survives" true (FE.surviving_winners decision clean = [ 0 ]);
+  check "empty plan elects the leader" true (Engine.elected decision clean = Some 0);
+  check "leader survives" true (Engine.surviving_winners decision clean = [ 0 ]);
   (* Crash-stopping the canonical leader mid-run is fatal: the decision
      function accepts only the singleton class (docs/FAULTS.md). *)
   let crashed = frun ~config:h2 [ FP.Crash { node = 0; round = 3 } ] proto in
   check "crashed leader, no winner" true
-    (FE.surviving_winners decision crashed = []);
-  check "no election" true (FE.elected decision crashed = None)
+    (Engine.surviving_winners decision crashed = []);
+  check "no election" true (Engine.elected decision crashed = None)
 
 (* ------------------------------------------------------------------ *)
-(* Faulty_engine: topology events mid-election                         *)
+(* Engine.run_plan: topology events mid-election                       *)
 (* ------------------------------------------------------------------ *)
 
 let test_leave_semantics () =
@@ -368,14 +367,14 @@ let test_leave_semantics () =
      except departed_at (not crashed_at) records it. *)
   let proto = P.silent ~lifetime:5 () in
   let fo = frun [ FP.Leave { node = 1; round = 3 } ] proto in
-  check_int "departed_at" 3 fo.FE.departed_at.(1);
-  check_int "never crashed" (-1) fo.FE.crashed_at.(1);
-  check_int "never terminates" (-1) fo.FE.base.Engine.done_local.(1);
-  check_int "history frozen" 2 (Array.length fo.FE.base.Engine.histories.(1));
-  check "others unaffected" true fo.FE.base.Engine.all_terminated;
+  check_int "departed_at" 3 fo.Engine.departed_at.(1);
+  check_int "never crashed" (-1) fo.Engine.crashed_at.(1);
+  check_int "never terminates" (-1) fo.Engine.base.Engine.done_local.(1);
+  check_int "history frozen" 2 (Array.length fo.Engine.base.Engine.histories.(1));
+  check "others unaffected" true fo.Engine.base.Engine.all_terminated;
   check "leave observed by the departing node" true
-    (match fo.FE.ledger with
-    | [ { FE.round = 3; fault = FP.Leave _; observed_by = [ 1 ] } ] -> true
+    (match fo.Engine.ledger with
+    | [ { Engine.round = 3; fault = FP.Leave _; observed_by = [ 1 ] } ] -> true
     | _ -> false)
 
 let test_join_fresh_incarnation () =
@@ -387,17 +386,17 @@ let test_join_fresh_incarnation () =
     [ FP.Leave { node = 1; round = 2 }; FP.Join { node = 1; round = 4; tag = 0 } ]
   in
   let fo = frun plan proto in
-  check_int "rejoined" (-1) fo.FE.departed_at.(1);
-  check_int "fresh wake at the join round" 4 fo.FE.base.Engine.wake_round.(1);
-  check "spontaneous wake" false fo.FE.base.Engine.forced.(1);
+  check_int "rejoined" (-1) fo.Engine.departed_at.(1);
+  check_int "fresh wake at the join round" 4 fo.Engine.base.Engine.wake_round.(1);
+  check "spontaneous wake" false fo.Engine.base.Engine.forced.(1);
   check "fresh incarnation terminates" true
-    (fo.FE.base.Engine.done_local.(1) >= 0);
-  check "everyone terminates" true fo.FE.base.Engine.all_terminated;
+    (fo.Engine.base.Engine.done_local.(1) >= 0);
+  check "everyone terminates" true fo.Engine.base.Engine.all_terminated;
   check "ledger: leave then join" true
-    (match fo.FE.ledger with
+    (match fo.Engine.ledger with
     | [
-        { FE.round = 2; fault = FP.Leave _; observed_by = [ 1 ] };
-        { FE.round = 4; fault = FP.Join _; observed_by = [ 1 ] };
+        { Engine.round = 2; fault = FP.Leave _; observed_by = [ 1 ] };
+        { Engine.round = 4; fault = FP.Join _; observed_by = [ 1 ] };
       ] ->
         true
     | _ -> false)
@@ -408,10 +407,10 @@ let test_retag_moves_alarm () =
   let fo =
     frun [ FP.Retag { node = 3; round = 1; tag = 9 } ] (P.silent ~lifetime:2 ())
   in
-  check_int "wakes at the new alarm" 9 fo.FE.base.Engine.wake_round.(3);
+  check_int "wakes at the new alarm" 9 fo.Engine.base.Engine.wake_round.(3);
   check "retag observed" true
-    (match fo.FE.ledger with
-    | [ { FE.round = 1; fault = FP.Retag _; observed_by = [ 3 ] } ] -> true
+    (match fo.Engine.ledger with
+    | [ { Engine.round = 1; fault = FP.Retag _; observed_by = [ 3 ] } ] -> true
     | _ -> false)
 
 let test_retag_of_awake_node_inert () =
@@ -419,9 +418,9 @@ let test_retag_of_awake_node_inert () =
      byte-identical to the pristine one even on the dynamic-graph path. *)
   let proto () = P.silent ~lifetime:3 () in
   let fo = frun [ FP.Retag { node = 0; round = 2; tag = 9 } ] (proto ()) in
-  check "ledger empty" true (fo.FE.ledger = []);
+  check "ledger empty" true (fo.Engine.ledger = []);
   check "run equals pristine" true
-    (FE.outcome_equal fo.FE.base
+    (Engine.outcome_equal fo.Engine.base
        (Engine.run ~max_rounds:1_000 ~record_trace:true (proto ()) cycle4))
 
 let test_link_down_suppresses_forced_wake () =
@@ -431,12 +430,12 @@ let test_link_down_suppresses_forced_wake () =
   let fo =
     frun ~config [ FP.Link_down { u = 0; v = 1; round = 1 } ] (P.beacon ())
   in
-  check "no forced wake" false fo.FE.base.Engine.forced.(1);
+  check "no forced wake" false fo.Engine.base.Engine.forced.(1);
   check "wakes into silence" true
-    (fo.FE.base.Engine.histories.(1).(0) = H.Silence);
+    (fo.Engine.base.Engine.histories.(1).(0) = H.Silence);
   check "link-down fires unobserved" true
-    (match fo.FE.ledger with
-    | { FE.round = 1; fault = FP.Link_down _; observed_by = [] } :: _ -> true
+    (match fo.Engine.ledger with
+    | { Engine.round = 1; fault = FP.Link_down _; observed_by = [] } :: _ -> true
     | _ -> false)
 
 let test_link_flap_same_round_cancels () =
@@ -450,9 +449,9 @@ let test_link_flap_same_round_cancels () =
     ]
   in
   let fo = frun ~config plan (P.beacon ()) in
-  check_int "both fire" 2 (List.length fo.FE.ledger);
+  check_int "both fire" 2 (List.length fo.Engine.ledger);
   check "run equals pristine" true
-    (FE.outcome_equal fo.FE.base
+    (Engine.outcome_equal fo.Engine.base
        (Engine.run ~max_rounds:1_000 ~record_trace:true (P.beacon ()) config))
 
 let test_inert_topology_events () =
@@ -471,8 +470,8 @@ let test_inert_topology_events () =
   in
   let fo = frun plan proto in
   check "only the real departure fires" true
-    (match fo.FE.ledger with
-    | [ { FE.round = 1; fault = FP.Leave { node = 3; _ }; _ } ] -> true
+    (match fo.Engine.ledger with
+    | [ { Engine.round = 1; fault = FP.Leave { node = 3; _ }; _ } ] -> true
     | _ -> false)
 
 let test_leader_leave_kills_election () =
@@ -484,8 +483,8 @@ let test_leader_leave_kills_election () =
       e.Radio_sim.Runner.protocol
   in
   check "no winner" true
-    (FE.surviving_winners e.Radio_sim.Runner.decision fo = []);
-  check_int "departure recorded" 3 fo.FE.departed_at.(0)
+    (Engine.surviving_winners e.Radio_sim.Runner.decision fo = []);
+  check_int "departure recorded" 3 fo.Engine.departed_at.(0)
 
 (* ------------------------------------------------------------------ *)
 (* Churn: epoch supervision                                            *)

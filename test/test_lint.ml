@@ -153,6 +153,12 @@ let fault_purity_tests =
     Alcotest.test_case "ambient randomness flagged in lib/faults" `Quick
       (check_flags "fault-purity" ~path:"lib/faults/supervisor.ml"
          "let () = Random.self_init ()\n");
+    Alcotest.test_case "wall-clock flagged in lib/sim/fault_plan.ml" `Quick
+      (check_flags "fault-purity" ~path:"lib/sim/fault_plan.ml"
+         "let now = Unix.gettimeofday ()\n");
+    Alcotest.test_case "rest of lib/sim outside fault-purity" `Quick
+      (check_clean "fault-purity" ~path:"lib/sim/trace.ml"
+         "let now = Unix.gettimeofday ()\n");
     Alcotest.test_case "same source clean outside lib/faults" `Quick
       (check_clean "fault-purity" ~path:"lib/analysis/foo.ml"
          "let now = Unix.gettimeofday ()\n");
@@ -330,6 +336,9 @@ let ast_ported_tests =
     Alcotest.test_case "fault purity: wall clock flagged" `Quick
       (check_ast_flags "fault-purity" ~path:"lib/faults/foo.ml"
          "let now = Unix.gettimeofday ()\n");
+    Alcotest.test_case "fault purity: plan module in lib/sim flagged" `Quick
+      (check_ast_flags "fault-purity" ~path:"lib/sim/fault_plan.ml"
+         "let () = Random.self_init ()\n");
     Alcotest.test_case "allow suppresses AST rule" `Quick
       (check_ast_clean "random" ~path:"lib/core/foo.ml"
          "(* radiolint: allow random — seeded by caller *)\n\
@@ -1892,11 +1901,10 @@ let corrupted_outcome_tests =
 (* Layer 1, perturbed model: validate_faulty                           *)
 (* ------------------------------------------------------------------ *)
 
-module FP = Radio_faults.Fault_plan
-module FE = Radio_faults.Faulty_engine
+module FP = Radio_sim.Fault_plan
 
 let frun ?(config = cycle4) plan proto =
-  FE.run ~max_rounds:1_000 ~record_trace:true plan proto config
+  Engine.run_plan ~max_rounds:1_000 ~record_trace:true plan proto config
 
 (* Node 1 (tag 1) wakes in round 1 and crash-stops in round 3, mid-run. *)
 let crash_plan = [ FP.Crash { node = 1; round = 3 } ]
@@ -1906,7 +1914,7 @@ let faulty_clean_tests =
     Alcotest.test_case "crashed run validates" `Quick (fun () ->
         let proto = P.silent ~lifetime:5 () in
         let fo = frun crash_plan proto in
-        Alcotest.(check int) "crashed mid-run" 3 fo.FE.crashed_at.(1);
+        Alcotest.(check int) "crashed mid-run" 3 fo.Engine.crashed_at.(1);
         check_ok "crash" (Invariants.validate_faulty ~protocol:proto fo));
     Alcotest.test_case "mixed-plan run validates" `Quick (fun () ->
         let proto = P.beacon () in
@@ -1922,7 +1930,7 @@ let faulty_clean_tests =
     Alcotest.test_case "empty plan delegates to validate" `Quick (fun () ->
         let proto = P.beacon () in
         let fo = frun FP.empty proto in
-        Alcotest.(check bool) "nothing fired" true (fo.FE.ledger = []);
+        Alcotest.(check bool) "nothing fired" true (fo.Engine.ledger = []);
         check_ok "empty" (Invariants.validate_faulty ~protocol:proto fo));
   ]
 
@@ -1931,7 +1939,7 @@ let faulty_corrupted_tests =
     Alcotest.test_case "crashed node marked terminated is flagged" `Quick
       (fun () ->
         let fo = frun crash_plan (P.silent ~lifetime:5 ()) in
-        fo.FE.base.Engine.done_local.(1) <- 2;
+        fo.Engine.base.Engine.done_local.(1) <- 2;
         let vs = Invariants.validate_faulty fo in
         Alcotest.(check bool) "termination" true (has_check "termination" vs));
     Alcotest.test_case "history past the crash round is flagged" `Quick
@@ -1940,7 +1948,7 @@ let faulty_corrupted_tests =
         (* Node 1 woke in round 1 and crashed in round 3: two entries.
            Pretending it crashed a round earlier truncates nothing, so the
            recorded history is now one entry too long. *)
-        fo.FE.crashed_at.(1) <- 2;
+        fo.Engine.crashed_at.(1) <- 2;
         let vs = Invariants.validate_faulty fo in
         Alcotest.(check bool) "crash-silence" true
           (has_check "crash-silence" vs));
@@ -1948,18 +1956,18 @@ let faulty_corrupted_tests =
         let fo = frun crash_plan (P.silent ~lifetime:5 ()) in
         let forged =
           {
-            FE.round = 0;
+            Engine.round = 0;
             fault = FP.Noise { node = 0; round = 0 };
             observed_by = [ 0 ];
           }
         in
-        let fo = { fo with FE.ledger = fo.FE.ledger @ [ forged ] } in
+        let fo = { fo with Engine.ledger = fo.Engine.ledger @ [ forged ] } in
         let vs = Invariants.validate_faulty fo in
         Alcotest.(check bool) "fault-ledger" true (has_check "fault-ledger" vs));
     Alcotest.test_case "unscheduled crashed_at entry is flagged" `Quick
       (fun () ->
         let fo = frun crash_plan (P.silent ~lifetime:5 ()) in
-        fo.FE.crashed_at.(0) <- 2;
+        fo.Engine.crashed_at.(0) <- 2;
         let vs = Invariants.validate_faulty fo in
         Alcotest.(check bool) "fault-ledger" true (has_check "fault-ledger" vs));
   ]

@@ -327,8 +327,8 @@ let prop_engine_matches_spec =
           ~observe:(fun i _ -> i + 1)
       in
       let o = checked_run ~max_rounds:10_000 proto config in
-      let s = Radio_sim.Spec_engine.run ~max_rounds:10_000 proto config in
-      Radio_sim.Spec_engine.agrees_with_engine s o)
+      let s = Spec_engine.run ~max_rounds:10_000 proto config in
+      Spec_engine.agrees_with_engine s o)
 
 (* P14: the pure (history-function) canonical DRIP is the state machine. *)
 let prop_pure_drip_equivalence =
@@ -488,28 +488,27 @@ let prop_invariant_checker_traced =
 (* Fault layer (lib/faults)                                            *)
 (* ------------------------------------------------------------------ *)
 
-module FP = Radio_faults.Fault_plan
-module FE = Radio_faults.Faulty_engine
+module FP = Radio_sim.Fault_plan
 
-(* P25 (the identity law): the fault-injecting engine under the empty plan
-   reproduces the pristine engine bit for bit — traces included — on the
-   whole property universe.  This is the contract that lets the fault layer
-   exist without forking the simulator (faulty_engine.mli). *)
+(* P25 (the identity law): the empty-plan run of the engine's one round
+   loop agrees with the independently written executable specification
+   (Spec_engine, which shares no code with the loop) on the whole property
+   universe, fires no fault and crashes no node. *)
 let prop_empty_plan_identity =
-  QCheck.Test.make ~name:"empty fault plan == pristine engine (identity law)"
+  QCheck.Test.make
+    ~name:"empty fault plan == pristine engine (executable specification)"
     ~count:300 gen_config (fun params ->
       let config = build params in
       let plan = Can.plan_of_run (Cl.classify config) in
       let proto = Can.protocol plan in
       let fo =
-        FE.run ~max_rounds:3_000_000 ~record_trace:true FP.empty proto config
+        Engine.run_plan ~max_rounds:3_000_000 ~record_trace:true FP.empty
+          proto config
       in
-      let o =
-        Engine.run ~max_rounds:3_000_000 ~record_trace:true proto config
-      in
-      FE.outcome_equal fo.FE.base o
-      && fo.FE.ledger = []
-      && Array.for_all (fun c -> c = -1) fo.FE.crashed_at)
+      let s = Spec_engine.run ~max_rounds:3_000_000 proto config in
+      Spec_engine.agrees_with_engine s fo.Engine.base
+      && fo.Engine.ledger = []
+      && Array.for_all (fun c -> c = -1) fo.Engine.crashed_at)
 
 (* A seed-derived mixed plan (crashes, drops, noise, jitter) over the live
    part of the run, normalized so serialization is the identity. *)
@@ -531,15 +530,17 @@ let prop_faulty_replay_deterministic =
       let cplan = Can.plan_of_run (Cl.classify config) in
       let proto = Can.protocol cplan in
       let o1 =
-        FE.run ~max_rounds:3_000_000 ~record_trace:true plan proto config
+        Engine.run_plan ~max_rounds:3_000_000 ~record_trace:true plan proto
+          config
       in
       let o2 =
-        FE.run ~max_rounds:3_000_000 ~record_trace:true plan proto config
+        Engine.run_plan ~max_rounds:3_000_000 ~record_trace:true plan proto
+          config
       in
       FP.of_string (FP.to_string plan) = plan
-      && FE.outcome_equal o1.FE.base o2.FE.base
-      && o1.FE.ledger = o2.FE.ledger
-      && o1.FE.crashed_at = o2.FE.crashed_at)
+      && Engine.outcome_equal o1.Engine.base o2.Engine.base
+      && o1.Engine.ledger = o2.Engine.ledger
+      && o1.Engine.crashed_at = o2.Engine.crashed_at)
 
 (* P27: every faulty outcome satisfies the perturbed-model invariants
    (crash silence, post-drop reception counts, noise corruption, ledger
@@ -554,7 +555,8 @@ let prop_faulty_outcomes_validate =
       let cplan = Can.plan_of_run (Cl.classify config) in
       let proto = Can.protocol cplan in
       let fo =
-        FE.run ~max_rounds:3_000_000 ~record_trace:true plan proto config
+        Engine.run_plan ~max_rounds:3_000_000 ~record_trace:true plan proto
+          config
       in
       Radio_lint.Report.ok
         (Radio_lint.Invariants.validate_faulty ~protocol:proto fo))
@@ -631,14 +633,15 @@ let prop_churn_replay_deterministic =
       let cplan = Can.plan_of_run (Cl.classify config) in
       let proto = Can.protocol cplan in
       let go () =
-        FE.run ~max_rounds:3_000_000 ~record_trace:true plan proto config
+        Engine.run_plan ~max_rounds:3_000_000 ~record_trace:true plan proto
+          config
       in
       let o1 = go () in
       let o2 = go () in
-      FE.outcome_equal o1.FE.base o2.FE.base
-      && o1.FE.ledger = o2.FE.ledger
-      && o1.FE.crashed_at = o2.FE.crashed_at
-      && o1.FE.departed_at = o2.FE.departed_at
+      Engine.outcome_equal o1.Engine.base o2.Engine.base
+      && o1.Engine.ledger = o2.Engine.ledger
+      && o1.Engine.crashed_at = o2.Engine.crashed_at
+      && o1.Engine.departed_at = o2.Engine.departed_at
       && Radio_lint.Report.ok
            (Radio_lint.Invariants.validate_faulty ~protocol:proto o1))
 

@@ -10,7 +10,7 @@ module Gen = Radio_graph.Gen
 module H = Radio_drip.History
 module P = Radio_drip.Protocol
 module Engine = Radio_sim.Engine
-module Spec = Radio_sim.Spec_engine
+module Spec = Spec_engine
 module Cl = Election.Classifier
 module Can = Election.Canonical
 

@@ -64,9 +64,9 @@ let msg_hashtbl =
    ordered map in deterministic paths"
 
 let msg_fault_purity =
-  "fault plans are pure data: lib/faults/ must not consult ambient \
-   randomness or wall-clock time — derive everything from the explicit \
-   integer seed (fault_plan.mli)"
+  "fault plans are pure data: lib/faults/ and lib/sim/fault_plan.ml must \
+   not consult ambient randomness or wall-clock time — derive everything \
+   from the explicit integer seed (lib/sim/fault_plan.mli)"
 
 let msg_random_alias =
   "aliasing the Random module smuggles a PRNG past the determinism \

@@ -23,7 +23,9 @@ let rule_descriptions =
     ("obj-magic", "Obj.magic defeats the type system");
     ("physical-equality", "== / != compare identity, not value");
     ("hashtbl-iteration", "Hashtbl iteration order is nondeterministic");
-    ("fault-purity", "ambient randomness or wall-clock time in lib/faults/");
+    ( "fault-purity",
+      "ambient randomness or wall-clock time in lib/faults/ or \
+       lib/sim/fault_plan.ml" );
     ( "toplevel-mutable-state",
       "module-level ref/Hashtbl.create in a deterministic library" );
     ("catch-all-exception", "try ... with _ -> swallows invariant violations");

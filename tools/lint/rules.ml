@@ -256,7 +256,11 @@ let deterministic_hot_path path =
   || contains ~needle:"lib/drip/" path
   || contains ~needle:"lib/sim/" path
 
-let in_faults path = contains ~needle:"lib/faults/" path
+(* Fault plans are pure data wherever they live: the fault layer in
+   lib/faults/ and the plan module beside the engine that executes it. *)
+let in_faults path =
+  contains ~needle:"lib/faults/" path
+  || contains ~needle:"lib/sim/fault_plan.ml" path
 
 (* The one directory allowed to touch the multicore runtime: the domain
    pool and its merge protocols live there, everything else goes through
@@ -328,9 +332,9 @@ let line_rules =
           || has_module_needle ~needle:"Unix.gmtime" l
           || has_module_needle ~needle:"Sys.time" l);
       message =
-        "fault plans are pure data: lib/faults/ must not consult ambient \
-         randomness or wall-clock time — derive everything from the \
-         explicit integer seed (fault_plan.mli)";
+        "fault plans are pure data: lib/faults/ and lib/sim/fault_plan.ml \
+         must not consult ambient randomness or wall-clock time — derive \
+         everything from the explicit integer seed (lib/sim/fault_plan.mli)";
     };
     {
       name = "hashtbl-iteration";

@@ -9,7 +9,8 @@
     - [obj-magic]: [Obj.magic] is banned outright.
     - [physical-equality]: [==]/[!=] on structural data compare identity,
       not value, and are banned in favour of [=]/[<>] or [equal] functions.
-    - [fault-purity]: fault plans are pure data, so [lib/faults/] must not
+    - [fault-purity]: fault plans are pure data, so [lib/faults/] and
+      [lib/sim/fault_plan.ml] must not
       consult ambient randomness ([Random.*], in particular
       [Random.self_init]) or wall-clock time ([Unix.gettimeofday],
       [Unix.time], [Unix.localtime], [Unix.gmtime], [Sys.time]); every plan
@@ -51,7 +52,7 @@ val deterministic_hot_path : string -> bool
 (** [lib/core/], [lib/drip/], [lib/sim/]. *)
 
 val in_faults : string -> bool
-(** [lib/faults/]. *)
+(** [lib/faults/] and [lib/sim/fault_plan.ml{,i}]. *)
 
 val in_exec : string -> bool
 (** [lib/exec/]: the only directory allowed to use the multicore runtime
