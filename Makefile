@@ -1,16 +1,15 @@
 # Single entry point for CI and local hygiene: `make check` runs the
-# build, the test battery (which includes the model-conformance checks),
-# the source lint (shallow and deep), the formatting check, and the
-# resilience smoke run.
+# build, the test battery (which includes the model-conformance checks
+# and the source-lint gate), the formatting check, and the smoke runs.
 
 DUNE ?= dune
 
-.PHONY: check build test lint lint-deep lint-effects lint-ranges \
-  lint-partiality lint-sarif fmt resilience-smoke mc-smoke par-smoke \
-  churn-smoke serve-smoke bench-churn bench-parallel bench-serve clean
+.PHONY: check build test lint lint-sarif fmt resilience-smoke mc-smoke \
+  par-smoke churn-smoke serve-smoke bench-churn bench-parallel bench-serve \
+  clean
 
-check: build test lint lint-deep lint-effects lint-ranges lint-partiality \
-  fmt resilience-smoke mc-smoke par-smoke churn-smoke serve-smoke
+check: build test fmt resilience-smoke mc-smoke par-smoke churn-smoke \
+  serve-smoke
 
 build:
 	$(DUNE) build
@@ -18,40 +17,16 @@ build:
 test:
 	$(DUNE) runtest
 
+# The source-lint gate on its own (`test` already runs it through
+# `dune runtest`): every rule and analysis, failing on any finding not
+# grandfathered in .radiolint-baseline (docs/LINTING.md).
 lint:
-	$(DUNE) exec tools/lint/radiolint.exe -- lib
-
-# AST + interprocedural taint analysis, gated on the committed baseline:
-# fails on any finding not grandfathered in .radiolint-baseline.
-lint-deep:
-	$(DUNE) exec tools/lint/radiolint.exe -- --deep \
-	  --baseline .radiolint-baseline lib bin
-
-# Interprocedural effect-and-escape analysis on its own (lint-deep already
-# implies it): every Pool task closure must stay <= LocalMut on the effect
-# lattice (docs/LINTING.md).
-lint-effects:
-	$(DUNE) exec tools/lint/radiolint.exe -- --effects \
-	  --baseline .radiolint-baseline lib
-
-# Value-range abstract interpretation on its own (lint-deep already
-# implies it): overflow in shift/multiply chains, lossy truncations and
-# unguarded unsafe_get/unsafe_set indexes on the packed-state hot paths.
-lint-ranges:
-	$(DUNE) exec tools/lint/radiolint.exe -- --ranges \
-	  --baseline .radiolint-baseline lib
-
-# Exception-escape analysis on its own (lint-deep already implies it):
-# which exceptions reach each CLI entry in bin/ and each Pool task
-# closure unhandled.
-lint-partiality:
-	$(DUNE) exec tools/lint/radiolint.exe -- --partiality \
-	  --baseline .radiolint-baseline lib bin
+	$(DUNE) exec bin/anorad.exe -- lint --baseline .radiolint-baseline lib bin
 
 # SARIF 2.1.0 report for CI annotation viewers.
 lint-sarif:
-	$(DUNE) exec tools/lint/radiolint.exe -- --deep \
-	  --baseline .radiolint-baseline --sarif radiolint.sarif lib bin
+	$(DUNE) exec bin/anorad.exe -- lint --baseline .radiolint-baseline \
+	  --sarif radiolint.sarif lib bin
 
 fmt:
 	@if command -v ocamlformat >/dev/null 2>&1; then \

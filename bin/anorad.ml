@@ -494,44 +494,6 @@ let lint_cmd =
     let doc = "Files or directories to lint (default: lib)." in
     Arg.(value & pos_all string [ "lib" ] & info [] ~docv:"PATH" ~doc)
   in
-  let deep_arg =
-    let doc =
-      "Also run the interprocedural taint analysis: build the call graph \
-       over every scanned file, seed taint at impure primitives (Random.*, \
-       wall-clock reads) and report each deterministic-boundary function \
-       that transitively reaches one, with its full witness chain."
-    in
-    Arg.(value & flag & info [ "deep" ] ~doc)
-  in
-  let effects_arg =
-    let doc =
-      "Also run the interprocedural effect-and-escape analysis: classify \
-       every function on the Pure < LocalMut < SharedMut < IO lattice and \
-       report each Pool task closure that transitively reaches shared \
-       mutable state or I/O, with its full witness chain.  Implied by \
-       $(b,--deep)."
-    in
-    Arg.(value & flag & info [ "effects" ] ~doc)
-  in
-  let ranges_arg =
-    let doc =
-      "Also run the value-range analysis: interval abstract interpretation \
-       over the packed-state hot paths (lib/mc/, lib/exec/) flagging \
-       possible overflow in shift/multiply chains, lossy truncation before \
-       a byte store, and unsafe indexing not dominated by a bounds guard, \
-       with interprocedural argument-range propagation.  Implied by \
-       $(b,--deep)."
-    in
-    Arg.(value & flag & info [ "ranges" ] ~doc)
-  in
-  let partiality_arg =
-    let doc =
-      "Also run the exception-escape analysis: compute which exceptions \
-       can escape each function and report them at CLI subcommand entries \
-       and Pool task closures.  Implied by $(b,--deep)."
-    in
-    Arg.(value & flag & info [ "partiality" ] ~doc)
-  in
   let sarif_arg =
     let doc = "Write a SARIF 2.1.0 report to $(docv) ('-' for stdout)." in
     Arg.(value & opt (some string) None & info [ "sarif" ] ~docv:"FILE" ~doc)
@@ -545,69 +507,83 @@ let lint_cmd =
     Arg.(
       value & opt (some string) None & info [ "baseline" ] ~docv:"FILE" ~doc)
   in
-  let run paths deep effects ranges partiality sarif baseline =
-    List.iter
-      (fun root ->
-        if not (Sys.file_exists root) then begin
-          Format.eprintf "anorad lint: no such file or directory: %s@." root;
-          exit 2
-        end)
-      paths;
-    let scan = D.scan ~deep ~effects ~ranges ~partiality paths in
-    let scan, suppressed =
+  let write_baseline_arg =
+    let doc =
+      "Write the fingerprint of every current finding to $(docv) and exit \
+       0.  The leading '#' lines of an existing $(docv) are kept; entries \
+       no finding matches any more are pruned."
+    in
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "write-baseline" ] ~docv:"FILE" ~doc)
+  in
+  let plural n = if n = 1 then "" else "s" in
+  let gate findings sarif baseline =
+    let findings, suppressed =
       match baseline with
-      | None -> (scan, 0)
+      | None -> (findings, 0)
       | Some file ->
-          if not (Sys.file_exists file) then begin
-            Format.eprintf "anorad lint: no such baseline file: %s@." file;
-            exit 2
-          end;
           let baseline = D.load_baseline file in
           List.iter
             (Format.eprintf
                "anorad lint: warning: stale baseline entry (no matching \
                 finding): %s@.")
-            (D.stale_baseline ~deep ~effects ~ranges ~partiality ~baseline
-               scan);
-          D.apply_baseline ~baseline scan
+            (D.stale_baseline ~baseline findings);
+          D.apply_baseline ~baseline findings
     in
     (match sarif with
-    | None ->
-        List.iter (fun v -> Format.printf "%a@." D.pp_finding v) scan.D.findings
-    | Some "-" -> print_string (D.to_sarif scan.D.findings)
+    | Some "-" -> print_string (D.to_sarif findings)
     | Some file ->
-        List.iter (fun v -> Format.printf "%a@." D.pp_finding v) scan.D.findings;
         Out_channel.with_open_text file (fun oc ->
-            output_string oc (D.to_sarif scan.D.findings)));
-    List.iter
-      (fun (path, msg) ->
-        Format.eprintf
-          "anorad lint: warning: %s does not parse (textual rules only): %s@."
-          path msg)
-      scan.D.skipped;
+            output_string oc (D.to_sarif findings));
+        List.iter (Format.printf "%a@." D.pp_finding) findings
+    | None -> List.iter (Format.printf "%a@." D.pp_finding) findings);
     if suppressed > 0 then
       Format.eprintf "%d finding%s suppressed by baseline@." suppressed
-        (if suppressed = 1 then "" else "s");
-    match scan.D.findings with
+        (plural suppressed);
+    match findings with
     | [] -> 0
     | vs ->
         Format.eprintf "%d violation%s@." (List.length vs)
-          (if List.length vs = 1 then "" else "s");
+          (plural (List.length vs));
         1
   in
+  let run paths sarif baseline write_baseline =
+    (* The one exit for every file error — a scanned path, the baseline,
+       the SARIF report or the --write-baseline target: each Sys_error
+       reads "path: reason". *)
+    try
+      let findings = D.scan paths in
+      match write_baseline with
+      | None -> gate findings sarif baseline
+      | Some file ->
+          let written, pruned = D.write_baseline file findings in
+          Format.eprintf "anorad lint: wrote %d fingerprint%s to %s@." written
+            (plural written) file;
+          if pruned > 0 then
+            Format.eprintf "anorad lint: pruned %d stale fingerprint%s@."
+              pruned (plural pruned);
+          0
+    with Sys_error msg ->
+      Format.eprintf "anorad lint: %s@." msg;
+      2
+  in
   let doc =
-    "lint sources for determinism hazards: AST rules (stray Random.*, \
-     Hashtbl iteration, physical equality, Obj.magic, toplevel mutable \
-     state, catch-all handlers, assert false, missing .mli) with a textual \
-     fallback for unparseable files, plus interprocedural effect escapes \
-     with $(b,--effects), value ranges with $(b,--ranges), exception \
-     escapes with $(b,--partiality) and taint paths with $(b,--deep)"
+    "lint sources for determinism hazards.  Every scan runs the AST rules \
+     (stray Random.*, Hashtbl iteration, physical equality, Obj.magic, \
+     toplevel mutable state, catch-all handlers, assert false, missing \
+     .mli, files that do not parse) and the interprocedural taint, \
+     effect-escape, value-range and exception-escape analyses"
   in
   let exits =
     [
       Cmd.Exit.info 0 ~doc:"no findings, or every finding baselined.";
       Cmd.Exit.info 1 ~doc:"lint findings were reported.";
-      Cmd.Exit.info 2 ~doc:"usage error: missing path or baseline file.";
+      Cmd.Exit.info 2
+        ~doc:
+          "usage error or I/O error: a path, the baseline or an output file \
+           cannot be read or written.";
     ]
   in
   let man =
@@ -622,14 +598,14 @@ let lint_cmd =
          call but take the annotation on the submitting function's \
          $(b,let); a baselined fingerprint (rule:path:line, \
          taint:path:Function:sink, or effect:path:Function:class) \
-         suppresses without touching the source.";
+         suppresses without touching the source.  No annotation can \
+         suppress a $(b,parse-error) finding: the parser never reads it.";
     ]
   in
   Cmd.v
     (Cmd.info "lint" ~doc ~exits ~man)
     Term.(
-      const run $ paths_arg $ deep_arg $ effects_arg $ ranges_arg
-      $ partiality_arg $ sarif_arg $ baseline_arg)
+      const run $ paths_arg $ sarif_arg $ baseline_arg $ write_baseline_arg)
 
 (* ------------------------------------------------------------------ *)
 (* effects                                                             *)
@@ -658,12 +634,14 @@ let effects_cmd =
           exit 2
         end)
       paths;
-    let cg = CG.create () in
-    List.iter
-      (fun root ->
-        if Sys.is_directory root then CG.add_tree cg root
-        else CG.add_file cg root)
-      paths;
+    let cg =
+      match Radiolint_core.Driver.callgraph paths with
+      | Ok cg -> cg
+      | Error unparseable ->
+          Format.eprintf "anorad effects: %a@." Radiolint_core.Driver.pp_finding
+            unparseable;
+          exit 2
+    in
     let infos = E.classify cg in
     if summary then begin
       (* Census rows keyed by top module, in first-appearance order
@@ -716,18 +694,13 @@ let effects_cmd =
                 (String.concat " → "
                    (List.map (fun (h : E.hop) -> h.E.name) chain)))
         infos;
-    List.iter
-      (fun (path, msg) ->
-        Format.eprintf "anorad effects: warning: %s does not parse: %s@." path
-          msg)
-      (CG.skipped cg);
     0
   in
   let doc =
     "classify every function on the effect lattice (Pure < LocalMut < \
      SharedMut < IO) with witness chains; $(b,--summary) prints a \
      per-module census.  The escape check (Pool tasks must stay <= \
-     LocalMut) runs under $(b,anorad lint --effects)."
+     LocalMut) runs on every $(b,anorad lint)."
   in
   Cmd.v (Cmd.info "effects" ~doc) Term.(const run $ paths_arg $ summary_arg)
 

@@ -103,7 +103,7 @@ val map_chunked : t -> f:('a array -> 'b) -> 'a array -> 'b array
     would pay per element: the chunk count equals [jobs pool], so that
     cost is paid once per worker per batch.  [f] runs on worker domains
     and must obey the same [<= LocalMut] escape discipline as every other
-    task closure (docs/PARALLEL.md; enforced by [anorad lint --effects]). *)
+    task closure (docs/PARALLEL.md; enforced by [anorad lint]). *)
 
 (** {1 Telemetry} *)
 

@@ -406,7 +406,7 @@ let test_lint_help () =
   check "documents the findings exit" true
     (contains out "lint findings were reported");
   check "documents the usage exit" true (contains out "usage error");
-  check "documents --deep" true (contains out "--deep");
+  check "documents --write-baseline" true (contains out "--write-baseline");
   check "documents --baseline" true (contains out "--baseline");
   check "documents --sarif" true (contains out "--sarif")
 
@@ -431,7 +431,7 @@ let test_lint_clean_and_findings () =
   let code, _ = anorad "lint /nonexistent/path" in
   check_int "missing path exits 2" 2 code
 
-let test_lint_deep_witness_chain () =
+let test_lint_witness_chain () =
   with_lint_tree
     [
       ( "lib/core/util.ml",
@@ -441,13 +441,11 @@ let test_lint_deep_witness_chain () =
       ("lib/drip/drip.mli", "val step : int array -> int array\n");
     ]
     (fun lib ->
-      (* Shallow: only the direct Random use fires. *)
+      (* The direct Random use fires, and its caller is flagged with the
+         full witness chain. *)
       let code, out = anorad ("lint " ^ Filename.quote lib) in
-      check_int "shallow exit 1" 1 code;
-      check "no taint without --deep" false (contains out "[taint]");
-      (* Deep: the caller is flagged with the full witness chain. *)
-      let code, out = anorad ("lint --deep " ^ Filename.quote lib) in
-      check_int "deep exit 1" 1 code;
+      check_int "findings exit 1" 1 code;
+      check "direct use reported" true (contains out "[random]");
       check "taint reported" true (contains out "[taint]");
       check "witness chain printed" true
         (contains out "Drip.step") ;
@@ -456,7 +454,7 @@ let test_lint_deep_witness_chain () =
 (* Negative control for the escape analysis: a pool task mutating a
    module-level Hashtbl through a 2-edge call chain.  lib/analysis is
    outside the taint boundary and the toplevel-mutable-state scope on
-   purpose, so only --effects can see the hazard. *)
+   purpose, so only the effect analysis can see the hazard. *)
 let effect_escape_tree =
   [
     ( "lib/analysis/tally.ml",
@@ -469,31 +467,20 @@ let effect_escape_tree =
 
 let test_lint_effects () =
   with_lint_tree effect_escape_tree (fun lib ->
-      (* The per-file rules cannot see the hazard: clean without --effects. *)
+      (* Reported with the full witness chain. *)
       let code, out = anorad ("lint " ^ Filename.quote lib) in
-      check_int "shallow exit 0" 0 code;
-      check "no effect finding without --effects" false
-        (contains out "[effect]");
-      (* --effects reports it with the full witness chain. *)
-      let code, out = anorad ("lint --effects " ^ Filename.quote lib) in
       check_int "effects exit 1" 1 code;
       check "effect rule named" true (contains out "[effect]");
       check "class named" true (contains out "SharedMut");
       check "witness chain printed" true
         (contains out "Tally.go → Tally.note → Tally.cache");
-      (* --deep implies --effects. *)
-      let code, out = anorad ("lint --deep " ^ Filename.quote lib) in
-      check_int "deep exit 1" 1 code;
-      check "deep implies effects" true (contains out "[effect]");
       (* SARIF carries the lattice class as a result property. *)
-      let code, out =
-        anorad ("lint --effects --sarif - " ^ Filename.quote lib)
-      in
+      let code, out = anorad ("lint --sarif - " ^ Filename.quote lib) in
       check_int "sarif exit 1" 1 code;
       check "sarif effect rule" true (contains out "\"ruleId\":\"effect\"");
       check "sarif effectClass property" true
         (contains out "\"properties\":{\"effectClass\":\"SharedMut\"}");
-      (* A baselined fingerprint suppresses it; a stale entry warns. *)
+      (* A baselined fingerprint suppresses it. *)
       let tally =
         Filename.concat (Filename.dirname lib) "lib/analysis/tally.ml"
       in
@@ -505,26 +492,18 @@ let test_lint_effects () =
             (Printf.sprintf "effect:%s:Tally.go:SharedMut\n" tally);
           let code, _ =
             anorad
-              (Printf.sprintf "lint --effects --baseline %s %s"
-                 (Filename.quote baseline) (Filename.quote lib))
-          in
-          check_int "baselined escape exits 0" 0 code;
-          (* Without --effects the entry cannot be vetted, so the scan
-             stays clean and silent about it. *)
-          let code, _ =
-            anorad
               (Printf.sprintf "lint --baseline %s %s"
                  (Filename.quote baseline) (Filename.quote lib))
           in
-          check_int "shallow scan leaves effect entries alone" 0 code));
-  (* A clean tree exits 0 under --effects. *)
+          check_int "baselined escape exits 0" 0 code));
+  (* A pool task that stays pure is clean. *)
   with_lint_tree
     [
       ("lib/analysis/pure.ml", "let double pool xs = Radio_exec.Pool.map pool ~f:(fun x -> x * 2) xs\n");
       ("lib/analysis/pure.mli", "val double : 'a -> int list -> int list\n");
     ]
     (fun lib ->
-      let code, _ = anorad ("lint --effects " ^ Filename.quote lib) in
+      let code, _ = anorad ("lint " ^ Filename.quote lib) in
       check_int "clean tree exits 0" 0 code)
 
 let test_effects_cmd () =
@@ -538,6 +517,17 @@ let test_effects_cmd () =
       check "census header" true (contains out "module");
       check "per-module row" true (contains out "Tally");
       check "total row" true (contains out "total"))
+
+(* An unparseable file is not skipped: the effect listing would silently
+   miss every function in it. *)
+let test_effects_unparseable () =
+  with_lint_tree
+    (("lib/analysis/broken.ml", "let x = 1\nlet = 2\n") :: effect_escape_tree)
+    (fun lib ->
+      let code, err = anorad_stderr ("effects " ^ Filename.quote lib) in
+      check_int "parse error exits 2" 2 code;
+      check "positioned parse-error" true
+        (contains err "broken.ml:2: [parse-error]"))
 
 let test_lint_sarif_stdout () =
   with_lint_tree
@@ -561,8 +551,11 @@ let test_lint_baseline () =
       Fun.protect
         ~finally:(fun () -> Sys.remove baseline)
         (fun () ->
+          (* Every scan also runs taint, which flags the same call. *)
           write_file baseline
-            (Printf.sprintf "# grandfathered\nrandom:%s:1\n" bad);
+            (Printf.sprintf
+               "# grandfathered\nrandom:%s:1\ntaint:%s:Bad.x:Random.int\n" bad
+               bad);
           let code, _ =
             anorad
               (Printf.sprintf "lint --baseline %s %s"
@@ -583,6 +576,64 @@ let test_lint_baseline () =
              (Filename.quote lib))
       in
       check_int "missing baseline exits 2" 2 code)
+
+(* Every file error of the front end is one stderr line naming the path,
+   and exit 2 — never an uncaught exception. *)
+let test_lint_io_errors () =
+  with_lint_tree
+    [ ("lib/core/good.ml", "let x = 1\n"); ("lib/core/good.mli", "val x : int\n") ]
+    (fun lib ->
+      let q = Filename.quote lib in
+      let code, err = anorad_stderr ("lint --sarif /nonexistent/x.sarif " ^ q) in
+      check_int "unwritable SARIF exits 2" 2 code;
+      check "SARIF path and reason" true
+        (contains err
+           "anorad lint: /nonexistent/x.sarif: No such file or directory");
+      let code, err = anorad_stderr (Printf.sprintf "lint --baseline %s %s" q q) in
+      check_int "directory baseline exits 2" 2 code;
+      check "baseline path and reason" true
+        (contains err (Printf.sprintf "anorad lint: %s: Is a directory" lib));
+      let code, err =
+        anorad_stderr ("lint --write-baseline /nonexistent/b " ^ q)
+      in
+      check_int "unwritable baseline target exits 2" 2 code;
+      check "target path and reason" true
+        (contains err "anorad lint: /nonexistent/b: No such file or directory");
+      let code, err = anorad_stderr "lint /nonexistent/path" in
+      check_int "missing path exits 2" 2 code;
+      check "scanned path and reason" true
+        (contains err "anorad lint: /nonexistent/path: No such file or directory"))
+
+let test_lint_write_baseline () =
+  with_lint_tree
+    [
+      ("lib/core/bad.ml", "let x = Obj.magic 10\n");
+      ("lib/core/bad.mli", "val x : int\n");
+    ]
+    (fun lib ->
+      let bad = Filename.concat (Filename.dirname lib) "lib/core/bad.ml" in
+      let baseline = Filename.temp_file "anorad_lint" ".baseline" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove baseline)
+        (fun () ->
+          let header = "# Grandfathered findings.\n#\n# Regenerate me.\n" in
+          write_file baseline (header ^ "random:lib/gone.ml:9\n");
+          let code, _ =
+            anorad
+              (Printf.sprintf "lint --write-baseline %s %s"
+                 (Filename.quote baseline) (Filename.quote lib))
+          in
+          check_int "write exits 0" 0 code;
+          Alcotest.(check string)
+            "header kept, stale entry pruned, finding written"
+            (header ^ Printf.sprintf "obj-magic:%s:1\n" bad)
+            (In_channel.with_open_bin baseline In_channel.input_all);
+          let code, _ =
+            anorad
+              (Printf.sprintf "lint --baseline %s %s"
+                 (Filename.quote baseline) (Filename.quote lib))
+          in
+          check_int "the written baseline gates clean" 0 code))
 
 (* ------------------------------------------------------------------ *)
 (* mc                                                                  *)
@@ -785,14 +836,18 @@ let () =
           Alcotest.test_case "--help exit codes" `Quick test_lint_help;
           Alcotest.test_case "clean/findings/usage exits" `Quick
             test_lint_clean_and_findings;
-          Alcotest.test_case "--deep witness chain" `Quick
-            test_lint_deep_witness_chain;
-          Alcotest.test_case "--effects escape check" `Quick
-            test_lint_effects;
+          Alcotest.test_case "taint witness chain" `Quick
+            test_lint_witness_chain;
+          Alcotest.test_case "effect escape check" `Quick test_lint_effects;
           Alcotest.test_case "effects listing and census" `Quick
             test_effects_cmd;
+          Alcotest.test_case "effects on unparseable file" `Quick
+            test_effects_unparseable;
           Alcotest.test_case "--sarif stdout" `Quick test_lint_sarif_stdout;
           Alcotest.test_case "--baseline" `Quick test_lint_baseline;
+          Alcotest.test_case "I/O errors exit 2" `Quick test_lint_io_errors;
+          Alcotest.test_case "--write-baseline keeps header" `Quick
+            test_lint_write_baseline;
         ] );
       ( "serve",
         [

@@ -1,10 +1,11 @@
 (* Tests for the two-layer analysis subsystem:
 
-   - Radiolint_core.Rules: the textual determinism lint (comment/string
-     awareness, allow-list annotations, per-rule positives and negatives);
-   - Radiolint_core.{Ast_lint,Callgraph,Taint,Sarif,Driver}: the AST rule
-     engine, the interprocedural taint analysis with witness chains, the
-     SARIF 2.1.0 writer, and baseline filtering;
+   - Radiolint_core.Ast_lint: the per-file determinism rules (comment and
+     string awareness, allow annotations, per-rule positives and
+     negatives, aliased forms, unparseable files);
+   - Radiolint_core.{Callgraph,Taint,Effects,Ranges,Partiality,Sarif,
+     Driver}: the interprocedural analyses with witness chains, the scan,
+     the SARIF 2.1.0 writer, and baseline filtering;
    - Radio_lint.{Invariants,Purity}: the model-conformance checker, fed both
      clean executions (must accept) and deliberately broken protocols or
      corrupted outcomes (must flag). *)
@@ -37,8 +38,12 @@ let contains ~needle hay =
 
 let rules_of vs = List.map (fun v -> v.Rules.rule) vs
 
+(* A clean verdict on a fixture that does not parse would be vacuous. *)
 let flags rule ~path source =
-  List.mem rule (rules_of (Rules.lint_source ~path source))
+  let fired = rules_of (Ast_lint.lint_source ~path source) in
+  if List.mem "parse-error" fired then
+    Alcotest.failf "fixture should parse: %s" source;
+  List.mem rule fired
 
 let check_flags rule ~path source () =
   Alcotest.(check bool)
@@ -196,20 +201,30 @@ let write path content =
   output_string oc content;
   close_out oc
 
+let scan_rules dir = List.map (fun f -> f.Driver.rule) (Driver.scan [ dir ])
+
+(* The per-file rules: everything the scan reports except the
+   interprocedural analyses' findings. *)
+let per_file_rules =
+  let interprocedural =
+    "taint" :: "effect" :: List.map fst (Ranges.rules @ Partiality.rules)
+  in
+  List.filter
+    (fun r -> not (List.mem r interprocedural))
+    (List.map fst Driver.rule_descriptions)
+
 let missing_mli_tests =
   [
     Alcotest.test_case "ml without mli flagged" `Quick (fun () ->
         with_temp_tree (fun ~dir ~core ->
             write (Filename.concat core "a.ml") "let x = 1\n";
-            let vs = Rules.lint_tree dir in
             Alcotest.(check bool) "missing-mli fires" true
-              (List.mem "missing-mli" (rules_of vs))));
+              (List.mem "missing-mli" (scan_rules dir))));
     Alcotest.test_case "ml with mli clean" `Quick (fun () ->
         with_temp_tree (fun ~dir ~core ->
             write (Filename.concat core "a.ml") "let x = 1\n";
             write (Filename.concat core "a.mli") "val x : int\n";
-            let vs = Rules.lint_tree dir in
-            Alcotest.(check (list string)) "clean" [] (rules_of vs)));
+            Alcotest.(check (list string)) "clean" [] (scan_rules dir)));
     Alcotest.test_case "seeded tree trips every rule" `Quick (fun () ->
         with_temp_tree (fun ~dir ~core ->
             write
@@ -217,18 +232,27 @@ let missing_mli_tests =
               "let a = Random.int 2\n\
                let b = Obj.magic a\n\
                let c = a == b\n\
-               let d = Hashtbl.iter (fun _ _ -> ()) tbl\n";
+               let d = Hashtbl.iter (fun _ _ -> ()) tbl\n\
+               let e = ref 0\n\
+               let f x = try g x with _ -> 0\n\
+               let h = function Some x -> x | None -> assert false\n\
+               let i = compare a b\n\
+               let j = Domain.spawn work\n";
+            write (Filename.concat core "broken.ml") "let = 1\n";
             let faults = Filename.concat (Filename.dirname core) "faults" in
             Unix.mkdir faults 0o755;
             write
               (Filename.concat faults "bad.ml")
               "let now = Unix.gettimeofday ()\n";
             write (Filename.concat faults "bad.mli") "val now : float\n";
-            let vs = Rules.lint_tree dir in
-            let fired = List.sort_uniq compare (rules_of vs) in
+            let fired =
+              List.filter
+                (fun r -> List.mem r per_file_rules)
+                (List.sort_uniq compare (scan_rules dir))
+            in
             Alcotest.(check (list string))
-              "all rules fire"
-              (List.sort compare Rules.rule_names)
+              "all per-file rules fire"
+              (List.sort compare per_file_rules)
               fired));
   ]
 
@@ -272,172 +296,150 @@ let quoted_string_tests =
 (* AST rule engine                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let ast_rules_of vs = List.map (fun v -> v.Rules.rule) vs
-
-let ast_lint ~path source =
-  match Ast_lint.lint_source ~path source with
-  | Ok vs -> vs
-  | Error e -> Alcotest.failf "fixture should parse: %s" e
-
-let ast_flags rule ~path source =
-  List.mem rule (ast_rules_of (ast_lint ~path source))
-
-let check_ast_flags rule ~path source () =
-  Alcotest.(check bool)
-    (Printf.sprintf "AST %s fires in %s" rule path)
-    true (ast_flags rule ~path source)
-
-let check_ast_clean rule ~path source () =
-  Alcotest.(check bool)
-    (Printf.sprintf "AST %s silent in %s" rule path)
-    false (ast_flags rule ~path source)
-
 let ast_ported_tests =
   [
     Alcotest.test_case "Random.int flagged" `Quick
-      (check_ast_flags "random" ~path:"lib/core/foo.ml"
+      (check_flags "random" ~path:"lib/core/foo.ml"
          "let x = Random.int 10\n");
     Alcotest.test_case "aliased let r = Random.int flagged" `Quick
-      (check_ast_flags "random" ~path:"lib/core/foo.ml"
+      (check_flags "random" ~path:"lib/core/foo.ml"
          "let draw = Random.int\n");
     Alcotest.test_case "module R = Random flagged" `Quick
-      (check_ast_flags "random" ~path:"lib/core/foo.ml"
+      (check_flags "random" ~path:"lib/core/foo.ml"
          "module R = Random\n");
     Alcotest.test_case "Stdlib.Random.bits flagged" `Quick
-      (check_ast_flags "random" ~path:"lib/sim/foo.ml"
+      (check_flags "random" ~path:"lib/sim/foo.ml"
          "let x = Stdlib.Random.bits ()\n");
     Alcotest.test_case "Random.State.make flagged" `Quick
-      (check_ast_flags "random" ~path:"lib/core/foo.ml"
+      (check_flags "random" ~path:"lib/core/foo.ml"
          "let st = Random.State.make [| 7 |]\n");
     Alcotest.test_case "random exempt in lib/baselines" `Quick
-      (check_ast_clean "random" ~path:"lib/baselines/foo.ml"
+      (check_clean "random" ~path:"lib/baselines/foo.ml"
          "let x = Random.int 10\n");
     Alcotest.test_case "string literal never fires on AST" `Quick
-      (check_ast_clean "random" ~path:"lib/core/foo.ml"
+      (check_clean "random" ~path:"lib/core/foo.ml"
          "let s = \"Random.int\"\n");
-    Alcotest.test_case "Obj.magic flagged" `Quick
-      (check_ast_flags "obj-magic" ~path:"lib/analysis/foo.ml"
-         "let cast = Obj.magic x\n");
     Alcotest.test_case "== flagged" `Quick
-      (check_ast_flags "physical-equality" ~path:"lib/core/foo.ml"
+      (check_flags "physical-equality" ~path:"lib/core/foo.ml"
          "let b = a == c\n");
     Alcotest.test_case "aliased Stdlib.(==) flagged" `Quick
-      (check_ast_flags "physical-equality" ~path:"lib/core/foo.ml"
+      (check_flags "physical-equality" ~path:"lib/core/foo.ml"
          "let eq = Stdlib.( == )\n");
     Alcotest.test_case "structural = clean" `Quick
-      (check_ast_clean "physical-equality" ~path:"lib/core/foo.ml"
+      (check_clean "physical-equality" ~path:"lib/core/foo.ml"
          "let b = a = c && a <> d\n");
     Alcotest.test_case "Hashtbl.iter flagged in lib/sim" `Quick
-      (check_ast_flags "hashtbl-iteration" ~path:"lib/sim/foo.ml"
+      (check_flags "hashtbl-iteration" ~path:"lib/sim/foo.ml"
          "let () = Hashtbl.iter f tbl\n");
     Alcotest.test_case "Hashtbl.replace clean" `Quick
-      (check_ast_clean "hashtbl-iteration" ~path:"lib/sim/foo.ml"
+      (check_clean "hashtbl-iteration" ~path:"lib/sim/foo.ml"
          "let () = Hashtbl.replace tbl k v\n");
     Alcotest.test_case "fault purity: wall clock flagged" `Quick
-      (check_ast_flags "fault-purity" ~path:"lib/faults/foo.ml"
+      (check_flags "fault-purity" ~path:"lib/faults/foo.ml"
          "let now = Unix.gettimeofday ()\n");
     Alcotest.test_case "fault purity: plan module in lib/sim flagged" `Quick
-      (check_ast_flags "fault-purity" ~path:"lib/sim/fault_plan.ml"
+      (check_flags "fault-purity" ~path:"lib/sim/fault_plan.ml"
          "let () = Random.self_init ()\n");
     Alcotest.test_case "allow suppresses AST rule" `Quick
-      (check_ast_clean "random" ~path:"lib/core/foo.ml"
+      (check_clean "random" ~path:"lib/core/foo.ml"
          "(* radiolint: allow random — seeded by caller *)\n\
           let x = Random.int 10\n");
-    Alcotest.test_case "allow for another rule does not suppress" `Quick
-      (check_ast_flags "random" ~path:"lib/core/foo.ml"
-         "(* radiolint: allow obj-magic *)\nlet x = Random.int 10\n");
   ]
 
 let ast_only_tests =
   [
     Alcotest.test_case "toplevel ref flagged" `Quick
-      (check_ast_flags "toplevel-mutable-state" ~path:"lib/core/foo.ml"
+      (check_flags "toplevel-mutable-state" ~path:"lib/core/foo.ml"
          "let counter = ref 0\n");
     Alcotest.test_case "toplevel Hashtbl.create flagged" `Quick
-      (check_ast_flags "toplevel-mutable-state" ~path:"lib/drip/foo.ml"
+      (check_flags "toplevel-mutable-state" ~path:"lib/drip/foo.ml"
          "let memo = Hashtbl.create 16\n");
     Alcotest.test_case "toplevel ref in nested module flagged" `Quick
-      (check_ast_flags "toplevel-mutable-state" ~path:"lib/sim/foo.ml"
+      (check_flags "toplevel-mutable-state" ~path:"lib/sim/foo.ml"
          "module Acc = struct\n  let total = ref 0\nend\n");
     Alcotest.test_case "function-local ref clean" `Quick
-      (check_ast_clean "toplevel-mutable-state" ~path:"lib/core/foo.ml"
+      (check_clean "toplevel-mutable-state" ~path:"lib/core/foo.ml"
          "let count xs =\n  let n = ref 0 in\n  List.iter (fun _ -> incr n) \
           xs;\n  !n\n");
     Alcotest.test_case "toplevel ref outside boundary clean" `Quick
-      (check_ast_clean "toplevel-mutable-state" ~path:"lib/analysis/foo.ml"
+      (check_clean "toplevel-mutable-state" ~path:"lib/analysis/foo.ml"
          "let counter = ref 0\n");
     Alcotest.test_case "catch-all try flagged" `Quick
-      (check_ast_flags "catch-all-exception" ~path:"lib/core/foo.ml"
+      (check_flags "catch-all-exception" ~path:"lib/core/foo.ml"
          "let f x = try g x with _ -> 0\n");
     Alcotest.test_case "catch-all variable pattern flagged" `Quick
-      (check_ast_flags "catch-all-exception" ~path:"lib/sim/foo.ml"
+      (check_flags "catch-all-exception" ~path:"lib/sim/foo.ml"
          "let f x = try g x with e -> ignore e; 0\n");
     Alcotest.test_case "catch-all arm after specific one flagged" `Quick
-      (check_ast_flags "catch-all-exception" ~path:"lib/core/foo.ml"
+      (check_flags "catch-all-exception" ~path:"lib/core/foo.ml"
          "let f x = try g x with Not_found -> 1 | _ -> 0\n");
     Alcotest.test_case "specific handler clean" `Quick
-      (check_ast_clean "catch-all-exception" ~path:"lib/core/foo.ml"
+      (check_clean "catch-all-exception" ~path:"lib/core/foo.ml"
          "let f x = try g x with Not_found -> 0\n");
     Alcotest.test_case "catch-all outside boundary clean" `Quick
-      (check_ast_clean "catch-all-exception" ~path:"lib/analysis/foo.ml"
+      (check_clean "catch-all-exception" ~path:"lib/analysis/foo.ml"
          "let f x = try g x with _ -> 0\n");
     Alcotest.test_case "assert false flagged" `Quick
-      (check_ast_flags "assert-false" ~path:"lib/drip/foo.ml"
+      (check_flags "assert-false" ~path:"lib/drip/foo.ml"
          "let f = function Some x -> x | None -> assert false\n");
     Alcotest.test_case "ordinary assert clean" `Quick
-      (check_ast_clean "assert-false" ~path:"lib/drip/foo.ml"
+      (check_clean "assert-false" ~path:"lib/drip/foo.ml"
          "let f x = assert (x >= 0); x\n");
     Alcotest.test_case "assert false outside boundary clean" `Quick
-      (check_ast_clean "assert-false" ~path:"lib/wired/foo.ml"
+      (check_clean "assert-false" ~path:"lib/wired/foo.ml"
          "let f = function Some x -> x | None -> assert false\n");
     Alcotest.test_case "allow suppresses AST-only rule" `Quick
-      (check_ast_clean "assert-false" ~path:"lib/drip/foo.ml"
+      (check_clean "assert-false" ~path:"lib/drip/foo.ml"
          "(* radiolint: allow assert-false — unreachable by construction *)\n\
           let f = function Some x -> x | None -> assert false\n");
     Alcotest.test_case "unparseable source reported as error" `Quick
       (fun () ->
-        match Ast_lint.lint_source ~path:"lib/core/foo.ml" "let let = in\n" with
-        | Ok _ -> Alcotest.fail "expected a parse error"
-        | Error _ -> ());
+        Alcotest.(check (list (pair string int)))
+          "one parse-error finding at the parser's line"
+          [ ("parse-error", 2) ]
+          (List.map
+             (fun v -> (v.Rules.rule, v.Rules.line))
+             (Ast_lint.lint_source ~path:"lib/core/foo.ml"
+                "let x = 1\nlet let = in\n")));
     Alcotest.test_case "toplevel ref inside functor argument flagged" `Quick
-      (check_ast_flags "toplevel-mutable-state" ~path:"lib/core/foo.ml"
+      (check_flags "toplevel-mutable-state" ~path:"lib/core/foo.ml"
          "module M = Make (struct\n  let tbl = Hashtbl.create 16\nend)\n");
   ]
 
 let poly_compare_tests =
   [
     Alcotest.test_case "bare compare flagged in lib/core" `Quick
-      (check_ast_flags "polymorphic-compare" ~path:"lib/core/foo.ml"
+      (check_flags "polymorphic-compare" ~path:"lib/core/foo.ml"
          "let sort xs = List.sort compare xs\n");
     Alcotest.test_case "bare compare flagged in lib/mc" `Quick
-      (check_ast_flags "polymorphic-compare" ~path:"lib/mc/foo.ml"
+      (check_flags "polymorphic-compare" ~path:"lib/mc/foo.ml"
          "let c = compare a b\n");
     Alcotest.test_case "qualified Int.compare clean" `Quick
-      (check_ast_clean "polymorphic-compare" ~path:"lib/core/foo.ml"
+      (check_clean "polymorphic-compare" ~path:"lib/core/foo.ml"
          "let sort xs = List.sort Int.compare xs\n");
     Alcotest.test_case "= on tuples flagged" `Quick
-      (check_ast_flags "polymorphic-compare" ~path:"lib/mc/foo.ml"
+      (check_flags "polymorphic-compare" ~path:"lib/mc/foo.ml"
          "let eq a b c d = (a, b) = (c, d)\n");
     Alcotest.test_case "= on an option payload flagged" `Quick
-      (check_ast_flags "polymorphic-compare" ~path:"lib/core/foo.ml"
+      (check_flags "polymorphic-compare" ~path:"lib/core/foo.ml"
          "let hit x m = x = Some m\n");
     Alcotest.test_case "<> on a list literal flagged" `Quick
-      (check_ast_flags "polymorphic-compare" ~path:"lib/core/foo.ml"
+      (check_flags "polymorphic-compare" ~path:"lib/core/foo.ml"
          "let ne xs y = xs <> [ y ]\n");
     Alcotest.test_case "min on a cons flagged" `Quick
-      (check_ast_flags "polymorphic-compare" ~path:"lib/core/foo.ml"
+      (check_flags "polymorphic-compare" ~path:"lib/core/foo.ml"
          "let m x xs = min xs (x :: xs)\n");
     Alcotest.test_case "scalar = and min stay clean" `Quick
-      (check_ast_clean "polymorphic-compare" ~path:"lib/core/foo.ml"
+      (check_clean "polymorphic-compare" ~path:"lib/core/foo.ml"
          "let f a b = min a b = 0 && a <> b\n");
     Alcotest.test_case "nullary None and [] stay clean" `Quick
-      (check_ast_clean "polymorphic-compare" ~path:"lib/core/foo.ml"
+      (check_clean "polymorphic-compare" ~path:"lib/core/foo.ml"
          "let e x ys = x = None && ys <> []\n");
     Alcotest.test_case "outside lib/core and lib/mc clean" `Quick
-      (check_ast_clean "polymorphic-compare" ~path:"lib/sim/foo.ml"
+      (check_clean "polymorphic-compare" ~path:"lib/sim/foo.ml"
          "let c = compare a b\n");
     Alcotest.test_case "allow suppresses" `Quick
-      (check_ast_clean "polymorphic-compare" ~path:"lib/core/foo.ml"
+      (check_clean "polymorphic-compare" ~path:"lib/core/foo.ml"
          "(* radiolint: allow polymorphic-compare — scalar keys only *)\n\
           let c = compare a b\n");
   ]
@@ -445,31 +447,31 @@ let poly_compare_tests =
 let domain_safety_tests =
   [
     Alcotest.test_case "Domain.spawn flagged in lib/core" `Quick
-      (check_ast_flags "domain-safety" ~path:"lib/core/foo.ml"
+      (check_flags "domain-safety" ~path:"lib/core/foo.ml"
          "let d = Domain.spawn work\n");
     Alcotest.test_case "Atomic.make flagged in lib/mc" `Quick
-      (check_ast_flags "domain-safety" ~path:"lib/mc/foo.ml"
+      (check_flags "domain-safety" ~path:"lib/mc/foo.ml"
          "let counter = Atomic.make 0\n");
     Alcotest.test_case "Mutex.lock flagged in lib/faults" `Quick
-      (check_ast_flags "domain-safety" ~path:"lib/faults/foo.ml"
+      (check_flags "domain-safety" ~path:"lib/faults/foo.ml"
          "let go mu = Mutex.lock mu\n");
     Alcotest.test_case "Condition.wait flagged in lib/sim" `Quick
-      (check_ast_flags "domain-safety" ~path:"lib/sim/foo.ml"
+      (check_flags "domain-safety" ~path:"lib/sim/foo.ml"
          "let w c m = Condition.wait c m\n");
     Alcotest.test_case "module alias D = Domain flagged" `Quick
-      (check_ast_flags "domain-safety" ~path:"lib/core/foo.ml"
+      (check_flags "domain-safety" ~path:"lib/core/foo.ml"
          "module D = Domain\n");
     Alcotest.test_case "Stdlib.Atomic.get flagged" `Quick
-      (check_ast_flags "domain-safety" ~path:"lib/core/foo.ml"
+      (check_flags "domain-safety" ~path:"lib/core/foo.ml"
          "let g a = Stdlib.Atomic.get a\n");
     Alcotest.test_case "exempt inside lib/exec" `Quick
-      (check_ast_clean "domain-safety" ~path:"lib/exec/pool.ml"
+      (check_clean "domain-safety" ~path:"lib/exec/pool.ml"
          "let d = Domain.spawn work\nlet c = Atomic.make 0\n");
     Alcotest.test_case "outside lib clean" `Quick
-      (check_ast_clean "domain-safety" ~path:"bin/foo.ml"
+      (check_clean "domain-safety" ~path:"bin/foo.ml"
          "let d = Domain.spawn work\n");
     Alcotest.test_case "allow suppresses" `Quick
-      (check_ast_clean "domain-safety" ~path:"lib/core/foo.ml"
+      (check_clean "domain-safety" ~path:"lib/core/foo.ml"
          "(* radiolint: allow domain-safety — benchmark scaffold *)\n\
           let d = Domain.recommended_domain_count ()\n");
   ]
@@ -1524,9 +1526,9 @@ let real_lib_cg () =
   (* Tests run from _build/default/test; the copied source tree sits one
      level up.  Skip (rather than fail) when it is not materialized. *)
   if Sys.file_exists "../lib" && Sys.is_directory "../lib" then begin
-    let cg = Callgraph.create () in
-    Callgraph.add_tree cg "../lib";
-    Some cg
+    match Driver.callgraph [ "../lib" ] with
+    | Ok cg -> Some cg
+    | Error f -> Alcotest.failf "%a" Driver.pp_finding f
   end
   else None
 
@@ -1678,17 +1680,16 @@ let baseline_tests =
   [
     Alcotest.test_case "baselined fingerprints are suppressed" `Quick
       (fun () ->
-        let scan = { Driver.findings = sample_findings; skipped = [] } in
-        let scan', suppressed =
+        let fresh, suppressed =
           Driver.apply_baseline
             ~baseline:[ "taint:lib/drip/drip.ml:Drip.step:Random.int" ]
-            scan
+            sample_findings
         in
         Alcotest.(check int) "one suppressed" 1 suppressed;
         Alcotest.(check (list string))
           "the other survives"
           [ "random:lib/core/foo.ml:3" ]
-          (List.map (fun f -> f.Driver.fingerprint) scan'.Driver.findings));
+          (List.map (fun f -> f.Driver.fingerprint) fresh));
     Alcotest.test_case "load_baseline skips comments and blanks" `Quick
       (fun () ->
         let file = Filename.temp_file "radiolint" ".baseline" in
@@ -1709,45 +1710,54 @@ let baseline_tests =
             "taint:lib/drip/drip.ml:Drip.step:Random.int";
           ]
           (Driver.baseline_lines (sample_findings @ sample_findings)));
-    Alcotest.test_case "stale entries are reported per analysis depth" `Quick
+    Alcotest.test_case "stale entries are entries no finding matches" `Quick
       (fun () ->
-        let scan = { Driver.findings = sample_findings; skipped = [] } in
         let baseline =
           [
             "random:lib/core/foo.ml:3" (* matches *);
-            "random:lib/gone.ml:9" (* stale at any depth *);
+            "random:lib/gone.ml:9";
             "taint:lib/drip/drip.ml:Drip.step:Random.int" (* matches *);
-            "taint:lib/gone.ml:Gone.f:Random.int" (* stale only when deep *);
-            "effect:lib/gone.ml:Gone.g:IO" (* stale only when effects ran *);
+            "taint:lib/gone.ml:Gone.f:Random.int";
+            "effect:lib/gone.ml:Gone.g:IO";
           ]
         in
         Alcotest.(check (list string))
-          "shallow scan cannot disprove interprocedural entries"
-          [ "random:lib/gone.ml:9" ]
-          (Driver.stale_baseline ~baseline scan);
-        Alcotest.(check (list string))
-          "effects scan adds effect entries"
-          [ "random:lib/gone.ml:9"; "effect:lib/gone.ml:Gone.g:IO" ]
-          (Driver.stale_baseline ~effects:true ~baseline scan);
-        Alcotest.(check (list string))
-          "deep scan vets everything"
+          "every unmatched entry, whatever its analysis"
           [
             "random:lib/gone.ml:9";
             "taint:lib/gone.ml:Gone.f:Random.int";
             "effect:lib/gone.ml:Gone.g:IO";
           ]
-          (Driver.stale_baseline ~deep:true ~baseline scan));
-    Alcotest.test_case "driver falls back to textual rules" `Quick (fun () ->
-        with_temp_tree (fun ~dir:_ ~core ->
-            (* Unparseable on purpose: the textual layer still sees the
-               stray PRNG call. *)
-            write (Filename.concat core "broken.ml")
-              "let = Random.int 10 (* no binding name: parse error *)\n";
+          (Driver.stale_baseline ~baseline sample_findings));
+    Alcotest.test_case "unparseable file is a parse-error finding" `Quick
+      (fun () ->
+        let hazards =
+          "let counter = ref 0\n\
+           let d = Domain.spawn work\n\
+           let f x = try g x with _ -> 0\n\
+           let h = function Some x -> x | None -> assert false\n"
+        in
+        with_temp_tree (fun ~dir ~core ->
             write (Filename.concat core "broken.mli") "";
-            let fs = Driver.lint_file (Filename.concat core "broken.ml") in
-            Alcotest.(check bool)
-              "random still fires" true
-              (List.exists (fun f -> f.Driver.rule = "random") fs)));
+            write (Filename.concat core "broken.ml") hazards;
+            Alcotest.(check (list string))
+              "parsed, the hazards fire"
+              [
+                "toplevel-mutable-state";
+                "domain-safety";
+                "catch-all-exception";
+                "assert-false";
+              ]
+              (scan_rules dir);
+            (* One syntax error hides every hazard from every rule, so the
+               file itself is the finding, at the parser's line. *)
+            write (Filename.concat core "broken.ml") (hazards ^ "let = 1\n");
+            Alcotest.(check (list (pair string int)))
+              "one positioned parse-error"
+              [ ("parse-error", 5) ]
+              (List.map
+                 (fun f -> (f.Driver.rule, f.Driver.line))
+                 (Driver.scan [ dir ]))));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -1,15 +1,18 @@
-(* AST-level determinism rules.
+(* AST-level determinism rules: the only per-file rule engine.
 
-   The textual layer (rules.ml) greps comment-stripped lines; this layer
-   parses the file with compiler-libs and matches on longidents and
-   expression shapes, so aliased forms — [Stdlib.(==)], [Stdlib.Random.int],
-   [let draw = Random.int] bound to a helper, [module R = Random] — fire,
-   and identifiers that merely *contain* a needle cannot.  Files the parser
-   rejects fall back to the textual rules (driver.ml). *)
+   Each file is parsed with compiler-libs and the rules match on
+   longidents and expression shapes, so aliased forms — [Stdlib.(==)],
+   [Stdlib.Random.int], [let draw = Random.int] bound to a helper,
+   [module R = Random] — fire, and identifiers that merely *contain* a
+   needle, comments and string literals cannot.  A file the parser
+   rejects is itself a finding ([parse-error]): no rule and no analysis
+   can vouch for a file it cannot read. *)
 
 open Parsetree
 
 type parsed = structure
+
+let line_of (loc : Location.t) = loc.loc_start.Lexing.pos_lnum
 
 let parse ~path source =
   let lexbuf = Lexing.from_string source in
@@ -17,12 +20,19 @@ let parse ~path source =
   match Parse.implementation lexbuf with
   | ast -> Ok ast
   | exception exn ->
-      let msg =
+      let line, text =
         match Location.error_of_exn exn with
-        | Some (`Ok e) -> Format.asprintf "%a" Location.print_report e
-        | _ -> Printexc.to_string exn
+        | Some (`Ok { Location.main = { txt; loc }; _ }) ->
+            (line_of loc, Format.asprintf "%t" txt)
+        | _ -> (lexbuf.lex_curr_p.pos_lnum, Printexc.to_string exn)
       in
-      Error (String.map (fun c -> if c = '\n' then ' ' else c) msg)
+      Error
+        {
+          Rules.path = Rules.normalize path;
+          line;
+          rule = "parse-error";
+          message = String.map (fun c -> if c = '\n' then ' ' else c) text;
+        }
 
 (* ------------------------------------------------------------------ *)
 (* Longident helpers                                                   *)
@@ -34,8 +44,6 @@ let flat lid =
   match Longident.flatten lid with
   | "Stdlib" :: (_ :: _ as rest) -> rest
   | l -> l
-
-let line_of (loc : Location.t) = loc.loc_start.Lexing.pos_lnum
 
 let is_random_path = function "Random" :: _ -> true | _ -> false
 
@@ -99,20 +107,6 @@ let msg_domain_primitive =
    lib/exec/ bypass the pool's determinism contract (in-order commits, \
    barrier merges); submit the work through Radio_exec.Pool instead \
    (docs/PARALLEL.md)"
-
-let rule_names =
-  [
-    "random";
-    "obj-magic";
-    "physical-equality";
-    "hashtbl-iteration";
-    "fault-purity";
-    "toplevel-mutable-state";
-    "catch-all-exception";
-    "assert-false";
-    "polymorphic-compare";
-    "domain-safety";
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* The engine                                                          *)
@@ -285,12 +279,13 @@ let lint_structure ~path ~allowed ast =
     (fun a b -> compare (a.Rules.line, a.Rules.rule) (b.Rules.line, b.Rules.rule))
     !violations
 
-let lint_source ~path source =
-  let path = Rules.normalize path in
-  match parse ~path source with
-  | Error e -> Error e
+let lint_parsed ~path ~source parsed =
+  match parsed with
+  | Error v -> [ v ]
   | Ok ast ->
       let raw_lines = Rules.lines_of source in
       let stripped_lines = Rules.lines_of (Rules.strip source) in
       let allowed = Rules.allowances ~raw_lines ~stripped_lines in
-      Ok (lint_structure ~path ~allowed ast)
+      lint_structure ~path:(Rules.normalize path) ~allowed ast
+
+let lint_source ~path source = lint_parsed ~path ~source (parse ~path source)

@@ -1,10 +1,21 @@
-(** AST-level determinism rules (compiler-libs pipeline).
+(** AST-level determinism rules (compiler-libs pipeline): the only
+    per-file rule engine.
 
-    Re-implements the textual rules of {!Rules} on parsed longidents and
-    expressions — eliminating substring false positives and catching aliased
-    forms ([Stdlib.(==)], [Stdlib.Random.int], [module R = Random]) — and
-    adds four rules only an AST can check:
+    Rules match on parsed longidents and expressions, so comments, string
+    literals and identifiers that merely contain a needle never fire, and
+    aliased forms ([Stdlib.(==)], [Stdlib.Random.int], [module R = Random])
+    do.  Scopes come from {!Rules}:
 
+    - [random]: [Random.*] (or an alias of the module) outside
+      {!Rules.random_allowed};
+    - [obj-magic]: [Obj.magic] anywhere under [lib/];
+    - [physical-equality]: [==] / [!=] anywhere under [lib/];
+    - [hashtbl-iteration]: [Hashtbl.iter] / [Hashtbl.fold] in
+      {!Rules.deterministic_hot_path};
+    - [fault-purity]: ambient randomness or wall-clock reads in
+      {!Rules.in_faults};
+    - [domain-safety]: [Domain] / [Atomic] / [Mutex] / [Condition] under
+      [lib/] outside {!Rules.in_exec};
     - [toplevel-mutable-state]: a module-level [let] binding [ref _] or
       [Hashtbl.create _] inside the deterministic boundary;
     - [catch-all-exception]: [try ... with _ ->] (or a variable pattern)
@@ -20,27 +31,25 @@
       shadow, so such modules name their comparators ([compare_states],
       [compare_labels]) and alias [compare] only at the end.
 
-    [radiolint: allow <rule>] annotations suppress findings exactly as in
-    the textual layer. *)
+    [radiolint: allow <rule>] annotations suppress findings
+    ({!Rules.allowances}).  A source the parser rejects is one
+    [parse-error] finding at the parser's line. *)
 
 type parsed = Parsetree.structure
 
-val parse : path:string -> string -> (parsed, string) result
-(** Parse an OCaml implementation.  [Error msg] carries a one-line parse
-    diagnostic; callers fall back to the textual rules. *)
+val parse : path:string -> string -> (parsed, Rules.violation) result
+(** Parse an OCaml implementation.  [Error v] is the [parse-error]
+    finding: the parser's line and its one-line diagnostic. *)
 
-val rule_names : string list
-(** All AST rule identifiers (superset of the ported textual rules). *)
-
-val lint_structure :
+val lint_parsed :
   path:string ->
-  allowed:(line:int -> rule:string -> bool) ->
-  parsed ->
+  source:string ->
+  (parsed, Rules.violation) result ->
   Rules.violation list
-(** Run every AST rule over a parsed structure.  [path] must be normalized
-    ({!Rules.normalize}); [allowed] is the annotation predicate (from
-    {!Rules.allowances}). *)
+(** Run every AST rule over a parse result of [source], with the allow
+    annotations of [source] ({!Rules.allowances}); an [Error] yields its
+    [parse-error] finding alone.  Does not touch the filesystem, so
+    [missing-mli] is not applied here. *)
 
-val lint_source : path:string -> string -> (Rules.violation list, string) result
-(** Parse and lint; computes allowances from the source itself.  [Error] is
-    a parse failure (fall back to {!Rules.lint_source}). *)
+val lint_source : path:string -> string -> Rules.violation list
+(** {!lint_parsed} of {!parse}. *)

@@ -42,7 +42,6 @@ type t = {
   mutables : (string, unit) Hashtbl.t;
       (* keys of module-level mutable bindings (ref / Hashtbl.create ...) *)
   allow : (string, line:int -> rule:string -> bool) Hashtbl.t;
-  mutable skipped : (string * string) list;  (* path, parse diagnostic *)
 }
 
 let create () =
@@ -51,7 +50,6 @@ let create () =
     modules = Hashtbl.create 16;
     mutables = Hashtbl.create 16;
     allow = Hashtbl.create 16;
-    skipped = [];
   }
 
 let module_name_of_path path =
@@ -346,34 +344,29 @@ and collect_let_modules t ~top ~subpath ~path ~opens e =
 
 (* Index one file from an already-parsed AST (the driver's parse-once
    cache feeds every deep pass from the same [Parsetree]). *)
-let add_parsed t ~path ~source parsed =
+let add_parsed t ~path ~source ast =
   let path = Rules.normalize path in
-  match parsed with
-  | Error e -> t.skipped <- (path, e) :: t.skipped
-  | Ok ast ->
-      let top = module_name_of_path path in
-      Hashtbl.replace t.modules top path;
-      let raw_lines = Rules.lines_of source in
-      let stripped_lines = Rules.lines_of (Rules.strip source) in
-      Hashtbl.replace t.allow path
-        (Rules.allowances ~raw_lines ~stripped_lines);
-      collect_items t ~top ~subpath:[] ~path ~opens:[] ast
-
-let add_source t ~path source =
-  add_parsed t ~path ~source (Ast_lint.parse ~path source)
+  let top = module_name_of_path path in
+  Hashtbl.replace t.modules top path;
+  let raw_lines = Rules.lines_of source in
+  let stripped_lines = Rules.lines_of (Rules.strip source) in
+  Hashtbl.replace t.allow path (Rules.allowances ~raw_lines ~stripped_lines);
+  collect_items t ~top ~subpath:[] ~path ~opens:[] ast
 
 let of_sources sources =
   let t = create () in
-  List.iter (fun (path, source) -> add_source t ~path source) sources;
+  List.iter
+    (fun (path, source) ->
+      match Ast_lint.parse ~path source with
+      | Ok ast -> add_parsed t ~path ~source ast
+      | Error v -> invalid_arg (v.Rules.path ^ ": " ^ v.Rules.message))
+    sources;
   t
 
-let add_file t path = add_source t ~path (Rules.read_file path)
-let add_tree t root = List.iter (add_file t) (Rules.walk root [])
 let defs t = Hashtbl.fold (fun _ d acc -> d :: acc) t.defs []
 let find t key = Hashtbl.find_opt t.defs key
 let has_module t name = Hashtbl.mem t.modules name
 let is_mutable t key = Hashtbl.mem t.mutables key
-let skipped t = List.rev t.skipped
 
 let allowed t ~path ~line ~rule =
   match Hashtbl.find_opt t.allow path with

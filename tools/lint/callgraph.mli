@@ -8,8 +8,8 @@
     call-site lines; references made under [let open M in ...] / [M.(...)]
     / a toplevel [open M] are additionally recorded with the opened module
     prefixed, so propagation does not drop edges through opened modules.
-    Files the parser rejects are recorded in {!skipped} and contribute no
-    nodes. *)
+    Only parsed files go in: a file the parser rejects is a [parse-error]
+    finding of the scan ({!Driver.scan}), not a node. *)
 
 type reference = {
   target : string list;  (** flattened longident, [Stdlib.] dropped *)
@@ -41,23 +41,14 @@ type def = {
 type t
 
 val create : unit -> t
-val add_source : t -> path:string -> string -> unit
 
-val add_parsed :
-  t ->
-  path:string ->
-  source:string ->
-  (Parsetree.structure, string) result ->
-  unit
-(** Like {!add_source} from an already-parsed AST (the driver's
-    parse-once cache); [Error] diagnostics land in {!skipped}. *)
+val add_parsed : t -> path:string -> source:string -> Parsetree.structure -> unit
+(** Index one file from its source and its already-parsed AST (the
+    driver's parse-once cache). *)
 
 val of_sources : (string * string) list -> t
-(** Build from in-memory [(path, source)] pairs (test fixtures). *)
-
-val add_file : t -> string -> unit
-val add_tree : t -> string -> unit
-(** Add every [.ml] under a directory root ({!Rules.walk}). *)
+(** Build from in-memory [(path, source)] pairs (test fixtures).  Raises
+    [Invalid_argument] on a source that does not parse. *)
 
 val module_name_of_path : string -> string
 val defs : t -> def list
@@ -73,9 +64,6 @@ val is_mutable : t -> string -> bool
 
 val allowed : t -> path:string -> line:int -> rule:string -> bool
 (** The [radiolint: allow] predicate of the file at [path]. *)
-
-val skipped : t -> (string * string) list
-(** Unparseable files: [(path, one-line diagnostic)]. *)
 
 val resolve : t -> top:string -> string list -> string option
 (** Resolve a flattened reference made inside top module [top] to a

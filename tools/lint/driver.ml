@@ -1,9 +1,9 @@
-(* Orchestration shared by the radiolint executable and `anorad lint`:
-   expand paths, parse each file once, run the AST rules with textual
-   fallback on unparseable files, optionally add the interprocedural
-   layers — taint (--deep), effects (--effects), value ranges
-   (--ranges) and partiality (--partiality); --deep implies all — filter
-   against a committed baseline, and render text or SARIF. *)
+(* Orchestration behind `anorad lint`: expand paths, read and parse each
+   file once, run the AST rules and missing-mli on every file and the
+   four interprocedural analyses — taint, effects, value ranges and
+   partiality — over one call graph of every parsed file, filter against
+   a committed baseline, and render text or SARIF.  A file that does not
+   parse is a parse-error finding. *)
 
 type finding = {
   rule : string;
@@ -36,14 +36,13 @@ let rule_descriptions =
       "multicore primitives (Domain/Atomic/Mutex/Condition) outside \
        lib/exec/" );
     ("missing-mli", "lib module without an interface");
+    ("parse-error", "the file does not parse, so no rule can check it");
     ("taint", "deterministic boundary transitively reaches an impure primitive");
     ( "effect",
       "a Pool task closure transitively reaches shared mutable state or \
        I/O (effect class above LocalMut)" );
   ]
   @ Ranges.rules @ Partiality.rules
-
-let rule_names = List.map fst rule_descriptions
 
 let related_of_chain chain =
   List.map
@@ -125,94 +124,68 @@ let pp_finding ppf f =
 (* Scanning                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* AST rules when the file parses, textual rules otherwise; missing-mli
-   either way.  Takes the parse result so a scan parses each file
-   exactly once (the shallow rules, the call graph and the AST-walking
-   analyses all share it). *)
-let lint_parsed ~path ~source parsed =
-  let content =
-    match parsed with
-    | Ok ast ->
-        let allowed =
-          Rules.allowances
-            ~raw_lines:(Rules.lines_of source)
-            ~stripped_lines:(Rules.lines_of (Rules.strip source))
-        in
-        Ast_lint.lint_structure ~path:(Rules.normalize path) ~allowed ast
-    | Error _ -> Rules.lint_source ~path source
-  in
-  List.map of_violation (content @ Rules.missing_mli path)
-
-let lint_file path =
-  let source = Rules.read_file path in
-  lint_parsed ~path ~source (Ast_lint.parse ~path source)
-
-type scan = {
-  findings : finding list;
-  skipped : (string * string) list;  (* unparseable files (deep only) *)
-}
-
 let expand_path root =
   if Sys.is_directory root then List.rev (Rules.walk root [])
   else [ Rules.normalize root ]
 
-(* [roots] must exist (callers validate).  Each file is read and parsed
-   once; the interprocedural layers build one call graph over every
-   scanned file, so cross-root calls are still visible.  [deep] implies
-   every other layer. *)
-let scan ?(deep = false) ?(effects = false) ?(ranges = false)
-    ?(partiality = false) roots =
-  let effects = effects || deep
-  and ranges = ranges || deep
-  and partiality = partiality || deep in
-  let files = List.concat_map expand_path roots in
-  let parsed =
-    List.map
-      (fun path ->
-        let source = Rules.read_file path in
-        (path, source, Ast_lint.parse ~path source))
+(* Every [.ml] under [roots], each read and parsed exactly once: the
+   per-file rules, the call graph and the AST-walking analyses all share
+   the parse. *)
+let load roots =
+  List.concat_map expand_path roots
+  |> List.map (fun path ->
+         let source = Rules.read_file path in
+         (path, source, Ast_lint.parse ~path source))
+
+let graph_of files =
+  let cg = Callgraph.create () in
+  List.iter
+    (fun (path, source, parsed) ->
+      match parsed with
+      | Ok ast -> Callgraph.add_parsed cg ~path ~source ast
+      | Error _ -> ())
+    files;
+  cg
+
+let callgraph roots =
+  let files = load roots in
+  match
+    List.find_map
+      (fun (_, _, parsed) ->
+        match parsed with Error v -> Some (of_violation v) | Ok _ -> None)
+      files
+  with
+  | Some unparseable -> Error unparseable
+  | None -> Ok (graph_of files)
+
+(* The interprocedural layers build one call graph over every parsed
+   file, so cross-root calls are still visible. *)
+let scan roots =
+  let files = load roots in
+  let cg = graph_of files in
+  let asts =
+    List.filter_map
+      (fun (path, _, parsed) ->
+        match parsed with
+        | Ok ast -> Some (Rules.normalize path, ast)
+        | Error _ -> None)
       files
   in
-  let shallow =
-    List.concat_map (fun (path, source, p) -> lint_parsed ~path ~source p) parsed
+  let per_file =
+    List.concat_map
+      (fun (path, source, parsed) ->
+        List.map of_violation
+          (Ast_lint.lint_parsed ~path ~source parsed @ Rules.missing_mli path))
+      files
   in
-  let deep_findings, skipped =
-    if not (deep || effects || ranges || partiality) then ([], [])
-    else begin
-      let cg = Callgraph.create () in
-      List.iter
-        (fun (path, source, p) -> Callgraph.add_parsed cg ~path ~source p)
-        parsed;
-      let asts =
-        List.filter_map
-          (fun (path, _, p) ->
-            match p with
-            | Ok ast -> Some (Rules.normalize path, ast)
-            | Error _ -> None)
-          parsed
-      in
-      let taint = if deep then List.map of_taint (Taint.analyze cg) else [] in
-      let escape =
-        if effects then List.map of_effect (Effects.escapes cg) else []
-      in
-      let range =
-        if ranges then List.map of_range (Ranges.analyze cg ~asts) else []
-      in
-      let partial =
-        if partiality then
-          List.map of_partiality
-            (Partiality.findings (Partiality.analyze cg ~asts))
-        else []
-      in
-      (taint @ escape @ range @ partial, Callgraph.skipped cg)
-    end
-  in
-  let findings =
-    List.sort
-      (fun a b -> compare (a.path, a.line, a.rule) (b.path, b.line, b.rule))
-      (shallow @ deep_findings)
-  in
-  { findings; skipped }
+  List.sort
+    (fun a b -> compare (a.path, a.line, a.rule) (b.path, b.line, b.rule))
+    (per_file
+    @ List.map of_taint (Taint.analyze cg)
+    @ List.map of_effect (Effects.escapes cg)
+    @ List.map of_range (Ranges.analyze cg ~asts)
+    @ List.map of_partiality
+        (Partiality.findings (Partiality.analyze cg ~asts)))
 
 (* ------------------------------------------------------------------ *)
 (* Baseline                                                            *)
@@ -224,38 +197,44 @@ let load_baseline path =
          let l = String.trim l in
          if l = "" || l.[0] = '#' then None else Some l)
 
-let apply_baseline ~baseline scan =
+let apply_baseline ~baseline findings =
   let fresh, suppressed =
-    List.partition
-      (fun f -> not (List.mem f.fingerprint baseline))
-      scan.findings
+    List.partition (fun f -> not (List.mem f.fingerprint baseline)) findings
   in
-  ({ scan with findings = fresh }, List.length suppressed)
+  (fresh, List.length suppressed)
 
 let baseline_lines findings =
   List.map (fun f -> f.fingerprint) findings |> List.sort_uniq compare
 
-(* Baseline entries that matched nothing in [scan] (run on the raw scan,
-   before [apply_baseline]).  Interprocedural fingerprints only count as
-   stale when their analysis actually ran — a shallow scan can't observe
-   taint/effect/range/partiality findings, so their absence proves
-   nothing. *)
-let stale_baseline ?(deep = false) ?(effects = false) ?(ranges = false)
-    ?(partiality = false) ~baseline scan =
-  let effects = effects || deep
-  and ranges = ranges || deep
-  and partiality = partiality || deep in
-  let prefixed p s =
-    String.length s >= String.length p && String.sub s 0 (String.length p) = p
-  in
+let stale_baseline ~baseline findings =
   List.filter
-    (fun entry ->
-      (not (List.exists (fun f -> f.fingerprint = entry) scan.findings))
-      && (deep || not (prefixed "taint:" entry))
-      && (effects || not (prefixed "effect:" entry))
-      && (ranges || not (prefixed "range-" entry))
-      && (partiality || not (prefixed "partiality:" entry)))
+    (fun entry -> not (List.exists (fun f -> f.fingerprint = entry) findings))
     baseline
+
+(* The leading '#' lines of an existing baseline document the file (the
+   fingerprint formats, the policy, how to regenerate it), so a rewrite
+   keeps them and replaces only the fingerprints below. *)
+let write_baseline file findings =
+  let header, old =
+    if not (Sys.file_exists file) then
+      ( [
+          "# radiolint baseline — grandfathered findings, one fingerprint \
+           per line.";
+        ],
+        [] )
+    else
+      let rec leading = function
+        | l :: rest when String.length l > 0 && l.[0] = '#' -> l :: leading rest
+        | _ -> []
+      in
+      ( leading (String.split_on_char '\n' (Rules.read_file file)),
+        load_baseline file )
+  in
+  let lines = baseline_lines findings in
+  Out_channel.with_open_text file (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) (header @ lines));
+  let pruned = List.filter (fun o -> not (List.mem o lines)) old in
+  (List.length lines, List.length pruned)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

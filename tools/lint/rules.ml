@@ -1,7 +1,7 @@
-type violation = { path : string; line : int; rule : string; message : string }
+(* Scopes, allow annotations and file helpers shared by the AST rules
+   (ast_lint.ml) and the interprocedural analyses. *)
 
-let pp_violation ppf { path; line; rule; message } =
-  Format.fprintf ppf "%s:%d: [%s] %s" path line rule message
+type violation = { path : string; line : int; rule : string; message : string }
 
 (* ------------------------------------------------------------------ *)
 (* Comment / string stripping                                          *)
@@ -180,52 +180,7 @@ let allowances ~raw_lines ~stripped_lines =
   fun ~line ~rule -> Hashtbl.mem tbl (line, rule)
 
 (* ------------------------------------------------------------------ *)
-(* Needle matching                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let ident_char = function
-  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
-  | _ -> false
-
-(* Occurrences of a module-path needle like "Random." whose preceding
-   character is not part of a longer identifier ("MyRandom." must not
-   fire; "Stdlib.Random." must). *)
-let has_module_needle ~needle line =
-  let nl = String.length needle and ll = String.length line in
-  let rec go i =
-    if i + nl > ll then false
-    else if
-      String.sub line i nl = needle
-      && (i = 0 || not (ident_char line.[i - 1]))
-    then true
-    else go (i + 1)
-  in
-  go 0
-
-let op_char = function
-  | '!' | '$' | '%' | '&' | '*' | '+' | '-' | '.' | '/' | ':' | '<' | '='
-  | '>' | '?' | '@' | '^' | '|' | '~' ->
-      true
-  | _ -> false
-
-(* A standalone == or != operator token. *)
-let has_physical_eq line =
-  let ll = String.length line in
-  let rec go i =
-    if i + 2 > ll then false
-    else
-      let tok = String.sub line i 2 in
-      if
-        (tok = "==" || tok = "!=")
-        && (i = 0 || not (op_char line.[i - 1]))
-        && (i + 2 >= ll || not (op_char line.[i + 2]))
-      then true
-      else go (i + 1)
-  in
-  go 0
-
-(* ------------------------------------------------------------------ *)
-(* Rules                                                               *)
+(* Scopes                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let normalize path =
@@ -286,96 +241,6 @@ let canonical_order_path path =
    deterministic function of local history (docs/LINTING.md). *)
 let deterministic_boundary path = deterministic_hot_path path || in_faults path
 
-type line_rule = {
-  name : string;
-  applies : string -> bool;
-  hit : string -> bool;
-  message : string;
-}
-
-let line_rules =
-  [
-    {
-      name = "random";
-      applies = (fun p -> under_lib p && not (random_allowed p));
-      hit = (fun l -> has_module_needle ~needle:"Random." l);
-      message =
-        "Random.* outside lib/baselines/, lib/graph/gen.ml and \
-         lib/config/random_config.ml breaks determinism of the model \
-         (engine.mli: the engine is deterministic given a deterministic \
-         protocol)";
-    };
-    {
-      name = "obj-magic";
-      applies = under_lib;
-      hit = (fun l -> has_module_needle ~needle:"Obj.magic" l);
-      message = "Obj.magic defeats the type system; banned";
-    };
-    {
-      name = "physical-equality";
-      applies = under_lib;
-      hit = has_physical_eq;
-      message =
-        "physical equality (==/!=) on structural data compares identity, \
-         not value; use =, <> or a dedicated equal function";
-    };
-    {
-      name = "fault-purity";
-      applies = in_faults;
-      hit =
-        (fun l ->
-          has_module_needle ~needle:"Random.self_init" l
-          || has_module_needle ~needle:"Random." l
-          || has_module_needle ~needle:"Unix.gettimeofday" l
-          || has_module_needle ~needle:"Unix.time" l
-          || has_module_needle ~needle:"Unix.localtime" l
-          || has_module_needle ~needle:"Unix.gmtime" l
-          || has_module_needle ~needle:"Sys.time" l);
-      message =
-        "fault plans are pure data: lib/faults/ and lib/sim/fault_plan.ml \
-         must not consult ambient randomness or wall-clock time — derive \
-         everything from the explicit integer seed (lib/sim/fault_plan.mli)";
-    };
-    {
-      name = "hashtbl-iteration";
-      applies = deterministic_hot_path;
-      hit =
-        (fun l ->
-          has_module_needle ~needle:"Hashtbl.iter" l
-          || has_module_needle ~needle:"Hashtbl.fold" l);
-      message =
-        "Hashtbl iteration order is nondeterministic; sort the bindings or \
-         use an ordered map in deterministic paths";
-    };
-  ]
-
-let rule_names =
-  List.map (fun r -> r.name) line_rules @ [ "missing-mli" ]
-
-let lint_source ~path source =
-  let path = normalize path in
-  if not (Filename.check_suffix path ".ml") then []
-  else begin
-    let stripped = strip source in
-    let raw_lines = lines_of source in
-    let stripped_lines = lines_of stripped in
-    let allowed = allowances ~raw_lines ~stripped_lines in
-    let rules = List.filter (fun r -> r.applies path) line_rules in
-    let violations = ref [] in
-    Array.iteri
-      (fun idx line ->
-        let lineno = idx + 1 in
-        List.iter
-          (fun r ->
-            if r.hit line && not (allowed ~line:lineno ~rule:r.name) then
-              violations :=
-                { path; line = lineno; rule = r.name; message = r.message }
-                :: !violations)
-          rules)
-      stripped_lines;
-    List.rev !violations
-  end
-
 let missing_mli path =
   let path = normalize path in
   if
@@ -395,15 +260,14 @@ let missing_mli path =
     ]
   else []
 
+(* A directory reads as an error naming it, like a missing file, so every
+   file error a caller sees has the "path: reason" shape. *)
 let read_file path =
+  if Sys.is_directory path then raise (Sys_error (path ^ ": Is a directory"));
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
-
-let lint_file path =
-  let source = read_file path in
-  lint_source ~path source @ missing_mli path
 
 let rec walk dir acc =
   Array.fold_left
@@ -416,9 +280,3 @@ let rec walk dir acc =
         else acc
       end)
     acc (Sys.readdir dir)
-
-let lint_tree root =
-  let files = walk root [] in
-  List.concat_map lint_file files
-  |> List.sort (fun a b ->
-         match compare a.path b.path with 0 -> compare a.line b.line | c -> c)

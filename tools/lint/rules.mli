@@ -1,30 +1,13 @@
-(** Source-level determinism lint for the radio-network codebase.
+(** Rule scopes, allow annotations and file helpers of the source lint.
 
-    The checks enforce repository rules that the type system cannot see (see
-    docs/LINTING.md for the paper justification of each):
-
-    - [random]: [Random.*] is confined to [lib/baselines/],
-      [lib/graph/gen.ml] and [lib/config/random_config.ml]; deterministic
-      paths must not consult a PRNG.
-    - [obj-magic]: [Obj.magic] is banned outright.
-    - [physical-equality]: [==]/[!=] on structural data compare identity,
-      not value, and are banned in favour of [=]/[<>] or [equal] functions.
-    - [fault-purity]: fault plans are pure data, so [lib/faults/] and
-      [lib/sim/fault_plan.ml] must not
-      consult ambient randomness ([Random.*], in particular
-      [Random.self_init]) or wall-clock time ([Unix.gettimeofday],
-      [Unix.time], [Unix.localtime], [Unix.gmtime], [Sys.time]); every plan
-      is derived from an explicit integer seed.
-    - [hashtbl-iteration]: [Hashtbl.iter]/[Hashtbl.fold] enumerate bindings
-      in nondeterministic order and are banned in [lib/core/], [lib/drip/]
-      and [lib/sim/].
-    - [missing-mli]: every [lib/**/*.ml] needs a matching [.mli].
-
-    Matching is comment- and string-literal-aware: occurrences inside
-    comments or string literals never fire.  A finding on a line carrying
-    [(* radiolint: allow <rule> [<rule> ...] *)] is suppressed, as is a
-    finding on the line immediately below a comment-only line with that
-    annotation. *)
+    The per-file rules themselves live in {!Ast_lint}; this module holds
+    what they share with the interprocedural analyses: the path predicates
+    that scope each rule (see docs/LINTING.md for the paper justification
+    of each), the [missing-mli] check, the
+    [(* radiolint: allow <rule> [<rule> ...] *)] annotation predicate and
+    the file readers.  An annotation suppresses a finding on its own line
+    and, when the annotated lines hold no code, on the first code line
+    below. *)
 
 type violation = {
   path : string;
@@ -32,9 +15,6 @@ type violation = {
   rule : string;
   message : string;
 }
-
-val rule_names : string list
-(** All rule identifiers, for documentation and [allow] validation. *)
 
 val normalize : string -> string
 (** Forward slashes, no leading [./] — every path predicate below expects
@@ -86,7 +66,8 @@ val allowances :
     lines hold no code, the first code line below. *)
 
 val read_file : string -> string
-(** Read a whole file (binary-safe). *)
+(** Read a whole file (binary-safe).  Raises [Sys_error "path: reason"],
+    also for a directory. *)
 
 val walk : string -> string list -> string list
 (** [walk dir acc] prepends every [.ml] under [dir] (skipping [_build] and
@@ -94,24 +75,9 @@ val walk : string -> string list -> string list
 
 val strip : string -> string
 (** [strip source] blanks out comments, string literals and character
-    literals (preserving length and line structure) so that needle searches
-    only see code. *)
-
-val lint_source : path:string -> string -> violation list
-(** Runs every content rule on [source], which lives at repo-relative
-    [path] (forward slashes).  Does not touch the filesystem; the
-    [missing-mli] rule is not applied here. *)
+    literals (preserving length and line structure), so {!allowances} can
+    tell a comment-only line from a code line. *)
 
 val missing_mli : string -> violation list
-(** The [missing-mli] check alone (touches the filesystem). *)
-
-val lint_file : string -> violation list
-(** Reads the file and runs {!lint_source} plus the [missing-mli] check. *)
-
-val lint_tree : string -> violation list
-(** Recursively lints every [.ml] under the given root directory, skipping
-    [_build] and dot-directories.  Violations are sorted by path and
-    line. *)
-
-val pp_violation : Format.formatter -> violation -> unit
-(** [file:line: [rule] message] — one line, editor-clickable. *)
+(** The [missing-mli] check: a [lib/**/*.ml] without a matching [.mli]
+    (touches the filesystem). *)
