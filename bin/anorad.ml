@@ -48,24 +48,29 @@ let config_arg =
   in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"CONFIG" ~doc)
 
-let load_config path =
-  if path = "-" then CIo.of_string (In_channel.input_all In_channel.stdin)
-  else CIo.read_file path
+(* The one loader for user-supplied files: a missing or malformed CONFIG,
+   fault plan or compiled plan is a message on stderr, [anorad <cmd>:
+   invalid <what>: <reason>], and exit code 2, never an uncaught
+   exception. *)
+let invalid ~cmd what msg =
+  Format.eprintf "anorad %s: invalid %s: %s@." cmd what msg;
+  exit 2
 
-(* The one fault-plan loader: parse, then validate against the
-   configuration.  A malformed line or an out-of-range node is a positioned
-   message on stderr and exit code 2, never an uncaught exception. *)
+let load ~cmd what read =
+  try read () with Failure msg | Sys_error msg -> invalid ~cmd what msg
+
+let load_config ~cmd path =
+  load ~cmd "configuration" (fun () ->
+      if path = "-" then CIo.of_string (In_channel.input_all In_channel.stdin)
+      else CIo.read_file path)
+
+(* Parse, then validate against the configuration: an out-of-range node is
+   an invalid plan too. *)
 let load_plan ~cmd config path =
-  let invalid msg =
-    Format.eprintf "anorad %s: invalid plan: %s@." cmd msg;
-    exit 2
-  in
-  match FP.read_file path with
-  | exception (Failure msg | Sys_error msg) -> invalid msg
-  | plan -> (
-      match FP.validate config plan with
-      | Ok () -> plan
-      | Error msg -> invalid msg)
+  let plan = load ~cmd "plan" (fun () -> FP.read_file path) in
+  match FP.validate config plan with
+  | Ok () -> plan
+  | Error msg -> invalid ~cmd "plan" msg
 
 let impl_arg =
   let doc = "Classifier implementation: 'reference' (literal Algorithms 1-4) or 'fast' (hash-based refinement)." in
@@ -101,7 +106,7 @@ let with_jobs_pool jobs f =
 
 let classify_cmd =
   let run path impl verbose =
-    let config = load_config path in
+    let config = load_config ~cmd:"classify" path in
     if not (C.is_connected config) then
       Format.printf
         "warning: configuration is disconnected; the paper's guarantees \
@@ -135,7 +140,7 @@ let classify_cmd =
 
 let elect_cmd =
   let run path impl max_rounds =
-    let config = load_config path in
+    let config = load_config ~cmd:"elect" path in
     let a = Fe.analyze ~impl config in
     if not a.Fe.feasible then begin
       Format.printf "INFEASIBLE: nothing to elect@.";
@@ -166,7 +171,7 @@ let elect_cmd =
 
 let trace_cmd =
   let run path max_rounds =
-    let config = load_config path in
+    let config = load_config ~cmd:"trace" path in
     let a = Fe.analyze config in
     let o =
       Engine.run ~max_rounds ~record_trace:true
@@ -230,7 +235,7 @@ let family_cmd =
 
 let refute_cmd =
   let run path =
-    let config = load_config path in
+    let config = load_config ~cmd:"refute" path in
     let a = Fe.analyze config in
     match Fe.dedicated_election a with
     | None ->
@@ -267,7 +272,7 @@ let compile_cmd =
     Arg.(value & opt string "-" & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in
   let run path output =
-    let config = load_config path in
+    let config = load_config ~cmd:"compile" path in
     let a = Fe.analyze config in
     let text = Election.Plan_io.to_string a.Fe.plan in
     (if output = "-" then print_string text
@@ -299,8 +304,11 @@ let run_plan_cmd =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"CONFIG" ~doc)
   in
   let run plan_path config_path max_rounds =
-    let plan = Election.Plan_io.read_file plan_path in
-    let config = load_config config_path in
+    let plan =
+      load ~cmd:"run-plan" "plan" (fun () ->
+          Election.Plan_io.read_file plan_path)
+    in
+    let config = load_config ~cmd:"run-plan" config_path in
     let r =
       Radio_sim.Runner.run ~max_rounds (Can.election plan) config
     in
@@ -329,7 +337,7 @@ let explain_cmd =
     Arg.(value & flag & info [ "dot" ] ~doc)
   in
   let run path dot =
-    let config = load_config path in
+    let config = load_config ~cmd:"explain" path in
     let e = Election.Explain.explain (Election.Classifier.classify config) in
     if dot then print_string (Election.Explain.to_dot e)
     else begin
@@ -402,7 +410,7 @@ let catalog_cmd =
 
 let optimal_cmd =
   let run path jobs =
-    let config = load_config path in
+    let config = load_config ~cmd:"optimal" path in
     (match
        with_jobs_pool jobs (fun pool ->
            Election.Optimal.breaking_time ~pool config)
@@ -429,7 +437,7 @@ let optimal_cmd =
 
 let fragility_cmd =
   let run path =
-    let config = load_config path in
+    let config = load_config ~cmd:"fragility" path in
     if not (Election.Feasibility.is_feasible config) then begin
       Format.printf "configuration is infeasible; try 'anorad repair'@.";
       1
@@ -445,7 +453,7 @@ let fragility_cmd =
 
 let audit_cmd =
   let run path max_rounds =
-    let config = load_config path in
+    let config = load_config ~cmd:"audit" path in
     let report = Election.Audit.run ~max_rounds config in
     Format.printf "%a@." Election.Audit.pp report;
     if report.Election.Audit.all_passed then 0 else 2
@@ -466,7 +474,7 @@ let repair_cmd =
     Arg.(value & opt (some int) None & info [ "max-tag" ] ~docv:"T" ~doc)
   in
   let run path max_changes max_tag =
-    let config = load_config path in
+    let config = load_config ~cmd:"repair" path in
     match Election.Repair.repair ?max_tag ~max_changes config with
     | Some plan ->
         Format.printf "%a@." Election.Repair.pp_plan plan;
@@ -966,7 +974,7 @@ let mc_cmd =
                N)@.";
             2
         | Some path -> (
-            let config = load_config path in
+            let config = load_config ~cmd:"mc" path in
             if explore then
               run_explore config depth states faults (not no_reduction) jobs
             else
@@ -1060,7 +1068,7 @@ let check_trace_cmd =
     Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"PLAN" ~doc)
   in
   let run path max_rounds plan_path =
-    let config = load_config path in
+    let config = load_config ~cmd:"check-trace" path in
     let a = Fe.analyze config in
     let proto = Can.protocol a.Fe.plan in
     let o, vs =
@@ -1121,7 +1129,7 @@ let faults_cmd =
     Arg.(value & flag & info [ "supervise" ] ~doc)
   in
   let run path plan_path max_rounds supervise =
-    let config = load_config path in
+    let config = load_config ~cmd:"faults" path in
     let plan = load_plan ~cmd:"faults" config plan_path in
     let a = Fe.analyze config in
     let proto = Can.protocol a.Fe.plan in
@@ -1184,7 +1192,7 @@ let resilience_cmd =
     Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc)
   in
   let run path trials seed max_intensity csv jobs =
-    let config = load_config path in
+    let config = load_config ~cmd:"resilience" path in
     let name = Filename.remove_extension (Filename.basename path) in
     match
       with_jobs_pool jobs (fun pool ->
@@ -1275,7 +1283,7 @@ let churn_cmd =
         Format.printf "%a@." I.Oracle.pp report;
         if I.Oracle.ok report then 0 else 2
     | None -> (
-        let config = load_config path in
+        let config = load_config ~cmd:"churn" path in
         let plan =
           match plan_path with
           | Some p -> load_plan ~cmd:"churn" config p

@@ -11,44 +11,58 @@ let to_string c =
     (G.edges (Config.graph c));
   Buffer.contents buf
 
+(* Non-blank, non-comment lines, each with its 1-based line number. *)
 let meaningful_lines s =
   String.split_on_char '\n' s
-  |> List.map String.trim
-  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  |> List.mapi (fun i l -> (i + 1, String.trim l))
+  |> List.filter (fun (_, l) -> l <> "" && l.[0] <> '#')
 
 let tokens line = String.split_on_char ' ' line |> List.filter (fun t -> t <> "")
 
-let int_token what t =
+let fail line fmt =
+  Printf.ksprintf
+    (fun msg ->
+      failwith (Printf.sprintf "Config_io.of_string: line %d: %s" line msg))
+    fmt
+
+let int_token line what t =
   match int_of_string_opt t with
   | Some i -> i
-  | None -> failwith (Printf.sprintf "Config_io.of_string: bad %s: %s" what t)
+  | None -> fail line "bad %s: %s" what t
 
 let of_string s =
   match meaningful_lines s with
-  | header :: tag_line :: rest ->
+  | (hl, header) :: (tl, tag_line) :: rest ->
       let n =
         match tokens header with
-        | [ "config"; n ] -> int_token "vertex count" n
-        | _ -> failwith "Config_io.of_string: expected 'config <n>' header"
+        | [ "config"; n ] -> int_token hl "vertex count" n
+        | _ -> fail hl "expected 'config <n>' header"
       in
+      if n < 0 then fail hl "negative vertex count %d" n;
       let tags =
         match tokens tag_line with
         | "tags" :: ts when List.length ts = n ->
-            Array.of_list (List.map (int_token "tag") ts)
+            Array.of_list (List.map (int_token tl "tag") ts)
         | "tags" :: ts ->
-            failwith
-              (Printf.sprintf
-                 "Config_io.of_string: expected %d tags, found %d" n
-                 (List.length ts))
-        | _ -> failwith "Config_io.of_string: expected 'tags ...' line"
+            fail tl "expected %d tags, found %d" n (List.length ts)
+        | _ -> fail tl "expected 'tags ...' line"
       in
-      let parse_edge line =
-        match tokens line with
-        | [ u; v ] -> (int_token "edge endpoint" u, int_token "edge endpoint" v)
-        | _ -> failwith ("Config_io.of_string: bad edge line: " ^ line)
-      in
-      let graph = G.of_edges n (List.map parse_edge rest) in
-      Config.create ~normalize:false graph tags
+      Array.iteri
+        (fun v t -> if t < 0 then fail tl "negative tag %d at vertex %d" t v)
+        tags;
+      (* Edges go in one at a time so a rejected edge names its line. *)
+      let b = G.Builder.create n in
+      List.iter
+        (fun (l, line) ->
+          match tokens line with
+          | [ u; v ] -> (
+              let u = int_token l "edge endpoint" u in
+              let v = int_token l "edge endpoint" v in
+              try G.Builder.add_edge b u v
+              with G.Invalid_edge msg -> fail l "%s" msg)
+          | _ -> fail l "bad edge line: %s" line)
+        rest;
+      Config.create ~normalize:false (G.Builder.finish b) tags
   | _ -> failwith "Config_io.of_string: need a header and a tags line"
 
 let to_dot ?(name = "C") c =

@@ -11,7 +11,10 @@
 val to_string : Config.t -> string
 
 val of_string : string -> Config.t
-(** Raises [Failure] on malformed input. *)
+(** Raises [Failure] on malformed input, and only [Failure]: a bad header,
+    tags line, tag count or integer, a negative vertex count or tag, and a
+    malformed, self-loop, repeated or out-of-range edge all name the
+    offending (1-based) line. *)
 
 val to_dot : ?name:string -> Config.t -> string
 (** DOT export with nodes labelled ["v<i> (t=<tag>)"]. *)

@@ -1,6 +1,7 @@
 module Config = Radio_config.Config
 module G = Radio_graph.Graph
 module Engine = Radio_sim.Engine
+module Fault_plan = Radio_sim.Fault_plan
 module Metrics = Radio_sim.Metrics
 module Trace = Radio_sim.Trace
 module History = Radio_drip.History
@@ -13,7 +14,7 @@ let hlen (o : Engine.outcome) v = Array.length o.Engine.histories.(v)
    and every crash-aware branch below collapses to the pristine rule. *)
 let crash_of crashed v = if v < Array.length crashed then crashed.(v) else -1
 
-let structural_with ~crashed (o : Engine.outcome) =
+let structural ~crashed (o : Engine.outcome) =
   Report.collect @@ fun rep ->
   let n = Config.size o.Engine.config in
   let shape_ok =
@@ -198,19 +199,47 @@ let structural_with ~crashed (o : Engine.outcome) =
             vs
   end
 
-let structural o = structural_with ~crashed:[||] o
-
-let trace_conformance (o : Engine.outcome) =
+(* Trace conformance under a fault plan: recompute every reception and
+   wake-up from the trace's transmitter sets, with the plan's drops removed
+   from the air, noise forcing [Collision], and each crashed node excused
+   from its crash round onwards.  The pristine model is the empty plan with
+   no crash, where every fault branch below collapses to the pristine
+   rule. *)
+let trace_conformance ~plan ~crashed (o : Engine.outcome) =
   if o.Engine.trace = [] then []
   else
     Report.collect @@ fun rep ->
     let g = Config.graph o.Engine.config in
     let n = Config.size o.Engine.config in
+    let dead_at r v =
+      let c = crash_of crashed v in
+      c >= 0 && r >= c
+    in
     let tx = Purity.tx_by_round o in
     let transmitted_at r v =
       r >= 0 && r < Array.length tx && List.mem_assoc v tx.(r)
     in
-    (* Every traced transmission comes from an awake, running node. *)
+    (* The copies [v] can hear in round [r] after the plan's drops: how many,
+       and the message of the last one. *)
+    let audible r v =
+      let count = ref 0 and heard = ref "" in
+      G.iter_neighbours g v ~f:(fun w ->
+          if r < Array.length tx then
+            match List.assoc_opt w tx.(r) with
+            | Some m when not (Fault_plan.dropped plan ~src:w ~dst:v ~round:r)
+              ->
+                incr count;
+                heard := m
+            | _ -> ());
+      (!count, !heard)
+    in
+    let noisy r v = Fault_plan.noisy plan ~node:v ~round:r in
+    (* The message that force-wakes a sleeping [v] in round [r]: exactly one
+       audible transmitter and no noise (collisions do not wake). *)
+    let waking r v =
+      match audible r v with 1, m when not (noisy r v) -> Some m | _ -> None
+    in
+    (* Every traced transmission comes from an awake, running, live node. *)
     Array.iteri
       (fun r txs ->
         List.iter
@@ -218,6 +247,11 @@ let trace_conformance (o : Engine.outcome) =
             if v < 0 || v >= n then
               rep.Report.f ~node:v ~round:r ~check:"trace"
                 "transmission by an out-of-range node"
+            else if dead_at r v then
+              rep.Report.f ~node:v ~round:r ~check:"crash-silence"
+                "transmission at round %d but the node crashed at round %d — \
+                 crashed nodes are permanently silent"
+                r (crash_of crashed v)
             else begin
               let wake = o.Engine.wake_round.(v) in
               let dn = o.Engine.done_local.(v) in
@@ -232,8 +266,8 @@ let trace_conformance (o : Engine.outcome) =
             end)
           txs)
       tx;
-    (* Collision semantics: recompute every reception from the transmitter
-       sets and compare with the recorded history entries. *)
+    (* Collision semantics: recompute every reception from the audible
+       transmitter sets and compare with the recorded history entries. *)
     for v = 0 to n - 1 do
       let wake = o.Engine.wake_round.(v) in
       if wake >= 0 then begin
@@ -242,20 +276,12 @@ let trace_conformance (o : Engine.outcome) =
           let r = wake + i in
           let expected =
             if transmitted_at r v then History.Silence
-            else begin
-              let count = ref 0 and heard = ref History.Silence in
-              G.iter_neighbours g v ~f:(fun w ->
-                  if r < Array.length tx then
-                    match List.assoc_opt w tx.(r) with
-                    | Some m ->
-                        incr count;
-                        heard := History.Message m
-                    | None -> ());
-              match !count with
-              | 0 -> History.Silence
-              | 1 -> !heard
+            else if noisy r v then History.Collision
+            else
+              match audible r v with
+              | 0, _ -> History.Silence
+              | 1, m -> History.Message m
               | _ -> History.Collision
-            end
           in
           if not (History.equal_entry h.(i) expected) then
             rep.Report.f ~node:v ~round:r ~check:"collision-semantics"
@@ -265,64 +291,57 @@ let trace_conformance (o : Engine.outcome) =
         done
       end
     done;
-    (* Wake-up events: kind, round and uniqueness of the waking
-       transmitter. *)
-    let lone_neighbour_tx r v =
-      let count = ref 0 and msg = ref "" in
-      G.iter_neighbours g v ~f:(fun w ->
-          if r < Array.length tx then
-            match List.assoc_opt w tx.(r) with
-            | Some m ->
-                incr count;
-                msg := m
-            | None -> ());
-      if !count = 1 then Some !msg else None
+    (* The wake rule: a wake-up in round [r] is forced exactly when [waking]
+       names a message, and then by that message. *)
+    let wake_rule v r ~forced msg =
+      match (forced, waking r v) with
+      | true, Some m' -> (
+          match msg with
+          | Some m when m <> m' ->
+              rep.Report.f ~node:v ~round:r ~check:"forced-uniqueness"
+                "woken by %S but the lone transmitting neighbour sent %S" m m'
+          | _ -> ())
+      | true, None ->
+          rep.Report.f ~node:v ~round:r ~check:"forced-uniqueness"
+            "forced wake-up without exactly one transmitting neighbour (%d \
+             transmit%s)"
+            (fst (audible r v))
+            (if noisy r v then ", noisy" else "")
+      | false, Some _ ->
+          rep.Report.f ~node:v ~round:r ~check:"forced-uniqueness"
+            "exactly one neighbour transmits, so this wake-up should have \
+             been forced"
+      | false, None -> ()
     in
-    let neighbour_tx_count r v =
-      let count = ref 0 in
-      G.iter_neighbours g v ~f:(fun w ->
-          if r < Array.length tx then
-            if List.mem_assoc w tx.(r) then incr count);
-      !count
-    in
+    (* Wake-up events: round, kind and the waking message.  [judged.(v)]
+       records that an event already applied the wake rule to the outcome's
+       own wake round and kind. *)
+    let judged = Array.make n false in
+    let kind forced = if forced then "forced" else "spontaneous" in
     List.iter
       (fun (ev : Trace.round_events) ->
         let r = ev.Trace.round in
         List.iter
-          (fun (v, kind) ->
+          (fun (v, k) ->
             if o.Engine.wake_round.(v) <> r then
               rep.Report.f ~node:v ~round:r ~check:"wakeup"
                 "trace wakes the node here but wake_round = %d"
                 o.Engine.wake_round.(v);
-            match kind with
-            | Trace.Forced m -> (
-                if not o.Engine.forced.(v) then
-                  rep.Report.f ~node:v ~round:r ~check:"wakeup"
-                    "trace says forced, outcome says spontaneous";
-                match lone_neighbour_tx r v with
-                | Some m' when m' = m -> ()
-                | Some m' ->
-                    rep.Report.f ~node:v ~round:r ~check:"forced-uniqueness"
-                      "woken by %S but the lone transmitting neighbour sent \
-                       %S"
-                      m m'
-                | None ->
-                    rep.Report.f ~node:v ~round:r ~check:"forced-uniqueness"
-                      "forced wake-up without exactly one transmitting \
-                       neighbour (%d transmit)"
-                      (neighbour_tx_count r v))
-            | Trace.Spontaneous ->
-                if o.Engine.forced.(v) then
-                  rep.Report.f ~node:v ~round:r ~check:"wakeup"
-                    "trace says spontaneous, outcome says forced";
-                if Config.tag o.Engine.config v <> r then
-                  rep.Report.f ~node:v ~round:r ~check:"wakeup"
-                    "spontaneous wake-up away from the tag %d"
-                    (Config.tag o.Engine.config v);
-                if neighbour_tx_count r v = 1 then
-                  rep.Report.f ~node:v ~round:r ~check:"forced-uniqueness"
-                    "exactly one neighbour transmits, so this wake-up should \
-                     have been forced")
+            let forced, msg =
+              match k with
+              | Trace.Forced m -> (true, Some m)
+              | Trace.Spontaneous -> (false, None)
+            in
+            if forced <> o.Engine.forced.(v) then
+              rep.Report.f ~node:v ~round:r ~check:"wakeup"
+                "trace says %s, outcome says %s" (kind forced)
+                (kind o.Engine.forced.(v))
+            else if o.Engine.wake_round.(v) = r then judged.(v) <- true;
+            if (not forced) && Config.tag o.Engine.config v <> r then
+              rep.Report.f ~node:v ~round:r ~check:"wakeup"
+                "spontaneous wake-up away from the tag %d"
+                (Config.tag o.Engine.config v);
+            wake_rule v r ~forced msg)
           ev.Trace.woken;
         List.iter
           (fun v ->
@@ -334,15 +353,17 @@ let trace_conformance (o : Engine.outcome) =
                 expected o.Engine.done_local.(v))
           ev.Trace.terminated)
       o.Engine.trace;
-    (* Missed wake-ups: a sleeping node with exactly one transmitting
-       neighbour must wake (forced), and a sleeping node must not sleep
-       through its tag. *)
     for v = 0 to n - 1 do
       let wake = o.Engine.wake_round.(v) in
-      let asleep_through r = wake < 0 || wake > r in
+      (* The wake rule on the outcome's own wake-up, unless an event above
+         already judged it. *)
+      if wake >= 0 && (not judged.(v)) && not (dead_at wake v) then
+        wake_rule v wake ~forced:o.Engine.forced.(v) None;
+      (* Missed wake-ups: a live sleeping node must wake (forced) when
+         [waking] names a message, and must not sleep through its tag. *)
       for r = 0 to o.Engine.rounds - 1 do
-        if asleep_through r then begin
-          if neighbour_tx_count r v = 1 then
+        if (wake < 0 || wake > r) && not (dead_at r v) then begin
+          if waking r v <> None then
             rep.Report.f ~node:v ~round:r ~check:"forced-uniqueness"
               "sleeping node has exactly one transmitting neighbour but was \
                not woken";
@@ -404,22 +425,8 @@ let anonymity (o : Engine.outcome) =
       done
     done
 
-let validate ?protocol (o : Engine.outcome) =
-  structural o @ trace_conformance o @ anonymity o
-  @
-  match protocol with
-  | None -> []
-  | Some p -> Purity.replay p o @ Purity.rerun p o
-
-let validate_exn ?protocol o =
-  match validate ?protocol o with
-  | [] -> ()
-  | vs -> failwith (Report.to_string vs)
-
 (* -------------------------------------------------------------------- *)
-(* Outcomes under a fault plan: the conformance checker for run_plan.    *)
-
-module Fault_plan = Radio_sim.Fault_plan
+(* Outcomes under a fault plan: the fault ledger.                       *)
 
 let ledger_consistency (fo : Engine.plan_outcome) =
   Report.collect @@ fun rep ->
@@ -537,169 +544,34 @@ let ledger_consistency (fo : Engine.plan_outcome) =
       fo.Engine.crashed_at
   end
 
-(* Fault-aware trace conformance: the same reception/wake-up recomputation
-   as [trace_conformance], with the plan's drops removed from the air,
-   noise forcing [Collision], and crashed nodes excused from every round at
-   or after their crash. *)
-let faulty_trace (fo : Engine.plan_outcome) =
-  let o = fo.Engine.base in
-  if o.Engine.trace = [] then []
-  else
-    Report.collect @@ fun rep ->
-    let g = Config.graph o.Engine.config in
-    let n = Config.size o.Engine.config in
-    let plan = fo.Engine.plan in
-    let crashed_at v = crash_of fo.Engine.crashed_at v in
-    let dead_at r v =
-      let c = crashed_at v in
-      c >= 0 && r >= c
-    in
-    let tx = Purity.tx_by_round o in
-    let transmitted_at r v =
-      r >= 0 && r < Array.length tx && List.mem_assoc v tx.(r)
-    in
-    (* Audible transmitting neighbours of [v] after the plan's drops. *)
-    let audible r v =
-      let count = ref 0 and heard = ref "" in
-      G.iter_neighbours g v ~f:(fun w ->
-          if r < Array.length tx then
-            match List.assoc_opt w tx.(r) with
-            | Some m ->
-                if not (Fault_plan.dropped plan ~src:w ~dst:v ~round:r) then begin
-                  incr count;
-                  heard := m
-                end
-            | None -> ());
-      (!count, !heard)
-    in
-    (* Crash silence and the pristine provenance checks on transmissions. *)
-    Array.iteri
-      (fun r txs ->
-        List.iter
-          (fun (v, _m) ->
-            if v < 0 || v >= n then
-              rep.Report.f ~node:v ~round:r ~check:"trace"
-                "transmission by an out-of-range node"
-            else if dead_at r v then
-              rep.Report.f ~node:v ~round:r ~check:"crash-silence"
-                "transmission at round %d but the node crashed at round %d — \
-                 crashed nodes are permanently silent"
-                r (crashed_at v)
-            else begin
-              let wake = o.Engine.wake_round.(v) in
-              let dn = o.Engine.done_local.(v) in
-              if wake < 0 || wake >= r then
-                rep.Report.f ~node:v ~round:r ~check:"trace"
-                  "transmission by a node not yet awake (wake round %d)" wake
-              else if dn >= 0 && r - wake >= dn then
-                rep.Report.f ~node:v ~round:r ~check:"termination-permanence"
-                  "transmission at local round %d but the node terminated at \
-                   local round %d"
-                  (r - wake) dn
-            end)
-          txs)
-      tx;
-    (* Reception semantics under drops and noise: a dropped copy must never
-       surface in the receiver's history, and a noisy listener hears
-       [Collision] whatever is in the air. *)
-    for v = 0 to n - 1 do
-      let wake = o.Engine.wake_round.(v) in
-      if wake >= 0 then begin
-        let h = o.Engine.histories.(v) in
-        for i = 1 to Array.length h - 1 do
-          let r = wake + i in
-          let expected =
-            if transmitted_at r v then History.Silence
-            else if Fault_plan.noisy plan ~node:v ~round:r then
-              History.Collision
-            else begin
-              match audible r v with
-              | 0, _ -> History.Silence
-              | 1, m -> History.Message m
-              | _ -> History.Collision
-            end
-          in
-          if not (History.equal_entry h.(i) expected) then
-            rep.Report.f ~node:v ~round:r ~check:"collision-semantics"
-              "recorded entry %s but the post-fault transmitter set implies \
-               %s"
-              (Format.asprintf "%a" History.pp_entry h.(i))
-              (Format.asprintf "%a" History.pp_entry expected)
-        done
-      end
-    done;
-    (* Wake-up semantics: forced iff exactly one audible transmitter and no
-       noise; noise pins a sleeping node down (collisions do not wake). *)
-    for v = 0 to n - 1 do
-      let wake = o.Engine.wake_round.(v) in
-      if wake >= 0 && not (dead_at wake v) then begin
-        let count, _ = audible wake v in
-        let noisy = Fault_plan.noisy plan ~node:v ~round:wake in
-        if o.Engine.forced.(v) then begin
-          if count <> 1 || noisy then
-            rep.Report.f ~node:v ~round:wake ~check:"forced-uniqueness"
-              "forced wake-up without exactly one audible transmitting \
-               neighbour (%d audible%s)"
-              count
-              (if noisy then ", noisy" else "")
-        end
-        else if count = 1 && not noisy then
-          rep.Report.f ~node:v ~round:wake ~check:"forced-uniqueness"
-            "exactly one audible neighbour transmits, so this wake-up \
-             should have been forced"
-      end;
-      (* Missed wake-ups of live sleeping nodes. *)
-      let asleep_through r = wake < 0 || wake > r in
-      for r = 0 to o.Engine.rounds - 1 do
-        if asleep_through r && not (dead_at r v) then begin
-          let count, _ = audible r v in
-          if count = 1 && not (Fault_plan.noisy plan ~node:v ~round:r) then
-            rep.Report.f ~node:v ~round:r ~check:"forced-uniqueness"
-              "sleeping node has exactly one audible transmitting neighbour \
-               but was not woken";
-          if Config.tag o.Engine.config v = r then
-            rep.Report.f ~node:v ~round:r ~check:"wakeup"
-              "node slept through its spontaneous wake-up tag"
-        end
-      done
-    done;
-    (* first_transmission against the trace. *)
-    let earliest = ref None in
-    Array.iteri
-      (fun r txs ->
-        if txs <> [] && !earliest = None then
-          earliest := Some (r, List.sort compare (List.map fst txs)))
-      tx;
-    if o.Engine.first_transmission <> !earliest then
-      rep.Report.f ~check:"trace"
-        "first_transmission disagrees with the earliest traced transmission"
+(* The one pass over an outcome; the pristine model is the empty plan with
+   no crash.  A crashed node stops deciding mid-history, which the anonymity
+   replay cannot distinguish from a deliberate Listen, so the DRIP law is
+   only checked when no crash fired; and a fault-free re-run reproduces only
+   a fault-free outcome. *)
+let conformance ?protocol ~plan ~crashed ~fault_free o =
+  structural ~crashed o
+  @ trace_conformance ~plan ~crashed o
+  @ (if Array.for_all (fun c -> c < 0) crashed then anonymity o else [])
+  @
+  match protocol with
+  | None -> []
+  | Some p -> Purity.replay p o @ if fault_free then Purity.rerun p o else []
+
+let validate ?protocol o =
+  conformance ?protocol ~plan:Fault_plan.empty ~crashed:[||] ~fault_free:true
+    o
 
 let validate_faulty ?protocol (fo : Engine.plan_outcome) =
-  if Fault_plan.is_empty fo.Engine.plan && fo.Engine.ledger = [] then
-    validate ?protocol fo.Engine.base
-  else if Fault_plan.has_topology fo.Engine.plan then
+  if Fault_plan.has_topology fo.Engine.plan then
     (* Every other check recomputes semantics against the static graph and
        the original tags; under topology events only the ledger's internal
        consistency is checkable without re-simulating the churn. *)
     ledger_consistency fo
   else
+    let fault_free =
+      Fault_plan.is_empty fo.Engine.plan && fo.Engine.ledger = []
+    in
     ledger_consistency fo
-    @ structural_with ~crashed:fo.Engine.crashed_at fo.Engine.base
-    @ faulty_trace fo
-    (* A crashed node stops deciding mid-history, which the anonymity
-       replay cannot distinguish from a deliberate Listen — the DRIP law is
-       only checked when no crash fired. *)
-    @ (if Array.for_all (fun c -> c < 0) fo.Engine.crashed_at then
-         anonymity fo.Engine.base
-       else [])
-    @
-    (* A fault-free re-run cannot reproduce a faulty outcome, so
-       only the per-node history replay applies here. *)
-    match protocol with
-    | None -> []
-    | Some p -> Purity.replay p fo.Engine.base
-
-let validate_faulty_exn ?protocol fo =
-  match validate_faulty ?protocol fo with
-  | [] -> ()
-  | vs -> failwith (Report.to_string vs)
+    @ conformance ?protocol ~plan:fo.Engine.plan ~crashed:fo.Engine.crashed_at
+        ~fault_free fo.Engine.base

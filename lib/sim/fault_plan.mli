@@ -69,8 +69,9 @@ val normalize : t -> t
 val has_topology : t -> bool
 (** Whether the plan contains any topology event (link flap, leave, join
     or retag).  Gates the engine's dynamic-adjacency path and reduces the
-    conformance check set ({!Radio_lint.Invariants.validate_faulty}
-    recomputes semantics against a static graph). *)
+    conformance check set to the fault ledger
+    ({!Radio_lint.Invariants.validate_faulty}'s one trace pass recomputes
+    semantics against a static graph). *)
 
 val topology_events : t -> t
 (** The topology events of the plan, normalized. *)

@@ -177,10 +177,6 @@ let test_trace_cli () =
       check "timeline legend" true (contains out "legend:");
       check "leader decided" true (contains out "leader (by decision function)"))
 
-let test_bad_input () =
-  let code, _ = anorad "classify /nonexistent/path.cfg" in
-  check "nonzero on missing file" true (code <> 0)
-
 let with_plan content f =
   let path = Filename.temp_file "anorad_cli" ".plan" in
   Fun.protect
@@ -188,6 +184,29 @@ let with_plan content f =
     (fun () ->
       Out_channel.with_open_text path (fun oc -> output_string oc content);
       f path)
+
+(* A missing or malformed CONFIG or compiled plan is one stderr headline
+   and exit 2, not an uncaught exception (exit 125). *)
+let test_bad_input () =
+  let expect name args headline =
+    let code, err = anorad_stderr args in
+    check_int (name ^ " exit 2") 2 code;
+    check (name ^ " headline") true (contains err headline)
+  in
+  expect "missing file" "classify /nonexistent/path.cfg"
+    "anorad classify: invalid configuration: /nonexistent/path.cfg";
+  with_plan "config 3\ntags 0 1\n0 1\n" (fun cfg ->
+      expect "too few tags" ("classify " ^ Filename.quote cfg)
+        "anorad classify: invalid configuration: Config_io.of_string: line 2");
+  with_plan "config 3\ntags 0 1 2\n0 1\n0 5\n" (fun cfg ->
+      expect "out-of-range edge" ("classify " ^ Filename.quote cfg)
+        "anorad classify: invalid configuration: Config_io.of_string: line 4");
+  with_family "h" 2 (fun cfg ->
+      with_plan "garbage\n" (fun plan ->
+          expect "garbage plan"
+            (Printf.sprintf "run-plan %s %s" (Filename.quote plan)
+               (Filename.quote cfg))
+            "anorad run-plan: invalid plan: "))
 
 let test_faults_cli () =
   with_family "h" 2 (fun cfg ->

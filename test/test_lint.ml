@@ -23,6 +23,7 @@ module C = Radio_config.Config
 module H = Radio_drip.History
 module P = Radio_drip.Protocol
 module Engine = Radio_sim.Engine
+module Trace = Radio_sim.Trace
 module Report = Radio_lint.Report
 module Invariants = Radio_lint.Invariants
 module Purity = Radio_lint.Purity
@@ -1919,6 +1920,8 @@ let frun ?(config = cycle4) plan proto =
 (* Node 1 (tag 1) wakes in round 1 and crash-stops in round 3, mid-run. *)
 let crash_plan = [ FP.Crash { node = 1; round = 3 } ]
 
+let drop_0_to_1 = FP.Drop { src = 0; dst = 1; round = 2 }
+
 let faulty_clean_tests =
   [
     Alcotest.test_case "crashed run validates" `Quick (fun () ->
@@ -1980,6 +1983,47 @@ let faulty_corrupted_tests =
         fo.Engine.crashed_at.(0) <- 2;
         let vs = Invariants.validate_faulty fo in
         Alcotest.(check bool) "fault-ledger" true (has_check "fault-ledger" vs));
+    Alcotest.test_case "dropped message in a history is flagged" `Quick
+      (fun () ->
+        (* beacon-1 on cycle4: node 1 wakes at its tag 1 and listens in
+           round 2, when node 0 transmits alone; the drop silences it. *)
+        let fo = frun [ drop_0_to_1 ] (P.beacon ~delay:1 ()) in
+        let h = fo.Engine.base.Engine.histories.(1) in
+        Alcotest.(check bool) "dropped" true (H.equal_entry h.(1) H.Silence);
+        h.(1) <- H.Message "1";
+        let vs = Invariants.validate_faulty fo in
+        Alcotest.(check bool) "collision-semantics" true
+          (has_check "collision-semantics" vs));
+    Alcotest.test_case "message heard through noise is flagged" `Quick
+      (fun () ->
+        let fo =
+          frun [ FP.Noise { node = 1; round = 2 } ] (P.beacon ~delay:1 ())
+        in
+        let h = fo.Engine.base.Engine.histories.(1) in
+        Alcotest.(check bool) "noisy" true (H.equal_entry h.(1) H.Collision);
+        h.(1) <- H.Message "1";
+        let vs = Invariants.validate_faulty fo in
+        Alcotest.(check bool) "collision-semantics" true
+          (has_check "collision-semantics" vs));
+    Alcotest.test_case "forged waking message is flagged" `Quick (fun () ->
+        (* Node 3 is force-woken by node 0's lone beacon in round 2. *)
+        let fo = frun [ drop_0_to_1 ] (P.beacon ~delay:1 ()) in
+        let o = fo.Engine.base in
+        Alcotest.(check bool) "forced" true o.Engine.forced.(3);
+        let forge (ev : Trace.round_events) =
+          let woken =
+            List.map
+              (function
+                | 3, Trace.Forced _ -> (3, Trace.Forced "forged")
+                | w -> w)
+              ev.Trace.woken
+          in
+          { ev with Trace.woken }
+        in
+        let o = { o with Engine.trace = List.map forge o.Engine.trace } in
+        let vs = Invariants.validate_faulty { fo with Engine.base = o } in
+        Alcotest.(check bool) "forced-uniqueness" true
+          (has_check "forced-uniqueness" vs));
   ]
 
 let () =

@@ -188,6 +188,21 @@ let test_protocol_negative () =
   check "missing config" true (contains e.P.message "missing field \"config\"");
   let e = err_of "{\"kind\":\"classify\",\"config\":\"config 0\\n\"}" in
   check "invalid config" true (contains e.P.message "invalid config");
+  (* Bad edges and tags are positioned errors, not escaping exceptions. *)
+  List.iter
+    (fun (name, cfg, line) ->
+      let e =
+        err_of (Printf.sprintf "{\"kind\":\"classify\",\"config\":%S}" cfg)
+      in
+      check name true
+        (contains e.P.message "invalid config"
+        && contains e.P.message (Printf.sprintf "line %d:" line)))
+    [
+      ("out-of-range edge", "config 3\ntags 0 0 1\n0 5\n", 3);
+      ("self-loop", "config 3\ntags 0 0 1\n0 0\n", 3);
+      ("repeated edge", "config 3\ntags 0 0 1\n0 1\n1 2\n1 0\n", 5);
+      ("negative tag", "config 3\ntags 0 -1 1\n0 1\n", 2);
+    ];
   let e = err_of "{\"kind\":\"classify\",\"config\":\"config 1\\ntags 0\\n\",\"depth\":3}" in
   check "field rejected per kind" true (contains e.P.message "unknown field");
   let e = err_of "{\"kind\":\"elect\",\"config\":\"config 1\\ntags 0\\n\",\"max_rounds\":0}" in
