@@ -217,14 +217,17 @@ let family_cmd =
     Arg.(required & pos 1 (some int) None & info [] ~docv:"M" ~doc)
   in
   let run family m =
-    let config =
+    let make =
       match family with
-      | `G -> F.g_family m
-      | `H -> F.h_family m
-      | `S -> F.s_family m
+      | `G -> F.g_family
+      | `H -> F.h_family
+      | `S -> F.s_family
     in
-    print_string (CIo.to_string config);
-    0
+    match make m with
+    | config ->
+        print_string (CIo.to_string config);
+        0
+    | exception C.Invalid_configuration msg -> invalid ~cmd:"family" "parameter" msg
   in
   let doc = "print a configuration from the paper's families (pipe into classify/elect)" in
   Cmd.v (Cmd.info "family" ~doc) Term.(const run $ family_arg $ m_arg)
@@ -368,8 +371,10 @@ let census_cmd =
   in
   let run max_n max_span jobs =
     let report =
-      with_jobs_pool jobs (fun pool ->
-          Election.Census.run ~pool ~max_n ~max_span ())
+      try
+        with_jobs_pool jobs (fun pool ->
+            Election.Census.run ~pool ~max_n ~max_span ())
+      with Invalid_argument msg -> invalid ~cmd:"census" "argument" msg
     in
     Format.printf "%a@." Election.Census.pp_report report;
     if report.Election.Census.all_consistent then 0 else 2

@@ -1,9 +1,13 @@
 module G = Radio_graph.Graph
 module Props = Radio_graph.Props
 
+(* [lo] and [hi] are the least and greatest tag, fixed at construction so
+   that [span] is O(1): the classifier reads it once per label. *)
 type t = {
   graph : G.t;
   tags : int array;
+  lo : int;
+  hi : int;
 }
 
 exception Invalid_configuration of string
@@ -24,7 +28,9 @@ let create ?(normalize = true) graph tags =
   Array.iteri (fun v t -> if t < 0 then invalid "negative tag %d at vertex %d" t v) tags;
   let tags = Array.copy tags in
   let tags = if normalize then normalize_tags tags else tags in
-  { graph; tags }
+  let lo = Array.fold_left min (if n = 0 then 0 else tags.(0)) tags in
+  let hi = Array.fold_left max lo tags in
+  { graph; tags; lo; hi }
 
 let with_tags c tags = create c.graph tags
 
@@ -41,14 +47,10 @@ let tag c v =
 
 let tags c = Array.copy c.tags
 
-let min_tag c =
-  if size c = 0 then 0 else Array.fold_left min c.tags.(0) c.tags
-
-let max_tag c =
-  if size c = 0 then 0 else Array.fold_left max c.tags.(0) c.tags
-
-let span c = max_tag c - min_tag c
-let is_normalized c = min_tag c = 0
+let min_tag c = c.lo
+let max_tag c = c.hi
+let span c = c.hi - c.lo
+let is_normalized c = c.lo = 0
 let is_connected c = Props.connected c.graph
 let max_degree c = G.max_degree c.graph
 let equal c1 c2 = G.equal c1.graph c2.graph && c1.tags = c2.tags

@@ -44,14 +44,17 @@ val tags : t -> int array
 (** A fresh copy of the tag vector. *)
 
 val span : t -> int
-(** [σ]: difference between the largest and smallest tag. *)
+(** [σ]: difference between the largest and smallest tag.  O(1): the
+    extreme tags are computed once, in {!create}. *)
 
 val min_tag : t -> int
-(** 0 for normalized configurations. *)
+(** 0 for normalized configurations.  O(1). *)
 
 val max_tag : t -> int
+(** O(1). *)
 
 val is_normalized : t -> bool
+(** O(1). *)
 
 val is_connected : t -> bool
 

@@ -28,16 +28,6 @@ type stats = {
 let zero_delta = { labels_computed = 0; labels_reused = 0; rebuilt = false }
 let zero_stats = { edits = 0; computed = 0; reused = 0; full_rebuilds = 0 }
 
-(* The memoized trajectory: the run itself plus per-iteration label and
-   class arrays in O(1)-indexable form.  [iter_class.(k - 1)] is the
-   [new_class] array of iteration [k] — i.e. the partition fed into
-   iteration [k + 1]. *)
-type cache = {
-  crun : Classifier.run;
-  iter_labels : Label.t array array;
-  iter_class : int array array;
-}
-
 type state = {
   universe : G.t;  (** full vertex set, current edge set *)
   tags : int array;  (** raw universe tags *)
@@ -45,111 +35,10 @@ type state = {
   nlive : int;
   to_cur : int array;  (** universe id -> induced index, [-1] when absent *)
   of_cur : int array;  (** induced index -> universe id *)
-  cache : cache option;  (** [None] iff [nlive = 0] *)
+  cache : Classifier.run option;  (** [None] iff [nlive = 0] *)
   st : stats;
   last_d : delta;
 }
-
-let make_cache crun =
-  {
-    crun;
-    iter_labels =
-      Array.of_list
-        (List.map (fun it -> it.Classifier.labels) crun.Classifier.iterations);
-    iter_class =
-      Array.of_list
-        (List.map (fun it -> it.Classifier.new_class) crun.Classifier.iterations);
-  }
-
-(* ------------------------------------------------------------------ *)
-(* The incremental iteration loop                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Replays the exact iteration structure of [Fast_classifier.classify] on
-   [config], recomputing a node's label only when it is structurally dirty,
-   when its own input class differs from the memoized run's, or when a
-   neighbour's does.  Clean labels are reused from the cache; refinement is
-   [Fast_classifier.refine_with_table] verbatim, so by induction every
-   iteration's output is identical to a from-scratch run. *)
-let run_incremental config ~old_cache ~struct_dirty =
-  let n = Config.size config in
-  let g = Config.graph config in
-  let max_iters = (n + 1) / 2 in
-  let cached = Array.length old_cache.iter_labels in
-  let computed = ref 0 in
-  let reused = ref 0 in
-  let rec go index ~class_of ~num_classes ~reps ~changed acc =
-    if index > max_iters then
-      invalid_arg "Incremental: exceeded ⌈n/2⌉ iterations"
-    else begin
-      let labels =
-        if index <= cached then begin
-          let dirty = Array.copy struct_dirty in
-          List.iter
-            (fun w ->
-              dirty.(w) <- true;
-              G.iter_neighbours g w ~f:(fun x -> dirty.(x) <- true))
-            changed;
-          let cl = old_cache.iter_labels.(index - 1) in
-          Array.init n (fun v ->
-              if dirty.(v) then begin
-                incr computed;
-                Partition.compute_label config ~class_of v
-              end
-              else begin
-                incr reused;
-                cl.(v)
-              end)
-        end
-        else begin
-          (* Ran past the memoized trajectory: nothing to reuse. *)
-          computed := !computed + n;
-          Partition.compute_labels config ~class_of
-        end
-      in
-      let new_class, new_num, new_reps =
-        Fast_classifier.refine_with_table ~old_class:class_of ~labels
-          ~num_classes ~reps
-      in
-      let it =
-        {
-          Classifier.index;
-          old_class = class_of;
-          labels;
-          new_class;
-          num_classes = new_num;
-          reps = new_reps;
-        }
-      in
-      let acc = it :: acc in
-      match Partition.singleton_class ~num_classes:new_num new_class with
-      | Some m -> (List.rev acc, Classifier.Feasible { singleton_class = m })
-      | None ->
-          if new_num = num_classes then (List.rev acc, Classifier.Infeasible)
-          else begin
-            (* Class-dirtiness for the next iteration: nodes whose input
-               partition diverged from the memoized run's. *)
-            let changed =
-              if index < cached then begin
-                let oc = old_cache.iter_class.(index - 1) in
-                let out = ref [] in
-                for v = n - 1 downto 0 do
-                  if new_class.(v) <> oc.(v) then out := v :: !out
-                done;
-                !out
-              end
-              else []
-            in
-            go (index + 1) ~class_of:new_class ~num_classes:new_num
-              ~reps:new_reps ~changed acc
-          end
-    end
-  in
-  let iterations, verdict =
-    go 1 ~class_of:(Array.make n 1) ~num_classes:1 ~reps:[| 0 |] ~changed:[]
-      []
-  in
-  ({ Classifier.config; iterations; verdict }, !computed, !reused)
 
 (* ------------------------------------------------------------------ *)
 (* State construction                                                  *)
@@ -157,18 +46,29 @@ let run_incremental config ~old_cache ~struct_dirty =
 
 let identity_mapping n = (Array.init n Fun.id, Array.init n Fun.id)
 
-let labels_of_run crun =
-  Config.size crun.Classifier.config * List.length crun.Classifier.iterations
+(* Record one edit's classification work. *)
+let charge s ~rebuilt (cost : Fast_classifier.cost) =
+  let st =
+    {
+      edits = s.st.edits + 1;
+      computed = s.st.computed + cost.computed;
+      reused = s.st.reused + cost.reused;
+      full_rebuilds = (s.st.full_rebuilds + if rebuilt then 1 else 0);
+    }
+  in
+  ( st,
+    {
+      labels_computed = cost.computed;
+      labels_reused = cost.reused;
+      rebuilt;
+    } )
 
 let init config =
   let universe = Config.graph config in
   let tags = Config.tags config in
   let n = G.size universe in
   let to_cur, of_cur = identity_mapping n in
-  let cache =
-    if n = 0 then None
-    else Some (make_cache (Fast_classifier.classify config))
-  in
+  let cache = if n = 0 then None else Some (Fast_classifier.classify config) in
   {
     universe;
     tags;
@@ -200,7 +100,7 @@ let rebuild s ~universe ~tags ~alive =
     alive;
   let of_cur = Array.sub of_cur 0 nlive in
   let cache, cost =
-    if nlive = 0 then (None, 0)
+    if nlive = 0 then (None, { Fast_classifier.computed = 0; reused = 0 })
     else begin
       let b = G.Builder.create nlive in
       List.iter
@@ -209,62 +109,28 @@ let rebuild s ~universe ~tags ~alive =
             G.Builder.add_edge b to_cur.(u) to_cur.(v))
         (G.edges universe);
       let itags = Array.map (fun v -> tags.(v)) of_cur in
-      let crun =
-        Fast_classifier.classify (Config.create (G.Builder.finish b) itags)
+      let crun, cost =
+        Fast_classifier.kernel (Config.create (G.Builder.finish b) itags)
       in
-      (Some (make_cache crun), labels_of_run crun)
+      (Some crun, cost)
     end
   in
-  let st =
-    {
-      edits = s.st.edits + 1;
-      computed = s.st.computed + cost;
-      reused = s.st.reused;
-      full_rebuilds = s.st.full_rebuilds + 1;
-    }
-  in
-  {
-    universe;
-    tags;
-    alive;
-    nlive;
-    to_cur;
-    of_cur;
-    cache;
-    st;
-    last_d = { labels_computed = cost; labels_reused = 0; rebuilt = true };
-  }
+  let st, last_d = charge s ~rebuilt:true cost in
+  { universe; tags; alive; nlive; to_cur; of_cur; cache; st; last_d }
 
 (* Incremental step on an unchanged vertex set: [new_cfg] is the edited
-   induced configuration, [struct_dirty] the induced-index nodes whose
-   label inputs changed directly, [all_dirty] forces a full label recompute
-   (span change: σ appears in every slot). *)
-let incremental s ~universe ~tags ~new_cfg ~struct_dirty ~all_dirty =
+   induced configuration, [dirty] the induced-index nodes whose label
+   inputs changed directly.  The kernel reuses the previous run as its
+   memo. *)
+let incremental s ~universe ~tags ~new_cfg ~dirty =
   match s.cache with
   | None -> assert false (* radiolint: allow assert-false — callers check *)
-  | Some old_cache ->
-      let sd = Array.make s.nlive all_dirty in
-      List.iter (fun v -> sd.(v) <- true) struct_dirty;
-      let crun, computed, reused =
-        run_incremental new_cfg ~old_cache ~struct_dirty:sd
+  | Some previous ->
+      let crun, cost =
+        Fast_classifier.kernel ~memo:{ Fast_classifier.previous; dirty } new_cfg
       in
-      let st =
-        {
-          edits = s.st.edits + 1;
-          computed = s.st.computed + computed;
-          reused = s.st.reused + reused;
-          full_rebuilds = s.st.full_rebuilds;
-        }
-      in
-      {
-        s with
-        universe;
-        tags;
-        cache = Some (make_cache crun);
-        st;
-        last_d =
-          { labels_computed = computed; labels_reused = reused; rebuilt = false };
-      }
+      let st, last_d = charge s ~rebuilt:false cost in
+      { s with universe; tags; cache = Some crun; st; last_d }
 
 (* The edit left the induced configuration untouched (it involved an absent
    node): record it and move on. *)
@@ -278,7 +144,7 @@ let untouched s ~universe ~tags =
   }
 
 let current_config s =
-  match s.cache with None -> None | Some c -> Some c.crun.Classifier.config
+  match s.cache with None -> None | Some c -> Some c.Classifier.config
 
 let apply s edit =
   let n = G.size s.universe in
@@ -302,8 +168,7 @@ let apply s edit =
             let new_cfg =
               Config.create (G.add_edge (Config.graph cfg) cu cv) (Config.tags cfg)
             in
-            incremental s ~universe ~tags:s.tags ~new_cfg
-              ~struct_dirty:[ cu; cv ] ~all_dirty:false
+            incremental s ~universe ~tags:s.tags ~new_cfg ~dirty:[ cu; cv ]
       end
       else untouched s ~universe ~tags:s.tags
   | Remove_edge (u, v) ->
@@ -322,8 +187,7 @@ let apply s edit =
                 (G.remove_edge (Config.graph cfg) cu cv)
                 (Config.tags cfg)
             in
-            incremental s ~universe ~tags:s.tags ~new_cfg
-              ~struct_dirty:[ cu; cv ] ~all_dirty:false
+            incremental s ~universe ~tags:s.tags ~new_cfg ~dirty:[ cu; cv ]
       end
       else untouched s ~universe ~tags:s.tags
   | Set_tag (v, t) ->
@@ -338,15 +202,10 @@ let apply s edit =
             let cv = s.to_cur.(v) in
             let itags = Array.map (fun u -> tags.(u)) s.of_cur in
             let new_cfg = Config.create (Config.graph cfg) itags in
-            (* σ appears in every label slot: a span change dirties every
-               node.  A pure normalization shift does not — labels depend
-               only on tag differences. *)
-            let all_dirty = Config.span new_cfg <> Config.span cfg in
-            let struct_dirty =
-              cv :: G.fold_neighbours (Config.graph cfg) cv ~init:[] ~f:(fun acc w -> w :: acc)
-            in
-            incremental s ~universe:s.universe ~tags ~new_cfg ~struct_dirty
-              ~all_dirty
+            (* Labels depend only on tag differences (and σ, which the
+               kernel checks): a normalization shift dirties nothing. *)
+            let dirty = cv :: G.neighbours (Config.graph cfg) cv in
+            incremental s ~universe:s.universe ~tags ~new_cfg ~dirty
       end
       else untouched s ~universe:s.universe ~tags
   | Leave v ->
@@ -387,18 +246,16 @@ let current_of_node s v =
   else if s.to_cur.(v) < 0 then None
   else Some s.to_cur.(v)
 
-let run s = match s.cache with None -> None | Some c -> Some c.crun
+let run s = s.cache
 
 let feasible s =
-  match s.cache with
-  | None -> false
-  | Some c -> Classifier.is_feasible c.crun
+  match s.cache with None -> false | Some c -> Classifier.is_feasible c
 
 let leader s =
   match s.cache with
   | None -> None
   | Some c -> (
-      match Classifier.canonical_leader c.crun with
+      match Classifier.canonical_leader c with
       | None -> None
       | Some i -> Some s.of_cur.(i))
 

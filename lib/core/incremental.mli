@@ -2,36 +2,36 @@
 
     The classifier's refinement trajectory is a pure function of the
     configuration, but a single local edit (an edge flap, a retagged node)
-    leaves most per-iteration labels unchanged.  This module memoizes the
-    whole trajectory — every iteration's labels, class assignment and
-    representatives — and, after an edit, replays the {e same} iteration
-    loop recomputing labels only inside the edit's "dirty ball":
+    leaves most per-iteration labels unchanged.  This module keeps the
+    whole trajectory — the last {!Classifier.run} — and, after an edit,
+    reclassifies with {!Fast_classifier.kernel}, passing that run as the
+    memo:
 
     - {e structurally dirty} nodes (the edit's endpoints; a retagged node
-      and its neighbours) stay dirty at every iteration — their label
-      inputs changed directly;
-    - {e class-dirty} nodes are those whose class, or a neighbour's class,
-      differs at iteration [k-1] from the memoized run — dirtiness
-      propagates outward one hop per iteration, exactly as fast as the
-      refinement itself can diverge.
+      and its neighbours) never reuse the memo — their label inputs changed
+      directly;
+    - a node whose class, or a neighbour's class, differs at iteration
+      [k-1] from the memoized run's cannot reuse the memo at iteration
+      [k] — this difference spreads outward one hop per iteration, exactly
+      as fast as the refinement itself can diverge;
+    - any node whose inputs did not move since iteration [k-1] shares its
+      previous label, memo or not.
 
-    Clean nodes reuse the memoized label; refinement itself reuses
-    {!Fast_classifier.refine_with_table} verbatim, so class numbering is
-    identical.  The resulting run is {e bit-for-bit} the run
-    [Fast_classifier.classify] would produce on the edited configuration —
-    by construction, and checked by {!Oracle} on randomized edit sequences.
+    The resulting run is {e bit-for-bit} the run [Fast_classifier.classify]
+    would produce on the edited configuration — by construction, and
+    checked by {!Oracle} on randomized edit sequences.
 
     Note that restarting refinement from the {e previous stable partition}
     would be unsound: refinement never merges classes, so an edit that makes
     two previously-distinguished nodes symmetric again would leave them
     over-split and could turn an infeasible configuration "feasible".  The
-    dirty-ball replay starts from the trivial partition like any run and is
-    immune to this.
+    kernel starts from the trivial partition like any run and is immune to
+    this.
 
     Membership edits ({!Leave}, {!Join}) change the induced index space and
-    fall back to a from-scratch classification (reported honestly in
-    {!stats} as [full_rebuilds]); so does an edit that changes the induced
-    span [σ], which appears in every label slot. *)
+    fall back to a from-scratch classification (reported in {!stats} as
+    [full_rebuilds]); an edit that changes the induced span [σ], which
+    appears in every label slot, gets no reuse from the memo. *)
 
 type edit =
   | Add_edge of int * int  (** add edge [{u, v}] to the universe graph *)
@@ -42,16 +42,20 @@ type edit =
 
 val pp_edit : Format.formatter -> edit -> unit
 
+(** Label counts are the kernel's real work, rebuilds included: a label is
+    either computed or reused (shared from the memo or from the previous
+    iteration), so [labels_computed + labels_reused] is the induced size
+    times the number of iterations of the new run. *)
 type delta = {
-  labels_computed : int;  (** labels recomputed by the last edit *)
-  labels_reused : int;  (** memoized labels reused by the last edit *)
+  labels_computed : int;  (** labels built by the last edit *)
+  labels_reused : int;  (** labels the last edit shared instead *)
   rebuilt : bool;  (** the last edit fell back to a full classification *)
 }
 
 type stats = {
   edits : int;  (** edits applied since {!init} *)
-  computed : int;  (** cumulative labels computed *)
-  reused : int;  (** cumulative labels reused *)
+  computed : int;  (** cumulative labels built *)
+  reused : int;  (** cumulative labels shared *)
   full_rebuilds : int;  (** edits that fell back to from-scratch *)
 }
 

@@ -11,8 +11,8 @@ val compute_label :
   Radio_config.Config.t -> class_of:int array -> int -> Label.t
 (** [compute_label config ~class_of v] is the label node [v] acquires during
     the current phase — the per-node body of {!compute_labels}, exposed so
-    that the incremental classifier ({!Incremental}) can recompute labels for
-    dirty nodes only. *)
+    that the refinement kernel ({!Fast_classifier.kernel}) can rebuild the
+    labels of dirty nodes only.  [O(Δ log Δ)]. *)
 
 val compute_labels :
   Radio_config.Config.t -> class_of:int array -> Label.t array

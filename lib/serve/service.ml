@@ -146,21 +146,14 @@ let render_elect ~id ~max_rounds (a : Fe.analysis) config =
 let render_simulate ~id ~max_rounds (a : Fe.analysis) config =
   let o = Radio_sim.Engine.run ~max_rounds (Can.protocol a.plan) config in
   let m = o.metrics in
+  let sizes, unique = Radio_sim.Runner.history_summary o in
   Protocol.response_ok ~id ~kind:"simulate"
     ~cost:[ ("rounds", Json.Int o.rounds); ("bits", Json.Int m.transmissions) ]
     [
       ("rounds", Json.Int o.rounds);
       ("all_terminated", Json.Bool o.all_terminated);
-      ( "class_sizes",
-        Json.List
-          (List.map
-             (fun s -> Json.Int s)
-             (Radio_sim.Runner.history_class_sizes o)) );
-      ( "unique_nodes",
-        Json.List
-          (List.map
-             (fun v -> Json.Int v)
-             (Radio_sim.Runner.unique_history_nodes o)) );
+      ("class_sizes", Json.List (List.map (fun s -> Json.Int s) sizes));
+      ("unique_nodes", Json.List (List.map (fun v -> Json.Int v) unique));
       ("metrics", Json.Obj (metrics_fields m));
     ]
 

@@ -35,40 +35,48 @@ let run ?max_rounds ?record_trace e config =
 
 let elects_unique_leader r = Option.is_some r.leader
 
-let history_classes outcome =
+(* Histories are bucketed by a hash of every entry, so grouping is
+   O(n·R) for R rounds instead of pairwise O(n²·R). *)
+module Hist_tbl = Hashtbl.Make (struct
+  type t = History.t
+
+  let equal = History.equal
+
+  let hash h =
+    Array.fold_left (fun acc e -> ((acc * 31) + Hashtbl.hash e) land max_int) 0 h
+end)
+
+(* One grouping pass: classes numbered from 1 in order of first occurrence,
+   and [counts.(c)] the size of class [c]. *)
+let grouping outcome =
   let hists = outcome.Engine.histories in
-  let n = Array.length hists in
-  let classes = Array.make n 0 in
-  let next = ref 0 in
-  for v = 0 to n - 1 do
-    if classes.(v) = 0 then begin
-      incr next;
-      classes.(v) <- !next;
-      for w = v + 1 to n - 1 do
-        if classes.(w) = 0 && History.equal hists.(v) hists.(w) then
-          classes.(w) <- !next
-      done
-    end
-  done;
-  classes
+  let ids = Hist_tbl.create (Array.length hists) in
+  let counts = Array.make (Array.length hists + 1) 0 in
+  let classes =
+    Array.map
+      (fun h ->
+        let c =
+          match Hist_tbl.find_opt ids h with
+          | Some c -> c
+          | None ->
+              let c = Hist_tbl.length ids + 1 in
+              Hist_tbl.add ids h c;
+              c
+        in
+        counts.(c) <- counts.(c) + 1;
+        c)
+      hists
+  in
+  (classes, counts)
 
-let history_class_sizes outcome =
-  let classes = history_classes outcome in
-  let tbl = Hashtbl.create 16 in
-  Array.iter
-    (fun c ->
-      Hashtbl.replace tbl c (1 + Option.value ~default:0 (Hashtbl.find_opt tbl c)))
-    classes;
-  (* radiolint: allow hashtbl-iteration — the fold's result is sorted, so
-     iteration order cannot leak *)
-  List.sort compare (Hashtbl.fold (fun _ s acc -> s :: acc) tbl [])
+let history_classes outcome = fst (grouping outcome)
 
-let unique_history_nodes outcome =
-  let classes = history_classes outcome in
-  let n = Array.length classes in
-  let count = Hashtbl.create 16 in
-  Array.iter
-    (fun c ->
-      Hashtbl.replace count c (1 + Option.value ~default:0 (Hashtbl.find_opt count c)))
-    classes;
-  List.filter (fun v -> Hashtbl.find count classes.(v) = 1) (List.init n Fun.id)
+let history_summary outcome =
+  let classes, counts = grouping outcome in
+  ( List.sort compare (List.filter (fun s -> s > 0) (Array.to_list counts)),
+    List.filter
+      (fun v -> counts.(classes.(v)) = 1)
+      (List.init (Array.length classes) Fun.id) )
+
+let history_class_sizes outcome = fst (history_summary outcome)
+let unique_history_nodes outcome = snd (history_summary outcome)

@@ -34,6 +34,10 @@ val history_classes : Engine.outcome -> int array
     classifier's partition when running the canonical DRIP — tests rely on
     this function for the cross-validation. *)
 
+val history_summary : Engine.outcome -> int list * int list
+(** [(history_class_sizes o, unique_history_nodes o)] from one grouping
+    pass. *)
+
 val history_class_sizes : Engine.outcome -> int list
 (** Sorted sizes of the history classes. *)
 

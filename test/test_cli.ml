@@ -185,8 +185,9 @@ let with_plan content f =
       Out_channel.with_open_text path (fun oc -> output_string oc content);
       f path)
 
-(* A missing or malformed CONFIG or compiled plan is one stderr headline
-   and exit 2, not an uncaught exception (exit 125). *)
+(* A missing or malformed CONFIG or compiled plan, or an out-of-range
+   command parameter, is one stderr headline and exit 2, not an uncaught
+   exception (exit 125). *)
 let test_bad_input () =
   let expect name args headline =
     let code, err = anorad_stderr args in
@@ -206,7 +207,11 @@ let test_bad_input () =
           expect "garbage plan"
             (Printf.sprintf "run-plan %s %s" (Filename.quote plan)
                (Filename.quote cfg))
-            "anorad run-plan: invalid plan: "))
+            "anorad run-plan: invalid plan: "));
+  expect "census size out of range" "census --max-n 9"
+    "anorad census: invalid argument: Census.run: max_n must be in 1..6";
+  expect "family parameter out of range" "family g 0"
+    "anorad family: invalid parameter: g_family: m must be >= 2"
 
 let test_faults_cli () =
   with_family "h" 2 (fun cfg ->

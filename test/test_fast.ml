@@ -11,6 +11,7 @@ module RC = Radio_config.Random_config
 module Cl = Election.Classifier
 module Fast = Election.Fast_classifier
 module Label = Election.Label
+module I = Election.Incremental
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -102,6 +103,95 @@ let test_fast_speed_sanity () =
   ignore (Fast.classify config);
   check "under 5 CPU seconds" true (Sys.time () -. t0 < 5.0)
 
+(* --- the one classifier differential ------------------------------ *)
+
+(* A valid random edit; [g] tracks the universe graph, which
+   [Incremental] does not expose. *)
+let random_edit rs g st =
+  let n = G.size !g in
+  let node () = Random.State.int rs n in
+  let set_tag () = I.Set_tag (node (), Random.State.int rs 4) in
+  let absent = List.filter (fun v -> not (I.present st v)) (List.init n Fun.id) in
+  match Random.State.int rs 10 with
+  | 0 | 1 | 2 ->
+      let u = node () and v = node () in
+      if u <> v && not (G.mem_edge !g u v) then begin
+        g := G.add_edge !g u v;
+        I.Add_edge (u, v)
+      end
+      else set_tag ()
+  | 3 | 4 | 5 -> (
+      match G.edges !g with
+      | [] -> set_tag ()
+      | es ->
+          let u, v = List.nth es (Random.State.int rs (List.length es)) in
+          g := G.remove_edge !g u v;
+          I.Remove_edge (u, v))
+  | 6 | 7 -> set_tag ()
+  | 8 ->
+      let v = node () in
+      if I.present st v && I.live st >= 2 then I.Leave v else set_tag ()
+  | _ -> (
+      match absent with
+      | [] -> set_tag ()
+      | l -> I.Join (List.nth l (Random.State.int rs (List.length l)), 1))
+
+let random_config rs =
+  let n = 1 + Random.State.int rs 16 in
+  let span = Random.State.int rs 4 in
+  match Random.State.int rs 4 with
+  | 0 -> RC.random_path rs ~n ~span
+  | 1 -> C.uniform (Gen.cycle (max 3 n)) 0
+  | 2 -> RC.random_tree rs ~n ~span
+  | _ -> RC.connected_gnp rs ~n ~p:0.3 ~span
+
+(* The literal Classifier, Fast_classifier, Incremental from scratch and
+   Incremental after every edit of a random sequence all produce the same
+   run as the literal Classifier on the same configuration. *)
+let test_one_differential () =
+  let rs = Random.State.make [| 2026 |] in
+  for _ = 1 to 300 do
+    let c = random_config rs in
+    let literal = Cl.classify c in
+    check "fast = literal" true (runs_identical literal (Fast.classify c));
+    check "incremental from scratch = literal" true
+      (I.runs_equal literal (Option.get (I.run (I.init c))));
+    let g = ref (C.graph c) in
+    let st = ref (I.init c) in
+    for _ = 1 to 16 do
+      let before = I.run !st in
+      st := I.apply !st (random_edit rs g !st);
+      match (I.current !st, I.run !st) with
+      | Some c', Some r ->
+          check "incremental after edits = literal" true
+            (I.runs_equal r (Cl.classify c'));
+          (* An edit at an absent node leaves the run alone and costs
+             nothing; any other classifies, computing or reusing every
+             label. *)
+          let d = I.last !st in
+          check_int "every label computed or reused"
+            (if Option.fold ~none:false ~some:(( == ) r) before then 0
+             else C.size c' * Cl.num_iterations r)
+            (d.I.labels_computed + d.I.labels_reused)
+      | _ -> Alcotest.fail "a live node without a run"
+    done
+  done
+
+let test_kernel_counter_g_m () =
+  (* On G_m (n = 4m + 1, m iterations) the kernel builds n labels at
+     iteration 1 and then only around the nodes that moved: 16m - 15 in
+     all, against n·m for a label per node per iteration. *)
+  List.iter
+    (fun m ->
+      let run, cost = Fast.kernel (F.g_family m) in
+      check_int (Printf.sprintf "iterations of G_%d" m) m (Cl.num_iterations run);
+      check_int (Printf.sprintf "labels computed on G_%d" m) ((16 * m) - 15)
+        cost.Fast.computed;
+      check_int (Printf.sprintf "labels reused on G_%d" m)
+        ((((4 * m) + 1) * m) - ((16 * m) - 15))
+        cost.Fast.reused)
+    [ 8; 16; 32; 64 ]
+
 let () =
   Alcotest.run "fast_classifier"
     [
@@ -110,7 +200,11 @@ let () =
           Alcotest.test_case "families" `Quick test_families_equivalent;
           Alcotest.test_case "random configs" `Quick
             test_random_configs_equivalent;
+          Alcotest.test_case "one differential" `Quick test_one_differential;
         ] );
+      ( "kernel",
+        [ Alcotest.test_case "G_m label count" `Quick test_kernel_counter_g_m ]
+      );
       ( "refine",
         [
           Alcotest.test_case "single step" `Quick test_refine_with_table_unit;

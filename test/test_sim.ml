@@ -222,6 +222,57 @@ let test_history_classes_distinct () =
   Alcotest.(check (list int)) "sizes" [ 1; 1 ] (Runner.history_class_sizes o);
   Alcotest.(check (list int)) "both unique" [ 0; 1 ] (Runner.unique_history_nodes o)
 
+(* The pairwise definition of the history partition: classes numbered from
+   1 in order of first occurrence, by [History.equal]. *)
+let pairwise_classes hists =
+  let n = Array.length hists in
+  let classes = Array.make n 0 in
+  let next = ref 0 in
+  for v = 0 to n - 1 do
+    if classes.(v) = 0 then begin
+      incr next;
+      classes.(v) <- !next;
+      for w = v + 1 to n - 1 do
+        if classes.(w) = 0 && H.equal hists.(v) hists.(w) then
+          classes.(w) <- !next
+      done
+    end
+  done;
+  classes
+
+let test_history_grouping_random () =
+  (* Short histories over three entries collide often, so classes of every
+     size show up. *)
+  let base =
+    Engine.run ~max_rounds:50 (scripted "b" [| P.Transmit "x" |]) (F.two_cells ())
+  in
+  let st = Random.State.make [| 41 |] in
+  let entry () =
+    match Random.State.int st 3 with
+    | 0 -> H.Silence
+    | 1 -> H.Collision
+    | _ -> H.Message "m"
+  in
+  for _ = 1 to 300 do
+    let n = 1 + Random.State.int st 12 in
+    let hists =
+      Array.init n (fun _ -> Array.init (Random.State.int st 4) (fun _ -> entry ()))
+    in
+    let o = { base with Engine.histories = hists } in
+    let expected = pairwise_classes hists in
+    let size c = Array.fold_left (fun k c' -> if c' = c then k + 1 else k) 0 expected in
+    let sizes =
+      List.sort compare
+        (List.init (Array.fold_left max 0 expected) (fun i -> size (i + 1)))
+    in
+    let unique = List.filter (fun v -> size expected.(v) = 1) (List.init n Fun.id) in
+    Alcotest.(check (array int)) "classes" expected (Runner.history_classes o);
+    Alcotest.(check (list int)) "sizes" sizes (Runner.history_class_sizes o);
+    Alcotest.(check (list int)) "unique" unique (Runner.unique_history_nodes o);
+    Alcotest.(check (pair (list int) (list int)))
+      "summary" (sizes, unique) (Runner.history_summary o)
+  done
+
 let test_runner_election () =
   (* Decide by "was woken spontaneously and heard a message at round 2". *)
   let config = F.two_cells () in
@@ -292,6 +343,8 @@ let () =
           Alcotest.test_case "history classes merge" `Quick test_history_classes;
           Alcotest.test_case "history classes distinct" `Quick
             test_history_classes_distinct;
+          Alcotest.test_case "hashed grouping = pairwise" `Quick
+            test_history_grouping_random;
           Alcotest.test_case "election" `Quick test_runner_election;
           Alcotest.test_case "no leader on symmetry" `Quick
             test_runner_no_leader_when_symmetric;
