@@ -78,13 +78,20 @@ let match_entry entries ~prev_block ~obs_label =
       in
       scan 1
 
-(* Decomposes the offset of a round within a phase ([1 .. B(2σ+1) + σ]) into
-   [`Slot (block, slot)] or [`Tail] for the σ trailing listen rounds. *)
-let position ~sigma ~blocks ~offset =
-  let width = (2 * sigma) + 1 in
-  if offset <= blocks * width then
-    `Slot ((offset - 1) / width + 1, ((offset - 1) mod width) + 1)
-  else `Tail
+(* The offset of a round within a phase ([1 .. B(2σ+1) + σ]) is slot
+   [slot_of] of block [block_of] when [in_blocks], else one of the σ
+   trailing listen rounds.  Plain ints rather than a variant: the engine
+   asks this of every awake node in every round, and an allocation there
+   is most of what an election allocates. *)
+let in_blocks ~sigma ~blocks offset = offset <= blocks * ((2 * sigma) + 1)
+let block_of ~sigma offset = ((offset - 1) / ((2 * sigma) + 1)) + 1
+let slot_of ~sigma offset = ((offset - 1) mod ((2 * sigma) + 1)) + 1
+
+(* DRIP's one transmission rule: the middle slot of the node's block. *)
+let transmits ~sigma ~blocks ~offset tblock =
+  in_blocks ~sigma ~blocks offset
+  && slot_of ~sigma offset = sigma + 1
+  && match tblock with Some a -> a = block_of ~sigma offset | None -> false
 
 let mark_of_entry = function
   | History.Message _ -> Some Label.One
@@ -111,12 +118,9 @@ let protocol plan =
         let j = !phase in
         let offset = i - bounds.(j - 1) in
         let blocks = Array.length plan.tables.(j - 1) in
-        match position ~sigma:plan.sigma ~blocks ~offset with
-        | `Tail -> Protocol.Listen
-        | `Slot (a, b) ->
-            if Option.equal Int.equal !tblock (Some a) && b = plan.sigma + 1
-            then Protocol.Transmit "1"
-            else Protocol.Listen
+        if transmits ~sigma:plan.sigma ~blocks ~offset !tblock then
+          Protocol.Transmit "1"
+        else Protocol.Listen
       end
     in
     let observe e =
@@ -125,12 +129,15 @@ let protocol plan =
         let j = !phase in
         let offset = i - bounds.(j - 1) in
         let blocks = Array.length plan.tables.(j - 1) in
-        (match position ~sigma:plan.sigma ~blocks ~offset with
-        | `Tail -> ()
-        | `Slot (a, b) -> (
-            match mark_of_entry e with
-            | Some mark -> obs := (a, b, mark) :: !obs
-            | None -> ()));
+        (if in_blocks ~sigma:plan.sigma ~blocks offset then
+           match mark_of_entry e with
+           | Some mark ->
+               obs :=
+                 ( block_of ~sigma:plan.sigma offset,
+                   slot_of ~sigma:plan.sigma offset,
+                   mark )
+                 :: !obs
+           | None -> ());
         rounds_done := i;
         if i = bounds.(j) && j < t then begin
           let obs_label = Label.of_observations !obs in
@@ -221,12 +228,9 @@ let pure_drip plan h =
     done;
     let offset = i - bounds.(j - 1) in
     let blocks = Array.length plan.tables.(j - 1) in
-    match position ~sigma:plan.sigma ~blocks ~offset with
-    | `Tail -> Protocol.Listen
-    | `Slot (a, b) ->
-        if Option.equal Int.equal !tb (Some a) && b = plan.sigma + 1 then
-          Protocol.Transmit "1"
-        else Protocol.Listen
+    if transmits ~sigma:plan.sigma ~blocks ~offset !tb then
+      Protocol.Transmit "1"
+    else Protocol.Listen
   end
 
 let pure_protocol plan =

@@ -40,6 +40,8 @@ type stats = {
 
 type t = {
   njobs : int;
+  minor_heap_words : int option;
+  mutable caller_tuned : bool;
   mu : Mutex.t;
   work_ready : Condition.t;
   batch_done : Condition.t;
@@ -120,15 +122,30 @@ let rec run_work pool wid =
       run_work pool wid
   | None -> ()
 
+(* Every minor collection stops all domains at once, so with several
+   domains allocating it costs a cross-core handshake as much as a copy.
+   A domain that runs this pool's batches takes the pool's minor heap
+   size, if it has one, on its first batch: a pool that never goes
+   parallel never resizes, and set-up pays nothing. *)
+let adopt_minor_heap pool =
+  match pool.minor_heap_words with
+  | None -> ()
+  | Some words ->
+      let gc = Gc.get () in
+      if gc.Gc.minor_heap_size < words then
+        Gc.set { gc with Gc.minor_heap_size = words }
+
 let rec worker_loop pool wid seen =
   Mutex.lock pool.mu;
   while pool.epoch = seen && not pool.stop do
     Condition.wait pool.work_ready pool.mu
   done;
   let stop = pool.stop in
+  let first = seen = 0 in
   let seen = pool.epoch in
   Mutex.unlock pool.mu;
   if not stop then begin
+    if first then adopt_minor_heap pool;
     run_work pool wid;
     worker_loop pool wid seen
   end
@@ -149,11 +166,13 @@ let resolve_jobs = function
           | None -> clamp_jobs (Domain.recommended_domain_count ()))
       | None -> clamp_jobs (Domain.recommended_domain_count ()))
 
-let create ?jobs () =
+let create ?jobs ?minor_heap_words () =
   let njobs = resolve_jobs jobs in
   let pool =
     {
       njobs;
+      minor_heap_words;
+      caller_tuned = false;
       mu = Mutex.create ();
       work_ready = Condition.create ();
       batch_done = Condition.create ();
@@ -204,6 +223,10 @@ let run_sequential ~f ~commit xs =
   done
 
 let run_parallel pool ~chunk ~f ~commit xs =
+  if not pool.caller_tuned then begin
+    adopt_minor_heap pool;
+    pool.caller_tuned <- true
+  end;
   let n = Array.length xs in
   let chunk_len =
     match chunk with

@@ -16,11 +16,18 @@
 
 type t
 
-val create : ?jobs:int -> unit -> t
-(** [create ?jobs ()] spawns a pool.  Worker count resolution order:
-    [jobs] argument, then the [ANORAD_JOBS] environment variable, then
-    [Domain.recommended_domain_count ()].  The result is clamped to
-    [1 .. 64]. *)
+val create : ?jobs:int -> ?minor_heap_words:int -> unit -> t
+(** [create ?jobs ?minor_heap_words ()] spawns a pool.  Worker count
+    resolution order: [jobs] argument, then the [ANORAD_JOBS] environment
+    variable, then [Domain.recommended_domain_count ()].  The result is
+    clamped to [1 .. 64].
+
+    With [minor_heap_words], each domain that runs the pool's parallel
+    batches (the caller included) grows its minor heap to at least that
+    many words when it first does: minor collections stop every domain
+    at once, so fewer of them means fewer cross-core handshakes.  A pool
+    that only ever runs sequential batches never resizes.  Without it no
+    domain's GC settings are touched. *)
 
 val sequential : unit -> t
 (** [sequential ()] is [create ~jobs:1 ()]: the pool that never spawns. *)

@@ -239,6 +239,12 @@ let serve_fd opts ~service ~pool in_fd out_fd =
       (* peer stopped reading; there is nobody left to answer *)
       ()
 
+(* The daemon's pool: 8 MiB of minor heap a domain, four times the
+   runtime default, so its domains stop together for a minor collection
+   four times less often (see [Pool.create]). *)
+let daemon_pool opts =
+  Pool.create ?jobs:opts.jobs ~minor_heap_words:(1 lsl 20) ()
+
 let ignore_sigpipe () =
   (* a broken output fd must surface as EPIPE, not kill the daemon *)
   match Sys.signal Sys.sigpipe Sys.Signal_ignore with
@@ -249,7 +255,7 @@ let ignore_sigpipe () =
 let serve_stdio opts =
   ignore_sigpipe ();
   let service = Service.create ~cache_entries:opts.cache_entries in
-  let pool = Pool.create ?jobs:opts.jobs () in
+  let pool = daemon_pool opts in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown pool)
     (fun () -> serve_fd opts ~service ~pool Unix.stdin Unix.stdout)
@@ -257,7 +263,7 @@ let serve_stdio opts =
 let serve_socket ?(max_accepts = 0) opts ~path =
   ignore_sigpipe ();
   let service = Service.create ~cache_entries:opts.cache_entries in
-  let pool = Pool.create ?jobs:opts.jobs () in
+  let pool = daemon_pool opts in
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let cleanup () =
     (try Unix.close sock with Unix.Unix_error _ -> ());

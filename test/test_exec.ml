@@ -183,6 +183,32 @@ let test_jobs_resolution () =
   Alcotest.(check bool) "garbage env falls back" true (Pool.jobs pool >= 1);
   Pool.shutdown pool
 
+(* A pool with [minor_heap_words] grows the minor heap of every domain
+   that runs one of its parallel batches; a pool without it leaves its
+   workers at the runtime default.  Each task reports its own domain's
+   size, so the check holds whichever domain ran which chunk. *)
+let test_minor_heap () =
+  let default = (Gc.get ()).Gc.minor_heap_size in
+  let sizes pool =
+    Pool.map_array pool ~chunk:1
+      ~f:(fun () ->
+        Unix.sleepf 0.005;
+        (Gc.get ()).Gc.minor_heap_size)
+      (Array.make 8 ())
+  in
+  Pool.with_pool ~jobs:2 (fun pool ->
+      Array.iter
+        (Alcotest.(check int) "no knob: default size" default)
+        (sizes pool));
+  let words = 4 * default in
+  let pool = Pool.create ~jobs:2 ~minor_heap_words:words () in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      Array.iter
+        (fun s -> Alcotest.(check bool) "knob: grown" true (s >= words))
+        (sizes pool))
+
 let test_busy_work () =
   (* a batch heavy enough that workers actually run tasks; checks the
      result is still deterministic and telemetry counts every element *)
@@ -382,6 +408,7 @@ let () =
           Alcotest.test_case "with_pool shuts down" `Quick test_with_pool_kills;
           Alcotest.test_case "jobs resolution" `Quick test_jobs_resolution;
           Alcotest.test_case "heavy batch" `Quick test_busy_work;
+          Alcotest.test_case "minor heap knob" `Quick test_minor_heap;
         ] );
       ( "intern",
         [
