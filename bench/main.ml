@@ -1,10 +1,11 @@
-(* The benchmark harness: regenerates every experiment E1-E18 of DESIGN.md
-   (the paper's theorems and propositions turned into measurements) and then
-   times the computational kernels with Bechamel, one benchmark group per
-   experiment id.
+(* The benchmark harness: regenerates every experiment E1-E22 of DESIGN.md
+   (the paper's theorems and propositions turned into measurements) and
+   writes the BENCH_*.json series of E19-E22.
 
-   Run with: dune exec bench/main.exe
-   (Results are recorded against the paper's claims in EXPERIMENTS.md.) *)
+   Run with: dune exec bench/main.exe -- [--quick] [--jobs N] [SUITE ...]
+   where SUITE is e1 ... e22 or an alias (mc = e19, par = e20, churn = e21,
+   serve = e22); no SUITE runs every suite.  (Results are recorded against
+   the paper's claims in EXPERIMENTS.md.) *)
 
 module C = Radio_config.Config
 module F = Radio_config.Families
@@ -21,10 +22,58 @@ module Engine = Radio_sim.Engine
 module Runner = Radio_sim.Runner
 module Table = Radio_analysis.Table
 module Stats = Radio_analysis.Stats
-module Sweep = Radio_analysis.Sweep
 
 let section title =
   Printf.printf "\n%s\n%s\n\n" title (String.make (String.length title) '=')
+
+(* The one clock: wall-clock seconds per call of [f].  The batch doubles
+   until one batch spans 20 ms, so that the small rows measure the code and
+   not the clock; then five batches of that size are timed, and the median
+   and interquartile range of their per-call times are returned. *)
+type timing = { median : float; iqr : float }
+
+let time f =
+  let batch k =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to k do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    Unix.gettimeofday () -. t0
+  in
+  let rec size k = if batch k >= 0.02 then k else size (2 * k) in
+  let k = size 1 in
+  let s = Array.init 5 (fun _ -> batch k /. float_of_int k) in
+  Array.sort Float.compare s;
+  { median = s.(2); iqr = s.(3) -. s.(1) }
+
+let ms t = Table.cell_float ~decimals:3 (1000.0 *. t.median)
+
+(* The one BENCH writer: every BENCH_*.json is a header naming the
+   experiment, its kernel and the host's core count, then named sections
+   of rows, one row per line.  A row is a list of (field, JSON text)
+   pairs; a timing field gets an [_iqr] sibling. *)
+let j_str = Printf.sprintf "%S"
+let j_num decimals x = Printf.sprintf "%.*f" decimals x
+let j_time name t = [ (name, j_num 6 t.median); (name ^ "_iqr", j_num 6 t.iqr) ]
+
+let write_bench file ~experiment ~kernel sections =
+  let row fields =
+    "    {"
+    ^ String.concat ", "
+        (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) fields)
+    ^ "}"
+  in
+  let section (name, rows) =
+    Printf.sprintf "  %S: [\n%s\n  ]" name
+      (String.concat ",\n" (List.map row rows))
+  in
+  Out_channel.with_open_text file (fun oc ->
+      Printf.fprintf oc
+        "{\n  \"experiment\": %S,\n  \"kernel\": %S,\n  \"host_cores\": %d,\n%s\n}\n"
+        experiment kernel
+        (Domain.recommended_domain_count ())
+        (String.concat ",\n" (List.map section sections)));
+  Printf.printf "wrote %s\n" file
 
 (* ------------------------------------------------------------------ *)
 (* E1 - Theorem 3.17: Classifier decides feasibility in O(n^3 Δ)       *)
@@ -33,7 +82,7 @@ let section title =
 let e1 () =
   section "E1  Classifier runtime and verdicts (Theorem 3.17)";
   let table =
-    Table.create ~title:"Classifier on graph families (CPU ms, median of 3)"
+    Table.create ~title:"Classifier on graph families (wall ms per call)"
       ~columns:
         [ "family"; "n"; "max deg"; "verdict"; "iters"; "ref ms"; "fast ms" ]
   in
@@ -44,15 +93,12 @@ let e1 () =
         (fun n ->
           let st = Workloads.state () in
           let config = make st n in
-          let t_ref =
-            Sweep.repeat_timed 3 (fun () -> ignore (Cl.classify config))
-          in
-          let t_fast =
-            Sweep.repeat_timed 3 (fun () -> ignore (Fast.classify config))
-          in
+          let t_ref = time (fun () -> Cl.classify config) in
+          let t_fast = time (fun () -> Fast.classify config) in
           let run = Cl.classify config in
           if name = "path" then
-            slope_points := (float_of_int n, Float.max t_ref 1e-6) :: !slope_points;
+            slope_points :=
+              (float_of_int n, Float.max t_ref.median 1e-6) :: !slope_points;
           Table.add_row table
             [
               name;
@@ -60,8 +106,8 @@ let e1 () =
               string_of_int (C.max_degree config);
               (if Cl.is_feasible run then "feasible" else "infeasible");
               string_of_int (Cl.num_iterations run);
-              Table.cell_float ~decimals:3 (1000.0 *. t_ref);
-              Table.cell_float ~decimals:3 (1000.0 *. t_fast);
+              ms t_ref;
+              ms t_fast;
             ])
         [ 16; 32; 64; 128 ])
     Workloads.named_families;
@@ -317,29 +363,14 @@ let e7 () =
 (* E8 - Open problem 1: fast classifier speedup                        *)
 (* ------------------------------------------------------------------ *)
 
-(* CPU seconds per call: a batch grows until it takes 20 ms, so that the
-   small rows measure the code and not the clock; the fastest of five
-   batches, the one load from other processes disturbed least. *)
-let per_call f =
-  let batch k () =
-    for _ = 1 to k do
-      ignore (f ())
-    done
-  in
-  let rec size k = if Sweep.repeat_timed 1 (batch k) >= 0.02 then k else size (2 * k) in
-  let k = size 1 in
-  List.fold_left Float.min infinity
-    (List.init 5 (fun _ -> Sweep.repeat_timed 1 (batch k)))
-  /. float_of_int k
-
 let e8 () =
   section "E8  Fast classifier vs literal implementation (open problem 1)";
   let module I = Election.Incremental in
   let table =
     Table.create
       ~title:
-        "Classifier paths, identical outputs (CPU ms per call; labels built; \
-         doubling = time at this n / time at the previous row's n)"
+        "Classifier paths, identical outputs (wall ms per call; labels \
+         built; doubling = time at this n / time at the previous row's n)"
       ~columns:
         [ "workload"; "n"; "impl"; "iters"; "ms"; "labels"; "doubling" ]
   in
@@ -361,7 +392,7 @@ let e8 () =
               (run, cost.Fast.computed)
         in
         let t =
-          per_call (fun () ->
+          time (fun () ->
               match impl with
               | `Literal -> ignore (Cl.classify config)
               | `Fast -> ignore (Fast.classify config)
@@ -370,10 +401,10 @@ let e8 () =
         let doubling =
           match !prev with
           | Some (n0, t0) when n >= 2 * n0 - 2 ->
-              Table.cell_float ~decimals:1 (t /. Float.max t0 1e-9)
+              Table.cell_float ~decimals:1 (t.median /. Float.max t0 1e-9)
           | Some _ | None -> "-"
         in
-        prev := Some (n, t);
+        prev := Some (n, t.median);
         Table.add_row table
           [
             workload;
@@ -383,7 +414,7 @@ let e8 () =
             | `Fast -> "fast"
             | `Incremental -> "incremental");
             string_of_int (Cl.num_iterations run);
-            Table.cell_float ~decimals:3 (1000.0 *. t);
+            ms t;
             string_of_int labels;
             doubling;
           ])
@@ -887,16 +918,13 @@ let e18 () =
           config
       in
       let t_bare =
-        Sweep.repeat_timed 3 (fun () ->
-            ignore
-              (Engine.run ~max_rounds:10_000_000 election.Runner.protocol
-                 config))
+        time (fun () ->
+            Engine.run ~max_rounds:10_000_000 election.Runner.protocol config)
       in
       let t_faulty =
-        Sweep.repeat_timed 3 (fun () ->
-            ignore
-              (Engine.run_plan ~max_rounds:10_000_000 plan
-                 election.Runner.protocol config))
+        time (fun () ->
+            Engine.run_plan ~max_rounds:10_000_000 plan
+              election.Runner.protocol config)
       in
       Table.add_row table
         [
@@ -906,8 +934,8 @@ let e18 () =
           string_of_int fo.Engine.base.Engine.rounds;
           Table.cell_bool
             (Option.is_some (Engine.elected election.Runner.decision fo));
-          Table.cell_float ~decimals:3 (1000.0 *. t_bare);
-          Table.cell_float ~decimals:3 (1000.0 *. t_faulty);
+          ms t_bare;
+          ms t_faulty;
         ])
     [ 16; 32; 64 ];
   Table.print table;
@@ -946,19 +974,31 @@ let e19 () =
   let json_rows = ref [] in
   let emit_row ~name ~n ~depth ~jobs ~t (s : Checker.stats) ~full_states
       ~saved ~conclusive =
-    let rate = float_of_int s.Checker.states_explored /. Float.max t 1e-9 in
+    let rate =
+      float_of_int s.Checker.states_explored /. Float.max t.median 1e-9
+    in
     json_rows :=
-      Printf.sprintf
-        "    {\"name\": %S, \"n\": %d, \"faults\": 1, \"depth\": %d, \
-         \"state_cap\": %d, \"jobs\": %d, \"automorphisms\": %d, \
-         \"states_explored\": %d, \"states_raw\": %d, \"peak_frontier\": \
-         %d, \"canonicalizations\": %d, \"peak_visited_bytes\": %d, \
-         \"conclusive\": %b, \"seconds\": %.6f, \"states_per_sec\": %.1f, \
-         \"states_no_reduction\": %d, \"reduction_saving\": %.4f}"
-        name n depth states jobs s.Checker.automorphisms
-        s.Checker.states_explored s.Checker.states_raw
-        s.Checker.peak_frontier s.Checker.canonicalizations
-        s.Checker.visited_bytes conclusive t rate full_states saved
+      ([
+         ("name", j_str name);
+         ("n", string_of_int n);
+         ("faults", string_of_int 1);
+         ("depth", string_of_int depth);
+         ("state_cap", string_of_int states);
+         ("jobs", string_of_int jobs);
+         ("automorphisms", string_of_int s.Checker.automorphisms);
+         ("states_explored", string_of_int s.Checker.states_explored);
+         ("states_raw", string_of_int s.Checker.states_raw);
+         ("peak_frontier", string_of_int s.Checker.peak_frontier);
+         ("canonicalizations", string_of_int s.Checker.canonicalizations);
+         ("peak_visited_bytes", string_of_int s.Checker.visited_bytes);
+         ("conclusive", string_of_bool conclusive);
+       ]
+      @ j_time "seconds" t
+      @ [
+          ("states_per_sec", j_num 1 rate);
+          ("states_no_reduction", string_of_int full_states);
+          ("reduction_saving", j_num 4 saved);
+        ])
       :: !json_rows;
     rate
   in
@@ -968,9 +1008,7 @@ let e19 () =
         Checker.explore ~depth ~states ~reduction ~faults:1 ?pool config
       in
       let reduced = run ~reduction:true () in
-      let t =
-        Sweep.repeat_timed 3 (fun () -> ignore (run ~reduction:true ()))
-      in
+      let t = time (fun () -> run ~reduction:true ()) in
       let full = run ~reduction:false () in
       let s = reduced.Checker.stats in
       let sf = full.Checker.stats in
@@ -1017,10 +1055,7 @@ let e19 () =
           (fun jobs ->
             Radio_exec.Pool.with_pool ~jobs (fun pool ->
                 let e = run ~pool ~reduction:true () in
-                let tp =
-                  Sweep.repeat_timed 3 (fun () ->
-                      ignore (run ~pool ~reduction:true ()))
-                in
+                let tp = time (fun () -> run ~pool ~reduction:true ()) in
                 let sp = e.Checker.stats in
                 assert (
                   sp.Checker.states_explored = s.Checker.states_explored
@@ -1048,22 +1083,11 @@ let e19 () =
          [| 0; 1; 0; 1; 1; 1 |]);
     ];
   Table.print table;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"experiment\": \"E19\",\n\
-      \  \"kernel\": \"Radio_mc.Checker.explore\",\n\
-      \  \"host_cores\": %d,\n\
-      \  \"workloads\": [\n"
-      (Domain.recommended_domain_count ())
-    ^ String.concat ",\n" (List.rev !json_rows)
-    ^ "\n  ]\n}\n"
-  in
-  Out_channel.with_open_text "BENCH_mc.json" (fun oc ->
-      output_string oc json);
+  write_bench "BENCH_mc.json" ~experiment:"E19"
+    ~kernel:"Radio_mc.Checker.explore"
+    [ ("workloads", List.rev !json_rows) ];
   Printf.printf
-    "wrote BENCH_mc.json\n\
-     On uniform cycles every tag-preserving rotation/reflection survives,\n\
+    "On uniform cycles every tag-preserving rotation/reflection survives,\n\
      so the quotient collapses the crash adversary's choice of victim -\n\
      the reduction column is the visited-set saving it buys.  Conclusive\n\
      rows verified canonicalizations = states_raw + 1 (one quotient map\n\
@@ -1073,11 +1097,10 @@ let e19 () =
 (* E20 - lib/exec: domain-pool sweeps, sequential vs parallel          *)
 (* ------------------------------------------------------------------ *)
 
-let e20 ?(quick = false) () =
+let e20 ~quick ~jobs =
   section "E20  Domain pool: sequential vs parallel sweeps (lib/exec)";
   let module Pool = Radio_exec.Pool in
-  let jobs = if quick then 2 else 4 in
-  let reps = if quick then 1 else 5 in
+  let jobs = Option.value jobs ~default:(if quick then 2 else 4) in
   let census_n = if quick then 3 else 4 in
   let oracle_n = if quick then 3 else 4 in
   let trials = if quick then 10 else 25 in
@@ -1114,28 +1137,9 @@ let e20 ?(quick = false) () =
   let table =
     Table.create
       ~title:
-        (Printf.sprintf
-           "sequential vs %d-worker pool (wall-clock s, median of %d)" jobs
-           reps)
+        (Printf.sprintf "sequential vs %d-worker pool (wall-clock s per run)"
+           jobs)
       ~columns:[ "workload"; "seq s"; "par s"; "speedup"; "equal" ]
-  in
-  let wall reps f =
-    (* The fast workloads finish in microseconds, below the resolution a
-       single [Unix.gettimeofday] pair can measure honestly, so each
-       sample repeats the workload until it spans [min_span] and reports
-       the per-iteration time; the samples' median is returned. *)
-    let min_span = 0.2 in
-    let sample () =
-      let t0 = Unix.gettimeofday () in
-      let rec go n =
-        ignore (Sys.opaque_identity (f ()));
-        let dt = Unix.gettimeofday () -. t0 in
-        if dt < min_span then go (n + 1) else dt /. float_of_int n
-      in
-      go 1
-    in
-    let times = List.init reps (fun _ -> sample ()) in
-    List.nth (List.sort compare times) (reps / 2)
   in
   let json_rows = ref [] in
   let pool = Pool.create ~jobs () in
@@ -1147,37 +1151,29 @@ let e20 ?(quick = false) () =
           let seq_out = work None in
           let par_out = work (Some pool) in
           let equal = String.equal seq_out par_out in
-          let seq_s = wall reps (fun () -> work None) in
-          let par_s = wall reps (fun () -> work (Some pool)) in
-          let speedup = seq_s /. Float.max par_s 1e-9 in
+          let seq_s = time (fun () -> work None) in
+          let par_s = time (fun () -> work (Some pool)) in
+          let speedup = seq_s.median /. Float.max par_s.median 1e-9 in
           Table.add_row table
             [
               name;
-              Printf.sprintf "%.3f" seq_s;
-              Printf.sprintf "%.3f" par_s;
+              Printf.sprintf "%.3f" seq_s.median;
+              Printf.sprintf "%.3f" par_s.median;
               Printf.sprintf "%.2fx" speedup;
               Table.cell_bool equal;
             ];
           json_rows :=
-            Printf.sprintf
-              "    {\"workload\": %S, \"jobs\": %d, \"seq_s\": %.6f, \
-               \"par_s\": %.6f, \"speedup\": %.4f, \"equal\": %b}"
-              name jobs seq_s par_s speedup equal
+            ([ ("workload", j_str name); ("jobs", string_of_int jobs) ]
+            @ j_time "seq_s" seq_s @ j_time "par_s" par_s
+            @ [ ("speedup", j_num 4 speedup); ("equal", string_of_bool equal) ])
             :: !json_rows)
         workloads;
       Table.print table;
       Format.printf "pool telemetry: %a@." Pool.pp_stats (Pool.stats pool));
-  let json =
-    "{\n  \"experiment\": \"E20\",\n  \"kernel\": \
-     \"Radio_exec.Pool\",\n  \"workloads\": [\n"
-    ^ String.concat ",\n" (List.rev !json_rows)
-    ^ "\n  ]\n}\n"
-  in
-  Out_channel.with_open_text "BENCH_parallel.json" (fun oc ->
-      output_string oc json);
+  write_bench "BENCH_parallel.json" ~experiment:"E20" ~kernel:"Radio_exec.Pool"
+    [ ("workloads", List.rev !json_rows) ];
   Printf.printf
-    "wrote BENCH_parallel.json\n\
-     The equal column is the determinism contract: a pooled sweep renders\n\
+    "The equal column is the determinism contract: a pooled sweep renders\n\
      byte-for-byte the sequential report.  Speedups track the machine's\n\
      core count - on a single-core container par ~ seq plus scheduling\n\
      overhead, and that honest number is recorded as-is.\n"
@@ -1187,8 +1183,9 @@ let e20 ?(quick = false) () =
 (* re-election under link/node flaps                                   *)
 (* ------------------------------------------------------------------ *)
 
-let e21 ?(quick = false) ?(jobs = 2) () =
+let e21 ~quick ~jobs =
   section "E21  Churn: incremental re-classification + re-election";
+  let jobs = Option.value jobs ~default:2 in
   let module G = Radio_graph.Graph in
   let module FP = Radio_sim.Fault_plan in
   let module Ch = Radio_faults.Churn in
@@ -1204,22 +1201,6 @@ let e21 ?(quick = false) ?(jobs = 2) () =
   in
   let churn_config n = path n (fun i -> i mod 3) in
   let dense_config n = path n (fun i -> i * 31 mod 17) in
-  (* Wall-clock sampler (same honesty rules as E20): repeat until the
-     sample spans 50ms, report per-iteration time, take the median. *)
-  let wall f =
-    let min_span = 0.05 in
-    let sample () =
-      let t0 = Unix.gettimeofday () in
-      let rec go n =
-        ignore (Sys.opaque_identity (f ()));
-        let dt = Unix.gettimeofday () -. t0 in
-        if dt < min_span then go (n + 1) else dt /. float_of_int n
-      in
-      go 1
-    in
-    let times = List.init 3 (fun _ -> sample ()) in
-    List.nth (List.sort compare times) 1
-  in
   (* 1. Seeded churn schedules: availability and re-election economics. *)
   let churn_sizes = if quick then [ 8; 16 ] else [ 16; 32; 64 ] in
   let churn_table =
@@ -1264,25 +1245,30 @@ let e21 ?(quick = false) ?(jobs = 2) () =
             string_of_int st.I.reused;
             string_of_int st.I.full_rebuilds;
           ];
-        Printf.sprintf
-          "    {\"n\": %d, \"horizon\": %d, \"events\": %d, \"epochs\": %d, \
-           \"availability\": %.4f, \"re_elections\": %d, \
-           \"election_rounds\": %d, \"attempt_sequence\": %S, \"edits\": \
-           %d, \"labels_computed\": %d, \"labels_reused\": %d, \
-           \"full_rebuilds\": %d, \"elected\": %b}"
-          n horizon (List.length plan)
-          (List.length r.Ch.epochs)
-          r.Ch.availability r.Ch.re_elections r.Ch.total_election_rounds
-          attempt_seq st.I.edits st.I.computed st.I.reused st.I.full_rebuilds
-          (r.Ch.final_leader <> None))
+        [
+          ("n", string_of_int n);
+          ("horizon", string_of_int horizon);
+          ("events", string_of_int (List.length plan));
+          ("epochs", string_of_int (List.length r.Ch.epochs));
+          ("availability", j_num 4 r.Ch.availability);
+          ("re_elections", string_of_int r.Ch.re_elections);
+          ("election_rounds", string_of_int r.Ch.total_election_rounds);
+          ("attempt_sequence", j_str attempt_seq);
+          ("edits", string_of_int st.I.edits);
+          ("labels_computed", string_of_int st.I.computed);
+          ("labels_reused", string_of_int st.I.reused);
+          ("full_rebuilds", string_of_int st.I.full_rebuilds);
+          ("elected", string_of_bool (r.Ch.final_leader <> None));
+        ])
       churn_sizes
   in
   Table.print churn_table;
   (* 2. Single-edit re-classification vs from-scratch at n >= 64.  The
-     JSON speedup column is the deterministic label-cost ratio (scratch
-     recomputes n labels per refinement iteration; the incremental path
-     recomputes only the dirty ball); wall-clock medians are printed for
-     the honest physical check but kept out of the replayable series. *)
+     JSON speedup column is the deterministic label-cost ratio: the labels
+     the kernel builds classifying the edited configuration from scratch
+     over the labels the incremental path rebuilds (the dirty ball).
+     Wall-clock medians are printed for the physical check but kept out of
+     the replayable series. *)
   let speedup_sizes = if quick then [ 64 ] else [ 64; 128; 256 ] in
   let speedup_table =
     Table.create ~title:"single-edit re-classification (span-preserving retag)"
@@ -1305,16 +1291,16 @@ let e21 ?(quick = false) ?(jobs = 2) () =
           | None -> failwith "e21: empty incremental run"
         in
         let iters = List.length run1.Cl.iterations in
-        let scratch_cost = n * iters in
-        let incr_cost = max 1 d.I.labels_computed in
-        let speedup = float_of_int scratch_cost /. float_of_int incr_cost in
         let edited =
           match I.current st1 with
           | Some c -> c
           | None -> failwith "e21: no induced configuration"
         in
-        let scratch_s = wall (fun () -> Fast.classify edited) in
-        let incr_s = wall (fun () -> I.apply st0 edit) in
+        let scratch_cost = (snd (Fast.kernel edited)).Fast.computed in
+        let incr_cost = max 1 d.I.labels_computed in
+        let speedup = float_of_int scratch_cost /. float_of_int incr_cost in
+        let scratch_s = time (fun () -> Fast.classify edited) in
+        let incr_s = time (fun () -> I.apply st0 edit) in
         Table.add_row speedup_table
           [
             string_of_int n;
@@ -1322,15 +1308,20 @@ let e21 ?(quick = false) ?(jobs = 2) () =
             string_of_int scratch_cost;
             string_of_int d.I.labels_computed;
             Printf.sprintf "%.1fx" speedup;
-            Printf.sprintf "%.3f" (scratch_s *. 1e3);
-            Printf.sprintf "%.3f" (incr_s *. 1e3);
-            Printf.sprintf "%.1fx" (scratch_s /. Float.max incr_s 1e-9);
+            ms scratch_s;
+            ms incr_s;
+            Printf.sprintf "%.1fx"
+              (scratch_s.median /. Float.max incr_s.median 1e-9);
           ];
-        Printf.sprintf
-          "    {\"n\": %d, \"iterations\": %d, \"scratch_label_cost\": %d, \
-           \"incremental_label_cost\": %d, \"labels_reused\": %d, \
-           \"speedup\": %.2f, \"unit\": \"labels\"}"
-          n iters scratch_cost d.I.labels_computed d.I.labels_reused speedup)
+        [
+          ("n", string_of_int n);
+          ("iterations", string_of_int iters);
+          ("scratch_label_cost", string_of_int scratch_cost);
+          ("incremental_label_cost", string_of_int d.I.labels_computed);
+          ("labels_reused", string_of_int d.I.labels_reused);
+          ("speedup", j_num 2 speedup);
+          ("unit", j_str "labels");
+        ])
       speedup_sizes
   in
   Table.print speedup_table;
@@ -1345,44 +1336,41 @@ let e21 ?(quick = false) ?(jobs = 2) () =
       (fun () -> I.Oracle.run ~pool ~sequences ~seed:0x1CE ())
   in
   Format.printf "%a@." I.Oracle.pp report;
-  let oracle_json =
-    Printf.sprintf
-      "  {\"sequences\": %d, \"edits\": %d, \"mismatches\": %d, \
-       \"verdict_flips\": %d, \"labels_computed\": %d, \"labels_reused\": \
-       %d, \"full_rebuilds\": %d}"
-      report.I.Oracle.sequences report.I.Oracle.edits
-      (List.length report.I.Oracle.mismatches)
-      report.I.Oracle.verdict_flips report.I.Oracle.computed
-      report.I.Oracle.reused report.I.Oracle.full_rebuilds
+  let oracle_row =
+    [
+      ("sequences", string_of_int report.I.Oracle.sequences);
+      ("edits", string_of_int report.I.Oracle.edits);
+      ("mismatches", string_of_int (List.length report.I.Oracle.mismatches));
+      ("verdict_flips", string_of_int report.I.Oracle.verdict_flips);
+      ("labels_computed", string_of_int report.I.Oracle.computed);
+      ("labels_reused", string_of_int report.I.Oracle.reused);
+      ("full_rebuilds", string_of_int report.I.Oracle.full_rebuilds);
+    ]
   in
-  let json =
-    "{\n  \"experiment\": \"E21\",\n  \"kernel\": \"Election.Incremental + \
-     Radio_faults.Churn\",\n  \"churn\": [\n"
-    ^ String.concat ",\n" churn_rows
-    ^ "\n  ],\n  \"speedup\": [\n"
-    ^ String.concat ",\n" speedup_rows
-    ^ "\n  ],\n  \"oracle\":\n" ^ oracle_json ^ "\n}\n"
-  in
-  Out_channel.with_open_text "BENCH_churn.json" (fun oc ->
-      output_string oc json);
+  write_bench "BENCH_churn.json" ~experiment:"E21"
+    ~kernel:"Election.Incremental + Radio_faults.Churn"
+    [
+      ("churn", churn_rows);
+      ("speedup", speedup_rows);
+      ("oracle", [ oracle_row ]);
+    ];
   print_endline
-    "wrote BENCH_churn.json\n\
-     The series is a pure function of (schedule, seed): `make churn-smoke`\n\
+    "The series is a pure function of (schedule, seed): `make churn-smoke`\n\
      asserts the file is byte-identical at --jobs 1 and 2.  Wall-clock\n\
-     medians above are the physical check that a single-edit incremental\n\
-     re-classification beats the from-scratch classifier at n >= 64."
+     medians above time a single-edit incremental re-classification\n\
+     against the from-scratch kernel on the edited configuration."
 
 (* ------------------------------------------------------------------ *)
 (* E22 - lib/serve: request service, cold vs warm cache                *)
 (* ------------------------------------------------------------------ *)
 
-let e22 ?(quick = false) ?(jobs = 2) () =
+let e22 ~quick ~jobs =
   section "E22  Serve: batched request service, cold vs warm cache";
+  let jobs = Option.value jobs ~default:2 in
   let module Server = Radio_serve.Server in
   let module Service = Radio_serve.Service in
   let module Json = Radio_serve.Json in
   let module Pool = Radio_exec.Pool in
-  let timed_k = if quick then 1 else 3 in
   (* One classify stream per row: [variants] label-rotated copies of the
      config (isomorphic, so below the iso bound they share one cache
      entry), each requested [reps] times, interleaved.  Request lines are
@@ -1416,8 +1404,8 @@ let e22 ?(quick = false) ?(jobs = 2) () =
       ~title:
         (Printf.sprintf
            "Classify request streams through Service.process_wave (jobs %d, \
-            median CPU s of %d)"
-           jobs timed_k)
+            wall clock)"
+           jobs)
       ~columns:
         [
           "stream";
@@ -1438,9 +1426,9 @@ let e22 ?(quick = false) ?(jobs = 2) () =
   let rows =
     (* The small rows exercise isomorphism sharing (n <= iso bound, the
        rotations collapse onto one entry; the hit-rate column is their
-       point).  The large rows are the throughput headline: n > 8 dedups
-       on the raw key only, and a hit buys back an O(n^3) classifier run
-       that dwarfs the O(n) request parse. *)
+       point).  The large rows price a hit: n > 8 dedups on the raw key
+       only, and a hit buys back the classifier run and the response
+       render, not the request parse. *)
     [
       ("h2", F.h_family 2, 4, small_reps);
       ("cycle6", C.uniform (Radio_graph.Gen.cycle 6) 0, 6, small_reps);
@@ -1476,19 +1464,18 @@ let e22 ?(quick = false) ?(jobs = 2) () =
           in
           (* Cold: cache disabled, every request runs the classifier. *)
           let cold_out = Server.run_string ~pool (opts 0) input in
-          let t_cold =
-            Sweep.repeat_timed timed_k (fun () ->
-                ignore (Server.run_string ~pool (opts 0) input))
-          in
+          let t_cold = time (fun () -> Server.run_string ~pool (opts 0) input) in
           (* Warm: one persistent service; the first pass fills the cache,
              the timed replays hit on every resolution. *)
           let service = Service.create ~cache_entries:256 in
           let warm_out = Server.run_string ~service ~pool (opts 256) input in
-          let t_warm =
-            Sweep.repeat_timed timed_k (fun () ->
-                ignore (Server.run_string ~service ~pool (opts 256) input))
-          in
           let replay_out = Server.run_string ~service ~pool (opts 256) input in
+          (* The hit rate of the fill pass and one replay, read before the
+             timed replays so that it does not depend on how many ran. *)
+          let hit_rate = Service.hit_rate (Service.telemetry service) in
+          let t_warm =
+            time (fun () -> Server.run_string ~service ~pool (opts 256) input)
+          in
           (* The headline invariant, measured not assumed: cold, warm and
              a different jobs level all render the same bytes. *)
           let other_jobs_out =
@@ -1502,18 +1489,25 @@ let e22 ?(quick = false) ?(jobs = 2) () =
             && String.equal cold_out replay_out
             && String.equal cold_out other_jobs_out
           in
-          let telemetry = Service.telemetry service in
-          let hit_rate = Service.hit_rate telemetry in
-          let rps t = float_of_int requests /. Float.max t 1e-9 in
+          let rps t = float_of_int requests /. Float.max t.median 1e-9 in
           let speedup = rps t_warm /. Float.max (rps t_cold) 1e-9 in
           json_rows :=
-            Printf.sprintf
-              "    {\"name\": %S, \"n\": %d, \"requests\": %d, \"variants\": \
-               %d, \"jobs\": %d, \"cold_seconds\": %.6f, \"cold_rps\": %.1f, \
-               \"warm_seconds\": %.6f, \"warm_rps\": %.1f, \"speedup\": \
-               %.2f, \"hit_rate\": %.4f, \"byte_identical\": %b}"
-              name (C.size config) requests variants jobs t_cold (rps t_cold)
-              t_warm (rps t_warm) speedup hit_rate equal
+            ([
+               ("name", j_str name);
+               ("n", string_of_int (C.size config));
+               ("requests", string_of_int requests);
+               ("variants", string_of_int variants);
+               ("jobs", string_of_int jobs);
+             ]
+            @ j_time "cold_seconds" t_cold
+            @ [ ("cold_rps", j_num 1 (rps t_cold)) ]
+            @ j_time "warm_seconds" t_warm
+            @ [
+                ("warm_rps", j_num 1 (rps t_warm));
+                ("speedup", j_num 2 speedup);
+                ("hit_rate", j_num 4 hit_rate);
+                ("byte_identical", string_of_bool equal);
+              ])
             :: !json_rows;
           Table.add_row table
             [
@@ -1529,223 +1523,74 @@ let e22 ?(quick = false) ?(jobs = 2) () =
             ])
         rows);
   Table.print table;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"experiment\": \"E22\",\n\
-      \  \"kernel\": \"Radio_serve.Service.process_wave\",\n\
-      \  \"host_cores\": %d,\n\
-      \  \"workloads\": [\n"
-      (Domain.recommended_domain_count ())
-    ^ String.concat ",\n" (List.rev !json_rows)
-    ^ "\n  ]\n}\n"
-  in
-  Out_channel.with_open_text "BENCH_serve.json" (fun oc ->
-      output_string oc json);
+  write_bench "BENCH_serve.json" ~experiment:"E22"
+    ~kernel:"Radio_serve.Service.process_wave"
+    [ ("workloads", List.rev !json_rows) ];
   print_endline
-    "wrote BENCH_serve.json\n\
-     Below the iso bound (n <= 8) the label-rotated variants of a row\n\
+    "Below the iso bound (n <= 8) the label-rotated variants of a row\n\
      share one cache entry via the canonical key; above it the raw key\n\
      still dedups byte-identical requests.  Small rows are parse-bound\n\
      (a classify there costs less than reading the request), so their\n\
-     column of interest is the hit rate; the path rows are the throughput\n\
-     claim, warm >= 5x cold.  The bytes-equal column is the serve\n\
-     determinism contract checked end to end: cold, warm, replayed and\n\
-     jobs-1 streams all rendered identical responses."
+     column of interest is the hit rate; the path rows show what a hit\n\
+     saves once the classifier is a share of the request, not all of\n\
+     it.  The bytes-equal column is the serve determinism contract\n\
+     checked end to end: cold, warm, replayed and jobs-1 streams all\n\
+     rendered identical responses."
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one group per experiment kernel          *)
+(* Command line: [--quick] [--jobs N] [SUITE ...]                     *)
 (* ------------------------------------------------------------------ *)
 
-let bechamel_tests () =
-  let open Bechamel in
-  let st = Workloads.state () in
-  let path64 = Workloads.path_config st 64 in
-  let clique64 = Workloads.clique_config st 64 in
-  let gnp64 = Workloads.gnp_config st 64 in
-  let g8 = F.g_family 8 in
-  let h64 = F.h_family 64 in
-  let plan_g8 = Can.plan_of_run (Cl.classify g8) in
-  let plan_h64 = Can.plan_of_run (Cl.classify h64) in
-  let candidate =
-    Option.get (Fe.dedicated_election (Fe.analyze (F.h_family 2)))
-  in
+(* Every suite in run order.  --quick shrinks E20-E22 for the smokes and
+   the test suite; --jobs sets their pool size (E20 defaults to 4 workers,
+   2 under --quick; E21 and E22 to 2). *)
+let suites =
+  let plain f ~quick:_ ~jobs:_ = f () in
   [
-    (* E1: classifier kernels *)
-    Test.make ~name:"E1/classifier-ref/path64"
-      (Staged.stage (fun () -> ignore (Cl.classify path64)));
-    Test.make ~name:"E1/classifier-ref/clique64"
-      (Staged.stage (fun () -> ignore (Cl.classify clique64)));
-    Test.make ~name:"E1/classifier-ref/gnp64"
-      (Staged.stage (fun () -> ignore (Cl.classify gnp64)));
-    (* E8: fast classifier kernels *)
-    Test.make ~name:"E8/classifier-fast/path64"
-      (Staged.stage (fun () -> ignore (Fast.classify path64)));
-    Test.make ~name:"E8/classifier-fast/clique64"
-      (Staged.stage (fun () -> ignore (Fast.classify clique64)));
-    Test.make ~name:"E8/classifier-fast/gnp64"
-      (Staged.stage (fun () -> ignore (Fast.classify gnp64)));
-    (* E2/E3: full dedicated-election simulations *)
-    Test.make ~name:"E3/simulate-canonical/G8"
-      (Staged.stage (fun () ->
-           ignore (Engine.run ~max_rounds:10_000_000 (Can.protocol plan_g8) g8)));
-    (* E4: sigma-dominated simulation *)
-    Test.make ~name:"E4/simulate-canonical/H64"
-      (Staged.stage (fun () ->
-           ignore
-             (Engine.run ~max_rounds:10_000_000 (Can.protocol plan_h64) h64)));
-    (* E5: the adversary pipeline *)
-    Test.make ~name:"E5/refute-universal/dedicated-H2"
-      (Staged.stage (fun () ->
-           ignore (Imp.refute_universal ~max_rounds:5_000_000 candidate)));
-    (* E11: census kernel *)
-    Test.make ~name:"E11/census/n4-span1"
-      (Staged.stage (fun () ->
-           ignore (Election.Census.run ~max_n:4 ~max_span:1 ())));
-    (* E12: constant-round dedicated election *)
-    Test.make ~name:"E12/min-beacon/staircase32"
-      (let cfg = F.staircase_clique 32 in
-       Staged.stage (fun () ->
-           ignore (Runner.run Election.Min_beacon.election cfg)));
-    (* E18: fault layer kernels *)
-    Test.make ~name:"E18/faulty-engine-planned/H64"
-      (let plan =
-         Radio_sim.Fault_plan.sample ~seed:Workloads.seed ~crashes:2
-           ~drops:8 ~noise:8 ~horizon:600 h64
-       in
-       Staged.stage (fun () ->
-           ignore
-             (Engine.run_plan ~max_rounds:10_000_000 plan
-                (Can.protocol plan_h64) h64)));
-    (* E9: randomized baseline *)
-    Test.make ~name:"E9/randomized-election/n32"
-      (let rng = Random.State.make [| 1 |] in
-       let cfg32 = C.uniform (Gen.complete 32) 0 in
-       Staged.stage (fun () ->
-           ignore
-             (Runner.run ~max_rounds:1_000_000
-                (Radio_baselines.Randomized.election ~rng)
-                cfg32)));
+    ("e1", plain e1); ("e2", plain e2); ("e3", plain e3); ("e4", plain e4);
+    ("e5", plain e5); ("e6", plain e6); ("e7", plain e7); ("e8", plain e8);
+    ("e9", plain e9); ("e10", plain e10); ("e11", plain e11);
+    ("e12", plain e12); ("e13", plain e13); ("e14", plain e14);
+    ("e15", plain e15); ("e16", plain e16); ("e17", plain e17);
+    ("e18", plain e18); ("e19", plain e19); ("e20", e20); ("e21", e21);
+    ("e22", e22);
   ]
 
-let run_bechamel () =
-  section "Micro-benchmarks (Bechamel, monotonic clock)";
-  let open Bechamel in
-  let open Toolkit in
-  let instance = Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None () in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let table =
-    Table.create ~title:"time per run (OLS on monotonic clock)"
-      ~columns:[ "benchmark"; "time per run" ]
-  in
-  let rows = ref [] in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg [ instance ] test in
-      let results = Analyze.all ols instance raw in
-      Hashtbl.iter
-        (fun name ols_result ->
-          let estimate =
-            match Analyze.OLS.estimates ols_result with
-            | Some (e :: _) -> e
-            | _ -> nan
-          in
-          let pretty =
-            if Float.is_nan estimate then "n/a"
-            else if estimate > 1e9 then Printf.sprintf "%.2f s" (estimate /. 1e9)
-            else if estimate > 1e6 then Printf.sprintf "%.2f ms" (estimate /. 1e6)
-            else if estimate > 1e3 then Printf.sprintf "%.2f us" (estimate /. 1e3)
-            else Printf.sprintf "%.0f ns" estimate
-          in
-          rows := (name, pretty) :: !rows)
-        results)
-    (bechamel_tests ());
-  List.iter
-    (fun (name, pretty) -> Table.add_row table [ name; pretty ])
-    (List.sort compare !rows);
-  Table.print table
+let aliases = [ ("mc", "e19"); ("par", "e20"); ("churn", "e21"); ("serve", "e22") ]
 
 let () =
-  (* `dune exec bench/main.exe -- mc` regenerates only the E19 model-checker
-     series (and BENCH_mc.json) — the workload `make mc-smoke` depends on. *)
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "mc" then begin
-    e19 ();
-    exit 0
-  end;
-  (* `dune exec bench/main.exe -- par [--quick]` regenerates only the E20
-     domain-pool series (and BENCH_parallel.json); --quick shrinks the
-     workloads for `make par-smoke` and the test suite. *)
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "par" then begin
-    e20 ~quick:(Array.length Sys.argv > 2 && Sys.argv.(2) = "--quick") ();
-    exit 0
-  end;
-  (* `dune exec bench/main.exe -- churn [--quick] [--jobs N]` regenerates
-     only the E21 churn series (and BENCH_churn.json).  The JSON carries
-     deterministic quantities only, so `make churn-smoke` can assert it is
-     byte-identical at --jobs 1 and 2. *)
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "churn" then begin
-    let quick = ref false and jobs = ref 2 in
-    let i = ref 2 in
-    while !i < Array.length Sys.argv do
-      (match Sys.argv.(!i) with
-      | "--quick" -> quick := true
-      | "--jobs" when !i + 1 < Array.length Sys.argv ->
-          incr i;
-          jobs := int_of_string Sys.argv.(!i)
-      | a -> failwith ("bench churn: unknown argument " ^ a));
-      incr i
-    done;
-    e21 ~quick:!quick ~jobs:!jobs ();
-    exit 0
-  end;
-  (* `dune exec bench/main.exe -- serve [--quick] [--jobs N]` regenerates
-     only the E22 serve series (and BENCH_serve.json) — the workload
-     `make serve-smoke` and the acceptance gate (warm >= 5x cold classify
-     throughput) depend on. *)
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "serve" then begin
-    let quick = ref false and jobs = ref 2 in
-    let i = ref 2 in
-    while !i < Array.length Sys.argv do
-      (match Sys.argv.(!i) with
-      | "--quick" -> quick := true
-      | "--jobs" when !i + 1 < Array.length Sys.argv ->
-          incr i;
-          jobs := int_of_string Sys.argv.(!i)
-      | a -> failwith ("bench serve: unknown argument " ^ a));
-      incr i
-    done;
-    e22 ~quick:!quick ~jobs:!jobs ();
-    exit 0
-  end;
-  print_endline
-    "anorad benchmark harness - reproduces the evaluation of Miller, Pelc,\n\
-     Yadav: 'Deterministic Leader Election in Anonymous Radio Networks'\n\
-     (SPAA 2020).  Experiment ids E1-E22 are indexed in DESIGN.md; measured\n\
-     vs paper-claimed results are recorded in EXPERIMENTS.md.";
-  e1 ();
-  e2 ();
-  e3 ();
-  e4 ();
-  e5 ();
-  e6 ();
-  e7 ();
-  e8 ();
-  e9 ();
-  e10 ();
-  e11 ();
-  e12 ();
-  e13 ();
-  e14 ();
-  e15 ();
-  e16 ();
-  e17 ();
-  e18 ();
-  e19 ();
-  e20 ();
-  e21 ();
-  e22 ();
-  run_bechamel ();
-  print_endline "\nDone.  All series regenerated."
+  let quick = ref false and jobs = ref None and chosen = ref [] in
+  let usage =
+    "usage: main.exe [--quick] [--jobs N] [SUITE ...]\n\
+     SUITE is e1 ... e22, mc (= e19), par (= e20), churn (= e21) or serve\n\
+     (= e22); no SUITE runs every suite.  Options:"
+  in
+  let specs =
+    [
+      ("--quick", Arg.Set quick, " smaller E20-E22 workloads (smoke runs)");
+      ( "--jobs",
+        Arg.Int
+          (fun j ->
+            if j < 1 then raise (Arg.Bad "--jobs: N must be >= 1");
+            jobs := Some j),
+        "N pool size for E20-E22" );
+    ]
+  in
+  Arg.parse specs
+    (fun arg ->
+      let name = Option.value (List.assoc_opt arg aliases) ~default:arg in
+      if not (List.mem_assoc name suites) then
+        raise (Arg.Bad ("unknown suite " ^ arg));
+      chosen := name :: !chosen)
+    usage;
+  if !chosen = [] then
+    print_endline
+      "anorad benchmark harness - reproduces the evaluation of Miller, Pelc,\n\
+       Yadav: 'Deterministic Leader Election in Anonymous Radio Networks'\n\
+       (SPAA 2020).  Experiment ids E1-E22 are indexed in DESIGN.md; measured\n\
+       vs paper-claimed results are recorded in EXPERIMENTS.md.";
+  List.iter
+    (fun (name, run) ->
+      if !chosen = [] || List.mem name !chosen then
+        run ~quick:!quick ~jobs:!jobs)
+    suites

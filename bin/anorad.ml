@@ -59,6 +59,17 @@ let invalid ~cmd what msg =
 let load ~cmd what read =
   try read () with Failure msg | Sys_error msg -> invalid ~cmd what msg
 
+(* The one writer for user-named output files: [text] goes to stdout for
+   '-', and an unwritable path is [anorad <cmd>: cannot write <what>:
+   <reason>] on stderr and exit code 2. *)
+let write ~cmd what path text =
+  if path = "-" then print_string text
+  else
+    try Out_channel.with_open_text path (fun oc -> output_string oc text)
+    with Sys_error msg ->
+      Format.eprintf "anorad %s: cannot write %s: %s@." cmd what msg;
+      exit 2
+
 let load_config ~cmd path =
   load ~cmd "configuration" (fun () ->
       if path = "-" then CIo.of_string (In_channel.input_all In_channel.stdin)
@@ -277,12 +288,7 @@ let compile_cmd =
   let run path output =
     let config = load_config ~cmd:"compile" path in
     let a = Fe.analyze config in
-    let text = Election.Plan_io.to_string a.Fe.plan in
-    (if output = "-" then print_string text
-     else
-       let oc = open_out output in
-       Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-           output_string oc text));
+    write ~cmd:"compile" "plan" output (Election.Plan_io.to_string a.Fe.plan);
     if a.Fe.feasible then 0
     else begin
       Format.eprintf
@@ -826,14 +832,11 @@ let mc_cmd =
         s.Checker.canonicalizations s.Checker.visited_bytes
   in
   let write_sarif sarif results =
-    match sarif with
-    | None -> ()
-    | Some dst ->
-        let doc =
-          Sarif.to_string ~tool_version:"1.0.0" ~rules:mc_rules results
-        in
-        if dst = "-" then print_string doc
-        else Out_channel.with_open_text dst (fun oc -> output_string oc doc)
+    Option.iter
+      (fun dst ->
+        write ~cmd:"mc" "SARIF report" dst
+          (Sarif.to_string ~tool_version:"1.0.0" ~rules:mc_rules results))
+      sarif
   in
   let run_oracle max_n replay sarif jobs =
     (* Liveness on stderr so stdout stays byte-comparable across runs. *)
@@ -1209,11 +1212,9 @@ let resilience_cmd =
     | curve ->
         Format.printf "%a@?" R.pp curve;
         print_string (R.to_chart curve);
-        (match csv with
-        | None -> ()
-        | Some "-" -> print_string (R.to_csv curve)
-        | Some file -> Out_channel.with_open_text file (fun oc ->
-              Out_channel.output_string oc (R.to_csv curve)));
+        Option.iter
+          (fun file -> write ~cmd:"resilience" "CSV" file (R.to_csv curve))
+          csv;
         0
   in
   let doc =

@@ -1,8 +1,7 @@
-(* Tests for the analysis helpers: tables, statistics, sweeps and CSV. *)
+(* Tests for the analysis helpers: tables, statistics and CSV. *)
 
 module T = Radio_analysis.Table
 module S = Radio_analysis.Stats
-module Sw = Radio_analysis.Sweep
 module Csv = Radio_analysis.Csv
 
 let check = Alcotest.(check bool)
@@ -91,35 +90,6 @@ let test_ratio_stable () =
   check_float "ratios" 2.0 (S.ratio_stable [ (1.0, 2.0); (3.0, 6.0) ])
 
 (* ------------------------------------------------------------------ *)
-(* Sweep                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_geometric () =
-  Alcotest.(check (list int)) "powers of two" [ 8; 16; 32; 64 ]
-    (Sw.geometric ~first:8 ~ratio:2.0 ~count:4);
-  (* rounding collisions are forced apart *)
-  let xs = Sw.geometric ~first:2 ~ratio:1.2 ~count:8 in
-  let rec strictly_increasing = function
-    | a :: (b :: _ as rest) -> a < b && strictly_increasing rest
-    | _ -> true
-  in
-  check "distinct" true (strictly_increasing xs)
-
-let test_over () =
-  Alcotest.(check (list (pair int int)))
-    "mapped" [ (1, 2); (2, 4) ]
-    (Sw.over [ 1; 2 ] ~f:(fun x -> 2 * x))
-
-let test_time_it () =
-  let x, dt = Sw.time_it (fun () -> List.init 1000 Fun.id |> List.length) in
-  check_int "result" 1000 x;
-  check "non-negative time" true (dt >= 0.0)
-
-let test_repeat_timed () =
-  let dt = Sw.repeat_timed 3 (fun () -> ignore (List.init 100 Fun.id)) in
-  check "non-negative" true (dt >= 0.0)
-
-(* ------------------------------------------------------------------ *)
 (* CSV                                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -164,13 +134,6 @@ let () =
           Alcotest.test_case "linear fit" `Quick test_linear_fit;
           Alcotest.test_case "loglog slope" `Quick test_loglog_slope;
           Alcotest.test_case "ratio" `Quick test_ratio_stable;
-        ] );
-      ( "sweep",
-        [
-          Alcotest.test_case "geometric" `Quick test_geometric;
-          Alcotest.test_case "over" `Quick test_over;
-          Alcotest.test_case "time_it" `Quick test_time_it;
-          Alcotest.test_case "repeat_timed" `Quick test_repeat_timed;
         ] );
       ( "csv",
         [

@@ -185,9 +185,9 @@ let with_plan content f =
       Out_channel.with_open_text path (fun oc -> output_string oc content);
       f path)
 
-(* A missing or malformed CONFIG or compiled plan, or an out-of-range
-   command parameter, is one stderr headline and exit 2, not an uncaught
-   exception (exit 125). *)
+(* A missing or malformed CONFIG or compiled plan, an out-of-range command
+   parameter, or an unwritable output file is one stderr headline and exit
+   2, not an uncaught exception (exit 125). *)
 let test_bad_input () =
   let expect name args headline =
     let code, err = anorad_stderr args in
@@ -211,7 +211,18 @@ let test_bad_input () =
   expect "census size out of range" "census --max-n 9"
     "anorad census: invalid argument: Census.run: max_n must be in 1..6";
   expect "family parameter out of range" "family g 0"
-    "anorad family: invalid parameter: g_family: m must be >= 2"
+    "anorad family: invalid parameter: g_family: m must be >= 2";
+  with_family "h" 2 (fun cfg ->
+      let cfg = Filename.quote cfg in
+      expect "unwritable plan"
+        ("compile " ^ cfg ^ " -o /nonexistent/x")
+        "anorad compile: cannot write plan: /nonexistent/x";
+      expect "unwritable csv"
+        ("resilience " ^ cfg ^ " --trials 2 --csv /nonexistent/x")
+        "anorad resilience: cannot write CSV: /nonexistent/x";
+      expect "unwritable sarif"
+        ("mc " ^ cfg ^ " --sarif /nonexistent/x")
+        "anorad mc: cannot write SARIF report: /nonexistent/x")
 
 let test_faults_cli () =
   with_family "h" 2 (fun cfg ->

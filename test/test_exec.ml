@@ -366,10 +366,15 @@ let json_well_formed s =
     s;
   !ok && !depth = 0 && (not !in_str) && String.length (String.trim s) > 0
 
+let bench =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bench/main.exe"
+
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 let test_bench_parallel_json () =
-  let bench =
-    Filename.concat (Filename.dirname Sys.executable_name) "../bench/main.exe"
-  in
   let rc = Sys.command (Filename.quote bench ^ " par --quick > /dev/null 2>&1") in
   Alcotest.(check int) "bench par --quick exits 0" 0 rc;
   let json =
@@ -381,13 +386,36 @@ let test_bench_parallel_json () =
       Alcotest.(check bool)
         (Printf.sprintf "key %s present" key)
         true
-        (let re = Printf.sprintf "\"%s\"" key in
-         let rec search i =
-           i + String.length re <= String.length json
-           && (String.sub json i (String.length re) = re || search (i + 1))
-         in
-         search 0))
-    [ "workload"; "jobs"; "seq_s"; "par_s"; "speedup"; "equal" ]
+        (contains json (Printf.sprintf "\"%s\"" key)))
+    [ "host_cores"; "workload"; "jobs"; "seq_s"; "par_s"; "speedup"; "equal" ]
+
+(* The bench's one parser: an unknown suite or option is exit 2 with the
+   usage on stderr, before any suite runs or any BENCH file is written. *)
+let test_bench_bad_args () =
+  let dir = Filename.temp_dir "anorad_bench" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      List.iter
+        (fun args ->
+          let err = Filename.concat dir "stderr" in
+          let rc =
+            Sys.command
+              (Printf.sprintf "cd %s && %s %s > /dev/null 2> %s"
+                 (Filename.quote dir) (Filename.quote bench) args
+                 (Filename.quote err))
+          in
+          Alcotest.(check int) (args ^ " exits 2") 2 rc;
+          Alcotest.(check bool)
+            (args ^ " prints usage") true
+            (contains (In_channel.with_open_text err In_channel.input_all)
+               "usage: main.exe");
+          Sys.remove err;
+          Alcotest.(check (array string))
+            (args ^ " writes nothing") [||] (Sys.readdir dir))
+        [ "nosuch"; "churn --bogus" ])
 
 let () =
   Alcotest.run "exec"
@@ -426,5 +454,6 @@ let () =
       ( "bench",
         [
           Alcotest.test_case "E20 json" `Slow test_bench_parallel_json;
+          Alcotest.test_case "bad arguments" `Quick test_bench_bad_args;
         ] );
     ]
