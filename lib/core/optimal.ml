@@ -26,6 +26,22 @@ type event =
    the ids bit-identical to a sequential left-to-right exploration. *)
 module Intern = Radio_exec.Intern
 
+(* The interner's keys are ints: the parent key fills the high bits, the
+   event code the low 32 (silence 0, noise 1, spontaneous wake-up 2,
+   message [c] at [2c + 3], forced wake-up by [c] at [2c + 4]).  The map
+   is injective while ids stay below 2^31, far past any reachable
+   history count. *)
+let pack parent event =
+  let code =
+    match event with
+    | Ev_silence -> 0
+    | Ev_noise -> 1
+    | Ev_wake_silent -> 2
+    | Ev_msg c -> (2 * c) + 3
+    | Ev_wake_msg c -> (2 * c) + 4
+  in
+  (parent lsl 32) lor code
+
 let separated keys =
   let n = Array.length keys in
   let rec outer v =
@@ -106,17 +122,6 @@ module StateSet = Set.Make (struct
     | c -> c
 end)
 
-(* Provisional ids only ever appear as whole key entries: parents and
-   message classes are drawn from the current (already global) state, so
-   [remap] has nothing to rewrite inside the key — applying the resolver
-   anyway keeps the protocol honest if that invariant ever changes. *)
-let remap_key resolve (parent, event) =
-  ( resolve parent,
-    match event with
-    | Ev_msg c -> Ev_msg (resolve c)
-    | Ev_wake_msg c -> Ev_wake_msg (resolve c)
-    | (Ev_silence | Ev_noise | Ev_wake_silent) as e -> e )
-
 let breaking_time ?pool ?(horizon = 24) ?(max_states = 200_000) config =
   let config =
     if C.is_normalized config then config
@@ -143,7 +148,7 @@ let breaking_time ?pool ?(horizon = 24) ?(max_states = 200_000) config =
   let expand_seq ~round frontier next broken =
     StateSet.iter
       (fun keys ->
-        let get parent event = Intern.get intern (parent, event) in
+        let get parent event = Intern.get intern (pack parent event) in
         List.iter
           (fun transmitting ->
             absorb next broken (step config ~get keys ~round ~transmitting))
@@ -179,7 +184,7 @@ let breaking_time ?pool ?(horizon = 24) ?(max_states = 200_000) config =
       Radio_exec.Pool.map_array pool ~chunk:1
         ~f:(fun states ->
           let local = Intern.local intern in
-          let get parent event = Intern.get_local local (parent, event) in
+          let get parent event = Intern.get_local local (pack parent event) in
           let nexts =
             Array.map
               (fun keys ->
@@ -194,7 +199,11 @@ let breaking_time ?pool ?(horizon = 24) ?(max_states = 200_000) config =
     in
     Array.iter
       (fun (local, nexts) ->
-        let resolve = Intern.commit intern ~remap:remap_key local in
+        (* Provisional ids only ever appear as whole key entries: parents
+           and message classes are drawn from the current (already
+           global) state, so no packed key embeds one and the replay
+           needs no remap. *)
+        let resolve = Intern.commit intern ~remap:(fun _ k -> k) local in
         Array.iter
           (fun per_state ->
             List.iter

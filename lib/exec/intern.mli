@@ -1,8 +1,8 @@
-(** Deterministic, mergeable interning for parallel searches.
+(** Deterministic, mergeable interning of int keys for parallel searches.
 
     A global interner maps keys to dense non-negative ids in first-seen
-    order, exactly like a plain [Hashtbl]-plus-counter.  To use one from
-    pool tasks without sharing the table, each task interns into a private
+    order, exactly like a hash table plus a counter.  To use one from pool
+    tasks without sharing the table, each task interns into a private
     {!local} view: keys already global resolve immediately, genuinely new
     keys get provisional negative ids and are recorded in creation order.
     At the barrier the caller replays each task's log against the global
@@ -12,44 +12,51 @@
     Because the logs are replayed in submission order, the ids assigned
     are bit-identical to those a sequential left-to-right traversal would
     have produced, including ids embedded inside later keys (remapped by
-    the [remap] callback during replay). *)
+    the [remap] callback during replay).
 
-type 'k t
+    Keys are plain [int]s: callers pack structured keys (a parent id and
+    an event, say) into one int.  Both the global table and the views are
+    open-addressing tables over unboxed int arrays, so neither a lookup
+    nor an insertion allocates beyond amortized table growth, and the GC
+    never traces the tables. *)
 
-val create : ?first:int -> unit -> 'k t
+type t
+
+val create : ?first:int -> unit -> t
 (** Fresh interner.  Ids count up from [first] (default 0). *)
 
-val size : 'k t -> int
+val size : t -> int
 (** Number of interned keys. *)
 
-val next_id : 'k t -> int
+val next_id : t -> int
 (** The id the next fresh key would receive. *)
 
-val get : 'k t -> 'k -> int
+val get : t -> int -> int
 (** Sequential find-or-add against the global table.  Must not be called
     concurrently with itself or with {!local} tasks in flight. *)
 
-val find : 'k t -> 'k -> int option
+val find : t -> int -> int option
 (** Read-only lookup.  Safe to call from many domains concurrently as
     long as no [get]/[commit] mutates the table at the same time (the
     pool's batch barrier provides exactly that window). *)
 
 (** {1 Task-local views} *)
 
-type 'k local
+type local
 
-val local : 'k t -> 'k local
-(** A private view for one task.  Cheap; allocate one per task. *)
+val local : t -> local
+(** A private view for one task.  Cheap (a 16-bucket table that grows on
+    demand); allocate one per task. *)
 
-val get_local : 'k local -> 'k -> int
+val get_local : local -> int -> int
 (** Find-or-add in the local view: global hits return the global id,
     local hits return the provisional (negative) id, fresh keys are
     logged and assigned the next provisional id. *)
 
-val commit : 'k t -> remap:((int -> int) -> 'k -> 'k) -> 'k local -> int -> int
+val commit : t -> remap:((int -> int) -> int -> int) -> local -> int -> int
 (** [commit t ~remap l] replays [l]'s creation log against the global
     table and returns the resolver: non-negative ids map to themselves,
     provisional ids to the global id their key received.  [remap res k]
-    must rewrite any provisional ids embedded in [k] using [res] — logs
+    must rewrite any provisional ids packed inside [k] using [res] — logs
     are replayed oldest-first, so embedded ids always resolve.  Call from
     the orchestrating domain only, in submission order. *)

@@ -282,16 +282,6 @@ type exploration = {
   stats : stats;
 }
 
-let distinct_awake_keys (s : State.t) =
-  List.sort_uniq Int.compare
-    (List.filter (fun k -> k > 0) (Array.to_list s))
-
-let rec subsets = function
-  | [] -> [ [] ]
-  | x :: rest ->
-      let s = subsets rest in
-      s @ List.map (fun t -> x :: t) s
-
 let separated (s : State.t) =
   let n = Array.length s in
   let unique v =
@@ -305,40 +295,83 @@ let separated (s : State.t) =
   let rec outer v = v < n && (unique v || outer (v + 1)) in
   outer 0
 
-(* Int-coded receive events for the universal explorer.  The boxed
-   {!State.event} carries its message as a string — an allocation per
-   reception.  Universal-mode messages are always the sender's class key,
-   so an int payload suffices; the constructor map to
-   [E_silence]/[E_message]/[E_collision] is a bijection, so the interned
-   key space (and with it every state count) is unchanged. *)
-type uevent =
-  | Uev_silence
-  | Uev_msg of int
-  | Uev_noise
+(* Interner keys: a history key [(parent, event)] packed into one int,
+   the parent in the high bits and the receive-event code in the low 32 —
+   silence 0, noise 1, message [m] at [m + 2] (universal-mode messages are
+   always the sender's class key).  The codes are a bijection onto the
+   events {!State.event} draws, so the interned key space — and with it
+   every state count — is that of the boxed events. *)
+let ev_silence = 0
+let ev_noise = 1
 
-(* A successor as generated on a worker.  Slot ids come straight from the
-   interner view — non-negative global ids or negative provisional ones —
-   so the terminated/crashed sign convention of {!State.t} cannot be
-   applied yet: a provisional id's own sign would be ambiguous.  The sign
-   bit travels out-of-band in the [udead] mask and is applied at commit,
-   after ids resolve. *)
-type usucc = {
-  uslots : int array;  (* unsigned interner ids; 0 = asleep *)
-  udead : int;  (* bitmask: node terminated or crashed *)
-  uspent : int;  (* crash budget spent *)
-}
+(* radiolint: allow range-overflow -- parents are interner ids, kept
+   below 2^30 by the check at every commit, so the shift fits *)
+let pack parent code = (parent lsl 32) lor code
+
+(* The id bound that keeps [pack] lossless: parents in 30 bits, message
+   codes in 32. *)
+let max_ids = 1 lsl 30
 
 (* Frontier waves: each BFS level is expanded in slices of this many
-   entries — generate the whole slice (in parallel when a pool is given),
+   entries — expand the whole slice (in parallel when a pool is given),
    then commit it in submission order.  The size is a constant, never
    derived from the worker count, so wave boundaries — and with them
    interning order, cap trips and every stat — are identical at every
-   [--jobs] level.  Sized so one wave's generated successors stay within
-   the workers' minor heaps: a generated wave is held alive until its
-   commit, so an over-sized wave would promote every successor record to
-   the major heap and hand the parallel path a GC bill the sequential
-   path never pays. *)
+   [--jobs] level: a cap that trips mid-wave still sees the whole wave's
+   keys interned, so the constant is part of the output contract.  It
+   also sizes the chunk buffers, which hold one wave's successors (about
+   a hundred KiB on the E19 rows), and sets the granularity of
+   [progress]. *)
 let wave_entries = 2_048
+
+(* One chunk of a wave: a contiguous run of frontier entries, expanded on
+   one worker into a flat int buffer that is reused across waves and
+   levels.  Per successor the buffer holds [n + 2] ints — the [n] slots,
+   the dead mask, the crash budget spent; per entry [counts] holds the
+   successor count.  Slots come straight from the interner view —
+   non-negative global ids or negative provisional ones — so the
+   terminated/crashed sign of {!State.t} cannot be applied yet: the sign
+   travels in the dead mask and is applied at commit, after ids
+   resolve. *)
+type chunk = {
+  mutable first : int;  (* arena offset of the chunk's first entry *)
+  mutable entries : int;
+  mutable counts : int array;
+  mutable buf : int array;
+  cur : State.t;  (* the entry being expanded *)
+  keys : int array;  (* its distinct awake keys, ascending *)
+  bit : int array;  (* per node: its class's subset bit, 0 unless awake *)
+}
+
+let new_chunk n =
+  {
+    first = 0;
+    entries = 0;
+    counts = Array.make 16 0;
+    (* radiolint: allow range-overflow -- n <= 62, guarded by explore *)
+    buf = Array.make (16 * (n + 2)) 0;
+    cur = Array.make n 0;
+    keys = Array.make n 0;
+    bit = Array.make n 0;
+  }
+
+(* The chunk's buffer with room for [need] more ints past the [used]
+   ones; buffers start small so a tiny explore never pays for wave-sized
+   arrays. *)
+let reserve c ~used need =
+  let cap = Array.length c.buf in
+  if used + need > cap then begin
+    let cap' = ref (2 * cap) in
+    while used + need > !cap' do
+      (* radiolint: allow range-overflow -- buffer doubling, bounded by
+         allocatable memory *)
+      cap' := 2 * !cap'
+    done;
+    let buf = Array.make !cap' 0 in
+    Array.blit c.buf 0 buf 0 used;
+    c.buf <- buf
+  end;
+  c.buf
 
 let explore ?(depth = 24) ?(states = 2_000_000) ?(reduction = true)
     ?(faults = 0) ?pool ?progress config =
@@ -348,12 +381,27 @@ let explore ?(depth = 24) ?(states = 2_000_000) ?(reduction = true)
   if n = 0 then invalid_arg "Checker.explore: empty configuration";
   if n > 62 then invalid_arg "Checker.explore: crash mask supports n <= 62";
   let autos = if reduction then Symmetry.automorphisms config else [] in
-  let max_tag = Array.fold_left (fun a t -> if t > a then t else a) 0 (C.tags config) in
+  let tags = C.tags config in
+  let max_tag = Array.fold_left (fun a t -> if t > a then t else a) 0 tags in
   (* Spontaneous wake-ups are spent after [max_tag]: beyond it the
      transition relation is round-invariant and states may be merged
      across rounds. *)
   let round_class r = if r > max_tag then max_tag + 1 else r in
-  let intern : (int * uevent) Interner.t = Interner.create ~first:1 () in
+  (* Neighbour lists as one offset array over one target array. *)
+  let adj_start = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    adj_start.(v + 1) <- adj_start.(v) + G.degree g v
+  done;
+  let adj = Array.make adj_start.(n) 0 in
+  for v = 0 to n - 1 do
+    ignore
+      (G.fold_neighbours g v ~init:adj_start.(v) ~f:(fun i w ->
+           adj.(i) <- w;
+           i + 1)
+        : int)
+  done;
+  let width = n + 2 in
+  let intern = Interner.create ~first:1 () in
   let visited = Visited.create ~slots:n () in
   let raw = ref 0 in
   let canonicalizations = ref 0 in
@@ -361,148 +409,268 @@ let explore ?(depth = 24) ?(states = 2_000_000) ?(reduction = true)
   let depth_seen = ref 0 in
   let separated_at = ref None in
   let exhausted = ref None in
-  (* All successors of one frontier entry, in deterministic order: per
-     transmitting subset the base successor, then (with crash budget
-     left) one crash variant per awake node, ascending.  [geti] is the
-     interner — the global table on the sequential path, a task-local
-     view on workers.  Crash variants share the base slot array: they
-     differ only in the mask, and slots are never mutated after
-     generation. *)
-  let expand_entry geti round (cur : State.t) spent =
-    let acc = ref [] in
-    List.iter
-      (fun transmitting ->
-        let tx =
-          Array.init n (fun v ->
-              if cur.(v) > 0 && List.mem cur.(v) transmitting then
-                Some cur.(v)
-              else None)
-        in
-        let slots = Array.make n 0 in
+  (* What node [v] hears when the classes in [mask] transmit: silence,
+     the lone transmitting neighbour's key, or noise. *)
+  let heard (c : chunk) mask v =
+    let code = ref ev_silence in
+    let i = ref adj_start.(v) in
+    let stop = adj_start.(v + 1) in
+    while !i < stop do
+      let w = adj.(!i) in
+      if mask land c.bit.(w) <> 0 then
+        if !code = ev_silence then code := c.cur.(w) + 2
+        else begin
+          code := ev_noise;
+          i := stop
+        end;
+      incr i
+    done;
+    !code
+  in
+  (* Expands a chunk's entries against a fresh interner view and returns
+     the view.  Per entry, in deterministic order: per transmitting subset
+     the base successor, then (with crash budget left) one crash variant
+     per awake node, ascending.  Subsets are bitmasks counted upward, with
+     the largest key on bit 0 — exactly the order the list recursion
+     [subsets (x :: rest) = subsets rest @ map (cons x) (subsets rest)]
+     produces over the ascending keys. *)
+  let fill round (c : chunk) =
+    let view = Interner.local intern in
+    let cur = c.cur in
+    let keys = c.keys in
+    (* the fill level lives in a local, not in the chunk record, so
+       workers filling neighbouring chunks never write to a shared cache
+       line *)
+    let len = ref 0 in
+    let off = ref c.first in
+    for e = 0 to c.entries - 1 do
+      let spent = Visited.decode visited !off cur in
+      off := Visited.next visited !off;
+      (* distinct awake keys, ascending, by insertion *)
+      let d = ref 0 in
+      for v = 0 to n - 1 do
+        let k = cur.(v) in
+        if k > 0 then begin
+          let i = ref 0 in
+          while !i < !d && keys.(!i) < k do
+            incr i
+          done;
+          if !i = !d || keys.(!i) <> k then begin
+            for j = !d downto !i + 1 do
+              keys.(j) <- keys.(j - 1)
+            done;
+            keys.(!i) <- k;
+            incr d
+          end
+        end
+      done;
+      let d = !d in
+      for v = 0 to n - 1 do
+        let k = cur.(v) in
+        if k > 0 then begin
+          let i = ref 0 in
+          while keys.(!i) <> k do
+            incr i
+          done;
+          (* radiolint: allow range-overflow -- i < d <= n <= 62, guarded
+             at the top of explore *)
+          c.bit.(v) <- 1 lsl (d - 1 - !i)
+        end
+        else c.bit.(v) <- 0
+      done;
+      let variants = if spent < faults then n + 1 else 1 in
+      let count = ref 0 in
+      (* radiolint: allow range-overflow -- d <= n <= 62 *)
+      for mask = 0 to (1 lsl d) - 1 do
+        let buf = reserve c ~used:!len (variants * width) in
+        let base = !len in
         let dead = ref 0 in
         for v = 0 to n - 1 do
           let k = cur.(v) in
-          if k > 0 then begin
-            let event =
-              match tx.(v) with
-              | Some _ -> Uev_silence (* transmitters hear nothing *)
-              | None -> (
-                  match senders_of g tx v with
-                  | [] -> Uev_silence
-                  | [ m ] -> Uev_msg m
-                  | _ -> Uev_noise)
+          if k > 0 then
+            (* transmitters hear nothing *)
+            let code =
+              if mask land c.bit.(v) <> 0 then ev_silence else heard c mask v
             in
-            slots.(v) <- geti (k, event)
-          end
+            buf.(base + v) <- Interner.get_local view (pack k code)
           else if k < 0 then begin
-            slots.(v) <- -k;
-            (* crashed: frozen *)
-            (* radiolint: allow range-overflow -- v < n and explore
-               rejects n > 62 up front, so the bit fits *)
+            (* crashed or terminated: frozen *)
+            buf.(base + v) <- -k;
+            (* radiolint: allow range-overflow -- v < n <= 62 *)
             dead := !dead lor (1 lsl v)
           end
           else
-            match senders_of g tx v with
-            | [ m ] -> slots.(v) <- geti (0, Uev_msg m)
-            | _ ->
-                if C.tag config v = round then
-                  slots.(v) <- geti (0, Uev_silence)
+            let code = heard c mask v in
+            buf.(base + v) <-
+              (if code > ev_noise then Interner.get_local view (pack 0 code)
+               else if tags.(v) = round then
+                 Interner.get_local view (pack 0 ev_silence)
+               else 0)
         done;
-        acc := { uslots = slots; udead = !dead; uspent = spent } :: !acc;
+        buf.(base + n) <- !dead;
+        buf.(base + n + 1) <- spent;
+        len := base + width;
+        incr count;
         (* Crash adversary: after the round's exchanges, any single awake
-           node may die (key frozen, negated).  Crashing automorphic
-           twins yields automorphic sibling states — the case the
-           symmetry quotient collapses. *)
+           node may die (key frozen, negated).  Crashing automorphic twins
+           yields automorphic sibling states — the case the symmetry
+           quotient collapses. *)
         if spent < faults then
           for v = 0 to n - 1 do
-            (* radiolint: allow range-overflow -- v < n <= 62 (guarded at
-               the top of explore), so the crash-mask bit fits *)
-            if slots.(v) <> 0 && !dead land (1 lsl v) = 0 then
-              acc :=
-                {
-                  uslots = slots;
-                  (* radiolint: allow range-overflow -- same v < n <= 62
-                     bound as the test above *)
-                  udead = !dead lor (1 lsl v);
-                  uspent = spent + 1;
-                }
-                :: !acc
-          done)
-      (subsets (distinct_awake_keys cur));
-    Array.of_list (List.rev !acc)
+            (* radiolint: allow range-overflow -- v < n <= 62 *)
+            let b = 1 lsl v in
+            if buf.(base + v) <> 0 && !dead land b = 0 then begin
+              let at = !len in
+              Array.blit buf base buf at n;
+              buf.(at + n) <- !dead lor b;
+              buf.(at + n + 1) <- spent + 1;
+              len := at + width;
+              incr count
+            end
+          done
+      done;
+      c.counts.(e) <- !count
+    done;
+    view
   in
-  let next = ref [] in
+  (* Lexicographic minimum over the automorphic images, computed through
+     the inverse permutations (image slot [i] holds [s.(inv.(i))]) so each
+     candidate is compared as it is read and abandoned at its first larger
+     slot; the result lands in one scratch array. *)
+  let inverses =
+    Array.of_list
+      (List.map
+         (fun phi ->
+           let inv = Array.make n 0 in
+           Array.iteri (fun v w -> inv.(w) <- v) phi;
+           inv)
+         autos)
+  in
+  let best = Array.make n 0 in
+  let canonical (s : State.t) =
+    (* at most the identity: nothing to quotient *)
+    if Array.length inverses <= 1 then s
+    else begin
+      Array.blit s 0 best 0 n;
+      for a = 0 to Array.length inverses - 1 do
+        let inv = inverses.(a) in
+        let i = ref 0 in
+        while !i < n do
+          let x = s.(inv.(!i)) in
+          let b = best.(!i) in
+          if x = b then incr i
+          else begin
+            if x < b then
+              for j = !i to n - 1 do
+                best.(j) <- s.(inv.(j))
+              done;
+            i := n
+          end
+        done
+      done;
+      best
+    end
+  in
   (* Frontier entries carry the crash budget already spent: two states
      that agree node-wise but differ in remaining faults have different
      futures.  One canonicalization and one visited-set probe per
-     successor: [Visited.add] packs, probes and inserts in a single pass
-     (the old path canonicalized, built an encoding string, then probed
-     twice — mem, then replace). *)
+     successor; a fresh state is published at the arena tail, which is
+     where the next level's frontier is read from. *)
   let visit ~round ~spent s =
     if Visited.size visited >= states then
       (* Enforced per insertion, not per BFS level: one wide level could
          otherwise overshoot the budget by orders of magnitude. *)
       exhausted := Some `States
     else begin
-      let canon = State.canonicalize autos s in
+      let canon = canonical s in
       incr canonicalizations;
-      if Visited.add visited ~round_class:(round_class round) ~spent canon
-      then next := (canon, spent) :: !next
+      ignore
+        (Visited.add visited ~round_class:(round_class round) ~spent canon
+          : bool)
     end
   in
-  (* Commit one entry's generated successors on the orchestrating domain:
-     resolve slot ids, apply the sign mask, then run the exact sequential
-     bookkeeping — raw count, separation check at the current round,
-     visited insertion at the next. *)
-  let commit_entry resolve round succs =
-    if Visited.size visited >= states then exhausted := Some `States
-    else
-      Array.iter
-        (fun { uslots; udead; uspent } ->
-          let s = Array.make n 0 in
+  (* Commits one expanded chunk on the orchestrating domain: replay its
+     view, then per successor resolve the slots into one scratch state,
+     apply the sign mask and run the exact sequential bookkeeping — raw
+     count, separation check at the current round, visited insertion at
+     the next. *)
+  let s = Array.make n 0 in
+  let commit round (c : chunk) view =
+    let resolve = Interner.commit intern ~remap:(fun _ k -> k) view in
+    if Interner.next_id intern >= max_ids then
+      invalid_arg "Checker.explore: history keys exceed the packed id range";
+    let p = ref 0 in
+    for e = 0 to c.entries - 1 do
+      let count = c.counts.(e) in
+      if Visited.size visited >= states then exhausted := Some `States
+      else
+        for j = 0 to count - 1 do
+          let base = !p + (j * width) in
+          let dead = c.buf.(base + n) in
           for v = 0 to n - 1 do
-            let id = resolve uslots.(v) in
-            (* radiolint: allow range-overflow -- v < n <= 62, the
-               explore-entry crash-mask bound *)
-            s.(v) <- (if udead land (1 lsl v) <> 0 then -id else id)
+            let id = resolve c.buf.(base + v) in
+            (* radiolint: allow range-overflow -- v < n <= 62 *)
+            s.(v) <- (if dead land (1 lsl v) <> 0 then -id else id)
           done;
           incr raw;
-          if separated s && Option.is_none !separated_at then
+          if Option.is_none !separated_at && separated s then
             separated_at := Some round;
-          visit ~round:(round + 1) ~spent:uspent s)
-        succs
+          visit ~round:(round + 1) ~spent:c.buf.(base + n + 1) s
+        done;
+      p := !p + (count * width)
+    done
   in
-  let seq_wave round entries =
-    Array.iter
-      (fun (cur, spent) ->
-        commit_entry
-          (fun id -> id)
-          round
-          (expand_entry (Interner.get intern) round cur spent))
-      entries
+  (* One wave: cut [wlen] entries starting at arena offset [off] into
+     chunks — one without a pool, at jobs 1 or below the pool's parallel
+     threshold, else one per worker — expand them, commit them in
+     submission order, and return the offset after the wave.  Chunks read
+     the frontier's final ids, so no provisional id is ever embedded in a
+     key and the commit remap is the identity — only successor slots need
+     resolving.  Logs replay in submission order, so ids (and everything
+     downstream of them) are the same for any chunking. *)
+  let chunks =
+    Array.init
+      (match pool with Some p -> Pool.jobs p | None -> 1)
+      (fun _ -> new_chunk n)
   in
-  (* Parallel generation: one contiguous chunk per worker, one interner
-     view per chunk.  Keys are [(parent, event)] pairs over the frontier's
-     final ids, so no provisional id is ever embedded in a key and the
-     commit remap is the identity — only successor slots need resolving.
-     Chunk logs replay in submission order, so ids (and everything
-     downstream of them) are bit-identical to the sequential path. *)
-  let par_wave p round entries =
-    let chunks =
-      Pool.map_chunked p
-        ~f:(fun part ->
-          let view = Interner.local intern in
-          let geti k = Interner.get_local view k in
-          ( view,
-            Array.map (fun (cur, spent) -> expand_entry geti round cur spent)
-              part ))
-        entries
+  let wave round off wlen =
+    let nchunks =
+      match pool with
+      | Some p when Pool.jobs p > 1 && wlen >= Pool.min_parallel_batch ->
+          let per = (wlen + Pool.jobs p - 1) / Pool.jobs p in
+          (wlen + per - 1) / per
+      | _ -> 1
     in
-    Array.iter
-      (fun (view, per_entry) ->
-        let resolve = Interner.commit intern ~remap:(fun _ k -> k) view in
-        Array.iter (fun succs -> commit_entry resolve round succs) per_entry)
-      chunks
+    let per = (wlen + nchunks - 1) / nchunks in
+    let off = ref off in
+    for i = 0 to nchunks - 1 do
+      let c = chunks.(i) in
+      let entries = Int.min per (wlen - (i * per)) in
+      c.first <- !off;
+      c.entries <- entries;
+      if Array.length c.counts < entries then
+        c.counts <- Array.make (Int.max entries (2 * Array.length c.counts)) 0;
+      for _ = 1 to entries do
+        off := Visited.next visited !off
+      done
+    done;
+    (match pool with
+    | Some p when nchunks > 1 ->
+        let views =
+          Pool.map_chunked p
+            ~f:(fun part -> Array.map (fill round) part)
+            (Array.sub chunks 0 nchunks)
+        in
+        let i = ref 0 in
+        Array.iter
+          (Array.iter (fun view ->
+               commit round chunks.(!i) view;
+               incr i))
+          views
+    | _ ->
+        let c = chunks.(0) in
+        commit round c (fill round c));
+    !off
   in
   let report round flen =
     match progress with
@@ -511,44 +679,39 @@ let explore ?(depth = 24) ?(states = 2_000_000) ?(reduction = true)
         f ~round ~frontier:flen ~explored:(Visited.size visited)
           ~bytes:(Visited.memory_bytes visited)
   in
-  let rec level round frontier =
-    let flen = Array.length frontier in
+  (* Level [round]'s frontier is the run of [flen] entries at arena offset
+     [first]: exactly what [Visited.add] published while the previous
+     level was committed, in commit order. *)
+  let rec level round first flen =
     if flen = 0 then ()
     else if round >= depth then exhausted := Some `Depth
     else begin
       depth_seen := round;
       if flen > !peak then peak := flen;
-      next := [];
+      let next_first = Visited.cursor visited in
+      let before = Visited.size visited in
       let pos = ref 0 in
+      let off = ref first in
       while !pos < flen do
         if Visited.size visited >= states then begin
           (* Every remaining entry would be skipped by the per-entry cap
-             check; record the trip without generating their
-             successors. *)
+             check; record the trip without expanding them. *)
           exhausted := Some `States;
           pos := flen
         end
         else begin
           let wlen = Int.min wave_entries (flen - !pos) in
-          let entries = Array.sub frontier !pos wlen in
-          (match pool with
-          | Some p when Pool.jobs p > 1 && wlen >= Pool.min_parallel_batch ->
-              par_wave p round entries
-          | _ -> seq_wave round entries);
+          off := wave round !off wlen;
           pos := !pos + wlen;
           report round flen
         end
       done;
-      let nf = Array.of_list (List.rev !next) in
-      next := [];
-      level (round + 1) nf
+      level (round + 1) next_first (Visited.size visited - before)
     end
   in
-  next := [];
+  let first = Visited.cursor visited in
   visit ~round:0 ~spent:0 (State.initial n);
-  let f0 = Array.of_list (List.rev !next) in
-  next := [];
-  level 0 f0;
+  level 0 first (Visited.size visited);
   {
     config;
     separated_at = !separated_at;

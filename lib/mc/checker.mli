@@ -142,14 +142,18 @@ val explore :
     [2_000_000], [reduction] default on, [faults] default [0]).
 
     States live bit-packed ({!State.Packed}) in an open-addressing
-    {!Visited} set — the GC never traces them — so the default cap is
-    millions, not the old [200_000].  Passing [pool] parallelizes frontier
-    expansion: each level is cut into constant-size waves, a wave is
-    generated across the pool's workers (one {!Radio_exec.Intern} view per
-    chunk) and committed in submission order, so [separated_at],
+    {!Visited} set, and each BFS level's frontier is read back from that
+    set's arena (the run of entries the previous level published), so
+    the GC never traces them — neither the visited states nor the
+    frontier — and the default cap is millions, not the old [200_000].
+    Each level is cut into constant-size waves; a wave's chunks (one
+    without a pool or at [jobs = 1], one per worker otherwise) expand
+    into reused flat buffers against one {!Radio_exec.Intern} view each
+    and are committed in submission order, so [separated_at],
     [exhausted] and every [stats] field are bit-identical at every job
-    count — including [jobs = 1] and no pool at all.  [progress] is
-    called on the orchestrating domain after each committed wave.
+    count — including [jobs = 1] and no pool at all.  Per explored state
+    the expansion and the commit allocate nothing.  [progress] is called
+    on the orchestrating domain after each committed wave.
 
     With [faults = 0] the quotient is provably the identity: nodes with
     equal histories act in lockstep, so every reachable state is invariant

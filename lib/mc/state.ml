@@ -197,22 +197,41 @@ module Packed = struct
     done;
     !pos
 
+  (* [unpack] without the allocations: the slots land in [s] and [spent]
+     is returned; [round_class] is skipped.  One loop decodes all
+     [n + 2] varints, so no position or tuple is boxed. *)
+  let read_into buf ~pos (s : t) =
+    let pos = ref pos in
+    let spent = ref 0 in
+    for field = 0 to Array.length s + 1 do
+      let u = ref 0 in
+      let shift = ref 0 in
+      let continue = ref true in
+      while !continue do
+        (* radiolint: allow range-index -- pos stays within the code, as in
+           read_varint *)
+        let b = Char.code (Bytes.unsafe_get buf !pos) in
+        incr pos;
+        (* radiolint: allow range-overflow -- the shift reaches 63 only on
+           the tenth byte, as in read_varint *)
+        u := !u lor ((b land 0x7f) lsl !shift);
+        shift := !shift + 7;
+        continue := b land 0x80 <> 0
+      done;
+      if field = 1 then spent := !u
+      else if field >= 2 then s.(field - 2) <- unzigzag !u
+    done;
+    !spent
+
   let pack ~round_class ~spent (s : t) =
     let buf = Bytes.create (max_bytes ~n:(Array.length s)) in
     let len = write buf ~pos:0 ~round_class ~spent s in
     Bytes.sub buf 0 len
 
   let unpack ~n code =
-    let round_class, pos = read_varint code 0 in
-    let spent, pos = read_varint code pos in
     let s = Array.make n 0 in
-    let pos = ref pos in
-    for v = 0 to n - 1 do
-      let u, pos' = read_varint code !pos in
-      s.(v) <- unzigzag u;
-      pos := pos'
-    done;
-    (round_class, spent, s)
+    let spent = read_into code ~pos:0 s in
+    (fst (read_varint code 0), spent, s)
 end
 
 let classes (s : t) =

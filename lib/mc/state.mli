@@ -112,6 +112,11 @@ module Packed : sig
       returns the end position.  The buffer must have at least
       [max_bytes ~n] bytes of room after [pos]. *)
 
+  val read_into : Bytes.t -> pos:int -> t -> int
+  (** [read_into buf ~pos s] decodes the code at [pos] for a state of
+      [Array.length s] slots, writes the slots into [s] and returns
+      [spent] (the round class is skipped).  Allocates nothing. *)
+
   val pack : round_class:int -> spent:int -> t -> Bytes.t
   (** Fresh exactly-sized code (the allocating convenience form). *)
 

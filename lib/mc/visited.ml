@@ -78,15 +78,20 @@ let code_len t off =
   let b1 = Char.code (Bytes.unsafe_get t.arena (off + 1)) in
   b0 lor (b1 lsl 8)
 
+(* A loop, not a local recursive function: a closure over the four
+   arguments would be allocated on every probe that meets an occupied
+   slot. *)
 let equal_range buf apos bpos len =
-  let rec go i =
-    i = len
+  let i = ref 0 in
+  while
+    !i < len
     (* radiolint: allow range-index -- i < len and both ranges were sized
        by their writers inside the arena *)
-    || Bytes.unsafe_get buf (apos + i) = Bytes.unsafe_get buf (bpos + i)
-       && go (i + 1)
-  in
-  go 0
+    && Bytes.unsafe_get buf (apos + !i) = Bytes.unsafe_get buf (bpos + !i)
+  do
+    incr i
+  done;
+  !i = len
 
 (* Insert a known-fresh entry offset during a rebuild: entries are
    pairwise distinct, so the first empty slot is the answer. *)
@@ -183,6 +188,12 @@ let mem t ~round_class ~spent s =
         || probe ((i + 1) land t.mask)
   in
   probe (hash land t.mask)
+
+let cursor t = t.len
+
+let next t off = off + entry_header + code_len t off
+
+let decode t off s = State.Packed.read_into t.arena ~pos:(off + entry_header) s
 
 let iter t ~slots ~f =
   let off = ref 0 in

@@ -31,6 +31,27 @@ val memory_bytes : t -> int
 (** Current footprint of the table plus the arena, in bytes — monotone,
     so the final value is also the peak. *)
 
+(** {1 Reading entries back}
+
+    Entries sit in the arena in insertion order at stable byte offsets
+    (growth copies the arena but keeps every offset), so the entries
+    published between two {!cursor} readings form a contiguous run that
+    can be walked with {!next} and decoded in place with {!decode}.  The
+    explorer reads each BFS level's frontier this way: level [r + 1] is
+    exactly the run [add] published while level [r] was expanded.
+    Reading is safe from many domains at once while nothing is added. *)
+
+val cursor : t -> int
+(** Offset at which the next fresh entry will be published. *)
+
+val next : t -> int -> int
+(** [next t off] is the offset of the entry after the one at [off]. *)
+
+val decode : t -> int -> State.t -> int
+(** [decode t off s] writes the slots of the entry at [off] into [s]
+    (which must have the set's slot count) and returns the entry's
+    [spent].  Allocates nothing. *)
+
 val iter :
   t ->
   slots:int ->

@@ -236,51 +236,92 @@ let test_busy_work () =
 
 let test_intern_sequential () =
   let t = Intern.create ~first:1 () in
-  Alcotest.(check int) "first id" 1 (Intern.get t "a");
-  Alcotest.(check int) "second id" 2 (Intern.get t "b");
-  Alcotest.(check int) "hit" 1 (Intern.get t "a");
+  Alcotest.(check int) "first id" 1 (Intern.get t 10);
+  Alcotest.(check int) "second id" 2 (Intern.get t 20);
+  Alcotest.(check int) "hit" 1 (Intern.get t 10);
   Alcotest.(check int) "size" 2 (Intern.size t);
   Alcotest.(check int) "next" 3 (Intern.next_id t);
-  Alcotest.(check (option int)) "find hit" (Some 2) (Intern.find t "b");
-  Alcotest.(check (option int)) "find miss" None (Intern.find t "z")
+  Alcotest.(check (option int)) "find hit" (Some 2) (Intern.find t 20);
+  Alcotest.(check (option int)) "find miss" None (Intern.find t 30)
 
-let test_intern_commit_matches_sequential () =
-  (* keys embed ids (parent, label) exactly like Optimal's history keys;
-     two "tasks" intern overlapping key streams, committed in submission
-     order, and the resulting global ids must equal a sequential run *)
-  let streams =
-    [
-      [ (0, "x"); (0, "y"); (1, "x") ];
-      [ (0, "y"); (0, "z"); (2, "w") ];
-      [ (1, "x"); (4, "q") ];
-    ]
-  in
-  (* sequential reference *)
+(* Keys embed a parent id in the high bits, as the explorer's and
+   Optimal's packed history keys do. *)
+let pack parent label = (parent lsl 32) lor label
+let remap resolve k = pack (resolve (k asr 32)) (k land 0xffff_ffff)
+
+(* Interns each stream into its own local view ("concurrently": every
+   view sees the same frozen global table), commits the views in
+   submission order, and checks the resolved ids against one sequential
+   left-to-right run over the same streams. *)
+let check_commit_matches_sequential ?(preload = []) ?(remap = remap) streams =
   let seq = Intern.create ~first:1 () in
-  let seq_ids =
-    List.map
-      (List.map (fun (p, l) -> Intern.get seq (p, l)))
-      (* sequential interning resolves parents against already-final ids *)
-      streams
-  in
-  (* parallel-shaped run: locals filled "concurrently", committed in order *)
+  List.iter (fun k -> ignore (Intern.get seq k : int)) preload;
+  let seq_ids = List.map (List.map (Intern.get seq)) streams in
   let par = Intern.create ~first:1 () in
+  List.iter (fun k -> ignore (Intern.get par k : int)) preload;
   let locals = List.map (fun _ -> Intern.local par) streams in
   let local_ids =
-    List.map2
-      (fun l stream -> List.map (fun k -> Intern.get_local l k) stream)
-      locals streams
+    List.map2 (fun l stream -> List.map (Intern.get_local l) stream) locals
+      streams
   in
-  let remap resolve (p, l) = (resolve p, l) in
   let par_ids =
     List.map2
-      (fun l ids ->
-        let resolve = Intern.commit par ~remap l in
-        List.map resolve ids)
+      (fun l ids -> List.map (Intern.commit par ~remap l) ids)
       locals local_ids
   in
   Alcotest.(check (list (list int))) "ids bit-identical" seq_ids par_ids;
-  Alcotest.(check int) "same table size" (Intern.size seq) (Intern.size par)
+  Alcotest.(check int) "same table size" (Intern.size seq) (Intern.size par);
+  Alcotest.(check int) "same next id" (Intern.next_id seq) (Intern.next_id par)
+
+let test_intern_commit_matches_sequential () =
+  (* two "tasks" intern overlapping key streams; the parents are already
+     final ids, exactly like a frontier's *)
+  check_commit_matches_sequential
+    [
+      [ pack 0 1; pack 0 2; pack 1 1 ];
+      [ pack 0 2; pack 0 3; pack 2 4 ];
+      [ pack 1 1; pack 4 5 ];
+    ]
+
+let test_intern_local_growth () =
+  (* one view's log runs far past its initial 16 buckets (it doubles at
+     every half-full mark), re-meeting its own earlier keys and keys the
+     global table already holds *)
+  let preload = List.init 100 (fun i -> pack 0 (3 * i)) in
+  let big =
+    List.init 3_000 (fun i -> pack (i mod 7) (i / 3))
+    @ List.init 3_000 (fun i -> pack (i mod 7) (i / 5))
+  in
+  let small = List.init 500 (fun i -> pack (i mod 5) (i / 2)) in
+  check_commit_matches_sequential ~preload [ big; small; big ];
+  let t = Intern.create () in
+  let l = Intern.local t in
+  let ids = List.map (Intern.get_local l) big in
+  Alcotest.(check (list int)) "provisional ids stable across growth" ids
+    (List.map (Intern.get_local l) big)
+
+let test_intern_wide_keys () =
+  (* packed parents reach past 2^32: keys that agree in the low 32 bits
+     must stay distinct, in the global table and in views *)
+  let wide =
+    [
+      pack 1 7; pack 2 7; pack 1_000_000 7; (1 lsl 40) lor 7; max_int;
+      max_int - 1; pack 3 0; 1 lsl 61; (1 lsl 61) lor 1; -1; min_int;
+      pack 1 7;
+    ]
+  in
+  let t = Intern.create () in
+  let ids = List.map (Intern.get t) wide in
+  Alcotest.(check (list int)) "dense first-seen ids"
+    [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 0 ] ids;
+  Alcotest.(check (option int)) "find wide" (Some 3)
+    (Intern.find t ((1 lsl 40) lor 7));
+  Alcotest.(check (option int)) "low bits alone miss" None
+    (Intern.find t 7);
+  (* these keys are opaque (negative ones included), so the replay must
+     not decode parents out of them *)
+  check_commit_matches_sequential ~remap:(fun _ k -> k)
+    [ wide; List.rev wide; List.map (fun k -> k lxor (1 lsl 33)) wide ]
 
 (* ------------------------------------------------------------------ *)
 (* Parallel == sequential byte equality for the wired sweeps           *)
@@ -443,6 +484,9 @@ let () =
           Alcotest.test_case "sequential" `Quick test_intern_sequential;
           Alcotest.test_case "commit = sequential ids" `Quick
             test_intern_commit_matches_sequential;
+          Alcotest.test_case "local view grows" `Quick
+            test_intern_local_growth;
+          Alcotest.test_case "keys past 2^32" `Quick test_intern_wide_keys;
         ] );
       ( "parallel-equals-sequential",
         [

@@ -963,8 +963,9 @@ let effect_escape_tests =
     Alcotest.test_case "frontier wave over intern views stays clean" `Quick
       (fun () ->
         (* The shape checker.ml actually submits: each chunk builds a
-           local Intern view, interns successor keys into it and hands the
-           view back for the caller's in-order commit — LocalMut only. *)
+           local Intern view, interns successor keys into it while filling
+           its own reused buffer, and hands the view back for the caller's
+           in-order commit — LocalMut only. *)
         let findings =
           effect_escapes
             [
@@ -974,14 +975,19 @@ let effect_escape_tests =
                  let get_local v k = Hashtbl.replace v k k; k\n\
                  let commit t v = Hashtbl.length v\n" );
               ( "lib/mc/wave.ml",
-                "let expand geti x = Array.init 4 (fun i -> geti (x + i))\n\
-                 let go pool intern waves =\n\
+                "type chunk = { first : int; mutable len : int; buf : int \
+                 array }\n\
+                 let fill intern c =\n\
+                \  let view = Intern.local intern in\n\
+                \  for i = 0 to 3 do\n\
+                \    c.buf.(i) <- Intern.get_local view (c.first + i)\n\
+                \  done;\n\
+                \  c.len <- 4;\n\
+                \  view\n\
+                 let go pool intern chunks =\n\
                 \  Radio_exec.Pool.map_chunked pool\n\
-                \    ~f:(fun part ->\n\
-                \      let view = Intern.local intern in\n\
-                \      (view, Array.map (expand (Intern.get_local view)) \
-                 part))\n\
-                \    waves\n" );
+                \    ~f:(fun part -> Array.map (fill intern) part)\n\
+                \    chunks\n" );
             ]
         in
         Alcotest.(check int) "no findings" 0 (List.length findings));

@@ -551,6 +551,54 @@ let explore_tests =
           (e.Checker.stats.Checker.visited_bytes > 0));
   ]
 
+(* --- Golden explorer counters ------------------------------------------ *)
+
+(* The jobs-equality cases above run the same code on both sides, so an
+   order change in interning or frontier traversal would pass them.  These
+   pin the full counters of the two benchmark rows to the values the
+   boxed-frontier explorer produced before the allocation-free rewrite:
+   every one of them (key count, visited bytes, peak frontier) moves if a
+   successor, a key or a frontier entry is visited in a different order. *)
+let golden_tests =
+  let golden name config ~depth ~explored ~raw ~keys ~canon ~peak ~bytes
+      ~depth_reached ~autos =
+    Alcotest.test_case name `Slow (fun () ->
+        let check_run label (e : Checker.exploration) =
+          let s = e.Checker.stats in
+          List.iter
+            (fun (field, want, got) ->
+              check_int (Printf.sprintf "%s: %s" label field) want got)
+            [
+              ("states_explored", explored, s.Checker.states_explored);
+              ("states_raw", raw, s.Checker.states_raw);
+              ("distinct_keys", keys, s.Checker.distinct_keys);
+              ("canonicalizations", canon, s.Checker.canonicalizations);
+              ("peak_frontier", peak, s.Checker.peak_frontier);
+              ("visited_bytes", bytes, s.Checker.visited_bytes);
+              ("depth_reached", depth_reached, s.Checker.depth_reached);
+              ("automorphisms", autos, s.Checker.automorphisms);
+            ];
+          check (label ^ ": separated at round 1") true
+            (match e.Checker.separated_at with Some 1 -> true | _ -> false);
+          check (label ^ ": depth budget") true
+            (match e.Checker.exhausted with
+            | Some `Depth -> true
+            | _ -> false)
+        in
+        check_run "no pool" (Checker.explore ~depth ~faults:1 config);
+        Pool.with_pool ~jobs:2 (fun pool ->
+            check_run "jobs 2" (Checker.explore ~depth ~faults:1 ~pool config)))
+  in
+  [
+    golden "H_2, depth 8" (F.h_family 2) ~depth:8 ~explored:853_637
+      ~raw:1_042_606 ~keys:21_014 ~canon:1_042_607 ~peak:64_705
+      ~bytes:33_554_432 ~depth_reached:7 ~autos:1;
+    golden "broken 6-ring, depth 6"
+      (C.create (Radio_graph.Gen.cycle 6) [| 0; 1; 0; 1; 1; 1 |])
+      ~depth:6 ~explored:423_687 ~raw:482_431 ~keys:6_107 ~canon:482_432
+      ~peak:19_268 ~bytes:16_777_216 ~depth_reached:5 ~autos:2;
+  ]
+
 (* --- Differential oracle --------------------------------------------- *)
 
 let oracle_tests =
@@ -579,5 +627,6 @@ let () =
       ("packed", packed_tests);
       ("visited-edges", visited_edge_tests);
       ("explore", explore_tests);
+      ("golden", golden_tests);
       ("oracle", oracle_tests);
     ]
