@@ -313,8 +313,8 @@ let pack parent code = (parent lsl 32) lor code
 let max_ids = 1 lsl 30
 
 (* Frontier waves: each BFS level is expanded in slices of this many
-   entries — expand the whole slice (in parallel when a pool is given),
-   then commit it in submission order.  The size is a constant, never
+   entries — expand and stage the whole slice (in parallel when a pool is
+   given), then insert it in submission order.  The size is a constant, never
    derived from the worker count, so wave boundaries — and with them
    interning order, cap trips and every stat — are identical at every
    [--jobs] level: a cap that trips mid-wave still sees the whole wave's
@@ -324,23 +324,30 @@ let max_ids = 1 lsl 30
    [progress]. *)
 let wave_entries = 2_048
 
+(* Inserts warm the visited table this many successors ahead. *)
+let prefetch_group = 32
+
 (* One chunk of a wave: a contiguous run of frontier entries, expanded on
    one worker into a flat int buffer that is reused across waves and
    levels.  Per successor the buffer holds [n + 2] ints — the [n] slots,
-   the dead mask, the crash budget spent; per entry [counts] holds the
-   successor count.  Slots come straight from the interner view —
-   non-negative global ids or negative provisional ones — so the
-   terminated/crashed sign of {!State.t} cannot be applied yet: the sign
-   travels in the dead mask and is applied at commit, after ids
-   resolve. *)
+   a tag word, the crash budget spent; per entry [counts] holds the
+   successor count.  The expansion writes slots straight from the
+   interner view — non-negative global ids or negative provisional ones
+   — so the terminated/crashed sign of {!State.t} cannot be applied yet:
+   the tag word holds the dead mask.  Once the views are committed the
+   stage step resolves and canonicalizes each successor in place, and the
+   tag word becomes its visited-set hash over its separation bit. *)
 type chunk = {
   mutable first : int;  (* arena offset of the chunk's first entry *)
   mutable entries : int;
   mutable counts : int array;
   mutable buf : int array;
-  cur : State.t;  (* the entry being expanded *)
+  mutable used : int;  (* ints of [buf] the last fill wrote *)
+  mutable resolve : int -> int;  (* the committed view's resolver *)
+  cur : State.t;  (* the entry being expanded; the successor being staged *)
   keys : int array;  (* its distinct awake keys, ascending *)
   bit : int array;  (* per node: its class's subset bit, 0 unless awake *)
+  best : State.t;  (* canonicalization scratch *)
 }
 
 let new_chunk n =
@@ -350,9 +357,12 @@ let new_chunk n =
     counts = Array.make 16 0;
     (* radiolint: allow range-overflow -- n <= 62, guarded by explore *)
     buf = Array.make (16 * (n + 2)) 0;
+    used = 0;
+    resolve = Fun.id;
     cur = Array.make n 0;
     keys = Array.make n 0;
     bit = Array.make n 0;
+    best = Array.make n 0;
   }
 
 (* The chunk's buffer with room for [need] more ints past the [used]
@@ -531,6 +541,7 @@ let explore ?(depth = 24) ?(states = 2_000_000) ?(reduction = true)
       done;
       c.counts.(e) <- !count
     done;
+    c.used <- !len;
     view
   in
   (* Lexicographic minimum over the automorphic images, computed through
@@ -546,8 +557,7 @@ let explore ?(depth = 24) ?(states = 2_000_000) ?(reduction = true)
            inv)
          autos)
   in
-  let best = Array.make n 0 in
-  let canonical (s : State.t) =
+  let canonical best (s : State.t) =
     (* at most the identity: nothing to quotient *)
     if Array.length inverses <= 1 then s
     else begin
@@ -571,63 +581,96 @@ let explore ?(depth = 24) ?(states = 2_000_000) ?(reduction = true)
       best
     end
   in
-  (* Frontier entries carry the crash budget already spent: two states
-     that agree node-wise but differ in remaining faults have different
-     futures.  One canonicalization and one visited-set probe per
-     successor; a fresh state is published at the arena tail, which is
-     where the next level's frontier is read from. *)
-  let visit ~round ~spent s =
-    if Visited.size visited >= states then
-      (* Enforced per insertion, not per BFS level: one wide level could
-         otherwise overshoot the budget by orders of magnitude. *)
-      exhausted := Some `States
-    else begin
-      let canon = canonical s in
-      incr canonicalizations;
-      ignore
-        (Visited.add visited ~round_class:(round_class round) ~spent canon
-          : bool)
-    end
+  (* Stages a chunk whose view is committed, on any domain: per successor
+     resolve the slots into the chunk's scratch state and apply the sign
+     mask, test separation (only while no earlier wave has separated, so
+     the bit is consulted), canonicalize, and write the canonical slots
+     and [hash lsl 1 lor separated] back over the successor's own slots
+     and tag word.  Frontier entries carry the crash budget already spent:
+     two states that agree node-wise but differ in remaining faults have
+     different futures, so the hash covers it. *)
+  let stage ~round_class ~separation (c : chunk) =
+    let s = c.cur in
+    let buf = c.buf in
+    for j = 0 to (c.used / width) - 1 do
+      let base = j * width in
+      let dead = buf.(base + n) in
+      for v = 0 to n - 1 do
+        let id = c.resolve buf.(base + v) in
+        (* radiolint: allow range-overflow -- v < n <= 62 *)
+        s.(v) <- (if dead land (1 lsl v) <> 0 then -id else id)
+      done;
+      let sep = separation && separated s in
+      Array.blit (canonical c.best s) 0 buf base n;
+      let spent = buf.(base + n + 1) in
+      let hash = Visited.hash ~round_class ~spent buf ~pos:base ~len:n in
+      (* radiolint: allow range-overflow -- the top hash bit is dropped by
+         design: Visited reads only the low 30 *)
+      buf.(base + n) <- (hash lsl 1) lor Bool.to_int sep
+    done
   in
-  (* Commits one expanded chunk on the orchestrating domain: replay its
-     view, then per successor resolve the slots into one scratch state,
-     apply the sign mask and run the exact sequential bookkeeping — raw
-     count, separation check at the current round, visited insertion at
-     the next. *)
-  let s = Array.make n 0 in
-  let commit round (c : chunk) view =
-    let resolve = Interner.commit intern ~remap:(fun _ k -> k) view in
-    if Interner.next_id intern >= max_ids then
-      invalid_arg "Checker.explore: history keys exceed the packed id range";
+  (* Inserts one staged chunk on the orchestrating domain, in submission
+     order, with the exact sequential bookkeeping — the per-entry and
+     per-successor cap checks, raw count, separation at the current round,
+     one canonicalization counted and one visited-set probe per successor
+     at the next.  A fresh state is published at the arena tail, which is
+     where the next level's frontier is read from. *)
+  let insert ~round (c : chunk) =
+    let round_class = round_class (round + 1) in
+    let buf = c.buf in
     let p = ref 0 in
+    let warm = ref 0 in
     for e = 0 to c.entries - 1 do
       let count = c.counts.(e) in
       if Visited.size visited >= states then exhausted := Some `States
       else
         for j = 0 to count - 1 do
           let base = !p + (j * width) in
-          let dead = c.buf.(base + n) in
-          for v = 0 to n - 1 do
-            let id = resolve c.buf.(base + v) in
-            (* radiolint: allow range-overflow -- v < n <= 62 *)
-            s.(v) <- (if dead land (1 lsl v) <> 0 then -id else id)
-          done;
+          if base >= !warm then begin
+            (* Load the home slots of the next [prefetch_group] successors
+               in one tight loop, so their cache misses overlap. *)
+            warm := Int.min c.used (base + (prefetch_group * width));
+            let q = ref base in
+            while !q < !warm do
+              Visited.prefetch visited ~hash:(buf.(!q + n) lsr 1);
+              q := !q + width
+            done
+          end;
+          let tag = buf.(base + n) in
           incr raw;
-          if Option.is_none !separated_at && separated s then
+          if Option.is_none !separated_at && tag land 1 = 1 then
             separated_at := Some round;
-          visit ~round:(round + 1) ~spent:c.buf.(base + n + 1) s
+          if Visited.size visited >= states then
+            (* Enforced per insertion, not per BFS level: one wide level
+               could otherwise overshoot the budget by orders of
+               magnitude. *)
+            exhausted := Some `States
+          else begin
+            incr canonicalizations;
+            ignore
+              (Visited.add_hashed visited ~hash:(tag lsr 1) ~round_class
+                 ~spent:buf.(base + n + 1) buf ~pos:base
+                : bool)
+          end
         done;
       p := !p + (count * width)
     done
   in
   (* One wave: cut [wlen] entries starting at arena offset [off] into
      chunks — one without a pool, at jobs 1 or below the pool's parallel
-     threshold, else one per worker — expand them, commit them in
-     submission order, and return the offset after the wave.  Chunks read
-     the frontier's final ids, so no provisional id is ever embedded in a
-     key and the commit remap is the identity — only successor slots need
-     resolving.  Logs replay in submission order, so ids (and everything
-     downstream of them) are the same for any chunking. *)
+     threshold, else one per worker — and return the offset after the
+     wave.  Three steps, the first and last on the orchestrating domain:
+     (1) expand every chunk, then replay the views in submission order
+     and keep each chunk's resolver; (2) stage every chunk (resolve,
+     canonicalize, hash — no visited-set access, so chunks run in
+     parallel); (3) insert the staged successors chunk by chunk in
+     submission order.  Chunks read the frontier's final ids, so no
+     provisional id is ever embedded in a key and the commit remap is the
+     identity — only successor slots need resolving.  Logs replay in
+     submission order, so ids (and everything downstream of them) are the
+     same for any chunking; replaying a whole wave's views before its
+     first insert changes nothing, since ids never depend on the visited
+     set. *)
   let chunks =
     Array.init
       (match pool with Some p -> Pool.jobs p | None -> 1)
@@ -654,22 +697,38 @@ let explore ?(depth = 24) ?(states = 2_000_000) ?(reduction = true)
         off := Visited.next visited !off
       done
     done;
-    (match pool with
-    | Some p when nchunks > 1 ->
-        let views =
-          Pool.map_chunked p
-            ~f:(fun part -> Array.map (fill round) part)
-            (Array.sub chunks 0 nchunks)
-        in
-        let i = ref 0 in
-        Array.iter
-          (Array.iter (fun view ->
-               commit round chunks.(!i) view;
-               incr i))
-          views
-    | _ ->
-        let c = chunks.(0) in
-        commit round c (fill round c));
+    let parallel =
+      match pool with Some p when nchunks > 1 -> Some p | _ -> None
+    in
+    let part = Array.sub chunks 0 nchunks in
+    let views =
+      match parallel with
+      | Some p ->
+          Array.concat
+            (Array.to_list
+               (Pool.map_chunked p
+                  ~f:(fun part -> Array.map (fill round) part)
+                  part))
+      | None -> [| fill round chunks.(0) |]
+    in
+    Array.iteri
+      (fun i view ->
+        chunks.(i).resolve <- Interner.commit intern ~remap:(fun _ k -> k) view;
+        if Interner.next_id intern >= max_ids then
+          invalid_arg
+            "Checker.explore: history keys exceed the packed id range")
+      views;
+    let round_class = round_class (round + 1) in
+    let separation = Option.is_none !separated_at in
+    (match parallel with
+    | Some p ->
+        ignore
+          (Pool.map_chunked p
+             ~f:(fun part -> Array.iter (stage ~round_class ~separation) part)
+             part
+            : unit array)
+    | None -> stage ~round_class ~separation chunks.(0));
+    Array.iter (insert ~round) part;
     !off
   in
   let report round flen =
@@ -680,8 +739,8 @@ let explore ?(depth = 24) ?(states = 2_000_000) ?(reduction = true)
           ~bytes:(Visited.memory_bytes visited)
   in
   (* Level [round]'s frontier is the run of [flen] entries at arena offset
-     [first]: exactly what [Visited.add] published while the previous
-     level was committed, in commit order. *)
+     [first]: exactly what [Visited.add_hashed] published while the
+     previous level was inserted, in insertion order. *)
   let rec level round first flen =
     if flen = 0 then ()
     else if round >= depth then exhausted := Some `Depth
@@ -710,7 +769,14 @@ let explore ?(depth = 24) ?(states = 2_000_000) ?(reduction = true)
     end
   in
   let first = Visited.cursor visited in
-  visit ~round:0 ~spent:0 (State.initial n);
+  if states <= 0 then exhausted := Some `States
+  else begin
+    incr canonicalizations;
+    ignore
+      (Visited.add visited ~round_class:0 ~spent:0
+         (canonical (Array.make n 0) (State.initial n))
+        : bool)
+  end;
   level 0 first (Visited.size visited);
   {
     config;

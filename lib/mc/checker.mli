@@ -148,12 +148,16 @@ val explore :
     frontier — and the default cap is millions, not the old [200_000].
     Each level is cut into constant-size waves; a wave's chunks (one
     without a pool or at [jobs = 1], one per worker otherwise) expand
-    into reused flat buffers against one {!Radio_exec.Intern} view each
-    and are committed in submission order, so [separated_at],
-    [exhausted] and every [stats] field are bit-identical at every job
-    count — including [jobs = 1] and no pool at all.  Per explored state
-    the expansion and the commit allocate nothing.  [progress] is called
-    on the orchestrating domain after each committed wave.
+    into reused flat buffers against one {!Radio_exec.Intern} view each.
+    The views are replayed in submission order; each chunk then stages
+    its successors in place on the pool (resolve, canonicalize,
+    {!Visited.hash}), and the orchestrating domain inserts them in
+    submission order with {!Visited.add_hashed} — the only serial
+    step.  So [separated_at], [exhausted] and every [stats] field are
+    bit-identical at every job count — including [jobs = 1] and no pool
+    at all.  Per explored state the expansion, the staging and the
+    insert allocate nothing.  [progress] is called on the orchestrating
+    domain after each inserted wave.
 
     With [faults = 0] the quotient is provably the identity: nodes with
     equal histories act in lockstep, so every reachable state is invariant

@@ -188,14 +188,17 @@ module Packed = struct
     done;
     (!u, !pos)
 
-  let write buf ~pos ~round_class ~spent (s : t) =
+  let write_sub buf ~pos ~round_class ~spent src ~off ~n =
     let pos = write_varint buf pos round_class in
     let pos = write_varint buf pos spent in
     let pos = ref pos in
-    for v = 0 to Array.length s - 1 do
-      pos := write_varint buf !pos (zigzag (Array.unsafe_get s v))
+    for v = off to off + n - 1 do
+      pos := write_varint buf !pos (zigzag src.(v))
     done;
     !pos
+
+  let write buf ~pos ~round_class ~spent (s : t) =
+    write_sub buf ~pos ~round_class ~spent s ~off:0 ~n:(Array.length s)
 
   (* [unpack] without the allocations: the slots land in [s] and [spent]
      is returned; [round_class] is skipped.  One loop decodes all

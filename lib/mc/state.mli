@@ -112,6 +112,19 @@ module Packed : sig
       returns the end position.  The buffer must have at least
       [max_bytes ~n] bytes of room after [pos]. *)
 
+  val write_sub :
+    Bytes.t ->
+    pos:int ->
+    round_class:int ->
+    spent:int ->
+    int array ->
+    off:int ->
+    n:int ->
+    int
+  (** [write_sub buf ~pos ~round_class ~spent src ~off ~n] is {!write} of
+      the [n]-slot state held in [src] from index [off] on: the same
+      bytes, read from a slice of a larger flat buffer. *)
+
   val read_into : Bytes.t -> pos:int -> t -> int
   (** [read_into buf ~pos s] decodes the code at [pos] for a state of
       [Array.length s] slots, writes the slots into [s] and returns

@@ -8,35 +8,56 @@
 
    Here a state's packed code (State.Packed varints) is written once into
    a growable byte arena, and membership is a single open-addressing
-   probe over an int-key table of arena offsets:
+   probe over an int table:
 
        table : int array     -- power-of-two capacity, linear probing;
-                                slot 0 is "empty", else offset + 1
+                                slot 0 is "empty", else
+                                (fragment lsl 32) lor (offset + 1)
        arena : Bytes.t       -- [len:2 bytes LE][code bytes] per entry,
                                 appended in insertion order
 
-   [add] packs the candidate straight into the arena tail, probes once,
-   and either publishes the entry (fresh: record the offset, keep the
+   The hash is a word mixer over the state's ints ({!hash}), so a caller
+   can compute it anywhere — the explorer hashes its successors on the
+   pool — and hand it to [add_hashed].  Its low [frag_bits] bits are the
+   entry's fragment: they pick the home slot and sit in the table beside
+   the offset, so a probe reads arena bytes only when a fragment matches.
+   [add_hashed] packs the candidate straight into the arena tail, probes
+   once, and either publishes the entry (fresh: record the slot, keep the
    bytes) or rolls the arena back (duplicate: no allocation happened at
-   all).  Growth doubles in place: the table rebuilds by walking the
-   arena sequentially — entries are distinct by construction, so each
-   re-probe stops at the first empty slot — and the arena reallocates
-   and blits.  Both structures are unboxed, so the GC never traces the
-   visited set no matter how large it grows. *)
+   all).  Growth doubles in place: the table re-places its own slots from
+   their stored fragments — entries are distinct by construction, so each
+   re-probe stops at the first empty slot, and the arena is never read or
+   rehashed — and the arena reallocates and blits.  Both structures are
+   unboxed, so the GC never traces the visited set no matter how large it
+   grows. *)
 
 type t = {
-  mutable table : int array;  (* offset + 1; 0 = empty *)
+  mutable table : int array;  (* fragment over offset + 1; 0 = empty *)
   mutable mask : int;  (* capacity - 1, capacity a power of two *)
   mutable count : int;
   mutable arena : Bytes.t;
   mutable len : int;  (* arena bytes in use *)
+  mutable stop : int;  (* end of the last probed candidate's code *)
+  slots : int;
   max_code : int;  (* State.Packed.max_bytes for this state width *)
 }
 
 let entry_header = 2 (* little-endian code length *)
 
+(* A table slot: the hash fragment in bits 32..61, offset + 1 in bits
+   0..31.  Home slots come from the fragment, so the table can grow only
+   while its index fits in the fragment, and an entry offset must fit in
+   the low word. *)
+let frag_bits = 30
+let frag_mask = (1 lsl 30) - 1
+let off_mask = (1 lsl 32) - 1
+let max_capacity = 1 lsl 30
+
 let create ?(bits = 12) ~slots () =
-  let bits = if bits < 3 then 3 else if bits > 48 then 48 else bits in
+  let bits =
+    if bits < 3 then 3 else if bits > frag_bits then frag_bits else bits
+  in
+  (* radiolint: allow range-overflow -- bits is clamped to 3..30 *)
   let capacity = 1 lsl bits in
   let max_code = State.Packed.max_bytes ~n:slots in
   (* The entry header stores the code length in two little-endian bytes;
@@ -50,6 +71,8 @@ let create ?(bits = 12) ~slots () =
     count = 0;
     arena = Bytes.create 4096;
     len = 0;
+    stop = 0;
+    slots;
     max_code;
   }
 
@@ -58,17 +81,21 @@ let size t = t.count
 let memory_bytes t =
   (8 * Array.length t.table) + Bytes.length t.arena
 
-(* FNV-1a over the code bytes, folded to a non-negative int (the 64-bit
-   offset basis masked into OCaml's 63-bit int range). *)
-let hash_range buf pos len =
-  let h = ref 0x3bf29ce484222325 in
+(* One multiply and one xor-shift per word, then a murmur-style
+   finalizer that folds the high half down: linear probing and the
+   fragment read only the low bits.  Without the per-word xor-shift the
+   low 30 bits of explorer states collide ~90 times more often than
+   random ones.  The multiplies wrap by design. *)
+let hash ~round_class ~spent src ~pos ~len =
+  let h = ref ((round_class * 0x3f58476d1ce4e5b9) lxor spent) in
   for i = pos to pos + len - 1 do
-    (* radiolint: allow range-index range-overflow -- i spans the entry
-       the caller just wrote inside the arena, and the FNV prime multiply
-       wraps by design *)
-    h := (!h lxor Char.code (Bytes.unsafe_get buf i)) * 0x100000001b3
+    (* radiolint: allow range-overflow -- the multiply wraps by design *)
+    let x = (!h lxor src.(i)) * 0x3f58476d1ce4e5b9 in
+    h := x lxor (x lsr 31)
   done;
-  !h land max_int
+  let h = !h lxor (!h lsr 32) in
+  let h = h * 0x14d049bb133111eb in
+  h lxor (h lsr 29)
 
 let code_len t off =
   (* radiolint: allow range-index -- off is a published entry offset, so
@@ -93,27 +120,24 @@ let equal_range buf apos bpos len =
   done;
   !i = len
 
-(* Insert a known-fresh entry offset during a rebuild: entries are
-   pairwise distinct, so the first empty slot is the answer. *)
-let place table mask off hash =
-  let i = ref (hash land mask) in
-  while table.(!i) <> 0 do
-    i := (!i + 1) land mask
-  done;
-  table.(!i) <- off + 1
-
 let grow_table t =
-  (* radiolint: allow range-overflow -- table doubling; capacity is at
-     most twice the entry count, far below an int *)
+  (* radiolint: allow range-overflow -- table doubling, bounded by
+     max_capacity just below *)
   let capacity = 2 * (t.mask + 1) in
+  if capacity > max_capacity then
+    invalid_arg "Visited: table outgrows the 30-bit hash fragment";
   let table = Array.make capacity 0 in
   let mask = capacity - 1 in
-  let off = ref 0 in
-  while !off < t.len do
-    let len = code_len t !off in
-    place table mask !off (hash_range t.arena (!off + entry_header) len);
-    off := !off + entry_header + len
-  done;
+  Array.iter
+    (fun slot ->
+      if slot <> 0 then begin
+        let i = ref ((slot lsr 32) land mask) in
+        while table.(!i) <> 0 do
+          i := (!i + 1) land mask
+        done;
+        table.(!i) <- slot
+      end)
+    t.table;
   t.table <- table;
   t.mask <- mask
 
@@ -130,39 +154,51 @@ let ensure_arena t need =
     t.arena <- arena
   end
 
-let add t ~round_class ~spent s =
+(* Packs the candidate into the scratch space past [len] (the arena
+   always keeps one max-size entry of headroom), leaves the end of its
+   code in [stop], and probes for it: the slot index holding it, or
+   [-(i + 1)] for the empty slot [i] where it belongs.  Arena bytes are
+   compared only on a fragment match. *)
+let probe t ~frag ~round_class ~spent src ~pos =
   ensure_arena t (entry_header + t.max_code);
   let start = t.len + entry_header in
-  let stop = State.Packed.write t.arena ~pos:start ~round_class ~spent s in
-  let len = stop - start in
-  let hash = hash_range t.arena start len in
-  let i = ref (hash land t.mask) in
-  let fresh = ref true in
-  let probing = ref true in
-  while !probing do
-    match t.table.(!i) with
-    | 0 -> probing := false
-    | entry ->
-        let off = entry - 1 in
-        if
-          code_len t off = len
-          && equal_range t.arena (off + entry_header) start len
-        then begin
-          fresh := false;
-          probing := false
-        end
-        else i := (!i + 1) land t.mask
+  t.stop <-
+    State.Packed.write_sub t.arena ~pos:start ~round_class ~spent src ~off:pos
+      ~n:t.slots;
+  let len = t.stop - start in
+  let i = ref (frag land t.mask) in
+  let found = ref 0 in
+  while !found = 0 do
+    let slot = t.table.(!i) in
+    if slot = 0 then found := - !i - 1
+    else if
+      slot lsr 32 = frag
+      && code_len t ((slot land off_mask) - 1) = len
+      && equal_range t.arena ((slot land off_mask) - 1 + entry_header) start
+           len
+    then found := !i + 1
+    else i := (!i + 1) land t.mask
   done;
-  if not !fresh then false (* duplicate: arena rolls back *)
+  if !found > 0 then !found - 1 else !found
+
+let add_hashed t ~hash ~round_class ~spent src ~pos =
+  let frag = hash land frag_mask in
+  let i = probe t ~frag ~round_class ~spent src ~pos in
+  if i >= 0 then false (* duplicate: arena rolls back *)
   else begin
+    if t.len >= off_mask then
+      invalid_arg "Visited: arena outgrows the 32-bit entry offset";
+    let len = t.stop - t.len - entry_header in
     (* radiolint: allow range-index -- ensure_arena reserved
        entry_header + max_code bytes past len *)
     Bytes.unsafe_set t.arena t.len (Char.unsafe_chr (len land 0xff));
     (* radiolint: allow range-index range-truncation -- create rejects
        widths whose max_bytes exceed 0xffff, so the high byte fits *)
     Bytes.unsafe_set t.arena (t.len + 1) (Char.unsafe_chr (len lsr 8));
-    t.table.(!i) <- t.len + 1;
-    t.len <- stop;
+    (* radiolint: allow range-overflow -- frag < 2^30 and t.len + 1 <
+       2^32 (checked above), so the slot fits in 62 bits *)
+    t.table.(- i - 1) <- (frag lsl 32) lor (t.len + 1);
+    t.len <- t.stop;
     t.count <- t.count + 1;
     (* Load factor 1/2: one resident entry per two slots keeps linear
        probing short without doubling memory over the arena itself. *)
@@ -170,24 +206,24 @@ let add t ~round_class ~spent s =
     true
   end
 
+(* The home slot of [hash], loaded and discarded: a batch of these
+   issued back to back keeps many cache misses in flight, where a probe
+   loop interleaved with packing and publishing waits on one at a time. *)
+let prefetch t ~hash =
+  ignore (Sys.opaque_identity t.table.(hash land t.mask) : int)
+
+let hash_state ~round_class ~spent s =
+  hash ~round_class ~spent s ~pos:0 ~len:(Array.length s)
+
+let add t ~round_class ~spent s =
+  add_hashed t ~hash:(hash_state ~round_class ~spent s) ~round_class ~spent s
+    ~pos:0
+
 let mem t ~round_class ~spent s =
-  (* Probe without publishing: pack into the scratch space past [len]
-     (the arena always keeps one max-size entry of headroom). *)
-  ensure_arena t (entry_header + t.max_code);
-  let start = t.len + entry_header in
-  let stop = State.Packed.write t.arena ~pos:start ~round_class ~spent s in
-  let len = stop - start in
-  let hash = hash_range t.arena start len in
-  let rec probe i =
-    match t.table.(i) with
-    | 0 -> false
-    | entry ->
-        let off = entry - 1 in
-        code_len t off = len
-        && equal_range t.arena (off + entry_header) start len
-        || probe ((i + 1) land t.mask)
-  in
-  probe (hash land t.mask)
+  probe t
+    ~frag:(hash_state ~round_class ~spent s land frag_mask)
+    ~round_class ~spent s ~pos:0
+  >= 0
 
 let cursor t = t.len
 

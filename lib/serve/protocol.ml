@@ -20,6 +20,8 @@ type parsed = { id : Json.t; request : (request, error) result }
 let max_config_bytes = 1024 * 1024
 let max_config_nodes = 4096
 let default_max_rounds = 100_000
+let max_mc_states = 2_000_000
+let max_mc_depth = default_max_rounds
 
 let kind_name = function
   | Classify _ -> "classify"
@@ -74,10 +76,16 @@ let get_positive_int obj field default =
       reject (Printf.sprintf "field \"%s\" must be positive" field)
   | Some _ -> reject (Printf.sprintf "field \"%s\" must be an integer" field)
 
-let get_positive_int_opt obj field =
+let get_bounded_int_opt obj field ~limit =
   match Json.member field obj with
   | None -> None
-  | Some _ -> Some (get_positive_int obj field 1)
+  | Some _ ->
+      let n = get_positive_int obj field 1 in
+      if n > limit then
+        reject
+          (Printf.sprintf "field \"%s\" too large (%d > limit %d)" field n
+             limit);
+      Some n
 
 let parse_request obj =
   let kind =
@@ -130,8 +138,8 @@ let parse_request obj =
         {
           config = get_config obj;
           protocol;
-          depth = get_positive_int_opt obj "depth";
-          states = get_positive_int_opt obj "states";
+          depth = get_bounded_int_opt obj "depth" ~limit:max_mc_depth;
+          states = get_bounded_int_opt obj "states" ~limit:max_mc_states;
         }
   | "stats" -> Stats
   | _ -> assert false

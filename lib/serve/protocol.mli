@@ -43,6 +43,16 @@ val default_max_rounds : int
 (** Default [max_rounds] for [elect] / [simulate] ([100_000], matching
     {!Radio_sim.Engine.run}). *)
 
+val max_mc_states : int
+(** Upper bound on an [mc-check] request's explicit ["states"]
+    ([2_000_000], the explorer's default cap); larger values are rejected
+    with an error naming the field and the limit. *)
+
+val max_mc_depth : int
+(** Upper bound on an [mc-check] request's explicit ["depth"]
+    ([100_000], the round budget [elect] and [simulate] default to);
+    rejected like {!max_mc_states}. *)
+
 val parse : string -> parsed
 (** Never raises. *)
 

@@ -962,10 +962,13 @@ let effect_escape_tests =
             Alcotest.(check int) "submit line" 3 f.Effects.submit_line);
     Alcotest.test_case "frontier wave over intern views stays clean" `Quick
       (fun () ->
-        (* The shape checker.ml actually submits: each chunk builds a
-           local Intern view, interns successor keys into it while filling
-           its own reused buffer, and hands the view back for the caller's
-           in-order commit — LocalMut only. *)
+        (* The shape checker.ml actually submits, in two batches.  Fill:
+           each chunk builds a local Intern view, interns successor keys
+           into it while filling its own reused buffer, and hands the view
+           back for the caller's in-order commit.  Stage: once the caller
+           has committed every view and stored each resolver in its chunk,
+           each chunk reads that resolver and rewrites only its own buffer
+           and scratch.  LocalMut only. *)
         let findings =
           effect_escapes
             [
@@ -973,10 +976,10 @@ let effect_escape_tests =
                 "let table = Hashtbl.create 16\n\
                  let local t = Hashtbl.copy t\n\
                  let get_local v k = Hashtbl.replace v k k; k\n\
-                 let commit t v = Hashtbl.length v\n" );
+                 let commit t v = let n = Hashtbl.length v in fun id -> id + n\n" );
               ( "lib/mc/wave.ml",
                 "type chunk = { first : int; mutable len : int; buf : int \
-                 array }\n\
+                 array; scratch : int array; mutable resolve : int -> int }\n\
                  let fill intern c =\n\
                 \  let view = Intern.local intern in\n\
                 \  for i = 0 to 3 do\n\
@@ -984,9 +987,22 @@ let effect_escape_tests =
                 \  done;\n\
                 \  c.len <- 4;\n\
                 \  view\n\
+                 let stage c =\n\
+                \  for i = 0 to c.len - 1 do\n\
+                \    c.scratch.(0) <- c.resolve c.buf.(i);\n\
+                \    c.buf.(i) <- (c.scratch.(0) * 31) lxor 7\n\
+                \  done\n\
                  let go pool intern chunks =\n\
+                \  let views =\n\
+                \    Radio_exec.Pool.map_chunked pool\n\
+                \      ~f:(fun part -> Array.map (fill intern) part)\n\
+                \      chunks\n\
+                \  in\n\
+                \  Array.iteri\n\
+                \    (fun i v -> chunks.(i).resolve <- Intern.commit intern v)\n\
+                \    (Array.concat (Array.to_list views));\n\
                 \  Radio_exec.Pool.map_chunked pool\n\
-                \    ~f:(fun part -> Array.map (fill intern) part)\n\
+                \    ~f:(fun part -> Array.iter stage part)\n\
                 \    chunks\n" );
             ]
         in

@@ -343,6 +343,12 @@ let packed_tests =
 
 (* --- Arena growth boundaries and varint width thresholds ------------- *)
 
+let set_entries v ~slots =
+  let acc = ref [] in
+  Visited.iter v ~slots ~f:(fun ~round_class ~spent s ->
+      acc := (round_class, spent, Array.to_list s) :: !acc);
+  List.rev !acc
+
 let visited_edge_tests =
   [
     Alcotest.test_case "duplicate rollback across arena growth boundaries"
@@ -411,6 +417,68 @@ let visited_edge_tests =
               (Visited.add visited ~round_class:0 ~spent:0 [| k |]))
           [ -64; 64; -65; 63; -8_192; 8_192 ];
         check_int "all six held" 6 (Visited.size visited));
+    Alcotest.test_case "add_hashed with Visited.hash builds what add builds"
+      `Quick (fun () ->
+        (* The staged explorer hashes on the pool and inserts with the
+           precomputed hash; [add] hashes itself.  Same inputs in the same
+           order, duplicates included, must give the same set. *)
+        let n = 4 in
+        let state j = [| j mod 17; j / 17; ((j * 7) mod 5) - 2; j mod 3 |] in
+        let a = Visited.create ~bits:3 ~slots:n () in
+        let b = Visited.create ~bits:3 ~slots:n () in
+        let buf = Array.make (3 + n) 0 in
+        for i = 0 to 4_999 do
+          let j = if i mod 5 = 4 then i / 3 else i in
+          let round_class = j mod 3 and spent = j mod 2 in
+          (* the slots sit mid-buffer, as in the explorer's chunks *)
+          Array.blit (state j) 0 buf 3 n;
+          let hash = Visited.hash ~round_class ~spent buf ~pos:3 ~len:n in
+          check "same freshness"
+            (Visited.add a ~round_class ~spent (state j))
+            (Visited.add_hashed b ~hash ~round_class ~spent buf ~pos:3)
+        done;
+        check_int "same size" (Visited.size a) (Visited.size b);
+        check "same entries in the same order" true
+          (set_entries a ~slots:n = set_entries b ~slots:n));
+    Alcotest.test_case "one shared fragment: every probe compares codes"
+      `Quick (fun () ->
+        (* Hash 0 for every state puts all entries on one home slot with
+           equal fragments, so freshness and duplicates rest on the code
+           comparison alone, through several table doublings. *)
+        let v = Visited.create ~bits:3 ~slots:3 () in
+        let state i = [| i mod 11; i / 11; -(i mod 3) |] in
+        let add i ~spent =
+          Visited.add_hashed v ~hash:0 ~round_class:0 ~spent (state i) ~pos:0
+        in
+        for i = 0 to 299 do
+          check "fresh" true (add i ~spent:(i mod 2));
+          check "duplicate" false (add (i / 2) ~spent:(i / 2 mod 2));
+          check "other budget is a different state" true
+            (add i ~spent:(2 + (i mod 2)))
+        done;
+        check_int "all held" 600 (Visited.size v));
+    Alcotest.test_case "growth from stored fragments keeps every member"
+      `Quick (fun () ->
+        (* From 8 slots, 600 entries at load 1/2 take the table to 2048
+           slots, 8 doublings; each re-places the slots from the
+           fragments they store, never from the arena, and every entry
+           must still be found. *)
+        let n = 5 in
+        let v = Visited.create ~bits:3 ~slots:n () in
+        let state i = [| i; (i * 31) mod 97; -(i mod 5); i / 13; 7 |] in
+        for i = 0 to 599 do
+          check "fresh" true
+            (Visited.add v ~round_class:(i mod 4) ~spent:0 (state i))
+        done;
+        (* table bytes past 2^(3+6) slots, plus the initial 4 KiB arena *)
+        check "6 or more doublings" true
+          (Visited.memory_bytes v >= (8 * (8 lsl 6)) + 4096);
+        for i = 0 to 599 do
+          check "member after growth" true
+            (Visited.mem v ~round_class:(i mod 4) ~spent:0 (state i));
+          check "no false member" false
+            (Visited.mem v ~round_class:((i + 1) mod 4) ~spent:0 (state i))
+        done);
     Alcotest.test_case "create rejects widths the entry header cannot \
                         hold" `Quick (fun () ->
         check "reasonable width accepted" true
@@ -558,12 +626,26 @@ let explore_tests =
    pin the full counters of the two benchmark rows to the values the
    boxed-frontier explorer produced before the allocation-free rewrite:
    every one of them (key count, visited bytes, peak frontier) moves if a
-   successor, a key or a frontier entry is visited in a different order. *)
+   successor, a key or a frontier entry is visited in a different order.
+   [levels] pins every BFS level's frontier size as [progress] reports
+   it, so a level that gains a state while another loses one still
+   shows. *)
 let golden_tests =
   let golden name config ~depth ~explored ~raw ~keys ~canon ~peak ~bytes
-      ~depth_reached ~autos =
+      ~depth_reached ~autos ~levels =
     Alcotest.test_case name `Slow (fun () ->
-        let check_run label (e : Checker.exploration) =
+        let check_run label ?pool () =
+          let seen = ref [] in
+          let progress ~round ~frontier ~explored:_ ~bytes:_ =
+            match !seen with
+            | (r, _) :: _ when r = round -> ()
+            | _ -> seen := (round, frontier) :: !seen
+          in
+          let e = Checker.explore ~depth ~faults:1 ?pool ~progress config in
+          Alcotest.(check (list (pair int int)))
+            (label ^ ": frontier per level")
+            (List.mapi (fun r f -> (r, f)) levels)
+            (List.rev !seen);
           let s = e.Checker.stats in
           List.iter
             (fun (field, want, got) ->
@@ -585,18 +667,19 @@ let golden_tests =
             | Some `Depth -> true
             | _ -> false)
         in
-        check_run "no pool" (Checker.explore ~depth ~faults:1 config);
-        Pool.with_pool ~jobs:2 (fun pool ->
-            check_run "jobs 2" (Checker.explore ~depth ~faults:1 ~pool config)))
+        check_run "no pool" ();
+        Pool.with_pool ~jobs:2 (fun pool -> check_run "jobs 2" ~pool ()))
   in
   [
     golden "H_2, depth 8" (F.h_family 2) ~depth:8 ~explored:853_637
       ~raw:1_042_606 ~keys:21_014 ~canon:1_042_607 ~peak:64_705
-      ~bytes:33_554_432 ~depth_reached:7 ~autos:1;
+      ~bytes:33_554_432 ~depth_reached:7 ~autos:1
+      ~levels:[ 1; 3; 12; 50; 219; 1_081; 6_987; 64_705 ];
     golden "broken 6-ring, depth 6"
       (C.create (Radio_graph.Gen.cycle 6) [| 0; 1; 0; 1; 1; 1 |])
       ~depth:6 ~explored:423_687 ~raw:482_431 ~keys:6_107 ~canon:482_432
-      ~peak:19_268 ~bytes:16_777_216 ~depth_reached:5 ~autos:2;
+      ~peak:19_268 ~bytes:16_777_216 ~depth_reached:5 ~autos:2
+      ~levels:[ 1; 2; 12; 100; 1_176; 19_268 ];
   ]
 
 (* --- Differential oracle --------------------------------------------- *)

@@ -387,6 +387,42 @@ let test_eof_mid_line () =
   check "truncated request answered with an error" true
     (contains (List.nth lines 1) "\"status\":\"error\"")
 
+let test_mc_check_ceilings () =
+  (* Explicit mc-check budgets above the fixed ceilings are refused with
+     the field and the limit named, and the daemon answers the next
+     request as usual. *)
+  let cfg = quote family_h2 in
+  let mc field value =
+    Printf.sprintf "{\"id\":%S,\"kind\":\"mc-check\",\"config\":%s,\"%s\":%d}"
+      field cfg field value
+  in
+  List.iter
+    (fun (field, limit) ->
+      let e = err_of (mc field (limit + 1)) in
+      check (field ^ " over limit named") true
+        (contains e.P.message (Printf.sprintf "field \"%s\" too large" field)
+        && contains e.P.message (Printf.sprintf "limit %d" limit));
+      match (P.parse (mc field limit)).P.request with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s at the limit rejected: %s" field e.P.message)
+    [ ("states", P.max_mc_states); ("depth", P.max_mc_depth) ];
+  let out =
+    serve
+      [
+        mc "states" 1_000_000_000;
+        mc "depth" (P.max_mc_depth + 1);
+        Printf.sprintf "{\"id\":3,\"kind\":\"classify\",\"config\":%s}" cfg;
+      ]
+  in
+  match String.split_on_char '\n' (String.trim out) with
+  | [ a; b; c ] ->
+      check "states refused" true
+        (contains a "\"status\":\"error\"" && contains a "limit 2000000");
+      check "depth refused" true
+        (contains b "\"status\":\"error\"" && contains b "limit 100000");
+      check "still serving" true (contains c "\"status\":\"ok\"")
+  | lines -> Alcotest.failf "expected three responses, got %d" (List.length lines)
+
 let test_mc_check_agrees_with_classify () =
   (* canonical routing: the leader reported by classify, elect and
      mc-check must be the same node (docs/SERVE.md) *)
@@ -449,6 +485,7 @@ let () =
         [
           Alcotest.test_case "negative" `Quick test_protocol_negative;
           Alcotest.test_case "id echo" `Quick test_protocol_id_echo;
+          Alcotest.test_case "mc-check ceilings" `Quick test_mc_check_ceilings;
         ] );
       ( "determinism",
         [
