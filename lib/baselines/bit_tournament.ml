@@ -86,7 +86,12 @@ let election ~rng ~n =
           in
           s.phase <- Finished leader
     in
-    { P.on_wakeup = (fun _ -> ()); decide; observe }
+    {
+      P.on_wakeup = (fun _ -> ());
+      decide;
+      observe;
+      skip = P.skip_by_observe observe;
+    }
   in
   let protocol = { P.name = "bit-tournament"; spawn } in
   let decision h =

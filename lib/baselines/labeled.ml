@@ -64,7 +64,12 @@ let run ?frames ?ids config =
         s.best <- s.next_best
       end
     in
-    { Protocol.on_wakeup = (fun _ -> ()); decide; observe }
+    {
+      Protocol.on_wakeup = (fun _ -> ());
+      decide;
+      observe;
+      skip = Protocol.skip_by_observe observe;
+    }
   in
   let protocol = { Protocol.name = "labeled-tdma-maxflood"; spawn } in
   let engine = Engine.run ~max_rounds:((frames * id_bound) + tags.(0) + 8) protocol config in

@@ -79,7 +79,12 @@ let protocol ~rng =
         s.round_parity <- false
       end
     in
-    { Protocol.on_wakeup = (fun _ -> ()); decide; observe }
+    {
+      Protocol.on_wakeup = (fun _ -> ());
+      decide;
+      observe;
+      skip = Protocol.skip_by_observe observe;
+    }
   in
   { Protocol.name = "randomized-splitting"; spawn }
 

@@ -106,7 +106,12 @@ let protocol ~rng =
         s.echo_round <- false
       end
     in
-    { P.on_wakeup = (fun _ -> ()); decide; observe }
+    {
+      P.on_wakeup = (fun _ -> ());
+      decide;
+      observe;
+      skip = P.skip_by_observe observe;
+    }
   in
   { P.name = "willard-estimation"; spawn }
 

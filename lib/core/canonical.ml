@@ -80,9 +80,7 @@ let match_entry entries ~prev_block ~obs_label =
 
 (* The offset of a round within a phase ([1 .. B(2σ+1) + σ]) is slot
    [slot_of] of block [block_of] when [in_blocks], else one of the σ
-   trailing listen rounds.  Plain ints rather than a variant: the engine
-   asks this of every awake node in every round, and an allocation there
-   is most of what an election allocates. *)
+   trailing listen rounds. *)
 let in_blocks ~sigma ~blocks offset = offset <= blocks * ((2 * sigma) + 1)
 let block_of ~sigma offset = ((offset - 1) / ((2 * sigma) + 1)) + 1
 let slot_of ~sigma offset = ((offset - 1) mod ((2 * sigma) + 1)) + 1
@@ -93,66 +91,107 @@ let transmits ~sigma ~blocks ~offset tblock =
   && slot_of ~sigma offset = sigma + 1
   && match tblock with Some a -> a = block_of ~sigma offset | None -> false
 
+(* The offset of that middle slot in block [a]. *)
+let transmit_offset ~sigma a = ((a - 1) * ((2 * sigma) + 1)) + sigma + 1
+
 let mark_of_entry = function
   | History.Message _ -> Some Label.One
   | History.Collision -> Some Label.Many
   | History.Silence -> None
 
+(* One node's place in the schedule: a pure function of its local history
+   (the tests check this against the replay in [block_trace]). *)
+type node = {
+  mutable rounds_done : int;
+  mutable phase : int;
+  mutable tblock : int option;
+  mutable obs : (int * int * Label.mark) list;  (* this phase's, reversed *)
+  mutable tx_round : int;  (* this phase's transmission; 0 when lost *)
+}
+
 let protocol plan =
   let bounds = phase_bounds plan in
   let t = num_phases plan in
-  let term_round = bounds.(t) + 1 in
+  let sigma = plan.sigma in
+  (* The phase's one transmission round is fixed when the phase opens, so
+     a round costs no division: [decide] answers with a quiet horizon up to
+     that round, or up to the phase's end (the schedule's end once the node
+     is lost), and [skip] jumps over it. *)
+  let open_phase s =
+    s.tx_round <-
+      (match s.tblock with
+      | Some a -> bounds.(s.phase - 1) + transmit_offset ~sigma a
+      | None -> 0)
+  in
+  let close_phase s =
+    let j = s.phase in
+    (if Option.is_some s.tblock then
+       let obs_label = Label.of_observations s.obs in
+       s.tblock <- match_entry plan.tables.(j) ~prev_block:s.tblock ~obs_label);
+    s.obs <- [];
+    s.phase <- j + 1;
+    open_phase s
+  in
+  let decide s =
+    let i = s.rounds_done + 1 in
+    if i > bounds.(t) then Protocol.Terminate
+    else if i = s.tx_round then Protocol.Transmit "1"
+    else
+      (* A lost node stays lost: it only listens until the schedule ends. *)
+      let last =
+        if s.tx_round = 0 then bounds.(t)
+        else if i < s.tx_round then s.tx_round - 1
+        else bounds.(s.phase)
+      in
+      Protocol.Quiet (last - i + 1)
+  in
+  let observe s e =
+    let i = s.rounds_done + 1 in
+    s.rounds_done <- i;
+    if i <= bounds.(t) then begin
+      let j = s.phase in
+      (match mark_of_entry e with
+      | Some mark ->
+          let offset = i - bounds.(j - 1) in
+          let blocks = Array.length plan.tables.(j - 1) in
+          if in_blocks ~sigma ~blocks offset then
+            s.obs <-
+              (block_of ~sigma offset, slot_of ~sigma offset, mark) :: s.obs
+      | None -> ());
+      if i = bounds.(j) && j < t then close_phase s
+    end
+  in
+  (* [k] silent rounds: no observation, at most one phase end per step. *)
+  let rec skip s k =
+    if k > 0 then begin
+      let left = bounds.(s.phase) - s.rounds_done in
+      if s.phase < t && k >= left then begin
+        s.rounds_done <- bounds.(s.phase);
+        close_phase s;
+        skip s (k - left)
+      end
+      else s.rounds_done <- s.rounds_done + k
+    end
+  in
+  let first_block =
+    match_entry plan.tables.(0) ~prev_block:(Some 1) ~obs_label:[]
+  in
   let spawn () =
-    (* Mutable per-node state; a pure function of the local history (the
-       tests check this against the replay in [block_trace]). *)
-    let rounds_done = ref 0 in
-    let phase = ref 1 in
-    let tblock =
-      ref (match_entry plan.tables.(0) ~prev_block:(Some 1) ~obs_label:[])
+    let s =
+      {
+        rounds_done = 0;
+        phase = 1;
+        tblock = first_block;
+        obs = [];
+        tx_round = 0;
+      }
     in
-    let obs = ref [] in
-    let decide () =
-      let i = !rounds_done + 1 in
-      if i > bounds.(t) then Protocol.Terminate
-      else begin
-        let j = !phase in
-        let offset = i - bounds.(j - 1) in
-        let blocks = Array.length plan.tables.(j - 1) in
-        if transmits ~sigma:plan.sigma ~blocks ~offset !tblock then
-          Protocol.Transmit "1"
-        else Protocol.Listen
-      end
-    in
-    let observe e =
-      let i = !rounds_done + 1 in
-      if i < term_round then begin
-        let j = !phase in
-        let offset = i - bounds.(j - 1) in
-        let blocks = Array.length plan.tables.(j - 1) in
-        (if in_blocks ~sigma:plan.sigma ~blocks offset then
-           match mark_of_entry e with
-           | Some mark ->
-               obs :=
-                 ( block_of ~sigma:plan.sigma offset,
-                   slot_of ~sigma:plan.sigma offset,
-                   mark )
-                 :: !obs
-           | None -> ());
-        rounds_done := i;
-        if i = bounds.(j) && j < t then begin
-          let obs_label = Label.of_observations !obs in
-          tblock :=
-            match_entry plan.tables.(j) ~prev_block:!tblock ~obs_label;
-          obs := [];
-          phase := j + 1
-        end
-      end
-      else rounds_done := i
-    in
+    open_phase s;
     {
-      Protocol.on_wakeup = (fun _ -> ());
-      decide;
-      observe;
+      Protocol.on_wakeup = ignore;
+      decide = (fun () -> decide s);
+      observe = observe s;
+      skip = skip s;
     }
   in
   { Protocol.name = "canonical"; spawn }
@@ -171,11 +210,13 @@ let observations_of_phase plan h ~phase_start ~blocks =
   done;
   Label.of_observations !obs
 
-let block_trace plan h =
+(* One replay of [h] through the plan: the block used in each phase, and
+   the label observed in the final phase, which only [final_class] needs. *)
+let replay_blocks ~caller plan h =
   let bounds = phase_bounds plan in
   let t = num_phases plan in
   if Array.length h < bounds.(t) + 1 then
-    invalid_arg "Canonical.block_trace: history shorter than the schedule";
+    invalid_arg (caller ^ ": history shorter than the schedule");
   let blocks_used = Array.make t None in
   let prev_block = ref (Some 1) in
   let prev_obs = ref [] in
@@ -190,20 +231,14 @@ let block_trace plan h =
       observations_of_phase plan h ~phase_start:bounds.(j - 1)
         ~blocks:(Array.length plan.tables.(j - 1))
   done;
-  (* [prev_obs] now holds the observations of the final phase, needed by
-     [final_class]; recompute there rather than returning it. *)
-  blocks_used
+  (blocks_used, !prev_obs)
+
+let block_trace plan h =
+  fst (replay_blocks ~caller:"Canonical.block_trace" plan h)
 
 let final_class plan h =
-  let bounds = phase_bounds plan in
+  let trace, last_obs = replay_blocks ~caller:"Canonical.final_class" plan h in
   let t = num_phases plan in
-  if Array.length h < bounds.(t) + 1 then
-    invalid_arg "Canonical.final_class: history shorter than the schedule";
-  let trace = block_trace plan h in
-  let last_obs =
-    observations_of_phase plan h ~phase_start:bounds.(t - 1)
-      ~blocks:(Array.length plan.tables.(t - 1))
-  in
   match_entry plan.final_table ~prev_block:trace.(t - 1) ~obs_label:last_obs
 
 let pure_drip plan h =

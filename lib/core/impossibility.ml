@@ -11,10 +11,10 @@ let first_lonely_transmission ?(horizon = 10_000) proto =
   let rec probe round =
     if round > horizon then None
     else
-      match inst.Protocol.decide () with
+      match Protocol.per_round (inst.Protocol.decide ()) with
       | Protocol.Transmit _ -> Some round
       | Protocol.Terminate -> None
-      | Protocol.Listen ->
+      | Protocol.Listen | Protocol.Quiet _ ->
           inst.Protocol.observe History.Silence;
           probe (round + 1)
   in

@@ -24,6 +24,27 @@ let make ~sigma d =
       inner.Protocol.on_wakeup entry;
       mode := Running inner
     in
+    let observe e =
+      match !mode with
+      | Running inner -> inner.Protocol.observe e
+      | Waiting k -> (
+          let j = k + 1 in
+          match e with
+          | History.Message _ -> start e
+          | History.Silence | History.Collision ->
+              if j = sigma then start e else mode := Waiting j)
+    in
+    (* Quiet horizons and skips belong to the inner instance.  A waiting
+       wrapper answers [Listen], so it is sent a [skip] only by a caller
+       that batches plain silent rounds; it replays them one by one. *)
+    let rec skip k =
+      if k > 0 then
+        match !mode with
+        | Running inner -> inner.Protocol.skip k
+        | Waiting _ ->
+            observe History.Silence;
+            skip (k - 1)
+    in
     {
       Protocol.on_wakeup =
         (fun e ->
@@ -36,16 +57,8 @@ let make ~sigma d =
           match !mode with
           | Waiting _ -> Protocol.Listen
           | Running inner -> inner.Protocol.decide ());
-      observe =
-        (fun e ->
-          match !mode with
-          | Running inner -> inner.Protocol.observe e
-          | Waiting k -> (
-              let j = k + 1 in
-              match e with
-              | History.Message _ -> start e
-              | History.Silence | History.Collision ->
-                  if j = sigma then start e else mode := Waiting j));
+      observe;
+      skip;
     }
   in
   { Protocol.name = Printf.sprintf "patient(%s,σ=%d)" d.Protocol.name sigma; spawn }

@@ -1,5 +1,6 @@
 type action =
   | Listen
+  | Quiet of int
   | Transmit of string
   | Terminate
 
@@ -7,6 +8,7 @@ type instance = {
   on_wakeup : History.entry -> unit;
   decide : unit -> action;
   observe : History.entry -> unit;
+  skip : int -> unit;
 }
 
 type t = {
@@ -14,13 +16,22 @@ type t = {
   spawn : unit -> instance;
 }
 
+let per_round = function Quiet _ -> Listen | a -> a
+
+let skip_by_observe observe k =
+  for _ = 1 to k do
+    observe History.Silence
+  done
+
 let of_pure ~name d =
   let spawn () =
     let vec = History.Vec.create () in
+    let observe e = History.Vec.push vec e in
     {
-      on_wakeup = (fun e -> History.Vec.push vec e);
+      on_wakeup = observe;
       decide = (fun () -> d (History.Vec.snapshot vec));
-      observe = (fun e -> History.Vec.push vec e);
+      observe;
+      skip = skip_by_observe observe;
     }
   in
   { name; spawn }
@@ -33,10 +44,12 @@ let stateful ~name ~init ~decide ~observe =
       | Some s -> s
       | None -> invalid_arg "Protocol.stateful: decide before on_wakeup"
     in
+    let observe e = state := Some (observe (get ()) e) in
     {
       on_wakeup = (fun e -> state := Some (init e));
       decide = (fun () -> decide (get ()));
-      observe = (fun e -> state := Some (observe (get ()) e));
+      observe;
+      skip = skip_by_observe observe;
     }
   in
   { name; spawn }

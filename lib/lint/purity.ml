@@ -33,6 +33,7 @@ let recorded_action (o : Engine.outcome) tx v i =
 
 let pp_action ppf = function
   | Protocol.Listen -> Format.fprintf ppf "Listen"
+  | Protocol.Quiet k -> Format.fprintf ppf "Quiet %d" k
   | Protocol.Transmit m -> Format.fprintf ppf "Transmit %S" m
   | Protocol.Terminate -> Format.fprintf ppf "Terminate"
 
@@ -53,7 +54,7 @@ let replay (proto : Protocol.t) (o : Engine.outcome) =
       while (not !diverged) && !i <= last do
         let local = !i in
         let round = wake + local in
-        let a = inst.Protocol.decide () in
+        let a = Protocol.per_round (inst.Protocol.decide ()) in
         (match a with
         | Protocol.Terminate when o.Engine.done_local.(v) <> local ->
             diverged := true;
@@ -91,7 +92,7 @@ let replay (proto : Protocol.t) (o : Engine.outcome) =
                  entry is not Silence"
                 local
             end
-        | Protocol.Listen | Protocol.Terminate -> ());
+        | Protocol.Listen | Protocol.Quiet _ | Protocol.Terminate -> ());
         if (not !diverged) && a <> Protocol.Terminate then
           if local < Array.length hist then inst.Protocol.observe hist.(local);
         incr i

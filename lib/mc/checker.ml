@@ -58,6 +58,9 @@ let senders_of g tx v =
   G.fold_neighbours g v ~init:[] ~f:(fun acc w ->
       match tx.(w) with Some m -> m :: acc | None -> acc)
 
+let default_depth config =
+  global_bound ~n:(C.size config) ~sigma:(C.span config) + 1
+
 (* Protocol mode: the machine is deterministic, so the transition system is
    a single chain of interned state vectors; walking it is still a static
    exploration (per-key memoized [decide], no Protocol instances live
@@ -67,9 +70,8 @@ let check ?depth ?(states = 200_000) ~machine config =
   let g = C.graph config in
   let n = C.size config in
   if n = 0 then invalid_arg "Checker.check: empty configuration";
-  let sigma = C.span config in
   let depth =
-    match depth with Some d -> d | None -> global_bound ~n ~sigma + 1
+    match depth with Some d -> d | None -> default_depth config
   in
   let intern = State.Intern.create () in
   let decide_cache : (int, Protocol.action) Hashtbl.t = Hashtbl.create 256 in
@@ -119,7 +121,7 @@ let check ?depth ?(states = 200_000) ~machine config =
           | Protocol.Transmit m ->
               tx.(v) <- Some m;
               transmitters := (v, m) :: !transmitters
-          | Protocol.Listen -> ()
+          | Protocol.Listen | Protocol.Quiet _ -> ()
       done;
       (* Phase B: receptions at nodes still running after Phase A. *)
       for v = 0 to n - 1 do

@@ -74,6 +74,10 @@ type result = {
   stats : stats;
 }
 
+val default_depth : Radio_config.Config.t -> int
+(** [σ + upper_bound_rounds + 1] global rounds: the longest a run of the
+    canonical DRIP on this configuration can take, plus one. *)
+
 val check :
   ?depth:int ->
   ?states:int ->
@@ -83,9 +87,9 @@ val check :
 (** Protocol-mode exploration, judging only machine-independent properties:
     {!Elected} / {!Non_election} at the terminal state, [Violated
     (Two_leaders _)] the moment a second node decides, {!Exhausted} when a
-    budget trips.  [depth] defaults to [σ + upper_bound_rounds + 1] global
-    rounds; [states] (default [200_000]) caps interned keys.  Raises
-    [Invalid_argument] on the empty configuration. *)
+    budget trips.  [depth] defaults to {!default_depth}; [states] (default
+    [200_000]) caps interned keys.  Raises [Invalid_argument] on the empty
+    configuration. *)
 
 val verify :
   ?depth:int ->

@@ -12,11 +12,12 @@ type t = {
   decision : H.t -> bool;
 }
 
-(* The engine interleaves [decide] and [observe] strictly: wake-up entry,
-   then for each later entry one (discarded) decision before the
-   observation, then the decision under scrutiny.  The pure view must spawn
-   a fresh instance and replay the exact same call sequence so that
-   stateful protocols counting decisions behave identically. *)
+(* The per-round contract interleaves [decide] and [observe] strictly:
+   wake-up entry, then for each later entry one (discarded) decision before
+   the observation, then the decision under scrutiny, a quiet horizon read
+   as [Listen].  The pure view spawns a fresh instance and replays that
+   call sequence so that stateful protocols counting decisions behave
+   identically. *)
 let pure_of_protocol (p : Protocol.t) (h : H.t) =
   let len = Array.length h in
   if len = 0 then invalid_arg "Machine.pure_of_protocol: empty history";
@@ -26,7 +27,7 @@ let pure_of_protocol (p : Protocol.t) (h : H.t) =
     ignore (inst.Protocol.decide ());
     inst.Protocol.observe h.(i)
   done;
-  inst.Protocol.decide ()
+  Protocol.per_round (inst.Protocol.decide ())
 
 let of_protocol ?name ?(decision = fun _ -> false) protocol =
   let name = Option.value name ~default:protocol.Protocol.name in

@@ -87,6 +87,9 @@ let get_bounded_int_opt obj field ~limit =
              limit);
       Some n
 
+let get_bounded_int obj field ~default ~limit =
+  Option.value ~default (get_bounded_int_opt obj field ~limit)
+
 let parse_request obj =
   let kind =
     match Json.member "kind" obj with
@@ -114,13 +117,17 @@ let parse_request obj =
       Elect
         {
           config = get_config obj;
-          max_rounds = get_positive_int obj "max_rounds" default_max_rounds;
+          max_rounds =
+            get_bounded_int obj "max_rounds" ~default:default_max_rounds
+              ~limit:default_max_rounds;
         }
   | "simulate" ->
       Simulate
         {
           config = get_config obj;
-          max_rounds = get_positive_int obj "max_rounds" default_max_rounds;
+          max_rounds =
+            get_bounded_int obj "max_rounds" ~default:default_max_rounds
+              ~limit:default_max_rounds;
         }
   | "mc-check" ->
       let protocol =

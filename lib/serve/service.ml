@@ -247,7 +247,15 @@ let render_mc ~id ~protocol ~depth ~states canon perm =
           column = None;
         }
   | Some machine ->
-      let res = Radio_mc.Checker.verify ?depth ?states ~machine canon in
+      (* Without an explicit depth the checker's own bound still grows as
+         n^2 σ; a request never runs more than [max_mc_depth] rounds. *)
+      let depth =
+        match depth with
+        | Some d -> d
+        | None ->
+            min Protocol.max_mc_depth (Radio_mc.Checker.default_depth canon)
+      in
+      let res = Radio_mc.Checker.verify ~depth ?states ~machine canon in
       Protocol.response_ok ~id ~kind:"mc-check"
         ~cost:
           [

@@ -34,21 +34,110 @@ type plan_outcome = {
   ledger : fired list;
 }
 
-type node_state = {
-  mutable instance : Protocol.instance option;  (* None while asleep *)
-  mutable awake_at : int;  (* global wake round; -1 while asleep *)
-  mutable was_forced : bool;
-  mutable finished_at : int;  (* done_v; -1 while running *)
-  hist : History.Vec.t;
-}
+(* Nodes inside a quiet horizon, keyed by the global round of their next
+   decision and then by node, so that one round's entries pop in ascending
+   node order: a binary min-heap over two flat int arrays.  An entry whose
+   node no longer waits for that round (it crashed, left or rejoined in the
+   meantime) is dropped when it surfaces. *)
+module Agenda = struct
+  type t = {
+    mutable round : int array;
+    mutable node : int array;
+    mutable len : int;
+  }
 
-let fresh_node () =
+  let create n =
+    let cap = max 1 n in
+    { round = Array.make cap 0; node = Array.make cap 0; len = 0 }
+
+  let less a i j =
+    a.round.(i) < a.round.(j)
+    || (a.round.(i) = a.round.(j) && a.node.(i) < a.node.(j))
+
+  let swap a i j =
+    let r = a.round.(i) and v = a.node.(i) in
+    a.round.(i) <- a.round.(j);
+    a.node.(i) <- a.node.(j);
+    a.round.(j) <- r;
+    a.node.(j) <- v
+
+  let push a r v =
+    if a.len = Array.length a.round then begin
+      let grow x = Array.append x (Array.make a.len 0) in
+      a.round <- grow a.round;
+      a.node <- grow a.node
+    end;
+    a.round.(a.len) <- r;
+    a.node.(a.len) <- v;
+    let i = ref a.len in
+    a.len <- a.len + 1;
+    while !i > 0 && less a !i ((!i - 1) / 2) do
+      swap a !i ((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done
+
+  let top_round a = if a.len = 0 then max_int else a.round.(0)
+  let top_node a = a.node.(0)
+
+  let pop a =
+    a.len <- a.len - 1;
+    a.round.(0) <- a.round.(a.len);
+    a.node.(0) <- a.node.(a.len);
+    let i = ref 0 in
+    let settled = ref false in
+    while not !settled do
+      let l = (2 * !i) + 1 in
+      let m =
+        if l + 1 < a.len && less a (l + 1) l then l + 1 else l
+      in
+      if m < a.len && less a m !i then begin
+        swap a !i m;
+        i := m
+      end
+      else settled := true
+    done
+end
+
+(* The non-silent history entries of a run, in the order they happened:
+   node, local index, entry.  Histories are built from it once, at the
+   end, as exact-size arrays whose other entries are [Silence]. *)
+module Log = struct
+  type t = {
+    mutable node : int array;
+    mutable index : int array;
+    mutable entry : History.entry array;
+    mutable len : int;
+  }
+
+  let create n =
+    let cap = max 1 n in
+    {
+      node = Array.make cap 0;
+      index = Array.make cap 0;
+      entry = Array.make cap History.Silence;
+      len = 0;
+    }
+
+  let add l v i e =
+    if l.len = Array.length l.node then begin
+      l.node <- Array.append l.node (Array.make l.len 0);
+      l.index <- Array.append l.index (Array.make l.len 0);
+      l.entry <- Array.append l.entry (Array.make l.len History.Silence)
+    end;
+    l.node.(l.len) <- v;
+    l.index.(l.len) <- i;
+    l.entry.(l.len) <- e;
+    l.len <- l.len + 1
+end
+
+(* The instance slot of a node that has none (asleep, or not yet
+   rejoined); never called. *)
+let no_instance =
   {
-    instance = None;
-    awake_at = -1;
-    was_forced = false;
-    finished_at = -1;
-    hist = History.Vec.create ();
+    Protocol.on_wakeup = ignore;
+    decide = (fun () -> Protocol.Terminate);
+    observe = ignore;
+    skip = ignore;
   }
 
 (* Per-round fault tables compiled from the plan: lookups must not cost
@@ -141,7 +230,6 @@ let run_plan ?(max_rounds = 100_000) ?(record_trace = false) plan proto config
   let wake_tag = Array.init n (Config.tag config) in
   let metrics = Metrics.Acc.create () in
   let trace = Trace.Acc.create ~enabled:record_trace in
-  let nodes = Array.init n (fun _ -> fresh_node ()) in
   let dead = Array.make n false in
   let crashed_at = Array.make n (-1) in
   let ledger = ref [] in
@@ -158,24 +246,65 @@ let run_plan ?(max_rounds = 100_000) ?(record_trace = false) plan proto config
           fire ~round:0 j [ node ]
       | _ -> ())
     (Fault_plan.normalize plan);
+  (* Per-node state, in flat arrays.  [awake_at] is -1 while asleep and
+     [finished_at] (the paper's done_v) -1 while running.  The schedule:
+     [next_dec] is the global round of the node's next [decide] (-1 when
+     there is none); [obs_at] is the round whose entry it must be told
+     ([decide] said [Listen] or [Transmit]), and after Phase B of a round
+     also marks a quiet node already told that round's entry; [reported] is
+     the last round whose entry the instance has been told, directly or by
+     a [skip].  [born] is the log position where the node's current
+     incarnation starts. *)
+  let inst = Array.make n no_instance in
+  let awake_at = Array.make n (-1) in
+  let was_forced = Array.make n false in
+  let finished_at = Array.make n (-1) in
+  let next_dec = Array.make n (-1) in
+  let obs_at = Array.make n (-1) in
+  let reported = Array.make n (-1) in
+  let born = Array.make n 0 in
+  let log = Log.create n in
+  let agenda = Agenda.create n in
   let remaining = ref n in
+  let sleeping = ref n in
   let first_tx = ref None in
   let tx_by_node = Array.make n 0 in
-  (* Per-round scratch: the message each node transmits this round, if
-     any, and, filled from the transmitters' side, how many copies reach
-     each node ([audible], scheduled drops removed) and the last of them
-     ([heard]; the message itself when exactly one copy reaches). *)
-  let tx_msg : string option array = Array.make n None in
+  (* Per-round work arrays, valid where their stamp equals the round, so
+     nothing is cleared between rounds: whether a node transmits
+     ([tx_at]); filled from the transmitters' side, how many copies reach a
+     node ([aud_at], [audible], scheduled drops removed) and the last of
+     them ([heard]; the message itself when exactly one copy reaches); and
+     whether scheduled noise hits it ([noisy_at]).  [touched] lists the
+     nodes reached this round. *)
+  let tx_at = Array.make n (-1) in
+  let aud_at = Array.make n (-1) in
   let audible = Array.make n 0 in
   let heard = Array.make n "" in
+  let noisy_at = Array.make n (-1) in
+  let touched = Array.make n 0 in
+  let touched_len = ref 0 in
+  (* [due] holds this round's nodes that said [Listen] or [Transmit] last
+     round, [next] those that say so this round: both ascending. *)
+  let due = ref (Array.make n 0) in
+  let due_len = ref 0 in
+  let next = ref (Array.make n 0) in
+  let next_len = ref 0 in
   let live v = not (dead.(v) || absent.(v)) in
+  let running v = awake_at.(v) >= 0 && finished_at.(v) < 0 && live v in
+  let audible_at r v = if aud_at.(v) = r then audible.(v) else 0 in
   let mem_link u v =
     match adj with None -> G.mem_edge g u v | Some m -> m.(u).(v)
   in
-  let deliver drops_r w m =
+  let deliver ~round drops_r w m =
     let reach v =
       if not (List.mem (w, v) drops_r) then begin
-        audible.(v) <- audible.(v) + 1;
+        if aud_at.(v) = round then audible.(v) <- audible.(v) + 1
+        else begin
+          aud_at.(v) <- round;
+          audible.(v) <- 1;
+          touched.(!touched_len) <- v;
+          incr touched_len
+        end;
         heard.(v) <- m
       end
     in
@@ -189,24 +318,82 @@ let run_plan ?(max_rounds = 100_000) ?(record_trace = false) plan proto config
   in
   (* [forced_by] is the lone audible transmitter's message of a forced
      wake-up; a spontaneous wake-up starts the history with [Silence]. *)
-  let wake st v ~round forced_by =
-    let inst = proto.Protocol.spawn () in
-    st.instance <- Some inst;
-    st.awake_at <- round;
+  let wake v ~round forced_by =
+    let i = proto.Protocol.spawn () in
+    inst.(v) <- i;
+    awake_at.(v) <- round;
+    reported.(v) <- round;
+    next_dec.(v) <- round + 1;
+    if round + 1 < max_rounds then Agenda.push agenda (round + 1) v;
+    decr sleeping;
     let entry =
       match forced_by with
       | Some m ->
-          st.was_forced <- true;
+          was_forced.(v) <- true;
           Metrics.Acc.forced_wakeup metrics;
           Trace.Acc.wake trace ~round v (Trace.Forced m);
-          History.Message m
+          let e = History.Message m in
+          Log.add log v 0 e;
+          e
       | None ->
           Metrics.Acc.spontaneous_wakeup metrics;
           Trace.Acc.wake trace ~round v Trace.Spontaneous;
           History.Silence
     in
-    History.Vec.push st.hist entry;
-    inst.Protocol.on_wakeup entry
+    i.Protocol.on_wakeup entry
+  in
+  (* Tells the instance the silent rounds it has not been told before
+     [round]. *)
+  let catch_up v ~round =
+    let k = round - 1 - reported.(v) in
+    if k > 0 then begin
+      inst.(v).Protocol.skip k;
+      reported.(v) <- round - 1
+    end
+  in
+  (* A node that said [Listen] or [Transmit] is told this round's entry
+     and decides again next round. *)
+  let observe_next v ~round =
+    obs_at.(v) <- round;
+    next_dec.(v) <- round + 1;
+    !next.(!next_len) <- v;
+    incr next_len
+  in
+  let entry_of v ~round =
+    if tx_at.(v) = round then History.Silence (* transmitters hear nothing *)
+    else if noisy_at.(v) = round then begin
+      Metrics.Acc.collision_heard metrics;
+      History.Collision
+    end
+    else
+      match audible_at round v with
+      | 0 -> History.Silence
+      | 1 ->
+          Metrics.Acc.delivery metrics;
+          History.Message heard.(v)
+      | _ ->
+          Metrics.Acc.collision_heard metrics;
+          History.Collision
+  in
+  (* Only entries other than [Silence] are logged. *)
+  let tell v ~round e =
+    (match e with
+    | History.Silence -> ()
+    | History.Message _ | History.Collision ->
+        Log.add log v (round - awake_at.(v)) e);
+    inst.(v).Protocol.observe e;
+    reported.(v) <- round
+  in
+  (* A quiet node reached by a message or by noise is told at once. *)
+  let reach v ~round =
+    if v >= 0 && v < n && obs_at.(v) <> round && running v then begin
+      obs_at.(v) <- round;
+      match entry_of v ~round with
+      | History.Silence -> ()
+      | e ->
+          catch_up v ~round;
+          tell v ~round e
+    end
   in
   (* Topology events take effect at the top of their round, in normalized
      order.  An event fires iff it changed the network state: flapping a
@@ -239,12 +426,11 @@ let run_plan ?(max_rounds = 100_000) ?(record_trace = false) plan proto config
                       fire ~round:r f []
                     end)
             | Fault_plan.Leave { node; _ } ->
-                if node >= 0 && node < n && not (dead.(node) || absent.(node))
-                then begin
-                  let st = nodes.(node) in
+                if node >= 0 && node < n && live node then begin
                   absent.(node) <- true;
                   departed_at.(node) <- r;
-                  let running = st.finished_at < 0 in
+                  if awake_at.(node) < 0 then decr sleeping;
+                  let running = finished_at.(node) < 0 in
                   if running then decr remaining;
                   fire ~round:r f (if running then [ node ] else [])
                 end
@@ -255,16 +441,19 @@ let run_plan ?(max_rounds = 100_000) ?(record_trace = false) plan proto config
                      alarm at [max tag r] (a past alarm fires immediately). *)
                   absent.(node) <- false;
                   departed_at.(node) <- -1;
-                  nodes.(node) <- fresh_node ();
+                  inst.(node) <- no_instance;
+                  awake_at.(node) <- -1;
+                  was_forced.(node) <- false;
+                  finished_at.(node) <- -1;
+                  next_dec.(node) <- -1;
+                  born.(node) <- log.Log.len;
                   wake_tag.(node) <- max tag r;
+                  incr sleeping;
                   incr remaining;
                   fire ~round:r f [ node ]
                 end
             | Fault_plan.Retag { node; tag; _ } ->
-                if
-                  node >= 0 && node < n
-                  && (not (dead.(node) || absent.(node)))
-                  && nodes.(node).instance = None
+                if node >= 0 && node < n && live node && awake_at.(node) < 0
                 then begin
                   let alarm = max tag r in
                   if alarm <> wake_tag.(node) then begin
@@ -289,85 +478,95 @@ let run_plan ?(max_rounds = 100_000) ?(record_trace = false) plan proto config
        no-ops. *)
     if tables.any_crash then
       for v = 0 to n - 1 do
-        if tables.crash_at.(v) = r && not dead.(v) && not absent.(v) then begin
-          let st = nodes.(v) in
-          if st.finished_at < 0 then begin
-            dead.(v) <- true;
-            crashed_at.(v) <- r;
-            decr remaining;
-            fire ~round:r (Fault_plan.Crash { node = v; round = r }) []
-          end
+        if tables.crash_at.(v) = r && live v && finished_at.(v) < 0 then begin
+          dead.(v) <- true;
+          crashed_at.(v) <- r;
+          if awake_at.(v) < 0 then decr sleeping;
+          decr remaining;
+          fire ~round:r (Fault_plan.Crash { node = v; round = r }) []
         end
       done;
     let drops_r = dropped_now r in
     let noise_r = noisy_now r in
-    (* Phase A: decisions of live nodes already awake (woken before round
-       r); each transmission is delivered to the transmitter's current
-       neighbours at once. *)
-    Array.fill tx_msg 0 n None;
-    Array.fill audible 0 n 0;
+    if noise_r <> [] then
+      List.iter (fun v -> if v >= 0 && v < n then noisy_at.(v) <- r) noise_r;
+    touched_len := 0;
+    next_len := 0;
+    (* Phase A: decisions of the live running nodes due this round, in
+       ascending node order (the merge of [due] and the agenda's entries
+       for round [r]); each transmission is delivered to the transmitter's
+       current neighbours at once.  A node inside a quiet horizon is not
+       visited. *)
     let transmitters = ref [] in
-    for v = 0 to n - 1 do
-      let st = nodes.(v) in
-      match st.instance with
-      | Some inst when st.finished_at < 0 && st.awake_at < r && live v -> (
-          let local = r - st.awake_at in
-          match inst.Protocol.decide () with
-          | Protocol.Terminate ->
-              st.finished_at <- local;
-              decr remaining;
-              Trace.Acc.terminate trace ~round:r v
-          | Protocol.Transmit m ->
-              tx_msg.(v) <- Some m;
-              deliver drops_r v m;
-              transmitters := v :: !transmitters;
-              tx_by_node.(v) <- tx_by_node.(v) + 1;
-              Metrics.Acc.transmission metrics;
-              Trace.Acc.transmit trace ~round:r v m
-          | Protocol.Listen -> ())
-      | _ -> ()
+    let di = ref 0 in
+    while !di < !due_len || Agenda.top_round agenda <= r do
+      let v =
+        if
+          Agenda.top_round agenda <= r
+          && (!di >= !due_len || Agenda.top_node agenda < !due.(!di))
+        then begin
+          let v = Agenda.top_node agenda in
+          Agenda.pop agenda;
+          v
+        end
+        else begin
+          let v = !due.(!di) in
+          incr di;
+          v
+        end
+      in
+      if next_dec.(v) = r && running v then begin
+        catch_up v ~round:r;
+        match inst.(v).Protocol.decide () with
+        | Protocol.Terminate ->
+            finished_at.(v) <- r - awake_at.(v);
+            next_dec.(v) <- -1;
+            decr remaining;
+            Trace.Acc.terminate trace ~round:r v
+        | Protocol.Transmit m ->
+            tx_at.(v) <- r;
+            deliver ~round:r drops_r v m;
+            if Option.is_none !first_tx then transmitters := v :: !transmitters;
+            tx_by_node.(v) <- tx_by_node.(v) + 1;
+            Metrics.Acc.transmission metrics;
+            Trace.Acc.transmit trace ~round:r v m;
+            observe_next v ~round:r
+        | Protocol.Listen -> observe_next v ~round:r
+        | Protocol.Quiet k ->
+            let until =
+              if k >= max_rounds - r then max_rounds else r + max 1 k
+            in
+            next_dec.(v) <- until;
+            if until < max_rounds then Agenda.push agenda until v
+      end
     done;
-    if !transmitters <> [] && !first_tx = None then
-      first_tx := Some (r, List.sort compare !transmitters);
-    (* Phase B: receptions at live, awake, running nodes. *)
-    for v = 0 to n - 1 do
-      let st = nodes.(v) in
-      match st.instance with
-      | Some inst when st.finished_at < 0 && st.awake_at < r && live v ->
-          let entry =
-            match tx_msg.(v) with
-            | Some _ -> History.Silence (* transmitters hear nothing *)
-            | None ->
-                if List.mem v noise_r then begin
-                  Metrics.Acc.collision_heard metrics;
-                  History.Collision
-                end
-                else begin
-                  match audible.(v) with
-                  | 0 -> History.Silence
-                  | 1 ->
-                      Metrics.Acc.delivery metrics;
-                      History.Message heard.(v)
-                  | _ ->
-                      Metrics.Acc.collision_heard metrics;
-                      History.Collision
-                end
-          in
-          History.Vec.push st.hist entry;
-          inst.Protocol.observe entry
-      | _ -> ()
+    if !transmitters <> [] then first_tx := Some (r, List.rev !transmitters);
+    (* Phase B: receptions.  Nodes that decided to listen or transmit are
+       told their entry; a quiet node only when a message or noise reached
+       it.  Only entries other than [Silence] are logged. *)
+    for i = 0 to !next_len - 1 do
+      let v = !next.(i) in
+      tell v ~round:r (entry_of v ~round:r)
     done;
+    for i = 0 to !touched_len - 1 do
+      reach touched.(i) ~round:r
+    done;
+    if noise_r <> [] then List.iter (fun v -> reach v ~round:r) noise_r;
     (* Phase C: wake-ups of live sleeping nodes (forced by a lone audible
        transmitter, else spontaneous when the tag says so).  Noise corrupts
-       collision detection, so a noisy sleeping node cannot be force-woken. *)
-    for v = 0 to n - 1 do
-      let st = nodes.(v) in
-      match st.instance with
-      | None when live v ->
-          if audible.(v) = 1 && not (List.mem v noise_r) then
-            wake st v ~round:r (Some heard.(v))
-          else if wake_tag.(v) = r then wake st v ~round:r None
-      | _ -> ()
+       collision detection, so a noisy sleeping node cannot be force-woken.
+       The scan stops once every sleeping node has been seen. *)
+    let unseen = ref !sleeping in
+    let v = ref 0 in
+    while !unseen > 0 && !v < n do
+      let u = !v in
+      if awake_at.(u) < 0 && live u then begin
+        decr unseen;
+        if audible_at r u = 1 && noisy_at.(u) <> r then
+          wake u ~round:r (Some heard.(u))
+        else if wake_tag.(u) = r then wake u ~round:r None
+      end;
+      incr v
     done;
     (* Ledger: which of this round's scheduled drops and noise bursts
        actually changed someone's execution. *)
@@ -375,24 +574,23 @@ let run_plan ?(max_rounds = 100_000) ?(record_trace = false) plan proto config
       List.iter
         (fun (src, dst) ->
           if
-            tx_msg.(src) <> None
+            tx_at.(src) = r
             && dst >= 0 && dst < n
             && mem_link src dst
             && live dst
-            && tx_msg.(dst) = None
+            && tx_at.(dst) <> r
           then begin
-            let st = nodes.(dst) in
             (* Post-drop audible count at dst; without this drop it would
                have been one higher. *)
-            let count = audible.(dst) in
-            let noisy_dst = List.mem dst noise_r in
-            let awake_listener = st.instance <> None && st.awake_at < r in
+            let count = audible_at r dst in
+            let noisy_dst = noisy_at.(dst) = r in
+            let awake_listener = awake_at.(dst) >= 0 && awake_at.(dst) < r in
             let fault = Fault_plan.Drop { src; dst; round = r } in
-            if awake_listener && st.finished_at < 0 then begin
+            if awake_listener && finished_at.(dst) < 0 then begin
               (* Entry with the drop: count; without: count + 1. *)
               if (not noisy_dst) && count <= 1 then fire ~round:r fault [ dst ]
             end
-            else if st.instance = None || st.awake_at = r then begin
+            else if awake_at.(dst) < 0 || awake_at.(dst) = r then begin
               (* dst was asleep at reception time (possibly woken this very
                  round).  The drop changed the wake-up iff it moved the
                  audible count across the =1 boundary. *)
@@ -412,32 +610,51 @@ let run_plan ?(max_rounds = 100_000) ?(record_trace = false) plan proto config
     if noise_r <> [] then
       List.iter
         (fun v ->
-          if v >= 0 && v < n && live v && tx_msg.(v) = None then begin
-            let st = nodes.(v) in
-            let count = audible.(v) in
+          if v >= 0 && v < n && live v && tx_at.(v) <> r then begin
+            let count = audible_at r v in
             let fault = Fault_plan.Noise { node = v; round = r } in
-            if st.instance <> None && st.awake_at < r && st.finished_at < 0
+            if awake_at.(v) >= 0 && awake_at.(v) < r && finished_at.(v) < 0
             then begin
               (* Listening node: heard Collision instead of count's entry. *)
               if count <= 1 then fire ~round:r fault [ v ]
             end
-            else if st.instance = None || st.awake_at = r then
+            else if awake_at.(v) < 0 || awake_at.(v) = r then
               (* Asleep at reception time: a lone transmitter was masked. *)
               if count = 1 then
-                fire ~round:r fault (if st.awake_at = r then [ v ] else [])
+                fire ~round:r fault (if awake_at.(v) = r then [ v ] else [])
           end)
         (List.sort compare noise_r);
+    let d = !due in
+    due := !next;
+    due_len := !next_len;
+    next := d;
     incr round;
     rounds_done := !round
   done;
   Metrics.Acc.set_rounds metrics !rounds_done;
+  (* Each history is built once: its length follows from how the node's
+     run ended, and its non-silent entries come from the log. *)
+  let length v =
+    if awake_at.(v) < 0 then 0
+    else if finished_at.(v) >= 0 then finished_at.(v)
+    else if crashed_at.(v) >= 0 then crashed_at.(v) - awake_at.(v)
+    else if departed_at.(v) >= 0 then departed_at.(v) - awake_at.(v)
+    else !rounds_done - awake_at.(v)
+  in
+  let histories =
+    Array.init n (fun v -> Array.make (length v) History.Silence)
+  in
+  for p = 0 to log.Log.len - 1 do
+    let v = log.Log.node.(p) in
+    if p >= born.(v) then histories.(v).(log.Log.index.(p)) <- log.Log.entry.(p)
+  done;
   let base =
     {
       config;
-      histories = Array.map (fun st -> History.Vec.snapshot st.hist) nodes;
-      wake_round = Array.map (fun st -> st.awake_at) nodes;
-      forced = Array.map (fun st -> st.was_forced) nodes;
-      done_local = Array.map (fun st -> st.finished_at) nodes;
+      histories;
+      wake_round = awake_at;
+      forced = was_forced;
+      done_local = finished_at;
       all_terminated = !remaining = 0;
       rounds = !rounds_done;
       first_transmission = !first_tx;

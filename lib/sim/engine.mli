@@ -23,7 +23,15 @@
     deviations of a {!Fault_plan}.  The fault-free run is its empty-plan
     run: [run proto config] is [(run_plan Fault_plan.empty proto config).base].
     An empty plan costs only a few per-round tests of the compiled plan
-    (crash, drop, noise, topology) that skip every fault phase. *)
+    (crash, drop, noise, topology) that skip every fault phase.
+
+    A round costs work only for the nodes with something to do: those due
+    to decide (a node that answered {!Radio_drip.Protocol.Quiet} is not
+    asked again until its horizon ends), those a transmission or noise
+    reached, and, while any node sleeps, a scan for wake-ups.  A quiet
+    node's silent rounds reach its instance as one [skip].  Only the
+    history entries other than [Silence] are recorded during the run; each
+    history is built once, at the end, as an array of its exact length. *)
 
 type outcome = {
   config : Radio_config.Config.t;

@@ -36,14 +36,25 @@ let run ?max_rounds ?record_trace e config =
 let elects_unique_leader r = Option.is_some r.leader
 
 (* Histories are bucketed by a hash of every entry, so grouping is
-   O(n·R) for R rounds instead of pairwise O(n²·R). *)
+   O(n·R) for R rounds instead of pairwise O(n²·R).  Entries are matched
+   by constructor: a silent round adds nothing, a collision its index, a
+   message its index and its string's hash; the length and a final mix
+   spread the value over the bits the table indexes by. *)
 module Hist_tbl = Hashtbl.Make (struct
   type t = History.t
 
   let equal = History.equal
 
   let hash h =
-    Array.fold_left (fun acc e -> ((acc * 31) + Hashtbl.hash e) land max_int) 0 h
+    let acc = ref (Array.length h) in
+    for i = 0 to Array.length h - 1 do
+      match h.(i) with
+      | History.Silence -> ()
+      | History.Collision -> acc := (!acc * 31) + (2 * i) + 1
+      | History.Message m ->
+          acc := (!acc * 31) + (2 * i) + (65599 * Hashtbl.hash m)
+    done;
+    Hashtbl.hash !acc
 end)
 
 (* One grouping pass: classes numbered from 1 in order of first occurrence,

@@ -42,11 +42,11 @@ let intent round node =
          round here is [round - woke_at >= 1]. *)
       if node.finished >= 0 then (node, Already_done)
       else begin
-        match inst.P.decide () with
+        match P.per_round (inst.P.decide ()) with
         | P.Terminate ->
             ({ node with finished = round - node.woke_at }, Stopped)
         | P.Transmit m -> (node, Sent m)
-        | P.Listen -> (node, Heard)
+        | P.Listen | P.Quiet _ -> (node, Heard)
       end
 
 let entry_for_listener nodes intents g v =

@@ -7,6 +7,7 @@ module F = Radio_config.Families
 module G = Radio_graph.Graph
 module Gen = Radio_graph.Gen
 module H = Radio_drip.History
+module P = Radio_drip.Protocol
 module Cl = Election.Classifier
 module Can = Election.Canonical
 module Fe = Election.Feasibility
@@ -259,6 +260,57 @@ let test_foreign_execution_is_well_defined () =
         o.Engine.done_local)
     [ F.s_family 2; F.h_family 5; F.two_cells () ]
 
+(* ------------------------------------------------------------------ *)
+(* Quiet horizons: the engine's cost follows the messages               *)
+(* ------------------------------------------------------------------ *)
+
+(* Wraps every instance so that its [decide], [observe] and [skip] calls
+   are counted; horizons pass through unchanged. *)
+let counting (p : P.t) =
+  let calls = ref 0 in
+  let count f x =
+    incr calls;
+    f x
+  in
+  let spawn () =
+    let i = p.P.spawn () in
+    {
+      P.on_wakeup = i.P.on_wakeup;
+      decide = count i.P.decide;
+      observe = count i.P.observe;
+      skip = count i.P.skip;
+    }
+  in
+  ({ p with P.spawn }, calls)
+
+let test_calls_follow_the_messages () =
+  (* A node makes about three calls per phase (quiet up to its block,
+     transmit, quiet to the phase end) plus one per entry it hears, so the
+     totals sit far below the two calls per node-round of a per-round
+     loop.  The counts are pinned exactly. *)
+  List.iter
+    (fun (name, config, expected) ->
+      let proto, calls = counting (Can.protocol (plan_of config)) in
+      let o = Engine.run proto config in
+      check (name ^ " elects") true o.Engine.all_terminated;
+      check_int (name ^ " instance calls") expected !calls;
+      let node_rounds = C.size config * o.Engine.rounds in
+      check
+        (Printf.sprintf "%s: %d calls <= %d node-rounds / 3" name !calls
+           node_rounds)
+        true
+        (3 * !calls <= node_rounds))
+    [
+      ("G_8", F.g_family 8, 2123);
+      ("G_16", F.g_family 16, 8347);
+      ( "path, sigma 8",
+        F.tagged_path (Array.init 12 (fun i -> if i = 0 then 8 else 0)),
+        87 );
+      ( "path, sigma 6",
+        F.tagged_path (Array.init 16 (fun i -> if i = 2 then 6 else i mod 2)),
+        133 );
+    ]
+
 let () =
   Alcotest.run "canonical"
     [
@@ -297,5 +349,10 @@ let () =
         [
           Alcotest.test_case "lost nodes stay scheduled" `Quick
             test_foreign_execution_is_well_defined;
+        ] );
+      ( "quiet",
+        [
+          Alcotest.test_case "instance calls follow the messages" `Quick
+            test_calls_follow_the_messages;
         ] );
     ]

@@ -1842,6 +1842,7 @@ let shared_state_protocol () =
             (fun () ->
               if !rounds = 0 then P.Transmit me else P.Terminate);
           observe = (fun _ -> incr rounds);
+          skip = (fun k -> rounds := !rounds + k);
         });
   }
 
@@ -1863,6 +1864,7 @@ let run_flipping_protocol () =
               else if !rounds >= 1 then P.Terminate
               else P.Listen);
           observe = (fun _ -> incr rounds);
+          skip = (fun k -> rounds := !rounds + k);
         });
   }
 

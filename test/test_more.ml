@@ -169,6 +169,7 @@ let test_terminate_never_reconsults () =
                   P.Terminate
                 end);
             observe = (fun _ -> ());
+            skip = ignore;
           });
     }
   in

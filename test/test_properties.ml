@@ -645,6 +645,77 @@ let prop_churn_replay_deterministic =
       && Radio_lint.Report.ok
            (Radio_lint.Invariants.validate_faulty ~protocol:proto o1))
 
+(* ------------------------------------------------------------------ *)
+(* Quiet horizons                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The per-round view of a protocol: every quiet horizon read as [Listen],
+   so the engine asks and tells the instance in every round. *)
+let per_round (p : P.t) =
+  {
+    P.name = p.P.name ^ "-per-round";
+    spawn =
+      (fun () ->
+        let i = p.P.spawn () in
+        { i with P.decide = (fun () -> P.per_round (i.P.decide ())) });
+  }
+
+let plan_outcomes_equal (a : Engine.plan_outcome) (b : Engine.plan_outcome) =
+  Engine.outcome_equal a.Engine.base b.Engine.base
+  && a.Engine.ledger = b.Engine.ledger
+  && a.Engine.crashed_at = b.Engine.crashed_at
+  && a.Engine.departed_at = b.Engine.departed_at
+
+(* P30: a quiet horizon changes which calls the engine makes, never the
+   run: the DRIP and its per-round view produce equal outcomes (histories,
+   wake-up and termination rounds, metrics, trace) and ledgers on P25's
+   configurations, under cut-offs before termination, and under P26's
+   sampled fault plans and plans with topology events. *)
+let prop_quiet_horizons_are_invisible =
+  QCheck.Test.make ~name:"quiet horizons == per-round listening" ~count:200
+    gen_config (fun params ->
+      let _, _, _, seed = params in
+      let config = build params in
+      let proto = Can.protocol (Can.plan_of_run (Cl.classify config)) in
+      let eager = per_round proto in
+      let same ?(max_rounds = 3_000_000) plan =
+        let go p =
+          Engine.run_plan ~max_rounds ~record_trace:true plan p config
+        in
+        plan_outcomes_equal (go proto) (go eager)
+      in
+      let rounds =
+        (Engine.run ~max_rounds:3_000_000 proto config).Engine.rounds
+      in
+      let n = C.size config in
+      let horizon = (3 * (n + C.span config)) + 5 in
+      let topo =
+        FP.normalize
+          (FP.sample ~seed:(seed + 3) ~crashes:1 ~drops:2 ~noise:2
+             ~link_flaps:2 ~node_flaps:1 ~retags:1 ~horizon config)
+      in
+      same FP.empty
+      && same ~max_rounds:(max 1 (rounds / 3)) FP.empty
+      && same ~max_rounds:(max 1 (rounds - 1)) FP.empty
+      && same (sampled_plan ~seed config)
+      && (n < 2 || (same topo && same ~max_rounds:(max 1 (rounds / 2)) topo)))
+
+(* P31: Patient forwards the DRIP's horizons and skips to it: the wrapped
+   DRIP runs on the engine as in the executable specification, whose
+   per-round loop never sees a horizon. *)
+let prop_patient_drip_matches_spec =
+  QCheck.Test.make ~name:"patient DRIP: engine == executable specification"
+    ~count:150 gen_config (fun params ->
+      let config = build params in
+      let drip = Can.protocol (Can.plan_of_run (Cl.classify config)) in
+      List.for_all
+        (fun sigma ->
+          let proto = Patient.make ~sigma drip in
+          let o = checked_run ~max_rounds:3_000_000 proto config in
+          let s = Spec_engine.run ~max_rounds:3_000_000 proto config in
+          Spec_engine.agrees_with_engine s o)
+        [ C.span config; C.span config + 2 ])
+
 let () =
   Alcotest.run "properties"
     [
@@ -689,4 +760,8 @@ let () =
             prop_nested_topology_roundtrip;
             prop_churn_replay_deterministic;
           ] );
+      ( "quiet",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_quiet_horizons_are_invisible; prop_patient_drip_matches_spec ]
+      );
     ]

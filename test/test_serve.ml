@@ -423,6 +423,67 @@ let test_mc_check_ceilings () =
       check "still serving" true (contains c "\"status\":\"ok\"")
   | lines -> Alcotest.failf "expected three responses, got %d" (List.length lines)
 
+let test_round_ceilings () =
+  (* elect and simulate refuse a max_rounds above the round default with
+     the same structured error as an mc-check depth, and accept it at the
+     limit; the daemon answers the next request as usual. *)
+  let cfg = quote family_h2 in
+  let req kind rounds =
+    Printf.sprintf "{\"id\":%S,\"kind\":%S,\"config\":%s,\"max_rounds\":%d}"
+      kind kind cfg rounds
+  in
+  List.iter
+    (fun kind ->
+      let e = err_of (req kind (P.default_max_rounds + 1)) in
+      check (kind ^ " max_rounds over limit") true
+        (e.P.message
+        = Printf.sprintf "field \"max_rounds\" too large (%d > limit %d)"
+            (P.default_max_rounds + 1) P.default_max_rounds);
+      match (P.parse (req kind P.default_max_rounds)).P.request with
+      | Ok _ -> ()
+      | Error e ->
+          Alcotest.failf "%s at the limit rejected: %s" kind e.P.message)
+    [ "elect"; "simulate" ];
+  let out =
+    serve
+      [
+        req "elect" 1_000_000_000;
+        req "simulate" (P.default_max_rounds + 1);
+        Printf.sprintf "{\"id\":3,\"kind\":\"simulate\",\"config\":%s}" cfg;
+      ]
+  in
+  match String.split_on_char '\n' (String.trim out) with
+  | [ a; b; c ] ->
+      check "elect refused" true
+        (contains a "\"status\":\"error\"" && contains a "limit 100000");
+      check "simulate refused" true
+        (contains b "\"status\":\"error\"" && contains b "limit 100000");
+      check "still serving" true (contains c "\"status\":\"ok\"")
+  | lines ->
+      Alcotest.failf "expected three responses, got %d" (List.length lines)
+
+let test_mc_check_default_depth () =
+  (* An mc-check without depth runs to the checker's own bound when that
+     is below max_mc_depth (the answer is the explicit request's), and to
+     max_mc_depth beyond it: the bound grows as n^2 σ. *)
+  let mc depth =
+    Printf.sprintf "{\"id\":1,\"kind\":\"mc-check\",\"config\":%s%s}"
+      (quote family_h2)
+      (match depth with
+      | None -> ""
+      | Some d -> Printf.sprintf ",\"depth\":%d" d)
+  in
+  let h2 = Radio_config.Config_io.of_string family_h2 in
+  let own = Radio_mc.Checker.default_depth h2 in
+  check "H_2 bound below the ceiling" true (own < P.max_mc_depth);
+  check "omitted depth = the checker's bound" true
+    (serve [ mc None ] = serve [ mc (Some own) ]);
+  let long_path =
+    Radio_config.Families.tagged_path (Array.init 200 (fun i -> i mod 3))
+  in
+  check "a 200-node bound exceeds the ceiling" true
+    (Radio_mc.Checker.default_depth long_path > P.max_mc_depth)
+
 let test_mc_check_agrees_with_classify () =
   (* canonical routing: the leader reported by classify, elect and
      mc-check must be the same node (docs/SERVE.md) *)
@@ -486,6 +547,9 @@ let () =
           Alcotest.test_case "negative" `Quick test_protocol_negative;
           Alcotest.test_case "id echo" `Quick test_protocol_id_echo;
           Alcotest.test_case "mc-check ceilings" `Quick test_mc_check_ceilings;
+          Alcotest.test_case "round ceilings" `Quick test_round_ceilings;
+          Alcotest.test_case "mc-check default depth" `Quick
+            test_mc_check_default_depth;
         ] );
       ( "determinism",
         [
