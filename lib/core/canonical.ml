@@ -289,25 +289,55 @@ let upper_bound_rounds ~n ~sigma =
 
 let iso_cache_bound = 8
 
+(* Decimal digits of [x >= 0]. *)
+let digits x =
+  let rec go x k = if x < 10 then k else go (x / 10) (k + 1) in
+  go x 1
+
+(* Writes [x >= 0] into [b], its last digit at [i]. *)
+let rec put_int b i x =
+  Bytes.set b i "0123456789".[x mod 10];
+  if x >= 10 then put_int b (i - 1) (x / 10)
+
+(* Straight from the tag and adjacency arrays into a buffer of the
+   exact size, counted first: [n], two bars, the tags and the spaces
+   between them, and per edge its endpoints, a dash and a separator
+   (one fewer separator than edges). *)
 let raw_key c =
   let module C = Radio_config.Config in
-  let b = Buffer.create 64 in
-  Buffer.add_string b (string_of_int (C.size c));
-  Buffer.add_char b '|';
+  let module G = Radio_graph.Graph in
+  let g = C.graph c in
+  let n = C.size c in
+  let tags = C.tags c in
+  let len = ref (digits n + 2 + max 0 (n - 1)) in
+  Array.iter (fun t -> len := !len + digits t) tags;
+  G.iter_edges g ~f:(fun u w -> len := !len + digits u + digits w + 2);
+  if G.num_edges g > 0 then decr len;
+  let b = Bytes.create !len in
+  let pos = ref 0 in
+  let add_int x =
+    pos := !pos + digits x;
+    put_int b (!pos - 1) x
+  in
+  let add_char ch =
+    Bytes.set b !pos ch;
+    incr pos
+  in
+  add_int n;
+  add_char '|';
   Array.iteri
-    (fun i t ->
-      if i > 0 then Buffer.add_char b ' ';
-      Buffer.add_string b (string_of_int t))
-    (C.tags c);
-  Buffer.add_char b '|';
-  List.iteri
-    (fun i (u, v) ->
-      if i > 0 then Buffer.add_char b ' ';
-      Buffer.add_string b (string_of_int u);
-      Buffer.add_char b '-';
-      Buffer.add_string b (string_of_int v))
-    (Radio_graph.Graph.edges (C.graph c));
-  Buffer.contents b
+    (fun v t ->
+      if v > 0 then add_char ' ';
+      add_int t)
+    tags;
+  add_char '|';
+  let edges_from = !pos in
+  G.iter_edges g ~f:(fun u w ->
+      if !pos > edges_from then add_char ' ';
+      add_int u;
+      add_char '-';
+      add_int w);
+  Bytes.unsafe_to_string b
 
 let canonical_form c =
   let module C = Radio_config.Config in

@@ -90,10 +90,87 @@ let mem_edge g u v =
   check_endpoints g.n u v;
   sorted_mem g.adj.(u) v
 
+(* The first of edges [0 .. k - 1] that repeats an earlier one, with
+   [Builder.add_edge]'s message; only run once a repeat is known. *)
+let slow_first_duplicate ends k =
+  let seen = Hashtbl.create (2 * k) in
+  let rec go i =
+    if i >= k then None
+    else
+      let u = ends.(2 * i) and v = ends.((2 * i) + 1) in
+      let key = (min u v, max u v) in
+      if Hashtbl.mem seen key then
+        Some (i, Format.asprintf "duplicate edge {%d, %d}" u v)
+      else (
+        Hashtbl.add seen key ();
+        go (i + 1))
+  in
+  go 0
+
+(* Why the edge [{u, v}] with a bad endpoint is refused, as
+   [Builder.add_edge] words it. *)
+let endpoint_error n u v =
+  let outside w = Format.asprintf "vertex %d out of range [0, %d)" w n in
+  if u < 0 || u >= n then outside u
+  else if v < 0 || v >= n then outside v
+  else Format.asprintf "self-loop at vertex %d" u
+
+let of_edge_array n ends m =
+  if n < 0 then invalid "negative vertex count %d" n;
+  let deg = Array.make n 0 in
+  (* [k]: the first edge with a bad endpoint; only edges before it count *)
+  let k = ref 0 in
+  let ok i =
+    let u = ends.(2 * i) and v = ends.((2 * i) + 1) in
+    u >= 0 && u < n && v >= 0 && v < n && u <> v
+  in
+  while !k < m && ok !k do
+    let u = ends.(2 * !k) and v = ends.((2 * !k) + 1) in
+    deg.(u) <- deg.(u) + 1;
+    deg.(v) <- deg.(v) + 1;
+    incr k
+  done;
+  let k = !k in
+  (* Rows are allocated at their final size and filled back to front
+     ([deg] counts down), so each row lists its edges in input order;
+     rows not already increasing (none, for input in [edges] order) are
+     sorted, and a repeated edge shows as two equal neighbours. *)
+  let adj = Array.map (fun d -> Array.make d 0) deg in
+  for i = k - 1 downto 0 do
+    let u = ends.(2 * i) and v = ends.((2 * i) + 1) in
+    deg.(u) <- deg.(u) - 1;
+    adj.(u).(deg.(u)) <- v;
+    deg.(v) <- deg.(v) - 1;
+    adj.(v).(deg.(v)) <- u
+  done;
+  let increasing a =
+    let rec go j = j >= Array.length a || (a.(j - 1) < a.(j) && go (j + 1)) in
+    go 1
+  in
+  let repeated = ref false in
+  Array.iter
+    (fun a ->
+      if not (increasing a) then begin
+        Array.sort Int.compare a;
+        if not (increasing a) then repeated := true
+      end)
+    adj;
+  match if !repeated then slow_first_duplicate ends k else None with
+  | Some e -> Error e
+  | None when k < m ->
+      Error (k, endpoint_error n ends.(2 * k) ends.((2 * k) + 1))
+  | None -> Ok { n; m; adj }
+
 let of_edges n edge_list =
-  let b = Builder.create n in
-  List.iter (fun (u, v) -> Builder.add_edge b u v) edge_list;
-  Builder.finish b
+  let ends = Array.make (2 * List.length edge_list) 0 in
+  List.iteri
+    (fun i (u, v) ->
+      ends.(2 * i) <- u;
+      ends.((2 * i) + 1) <- v)
+    edge_list;
+  match of_edge_array n ends (List.length edge_list) with
+  | Ok g -> g
+  | Error (_, msg) -> raise (Invalid_edge msg)
 
 let insert_sorted a x =
   let len = Array.length a in
@@ -148,6 +225,14 @@ let edges g =
     done
   done;
   !acc
+
+let iter_edges g ~f =
+  for u = 0 to g.n - 1 do
+    let a = g.adj.(u) in
+    for i = 0 to Array.length a - 1 do
+      if a.(i) > u then f u a.(i)
+    done
+  done
 
 let vertices g = List.init g.n Fun.id
 

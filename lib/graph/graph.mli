@@ -25,6 +25,14 @@ val of_edges : int -> (vertex * vertex) list -> t
     edge and listing both raises {!Invalid_edge}, as do self-loops and
     endpoints outside [0 .. n-1]. *)
 
+val of_edge_array : int -> int array -> int -> (t, int * string) result
+(** [of_edge_array n ends m] is [of_edges n] of the [m] edges
+    [(ends.(2i), ends.(2i+1))], [i < m] ([ends] has at least [2m]
+    entries), in O(n + m log Δ) and without per-edge allocation.  A refused list gives [Error (i, msg)]: [i] is
+    the first edge that is out of range, a self-loop or a repeat of an
+    earlier edge, and [msg] is {!Invalid_edge}'s message for it.  Raises
+    {!Invalid_edge} only when [n < 0]. *)
+
 val add_edge : t -> vertex -> vertex -> t
 (** [add_edge g u v] is [g] plus edge [{u, v}].  Raises {!Invalid_edge} on a
     self-loop, an out-of-range endpoint, or an existing edge. *)
@@ -69,6 +77,9 @@ val max_degree : t -> int
 
 val edges : t -> (vertex * vertex) list
 (** All edges as pairs [(u, v)] with [u < v], lexicographically sorted. *)
+
+val iter_edges : t -> f:(vertex -> vertex -> unit) -> unit
+(** [f u v] on every edge, in {!edges} order, allocating nothing. *)
 
 val vertices : t -> vertex list
 

@@ -56,23 +56,24 @@ let hex_digit cur c =
   | _ -> fail cur.pos "invalid hex digit in \\u escape"
 
 (* Encode a Unicode scalar value as UTF-8.  Surrogate pairs in the input
-   are combined by the caller. *)
+   are combined by the caller.  [add_uint8] keeps the low byte of each
+   computed code unit, which is already below 256. *)
 let add_utf8 buf code =
-  if code < 0x80 then Buffer.add_char buf (Char.chr code)
+  if code < 0x80 then Buffer.add_uint8 buf code
   else if code < 0x800 then begin
-    Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+    Buffer.add_uint8 buf (0xC0 lor (code lsr 6));
+    Buffer.add_uint8 buf (0x80 lor (code land 0x3F))
   end
   else if code < 0x10000 then begin
-    Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+    Buffer.add_uint8 buf (0xE0 lor (code lsr 12));
+    Buffer.add_uint8 buf (0x80 lor ((code lsr 6) land 0x3F));
+    Buffer.add_uint8 buf (0x80 lor (code land 0x3F))
   end
   else begin
-    Buffer.add_char buf (Char.chr (0xF0 lor (code lsr 18)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+    Buffer.add_uint8 buf (0xF0 lor (code lsr 18));
+    Buffer.add_uint8 buf (0x80 lor ((code lsr 12) land 0x3F));
+    Buffer.add_uint8 buf (0x80 lor ((code lsr 6) land 0x3F));
+    Buffer.add_uint8 buf (0x80 lor (code land 0x3F))
   end
 
 let parse_hex4 cur =
@@ -165,10 +166,17 @@ let parse_number cur =
   | Some n -> Int n
   | None -> fail start "integer out of range"
 
-let rec parse_value cur =
+let max_depth = 64
+
+(* [depth] counts the arrays and objects that enclose the value; opening
+   one more than [max_depth] fails at its bracket, so a line of brackets
+   costs bounded stack whatever its length. *)
+let rec parse_value cur depth =
   skip_ws cur;
   match peek cur with
   | None -> fail cur.pos "unexpected end of input"
+  | Some ('{' | '[') when depth >= max_depth ->
+      fail cur.pos (Printf.sprintf "nesting deeper than %d" max_depth)
   | Some '{' ->
       advance cur;
       skip_ws cur;
@@ -187,7 +195,7 @@ let rec parse_value cur =
           seen := key :: !seen;
           skip_ws cur;
           expect cur ':';
-          let v = parse_value cur in
+          let v = parse_value cur (depth + 1) in
           fields := (key, v) :: !fields;
           skip_ws cur;
           match peek cur with
@@ -211,7 +219,7 @@ let rec parse_value cur =
       else begin
         let items = ref [] in
         let rec elements () =
-          let v = parse_value cur in
+          let v = parse_value cur (depth + 1) in
           items := v :: !items;
           skip_ws cur;
           match peek cur with
@@ -235,18 +243,18 @@ let rec parse_value cur =
 
 let parse s =
   let cur = { src = s; pos = 0 } in
-  match parse_value cur with
-  | v -> (
-      skip_ws cur;
-      match peek cur with
-      | None -> Ok v
-      | Some c ->
-          Error
-            {
-              column = cur.pos + 1;
-              message = Printf.sprintf "trailing input starting at '%c'" c;
-            })
-  | exception Fail e -> Error e
+  try
+    let v = parse_value cur 0 in
+    skip_ws cur;
+    match peek cur with
+    | None -> Ok v
+    | Some c ->
+        Error
+          {
+            column = cur.pos + 1;
+            message = Printf.sprintf "trailing input starting at '%c'" c;
+          }
+  with Fail e -> Error e
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                           *)

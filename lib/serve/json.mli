@@ -22,13 +22,19 @@ type error = {
   message : string;
 }
 
+val max_depth : int
+(** Deepest nesting of arrays and objects {!parse} accepts ([64]; a
+    request needs 2). *)
+
 val parse : string -> (t, error) result
 (** Parses one complete JSON value (surrounding whitespace allowed;
     trailing bytes are an error).  Accepts the full string/escape grammar
     including [\uXXXX] (encoded to UTF-8); rejects non-integer numbers,
-    duplicate object keys, and truncated input — each with a positioned
-    {!error} whose message mirrors {!Radio_faults.Fault_plan}'s
-    parse-error style. *)
+    duplicate object keys, truncated input and nesting deeper than
+    {!max_depth} (["nesting deeper than 64"], at the bracket that opens
+    the 65th level) — each with a positioned {!error} whose message
+    mirrors {!Radio_faults.Fault_plan}'s parse-error style.  Never
+    raises. *)
 
 val to_string : t -> string
 (** Compact, deterministic rendering: no whitespace, object fields in

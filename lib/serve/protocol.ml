@@ -55,9 +55,8 @@ let get_config obj =
              (String.length s) max_config_bytes)
       else begin
         let config =
-          match CIo.of_string s with
-          | c -> c
-          | exception Failure msg -> reject ("invalid config: " ^ msg)
+          try CIo.of_string s
+          with Failure msg -> reject ("invalid config: " ^ msg)
         in
         if C.size config = 0 then reject "invalid config: empty configuration";
         if C.size config > max_config_nodes then
@@ -162,11 +161,7 @@ let parse line =
       }
   | Ok (Json.Obj _ as obj) ->
       let id = Option.value ~default:Json.Null (Json.member "id" obj) in
-      let request =
-        match parse_request obj with
-        | req -> Ok req
-        | exception Reject e -> Error e
-      in
+      let request = try Ok (parse_request obj) with Reject e -> Error e in
       { id; request }
   | Ok _ ->
       {

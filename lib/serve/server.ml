@@ -154,7 +154,10 @@ type progress = {
   mutable since_report : int;
 }
 
-let report opts ~service ~pool ~reader progress ~wave_len ~wave_dt ~had_stats =
+(* [queue=] counts the lines still buffered and the requests decoded
+   ahead of their wave ([ahead]). *)
+let report opts ~service ~pool ~reader ~ahead progress ~wave_len ~wave_dt
+    ~had_stats =
   progress.since_report <- progress.since_report + wave_len;
   let due =
     (opts.stats_every > 0 && progress.since_report >= opts.stats_every)
@@ -173,12 +176,18 @@ let report opts ~service ~pool ~reader progress ~wave_len ~wave_dt ~had_stats =
       progress.served tel.Service.errors progress.waves wave_len
       (wave_dt *. 1e3)
       (if wave_len = 0 then 0. else wave_dt *. 1e3 /. float_of_int wave_len)
-      (Reader.buffered_lines reader)
+      (Reader.buffered_lines reader + ahead)
       tel.Service.cache_hits tel.Service.cache_misses
       (100. *. Service.hit_rate tel)
       tel.Service.cache_entries tel.Service.cache_evictions ps.Pool.jobs
       ps.Pool.tasks ps.Pool.steals
   end
+
+(* Runs on the pool: [Protocol.parse] never raises, and the oversized
+   marker is a constant. *)
+let decode = function
+  | `Line s -> Protocol.parse s
+  | `Oversized -> Protocol.oversized_line ~limit:Reader.max_line_bytes
 
 let serve_fd opts ~service ~pool in_fd out_fd =
   let max_batch = max 1 opts.max_batch in
@@ -186,52 +195,67 @@ let serve_fd opts ~service ~pool in_fd out_fd =
   let progress =
     { served = 0; waves = 0; busy = 0.; since_report = 0 }
   in
-  (* First request of a wave: block.  The rest: drain without blocking. *)
-  let rec next_parsed ~blocking =
+  (* Decoded requests not served yet, in stream order; never more than
+     [max_batch] of them. *)
+  let ahead = Queue.create () in
+  let rec next_line ~blocking =
     if blocking || Reader.has_pending reader then
       match Reader.read_line reader with
       | `Eof -> None
-      | `Oversized ->
-          Some (Protocol.oversized_line ~limit:Reader.max_line_bytes)
-      | `Line s ->
-          if is_blank s then next_parsed ~blocking
-          else Some (Protocol.parse s)
+      | `Line s when is_blank s -> next_line ~blocking
+      | (`Line _ | `Oversized) as l -> Some l
     else None
   in
-  let collect_wave first =
-    let rec go acc n =
-      if n >= max_batch then List.rev acc
+  (* Tops [ahead] up to [max_batch]: blocks for one line only when it is
+     empty, drains the rest without blocking, and decodes every line read
+     in one parallel batch. *)
+  let fill () =
+    let rec read acc k ~blocking =
+      if k >= max_batch then acc
       else
-        match next_parsed ~blocking:false with
-        | None -> List.rev acc
-        | Some p ->
-            (* stats terminates its wave so counters = exact prefix *)
-            if is_stats p then List.rev (p :: acc) else go (p :: acc) (n + 1)
+        match next_line ~blocking with
+        | None -> acc
+        | Some l -> read (l :: acc) (k + 1) ~blocking:false
     in
-    if is_stats first then [ first ] else go [ first ] 1
+    let lines =
+      read [] (Queue.length ahead) ~blocking:(Queue.is_empty ahead)
+    in
+    Array.iter
+      (fun p -> Queue.add p ahead)
+      (Pool.map_array pool ~f:decode (Array.of_list (List.rev lines)))
+  in
+  (* The next wave: up to [max_batch] requests off [ahead], cut after the
+     first stats request so its counters are the exact stream prefix. *)
+  let cut_wave () =
+    let rec go acc k =
+      match if k < max_batch then Queue.take_opt ahead else None with
+      | None -> acc
+      | Some p -> if is_stats p then p :: acc else go (p :: acc) (k + 1)
+    in
+    Array.of_list (List.rev (go [] 0))
   in
   let rec loop () =
-    match next_parsed ~blocking:true with
-    | None -> ()
-    | Some first ->
-        let wave = Array.of_list (collect_wave first) in
-        let had_stats = Array.exists is_stats wave in
-        let t0 = now () in
-        let responses = Service.process_wave service ~pool wave in
-        let dt = now () -. t0 in
-        let out = Buffer.create 1024 in
-        Array.iter
-          (fun r ->
-            Buffer.add_string out r;
-            Buffer.add_char out '\n')
-          responses;
-        write_all out_fd (Buffer.contents out);
-        progress.served <- progress.served + Array.length wave;
-        progress.waves <- progress.waves + 1;
-        progress.busy <- progress.busy +. dt;
-        report opts ~service ~pool ~reader progress
-          ~wave_len:(Array.length wave) ~wave_dt:dt ~had_stats;
-        loop ()
+    fill ();
+    if not (Queue.is_empty ahead) then begin
+      let wave = cut_wave () in
+      let had_stats = Array.exists is_stats wave in
+      let t0 = now () in
+      let responses = Service.process_wave service ~pool wave in
+      let dt = now () -. t0 in
+      let out = Buffer.create 1024 in
+      Array.iter
+        (fun r ->
+          Buffer.add_string out r;
+          Buffer.add_char out '\n')
+        responses;
+      write_all out_fd (Buffer.contents out);
+      progress.served <- progress.served + Array.length wave;
+      progress.waves <- progress.waves + 1;
+      progress.busy <- progress.busy +. dt;
+      report opts ~service ~pool ~reader ~ahead:(Queue.length ahead) progress
+        ~wave_len:(Array.length wave) ~wave_dt:dt ~had_stats;
+      loop ()
+    end
   in
   match loop () with
   | () -> ()

@@ -1,16 +1,19 @@
 (** Transport frontends for the serve protocol: newline-delimited JSON over
     stdin/stdout or a Unix-domain socket (docs/SERVE.md).
 
-    The server drains whatever input is already available — without
-    blocking — into a wave of at most [max_batch] requests, runs the wave
-    through {!Service.process_wave} on one process-lifetime
+    The server blocks for one line, drains whatever further input is
+    already available — without blocking — up to [max_batch] lines,
+    decodes them ({!Protocol.parse}) in one parallel batch into a
+    lookahead queue of at most [max_batch] requests, cuts a wave off the
+    queue, runs it through {!Service.process_wave} on one process-lifetime
     {!Radio_exec.Pool} (the one-pool-per-process pattern of
     docs/PARALLEL.md), and writes the responses in request order.  Wave
     boundaries are a latency/throughput trade-off only: they can never
     change response bytes (see {!Service}).
 
-    A [stats] request always terminates its wave, so its counters equal
-    the exact stream prefix up to and including itself.  Blank request
+    A [stats] request always terminates its wave (requests decoded after
+    it wait in the queue for the next wave), so its counters equal the
+    exact stream prefix up to and including itself.  Blank request
     lines are skipped without a response.  All telemetry — per-wave
     latency, queue depth, cache hit rate, pool stats — goes to stderr,
     keeping stdout byte-comparable across runs. *)

@@ -320,14 +320,6 @@ let render = function
       | Invalid_configuration msg -> internal_error ~id msg
       | Not_found -> internal_error ~id "lookup failed")
 
-let config_of_request = function
-  | Protocol.Classify { config }
-  | Protocol.Elect { config; _ }
-  | Protocol.Simulate { config; _ }
-  | Protocol.Mc_check { config; _ } ->
-      Some config
-  | Protocol.Stats -> None
-
 (* mc-check bypasses the analysis cache — Checker.verify classifies
    internally and judges against its own run, so a cached analysis would
    buy nothing — but it still routes through the canonical form. *)
@@ -342,23 +334,25 @@ let analyze_canonical canon =
   | exception Invalid_argument msg -> Error msg
   | exception C.Invalid_configuration msg -> Error msg
 
+(* Stage 1's per-request part, run on the pool: the canonical
+   representative, its raw key and the permutation onto it. *)
+let key_request (p : Protocol.parsed) =
+  match p.request with
+  | Error _ | Ok Protocol.Stats -> None
+  | Ok
+      ( Protocol.Classify { config }
+      | Protocol.Elect { config; _ }
+      | Protocol.Simulate { config; _ }
+      | Protocol.Mc_check { config; _ } ) ->
+      let canon, perm = Can.canonical_form config in
+      Some (Can.raw_key canon, canon, perm)
+
 let process_wave t ~pool (wave : Protocol.parsed array) =
   Array.iter (count t) wave;
-  (* Stage 1: canonicalize on the caller; resolve every distinct canonical
-     key against the cache; analyze the misses in parallel. *)
-  let prep =
-    Array.map
-      (fun (p : Protocol.parsed) ->
-        match p.request with
-        | Ok req -> (
-            match config_of_request req with
-            | Some config ->
-                let canon, perm = Can.canonical_form config in
-                Some (Can.raw_key canon, canon, perm)
-            | None -> None)
-        | Error _ -> None)
-      wave
-  in
+  (* Stage 1: canonical forms and keys on the pool; resolve every
+     distinct key against the cache in request order on the caller;
+     analyze the misses in parallel. *)
+  let prep = Pool.map_array pool ~f:key_request wave in
   let resolved : (string, (Fe.analysis, string) result) Hashtbl.t =
     Hashtbl.create 16
   in

@@ -39,8 +39,11 @@ val hit_rate : telemetry -> float
 
 val process_wave :
   t -> pool:Radio_exec.Pool.t -> Protocol.parsed array -> string array
-(** Responses for one wave, index-aligned with the input.  Distinct missing
-    canonical keys are analyzed in parallel (first-occurrence order), then
+(** Responses for one wave, index-aligned with the input.  Every request's
+    canonical form and key are computed in one parallel batch; counting,
+    cache lookups and inserts stay on the caller, in request order.
+    Distinct missing canonical keys are analyzed in parallel
+    (first-occurrence order), then
     every request's heavy work (simulation, model checking, rendering)
     runs as one parallel batch; both stages commit deterministically.
 

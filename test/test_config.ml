@@ -236,6 +236,216 @@ let test_config_file_roundtrip () =
       CIo.write_file path c;
       check "file roundtrip" true (C.equal c (CIo.read_file path)))
 
+(* The split-based reader [Config_io.of_string] replaced, kept as the
+   oracle of its single-pass scan: same configurations accepted, same
+   [Failure] message (line number included) on everything else. *)
+module Oracle_io = struct
+  let meaningful_lines s =
+    String.split_on_char '\n' s
+    |> List.mapi (fun i l -> (i + 1, String.trim l))
+    |> List.filter (fun (_, l) -> l <> "" && l.[0] <> '#')
+
+  let tokens line =
+    String.split_on_char ' ' line |> List.filter (fun t -> t <> "")
+
+  let fail line fmt =
+    Printf.ksprintf
+      (fun msg ->
+        failwith (Printf.sprintf "Config_io.of_string: line %d: %s" line msg))
+      fmt
+
+  let int_token line what t =
+    match int_of_string_opt t with
+    | Some i -> i
+    | None -> fail line "bad %s: %s" what t
+
+  let of_string s =
+    match meaningful_lines s with
+    | (hl, header) :: (tl, tag_line) :: rest ->
+        let n =
+          match tokens header with
+          | [ "config"; n ] -> int_token hl "vertex count" n
+          | _ -> fail hl "expected 'config <n>' header"
+        in
+        if n < 0 then fail hl "negative vertex count %d" n;
+        let tags =
+          match tokens tag_line with
+          | "tags" :: ts when List.length ts = n ->
+              Array.of_list (List.map (int_token tl "tag") ts)
+          | "tags" :: ts ->
+              fail tl "expected %d tags, found %d" n (List.length ts)
+          | _ -> fail tl "expected 'tags ...' line"
+        in
+        Array.iteri
+          (fun v t -> if t < 0 then fail tl "negative tag %d at vertex %d" t v)
+          tags;
+        let b = G.Builder.create n in
+        List.iter
+          (fun (l, line) ->
+            match tokens line with
+            | [ u; v ] -> (
+                let u = int_token l "edge endpoint" u in
+                let v = int_token l "edge endpoint" v in
+                try G.Builder.add_edge b u v
+                with G.Invalid_edge msg -> fail l "%s" msg)
+            | _ -> fail l "bad edge line: %s" line)
+          rest;
+        C.create ~normalize:false (G.Builder.finish b) tags
+    | _ -> failwith "Config_io.of_string: need a header and a tags line"
+end
+
+let outcome f s =
+  match f s with c -> Ok c | exception Failure msg -> Error msg
+
+let same_outcome what s =
+  match (outcome Oracle_io.of_string s, outcome CIo.of_string s) with
+  | Ok a, Ok b ->
+      if not (C.equal a b) then
+        Alcotest.failf "%s: different configs for %S" what s
+  | Error a, Error b ->
+      if a <> b then Alcotest.failf "%s: %S: oracle %S, got %S" what s a b
+  | Ok _, Error b ->
+      Alcotest.failf "%s: %S refused (%s), oracle accepts" what s b
+  | Error a, Ok _ ->
+      Alcotest.failf "%s: %S accepted, oracle refuses (%s)" what s a
+
+(* Whole-line rewrites, each aimed at one rule of the format. *)
+let line_mutations st text =
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let k = Array.length lines in
+  let join l = String.concat "\n" l in
+  let set i l =
+    join (List.mapi (fun j x -> if j = i then l else x) (Array.to_list lines))
+  in
+  let insert i l =
+    join
+      (List.concat
+         (List.mapi
+            (fun j x -> if j = i then [ l; x ] else [ x ])
+            (Array.to_list lines)))
+  in
+  let words i = String.split_on_char ' ' lines.(i) in
+  let n = List.length (words 1) - 1 in
+  let set_tag j w =
+    set 1
+      (String.concat " " (List.mapi (fun i x -> if i = j then w else x) (words 1)))
+  in
+  (* a line past the tags line, never the empty one after the last '\n' *)
+  let e = min (k - 2) (2 + Random.State.int st (max 1 (k - 3))) in
+  let first_edge = lines.(min (k - 2) 2) in
+  let pick () = Random.State.int st k in
+  [
+    set 0 "konfig 3";
+    set 0 "config";
+    set 0 ("config " ^ string_of_int n ^ " 1");
+    set 0 "config x";
+    set 0 "config -2";
+    set 0 (Printf.sprintf "config 0x%x" n);
+    set 0 ("config +" ^ string_of_int n);
+    set 1 (String.concat " " (List.filteri (fun i _ -> i < n) (words 1)));
+    set 1 (lines.(1) ^ " 0");
+    set 1 ("tag" ^ String.sub lines.(1) 4 (String.length lines.(1) - 4));
+    set_tag 1 "-3";
+    set_tag n "0x1F";
+    set_tag 1 ("+" ^ List.nth (words 1) 1);
+    set_tag 1 "1_000";
+    set_tag 1 "99999999999999999999";
+    set e ("0 " ^ string_of_int n);
+    set e "-1 0";
+    set e "1 1";
+    set e "0 1 2";
+    set e "0";
+    set e "0x1 +2";
+    set e "1_0 0";
+    set e ("\t" ^ lines.(e) ^ " \t");
+    set e (String.map (fun c -> if c = ' ' then '\t' else c) lines.(e));
+    insert e first_edge;
+    insert e
+      (String.concat " " (List.rev (String.split_on_char ' ' first_edge)));
+    insert (pick ()) "# a comment 0 1";
+    insert (pick ()) "   ";
+    insert (pick ()) "  # indented comment";
+    insert (pick ()) "0 1 # trailing comment";
+    String.concat "\r\n" (Array.to_list lines);
+    "\n\n" ^ text;
+    join (List.filteri (fun j _ -> j <> 1) (Array.to_list lines));
+  ]
+
+(* Byte-level noise: a few characters from the format's alphabet inserted,
+   deleted or overwritten at random places. *)
+let byte_mutation st text =
+  let alphabet = " \t\r\n#-+_x0123456789a" in
+  let b = Buffer.create (String.length text + 8) in
+  Buffer.add_string b text;
+  for _ = 1 to 1 + Random.State.int st 3 do
+    let s = Buffer.contents b in
+    let len = String.length s in
+    let i = Random.State.int st (len + 1) in
+    let c = alphabet.[Random.State.int st (String.length alphabet)] in
+    Buffer.clear b;
+    match Random.State.int st 3 with
+    | 0 ->
+        Buffer.add_string b (String.sub s 0 i);
+        Buffer.add_char b c;
+        Buffer.add_string b (String.sub s i (len - i))
+    | 1 when i < len ->
+        Buffer.add_string b (String.sub s 0 i);
+        Buffer.add_string b (String.sub s (i + 1) (len - i - 1))
+    | _ when i < len ->
+        Buffer.add_string b (String.sub s 0 i);
+        Buffer.add_char b c;
+        Buffer.add_string b (String.sub s (i + 1) (len - i - 1))
+    | _ -> Buffer.add_string b s
+  done;
+  Buffer.contents b
+
+let test_config_io_differential () =
+  let st = Random.State.make [| 0xC0F16 |] in
+  let configs =
+    [ F.g_family 8; F.h_family 3; C.create (G.empty 1) [| 7 |] ]
+    @ List.init 40 (fun i ->
+          let n = 2 + Random.State.int st (if i < 30 then 40 else 300) in
+          let span = if i mod 3 = 0 then 1000 else 1 + Random.State.int st 5 in
+          RC.connected_gnp st ~n ~p:(3. /. float_of_int n) ~span)
+  in
+  List.iter
+    (fun c ->
+      let text = CIo.to_string c in
+      same_outcome "roundtrip" text;
+      check "roundtrip equal" true (C.equal c (CIo.of_string text));
+      if C.size c >= 3 then
+        List.iter (same_outcome "line mutation") (line_mutations st text);
+      for _ = 1 to 25 do
+        same_outcome "byte mutation" (byte_mutation st text)
+      done)
+    configs;
+  List.iter (same_outcome "fixed")
+    [
+      "";
+      "\n";
+      "config 1";
+      "config 1\ntags 0";
+      "config 0\ntags";
+      "config 2\ntags 0 1\n0 1\n1 0\n0 5";
+      "config 2\ntags 0 1\n0 5\n0 1\n1 0";
+      "config 3\ntags 0 1 2\n0 1\n1 2\n0 1 x";
+      "config 3\ntags 0 1 2\n0 1\n0 1\n0 0";
+      "config 3\ntags 0 1 2\n0 1\n1 0\n0 x";
+      "config 3\ntags 0 1 2\n0 1\n1 0\n0 1 2";
+      "config\t2\ntags 0 1";
+      "config 2\ntags\t0 1";
+      "config 2\r\ntags 0 1\r\n0 1\r\n";
+      "config 2\n tags 0 1 \n  0   1  \n";
+      "config 00002\ntags 0000 0001\n000 001";
+      "config 4611686018427387903\ntags 0";
+      "config 2\ntags 0 999999999999999999\n0 1";
+      "config 2\ntags 0 9999999999999999999\n0 1";
+      "config 2\ntags 0 1\n0 9999999999999999999";
+      "config 4611686018427387904\ntags 0";
+      "config 2\ntags 0 -0\n0 1";
+      "config 2\ntags 0 1\n-0 1";
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* QCheck                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -319,6 +529,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_config_io_roundtrip;
           Alcotest.test_case "malformed" `Quick test_config_io_malformed;
+          Alcotest.test_case "differential" `Quick test_config_io_differential;
           Alcotest.test_case "dot" `Quick test_config_dot;
           Alcotest.test_case "file roundtrip" `Quick test_config_file_roundtrip;
         ] );

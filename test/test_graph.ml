@@ -52,6 +52,41 @@ let test_duplicate_rejected () =
     Alcotest.fail "duplicate accepted"
   with G.Invalid_edge _ -> ()
 
+(* [of_edge_array] against edge-at-a-time [Builder] insertion on random
+   edge lists, a fifth of them spoiled by a repeat, a self-loop or an
+   out-of-range endpoint: the same graph, or the first refused edge with
+   the same message. *)
+let test_of_edge_array () =
+  let st = Random.State.make [| 0xED6E |] in
+  for _ = 1 to 300 do
+    let n = 1 + Random.State.int st 30 in
+    let m = Random.State.int st (2 * n) in
+    let ends = Array.make (2 * m) 0 in
+    for i = 0 to (2 * m) - 1 do
+      ends.(i) <-
+        (if Random.State.int st 50 = 0 then n + Random.State.int st 3 - 1
+         else Random.State.int st n)
+    done;
+    let sequential =
+      let b = G.Builder.create n in
+      let rec go i =
+        if i = m then Ok (G.Builder.finish b)
+        else
+          match G.Builder.add_edge b ends.(2 * i) ends.((2 * i) + 1) with
+          | () -> go (i + 1)
+          | exception G.Invalid_edge msg -> Error (i, msg)
+      in
+      go 0
+    in
+    match (sequential, G.of_edge_array n ends m) with
+    | Ok a, Ok b -> check "same graph" true (G.equal a b)
+    | Error (i, msg), Error (j, msg') ->
+        check_int "first refused edge" i j;
+        Alcotest.(check string) "same message" msg msg'
+    | Ok _, Error (_, msg) -> Alcotest.failf "refused (%s), builder accepts" msg
+    | Error (_, msg), Ok _ -> Alcotest.failf "accepted, builder refuses (%s)" msg
+  done
+
 let test_add_remove () =
   let g = G.empty 3 in
   let g = G.add_edge g 2 0 in
@@ -379,6 +414,7 @@ let () =
           Alcotest.test_case "of_edges" `Quick test_of_edges;
           Alcotest.test_case "self-loop rejected" `Quick test_self_loop_rejected;
           Alcotest.test_case "duplicate rejected" `Quick test_duplicate_rejected;
+          Alcotest.test_case "of_edge_array = builder" `Quick test_of_edge_array;
           Alcotest.test_case "add/remove" `Quick test_add_remove;
           Alcotest.test_case "neighbours sorted" `Quick test_neighbours_sorted;
           Alcotest.test_case "edges listing" `Quick test_edges_listing;

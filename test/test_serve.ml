@@ -26,6 +26,11 @@ let contains hay needle =
 (* Json                                                                *)
 (* ------------------------------------------------------------------ *)
 
+let err_of line =
+  match (P.parse line).P.request with
+  | Error e -> e
+  | Ok _ -> Alcotest.failf "accepted %S" line
+
 let test_json_roundtrip () =
   let samples =
     [
@@ -80,6 +85,30 @@ let test_json_negative () =
             (contains e.J.message frag);
           check "column positive" true (e.J.column >= 1))
     cases
+
+let test_json_depth () =
+  let nested k = String.make k '[' ^ String.make k ']' in
+  (match J.parse (nested J.max_depth) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "depth %d refused: %s" J.max_depth e.J.message);
+  let deep = Printf.sprintf "nesting deeper than %d" J.max_depth in
+  (* one level too many, and a 4 MB line of brackets: the error sits at
+     the bracket that opens level 65, whatever follows it *)
+  List.iter
+    (fun src ->
+      match J.parse src with
+      | Ok _ -> Alcotest.fail "over-deep nesting accepted"
+      | Error e ->
+          check_string "depth message" deep e.J.message;
+          check_int "depth column" (J.max_depth + 1) e.J.column)
+    [ nested (J.max_depth + 1); String.make (4 * 1024 * 1024) '[' ];
+  (* inside a request, behind an object: column of the offending '{' *)
+  let prefix = {|{"kind":"stats","id":|} in
+  let line = prefix ^ String.concat "" (List.init 70 (fun _ -> {|{"a":|})) in
+  let e = err_of line in
+  check_string "request depth message" ("invalid JSON: " ^ deep) e.P.message;
+  check "request depth column" true
+    (e.P.column = Some (String.length prefix + (5 * (J.max_depth - 1)) + 1))
 
 (* ------------------------------------------------------------------ *)
 (* Cache                                                               *)
@@ -171,14 +200,63 @@ let test_cache_key_separates () =
   check "different configs, different keys" true
     (Can.cache_key a <> Can.cache_key b)
 
+(* The Buffer-and-edge-list [raw_key] the one-pass writer replaced, kept
+   as its oracle. *)
+let oracle_raw_key c =
+  let b = Buffer.create 64 in
+  Buffer.add_string b (string_of_int (C.size c));
+  Buffer.add_char b '|';
+  Array.iteri
+    (fun i t ->
+      if i > 0 then Buffer.add_char b ' ';
+      Buffer.add_string b (string_of_int t))
+    (C.tags c);
+  Buffer.add_char b '|';
+  List.iteri
+    (fun i (u, v) ->
+      if i > 0 then Buffer.add_char b ' ';
+      Buffer.add_string b (string_of_int u);
+      Buffer.add_char b '-';
+      Buffer.add_string b (string_of_int v))
+    (G.edges (C.graph c));
+  Buffer.contents b
+
+let test_raw_key_differential () =
+  let st = Random.State.make [| 0x4a11 |] in
+  let random_config n =
+    let g =
+      Radio_graph.Gen.random_gnp st n
+        (Random.State.float st (6. /. float_of_int n))
+    in
+    let span = [| 1; 9; 10; 99; 100_000 |].(Random.State.int st 5) in
+    C.create ~normalize:false g
+      (Array.init n (fun _ -> Random.State.int st (span + 1)))
+  in
+  let configs =
+    [
+      C.create (G.empty 0) [||];
+      C.create (G.empty 1) [| 0 |];
+      C.create ~normalize:false (G.empty 1) [| 12345 |];
+      C.create ~normalize:false (G.empty 3) [| 7; 70; 700 |];
+      Radio_config.Families.g_family 8;
+      Radio_config.Families.g_family 40;
+      Radio_config.Families.h_family 2;
+      Radio_config.Families.h_family 5;
+    ]
+    @ List.init 120 (fun i ->
+          random_config (1 + Random.State.int st (if i < 60 then 12 else 300)))
+  in
+  List.iter
+    (fun c ->
+      check_string "raw_key = oracle" (oracle_raw_key c) (Can.raw_key c);
+      let canon, _ = Can.canonical_form c in
+      check_string "cache_key = oracle of the canonical form"
+        (oracle_raw_key canon) (Can.cache_key c))
+    configs
+
 (* ------------------------------------------------------------------ *)
 (* Protocol negatives                                                  *)
 (* ------------------------------------------------------------------ *)
-
-let err_of line =
-  match (P.parse line).P.request with
-  | Error e -> e
-  | Ok _ -> Alcotest.failf "accepted %S" line
 
 let test_protocol_negative () =
   let e = err_of "{\"kind\":\"warble\"}" in
@@ -374,6 +452,78 @@ let test_stats_prefix_exact () =
       check "errors counted" true (J.member "errors" first = Some (J.Int 1))
   | _ -> Alcotest.fail "expected two stats responses"
 
+(* The lookahead queue: lines are read and decoded ahead of the wave
+   that serves them, and a stats request still cuts its wave.  One stream
+   puts stats, junk, blank and oversized lines at the edges of drained
+   batches (positions max_batch - 1, max_batch, max_batch + 1 for every
+   max_batch below); its response stream must not depend on max_batch,
+   jobs or the cache, and every stats total must be its exact prefix. *)
+let test_lookahead_determinism () =
+  let oversized = String.make (4 * 1024 * 1024 + 16) 'x' in
+  let configs = [| family_h2; triangle; star; h2_reversed |] in
+  let special = [ 0; 1; 2; 4; 5; 6; 9; 10; 63; 64; 65; 66; 128; 129 ] in
+  let specials = [| `Stats; `Junk; `Oversized; `Stats; `Blank; `Junk |] in
+  let stream =
+    List.init 140 (fun i ->
+        let kind =
+          match List.find_index (( = ) i) special with
+          | Some j -> specials.(j mod Array.length specials)
+          | None -> if i mod 7 = 3 then `Elect else `Classify
+        in
+        let cfg = quote configs.(i mod Array.length configs) in
+        match kind with
+        | `Stats -> (`Stats, Printf.sprintf {|{"id":%d,"kind":"stats"}|} i)
+        | `Junk -> (`Error, "{\"id\":" ^ string_of_int i ^ ",junk")
+        | `Oversized -> (`Error, oversized)
+        | `Blank -> (`Blank, "   ")
+        | `Elect ->
+            ( `Elect,
+              Printf.sprintf {|{"id":%d,"kind":"elect","config":%s}|} i cfg )
+        | `Classify ->
+            ( `Classify,
+              Printf.sprintf {|{"id":%d,"kind":"classify","config":%s}|} i cfg ))
+  in
+  let lines = List.map snd stream in
+  let baseline = serve ~cache:0 ~jobs:1 ~max_batch:1 lines in
+  (* every stats response counts exactly the requests up to itself *)
+  let answered = List.filter (fun (k, _) -> k <> `Blank) stream in
+  let responses = String.split_on_char '\n' (String.trim baseline) in
+  check_int "one response per non-blank line" (List.length answered)
+    (List.length responses);
+  let stats_seen = ref 0 in
+  List.iteri
+    (fun i ((kind, _), response) ->
+      if kind = `Stats then begin
+        incr stats_seen;
+        let prefix = List.filteri (fun j _ -> j <= i) answered in
+        let count k = List.length (List.filter (fun (k', _) -> k' = k) prefix) in
+        let expected =
+          Printf.sprintf
+            ({|"result":{"requests":{"classify":%d,"elect":%d,"simulate":0,|}
+            ^^ {|"mc-check":0,"stats":%d},"errors":%d,"total":%d}|})
+            (count `Classify) (count `Elect) (count `Stats) (count `Error)
+            (i + 1)
+        in
+        check (Printf.sprintf "stats at %d is its prefix" i) true
+          (contains response expected)
+      end)
+    (List.combine answered responses);
+  check "stats responses checked" true (!stats_seen >= 3);
+  List.iter
+    (fun max_batch ->
+      List.iter
+        (fun jobs ->
+          List.iter
+            (fun cache ->
+              check_string
+                (Printf.sprintf "max_batch=%d jobs=%d cache=%d" max_batch jobs
+                   cache)
+                baseline
+                (serve ~cache ~jobs ~max_batch lines))
+            [ 0; 64 ])
+        [ 1; 2; 4 ])
+    [ 1; 2; 5; 64 ]
+
 let test_eof_mid_line () =
   (* final line missing its newline is still answered; the response stream
      stays well-formed *)
@@ -533,6 +683,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "unicode" `Quick test_json_unicode;
           Alcotest.test_case "negative" `Quick test_json_negative;
+          Alcotest.test_case "nesting depth" `Quick test_json_depth;
         ] );
       ( "cache",
         [
@@ -541,6 +692,7 @@ let () =
           Alcotest.test_case "key iso-invariant" `Quick
             test_cache_key_iso_invariant;
           Alcotest.test_case "key separates" `Quick test_cache_key_separates;
+          Alcotest.test_case "raw key = oracle" `Quick test_raw_key_differential;
         ] );
       ( "protocol",
         [
@@ -562,6 +714,8 @@ let () =
           Alcotest.test_case "iso-equivariant leader" `Quick
             test_iso_equivariant_leader;
           Alcotest.test_case "stats prefix exact" `Quick test_stats_prefix_exact;
+          Alcotest.test_case "lookahead determinism" `Quick
+            test_lookahead_determinism;
           Alcotest.test_case "eof mid-line" `Quick test_eof_mid_line;
           Alcotest.test_case "mc-check agrees with classify" `Slow
             test_mc_check_agrees_with_classify;
