@@ -890,15 +890,15 @@ let e17 () =
         ]
   in
   let cell_outcome = function
-    | Election.Optimal.Broken_at r -> string_of_int r
-    | Election.Optimal.Never -> "never"
-    | Election.Optimal.Not_within_horizon -> ">horizon"
-    | Election.Optimal.Search_budget_exhausted -> "budget"
+    | Radio_mc.Optimal.Broken_at r -> string_of_int r
+    | Radio_mc.Optimal.Never -> "never"
+    | Radio_mc.Optimal.Not_within_horizon -> ">horizon"
+    | Radio_mc.Optimal.Search_budget_exhausted -> "budget"
   in
   List.iter
     (fun (name, bound, config) ->
-      let opt = Election.Optimal.breaking_time config in
-      let sep = Election.Optimal.canonical_breaking_time config in
+      let opt = Radio_mc.Optimal.breaking_time config in
+      let sep = Radio_mc.Optimal.canonical_breaking_time config in
       let total =
         let a = Fe.analyze config in
         match Fe.verify_by_simulation ~max_rounds:10_000_000 a with
@@ -1160,12 +1160,12 @@ let e20 ~quick ~jobs =
       ( "optimal",
         fun pool ->
           match
-            Election.Optimal.breaking_time ?pool ~horizon (F.h_family 2)
+            Radio_mc.Optimal.breaking_time ?pool ~horizon (F.h_family 2)
           with
-          | Election.Optimal.Broken_at r -> Printf.sprintf "broken@%d" r
-          | Election.Optimal.Never -> "never"
-          | Election.Optimal.Not_within_horizon -> "not-within-horizon"
-          | Election.Optimal.Search_budget_exhausted -> "budget-exhausted" );
+          | Radio_mc.Optimal.Broken_at r -> Printf.sprintf "broken@%d" r
+          | Radio_mc.Optimal.Never -> "never"
+          | Radio_mc.Optimal.Not_within_horizon -> "not-within-horizon"
+          | Radio_mc.Optimal.Search_budget_exhausted -> "budget-exhausted" );
     ]
   in
   let table =

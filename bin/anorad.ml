@@ -424,18 +424,20 @@ let optimal_cmd =
     let config = load_config ~cmd:"optimal" path in
     (match
        with_jobs_pool jobs (fun pool ->
-           Election.Optimal.breaking_time ~pool config)
+           Radio_mc.Optimal.breaking_time ~pool config)
      with
-    | Election.Optimal.Broken_at r ->
+    | exception Invalid_argument msg ->
+        invalid ~cmd:"optimal" "configuration" msg
+    | Radio_mc.Optimal.Broken_at r ->
         Format.printf
           "optimal symmetry-breaking round (over all algorithms): %d@." r
-    | Election.Optimal.Never ->
+    | Radio_mc.Optimal.Never ->
         Format.printf "infeasible: symmetry never breaks@."
-    | Election.Optimal.Not_within_horizon ->
+    | Radio_mc.Optimal.Not_within_horizon ->
         Format.printf "not broken within the search horizon@."
-    | Election.Optimal.Search_budget_exhausted ->
+    | Radio_mc.Optimal.Search_budget_exhausted ->
         Format.printf "search budget exhausted (instance too large)@.");
-    (match Election.Optimal.canonical_breaking_time config with
+    (match Radio_mc.Optimal.canonical_breaking_time config with
     | Some r -> Format.printf "canonical DRIP separates at round %d@." r
     | None -> ());
     0

@@ -501,7 +501,7 @@ module Oracle = struct
       full_rebuilds = acc.full_rebuilds + r.sr_rebuilds;
     }
 
-  let run ?pool ?progress ?(sequences = 24) ?(edits_per_sequence = 60)
+  let run ?pool ?(sequences = 24) ?(edits_per_sequence = 60)
       ?(max_size = 16) ~seed () =
     if sequences < 0 then invalid_arg "Incremental.Oracle.run: sequences < 0";
     let examine i =
@@ -512,16 +512,11 @@ module Oracle = struct
         ~edits:edits_per_sequence ~max_size
     in
     let acc = ref empty_report in
-    let commit i r =
-      acc := merge !acc r;
-      match progress with
-      | Some f -> f ~done_:(i + 1) ~total:sequences
-      | None -> ()
-    in
+    let commit _ r = acc := merge !acc r in
     let indices = Array.init sequences Fun.id in
     (match pool with
     | Some pool -> Pool.run_batch pool ~f:(fun _ i -> examine i) ~commit indices
-    | None -> Array.iteri (fun i idx -> commit i (examine idx)) indices);
+    | None -> Array.iter (fun i -> commit i (examine i)) indices);
     !acc
 
   let ok r = r.mismatches = []

@@ -143,7 +143,6 @@ module Oracle : sig
 
   val run :
     ?pool:Radio_exec.Pool.t ->
-    ?progress:(done_:int -> total:int -> unit) ->
     ?sequences:int ->
     ?edits_per_sequence:int ->
     ?max_size:int ->
@@ -156,8 +155,7 @@ module Oracle : sig
       families of sizes up to [max_size] (default 16, min 4).  Every step
       compares the incremental run against a from-scratch
       [Fast_classifier.classify].  Determinism: the report depends only on
-      the parameters, never on [pool] size.  [progress] is called on the
-      caller's domain after each sequence commits. *)
+      the parameters, never on [pool] size. *)
 
   val ok : report -> bool
 

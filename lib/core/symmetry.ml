@@ -31,52 +31,59 @@ let is_certificate config perm =
 exception Found of int array
 exception Budget
 
-(* Backtracking: assign images node by node in order; a candidate image
-   must share tag and degree, differ from the node itself, be unused, and
-   respect adjacency with all previously assigned nodes. *)
-let find ?(budget = 200_000) config =
+(* The one backtracking search: assign images node by node in order; a
+   candidate image must share tag and degree, be unused, respect
+   adjacency with every previously assigned node and, when [moves_all],
+   differ from the node itself.  [leaf] sees every completed assignment
+   in lexicographic order and may raise [Found] to stop; past [budget]
+   search nodes the search raises [Budget]. *)
+let backtrack ~budget ~moves_all config leaf =
   let g = C.graph config in
   let n = C.size config in
-  if n = 0 then None
-  else begin
-    let image = Array.make n (-1) in
-    let used = Array.make n false in
-    let steps = ref 0 in
-    let compatible v w =
-      w <> v
-      && (not used.(w))
-      && C.tag config v = C.tag config w
-      && G.degree g v = G.degree g w
-      &&
-      (* adjacency with already-assigned vertices *)
-      let ok = ref true in
-      for u = 0 to v - 1 do
-        if G.mem_edge g u v <> G.mem_edge g image.(u) w then ok := false
-      done;
-      !ok
-    in
-    let rec assign v =
-      incr steps;
-      if !steps > budget then raise Budget;
-      if v = n then raise (Found (Array.copy image))
-      else
-        for w = 0 to n - 1 do
-          if compatible v w then begin
-            image.(v) <- w;
-            used.(w) <- true;
-            assign (v + 1);
-            used.(w) <- false;
-            image.(v) <- -1
-          end
-        done
-    in
+  let image = Array.make n (-1) in
+  let used = Array.make n false in
+  let steps = ref 0 in
+  let compatible v w =
+    ((not moves_all) || w <> v)
+    && (not used.(w))
+    && C.tag config v = C.tag config w
+    && G.degree g v = G.degree g w
+    &&
+    (* adjacency with already-assigned vertices *)
+    let ok = ref true in
+    for u = 0 to v - 1 do
+      if G.mem_edge g u v <> G.mem_edge g image.(u) w then ok := false
+    done;
+    !ok
+  in
+  let rec assign v =
+    incr steps;
+    if !steps > budget then raise Budget;
+    if v = n then leaf image
+    else
+      for w = 0 to n - 1 do
+        if compatible v w then begin
+          image.(v) <- w;
+          used.(w) <- true;
+          assign (v + 1);
+          used.(w) <- false;
+          image.(v) <- -1
+        end
+      done
+  in
+  assign 0
+
+(* A certificate is the first fixed-point-free leaf. *)
+let find ?(budget = 200_000) config =
+  if C.size config = 0 then None
+  else
     try
-      assign 0;
+      backtrack ~budget ~moves_all:true config (fun image ->
+          raise (Found (Array.copy image)));
       None
     with
     | Found perm -> Some perm
     | Budget -> None
-  end
 
 let certified_infeasible ?budget config =
   match find ?budget config with
@@ -84,49 +91,20 @@ let certified_infeasible ?budget config =
   | None -> false
 
 (* The full tag-preserving automorphism group (identity included, fixed
-   points allowed): the same backtracking as [find] without the
-   fixed-point-free pruning, collecting every completed assignment instead
-   of stopping at the first.  Used by the model checker to quotient state
-   vectors; a budget-truncated (hence possibly partial) set is still sound
-   there — it merely reduces less. *)
+   points allowed): every leaf of the search, in order.  Used by the model
+   checker to quotient state vectors; a budget-truncated (hence possibly
+   partial) set is still sound there — it merely reduces less. *)
 let automorphisms ?(budget = 200_000) config =
-  let g = C.graph config in
   let n = C.size config in
   if n = 0 then []
   else begin
-    let image = Array.make n (-1) in
-    let used = Array.make n false in
-    let steps = ref 0 in
     let acc = ref [] in
-    let compatible v w =
-      (not used.(w))
-      && C.tag config v = C.tag config w
-      && G.degree g v = G.degree g w
-      &&
-      let ok = ref true in
-      for u = 0 to v - 1 do
-        if G.mem_edge g u v <> G.mem_edge g image.(u) w then ok := false
-      done;
-      !ok
-    in
-    let rec assign v =
-      incr steps;
-      if !steps > budget then raise Budget;
-      if v = n then acc := Array.copy image :: !acc
-      else
-        for w = 0 to n - 1 do
-          if compatible v w then begin
-            image.(v) <- w;
-            used.(w) <- true;
-            assign (v + 1);
-            used.(w) <- false;
-            image.(v) <- -1
-          end
-        done
-    in
-    (try assign 0 with Budget -> ());
+    (try
+       backtrack ~budget ~moves_all:false config (fun image ->
+           acc := Array.copy image :: !acc)
+     with Budget -> ());
     (* The identity is the lexicographically first completed assignment, so
        it is found before the budget can truncate anything else; guard
        anyway so callers can rely on a non-empty result. *)
-    if !acc = [] then [ Array.init n Fun.id ] else List.rev !acc
+    match !acc with [] -> [ Array.init n Fun.id ] | l -> List.rev l
   end

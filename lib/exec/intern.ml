@@ -10,7 +10,7 @@
        keys  : int array  -- keys in insertion order; a key's ordinal
                              indexes it
 
-   A global id is [first + ordinal]; a provisional id is [-(ordinal + 1)],
+   A global id is [1 + ordinal]; a provisional id is [-(ordinal + 1)],
    so a resolver is just an array lookup at [-id - 1], and a local view's
    [keys] array is its creation log.  Nothing is boxed: a lookup hashes an
    int and walks an int array, and the GC never traces the tables.
@@ -91,19 +91,19 @@ let insert tbl k i =
   if 2 * tbl.count > tbl.mask + 1 then rehash tbl;
   ord
 
-type t = { tbl : table; first : int }
+type t = table
 
-let create ?(first = 0) () = { tbl = table 256; first }
-let size t = t.tbl.count
-let next_id t = t.first + t.tbl.count
+let create () = table 256
+let size t = t.count
+let next_id t = 1 + t.count
 
 let get t k =
-  let r = find_ord t.tbl k in
-  if r >= 0 then t.first + r else t.first + insert t.tbl k (-r - 1)
+  let r = find_ord t k in
+  if r >= 0 then 1 + r else 1 + insert t k (-r - 1)
 
 let find t k =
-  let r = find_ord t.tbl k in
-  if r >= 0 then Some (t.first + r) else None
+  let r = find_ord t k in
+  if r >= 0 then Some (1 + r) else None
 
 type local = { global : t; own : table }
 
@@ -112,19 +112,19 @@ type local = { global : t; own : table }
 let local t = { global = t; own = table 16 }
 
 let get_local l k =
-  let g = find_ord l.global.tbl k in
-  if g >= 0 then l.global.first + g
+  let g = find_ord l.global k in
+  if g >= 0 then 1 + g
   else
     let r = find_ord l.own k in
     if r >= 0 then -r - 1 else -insert l.own k (-r - 1) - 1
 
-let commit t ~remap l =
+let commit t l =
   let fresh = l.own.count in
   let resolved = Array.make fresh 0 in
   let resolve id = if id >= 0 then id else resolved.(-id - 1) in
   (* oldest-first: the key that got provisional id [-(j+1)] is the j-th
      entry of the view's log *)
   for j = 0 to fresh - 1 do
-    resolved.(j) <- get t (remap resolve l.own.keys.(j))
+    resolved.(j) <- get t l.own.keys.(j)
   done;
   resolve

@@ -1,6 +1,6 @@
 (** Deterministic, mergeable interning of int keys for parallel searches.
 
-    A global interner maps keys to dense non-negative ids in first-seen
+    A global interner maps keys to dense positive ids in first-seen
     order, exactly like a hash table plus a counter.  To use one from pool
     tasks without sharing the table, each task interns into a private
     {!local} view: keys already global resolve immediately, genuinely new
@@ -11,8 +11,9 @@
 
     Because the logs are replayed in submission order, the ids assigned
     are bit-identical to those a sequential left-to-right traversal would
-    have produced, including ids embedded inside later keys (remapped by
-    the [remap] callback during replay).
+    have produced.  Keys must not embed provisional ids: a task packs
+    only ids that were already global when its view was made (the
+    explorer's frontier ids, say), so a log replays verbatim.
 
     Keys are plain [int]s: callers pack structured keys (a parent id and
     an event, say) into one int.  Both the global table and the views are
@@ -22,8 +23,9 @@
 
 type t
 
-val create : ?first:int -> unit -> t
-(** Fresh interner.  Ids count up from [first] (default 0). *)
+val create : unit -> t
+(** Fresh interner.  Ids count up from 1: id 0 is left to the caller (the
+    explorer's shared empty history). *)
 
 val size : t -> int
 (** Number of interned keys. *)
@@ -53,10 +55,8 @@ val get_local : local -> int -> int
     local hits return the provisional (negative) id, fresh keys are
     logged and assigned the next provisional id. *)
 
-val commit : t -> remap:((int -> int) -> int -> int) -> local -> int -> int
-(** [commit t ~remap l] replays [l]'s creation log against the global
-    table and returns the resolver: non-negative ids map to themselves,
-    provisional ids to the global id their key received.  [remap res k]
-    must rewrite any provisional ids packed inside [k] using [res] — logs
-    are replayed oldest-first, so embedded ids always resolve.  Call from
-    the orchestrating domain only, in submission order. *)
+val commit : t -> local -> int -> int
+(** [commit t l] replays [l]'s creation log against the global table and
+    returns the resolver: non-negative ids map to themselves, provisional
+    ids to the global id their key received.  Call from the orchestrating
+    domain only, in submission order. *)

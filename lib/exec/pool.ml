@@ -394,9 +394,8 @@ let iter_batches t ?chunk ~f xs =
 
 (* One contiguous chunk per worker, each mapped as a single task.  The
    shape callers with per-task set-up costs (task-local interner views,
-   scratch tables) want: Optimal.breaking_time and Checker.explore both
-   learned the hard way that a view per *element* costs more than the
-   element's work.  Chunk boundaries depend only on [jobs t], so a given
+   scratch tables) want: Checker.explore learned the hard way that a view
+   per *element* costs more than the element's work.  Chunk boundaries depend only on [jobs t], so a given
    pool maps a given array identically every time; the caller owns making
    results independent of the boundaries themselves (Intern's commit
    protocol does exactly that). *)

@@ -31,6 +31,24 @@ let sorted_mem a x =
   in
   go 0 (Array.length a)
 
+(* The one row finisher: sorts, in place, every adjacency row that is not
+   already increasing, and tells whether some row repeats a neighbour
+   (equal neighbours stay adjacent once sorted). *)
+let finish_rows adj =
+  let increasing a =
+    let rec go j = j >= Array.length a || (a.(j - 1) < a.(j) && go (j + 1)) in
+    go 1
+  in
+  let repeated = ref false in
+  Array.iter
+    (fun a ->
+      if not (increasing a) then begin
+        Array.sort Int.compare a;
+        if not (increasing a) then repeated := true
+      end)
+    adj;
+  !repeated
+
 module Builder = struct
   type t = {
     bn : int;
@@ -68,14 +86,18 @@ module Builder = struct
 
   let finish b =
     b.frozen <- true;
+    (* Rows list their neighbours in insertion order (the lists are newest
+       first, so they fill back to front); [add_edge] refuses repeats. *)
     let adj =
-      Array.map
-        (fun l ->
-          let a = Array.of_list !l in
-          Array.sort compare a;
+      Array.mapi
+        (fun v l ->
+          let d = b.bdeg.(v) in
+          let a = Array.make d 0 in
+          List.iteri (fun i w -> a.(d - 1 - i) <- w) !l;
           a)
         b.badj
     in
+    ignore (finish_rows adj : bool);
     { n = b.bn; m = b.bm; adj }
 end
 
@@ -143,19 +165,7 @@ let of_edge_array n ends m =
     deg.(v) <- deg.(v) - 1;
     adj.(v).(deg.(v)) <- u
   done;
-  let increasing a =
-    let rec go j = j >= Array.length a || (a.(j - 1) < a.(j) && go (j + 1)) in
-    go 1
-  in
-  let repeated = ref false in
-  Array.iter
-    (fun a ->
-      if not (increasing a) then begin
-        Array.sort Int.compare a;
-        if not (increasing a) then repeated := true
-      end)
-    adj;
-  match if !repeated then slow_first_duplicate ends k else None with
+  match if finish_rows adj then slow_first_duplicate ends k else None with
   | Some e -> Error e
   | None when k < m ->
       Error (k, endpoint_error n ends.(2 * k) ends.((2 * k) + 1))

@@ -272,9 +272,9 @@ let replay ?max_rounds ~machine res =
   }
 
 (* Universal mode: explore every deterministic protocol at once, branching
-   over the subsets of awake history classes that transmit (Optimal's
-   model); messages carry the sender's class key, the strongest content an
-   anonymous DRIP can convey.  There is no termination action here — the
+   over the subsets of awake history classes that transmit; messages
+   carry the sender's class key, the strongest content an anonymous DRIP
+   can convey.  There is no termination action here — the
    mode answers reachability questions (when can some node's history
    separate?) and carries the symmetry-reduction machinery. *)
 type exploration = {
@@ -386,7 +386,7 @@ let reserve c ~used need =
   c.buf
 
 let explore ?(depth = 24) ?(states = 2_000_000) ?(reduction = true)
-    ?(faults = 0) ?pool ?progress config =
+    ?(faults = 0) ?(until_separated = false) ?pool ?progress config =
   let config = normalize config in
   let g = C.graph config in
   let n = C.size config in
@@ -413,7 +413,7 @@ let explore ?(depth = 24) ?(states = 2_000_000) ?(reduction = true)
         : int)
   done;
   let width = n + 2 in
-  let intern = Interner.create ~first:1 () in
+  let intern = Interner.create () in
   let visited = Visited.create ~slots:n () in
   let raw = ref 0 in
   let canonicalizations = ref 0 in
@@ -667,8 +667,8 @@ let explore ?(depth = 24) ?(states = 2_000_000) ?(reduction = true)
      canonicalize, hash — no visited-set access, so chunks run in
      parallel); (3) insert the staged successors chunk by chunk in
      submission order.  Chunks read the frontier's final ids, so no
-     provisional id is ever embedded in a key and the commit remap is the
-     identity — only successor slots need resolving.  Logs replay in
+     provisional id is ever embedded in a key — only successor slots need
+     resolving.  Logs replay in
      submission order, so ids (and everything downstream of them) are the
      same for any chunking; replaying a whole wave's views before its
      first insert changes nothing, since ids never depend on the visited
@@ -715,7 +715,7 @@ let explore ?(depth = 24) ?(states = 2_000_000) ?(reduction = true)
     in
     Array.iteri
       (fun i view ->
-        chunks.(i).resolve <- Interner.commit intern ~remap:(fun _ k -> k) view;
+        chunks.(i).resolve <- Interner.commit intern view;
         if Interner.next_id intern >= max_ids then
           invalid_arg
             "Checker.explore: history keys exceed the packed id range")
@@ -745,6 +745,7 @@ let explore ?(depth = 24) ?(states = 2_000_000) ?(reduction = true)
      previous level was inserted, in insertion order. *)
   let rec level round first flen =
     if flen = 0 then ()
+    else if until_separated && Option.is_some !separated_at then ()
     else if round >= depth then exhausted := Some `Depth
     else begin
       depth_seen := round;

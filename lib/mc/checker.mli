@@ -14,9 +14,10 @@
     symmetric state in which no history class is decided.
 
     {b Universal mode} ({!explore}) fixes no machine: it branches over
-    every subset of awake history classes transmitting (the model of
-    {!Election.Optimal}), over-approximating all deterministic anonymous
-    protocols at once, with messages carrying the sender's class key.
+    every subset of awake history classes transmitting, over-approximating
+    all deterministic anonymous protocols at once, with messages carrying
+    the sender's class key ({!Optimal} reads the optimal
+    symmetry-breaking round off it).
     Frontier BFS with a hash-consed visited set, quotiented by the
     tag-preserving automorphism group ({!Election.Symmetry.automorphisms})
     when [reduction] is on.  States are merged across rounds only beyond
@@ -138,12 +139,18 @@ val explore :
   ?states:int ->
   ?reduction:bool ->
   ?faults:int ->
+  ?until_separated:bool ->
   ?pool:Radio_exec.Pool.t ->
   ?progress:(round:int -> frontier:int -> explored:int -> bytes:int -> unit) ->
   Radio_config.Config.t ->
   exploration
 (** Universal-mode frontier BFS ([depth] default [24], [states] default
     [2_000_000], [reduction] default on, [faults] default [0]).
+    [until_separated] (default off) stops the search before expanding the
+    level after the first one that set [separated_at] — that level is
+    finished, [exhausted] is left as the caps set it.  Raises
+    [Invalid_argument] on the empty configuration and beyond [n = 62]
+    nodes (the crash mask's width).
 
     States live bit-packed ({!State.Packed}) in an open-addressing
     {!Visited} set, and each BFS level's frontier is read back from that

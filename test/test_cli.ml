@@ -208,6 +208,17 @@ let test_bad_input () =
             (Printf.sprintf "run-plan %s %s" (Filename.quote plan)
                (Filename.quote cfg))
             "anorad run-plan: invalid plan: "));
+  (* a feasible 63-node path (distinct tags): past the explorer's node
+     limit *)
+  with_plan
+    (Printf.sprintf "config 63\ntags %s\n%s"
+       (String.concat " " (List.init 63 string_of_int))
+       (String.concat ""
+          (List.init 62 (fun i -> Printf.sprintf "%d %d\n" i (i + 1)))))
+    (fun cfg ->
+      expect "optimal past 62 nodes" ("optimal " ^ Filename.quote cfg)
+        "anorad optimal: invalid configuration: Checker.explore: crash mask \
+         supports n <= 62");
   expect "census size out of range" "census --max-n 9"
     "anorad census: invalid argument: Census.run: max_n must be in 1..6";
   expect "family parameter out of range" "family g 0"

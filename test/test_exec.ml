@@ -235,7 +235,7 @@ let test_busy_work () =
 (* ------------------------------------------------------------------ *)
 
 let test_intern_sequential () =
-  let t = Intern.create ~first:1 () in
+  let t = Intern.create () in
   Alcotest.(check int) "first id" 1 (Intern.get t 10);
   Alcotest.(check int) "second id" 2 (Intern.get t 20);
   Alcotest.(check int) "hit" 1 (Intern.get t 10);
@@ -244,20 +244,19 @@ let test_intern_sequential () =
   Alcotest.(check (option int)) "find hit" (Some 2) (Intern.find t 20);
   Alcotest.(check (option int)) "find miss" None (Intern.find t 30)
 
-(* Keys embed a parent id in the high bits, as the explorer's and
-   Optimal's packed history keys do. *)
+(* Keys embed a parent id in the high bits, as the explorer's packed
+   history keys do. *)
 let pack parent label = (parent lsl 32) lor label
-let remap resolve k = pack (resolve (k asr 32)) (k land 0xffff_ffff)
 
 (* Interns each stream into its own local view ("concurrently": every
    view sees the same frozen global table), commits the views in
    submission order, and checks the resolved ids against one sequential
    left-to-right run over the same streams. *)
-let check_commit_matches_sequential ?(preload = []) ?(remap = remap) streams =
-  let seq = Intern.create ~first:1 () in
+let check_commit_matches_sequential ?(preload = []) streams =
+  let seq = Intern.create () in
   List.iter (fun k -> ignore (Intern.get seq k : int)) preload;
   let seq_ids = List.map (List.map (Intern.get seq)) streams in
-  let par = Intern.create ~first:1 () in
+  let par = Intern.create () in
   List.iter (fun k -> ignore (Intern.get par k : int)) preload;
   let locals = List.map (fun _ -> Intern.local par) streams in
   let local_ids =
@@ -266,7 +265,7 @@ let check_commit_matches_sequential ?(preload = []) ?(remap = remap) streams =
   in
   let par_ids =
     List.map2
-      (fun l ids -> List.map (Intern.commit par ~remap l) ids)
+      (fun l ids -> List.map (Intern.commit par l) ids)
       locals local_ids
   in
   Alcotest.(check (list (list int))) "ids bit-identical" seq_ids par_ids;
@@ -313,14 +312,13 @@ let test_intern_wide_keys () =
   let t = Intern.create () in
   let ids = List.map (Intern.get t) wide in
   Alcotest.(check (list int)) "dense first-seen ids"
-    [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 0 ] ids;
-  Alcotest.(check (option int)) "find wide" (Some 3)
+    [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 1 ] ids;
+  Alcotest.(check (option int)) "find wide" (Some 4)
     (Intern.find t ((1 lsl 40) lor 7));
   Alcotest.(check (option int)) "low bits alone miss" None
     (Intern.find t 7);
-  (* these keys are opaque (negative ones included), so the replay must
-     not decode parents out of them *)
-  check_commit_matches_sequential ~remap:(fun _ k -> k)
+  (* views and the replay treat keys as opaque, negative ones included *)
+  check_commit_matches_sequential
     [ wide; List.rev wide; List.map (fun k -> k lxor (1 lsl 33)) wide ]
 
 (* ------------------------------------------------------------------ *)
@@ -370,12 +368,12 @@ let test_optimal_bytes () =
         List.map
           (fun name ->
             let c = catalog_config name in
-            match Election.Optimal.breaking_time ~pool ~horizon:8 c with
-            | Election.Optimal.Broken_at r ->
+            match Radio_mc.Optimal.breaking_time ~pool ~horizon:8 c with
+            | Radio_mc.Optimal.Broken_at r ->
                 Printf.sprintf "%s: broken at %d" name r
-            | Election.Optimal.Never -> name ^ ": never"
-            | Election.Optimal.Not_within_horizon -> name ^ ": horizon"
-            | Election.Optimal.Search_budget_exhausted -> name ^ ": budget")
+            | Radio_mc.Optimal.Never -> name ^ ": never"
+            | Radio_mc.Optimal.Not_within_horizon -> name ^ ": horizon"
+            | Radio_mc.Optimal.Search_budget_exhausted -> name ^ ": budget")
           [ "two-cells"; "symmetric-pair"; "h2" ]
       in
       String.concat "\n" outcomes)

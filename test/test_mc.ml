@@ -553,6 +553,24 @@ let explore_tests =
     Alcotest.test_case "feasible family separates" `Quick (fun () ->
         let e = Checker.explore ~depth:12 (F.h_family 1) in
         check "separates" true (Option.is_some e.Checker.separated_at));
+    Alcotest.test_case "until_separated stops after the separating level"
+      `Quick (fun () ->
+        let config = F.h_family 3 in
+        let full = Checker.explore ~depth:12 config in
+        let early = Checker.explore ~depth:12 ~until_separated:true config in
+        check "separates at 3" true (full.Checker.separated_at = Some 3);
+        check "same round" true (early.Checker.separated_at = Some 3);
+        check_int "last level expanded" 3
+          early.Checker.stats.Checker.depth_reached;
+        check "no budget tripped" true (Option.is_none early.Checker.exhausted);
+        check "the full run goes on" true
+          (full.Checker.stats.Checker.depth_reached > 3);
+        (* never separating, the option changes nothing *)
+        let cycle = uniform_cycle 4 in
+        check "unchanged without separation" true
+          (exploration_equal
+             (Checker.explore ~depth:8 cycle)
+             (Checker.explore ~depth:8 ~until_separated:true cycle)));
     Alcotest.test_case "state budget trips" `Quick (fun () ->
         let e = Checker.explore ~depth:20 ~states:1 (uniform_cycle 4) in
         check "exhausted" true

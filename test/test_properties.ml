@@ -438,16 +438,16 @@ let prop_optimal_consistent =
       let _, n, span, _ = params in
       QCheck.assume (n <= 5 && span <= 3);
       let config = build params in
-      match Election.Optimal.breaking_time ~max_states:100_000 config with
-      | Election.Optimal.Never -> not (Fe.is_feasible config)
-      | Election.Optimal.Broken_at opt -> (
+      match Radio_mc.Optimal.breaking_time ~max_states:100_000 config with
+      | Radio_mc.Optimal.Never -> not (Fe.is_feasible config)
+      | Radio_mc.Optimal.Broken_at opt -> (
           Fe.is_feasible config
           &&
-          match Election.Optimal.canonical_breaking_time config with
+          match Radio_mc.Optimal.canonical_breaking_time config with
           | Some can -> opt <= can
           | None -> false)
-      | Election.Optimal.Not_within_horizon
-      | Election.Optimal.Search_budget_exhausted -> true)
+      | Radio_mc.Optimal.Not_within_horizon
+      | Radio_mc.Optimal.Search_budget_exhausted -> true)
 
 (* P23: repair and fragility are mutual inverses at the boundary: a
    breaking perturbation reported by Fragility is repaired back to
