@@ -74,14 +74,22 @@ mc-smoke:
 
 # Parallel determinism end to end: the same sweep at --jobs 1 and --jobs 2
 # must be byte-for-byte identical through the real CLI (docs/PARALLEL.md),
-# both for the census and for the model-checker oracle.  The runs are
-# sequential on purpose: two concurrent `dune exec` invocations contend on
-# the build lock.
+# both for the census and for the model-checker oracle.  The n = 6 census
+# (about a second per run) keeps the full six-vertex isomorphism dedup
+# under `make check`.  The runs are sequential on purpose: two concurrent
+# `dune exec` invocations contend on the build lock.
 par-smoke:
 	@a=$$(mktemp); b=$$(mktemp); status=0; \
 	$(DUNE) exec bin/anorad.exe -- census --max-n 3 --jobs 1 > $$a && \
 	$(DUNE) exec bin/anorad.exe -- census --max-n 3 --jobs 2 > $$b && \
 	cmp -s $$a $$b || status=1; \
+	if [ $$status -eq 0 ]; then \
+	  $(DUNE) exec bin/anorad.exe -- census --max-n 6 --max-span 0 \
+	    --jobs 1 > $$a && \
+	  $(DUNE) exec bin/anorad.exe -- census --max-n 6 --max-span 0 \
+	    --jobs 2 > $$b && \
+	  cmp -s $$a $$b || status=1; \
+	fi; \
 	if [ $$status -eq 0 ]; then \
 	  $(DUNE) exec bin/anorad.exe -- mc --oracle 3 --jobs 1 > $$a && \
 	  $(DUNE) exec bin/anorad.exe -- mc --oracle 3 --jobs 2 > $$b && \

@@ -71,9 +71,13 @@ let write ~cmd what path text =
       exit 2
 
 let load_config ~cmd path =
-  load ~cmd "configuration" (fun () ->
-      if path = "-" then CIo.of_string (In_channel.input_all In_channel.stdin)
-      else CIo.read_file path)
+  let config =
+    load ~cmd "configuration" (fun () ->
+        if path = "-" then CIo.of_string (In_channel.input_all In_channel.stdin)
+        else CIo.read_file path)
+  in
+  if C.size config = 0 then invalid ~cmd "configuration" "empty configuration";
+  config
 
 (* Parse, then validate against the configuration: an out-of-range node is
    an invalid plan too. *)
@@ -848,7 +852,10 @@ let mc_cmd =
       if finished = total then prerr_newline ()
     in
     let report =
-      with_jobs_pool jobs (fun pool -> Oracle.run ~pool ~progress ~max_n ~replay ())
+      try
+        with_jobs_pool jobs (fun pool ->
+            Oracle.run ~pool ~progress ~max_n ~replay ())
+      with Invalid_argument msg -> invalid ~cmd:"mc" "argument" msg
     in
     Format.printf "%a@." Oracle.pp_report report;
     let results =

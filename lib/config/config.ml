@@ -32,7 +32,6 @@ let create ?(normalize = true) graph tags =
   let hi = Array.fold_left max lo tags in
   { graph; tags; lo; hi }
 
-let with_tags c tags = create c.graph tags
 
 let uniform graph tag =
   if tag < 0 then invalid "negative tag %d" tag;

@@ -24,9 +24,6 @@ val create : ?normalize:bool -> Radio_graph.Graph.t -> int array -> t
     Disconnected graphs are accepted here — {!is_connected} and the election
     API flag them — so that tests can probe edge cases. *)
 
-val with_tags : t -> int array -> t
-(** Same graph, new (normalized) tags. *)
-
 val uniform : Radio_graph.Graph.t -> int -> t
 (** [uniform g tag] gives every node the same tag (normalizes to all-zero:
     the classic infeasible fully-symmetric start). *)

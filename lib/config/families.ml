@@ -6,9 +6,6 @@ let tagged_path tags =
 let tagged_cycle tags =
   Config.create (Gen.cycle (Array.length tags)) tags
 
-let tagged_clique tags =
-  Config.create (Gen.complete (Array.length tags)) tags
-
 let g_family m =
   if m < 2 then
     raise (Config.Invalid_configuration "g_family: m must be >= 2");

@@ -31,9 +31,6 @@ val tagged_path : int array -> Config.t
 val tagged_cycle : int array -> Config.t
 (** Cycle with the given tags ([>= 3] of them). *)
 
-val tagged_clique : int array -> Config.t
-(** Single-hop network (complete graph) with the given tags. *)
-
 val staircase_clique : int -> Config.t
 (** [staircase_clique n]: complete graph where node [i] has tag [i] — every
     wake-up round distinct; the easiest feasible single-hop instance. *)

@@ -6,27 +6,15 @@ type counterexample = {
   winners : int list;
 }
 
-let feasible_universe ~max_n ~max_span =
-  (* Ordered by (n, actual span): small witnesses first. *)
-  let configs = ref [] in
-  for n = 1 to max_n do
-    let graphs = Radio_graph.Enumerate.connected_up_to_iso n in
-    List.iter
-      (fun tags ->
-        List.iter
-          (fun g ->
-            let config = C.create g tags in
-            if Classifier.is_feasible (Fast_classifier.classify config) then
-              configs := config :: !configs)
-          graphs)
-      (Census.tag_assignments ~n ~max_span)
-  done;
-  List.sort
-    (fun c1 c2 ->
-      match Int.compare (C.size c1) (C.size c2) with
-      | 0 -> Int.compare (C.span c1) (C.span c2)
-      | c -> c)
-    (List.rev !configs)
+(* The feasible configurations of the universe, in its (n, span) order:
+   small witnesses first. *)
+let feasible ~max_n ~max_span =
+  List.concat_map
+    (fun (_, _, configs) ->
+      List.filter
+        (fun config -> Classifier.is_feasible (Fast_classifier.classify config))
+        configs)
+    (Census.universe ~max_n ~max_span)
 
 let run_candidate ?max_rounds candidate config =
   let r = Runner.run ?max_rounds candidate config in
@@ -34,12 +22,10 @@ let run_candidate ?max_rounds candidate config =
   else Some { config; winners = r.Runner.winners }
 
 let find_failure ?(max_n = 4) ?(max_span = 2) ?(max_rounds = 500_000) candidate =
-  List.find_map
-    (run_candidate ~max_rounds candidate)
-    (feasible_universe ~max_n ~max_span)
+  List.find_map (run_candidate ~max_rounds candidate) (feasible ~max_n ~max_span)
 
 let count_failures ?(max_n = 4) ?(max_span = 2) ?(max_rounds = 500_000) candidate =
-  let universe = feasible_universe ~max_n ~max_span in
+  let universe = feasible ~max_n ~max_span in
   let failures =
     List.length
       (List.filter

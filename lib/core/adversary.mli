@@ -20,9 +20,9 @@ val find_failure :
   ?max_rounds:int ->
   Radio_sim.Runner.election ->
   counterexample option
-(** Scans feasible configurations in order of (n, span) over connected
-    graphs up to isomorphism with [n <= max_n] (default 4) and normalized
-    tags with span [<= max_span] (default 2).  [None] means the candidate
+(** Scans the feasible configurations of {!Census.universe} in its
+    (n, span) order, with [n <= max_n] (default 4) and span
+    [<= max_span] (default 2).  [None] means the candidate
     survived this bounded universe — not that it is universal (but see
     Proposition 4.4: enlarging the universe always defeats it). *)
 

@@ -341,75 +341,12 @@ let raw_key c =
 
 let canonical_form c =
   let module C = Radio_config.Config in
-  let module G = Radio_graph.Graph in
   let n = C.size c in
-  let identity = Array.init n Fun.id in
-  if n = 0 || n > iso_cache_bound then (c, identity)
-  else begin
-    let g = C.graph c in
-    let tags = C.tags c in
-    (* New label [i] must hold a vertex of the i-th smallest tag: a
-       tag-preserving relabelling can only permute within equal-tag
-       groups, which both prunes the search and keeps the key's tag
-       vector sorted. *)
-    let sorted_tags =
-      let a = Array.copy tags in
-      Array.sort Int.compare a;
-      a
+  if n = 0 || n > iso_cache_bound then (c, Array.init n Fun.id)
+  else
+    let perm =
+      Radio_graph.Props.canonical_labelling ~colours:(C.tags c) (C.graph c)
     in
-    (* Row i of an assignment is the bitmask of edges from the vertex at
-       new label i back to new labels 0 .. i-1.  The canonical form is
-       the assignment whose row sequence is lexicographically smallest.
-
-       Branch and bound with a committed prefix: [best_rows.(0 ..
-       best_len - 1)] is the lexicographically smallest row prefix any
-       explored branch has achieved.  A branch whose row at position [i]
-       exceeds the committed row is pruned; one that undercuts it commits
-       the smaller row and truncates the prefix (deeper positions are
-       re-established by this branch's descendants).  A branch can only
-       reach a leaf by matching the full committed prefix, so every leaf
-       reached holds the minimal row vector found so far — crucially, a
-       branch that undercuts at position [i] does NOT get a free pass
-       below [i]: its descendants compete against each other through the
-       same committed prefix, which keeps the result the true minimum
-       (the property tests relabel randomly and assert key equality). *)
-    let at = Array.make n (-1) in
-    let used = Array.make n false in
-    let best_at = Array.make n (-1) in
-    let best_rows = Array.make n 0 in
-    let best_len = ref 0 in
-    let rec place i =
-      if i = n then Array.blit at 0 best_at 0 n
-      else
-        for v = 0 to n - 1 do
-          if (not used.(v)) && tags.(v) = sorted_tags.(i) then begin
-            let row = ref 0 in
-            for j = 0 to i - 1 do
-              if G.mem_edge g v at.(j) then row := !row lor (1 lsl j)
-            done;
-            let keep =
-              if i >= !best_len || !row < best_rows.(i) then begin
-                best_rows.(i) <- !row;
-                best_len := i + 1;
-                true
-              end
-              else !row = best_rows.(i)
-            in
-            if keep then begin
-              at.(i) <- v;
-              used.(v) <- true;
-              place (i + 1);
-              used.(v) <- false
-            end
-          end
-        done
-    in
-    place 0;
-    (* [perm] renames original vertex [v] to its new label, the shape
-       {!Radio_config.Config.relabel} expects. *)
-    let perm = Array.make n (-1) in
-    Array.iteri (fun i v -> perm.(v) <- i) best_at;
     (C.relabel c perm, perm)
-  end
 
 let cache_key c = raw_key (fst (canonical_form c))

@@ -104,10 +104,12 @@ val upper_bound_rounds : n:int -> sigma:int -> int
 val iso_cache_bound : int
 (** Largest [n] (8) for which {!canonical_form} searches for a canonical
     labelling; beyond it the identity labelling is used, so only
-    literally-equal configurations share a key.  The search is a
-    branch-and-bound over tag-preserving relabellings — worst case [n!]
-    assignments — which is microseconds at [n <= 8] and unbounded-ish
-    beyond, hence the cutoff. *)
+    literally-equal configurations share a key.  The search is
+    {!Radio_graph.Props.canonical_labelling} with the tags as colours (the
+    same search deduplicates the census universe): a branch and bound over
+    tag-preserving relabellings — worst case [n!] assignments — which is
+    microseconds at [n <= 8] and unbounded-ish beyond, hence the
+    cutoff. *)
 
 val canonical_form : Radio_config.Config.t -> Radio_config.Config.t * int array
 (** [canonical_form c] is [(rep, perm)] with [rep = Config.relabel c perm]

@@ -64,9 +64,27 @@ let audit config =
   in
   (feasible, disagreement, impl_mismatch)
 
+let universe ~max_n ~max_span =
+  if max_n < 1 || max_n > 6 then invalid_arg "Census.universe: max_n must be in 1..6";
+  if max_span < 0 then invalid_arg "Census.universe: max_span must be >= 0";
+  List.concat_map
+    (fun n ->
+      let graphs = Enumerate.connected_up_to_iso n in
+      List.init (max_span + 1) (fun span ->
+          (* Assignments whose actual span is exactly [span]. *)
+          let assignments =
+            List.filter
+              (fun tags -> Array.fold_left max 0 tags = span)
+              (tag_assignments ~n ~max_span:span)
+          in
+          ( n,
+            span,
+            List.concat_map
+              (fun tags -> List.map (fun g -> C.create g tags) graphs)
+              assignments )))
+    (List.init max_n (fun i -> i + 1))
+
 let run ?pool ?(max_n = 4) ?(max_span = 2) () =
-  if max_n < 1 || max_n > 6 then invalid_arg "Census.run: max_n must be in 1..6";
-  if max_span < 0 then invalid_arg "Census.run: max_span must be >= 0";
   let audit_all =
     (* Each audit is independent; fold the verdicts in submission order so
        the report is byte-identical whatever the jobs level. *)
@@ -77,56 +95,24 @@ let run ?pool ?(max_n = 4) ?(max_span = 2) () =
        a raise here is a census bug worth a loud crash *)
     | Some pool -> fun configs -> Radio_exec.Pool.map pool ~f:audit configs
   in
-  let cells = ref [] in
-  let total_configs = ref 0 in
-  for n = 1 to max_n do
-    let graphs = Enumerate.connected_up_to_iso n in
-    for span = 0 to max_span do
-      (* Assignments whose actual span is exactly [span]. *)
-      let assignments =
-        List.filter
-          (fun tags -> Array.fold_left max 0 tags = span)
-          (tag_assignments ~n ~max_span:span)
-      in
-      let configs =
-        List.concat_map
-          (fun g -> List.map (fun tags -> C.create g tags) assignments)
-          graphs
-      in
-      let total = ref 0 in
-      let feas = ref 0 in
-      let dis = ref 0 in
-      let mis = ref 0 in
-      List.iter
-        (fun (feasible, disagreement, impl_mismatch) ->
-          incr total;
-          if feasible then incr feas;
-          if disagreement then incr dis;
-          if impl_mismatch then incr mis)
-        (audit_all configs);
-      total_configs := !total_configs + !total;
-      cells :=
+  let cells =
+    List.map
+      (fun (n, span, configs) ->
+        let verdicts = audit_all configs in
+        let count p = List.length (List.filter p verdicts) in
         {
           n;
           span;
-          total = !total;
-          feasible = !feas;
-          disagreements = !dis;
-          impl_mismatches = !mis;
-        }
-        :: !cells
-    done
-  done;
-  let compare_cell c1 c2 =
-    (* (n, span) is unique per cell, so this total order matches the loop. *)
-    match Int.compare c1.n c2.n with
-    | 0 -> Int.compare c1.span c2.span
-    | c -> c
+          total = List.length verdicts;
+          feasible = count (fun (feasible, _, _) -> feasible);
+          disagreements = count (fun (_, disagreement, _) -> disagreement);
+          impl_mismatches = count (fun (_, _, mismatch) -> mismatch);
+        })
+      (universe ~max_n ~max_span)
   in
-  let cells = List.sort compare_cell (List.rev !cells) in
   {
     cells;
-    configurations = !total_configs;
+    configurations = List.fold_left (fun acc c -> acc + c.total) 0 cells;
     all_consistent =
       List.for_all (fun c -> c.disagreements = 0 && c.impl_mismatches = 0) cells;
   }

@@ -33,10 +33,22 @@ val tag_assignments : n:int -> max_span:int -> int array list
 (** All normalized tag vectors: values in [0 .. max_span], at least one 0.
     [(max_span+1)^n - max_span^n] of them. *)
 
+val universe :
+  max_n:int -> max_span:int -> (int * int * Radio_config.Config.t list) list
+(** The small-configuration universe as [(n, span, configurations)] cells,
+    one per [n] in [1 .. max_n] and exact span in [0 .. max_span] (a cell
+    may be empty), in that order.  Within a cell the tag vectors follow
+    {!tag_assignments} and, for each, the graphs follow
+    {!Radio_graph.Enumerate.connected_up_to_iso}.  The census, the
+    model-checker oracle and the adversary all walk this one list.
+    Raises [Invalid_argument] unless [1 <= max_n <= 6] and
+    [max_span >= 0]. *)
+
 val run : ?pool:Radio_exec.Pool.t -> ?max_n:int -> ?max_span:int -> unit -> report
-(** Defaults: [max_n = 4], [max_span = 2].  [max_n = 5] multiplies the work
-    by roughly the number of 5-vertex connected graphs (21) times [3^5]
-    assignments and is still fast; [max_n = 6] takes minutes.
+(** Audits every cell of {!universe}.  Defaults: [max_n = 4],
+    [max_span = 2].  [max_n = 5] multiplies the work by roughly the number
+    of 5-vertex connected graphs (21) times [3^5] assignments and is still
+    fast; [max_n = 6] takes seconds.
 
     [pool] audits configurations in parallel; the report is byte-identical
     to the sequential run at every jobs level (docs/PARALLEL.md). *)

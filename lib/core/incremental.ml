@@ -226,7 +226,6 @@ let apply s edit =
       tags.(v) <- t;
       rebuild s ~universe:s.universe ~tags ~alive
 
-let apply_all s edits = List.fold_left apply s edits
 let live s = s.nlive
 let present s v = v >= 0 && v < Array.length s.alive && s.alive.(v)
 let current = current_config
@@ -240,11 +239,6 @@ let node_of_current s i =
   if i < 0 || i >= s.nlive then
     invalid_arg "Incremental.node_of_current: index out of range";
   s.of_cur.(i)
-
-let current_of_node s v =
-  if v < 0 || v >= Array.length s.to_cur then None
-  else if s.to_cur.(v) < 0 then None
-  else Some s.to_cur.(v)
 
 let run s = s.cache
 
@@ -301,30 +295,9 @@ let runs_equal a b =
 (* ------------------------------------------------------------------ *)
 
 module Oracle = struct
-  (* Local splitmix64: lib/core must stay free of ambient randomness, and
-     the oracle's streams must be reproducible from the seed alone. *)
-  module Sm = struct
-    type t = { mutable s : int64 }
-
-    let create seed = { s = Int64.of_int seed }
-
-    let next t =
-      t.s <- Int64.add t.s 0x9E3779B97F4A7C15L;
-      let z = t.s in
-      let z =
-        Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-          0xBF58476D1CE4E5B9L
-      in
-      let z =
-        Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-          0x94D049BB133111EBL
-      in
-      Int64.logxor z (Int64.shift_right_logical z 31)
-
-    let int t bound =
-      if bound <= 0 then invalid_arg "Incremental.Oracle: non-positive bound";
-      Int64.to_int (Int64.rem (Int64.shift_right_logical (next t) 1) (Int64.of_int bound))
-  end
+  (* The fault plans' seeded splitmix64: the oracle's streams are
+     reproducible from the seed alone. *)
+  module Prng = Radio_sim.Fault_plan.Prng
 
   type mismatch = { family : string; sequence : int; step : int; edit : edit }
 
@@ -358,7 +331,7 @@ module Oracle = struct
     | "chorded" ->
         let chords = max 1 (n / 3) in
         for _ = 1 to chords do
-          let u = Sm.int rng n and v = Sm.int rng n in
+          let u = Prng.int rng n and v = Prng.int rng n in
           if u <> v && not (G.Builder.mem_edge b u v) then
             G.Builder.add_edge b u v
         done
@@ -367,13 +340,13 @@ module Oracle = struct
 
   let base_config ~family ~max_size rng =
     let hi = max 4 max_size in
-    let n = 4 + Sm.int rng (hi - 3) in
+    let n = 4 + Prng.int rng (hi - 3) in
     let g = base_graph family n rng in
     let tags =
       (* One sequence in four starts fully symmetric (uniform tags, the
          classic infeasible start); the rest start from random tags. *)
-      if Sm.int rng 4 = 0 then Array.make n 0
-      else Array.init n (fun _ -> Sm.int rng n)
+      if Prng.int rng 4 = 0 then Array.make n 0
+      else Array.init n (fun _ -> Prng.int rng n)
     in
     Config.create g tags
 
@@ -387,21 +360,21 @@ module Oracle = struct
       Array.iteri (fun v a -> if not a then absent := v :: !absent) st.alive;
       match !absent with
       | [] -> None
-      | l -> Some (List.nth l (Sm.int rng (List.length l)))
+      | l -> Some (List.nth l (Prng.int rng (List.length l)))
     in
     let random_alive () =
       let alive = ref [] in
       Array.iteri (fun v a -> if a then alive := v :: !alive) st.alive;
       match !alive with
       | [] -> None
-      | l -> Some (List.nth l (Sm.int rng (List.length l)))
+      | l -> Some (List.nth l (Prng.int rng (List.length l)))
     in
-    let set_tag () = Set_tag (Sm.int rng n, Sm.int rng (n + 1)) in
+    let set_tag () = Set_tag (Prng.int rng n, Prng.int rng (n + 1)) in
     let add_edge () =
       let rec attempt k =
         if k = 0 then set_tag ()
         else begin
-          let u = Sm.int rng n and v = Sm.int rng n in
+          let u = Prng.int rng n and v = Prng.int rng n in
           if u <> v && not (G.mem_edge st.universe u v) then Add_edge (u, v)
           else attempt (k - 1)
         end
@@ -412,10 +385,10 @@ module Oracle = struct
       match G.edges st.universe with
       | [] -> add_edge ()
       | es ->
-          let u, v = List.nth es (Sm.int rng (List.length es)) in
+          let u, v = List.nth es (Prng.int rng (List.length es)) in
           Remove_edge (u, v)
     in
-    let k = Sm.int rng 100 in
+    let k = Prng.int rng 100 in
     if k < 28 then add_edge ()
     else if k < 56 then remove_edge ()
     else if k < 80 then set_tag ()
@@ -426,7 +399,7 @@ module Oracle = struct
     end
     else begin
       match random_absent () with
-      | Some v -> Join (v, Sm.int rng (n + 1))
+      | Some v -> Join (v, Prng.int rng (n + 1))
       | None -> set_tag ()
     end
 
@@ -441,7 +414,7 @@ module Oracle = struct
   }
 
   let run_sequence ~family ~sequence ~seed ~edits ~max_size =
-    let rng = Sm.create seed in
+    let rng = Prng.create seed in
     let cfg = base_config ~family ~max_size rng in
     let st = ref (init cfg) in
     let mismatches = ref [] in

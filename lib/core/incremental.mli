@@ -73,8 +73,6 @@ val apply : state -> edit -> state
     adding an existing edge, removing a missing one, a negative tag,
     [Leave] of an absent node or [Join] of a present one. *)
 
-val apply_all : state -> edit list -> state
-
 val live : state -> int
 (** Number of present nodes. *)
 
@@ -93,9 +91,6 @@ val current : state -> Radio_config.Config.t option
 val node_of_current : state -> int -> int
 (** Maps an induced index (as used by {!run}'s class arrays) back to the
     universe node id. *)
-
-val current_of_node : state -> int -> int option
-(** Universe node id to induced index; [None] if absent. *)
 
 val run : state -> Classifier.run option
 (** The memoized run — equal, bit for bit, to

@@ -23,10 +23,6 @@ val compute_labels :
     (skipping neighbours with [class_of w = class_of v] and [t_w = t_v],
     which transmit simultaneously with [v]). *)
 
-val class_sizes : num_classes:int -> int array -> int array
-(** [class_sizes ~num_classes class_of] has the size of class [k] at index
-    [k - 1]. *)
-
 val singleton_class : num_classes:int -> int array -> int option
 (** Smallest class number containing exactly one node, if any — the paper's
     [m̂] (line 5 of Algorithm 4 / Lemma 3.11). *)

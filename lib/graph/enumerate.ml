@@ -21,43 +21,21 @@ let all_labelled n =
 
 let all_connected_labelled n = List.filter Props.connected (all_labelled n)
 
-let rec permutations = function
-  | [] -> [ [] ]
-  | l ->
-      List.concat_map
-        (fun x ->
-          let rest = List.filter (fun y -> y <> x) l in
-          List.map (fun p -> x :: p) (permutations rest))
-        l
-
-let canonical_key g =
-  let n = Graph.size g in
-  if n > 7 then invalid_arg "Enumerate.canonical_key: n must be <= 7";
-  let perms = permutations (List.init n Fun.id) in
-  let key_under perm_list =
-    let perm = Array.of_list perm_list in
-    let buf = Bytes.create (n * (n - 1) / 2) in
-    let i = ref 0 in
-    List.iter
-      (fun (u, v) ->
-        Bytes.set buf !i
-          (if Graph.mem_edge g perm.(u) perm.(v) then '1' else '0');
-        incr i)
-      (pairs n);
-    Bytes.to_string buf
-  in
-  List.fold_left
-    (fun best p ->
-      let k = key_under p in
-      if k < best then k else best)
-    (key_under (List.init n Fun.id))
-    perms
-
+(* Two graphs are isomorphic iff their canonical relabellings have the
+   same edge set, held here as a bitmask over the [n * n] label pairs. *)
 let connected_up_to_iso n =
+  let colours = Array.make n 0 in
   let seen = Hashtbl.create 64 in
   List.filter
     (fun g ->
-      let key = canonical_key g in
+      let perm = Props.canonical_labelling ~colours g in
+      let key =
+        List.fold_left
+          (fun key (u, v) ->
+            let a = perm.(u) and b = perm.(v) in
+            key lor (1 lsl ((min a b * n) + max a b)))
+          0 (Graph.edges g)
+      in
       if Hashtbl.mem seen key then false
       else begin
         Hashtbl.add seen key ();

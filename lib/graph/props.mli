@@ -36,3 +36,14 @@ val is_vertex_transitive_candidate : Graph.t -> bool
 (** Cheap necessary condition for vertex transitivity (regular and every
     vertex has the same sorted multiset of neighbour degrees).  Used by tests
     that pick highly symmetric graphs for infeasibility checks. *)
+
+val canonical_labelling : colours:int array -> Graph.t -> int array
+(** [canonical_labelling ~colours g] is a colour-preserving relabelling
+    [perm] ([perm.(v)] is [v]'s new label) that puts a vertex of the
+    [i]-th smallest colour at new label [i] and, among those, makes the
+    adjacency rows (new label [i]'s edges back to labels [0 .. i-1]) the
+    lexicographically smallest.  Two coloured graphs relabelled by it
+    coincide iff they are isomorphic by a colour-preserving map.  [colours] has one
+    entry per vertex.  A branch and bound with worst case [n!]
+    assignments and rows held as int bitmasks, so [n] must stay small
+    (the callers stop at 8). *)

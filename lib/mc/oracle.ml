@@ -1,5 +1,4 @@
 module C = Radio_config.Config
-module Enumerate = Radio_graph.Enumerate
 module Classifier = Election.Classifier
 module Fast_classifier = Election.Fast_classifier
 module Census = Election.Census
@@ -91,20 +90,12 @@ let fold_one ~replay acc one =
     (if one.one_round > max_round then one.one_round else max_round),
     match one.one_disagreement with Some d -> d :: disags | None -> disags )
 
-let all_configs ~max_n ~max_span =
-  (* Same traversal order as the historical sequential loop: n ascending,
-     tag assignments outer, graphs inner. *)
-  List.concat
-    (List.init max_n (fun i ->
-         let n = i + 1 in
-         let graphs = Enumerate.connected_up_to_iso n in
-         List.concat_map
-           (fun tags ->
-             List.map (fun g -> C.create g (Array.copy tags)) graphs)
-           (Census.tag_assignments ~n ~max_span)))
-
 let run ?pool ?progress ?(max_n = 5) ?(max_span = 2) ?(replay = false) () =
-  let configs = all_configs ~max_n ~max_span in
+  let configs =
+    List.concat_map
+      (fun (_, _, configs) -> configs)
+      (Census.universe ~max_n ~max_span)
+  in
   let total = List.length configs in
   let acc = ref (0, 0, 0, 0, 0, []) in
   let commit one =

@@ -1,10 +1,10 @@
 (** The differential feasibility oracle.
 
-    For every connected configuration up to an isomorphism-free graph
-    enumeration ({!Radio_graph.Enumerate.connected_up_to_iso}) crossed with
-    every normalized tag assignment of bounded span
-    ({!Election.Census.tag_assignments}), the model-checker verdict under
-    the canonical DRIP must agree with the classifier:
+    For every configuration of the small universe
+    ({!Election.Census.universe}: connected graphs up to isomorphism
+    crossed with normalized tag assignments of bounded span), the
+    model-checker verdict under the canonical DRIP must agree with the
+    classifier:
 
     - feasible ⇒ {!Checker.Elected} with the canonical leader, within the
       [O(n^2 σ)] bound (both enforced by {!Checker.verify});
@@ -40,7 +40,9 @@ val run :
   ?replay:bool ->
   unit ->
   report
-(** Defaults: [max_n = 5], [max_span = 2], [replay = false].
+(** Defaults: [max_n = 5], [max_span = 2], [replay = false].  Walks the
+    cells of {!Election.Census.universe} in order and raises its
+    [Invalid_argument] on an out-of-range [max_n] or [max_span].
 
     [pool] checks configurations in parallel; the report is byte-identical
     to the sequential run at every jobs level (docs/PARALLEL.md).

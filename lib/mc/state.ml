@@ -5,21 +5,10 @@ type event =
   | E_message of string
   | E_collision
 
-let equal_event e1 e2 =
-  match (e1, e2) with
-  | E_silence, E_silence | E_collision, E_collision -> true
-  | E_message m1, E_message m2 -> String.equal m1 m2
-  | E_silence, _ | E_message _, _ | E_collision, _ -> false
-
 let entry_of_event = function
   | E_silence -> H.Silence
   | E_message m -> H.Message m
   | E_collision -> H.Collision
-
-let pp_event ppf = function
-  | E_silence -> Format.pp_print_string ppf "silence"
-  | E_message m -> Format.fprintf ppf "message %S" m
-  | E_collision -> Format.pp_print_string ppf "collision"
 
 module Intern = struct
   type key = int
@@ -100,14 +89,8 @@ let compare_states (a : t) (b : t) =
       go 0
   | c -> c
 
-let compare = compare_states
 let equal a b = compare_states a b = 0
-let is_asleep (s : t) v = s.(v) = 0
-let is_awake (s : t) v = s.(v) > 0
-let is_terminated (s : t) v = s.(v) < 0
 let all_terminated (s : t) = Array.for_all (fun k -> k < 0) s
-let none_awake (s : t) = Array.for_all (fun k -> k <= 0) s
-let key (s : t) v = abs s.(v)
 
 let encode ~round_class (s : t) =
   let b = Buffer.create ((4 * Array.length s) + 8) in
@@ -254,14 +237,3 @@ let classes (s : t) =
     end
   done;
   List.rev !acc
-
-let pp ppf (s : t) =
-  Format.fprintf ppf "@[<h>[";
-  Array.iteri
-    (fun v k ->
-      if v > 0 then Format.pp_print_string ppf " ";
-      if k = 0 then Format.pp_print_string ppf "zzz"
-      else if k > 0 then Format.fprintf ppf "+%d" k
-      else Format.fprintf ppf "-%d" (-k))
-    s;
-  Format.fprintf ppf "]@]"

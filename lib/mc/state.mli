@@ -24,13 +24,6 @@ type event =
   | E_message of string
   | E_collision
 
-val equal_event : event -> event -> bool
-
-val entry_of_event : event -> Radio_drip.History.entry
-(** The concrete history entry an event denotes. *)
-
-val pp_event : Format.formatter -> event -> unit
-
 (** Hash-consed history keys. *)
 module Intern : sig
   type key = int
@@ -63,22 +56,11 @@ type t = int array
 val initial : int -> t
 (** All nodes asleep. *)
 
-val compare : t -> t -> int
-(** Total lexicographic order (explicit — no polymorphic compare). *)
-
 val equal : t -> t -> bool
-val is_asleep : t -> int -> bool
-val is_awake : t -> int -> bool
-val is_terminated : t -> int -> bool
+(** Slot-for-slot equality (explicit — no polymorphic compare). *)
 
 val all_terminated : t -> bool
 (** Every node terminated: the run is over. *)
-
-val none_awake : t -> bool
-(** No running node (all asleep or terminated). *)
-
-val key : t -> int -> int
-(** [key s v]: the history key of node [v], sign stripped ([0] if asleep). *)
 
 val encode : round_class:int -> t -> string
 (** Deterministic string encoding for the hash-consed visited set.  The
@@ -147,5 +129,3 @@ val classes : t -> int list list
 (** Partition of nodes by equal slot value (asleep nodes together, awake or
     terminated nodes by history key), classes ordered by smallest member,
     members ascending. *)
-
-val pp : Format.formatter -> t -> unit

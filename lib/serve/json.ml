@@ -8,8 +8,6 @@ type t =
 
 type error = { column : int; message : string }
 
-let pp_error ppf e = Format.fprintf ppf "column %d: %s" e.column e.message
-
 exception Fail of error
 
 let fail pos message = raise (Fail { column = pos + 1; message })

@@ -45,5 +45,3 @@ val to_string : t -> string
 val member : string -> t -> t option
 (** Field lookup on an [Obj]; [None] on other constructors. *)
 
-val pp_error : Format.formatter -> error -> unit
-(** ["column C: message"]. *)

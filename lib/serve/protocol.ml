@@ -23,13 +23,6 @@ let default_max_rounds = 100_000
 let max_mc_states = 2_000_000
 let max_mc_depth = default_max_rounds
 
-let kind_name = function
-  | Classify _ -> "classify"
-  | Elect _ -> "elect"
-  | Simulate _ -> "simulate"
-  | Mc_check _ -> "mc-check"
-  | Stats -> "stats"
-
 let known_kinds = [ "classify"; "elect"; "simulate"; "mc-check"; "stats" ]
 
 exception Reject of error

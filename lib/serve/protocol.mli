@@ -56,8 +56,6 @@ val max_mc_depth : int
 val parse : string -> parsed
 (** Never raises. *)
 
-val kind_name : request -> string
-
 val known_kinds : string list
 
 val oversized_line : limit:int -> parsed

@@ -446,12 +446,6 @@ let of_string s =
         entries;
       normalize (List.map snd entries)
 
-let write_file path p =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string p))
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect

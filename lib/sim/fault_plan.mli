@@ -117,6 +117,18 @@ val topology_at : round:int -> Radio_config.Config.t -> t -> topology
 
 (** {1 Seeded sampling} *)
 
+(** The one seeded generator (splitmix64) behind every sampled schedule
+    here and the edit streams of {!Election.Incremental.Oracle}: a stream
+    is determined by its seed alone. *)
+module Prng : sig
+  type t
+
+  val create : int -> t
+
+  val int : t -> int -> int
+  (** [int t bound] is uniform in [0 .. bound - 1]; [bound >= 1]. *)
+end
+
 val sample :
   seed:int ->
   ?crashes:int ->
@@ -170,8 +182,6 @@ val of_string : string -> t
     {e duplicate entries} — two identical faults, or two [join]/[retag]
     lines racing to set the same node's tag in the same round — are all
     positioned errors instead of silent dedup. *)
-
-val write_file : string -> t -> unit
 
 val read_file : string -> t
 

@@ -38,29 +38,121 @@ let test_connected_labelled_counts () =
   check_int "n=5" 728 (List.length (E.all_connected_labelled 5))
 
 let test_iso_counts () =
-  (* OEIS A001349: 1, 1, 2, 6, 21 connected graphs up to isomorphism. *)
+  (* OEIS A001349: 1, 1, 2, 6, 21, 112 connected graphs up to isomorphism. *)
   check_int "n=1" 1 (E.count_up_to_iso 1);
   check_int "n=2" 1 (E.count_up_to_iso 2);
   check_int "n=3" 2 (E.count_up_to_iso 3);
   check_int "n=4" 6 (E.count_up_to_iso 4);
-  check_int "n=5" 21 (E.count_up_to_iso 5)
+  check_int "n=5" 21 (E.count_up_to_iso 5);
+  check_int "n=6" 112 (E.count_up_to_iso 6)
 
-let test_canonical_key_detects_isomorphism () =
-  (* The path 0-1-2 relabelled is still the same key; the triangle isn't. *)
+(* The canonical form (uniform colours unless given): the edge list of
+   the relabelled graph, each pair ordered, sorted. *)
+let form ?colours g =
+  let n = G.size g in
+  let colours = Option.value colours ~default:(Array.make n 0) in
+  let perm = Radio_graph.Props.canonical_labelling ~colours g in
+  List.sort compare
+    (List.map
+       (fun (u, v) -> (min perm.(u) perm.(v), max perm.(u) perm.(v)))
+       (G.edges g))
+
+let relabel g perm =
+  G.of_edges (G.size g) (List.map (fun (u, v) -> (perm.(u), perm.(v))) (G.edges g))
+
+let shuffle rng n =
+  let a = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  a
+
+let test_canonical_labelling () =
+  (* The path 0-1-2 relabelled has the same form; the triangle doesn't. *)
   let p1 = G.of_edges 3 [ (0, 1); (1, 2) ] in
   let p2 = G.of_edges 3 [ (1, 0); (0, 2) ] in
   let tri = G.of_edges 3 [ (0, 1); (1, 2); (0, 2) ] in
-  Alcotest.(check string) "isomorphic paths" (E.canonical_key p1) (E.canonical_key p2);
-  check "path vs triangle" false (E.canonical_key p1 = E.canonical_key tri)
+  check "isomorphic paths" true (form p1 = form p2);
+  check "path vs triangle" false (form p1 = form tri);
+  (* Colours restrict the maps: the path's two ends may swap, the middle
+     may not trade places with an end. *)
+  check "coloured mirror" true
+    (form ~colours:[| 1; 0; 0 |] p1 = form ~colours:[| 0; 0; 1 |] p1);
+  check "colour on the middle" false
+    (form ~colours:[| 1; 0; 0 |] p1 = form ~colours:[| 0; 1; 0 |] p1);
+  (* Random relabellings of every connected graph on five vertices keep
+     its form, and the class representatives have pairwise distinct
+     forms. *)
+  let rng = Random.State.make [| 5 |] in
+  List.iter
+    (fun g ->
+      check "relabelled copy" true (form g = form (relabel g (shuffle rng 5))))
+    (E.all_connected_labelled 5);
+  List.iter
+    (fun n ->
+      let forms = List.map form (E.connected_up_to_iso n) in
+      check_int "distinct forms" (List.length forms)
+        (List.length (List.sort_uniq compare forms)))
+    [ 4; 5; 6 ]
+
+(* An independent deduplication, kept as an oracle: the lexicographically
+   smallest upper-triangle adjacency string over all [n!] permutations. *)
+module Oracle = struct
+  let rec permutations = function
+    | [] -> [ [] ]
+    | l ->
+        List.concat_map
+          (fun x ->
+            let rest = List.filter (fun y -> y <> x) l in
+            List.map (fun p -> x :: p) (permutations rest))
+          l
+
+  let canonical_key g =
+    let n = G.size g in
+    let pairs =
+      List.concat
+        (List.init n (fun u -> List.init (n - u - 1) (fun i -> (u, u + i + 1))))
+    in
+    let key_under perm =
+      let perm = Array.of_list perm in
+      String.concat ""
+        (List.map
+           (fun (u, v) -> if G.mem_edge g perm.(u) perm.(v) then "1" else "0")
+           pairs)
+    in
+    List.fold_left
+      (fun best p -> min best (key_under p))
+      (key_under (List.init n Fun.id))
+      (permutations (List.init n Fun.id))
+
+  let connected_up_to_iso n =
+    let seen = Hashtbl.create 64 in
+    List.filter
+      (fun g ->
+        let key = canonical_key g in
+        if Hashtbl.mem seen key then false
+        else begin
+          Hashtbl.add seen key ();
+          true
+        end)
+      (E.all_connected_labelled n)
+end
+
+let test_iso_matches_oracle () =
+  List.iter
+    (fun n ->
+      let edges gs = List.map G.edges gs in
+      check (Printf.sprintf "n=%d graph for graph" n) true
+        (edges (E.connected_up_to_iso n) = edges (Oracle.connected_up_to_iso n)))
+    [ 0; 1; 2; 3; 4; 5 ]
 
 let test_enumerate_bounds () =
-  (try
-     ignore (E.all_labelled 7);
-     Alcotest.fail "n=7 accepted"
-   with Invalid_argument _ -> ());
   try
-    ignore (E.canonical_key (Gen.path 8));
-    Alcotest.fail "n=8 key accepted"
+    ignore (E.all_labelled 7);
+    Alcotest.fail "n=7 accepted"
   with Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -75,6 +167,31 @@ let test_tag_assignments () =
     (fun tags ->
       check "contains a zero" true (Array.exists (fun t -> t = 0) tags))
     (Census.tag_assignments ~n:3 ~max_span:2)
+
+let test_universe_order () =
+  (* One cell per (n, exact span), n outer; inside a cell the tag vectors
+     in [tag_assignments] order, and for each the graphs in
+     [connected_up_to_iso] order (the 3-path centred at 0, then the
+     triangle). *)
+  let u = Census.universe ~max_n:3 ~max_span:1 in
+  Alcotest.(check (list (triple int int int)))
+    "cells"
+    [ (1, 0, 1); (1, 1, 0); (2, 0, 1); (2, 1, 2); (3, 0, 2); (3, 1, 12) ]
+    (List.map (fun (n, span, configs) -> (n, span, List.length configs)) u);
+  let path = [ (0, 1); (0, 2) ] and tri = [ (0, 1); (0, 2); (1, 2) ] in
+  let expected =
+    List.concat_map
+      (fun tags -> [ (tags, path); (tags, tri) ])
+      [ [ 1; 0; 0 ]; [ 0; 1; 0 ]; [ 1; 1; 0 ]; [ 0; 0; 1 ]; [ 1; 0; 1 ]; [ 0; 1; 1 ] ]
+  in
+  let cell =
+    List.concat_map
+      (fun (n, span, configs) -> if n = 3 && span = 1 then configs else [])
+      u
+  in
+  check "cell (3, 1) in order" true
+    (expected
+    = List.map (fun c -> (Array.to_list (C.tags c), G.edges (C.graph c))) cell)
 
 let test_census_consistency () =
   let report = Census.run ~max_n:4 ~max_span:2 () in
@@ -231,13 +348,14 @@ let () =
           Alcotest.test_case "connected labelled (A001187)" `Quick
             test_connected_labelled_counts;
           Alcotest.test_case "iso counts (A001349)" `Quick test_iso_counts;
-          Alcotest.test_case "canonical key" `Quick
-            test_canonical_key_detects_isomorphism;
+          Alcotest.test_case "canonical key" `Quick test_canonical_labelling;
+          Alcotest.test_case "iso = n! oracle" `Quick test_iso_matches_oracle;
           Alcotest.test_case "bounds" `Quick test_enumerate_bounds;
         ] );
       ( "census",
         [
           Alcotest.test_case "tag assignments" `Quick test_tag_assignments;
+          Alcotest.test_case "universe order" `Quick test_universe_order;
           Alcotest.test_case "full consistency n<=4" `Quick
             test_census_consistency;
           Alcotest.test_case "known cells" `Quick test_census_known_cells;

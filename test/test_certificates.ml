@@ -64,26 +64,27 @@ let test_no_certificate_for_feasible () =
       C.create (G.empty 1) [| 0 |];
     ]
 
+(* The n = 4 cells of the small universe (span <= 2). *)
+let n4_universe () =
+  List.concat_map
+    (fun (n, _, configs) -> if n = 4 then configs else [])
+    (Election.Census.universe ~max_n:4 ~max_span:2)
+
 let test_soundness_on_census_universe () =
   (* Over every small configuration: certificate => classifier infeasible. *)
-  let graphs = Radio_graph.Enumerate.connected_up_to_iso 4 in
   let mismatches = ref 0 in
   let certified = ref 0 in
   let infeasible = ref 0 in
   List.iter
-    (fun g ->
-      List.iter
-        (fun tags ->
-          let config = C.create g tags in
-          let cert = Sym.certified_infeasible config in
-          let feas = Cl.is_feasible (Cl.classify config) in
-          if cert then begin
-            incr certified;
-            if feas then incr mismatches
-          end;
-          if not feas then incr infeasible)
-        (Election.Census.tag_assignments ~n:(G.size g) ~max_span:2))
-    graphs;
+    (fun config ->
+      let cert = Sym.certified_infeasible config in
+      let feas = Cl.is_feasible (Cl.classify config) in
+      if cert then begin
+        incr certified;
+        if feas then incr mismatches
+      end;
+      if not feas then incr infeasible)
+    (n4_universe ());
   check_int "soundness violations" 0 !mismatches;
   check "certificates exist" true (!certified > 0);
   (* Incueteness is expected but on this tiny universe coverage is high. *)
@@ -96,20 +97,15 @@ let test_incompleteness_documented () =
      fixed-point-free automorphism exists, yet ends/second nodes pair up...
      The configuration may or may not be feasible; find one infeasible
      without certificate by scanning the census. *)
-  let graphs = Radio_graph.Enumerate.connected_up_to_iso 4 in
   let example = ref None in
   List.iter
-    (fun g ->
-      List.iter
-        (fun tags ->
-          let config = C.create g tags in
-          if
-            !example = None
-            && (not (Cl.is_feasible (Cl.classify config)))
-            && not (Sym.certified_infeasible config)
-          then example := Some config)
-        (Election.Census.tag_assignments ~n:(G.size g) ~max_span:2))
-    graphs;
+    (fun config ->
+      if
+        !example = None
+        && (not (Cl.is_feasible (Cl.classify config)))
+        && not (Sym.certified_infeasible config)
+      then example := Some config)
+    (n4_universe ());
   match !example with
   | Some _ -> check "incompleteness witnessed" true true
   | None ->

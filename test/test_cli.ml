@@ -220,7 +220,11 @@ let test_bad_input () =
         "anorad optimal: invalid configuration: Checker.explore: crash mask \
          supports n <= 62");
   expect "census size out of range" "census --max-n 9"
-    "anorad census: invalid argument: Census.run: max_n must be in 1..6";
+    "anorad census: invalid argument: Census.universe: max_n must be in 1..6";
+  expect "oracle size 0" "mc --oracle 0"
+    "anorad mc: invalid argument: Census.universe: max_n must be in 1..6";
+  expect "oracle size 7" "mc --oracle 7"
+    "anorad mc: invalid argument: Census.universe: max_n must be in 1..6";
   expect "family parameter out of range" "family g 0"
     "anorad family: invalid parameter: g_family: m must be >= 2";
   with_family "h" 2 (fun cfg ->
@@ -234,6 +238,52 @@ let test_bad_input () =
       expect "unwritable sarif"
         ("mc " ^ cfg ^ " --sarif /nonexistent/x")
         "anorad mc: cannot write SARIF report: /nonexistent/x")
+
+(* A CONFIG with no nodes is refused by the one loader, whichever
+   subcommand reads it. *)
+let test_empty_config () =
+  with_plan "config 0\ntags\n" (fun cfg ->
+      let cfg = Filename.quote cfg in
+      with_plan "faults\n" (fun plan ->
+          let plan = Filename.quote plan in
+          with_family "h" 1 (fun h1 ->
+              with_plan "" (fun compiled ->
+                  let compiled = Filename.quote compiled in
+                  let code, _ =
+                    anorad
+                      (Printf.sprintf "compile %s -o %s" (Filename.quote h1)
+                         compiled)
+                  in
+                  check_int "compile exit" 0 code;
+                  List.iter
+                    (fun (cmd, args) ->
+                      let code, err = anorad_stderr args in
+                      check_int (args ^ " exit 2") 2 code;
+                      check (args ^ " headline") true
+                        (contains err
+                           (Printf.sprintf
+                              "anorad %s: invalid configuration: empty \
+                               configuration"
+                              cmd)))
+                    [
+                      ("classify", "classify " ^ cfg);
+                      ("elect", "elect " ^ cfg);
+                      ("trace", "trace " ^ cfg);
+                      ("refute", "refute " ^ cfg);
+                      ("compile", "compile " ^ cfg);
+                      ("run-plan", Printf.sprintf "run-plan %s %s" compiled cfg);
+                      ("explain", "explain " ^ cfg);
+                      ("optimal", "optimal " ^ cfg);
+                      ("fragility", "fragility " ^ cfg);
+                      ("audit", "audit " ^ cfg);
+                      ("repair", "repair " ^ cfg);
+                      ("mc", "mc " ^ cfg);
+                      ("mc", "mc --explore " ^ cfg);
+                      ("check-trace", "check-trace " ^ cfg);
+                      ("faults", Printf.sprintf "faults %s %s" cfg plan);
+                      ("resilience", "resilience " ^ cfg);
+                      ("churn", "churn " ^ cfg);
+                    ]))))
 
 let test_faults_cli () =
   with_family "h" 2 (fun cfg ->
@@ -868,6 +918,7 @@ let () =
           Alcotest.test_case "explain --dot" `Quick test_explain_dot_cli;
           Alcotest.test_case "trace" `Quick test_trace_cli;
           Alcotest.test_case "bad input" `Quick test_bad_input;
+          Alcotest.test_case "empty configuration" `Quick test_empty_config;
           Alcotest.test_case "faults" `Quick test_faults_cli;
           Alcotest.test_case "faults --supervise" `Quick
             test_faults_supervise_cli;

@@ -223,17 +223,13 @@ let mutant_tests =
 module Visited = Radio_mc.Visited
 module Pool = Radio_exec.Pool
 
-(* The oracle's exhaustive universe, rebuilt: every connected graph on
-   [n <= 4] nodes (up to isomorphism) crossed with every tag census of
-   span [<= 2]. *)
+(* The oracle's exhaustive universe: every connected graph on [n <= 4]
+   nodes (up to isomorphism) crossed with every tag census of span
+   [<= 2]. *)
 let small_configs () =
   List.concat_map
-    (fun n ->
-      let tagss = Election.Census.tag_assignments ~n ~max_span:2 in
-      List.concat_map
-        (fun g -> List.map (fun tags -> C.create g (Array.copy tags)) tagss)
-        (Radio_graph.Enumerate.connected_up_to_iso n))
-    [ 1; 2; 3; 4 ]
+    (fun (_, _, configs) -> configs)
+    (Election.Census.universe ~max_n:4 ~max_span:2)
 
 (* Deterministic slot material covering every sign/magnitude shape a
    reachable state can hold (asleep, small running keys, terminated

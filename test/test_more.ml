@@ -67,6 +67,67 @@ let test_adversary_tiny_universe () =
   check "survives n=1 universe" true
     (Adv.find_failure ~max_n:1 self_electing = None)
 
+(* Pinned: the first counterexample for each candidate of bench E5 (plus
+   the fast protocols and dedicated(two_cells)), and dedicated(H_2)'s
+   failure counts over four universes. *)
+let test_adversary_pinned () =
+  let dedicated config = Option.get (Fe.dedicated_election (Fe.analyze config)) in
+  let render = function
+    | None -> "none"
+    | Some ce ->
+        let c = ce.Adv.config in
+        let ints l = String.concat ";" (List.map string_of_int l) in
+        Printf.sprintf "n=%d tags=[%s] edges=[%s] winners=[%s]" (C.size c)
+          (ints (Array.to_list (C.tags c)))
+          (String.concat ";"
+             (List.map
+                (fun (u, v) -> Printf.sprintf "%d-%d" u v)
+                (G.edges (C.graph c))))
+          (ints ce.Adv.winners)
+  in
+  let single = "n=1 tags=[0] edges=[] winners=[]" in
+  let star = "n=3 tags=[1;0;0] edges=[0-1;0-2] winners=[0;1;2]" in
+  List.iter
+    (fun (name, candidate, expected, failures) ->
+      Alcotest.(check string) name expected (render (Adv.find_failure candidate));
+      Alcotest.(check (pair int int))
+        (name ^ " failures") (failures, 393)
+        (Adv.count_failures candidate))
+    [
+      ("dedicated(H_1)", dedicated (F.h_family 1), single, 287);
+      ("dedicated(H_2)", dedicated (F.h_family 2), single, 319);
+      ("dedicated(H_8)", dedicated (F.h_family 8), single, 393);
+      ( "dedicated(G_2)",
+        dedicated (F.g_family 2),
+        "n=2 tags=[1;0] edges=[0-1] winners=[]",
+        320 );
+      ("dedicated(staircase_5)", dedicated (F.staircase_clique 5), single, 393);
+      ("dedicated(two_cells)", dedicated (F.two_cells ()), single, 239);
+      ( "beacon+first-silent",
+        {
+          Runner.protocol = P.beacon ();
+          decision =
+            (fun h -> Array.length h > 0 && H.equal_entry h.(0) H.Silence);
+        },
+        star,
+        280 );
+      ( "silent-waiter",
+        { Runner.protocol = P.silent ~lifetime:8 (); decision = (fun _ -> true) },
+        "n=2 tags=[1;0] edges=[0-1] winners=[0;1]",
+        392 );
+      ("min-beacon", Election.Min_beacon.election, star, 308);
+      ("wave", Election.Wave_election.election, star, 280);
+    ];
+  let h2 = dedicated (F.h_family 2) in
+  List.iter
+    (fun (max_n, max_span, expected) ->
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "dedicated(H_2) at (%d, %d)" max_n max_span)
+        expected
+        (Adv.count_failures ~max_n ~max_span h2))
+    [ (4, 2, (319, 393)); (5, 2, (3895, 4723)); (4, 3, (893, 1075));
+      (3, 4, (105, 129)) ]
+
 (* ------------------------------------------------------------------ *)
 (* Charts                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -274,6 +335,8 @@ let () =
             test_adversary_defeats_fast_protocols;
           Alcotest.test_case "counts" `Slow test_adversary_counts;
           Alcotest.test_case "tiny universe" `Quick test_adversary_tiny_universe;
+          Alcotest.test_case "pinned counterexamples" `Quick
+            test_adversary_pinned;
         ] );
       ( "charts",
         [

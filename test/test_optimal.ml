@@ -82,24 +82,23 @@ let test_horizon_reported () =
 let test_small_census_consistency () =
   (* On a sample of the small universe: feasible => optimal breaking time
      exists and is <= the canonical separation round. *)
-  let graphs = Radio_graph.Enumerate.connected_up_to_iso 3 in
   List.iter
-    (fun g ->
-      List.iter
-        (fun tags ->
-          let config = C.create g tags in
-          match O.breaking_time config with
-          | O.Broken_at opt -> (
-              match O.canonical_breaking_time config with
-              | Some can -> check "opt <= canonical" true (opt <= can)
-              | None -> Alcotest.fail "canonical should terminate")
-          | O.Never ->
-              check "classifier agrees" false
-                (Election.Feasibility.is_feasible config)
-          | O.Not_within_horizon | O.Search_budget_exhausted ->
-              Alcotest.fail "search should resolve tiny instances")
-        (Election.Census.tag_assignments ~n:(G.size g) ~max_span:2))
-    graphs
+    (fun (n, _, configs) ->
+      if n = 3 then
+        List.iter
+          (fun config ->
+            match O.breaking_time config with
+            | O.Broken_at opt -> (
+                match O.canonical_breaking_time config with
+                | Some can -> check "opt <= canonical" true (opt <= can)
+                | None -> Alcotest.fail "canonical should terminate")
+            | O.Never ->
+                check "classifier agrees" false
+                  (Election.Feasibility.is_feasible config)
+            | O.Not_within_horizon | O.Search_budget_exhausted ->
+                Alcotest.fail "search should resolve tiny instances")
+          configs)
+    (Election.Census.universe ~max_n:3 ~max_span:2)
 
 (* The direct search, kept as an oracle for the explorer-backed one: per
    round, every frontier state is expanded by every subset of its awake
@@ -231,13 +230,8 @@ let test_differential_universe () =
      of span <= 2 *)
   let universe =
     List.concat_map
-      (fun n ->
-        List.concat_map
-          (fun g ->
-            List.map (C.create g)
-              (Election.Census.tag_assignments ~n ~max_span:2))
-          (Radio_graph.Enumerate.connected_up_to_iso n))
-      [ 1; 2; 3; 4; 5 ]
+      (fun (_, _, configs) -> configs)
+      (Election.Census.universe ~max_n:5 ~max_span:2)
   in
   check_int "universe size" 4_865 (List.length universe);
   List.iteri
