@@ -132,7 +132,9 @@ churn-smoke:
 	fi; exit $$status
 
 # Serve determinism end to end: a request script covering every request
-# kind (plus a malformed line) through `anorad serve --stdio` must render
+# kind (plus a malformed line, and mc-checks of a relabelled configuration
+# and of a mutant, which resolve through the same cache entry) through
+# `anorad serve --stdio` must render
 # byte-identical responses at --jobs 1 and --jobs 2, with the cache
 # disabled, and on a warm replay (the stream is fed twice and the second
 # half compared against the first run) — the headline invariant of
@@ -140,13 +142,16 @@ churn-smoke:
 serve-smoke:
 	@script=$$(mktemp); a=$$(mktemp); b=$$(mktemp); status=0; \
 	cfg='config 4\ntags 2 0 0 3\n0 1\n1 2\n2 3\n'; \
+	rev='config 4\ntags 3 0 0 2\n0 1\n1 2\n2 3\n'; \
 	printf '%s\n' \
 	  '{"id":1,"kind":"classify","config":"'"$$cfg"'"}' \
 	  '{"id":2,"kind":"elect","config":"'"$$cfg"'"}' \
 	  '{"id":3,"kind":"simulate","config":"'"$$cfg"'"}' \
 	  '{"id":4,"kind":"mc-check","config":"'"$$cfg"'"}' \
+	  '{"id":5,"kind":"mc-check","config":"'"$$rev"'"}' \
+	  '{"id":6,"kind":"mc-check","config":"'"$$cfg"'","protocol":"mutant-greedy-decision"}' \
 	  'not json at all' \
-	  '{"id":5,"kind":"stats"}' > $$script; \
+	  '{"id":7,"kind":"stats"}' > $$script; \
 	$(DUNE) build bin/anorad.exe && \
 	./_build/default/bin/anorad.exe serve --stdio --jobs 1 \
 	  < $$script > $$a 2>/dev/null && \

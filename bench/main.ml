@@ -858,7 +858,7 @@ let e16 () =
           configs)
     (Election.Census.universe ~max_n:4 ~max_span:2);
   Printf.printf
-    "symmetry certificates over all n<=4 configurations (span<=2):\n\
+    "symmetry certificates over the n = 4 configurations (span<=2):\n\
      infeasible: %d;  with a fixed-point-free automorphism certificate: %d;\n\
      soundness violations: %d (must be 0)\n"
     !infeasible !certified !unsound;

@@ -87,11 +87,6 @@ let load_plan ~cmd config path =
   | Ok () -> plan
   | Error msg -> invalid ~cmd "plan" msg
 
-let impl_arg =
-  let doc = "Classifier implementation: 'reference' (literal Algorithms 1-4) or 'fast' (hash-based refinement)." in
-  let impl_conv = Arg.enum [ ("reference", `Reference); ("fast", `Fast) ] in
-  Arg.(value & opt impl_conv `Fast & info [ "impl" ] ~docv:"IMPL" ~doc)
-
 let verbose_arg =
   let doc = "Print the full refinement trace." in
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
@@ -120,13 +115,13 @@ let with_jobs_pool jobs f =
 (* ------------------------------------------------------------------ *)
 
 let classify_cmd =
-  let run path impl verbose =
+  let run path verbose =
     let config = load_config ~cmd:"classify" path in
     if not (C.is_connected config) then
       Format.printf
         "warning: configuration is disconnected; the paper's guarantees \
          assume connectivity@.";
-    let a = Fe.analyze ~impl config in
+    let a = Fe.analyze config in
     if verbose then Format.printf "%a@.@." Cl.pp_run a.Fe.run;
     if a.Fe.feasible then begin
       Format.printf "FEASIBLE@.";
@@ -147,16 +142,16 @@ let classify_cmd =
   let doc = "decide whether a configuration admits deterministic leader election" in
   Cmd.v
     (Cmd.info "classify" ~doc)
-    Term.(const run $ config_arg $ impl_arg $ verbose_arg)
+    Term.(const run $ config_arg $ verbose_arg)
 
 (* ------------------------------------------------------------------ *)
 (* elect                                                               *)
 (* ------------------------------------------------------------------ *)
 
 let elect_cmd =
-  let run path impl max_rounds =
+  let run path max_rounds =
     let config = load_config ~cmd:"elect" path in
-    let a = Fe.analyze ~impl config in
+    let a = Fe.analyze config in
     if not a.Fe.feasible then begin
       Format.printf "INFEASIBLE: nothing to elect@.";
       1
@@ -178,7 +173,7 @@ let elect_cmd =
   let doc = "compile the dedicated algorithm and simulate the election" in
   Cmd.v
     (Cmd.info "elect" ~doc)
-    Term.(const run $ config_arg $ impl_arg $ max_rounds_arg)
+    Term.(const run $ config_arg $ max_rounds_arg)
 
 (* ------------------------------------------------------------------ *)
 (* trace                                                               *)
@@ -351,7 +346,7 @@ let explain_cmd =
   in
   let run path dot =
     let config = load_config ~cmd:"explain" path in
-    let e = Election.Explain.explain (Election.Classifier.classify config) in
+    let e = Election.Explain.explain (Election.Fast_classifier.classify config) in
     if dot then print_string (Election.Explain.to_dot e)
     else begin
       Format.printf "%a@." Election.Explain.pp e;
@@ -938,8 +933,8 @@ let mc_cmd =
           (st.Checker.depth_reached + 1);
         0
   in
-  let run_check config path machine depth states replay sarif =
-    let res = Checker.verify ?depth ?states ~machine config in
+  let run_check a path machine depth states replay sarif =
+    let res = Checker.verify ?depth ?states ~machine a in
     Format.printf "machine: %s@." res.Checker.machine_name;
     Format.printf "verdict: %a@." Checker.pp_verdict res.Checker.verdict;
     Format.printf "rounds: %d@." res.Checker.rounds;
@@ -995,14 +990,14 @@ let mc_cmd =
             if explore then
               run_explore config depth states faults (not no_reduction) jobs
             else
-              match Radio_mc.Machine.of_name config protocol with
+              let a = Fe.analyze config in
+              match Radio_mc.Machine.of_name a.Fe.plan protocol with
               | Some machine ->
-                  run_check config path machine depth states replay sarif
+                  run_check a path machine depth states replay sarif
               | None -> (
-                  match Mutant.of_name config protocol with
+                  match Mutant.of_name a.Fe.plan protocol with
                   | Some machine ->
-                      run_check config path machine depth states replay
-                        sarif
+                      run_check a path machine depth states replay sarif
                   | None ->
                       Format.eprintf
                         "anorad mc: unknown protocol %S (known: %s)@."

@@ -18,25 +18,28 @@ type report = {
   all_consistent : bool;
 }
 
-let tag_assignments ~n ~max_span =
-  (* Count in base (max_span + 1); keep vectors containing at least one 0. *)
-  let base = max_span + 1 in
-  let rec build v acc =
-    if v < 0 then acc
+let tag_assignments ~n ~span =
+  (* Positions are filled from n - 1 (the most significant base-(span + 1)
+     digit) down to 0, digits from [span] down to 0, and each finished
+     vector is prepended, so the list comes out in ascending order.  A
+     branch that can no longer place a missing 0 or [span] is cut, so
+     every vector built belongs to the cell. *)
+  let tags = Array.make n 0 in
+  let rec fill i ~zero ~top acc =
+    if i < 0 then if zero && top then Array.copy tags :: acc else acc
+    else if Bool.to_int (not zero) + Bool.to_int (not top) > i + 1 then acc
     else
-      let tags = Array.make n 0 in
-      let rec fill i x =
-        if i < n then begin
-          tags.(i) <- x mod base;
-          fill (i + 1) (x / base)
+      let rec digits d acc =
+        if d < 0 then acc
+        else begin
+          tags.(i) <- d;
+          let acc = fill (i - 1) ~zero:(zero || d = 0) ~top:(top || d = span) acc in
+          digits (d - 1) acc
         end
       in
-      fill 0 v;
-      if Array.exists (fun t -> t = 0) tags then build (v - 1) (Array.copy tags :: acc)
-      else build (v - 1) acc
+      digits span acc
   in
-  let count = int_of_float (float_of_int base ** float_of_int n) in
-  build (count - 1) []
+  fill (n - 1) ~zero:false ~top:(span = 0) []
 
 (* One configuration: classify with both implementations, simulate the
    canonical DRIP, and compare all three verdicts. *)
@@ -64,24 +67,59 @@ let audit config =
   in
   (feasible, disagreement, impl_mismatch)
 
+(* Connected graphs on 1..6 vertices up to isomorphism (OEIS A001349, the
+   lengths of [Enumerate.connected_up_to_iso]). *)
+let connected_classes = [| 1; 1; 2; 6; 21; 112 |]
+
+let max_configurations = 100_000
+
+(* |graphs(n)| * ((S+1)^n - S^n) summed over n, the difference expanded as
+   sum_{k<n} C(n,k) S^k so every term is non-negative; each step
+   saturates at [max_configurations + 1], so no span overflows. *)
+let universe_size ~max_n ~max_span =
+  let cap = max_configurations + 1 in
+  let add a b = min cap (a + b) in
+  let mul a b = if a = 0 || b <= cap / a then min cap (a * b) else cap in
+  let vectors n =
+    let rec sum k binom power acc =
+      if k = n then acc
+      else
+        sum (k + 1)
+          (binom * (n - k) / (k + 1))
+          (mul power max_span)
+          (add acc (mul binom power))
+    in
+    sum 0 1 1 0
+  in
+  let rec total n acc =
+    if n > max_n then acc
+    else total (n + 1) (add acc (mul connected_classes.(n - 1) (vectors n)))
+  in
+  total 1 0
+
 let universe ~max_n ~max_span =
   if max_n < 1 || max_n > 6 then invalid_arg "Census.universe: max_n must be in 1..6";
   if max_span < 0 then invalid_arg "Census.universe: max_span must be >= 0";
+  (* Every span is a cell, empty or not (at max_n = 1 all but span 0 are
+     empty), so the span is bounded as well as the configurations. *)
+  if
+    max_span > max_configurations
+    || universe_size ~max_n ~max_span > max_configurations
+  then
+    invalid_arg
+      (Printf.sprintf
+         "Census.universe: max_n %d, max_span %d is over the bound of %d \
+          configurations"
+         max_n max_span max_configurations);
   List.concat_map
     (fun n ->
       let graphs = Enumerate.connected_up_to_iso n in
       List.init (max_span + 1) (fun span ->
-          (* Assignments whose actual span is exactly [span]. *)
-          let assignments =
-            List.filter
-              (fun tags -> Array.fold_left max 0 tags = span)
-              (tag_assignments ~n ~max_span:span)
-          in
           ( n,
             span,
             List.concat_map
               (fun tags -> List.map (fun g -> C.create g tags) graphs)
-              assignments )))
+              (tag_assignments ~n ~span) )))
     (List.init max_n (fun i -> i + 1))
 
 let run ?pool ?(max_n = 4) ?(max_span = 2) () =

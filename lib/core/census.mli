@@ -29,9 +29,12 @@ type report = {
   all_consistent : bool;
 }
 
-val tag_assignments : n:int -> max_span:int -> int array list
-(** All normalized tag vectors: values in [0 .. max_span], at least one 0.
-    [(max_span+1)^n - max_span^n] of them. *)
+val tag_assignments : n:int -> span:int -> int array list
+(** The normalized tag vectors of exact span [span]: values in
+    [0 .. span], at least one 0 and at least one [span], in ascending
+    order as base-[(span + 1)] numbers with [tags.(0)] the least
+    significant digit.  Over [span = 0 .. s] they number
+    [(s+1)^n - s^n]. *)
 
 val universe :
   max_n:int -> max_span:int -> (int * int * Radio_config.Config.t list) list
@@ -42,7 +45,10 @@ val universe :
     {!Radio_graph.Enumerate.connected_up_to_iso}.  The census, the
     model-checker oracle and the adversary all walk this one list.
     Raises [Invalid_argument] unless [1 <= max_n <= 6] and
-    [max_span >= 0]. *)
+    [max_span >= 0], and, before building anything, when the universe
+    would hold more than [100_000] configurations
+    ([sum_n |graphs(n)| ((max_span+1)^n - max_span^n)]) or [max_span]
+    exceeds that bound. *)
 
 val run : ?pool:Radio_exec.Pool.t -> ?max_n:int -> ?max_span:int -> unit -> report
 (** Audits every cell of {!universe}.  Defaults: [max_n = 4],

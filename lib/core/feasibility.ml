@@ -1,7 +1,3 @@
-type impl =
-  [ `Reference
-  | `Fast ]
-
 type analysis = {
   run : Classifier.run;
   plan : Canonical.plan;
@@ -9,21 +5,6 @@ type analysis = {
   leader : int option;
   election_local_rounds : int;
 }
-
-let analyze ?(impl = `Fast) config =
-  let run =
-    match impl with
-    | `Reference -> Classifier.classify config
-    | `Fast -> Fast_classifier.classify config
-  in
-  let plan = Canonical.plan_of_run run in
-  {
-    run;
-    plan;
-    feasible = Classifier.is_feasible run;
-    leader = Classifier.canonical_leader run;
-    election_local_rounds = Canonical.local_termination_round plan;
-  }
 
 let analyze_run run =
   let plan = Canonical.plan_of_run run in
@@ -35,7 +16,10 @@ let analyze_run run =
     election_local_rounds = Canonical.local_termination_round plan;
   }
 
-let is_feasible ?impl config = (analyze ?impl config).feasible
+let analyze config = analyze_run (Fast_classifier.classify config)
+
+let is_feasible config =
+  Classifier.is_feasible (Fast_classifier.classify config)
 
 let dedicated_election a =
   if a.feasible then Some (Canonical.election a.plan) else None
@@ -45,11 +29,11 @@ let verify_by_simulation ?max_rounds a =
     (fun e -> Radio_sim.Runner.run ?max_rounds e a.run.Classifier.config)
     (dedicated_election a)
 
-let feasible_fraction ?impl configs =
+let feasible_fraction configs =
   match configs with
   | [] -> invalid_arg "Feasibility.feasible_fraction: empty batch"
   | _ ->
       let feasible =
-        List.length (List.filter (fun c -> is_feasible ?impl c) configs)
+        List.length (List.filter is_feasible configs)
       in
       float_of_int feasible /. float_of_int (List.length configs)

@@ -2,10 +2,6 @@
     hand out the dedicated distributed leader election algorithm of
     Theorem 3.15. *)
 
-type impl =
-  [ `Reference  (** the literal Algorithms 1–4, [O(n^3 Δ)] *)
-  | `Fast  (** hash-based refinement (see {!Fast_classifier}) *) ]
-
 type analysis = {
   run : Classifier.run;
   plan : Canonical.plan;
@@ -18,9 +14,10 @@ type analysis = {
           define a schedule) *)
 }
 
-val analyze : ?impl:impl -> Radio_config.Config.t -> analysis
-(** Default implementation: [`Fast] (provably equivalent; see the property
-    tests). *)
+val analyze : Radio_config.Config.t -> analysis
+(** Classifies with {!Fast_classifier}, whose run is bit-identical to the
+    literal Algorithms 1–4 of {!Classifier} (the differential tests keep
+    the literal run as their oracle). *)
 
 val analyze_run : Classifier.run -> analysis
 (** The same analysis from an already-computed classifier run — the churn
@@ -28,7 +25,7 @@ val analyze_run : Classifier.run -> analysis
     topology edit reuses the memoized refinement instead of reclassifying
     from scratch. *)
 
-val is_feasible : ?impl:impl -> Radio_config.Config.t -> bool
+val is_feasible : Radio_config.Config.t -> bool
 
 val dedicated_election : analysis -> Radio_sim.Runner.election option
 (** The dedicated leader election algorithm [(D_G, f_G)] when the
@@ -40,7 +37,6 @@ val verify_by_simulation :
     [None] for infeasible analyses.  Theorem 3.15 promises
     [elects_unique_leader] and agreement with [leader]. *)
 
-val feasible_fraction :
-  ?impl:impl -> Radio_config.Config.t list -> float
+val feasible_fraction : Radio_config.Config.t list -> float
 (** Share of feasible configurations in a batch (used by the feasibility
     landscape experiment, E10). *)

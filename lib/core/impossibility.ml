@@ -38,7 +38,7 @@ let refute_universal ?horizon ?max_rounds (candidate : Runner.election) =
   let m = match probe_round with Some t -> t + 1 | None -> 1 in
   let counterexample = Families.h_family m in
   let counterexample_feasible =
-    Classifier.is_feasible (Classifier.classify counterexample)
+    Feasibility.is_feasible counterexample
   in
   let result = Runner.run ?max_rounds candidate counterexample in
   {

@@ -99,6 +99,8 @@ let of_string s =
         | [ "phases"; x ] -> int_token "phases" x
         | _ -> fail "Plan_io.of_string: expected phases line"
       in
+      (* Phase 1's table L_1 is always present. *)
+      if phases < 1 then fail "Plan_io.of_string: phases must be >= 1";
       let singleton_class =
         match tokens singleton_l with
         | [ "singleton"; "none" ] -> None
@@ -129,12 +131,16 @@ let of_string s =
         | Some t -> t
         | None -> fail "Plan_io.of_string: missing final table"
       in
-      let tables =
-        Array.init phases (fun j ->
-            match List.assoc_opt (string_of_int (j + 1)) named_tables with
-            | Some t -> t
-            | None -> fail "Plan_io.of_string: missing table %d" (j + 1))
+      (* Collected one by one, so a [phases] beyond the tables present
+         fails at the first missing one before anything is allocated. *)
+      let rec phase_tables j acc =
+        if j > phases then Array.of_list (List.rev acc)
+        else
+          match List.assoc_opt (string_of_int j) named_tables with
+          | Some t -> phase_tables (j + 1) (t :: acc)
+          | None -> fail "Plan_io.of_string: missing table %d" j
       in
+      let tables = phase_tables 1 [] in
       if sigma < 0 then fail "Plan_io.of_string: negative sigma";
       { Canonical.sigma; tables; final_table; singleton_class }
   | _ -> fail "Plan_io.of_string: missing header lines"

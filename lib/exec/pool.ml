@@ -193,7 +193,6 @@ let create ?jobs ?minor_heap_words () =
           Domain.spawn (fun () -> worker_loop pool (i + 1) 0));
   pool
 
-let sequential () = create ~jobs:1 ()
 let jobs t = t.njobs
 
 let shutdown t =

@@ -29,9 +29,6 @@ val create : ?jobs:int -> ?minor_heap_words:int -> unit -> t
     that only ever runs sequential batches never resizes.  Without it no
     domain's GC settings are touched. *)
 
-val sequential : unit -> t
-(** [sequential ()] is [create ~jobs:1 ()]: the pool that never spawns. *)
-
 val jobs : t -> int
 (** Number of workers (including the calling domain). *)
 

@@ -1,40 +1,3 @@
-let to_string g =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "graph %d\n" (Graph.size g));
-  List.iter
-    (fun (u, v) -> Buffer.add_string buf (Printf.sprintf "%d %d\n" u v))
-    (Graph.edges g);
-  Buffer.contents buf
-
-let meaningful_lines s =
-  String.split_on_char '\n' s
-  |> List.map String.trim
-  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
-
-let of_string s =
-  match meaningful_lines s with
-  | [] -> failwith "Io.of_string: empty input"
-  | header :: rest ->
-      let n =
-        match String.split_on_char ' ' header with
-        | [ "graph"; n ] -> (
-            match int_of_string_opt n with
-            | Some n -> n
-            | None -> failwith "Io.of_string: bad vertex count")
-        | _ -> failwith "Io.of_string: expected 'graph <n>' header"
-      in
-      let parse_edge line =
-        match
-          String.split_on_char ' ' line |> List.filter (fun t -> t <> "")
-        with
-        | [ u; v ] -> (
-            match (int_of_string_opt u, int_of_string_opt v) with
-            | Some u, Some v -> (u, v)
-            | _ -> failwith ("Io.of_string: bad edge line: " ^ line))
-        | _ -> failwith ("Io.of_string: bad edge line: " ^ line)
-      in
-      Graph.of_edges n (List.map parse_edge rest)
-
 let to_dot ?(name = "G") ?label g =
   let label = Option.value label ~default:string_of_int in
   let buf = Buffer.create 256 in
@@ -47,13 +10,3 @@ let to_dot ?(name = "G") ?label g =
     (Graph.edges g);
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let write_file path g =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc (to_string g))
-
-let read_file path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-      of_string (In_channel.input_all ic))

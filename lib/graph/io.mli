@@ -1,24 +1,4 @@
-(** Graph serialization: a simple line-based edge-list format, plus DOT
-    export for visual inspection.
-
-    The textual format is:
-    {v
-    graph <n>
-    <u> <v>
-    ...
-    v}
-    with one edge per line, '#'-prefixed comment lines and blank lines
-    ignored. *)
-
-val to_string : Graph.t -> string
-
-val of_string : string -> Graph.t
-(** Raises [Failure] on malformed input and {!Graph.Invalid_edge} on invalid
-    edges. *)
+(** DOT export of graphs for visual inspection. *)
 
 val to_dot : ?name:string -> ?label:(Graph.vertex -> string) -> Graph.t -> string
 (** GraphViz export.  [label] defaults to the vertex number. *)
-
-val write_file : string -> Graph.t -> unit
-
-val read_file : string -> Graph.t

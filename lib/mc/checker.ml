@@ -4,7 +4,6 @@ module Protocol = Radio_drip.Protocol
 module Engine = Radio_sim.Engine
 module Trace = Radio_sim.Trace
 module Classifier = Election.Classifier
-module Fast_classifier = Election.Fast_classifier
 module Canonical = Election.Canonical
 module Symmetry = Election.Symmetry
 module Pool = Radio_exec.Pool
@@ -201,20 +200,19 @@ let check ?depth ?(states = 200_000) ~machine config =
 let drip_family name =
   String.equal name "drip" || String.equal name "pure-drip"
 
-let verify ?depth ?states ?machine config =
-  let config = normalize config in
+let verify ?depth ?states ?machine (a : Election.Feasibility.analysis) =
+  let config = a.run.Classifier.config in
   let machine =
-    match machine with Some m -> m | None -> Machine.drip config
+    match machine with Some m -> m | None -> Machine.drip a.plan
   in
   let res = check ?depth ?states ~machine config in
-  let run = Fast_classifier.classify config in
   let n = C.size config in
   let sigma = C.span config in
   let bound = global_bound ~n ~sigma in
   let verdict =
     match res.verdict with
     | Elected { leader; round } -> (
-        match Classifier.canonical_leader run with
+        match a.leader with
         | None -> Violated (Leader_on_infeasible { leader })
         | Some canonical
           when drip_family res.machine_name && canonical <> leader ->
@@ -223,7 +221,7 @@ let verify ?depth ?states ?machine config =
             Violated (Liveness_bound_exceeded { bound; completed = round })
         | Some _ -> res.verdict)
     | Non_election _ ->
-        if Classifier.is_feasible run then Violated No_leader_on_feasible
+        if a.feasible then Violated No_leader_on_feasible
         else res.verdict
     | Violated _ | Exhausted _ -> res.verdict
   in

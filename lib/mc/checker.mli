@@ -96,12 +96,14 @@ val verify :
   ?depth:int ->
   ?states:int ->
   ?machine:Machine.t ->
-  Radio_config.Config.t ->
+  Election.Feasibility.analysis ->
   result
-(** {!check} plus the classifier cross-judgement described above.  The
-    canonical-leader equality is enforced for the drip machines only
-    (dedicated machines like min-beacon legitimately elect a different
-    node); [machine] defaults to {!Machine.drip}. *)
+(** {!check} on the analysis's (normalized) configuration plus the
+    classifier cross-judgement described above, made against the given
+    analysis — the checker never classifies.  The canonical-leader
+    equality is enforced for the drip machines only (dedicated machines
+    like min-beacon legitimately elect a different node); [machine]
+    defaults to [Machine.drip a.plan]. *)
 
 val global_bound : n:int -> sigma:int -> int
 (** [σ + Canonical.upper_bound_rounds ~n ~sigma]: every node of a feasible

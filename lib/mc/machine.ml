@@ -1,6 +1,5 @@
 module H = Radio_drip.History
 module Protocol = Radio_drip.Protocol
-module Classifier = Election.Classifier
 module Canonical = Election.Canonical
 module Min_beacon = Election.Min_beacon
 module Wave_election = Election.Wave_election
@@ -37,8 +36,7 @@ let of_election ?name (e : Radio_sim.Runner.election) =
   of_protocol ?name ~decision:e.Radio_sim.Runner.decision
     e.Radio_sim.Runner.protocol
 
-let drip config =
-  let plan = Canonical.plan_of_run (Classifier.classify config) in
+let drip plan =
   {
     name = "drip";
     protocol = Canonical.protocol plan;
@@ -46,8 +44,7 @@ let drip config =
     decision = Canonical.decision plan;
   }
 
-let pure_drip config =
-  let plan = Canonical.plan_of_run (Classifier.classify config) in
+let pure_drip plan =
   {
     name = "pure-drip";
     protocol = Canonical.pure_protocol plan;
@@ -59,10 +56,10 @@ let pure_drip config =
    a shared RNG and Labeled keys behaviour on spawn order; both break the
    determinism and anonymity the transition system assumes, so they are
    deliberately absent here (docs/MODELCHECK.md). *)
-let of_name config name =
+let of_name plan name =
   match name with
-  | "drip" -> Some (drip config)
-  | "pure-drip" -> Some (pure_drip config)
+  | "drip" -> Some (drip plan)
+  | "pure-drip" -> Some (pure_drip plan)
   | "beacon" -> Some (of_protocol (Protocol.beacon ()))
   | "silent" -> Some (of_protocol (Protocol.silent ()))
   | "min-beacon" -> Some (of_election ~name:"min-beacon" Min_beacon.election)

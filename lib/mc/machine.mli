@@ -43,16 +43,16 @@ val of_protocol :
 
 val of_election : ?name:string -> Radio_sim.Runner.election -> t
 
-val drip : Radio_config.Config.t -> t
-(** The canonical DRIP [D_G] compiled for this configuration
-    ({!Canonical.plan_of_run}): stateful protocol, literal pure form,
+val drip : Election.Canonical.plan -> t
+(** The canonical DRIP [D_G] compiled from a configuration's plan
+    ([Feasibility.analysis.plan]): stateful protocol, literal pure form,
     singleton-class decision. *)
 
-val pure_drip : Radio_config.Config.t -> t
+val pure_drip : Election.Canonical.plan -> t
 (** Same plan, but the replay protocol is {!Canonical.pure_protocol}. *)
 
-val of_name : Radio_config.Config.t -> string -> t option
+val of_name : Election.Canonical.plan -> string -> t option
 (** Registry used by [anorad mc --protocol]: drip, pure-drip, beacon,
-    silent, min-beacon, wave. *)
+    silent, min-beacon, wave.  Only the drip entries read the plan. *)
 
 val names : string list

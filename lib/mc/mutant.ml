@@ -1,11 +1,7 @@
 module Protocol = Radio_drip.Protocol
-module Classifier = Election.Classifier
 module Canonical = Election.Canonical
 
-let plan_of config = Canonical.plan_of_run (Classifier.classify config)
-
-let greedy_decision config =
-  let plan = plan_of config in
+let greedy_decision plan =
   {
     Machine.name = "mutant-greedy-decision";
     protocol = Canonical.protocol plan;
@@ -13,8 +9,7 @@ let greedy_decision config =
     decision = (fun h -> Option.is_some (Canonical.final_class plan h));
   }
 
-let early_stop config =
-  let plan = plan_of config in
+let early_stop plan =
   let stop =
     match Canonical.local_termination_round plan - 1 with
     | s when s < 1 -> 1
@@ -34,9 +29,9 @@ let early_stop config =
         try Canonical.decision plan h with Invalid_argument _ -> false);
   }
 
-let of_name config = function
-  | "mutant-greedy-decision" -> Some (greedy_decision config)
-  | "mutant-early-stop" -> Some (early_stop config)
+let of_name plan = function
+  | "mutant-greedy-decision" -> Some (greedy_decision plan)
+  | "mutant-early-stop" -> Some (early_stop plan)
   | _ -> None
 
 let names = [ "mutant-greedy-decision"; "mutant-early-stop" ]

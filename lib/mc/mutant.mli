@@ -17,10 +17,10 @@
       DRIP's and {e fails} validation against the healthy protocol while
       replaying bit-for-bit under the mutant itself. *)
 
-val greedy_decision : Radio_config.Config.t -> Machine.t
-val early_stop : Radio_config.Config.t -> Machine.t
+val greedy_decision : Election.Canonical.plan -> Machine.t
+val early_stop : Election.Canonical.plan -> Machine.t
 
-val of_name : Radio_config.Config.t -> string -> Machine.t option
+val of_name : Election.Canonical.plan -> string -> Machine.t option
 (** Registry used by [anorad mc --protocol]. *)
 
 val names : string list

@@ -1,7 +1,6 @@
 module C = Radio_config.Config
 module H = Radio_drip.History
 module Engine = Radio_sim.Engine
-module Classifier = Election.Classifier
 module Canonical = Election.Canonical
 
 type outcome =
@@ -19,8 +18,7 @@ let breaking_time ?pool ?(horizon = 24) ?(max_states = 200_000) config =
     invalid_arg "Optimal.breaking_time: empty configuration";
   (* Infeasible configurations never separate (Lemma 3.16): skip the
      search, which would otherwise chase growing histories forever. *)
-  if not (Classifier.is_feasible (Election.Fast_classifier.classify config))
-  then Never
+  if not (Election.Feasibility.is_feasible config) then Never
   else
     (* Without crashes every reachable state is invariant under every
        tag-preserving automorphism, so the quotient is the identity and
@@ -35,8 +33,9 @@ let breaking_time ?pool ?(horizon = 24) ?(max_states = 200_000) config =
     | None, (Some `Depth | None) -> Not_within_horizon
 
 let canonical_breaking_time ?(max_rounds = 1_000_000) config =
-  let run = Classifier.classify config in
-  let plan = Canonical.plan_of_run run in
+  let plan =
+    Canonical.plan_of_run (Election.Fast_classifier.classify config)
+  in
   let o = Engine.run ~max_rounds (Canonical.protocol plan) config in
   if not o.Engine.all_terminated then None
   else begin

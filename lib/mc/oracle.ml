@@ -1,6 +1,4 @@
 module C = Radio_config.Config
-module Classifier = Election.Classifier
-module Fast_classifier = Election.Fast_classifier
 module Census = Election.Census
 
 type disagreement = {
@@ -32,10 +30,10 @@ type verdict_one = {
 }
 
 let examine ~replay config =
-  let run = Fast_classifier.classify config in
-  let is_feasible = Classifier.is_feasible run in
-  let machine = Machine.drip config in
-  let res = Checker.verify ~machine config in
+  let a = Election.Feasibility.analyze config in
+  let is_feasible = a.feasible in
+  let machine = Machine.drip a.plan in
+  let res = Checker.verify ~machine a in
   let fail detail =
     Some { config; classifier_feasible = is_feasible; verdict = res.Checker.verdict; detail }
   in

@@ -150,7 +150,6 @@ let is_stats (p : Protocol.parsed) =
 type progress = {
   mutable served : int;
   mutable waves : int;
-  mutable busy : float;  (* cumulative seconds inside process_wave *)
   mutable since_report : int;
 }
 
@@ -192,9 +191,7 @@ let decode = function
 let serve_fd opts ~service ~pool in_fd out_fd =
   let max_batch = max 1 opts.max_batch in
   let reader = Reader.create in_fd in
-  let progress =
-    { served = 0; waves = 0; busy = 0.; since_report = 0 }
-  in
+  let progress = { served = 0; waves = 0; since_report = 0 } in
   (* Decoded requests not served yet, in stream order; never more than
      [max_batch] of them. *)
   let ahead = Queue.create () in
@@ -251,7 +248,6 @@ let serve_fd opts ~service ~pool in_fd out_fd =
       write_all out_fd (Buffer.contents out);
       progress.served <- progress.served + Array.length wave;
       progress.waves <- progress.waves + 1;
-      progress.busy <- progress.busy +. dt;
       report opts ~service ~pool ~reader ~ahead:(Queue.length ahead) progress
         ~wave_len:(Array.length wave) ~wave_dt:dt ~had_stats;
       loop ()

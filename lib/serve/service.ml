@@ -226,14 +226,15 @@ let unrelabel_verdict perm (v : Radio_mc.Checker.verdict) =
   | Exhausted _ as v -> v
 
 (* Runs on the canonical representative (node ids mapped back through
-   [perm]) so the daemon's five request kinds agree with each other — the
-   checker classifies internally, and the classifier's leader choice is
+   [perm]) so the daemon's five request kinds agree with each other: the
+   machine is compiled from, and the verdict judged against, the cached
+   analysis of that representative, and the classifier's leader choice is
    labeling-sensitive (docs/SERVE.md, "Canonical routing"). *)
-let render_mc ~id ~protocol ~depth ~states canon perm =
+let render_mc ~id ~protocol ~depth ~states (a : Fe.analysis) perm =
   let machine =
-    match Radio_mc.Machine.of_name canon protocol with
+    match Radio_mc.Machine.of_name a.plan protocol with
     | Some m -> Some m
-    | None -> Radio_mc.Mutant.of_name canon protocol
+    | None -> Radio_mc.Mutant.of_name a.plan protocol
   in
   match machine with
   | None ->
@@ -253,9 +254,10 @@ let render_mc ~id ~protocol ~depth ~states canon perm =
         match depth with
         | Some d -> d
         | None ->
-            min Protocol.max_mc_depth (Radio_mc.Checker.default_depth canon)
+            min Protocol.max_mc_depth
+              (Radio_mc.Checker.default_depth a.run.Election.Classifier.config)
       in
-      let res = Radio_mc.Checker.verify ~depth ?states ~machine canon in
+      let res = Radio_mc.Checker.verify ~depth ?states ~machine a in
       Protocol.response_ok ~id ~kind:"mc-check"
         ~cost:
           [
@@ -289,8 +291,7 @@ type work =
   | Run of {
       id : Json.t;
       req : Protocol.request;
-      analysis : (Fe.analysis, string) result option;
-          (* [None] for mc-check, which bypasses the cache *)
+      analysis : (Fe.analysis, string) result;
       perm : int array;
     }
 
@@ -303,29 +304,20 @@ let render = function
   | Run { id; req; analysis; perm } -> (
       try
         match (req, analysis) with
-        | _, Some (Error msg) -> internal_error ~id msg
-        | Protocol.Classify _, Some (Ok a) -> render_classify ~id a perm
-        | Protocol.Elect { config; max_rounds }, Some (Ok a) ->
+        | _, Error msg -> internal_error ~id msg
+        | Protocol.Classify _, Ok a -> render_classify ~id a perm
+        | Protocol.Elect { config; max_rounds }, Ok a ->
             render_elect ~id ~max_rounds a config
-        | Protocol.Simulate { config; max_rounds }, Some (Ok a) ->
+        | Protocol.Simulate { config; max_rounds }, Ok a ->
             render_simulate ~id ~max_rounds a config
-        | Protocol.Mc_check { config; protocol; depth; states }, None ->
-            (* [config] here is already the canonical representative;
-               [perm] maps its node ids back to the request's labels *)
-            render_mc ~id ~protocol ~depth ~states config perm
-        | _ -> internal_error ~id "request/analysis mismatch"
+        | Protocol.Mc_check { protocol; depth; states; _ }, Ok a ->
+            render_mc ~id ~protocol ~depth ~states a perm
+        | Protocol.Stats, Ok _ -> internal_error ~id "request/analysis mismatch"
       with
       | Failure msg -> internal_error ~id msg
       | Invalid_argument msg -> internal_error ~id msg
       | Invalid_configuration msg -> internal_error ~id msg
       | Not_found -> internal_error ~id "lookup failed")
-
-(* mc-check bypasses the analysis cache — Checker.verify classifies
-   internally and judges against its own run, so a cached analysis would
-   buy nothing — but it still routes through the canonical form. *)
-let uses_cache = function
-  | Protocol.Classify _ | Protocol.Elect _ | Protocol.Simulate _ -> true
-  | Protocol.Mc_check _ | Protocol.Stats -> false
 
 let analyze_canonical canon =
   match Fe.analyze canon with
@@ -361,7 +353,7 @@ let process_wave t ~pool (wave : Protocol.parsed array) =
   Array.iteri
     (fun i prep_i ->
       match (prep_i, wave.(i).Protocol.request) with
-      | Some (key, canon, _perm), Ok req when uses_cache req ->
+      | Some (key, canon, _perm), Ok _ ->
           if Hashtbl.mem resolved key || Hashtbl.mem pending key then
             t.hits <- t.hits + 1
           else (
@@ -393,25 +385,10 @@ let process_wave t ~pool (wave : Protocol.parsed array) =
         | Error e -> Ready (Protocol.response_error ~id:p.id e)
         | Ok Protocol.Stats -> Ready (render_stats ~id:p.id tel)
         | Ok req -> (
-            match (prep.(i), req) with
-            | ( Some (_, canon, perm),
-                Protocol.Mc_check { protocol; depth; states; _ } ) ->
-                Run
-                  {
-                    id = p.id;
-                    req = Protocol.Mc_check { config = canon; protocol; depth; states };
-                    analysis = None;
-                    perm;
-                  }
-            | Some (key, _, perm), req ->
-                Run
-                  {
-                    id = p.id;
-                    req;
-                    analysis = Some (Hashtbl.find resolved key);
-                    perm;
-                  }
-            | None, req -> Run { id = p.id; req; analysis = None; perm = [||] }))
+            match prep.(i) with
+            | Some (key, _, perm) ->
+                Run { id = p.id; req; analysis = Hashtbl.find resolved key; perm }
+            | None -> Ready (internal_error ~id:p.id "request/analysis mismatch")))
       wave
   in
   Pool.map_array pool ~f:render work

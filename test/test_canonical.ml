@@ -84,7 +84,7 @@ let test_infeasible_plan_has_no_singleton () =
 (* ------------------------------------------------------------------ *)
 
 let run_dedicated config =
-  let a = Fe.analyze ~impl:`Reference config in
+  let a = Fe.analyze_run (Cl.classify config) in
   match Fe.verify_by_simulation ~max_rounds:2_000_000 a with
   | Some r -> (a, r)
   | None -> Alcotest.fail "expected feasible configuration"

@@ -159,14 +159,69 @@ let test_enumerate_bounds () =
 (* Census                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Spans 0..s together: the [(s+1)^n - s^n] vectors containing a 0. *)
+let tags_up_to ~n ~max_span =
+  List.concat_map
+    (fun span -> Census.tag_assignments ~n ~span)
+    (List.init (max_span + 1) Fun.id)
+
 let test_tag_assignments () =
-  (* (span+1)^n - span^n vectors containing a 0. *)
-  check_int "n=2 span=1" 3 (List.length (Census.tag_assignments ~n:2 ~max_span:1));
-  check_int "n=3 span=2" 19 (List.length (Census.tag_assignments ~n:3 ~max_span:2));
+  check_int "n=2 span=1" 3 (List.length (tags_up_to ~n:2 ~max_span:1));
+  check_int "n=3 span=2" 19 (List.length (tags_up_to ~n:3 ~max_span:2));
   List.iter
     (fun tags ->
       check "contains a zero" true (Array.exists (fun t -> t = 0) tags))
-    (Census.tag_assignments ~n:3 ~max_span:2)
+    (tags_up_to ~n:3 ~max_span:2)
+
+(* The former cell builder, kept as an oracle: count in base (span + 1)
+   and keep the vectors whose least value is 0 and largest is [span]. *)
+let oracle_cell ~n ~span =
+  let base = span + 1 in
+  let count = int_of_float (float_of_int base ** float_of_int n) in
+  List.filter_map
+    (fun v ->
+      let tags = Array.make n 0 in
+      let x = ref v in
+      for i = 0 to n - 1 do
+        tags.(i) <- !x mod base;
+        x := !x / base
+      done;
+      if Array.exists (fun t -> t = 0) tags && Array.fold_left max 0 tags = span
+      then Some tags
+      else None)
+    (List.init count Fun.id)
+
+let test_tag_assignments_oracle () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun span ->
+          check
+            (Printf.sprintf "n=%d span=%d" n span)
+            true
+            (oracle_cell ~n ~span = Census.tag_assignments ~n ~span))
+        [ 0; 1; 2; 3; 4 ])
+    [ 1; 2; 3; 4; 5; 6 ]
+
+let test_universe_bound () =
+  let refused max_n max_span =
+    match Census.universe ~max_n ~max_span with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  (* (4, 100) holds 6 (101^4 - 100^4) + ... configurations; (6, 3) holds
+     112 (4^6 - 3^6) = 377,104 at n = 6 alone *)
+  check "(4, 100) refused" true (refused 4 100);
+  check "(6, 3) refused" true (refused 6 3);
+  check "(2, max_int) refused" true (refused 2 max_int);
+  (* one configuration, but a cell per span *)
+  check "(1, max_int) refused" true (refused 1 max_int);
+  check "(1, 100_001) refused" true (refused 1 100_001);
+  check_int "(5, 4) fits" 46_467
+    (List.fold_left
+       (fun acc (_, _, configs) -> acc + List.length configs)
+       0
+       (Census.universe ~max_n:5 ~max_span:4))
 
 let test_universe_order () =
   (* One cell per (n, exact span), n outer; inside a cell the tag vectors
@@ -355,6 +410,9 @@ let () =
       ( "census",
         [
           Alcotest.test_case "tag assignments" `Quick test_tag_assignments;
+          Alcotest.test_case "tag assignments = oracle" `Quick
+            test_tag_assignments_oracle;
+          Alcotest.test_case "universe bound" `Quick test_universe_bound;
           Alcotest.test_case "universe order" `Quick test_universe_order;
           Alcotest.test_case "full consistency n<=4" `Quick
             test_census_consistency;

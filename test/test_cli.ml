@@ -207,7 +207,26 @@ let test_bad_input () =
           expect "garbage plan"
             (Printf.sprintf "run-plan %s %s" (Filename.quote plan)
                (Filename.quote cfg))
-            "anorad run-plan: invalid plan: "));
+            "anorad run-plan: invalid plan: ");
+      (* a phase count below 1 or beyond the tables present is refused
+         before the table array is built *)
+      List.iter
+        (fun (phases, reason) ->
+          with_plan
+            (Printf.sprintf
+               "drip-plan 1\nsigma 3\nphases %s\nsingleton 1\ntable 1 1\n\
+                entry 1 0\ntable final 1\nentry 1 0\n"
+               phases)
+            (fun plan ->
+              expect ("plan with phases " ^ phases)
+                (Printf.sprintf "run-plan %s %s" (Filename.quote plan)
+                   (Filename.quote cfg))
+                ("anorad run-plan: invalid plan: Plan_io.of_string: " ^ reason)))
+        [
+          ("0", "phases must be >= 1");
+          ("-1", "phases must be >= 1");
+          (string_of_int max_int, "missing table 2");
+        ]);
   (* a feasible 63-node path (distinct tags): past the explorer's node
      limit *)
   with_plan
@@ -221,6 +240,9 @@ let test_bad_input () =
          supports n <= 62");
   expect "census size out of range" "census --max-n 9"
     "anorad census: invalid argument: Census.universe: max_n must be in 1..6";
+  expect "census span over the bound" "census --max-span 100"
+    "anorad census: invalid argument: Census.universe: max_n 4, max_span 100 \
+     is over the bound of 100000 configurations";
   expect "oracle size 0" "mc --oracle 0"
     "anorad mc: invalid argument: Census.universe: max_n must be in 1..6";
   expect "oracle size 7" "mc --oracle 7"

@@ -314,26 +314,8 @@ let test_degree_histogram () =
     "star histogram" [ (1, 4); (4, 1) ] (Props.degree_histogram g)
 
 (* ------------------------------------------------------------------ *)
-(* Serialization                                                       *)
+(* DOT export                                                          *)
 (* ------------------------------------------------------------------ *)
-
-let test_io_roundtrip () =
-  let g = Gen.grid 3 3 in
-  let g' = Io.of_string (Io.to_string g) in
-  check "roundtrip" true (G.equal g g')
-
-let test_io_comments () =
-  let g = Io.of_string "# a comment\ngraph 3\n\n0 1\n# another\n1 2\n" in
-  check_int "edges parsed" 2 (G.num_edges g)
-
-let test_io_malformed () =
-  List.iter
-    (fun s ->
-      try
-        ignore (Io.of_string s);
-        Alcotest.fail ("accepted: " ^ s)
-      with Failure _ | G.Invalid_edge _ -> ())
-    [ ""; "graph x\n"; "nonsense 3\n"; "graph 3\n0 1 2\n"; "graph 2\n0 5\n" ]
 
 let test_dot () =
   let s = Io.to_dot ~name:"T" (Gen.path 3) in
@@ -378,13 +360,6 @@ let prop_tree_is_tree =
       let g = Gen.random_tree st n in
       G.num_edges g = n - 1 && Props.connected g)
 
-let prop_io_roundtrip =
-  QCheck.Test.make ~name:"io roundtrip preserves graphs" ~count:60 arbitrary_gnp
-    (fun (n, seed) ->
-      let st = Random.State.make [| seed |] in
-      let g = Gen.random_gnp st n 0.25 in
-      G.equal g (Io.of_string (Io.to_string g)))
-
 let prop_bfs_triangle =
   QCheck.Test.make ~name:"BFS satisfies triangle inequality over edges"
     ~count:60 arbitrary_gnp (fun (n, seed) ->
@@ -400,7 +375,6 @@ let qcheck_cases =
       prop_edge_symmetry;
       prop_connected_gnp_connected;
       prop_tree_is_tree;
-      prop_io_roundtrip;
       prop_bfs_triangle;
     ]
 
@@ -453,9 +427,6 @@ let () =
         ] );
       ( "io",
         [
-          Alcotest.test_case "roundtrip" `Quick test_io_roundtrip;
-          Alcotest.test_case "comments" `Quick test_io_comments;
-          Alcotest.test_case "malformed" `Quick test_io_malformed;
           Alcotest.test_case "dot" `Quick test_dot;
         ] );
       ("qcheck", qcheck_cases);

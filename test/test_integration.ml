@@ -127,7 +127,7 @@ let test_feasibility_fraction () =
 let test_large_instance () =
   let st = Random.State.make [| 31337 |] in
   let config = RC.connected_gnp st ~n:60 ~p:0.08 ~span:3 in
-  let a = Fe.analyze ~impl:`Fast config in
+  let a = Fe.analyze config in
   if a.Fe.feasible then begin
     let r = Option.get (Fe.verify_by_simulation ~max_rounds:10_000_000 a) in
     check "unique leader at n=60" true (Runner.elects_unique_leader r);

@@ -8,6 +8,7 @@ module F = Radio_config.Families
 module G = Radio_graph.Graph
 module Cl = Election.Classifier
 module Fast = Election.Fast_classifier
+module Fe = Election.Feasibility
 module Sym = Election.Symmetry
 module Lint = Radio_lint.Invariants
 module State = Radio_mc.State
@@ -108,12 +109,14 @@ let symmetry_tests =
 
 let feasible_config = F.h_family 2
 let infeasible_config = F.s_family 2
+let feasible = Fe.analyze feasible_config
+let infeasible = Fe.analyze infeasible_config
 
 let verify_tests =
   [
     Alcotest.test_case "feasible family elects the canonical leader" `Quick
       (fun () ->
-        let res = Checker.verify feasible_config in
+        let res = Checker.verify feasible in
         match res.Checker.verdict with
         | Checker.Elected { leader; round } ->
             let expected =
@@ -129,7 +132,7 @@ let verify_tests =
         | v -> Alcotest.failf "unexpected verdict: %a" Checker.pp_verdict v);
     Alcotest.test_case "infeasible family reaches a symmetric state" `Quick
       (fun () ->
-        let res = Checker.verify infeasible_config in
+        let res = Checker.verify infeasible in
         match res.Checker.verdict with
         | Checker.Non_election { classes } ->
             check "at least one class" true (List.length classes >= 1);
@@ -143,25 +146,24 @@ let verify_tests =
       (fun () ->
         List.iter
           (fun config ->
-            let machine = Machine.drip config in
-            let res = Checker.verify ~machine config in
+            let a = Fe.analyze config in
+            let machine = Machine.drip a.Fe.plan in
+            let res = Checker.verify ~machine a in
             let rp = Checker.replay ~machine res in
             check "trace equality" true rp.Checker.trace_matches;
             check "model validation" true
               (Radio_lint.Report.ok rp.Checker.report))
           [ feasible_config; infeasible_config; F.g_family 2; F.h_family 1 ]);
     Alcotest.test_case "depth budget trips" `Quick (fun () ->
-        let res = Checker.verify ~depth:1 feasible_config in
+        let res = Checker.verify ~depth:1 feasible in
         check "exhausted" true
           (match res.Checker.verdict with
           | Checker.Exhausted `Depth -> true
           | _ -> false));
     Alcotest.test_case "pure-drip machine agrees with drip" `Quick (fun () ->
-        let r1 = Checker.verify ~machine:(Machine.drip feasible_config) feasible_config in
+        let r1 = Checker.verify ~machine:(Machine.drip feasible.Fe.plan) feasible in
         let r2 =
-          Checker.verify
-            ~machine:(Machine.pure_drip feasible_config)
-            feasible_config
+          Checker.verify ~machine:(Machine.pure_drip feasible.Fe.plan) feasible
         in
         check "same trace" true
           (Checker.trace_equal r1.Checker.trace r2.Checker.trace));
@@ -171,7 +173,7 @@ let verify_tests =
         let config = C.create g [| 0; 1; 1; 1 |] in
         check "wave applies" true (Election.Wave_election.applies config);
         let machine =
-          match Machine.of_name config "wave" with
+          match Machine.of_name (Fe.analyze config).Fe.plan "wave" with
           | Some m -> m
           | None -> Alcotest.fail "registry must know wave"
         in
@@ -187,7 +189,7 @@ let mutant_tests =
   [
     Alcotest.test_case "greedy decision mutant violates safety" `Quick
       (fun () ->
-        let machine = Mutant.greedy_decision feasible_config in
+        let machine = Mutant.greedy_decision feasible.Fe.plan in
         let res = Checker.check ~machine feasible_config in
         (match res.Checker.verdict with
         | Checker.Violated (Checker.Two_leaders ls) ->
@@ -200,8 +202,8 @@ let mutant_tests =
         check "replay passes validation" true
           (Radio_lint.Report.ok rp.Checker.report));
     Alcotest.test_case "early-stop mutant breaks liveness" `Quick (fun () ->
-        let machine = Mutant.early_stop feasible_config in
-        let res = Checker.verify ~machine feasible_config in
+        let machine = Mutant.early_stop feasible.Fe.plan in
+        let res = Checker.verify ~machine feasible in
         (match res.Checker.verdict with
         | Checker.Violated Checker.No_leader_on_feasible -> ()
         | v -> Alcotest.failf "unexpected verdict: %a" Checker.pp_verdict v);
@@ -212,7 +214,7 @@ let mutant_tests =
           (Radio_lint.Report.ok rp.Checker.report);
         (* ...but the same outcome validated against the healthy canonical
            protocol fails check-trace, exactly as the verdict predicts. *)
-        let healthy = (Machine.drip feasible_config).Machine.protocol in
+        let healthy = (Machine.drip feasible.Fe.plan).Machine.protocol in
         check "fails against healthy protocol" false
           (Radio_lint.Report.ok
              (Lint.validate ~protocol:healthy rp.Checker.outcome)));
@@ -712,6 +714,35 @@ let oracle_tests =
         | d :: _ ->
             Alcotest.failf "disagreement: %a" Oracle.pp_disagreement d);
         check "consistent" true (Oracle.consistent r));
+    Alcotest.test_case "verify on the analysis = literal-built verify (n <= 5)"
+      `Quick
+      (fun () ->
+        (* The literal run is the oracle: it compiles the machine and
+           judges the verdict on the other side. *)
+        List.iter
+          (fun (_, _, configs) ->
+            List.iter
+              (fun c ->
+                let literal = Cl.classify c in
+                let expected =
+                  Checker.verify
+                    ~machine:(Machine.drip (Election.Canonical.plan_of_run literal))
+                    (Fe.analyze_run literal)
+                in
+                let got = Checker.verify (Fe.analyze c) in
+                let what = Format.asprintf "%a" C.pp c in
+                check ("machine " ^ what) true
+                  (String.equal got.Checker.machine_name
+                     expected.Checker.machine_name);
+                check ("verdict " ^ what) true
+                  (got.Checker.verdict = expected.Checker.verdict);
+                check ("trace " ^ what) true
+                  (Checker.trace_equal got.Checker.trace expected.Checker.trace);
+                check ("stats " ^ what) true
+                  (got.Checker.stats = expected.Checker.stats
+                  && got.Checker.rounds = expected.Checker.rounds))
+              configs)
+          (Election.Census.universe ~max_n:5 ~max_span:2));
   ]
 
 let () =

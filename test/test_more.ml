@@ -242,7 +242,7 @@ let test_terminate_never_reconsults () =
 (* ------------------------------------------------------------------ *)
 
 let test_tag_assignment_count_identity () =
-  (* |assignments(n, s)| = (s+1)^n - s^n. *)
+  (* Spans 0..s: (s+1)^n - s^n assignments. *)
   List.iter
     (fun (n, s) ->
       let expected =
@@ -252,7 +252,11 @@ let test_tag_assignment_count_identity () =
       check_int
         (Printf.sprintf "n=%d s=%d" n s)
         expected
-        (List.length (Election.Census.tag_assignments ~n ~max_span:s)))
+        (List.fold_left
+           (fun acc span ->
+             acc + List.length (Election.Census.tag_assignments ~n ~span))
+           0
+           (List.init (s + 1) Fun.id)))
     [ (1, 0); (2, 1); (3, 2); (4, 1); (2, 3) ]
 
 let test_add_edge_keeps_neighbours_sorted () =

@@ -423,6 +423,58 @@ let test_iso_equivariant_leader () =
   let b = leader_of h2_reversed in
   check_int "leader maps through the relabeling" (3 - a) b
 
+(* mc-check resolves its analysis through the cache like every other
+   kind: a classify, an mc-check of the same configuration, one of a
+   relabelling and a mutant mc-check share one entry.  Each run feeds the
+   stream twice on one service; the responses do not depend on the cache
+   or the pool, and the telemetry counts every request's resolution. *)
+let test_mc_check_shares_cache () =
+  let stream =
+    [
+      Printf.sprintf "{\"id\":1,\"kind\":\"classify\",\"config\":%s}" (quote family_h2);
+      Printf.sprintf "{\"id\":2,\"kind\":\"mc-check\",\"config\":%s}" (quote family_h2);
+      Printf.sprintf "{\"id\":3,\"kind\":\"mc-check\",\"config\":%s}" (quote h2_reversed);
+      Printf.sprintf
+        "{\"id\":4,\"kind\":\"mc-check\",\"config\":%s,\"protocol\":\"mutant-greedy-decision\"}"
+        (quote family_h2);
+    ]
+  in
+  let run ~cache ~jobs =
+    let service = Service.create ~cache_entries:cache in
+    let cold = serve ~service ~cache ~jobs stream in
+    let warm = serve ~service ~cache ~jobs stream in
+    (cold, warm, Service.telemetry service)
+  in
+  let baseline, _, _ = run ~cache:256 ~jobs:1 in
+  (match String.split_on_char '\n' (String.trim baseline) with
+  | [ _; mc; relabelled; mutant ] ->
+      let leader line =
+        match J.parse line with
+        | Ok o -> (
+            match
+              Option.bind
+                (Option.bind (J.member "result" o) (J.member "verdict"))
+                (J.member "leader")
+            with
+            | Some (J.Int v) -> v
+            | _ -> Alcotest.fail ("no elected leader: " ^ line))
+        | Error _ -> Alcotest.fail "unparseable response"
+      in
+      (* H_2 reversed is H_2 relabelled by v -> 3 - v *)
+      check_int "relabelled leader maps back" (3 - leader mc)
+        (leader relabelled);
+      check "mutant caught" true (contains mutant "mc-two-leaders")
+  | lines -> Alcotest.failf "expected four responses, got %d" (List.length lines));
+  List.iter
+    (fun (cache, jobs, hits, misses) ->
+      let cold, warm, tel = run ~cache ~jobs in
+      let label what = Printf.sprintf "%s (cache=%d jobs=%d)" what cache jobs in
+      check_string (label "cold") baseline cold;
+      check_string (label "warm") baseline warm;
+      check_int (label "hits") hits tel.Service.cache_hits;
+      check_int (label "misses") misses tel.Service.cache_misses)
+    [ (256, 1, 7, 1); (256, 2, 7, 1); (0, 1, 6, 2); (0, 2, 6, 2) ]
+
 let test_stats_prefix_exact () =
   let lines =
     [
@@ -714,6 +766,8 @@ let () =
           Alcotest.test_case "iso-equivariant leader" `Quick
             test_iso_equivariant_leader;
           Alcotest.test_case "stats prefix exact" `Quick test_stats_prefix_exact;
+          Alcotest.test_case "mc-check shares the cache" `Quick
+            test_mc_check_shares_cache;
           Alcotest.test_case "lookahead determinism" `Quick
             test_lookahead_determinism;
           Alcotest.test_case "eof mid-line" `Quick test_eof_mid_line;

@@ -182,6 +182,12 @@ let test_plan_malformed () =
       "drip-plan 1\nsigma 1\nphases 1\nsingleton 1\n";
       "drip-plan 1\nsigma 1\nphases 1\nsingleton 1\ntable 1 1\nentry 1 2 1 2 1\n";
       "drip-plan 1\nsigma x\nphases 1\nsingleton none\ntable final 0\n";
+      "drip-plan 1\nsigma 1\nphases 0\nsingleton none\ntable final 0\n";
+      "drip-plan 1\nsigma 1\nphases -1\nsingleton none\ntable final 0\n";
+      Printf.sprintf
+        "drip-plan 1\nsigma 1\nphases %d\nsingleton none\ntable 1 0\n\
+         table final 0\n"
+        max_int;
     ]
 
 let test_plan_comments_ignored () =
