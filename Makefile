@@ -5,11 +5,11 @@
 DUNE ?= dune
 
 .PHONY: check build test lint lint-sarif fmt resilience-smoke mc-smoke \
-  par-smoke churn-smoke serve-smoke bench-churn bench-parallel bench-serve \
-  clean
+  par-smoke churn-smoke serve-smoke elect-smoke bench-churn bench-parallel \
+  bench-serve clean
 
 check: build test fmt resilience-smoke mc-smoke par-smoke churn-smoke \
-  serve-smoke
+  serve-smoke elect-smoke
 
 build:
 	$(DUNE) build
@@ -176,6 +176,18 @@ serve-smoke:
 	    echo "serve-smoke: warm replay differs from cold run"; status=1; }; \
 	fi; \
 	rm -f $$script $$a $$b; exit $$status
+
+# Histories held as events end to end: G_512 (2,049 nodes, about 787k
+# rounds) must elect its centre with the address space capped at 1 GiB.
+# The cap is set in a subshell, so it binds only the two anorad processes.
+elect-smoke:
+	@$(DUNE) build bin/anorad.exe && \
+	out=$$( (ulimit -v 1048576; \
+	  ./_build/default/bin/anorad.exe family g 512 | \
+	  ./_build/default/bin/anorad.exe elect -) ) && \
+	echo "$$out" | grep -qx 'leader: node 1024' || { \
+	  echo "elect-smoke: G_512 did not elect node 1024 within 1 GiB"; \
+	  exit 1; }
 
 # E22 only: regenerate the serve series (BENCH_serve.json) in the working
 # directory.

@@ -281,7 +281,7 @@ let e5 () =
         {
           Runner.protocol = P.beacon ();
           decision =
-            (fun h -> Array.length h > 0 && H.equal_entry h.(0) H.Silence);
+            (fun h -> H.length h > 0 && H.equal_entry (H.get h 0) H.Silence);
         } );
       ( "silent-waiter",
         { Runner.protocol = P.silent ~lifetime:8 (); decision = (fun _ -> true) }

@@ -987,23 +987,25 @@ let mc_cmd =
             2
         | Some path -> (
             let config = load_config ~cmd:"mc" path in
+            let known = Machine.names @ Mutant.names in
             if explore then
               run_explore config depth states faults (not no_reduction) jobs
+            else if not (List.mem protocol known) then begin
+              (* Refused before the configuration is classified. *)
+              Format.eprintf "anorad mc: unknown protocol %S (known: %s)@."
+                protocol (String.concat ", " known);
+              2
+            end
             else
               let a = Fe.analyze config in
-              match Radio_mc.Machine.of_name a.Fe.plan protocol with
+              match
+                List.find_map
+                  (fun of_name -> of_name a.Fe.plan protocol)
+                  [ Machine.of_name; Mutant.of_name ]
+              with
               | Some machine ->
                   run_check a path machine depth states replay sarif
-              | None -> (
-                  match Mutant.of_name a.Fe.plan protocol with
-                  | Some machine ->
-                      run_check a path machine depth states replay sarif
-                  | None ->
-                      Format.eprintf
-                        "anorad mc: unknown protocol %S (known: %s)@."
-                        protocol
-                        (String.concat ", " (Machine.names @ Mutant.names));
-                      2)))
+              | None -> 2))
   in
   let doc =
     "bounded model checking of the election transition system: verify \

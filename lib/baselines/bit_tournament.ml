@@ -31,7 +31,7 @@ type state = {
 }
 
 let claim_msg = "claim"
-let ack_msg = "a"
+let ack_msg = Randomized.ack_msg
 
 let election ~rng ~n =
   if n < 2 then invalid_arg "Bit_tournament.election: need n >= 2";
@@ -94,16 +94,7 @@ let election ~rng ~n =
     }
   in
   let protocol = { P.name = "bit-tournament"; spawn } in
-  let decision h =
-    let len = Array.length h in
-    len > 0
-    &&
-    match h.(len - 1) with
-    | H.Message m -> String.equal m ack_msg
-    | H.Collision -> true
-    | H.Silence -> false
-  in
-  { Runner.protocol; decision }
+  { Runner.protocol; decision = Randomized.decision }
 
 let success_rate ~rng ~n ~trials =
   if trials < 1 then invalid_arg "Bit_tournament.success_rate: need trials >= 1";

@@ -89,10 +89,10 @@ let protocol ~rng =
   { Protocol.name = "randomized-splitting"; spawn }
 
 let decision h =
-  let len = Array.length h in
+  let len = History.length h in
   len > 0
   &&
-  match h.(len - 1) with
+  match History.get h (len - 1) with
   | History.Message m -> String.equal m ack_msg
   | History.Collision -> true
   | History.Silence -> false

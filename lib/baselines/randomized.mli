@@ -21,6 +21,14 @@
     when they hear a claim.  With probability 1 a unique leader emerges;
     the expected number of phases is [O(log n)]. *)
 
+val ack_msg : string
+(** The acknowledgement ending the claim/ack probe, here and in {!Willard}
+    and {!Bit_tournament}. *)
+
+val decision : Radio_drip.History.t -> bool
+(** The probe's winner: its last entry is the acknowledgement, or a
+    collision of acknowledgements. *)
+
 val election : rng:Random.State.t -> Radio_sim.Runner.election
 (** An election bundle for complete-graph (single-hop) configurations in
     which all nodes share the same wake-up tag.  The protocol draws coins

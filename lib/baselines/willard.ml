@@ -49,7 +49,7 @@ let advance search outcome =
       Endgame (lo, hi, not next_hi)
 
 let contend_msg = "c"
-let ack_msg = "a"
+let ack_msg = Randomized.ack_msg
 
 let protocol ~rng =
   let spawn () =
@@ -115,16 +115,8 @@ let protocol ~rng =
   in
   { P.name = "willard-estimation"; spawn }
 
-let decision h =
-  let len = Array.length h in
-  len > 0
-  &&
-  match h.(len - 1) with
-  | H.Message m -> String.equal m ack_msg
-  | H.Collision -> true
-  | H.Silence -> false
-
-let election ~rng = { Runner.protocol = protocol ~rng; decision }
+let election ~rng =
+  { Runner.protocol = protocol ~rng; decision = Randomized.decision }
 
 let measure_rounds ~rng ~n ~trials =
   if n < 2 then invalid_arg "Willard.measure_rounds: need n >= 2";

@@ -126,21 +126,17 @@ let check_schedule config plan =
     ~no:(Printf.sprintf "termination round %d exceeds bound %d" t bound)
 
 let check_election run plan outcome =
+  let winners =
+    List.filter
+      (fun v -> Canonical.decision plan outcome.Engine.histories.(v))
+      (List.init (Array.length outcome.Engine.histories) Fun.id)
+  in
   match Classifier.canonical_leader run with
   | None ->
-      let winners =
-        Array.to_list outcome.Engine.histories
-        |> List.filter (Canonical.decision plan)
-      in
       verdict "lemma-3.11-election" (winners = [])
         ~yes:"infeasible: decision function elects nobody"
         ~no:"infeasible configuration elected someone"
   | Some leader ->
-      let winners =
-        List.filter
-          (fun v -> Canonical.decision plan outcome.Engine.histories.(v))
-          (List.init (Array.length outcome.Engine.histories) Fun.id)
-      in
       verdict "lemma-3.11-election"
         (List.equal Int.equal winners [ leader ])
         ~yes:(Printf.sprintf "unique winner = predicted leader (node %d)" leader)

@@ -99,6 +99,16 @@ let mark_of_entry = function
   | History.Collision -> Some Label.Many
   | History.Silence -> None
 
+(* [obs] with what a node records at [offset] into phase [j] (1-based) on
+   perceiving [e] added: an audible entry inside the phase's blocks. *)
+let observe_into plan ~j ~offset e obs =
+  let sigma = plan.sigma in
+  match mark_of_entry e with
+  | Some mark
+    when in_blocks ~sigma ~blocks:(Array.length plan.tables.(j - 1)) offset ->
+      (block_of ~sigma offset, slot_of ~sigma offset, mark) :: obs
+  | Some _ | None -> obs
+
 (* One node's place in the schedule: a pure function of its local history
    (the tests check this against the replay in [block_trace]). *)
 type node = {
@@ -150,14 +160,7 @@ let protocol plan =
     s.rounds_done <- i;
     if i <= bounds.(t) then begin
       let j = s.phase in
-      (match mark_of_entry e with
-      | Some mark ->
-          let offset = i - bounds.(j - 1) in
-          let blocks = Array.length plan.tables.(j - 1) in
-          if in_blocks ~sigma ~blocks offset then
-            s.obs <-
-              (block_of ~sigma offset, slot_of ~sigma offset, mark) :: s.obs
-      | None -> ());
+      s.obs <- observe_into plan ~j ~offset:(i - bounds.(j - 1)) e s.obs;
       if i = bounds.(j) && j < t then close_phase s
     end
   in
@@ -196,42 +199,48 @@ let protocol plan =
   in
   { Protocol.name = "canonical"; spawn }
 
-let observations_of_phase plan h ~phase_start ~blocks =
-  let width = (2 * plan.sigma) + 1 in
+(* The label a node perceives in phase [j], read round by round (the
+   literal reading [pure_drip] keeps). *)
+let observations_of_phase plan bounds h ~j =
   let obs = ref [] in
-  for offset = 1 to blocks * width do
-    let idx = phase_start + offset in
-    match mark_of_entry h.(idx) with
-    | Some mark ->
-        let a = ((offset - 1) / width) + 1 in
-        let b = ((offset - 1) mod width) + 1 in
-        obs := (a, b, mark) :: !obs
-    | None -> ()
+  for offset = 1 to bounds.(j) - bounds.(j - 1) do
+    let e = History.get h (bounds.(j - 1) + offset) in
+    obs := observe_into plan ~j ~offset e !obs
   done;
   Label.of_observations !obs
 
-(* One replay of [h] through the plan: the block used in each phase, and
-   the label observed in the final phase, which only [final_class] needs. *)
+(* One replay of [h] through the plan, event by event: the block used in
+   each phase, and the label observed in the final phase, which only
+   [final_class] needs.  [O(events + phases)]. *)
 let replay_blocks ~caller plan h =
   let bounds = phase_bounds plan in
   let t = num_phases plan in
-  if Array.length h < bounds.(t) + 1 then
+  if History.length h < bounds.(t) + 1 then
     invalid_arg (caller ^ ": history shorter than the schedule");
+  (* [obs.(j)]: phase [j]'s observations, latest first; phase 0 has none. *)
+  let obs = Array.make (t + 1) [] in
+  let j = ref 1 in
+  History.fold
+    (fun () i e ->
+      if i >= 1 && i <= bounds.(t) then begin
+        while i > bounds.(!j) do
+          incr j
+        done;
+        obs.(!j) <-
+          observe_into plan ~j:!j ~offset:(i - bounds.(!j - 1)) e obs.(!j)
+      end)
+    () h;
   let blocks_used = Array.make t None in
   let prev_block = ref (Some 1) in
-  let prev_obs = ref [] in
   for j = 1 to t do
     let tb =
       match_entry plan.tables.(j - 1) ~prev_block:!prev_block
-        ~obs_label:!prev_obs
+        ~obs_label:(Label.of_observations obs.(j - 1))
     in
     blocks_used.(j - 1) <- tb;
-    prev_block := tb;
-    prev_obs :=
-      observations_of_phase plan h ~phase_start:bounds.(j - 1)
-        ~blocks:(Array.length plan.tables.(j - 1))
+    prev_block := tb
   done;
-  (blocks_used, !prev_obs)
+  (blocks_used, Label.of_observations obs.(t))
 
 let block_trace plan h =
   fst (replay_blocks ~caller:"Canonical.block_trace" plan h)
@@ -245,7 +254,7 @@ let pure_drip plan h =
   let bounds = phase_bounds plan in
   let t = num_phases plan in
   (* [h] is the prefix H[0 .. i-1]; we output the action of local round i. *)
-  let i = Array.length h in
+  let i = History.length h in
   if i = 0 then invalid_arg "Canonical.pure_drip: empty history prefix"
   else if i > bounds.(t) then Protocol.Terminate
   else begin
@@ -255,10 +264,7 @@ let pure_drip plan h =
        which the prefix fully covers. *)
     let tb = ref (match_entry plan.tables.(0) ~prev_block:(Some 1) ~obs_label:[]) in
     for jj = 2 to j do
-      let obs =
-        observations_of_phase plan h ~phase_start:bounds.(jj - 2)
-          ~blocks:(Array.length plan.tables.(jj - 2))
-      in
+      let obs = observations_of_phase plan bounds h ~j:(jj - 1) in
       tb := match_entry plan.tables.(jj - 1) ~prev_block:!tb ~obs_label:obs
     done;
     let offset = i - bounds.(j - 1) in

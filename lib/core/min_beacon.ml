@@ -46,7 +46,7 @@ let protocol =
       | Woke_spontaneously k -> Woke_spontaneously (k + 1)
       | Woke_by_message -> Woke_by_message)
 
-let decision h = Array.length h > 0 && H.equal_entry h.(0) H.Silence
+let decision h = H.length h > 0 && H.equal_entry (H.get h 0) H.Silence
 
 let election = { Runner.protocol; decision }
 

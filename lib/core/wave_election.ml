@@ -57,7 +57,7 @@ let protocol =
       | Spontaneous k -> Spontaneous (k + 1)
       | Relay k -> Relay (k + 1))
 
-let decision h = Array.length h > 0 && H.equal_entry h.(0) H.Silence
+let decision h = H.length h > 0 && H.equal_entry (H.get h 0) H.Silence
 
 let election = { Runner.protocol; decision }
 

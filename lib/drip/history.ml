@@ -3,7 +3,45 @@ type entry =
   | Message of string
   | Collision
 
-type t = entry array
+(* [index] ascending, [entry] never [Silence]. *)
+type t = {
+  length : int;
+  index : int array;
+  entry : entry array;
+}
+
+let length h = h.length
+
+(* The first position in [lo .. hi - 1] of the ascending [index] holding
+   [>= i], else [hi]. *)
+let rec lower_bound index lo hi i =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if index.(mid) < i then lower_bound index (mid + 1) hi i
+    else lower_bound index lo mid i
+
+let get h i =
+  let events = Array.length h.index in
+  let k = lower_bound h.index 0 events i in
+  if i < h.length && k < events && h.index.(k) = i then h.entry.(k)
+  else Silence
+
+let fold f init h =
+  let acc = ref init in
+  Array.iteri (fun k i -> acc := f !acc i h.entry.(k)) h.index;
+  !acc
+
+let sub h pos len =
+  let stop = min h.length (pos + len) and pos = max 0 pos in
+  let events = Array.length h.index in
+  let first = lower_bound h.index 0 events pos in
+  let count = max 0 (lower_bound h.index 0 events stop - first) in
+  {
+    length = max 0 (stop - pos);
+    index = Array.init count (fun k -> h.index.(first + k) - pos);
+    entry = Array.sub h.entry first count;
+  }
 
 let equal_entry e1 e2 =
   match (e1, e2) with
@@ -12,10 +50,28 @@ let equal_entry e1 e2 =
   | (Silence | Message _ | Collision), _ -> false
 
 let equal h1 h2 =
-  Array.length h1 = Array.length h2
-  &&
-  let rec go i = i >= Array.length h1 || (equal_entry h1.(i) h2.(i) && go (i + 1)) in
-  go 0
+  h1.length = h2.length
+  && Array.length h1.index = Array.length h2.index
+  && Array.for_all2 Int.equal h1.index h2.index
+  && Array.for_all2 equal_entry h1.entry h2.entry
+
+(* A collision adds its index, a message its index and its string's hash;
+   the length and a final mix spread the value over the bits a table
+   indexes by. *)
+let hash h =
+  Hashtbl.hash
+    (fold
+       (fun acc i e ->
+         match e with
+         | Silence -> acc
+         | Collision -> (acc * 31) + (2 * i) + 1
+         | Message m -> (acc * 31) + (2 * i) + (65599 * Hashtbl.hash m))
+       h.length h)
+
+let to_array h =
+  let a = Array.make h.length Silence in
+  Array.iteri (fun k i -> a.(i) <- h.entry.(k)) h.index;
+  a
 
 let pp_entry ppf = function
   | Silence -> Format.pp_print_string ppf "∅"
@@ -24,35 +80,54 @@ let pp_entry ppf = function
 
 let pp ppf h =
   Format.fprintf ppf "@[<h>%a@]"
-    (Format.pp_print_list
+    (Format.pp_print_array
        ~pp_sep:(fun ppf () -> Format.pp_print_char ppf '.')
        pp_entry)
-    (Array.to_list h)
+    (to_array h)
 
 let to_string h = Format.asprintf "%a" pp h
 
-module Vec = struct
+module Builder = struct
+  type history = t
+
   type nonrec t = {
-    mutable data : entry array;
+    mutable index : int array;
+    mutable entry : entry array;
     mutable len : int;
   }
 
-  let create () = { data = Array.make 16 Silence; len = 0 }
+  let create () = { index = [||]; entry = [||]; len = 0 }
 
-  let push v e =
-    if v.len = Array.length v.data then begin
-      let bigger = Array.make (2 * v.len) Silence in
-      Array.blit v.data 0 bigger 0 v.len;
-      v.data <- bigger
-    end;
-    v.data.(v.len) <- e;
-    v.len <- v.len + 1
+  let add b i e =
+    if
+      i >= 0
+      && (b.len = 0 || i > b.index.(b.len - 1))
+      && not (equal_entry e Silence)
+    then begin
+      if b.len = Array.length b.index then begin
+        let grow a fill =
+          let a' = Array.make (max 8 (2 * b.len)) fill in
+          Array.blit a 0 a' 0 b.len;
+          a'
+        in
+        b.index <- grow b.index 0;
+        b.entry <- grow b.entry Silence
+      end;
+      b.index.(b.len) <- i;
+      b.entry.(b.len) <- e;
+      b.len <- b.len + 1
+    end
 
-  let length v = v.len
-
-  let get v i =
-    if i < 0 || i >= v.len then invalid_arg "History.Vec.get: index out of bounds";
-    v.data.(i)
-
-  let snapshot v = Array.sub v.data 0 v.len
+  let build b ~length : history =
+    let count = lower_bound b.index 0 b.len length in
+    {
+      length = max 0 length;
+      index = Array.sub b.index 0 count;
+      entry = Array.sub b.entry 0 count;
+    }
 end
+
+let of_array a =
+  let b = Builder.create () in
+  Array.iteri (Builder.add b) a;
+  Builder.build b ~length:(Array.length a)

@@ -65,20 +65,19 @@ let make ~sigma d =
 
 let start_round ~sigma h =
   if sigma < 0 then invalid_arg "Patient.start_round: sigma must be >= 0";
-  if Array.length h = 0 then invalid_arg "Patient.start_round: empty history";
-  match h.(0) with
+  let len = History.length h in
+  if len = 0 then invalid_arg "Patient.start_round: empty history";
+  match History.get h 0 with
   | History.Message _ -> 0
   | History.Silence | History.Collision ->
-      let limit = min sigma (Array.length h - 1) in
-      let rec find j =
-        if j > limit then min sigma (Array.length h - 1)
-        else
-          match h.(j) with
-          | History.Message _ -> j
-          | History.Silence | History.Collision -> find (j + 1)
-      in
-      if sigma = 0 then 0 else find 1
+      History.fold
+        (fun s i e ->
+          match e with
+          | History.Message _ when i >= 1 && i < s -> i
+          | History.Message _ | History.Silence | History.Collision -> s)
+        (min sigma (len - 1))
+        h
 
 let decision ~sigma f h =
   let s = start_round ~sigma h in
-  f (Array.sub h s (Array.length h - s))
+  f (History.sub h s (History.length h - s))

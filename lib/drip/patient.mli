@@ -22,6 +22,6 @@ val decision : sigma:int -> (History.t -> bool) -> History.t -> bool
 
 val start_round : sigma:int -> History.t -> int
 (** [start_round ~sigma h] is [s_w] for the (complete or prefix) history [h]:
-    [0] if [h.(0)] is a forced wake-up, otherwise the index of the first
+    [0] if entry 0 of [h] is a forced wake-up, otherwise the index of the first
     [Message] entry among rounds [1 .. σ], or [σ] if there is none.  Exposed
     for tests. *)

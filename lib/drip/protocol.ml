@@ -25,11 +25,14 @@ let skip_by_observe observe k =
 
 let of_pure ~name d =
   let spawn () =
-    let vec = History.Vec.create () in
-    let observe e = History.Vec.push vec e in
+    let b = History.Builder.create () and len = ref 0 in
+    let observe e =
+      History.Builder.add b !len e;
+      incr len
+    in
     {
       on_wakeup = observe;
-      decide = (fun () -> d (History.Vec.snapshot vec));
+      decide = (fun () -> d (History.Builder.build b ~length:!len));
       observe;
       skip = skip_by_observe observe;
     }

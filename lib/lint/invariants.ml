@@ -7,7 +7,7 @@ module Trace = Radio_sim.Trace
 module History = Radio_drip.History
 module Protocol = Radio_drip.Protocol
 
-let hlen (o : Engine.outcome) v = Array.length o.Engine.histories.(v)
+let hlen (o : Engine.outcome) v = History.length o.Engine.histories.(v)
 
 (* [crashed.(v)] is the global round node [v] crash-stopped at, [-1] when it
    never did.  The pristine checker passes [[||]] — no node ever crashes —
@@ -104,7 +104,7 @@ let structural ~crashed (o : Engine.outcome) =
             (o.Engine.rounds - wake);
         if len > 0 then begin
           let tag = Config.tag o.Engine.config v in
-          (match o.Engine.histories.(v).(0) with
+          (match History.get o.Engine.histories.(v) 0 with
           | History.Collision ->
               rep.Report.f ~node:v ~round:wake ~check:"wakeup"
                 "Collision at history index 0: collisions do not wake \
@@ -151,13 +151,14 @@ let structural ~crashed (o : Engine.outcome) =
       for v = 0 to n - 1 do
         if o.Engine.wake_round.(v) >= 0 then
           if o.Engine.forced.(v) then incr forced_count else incr spont_count;
-        let h = o.Engine.histories.(v) in
-        for i = 1 to Array.length h - 1 do
-          match h.(i) with
-          | History.Message _ -> incr deliveries
-          | History.Collision -> incr collisions
-          | History.Silence -> ()
-        done
+        History.fold
+          (fun () i e ->
+            if i >= 1 then
+              match e with
+              | History.Message _ -> incr deliveries
+              | History.Collision -> incr collisions
+              | History.Silence -> ())
+          () o.Engine.histories.(v)
       done;
       if !forced_count <> m.Metrics.forced_wakeups then
         rep.Report.f ~check:"ledger" "forced wake-ups: histories say %d, metric %d"
@@ -272,7 +273,7 @@ let trace_conformance ~plan ~crashed (o : Engine.outcome) =
       let wake = o.Engine.wake_round.(v) in
       if wake >= 0 then begin
         let h = o.Engine.histories.(v) in
-        for i = 1 to Array.length h - 1 do
+        for i = 1 to History.length h - 1 do
           let r = wake + i in
           let expected =
             if transmitted_at r v then History.Silence
@@ -283,10 +284,11 @@ let trace_conformance ~plan ~crashed (o : Engine.outcome) =
               | 1, m -> History.Message m
               | _ -> History.Collision
           in
-          if not (History.equal_entry h.(i) expected) then
+          let e = History.get h i in
+          if not (History.equal_entry e expected) then
             rep.Report.f ~node:v ~round:r ~check:"collision-semantics"
               "recorded entry %s but the transmitter set implies %s"
-              (Format.asprintf "%a" History.pp_entry h.(i))
+              (Format.asprintf "%a" History.pp_entry e)
               (Format.asprintf "%a" History.pp_entry expected)
         done
       end
@@ -394,22 +396,18 @@ let anonymity (o : Engine.outcome) =
     for v = 0 to n - 1 do
       for w = v + 1 to n - 1 do
         let hv = o.Engine.histories.(v) and hw = o.Engine.histories.(w) in
-        let lcp = ref 0 in
-        let m = min (Array.length hv) (Array.length hw) in
-        while !lcp < m && History.equal_entry hv.(!lcp) hw.(!lcp) do
-          incr lcp
-        done;
+        let bound u h =
+          min (Purity.last_decision_round o u) (History.length h)
+        in
+        let last = min (bound v hv) (bound w hw) in
         (* Identical prefixes of length i >= 1 force identical actions at
            local round i (Section 2.2). *)
-        let last =
-          min
-            (min (Purity.last_decision_round o v)
-               (Purity.last_decision_round o w))
-            !lcp
+        let same_prefix i =
+          History.equal_entry (History.get hv (i - 1)) (History.get hw (i - 1))
         in
         let i = ref 1 in
         let broken = ref false in
-        while (not !broken) && !i <= last do
+        while (not !broken) && !i <= last && same_prefix !i do
           let av = action v !i and aw = action w !i in
           if av <> aw then begin
             broken := true;
@@ -417,7 +415,7 @@ let anonymity (o : Engine.outcome) =
               "nodes %d and %d share the history prefix %s but act \
                differently at local round %d (%a vs %a)"
               v w
-              (History.to_string (Array.sub hv 0 !i))
+              (History.to_string (History.sub hv 0 !i))
               !i Purity.pp_action av Purity.pp_action aw
           end;
           incr i

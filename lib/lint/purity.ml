@@ -17,7 +17,7 @@ let is_traced (o : Engine.outcome) = o.Engine.trace <> []
 let last_decision_round (o : Engine.outcome) v =
   if o.Engine.done_local.(v) >= 0 then o.Engine.done_local.(v)
   else if o.Engine.wake_round.(v) < 0 then 0
-  else Array.length o.Engine.histories.(v) - 1
+  else History.length o.Engine.histories.(v) - 1
 
 (* What the engine recorded node [v] as doing in local round [i], derived
    from the trace (authoritative for transmissions) and [done_local]. *)
@@ -44,10 +44,10 @@ let replay (proto : Protocol.t) (o : Engine.outcome) =
   let n = Array.length o.Engine.histories in
   for v = 0 to n - 1 do
     let hist = o.Engine.histories.(v) in
-    if Array.length hist > 0 then begin
+    if History.length hist > 0 then begin
       let wake = o.Engine.wake_round.(v) in
       let inst = proto.Protocol.spawn () in
-      inst.Protocol.on_wakeup hist.(0);
+      inst.Protocol.on_wakeup (History.get hist 0);
       let last = last_decision_round o v in
       let diverged = ref false in
       let i = ref 1 in
@@ -84,8 +84,8 @@ let replay (proto : Protocol.t) (o : Engine.outcome) =
             end
         | Protocol.Transmit _ ->
             (* Untraced fallback: a transmitter hears [Silence]. *)
-            if local < Array.length hist && hist.(local) <> History.Silence
-            then begin
+            let heard = History.get hist local in
+            if not (History.equal_entry heard History.Silence) then begin
               diverged := true;
               rep.Report.f ~node:v ~round ~check:"purity.replay"
                 "local round %d: fresh instance transmits but the recorded \
@@ -94,7 +94,8 @@ let replay (proto : Protocol.t) (o : Engine.outcome) =
             end
         | Protocol.Listen | Protocol.Quiet _ | Protocol.Terminate -> ());
         if (not !diverged) && a <> Protocol.Terminate then
-          if local < Array.length hist then inst.Protocol.observe hist.(local);
+          if local < History.length hist then
+            inst.Protocol.observe (History.get hist local);
         incr i
       done
     end

@@ -1,5 +1,6 @@
 module C = Radio_config.Config
 module G = Radio_graph.Graph
+module History = Radio_drip.History
 module Protocol = Radio_drip.Protocol
 module Engine = Radio_sim.Engine
 module Trace = Radio_sim.Trace
@@ -127,12 +128,12 @@ let check ?depth ?(states = 200_000) ~machine config =
         if cur.(v) > 0 && next.(v) > 0 then begin
           let event =
             match tx.(v) with
-            | Some _ -> State.E_silence (* transmitters hear nothing *)
+            | Some _ -> History.Silence (* transmitters hear nothing *)
             | None -> (
                 match senders_of g tx v with
-                | [] -> State.E_silence
-                | [ m ] -> State.E_message m
-                | _ -> State.E_collision)
+                | [] -> History.Silence
+                | [ m ] -> History.Message m
+                | _ -> History.Collision)
           in
           next.(v) <- State.Intern.get intern cur.(v) event
         end
@@ -142,11 +143,11 @@ let check ?depth ?(states = 200_000) ~machine config =
         if cur.(v) = 0 then begin
           match senders_of g tx v with
           | [ m ] ->
-              next.(v) <- State.Intern.get intern 0 (State.E_message m);
+              next.(v) <- State.Intern.get intern 0 (History.Message m);
               woken := (v, Trace.Forced m) :: !woken
           | _ ->
               if C.tag config v = !r then begin
-                next.(v) <- State.Intern.get intern 0 State.E_silence;
+                next.(v) <- State.Intern.get intern 0 History.Silence;
                 woken := (v, Trace.Spontaneous) :: !woken
               end
         end
@@ -299,8 +300,8 @@ let separated (s : State.t) =
    the parent in the high bits and the receive-event code in the low 32 —
    silence 0, noise 1, message [m] at [m + 2] (universal-mode messages are
    always the sender's class key).  The codes are a bijection onto the
-   events {!State.event} draws, so the interned key space — and with it
-   every state count — is that of the boxed events. *)
+   history entries {!State.Intern} keys on, so the interned key space — and
+   with it every state count — is that of the boxed entries. *)
 let ev_silence = 0
 let ev_noise = 1
 

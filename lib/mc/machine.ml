@@ -18,13 +18,13 @@ type t = {
    call sequence so that stateful protocols counting decisions behave
    identically. *)
 let pure_of_protocol (p : Protocol.t) (h : H.t) =
-  let len = Array.length h in
+  let len = H.length h in
   if len = 0 then invalid_arg "Machine.pure_of_protocol: empty history";
   let inst = p.Protocol.spawn () in
-  inst.Protocol.on_wakeup h.(0);
+  inst.Protocol.on_wakeup (H.get h 0);
   for i = 1 to len - 1 do
     ignore (inst.Protocol.decide ());
-    inst.Protocol.observe h.(i)
+    inst.Protocol.observe (H.get h i)
   done;
   Protocol.per_round (inst.Protocol.decide ())
 

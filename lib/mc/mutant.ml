@@ -16,7 +16,7 @@ let early_stop plan =
     | s -> s
   in
   let decide h =
-    if Array.length h >= stop then Protocol.Terminate
+    if Radio_drip.History.length h >= stop then Protocol.Terminate
     else Canonical.pure_drip plan h
   in
   {

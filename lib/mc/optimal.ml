@@ -39,34 +39,27 @@ let canonical_breaking_time ?(max_rounds = 1_000_000) config =
   let o = Engine.run ~max_rounds (Canonical.protocol plan) config in
   if not o.Engine.all_terminated then None
   else begin
-    let n = C.size config in
-    let prefix v r =
-      (* node v's history prefix at the end of global round r; None = ⊥ *)
-      let wake = o.Engine.wake_round.(v) in
-      if wake < 0 || r < wake then None
-      else
-        let len = min (r - wake + 1) (Array.length o.Engine.histories.(v)) in
-        Some (Array.sub o.Engine.histories.(v) 0 len)
-    in
+    let module Tbl = Hashtbl.Make (H) in
+    (* Some node's history prefix at the end of global round [r] is held
+       by no other awake node. *)
     let sep_at r =
-      let keys = Array.init n (fun v -> prefix v r) in
-      let unique v =
-        match keys.(v) with
-        | None -> false
-        | Some h ->
-            let rec check w =
-              w >= n
-              || ((w = v
-                  ||
-                  match keys.(w) with
-                  | None -> true
-                  | Some h' -> not (H.equal h h'))
-                 && check (w + 1))
-            in
-            check 0
+      let prefixes =
+        List.filter_map
+          (fun v ->
+            let wake = o.Engine.wake_round.(v) in
+            if wake < 0 || r < wake then None
+            else Some (H.sub o.Engine.histories.(v) 0 (r - wake + 1)))
+          (List.init (C.size config) Fun.id)
       in
-      let rec any v = v < n && (unique v || any (v + 1)) in
-      any 0
+      let count = Tbl.create 16 in
+      List.iter
+        (fun h ->
+          let c = Option.value ~default:0 (Tbl.find_opt count h) in
+          Tbl.replace count h (c + 1))
+        prefixes;
+      List.exists
+        (fun h -> Option.equal Int.equal (Tbl.find_opt count h) (Some 1))
+        prefixes
     in
     let limit = Engine.completion_round o in
     let rec find r =

@@ -1,22 +1,12 @@
 module H = Radio_drip.History
 
-type event =
-  | E_silence
-  | E_message of string
-  | E_collision
-
-let entry_of_event = function
-  | E_silence -> H.Silence
-  | E_message m -> H.Message m
-  | E_collision -> H.Collision
-
 module Intern = struct
   type key = int
 
   type t = {
-    fwd : (int * event, key) Hashtbl.t;
+    fwd : (int * H.entry, key) Hashtbl.t;
     mutable parents : int array;  (* index key - 1 *)
-    mutable events : event array;  (* index key - 1 *)
+    mutable events : H.entry array;  (* index key - 1 *)
     mutable next : key;
   }
 
@@ -24,7 +14,7 @@ module Intern = struct
     {
       fwd = Hashtbl.create 1024;
       parents = Array.make 64 0;
-      events = Array.make 64 E_silence;
+      events = Array.make 64 H.Silence;
       next = 1;
     }
 
@@ -32,7 +22,7 @@ module Intern = struct
     if t.next - 1 >= Array.length t.parents then begin
       let cap = 2 * Array.length t.parents in
       let parents = Array.make cap 0 in
-      let events = Array.make cap E_silence in
+      let events = Array.make cap H.Silence in
       Array.blit t.parents 0 parents 0 (Array.length t.parents);
       Array.blit t.events 0 events 0 (Array.length t.events);
       t.parents <- parents;
@@ -59,17 +49,19 @@ module Intern = struct
     let rec go k acc = if k = 0 then acc else go (parent t k) (acc + 1) in
     go k 0
 
+  (* The chain from [k] up to the root runs from the last entry to the
+     first: entries are added on the way back down, in index order. *)
   let history t k =
-    let len = depth t k in
-    let h = Array.make len H.Silence in
-    let rec fill k i =
-      if k <> 0 then begin
-        h.(i) <- entry_of_event (event t k);
-        fill (parent t k) (i - 1)
+    let b = H.Builder.create () in
+    let rec add k =
+      if k = 0 then 0
+      else begin
+        let i = add (parent t k) in
+        H.Builder.add b i (event t k);
+        i + 1
       end
     in
-    fill k (len - 1);
-    h
+    H.Builder.build b ~length:(add k)
 end
 
 type t = int array

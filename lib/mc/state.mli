@@ -10,7 +10,7 @@
     and a configuration state is one such int per node.  History keys are
     hash-consed in an {!Intern} table: every key [> 0] denotes
     [(parent key, this round's event)], with parent [0] marking the wake-up
-    entry (never {!E_collision} — a forced wake-up carries the lone
+    entry (never [Collision] — a forced wake-up carries the lone
     neighbour's message, a spontaneous one hears silence; engine.mli §2.1).
 
     Keys are {e content-pure}: they encode history contents only, never node
@@ -18,11 +18,6 @@
     automorphism yields a state of the {e same} transition system with
     identical future behaviour.  That is what makes the {!canonicalize}
     quotient sound. *)
-
-type event =
-  | E_silence
-  | E_message of string
-  | E_collision
 
 (** Hash-consed history keys. *)
 module Intern : sig
@@ -32,7 +27,7 @@ module Intern : sig
 
   val create : unit -> t
 
-  val get : t -> int -> event -> key
+  val get : t -> int -> Radio_drip.History.entry -> key
   (** [get t parent event] interns the history [history parent @ [event]];
       parent [0] is the empty history. Returns the same key for the same
       pair, a fresh positive key otherwise. *)
@@ -41,7 +36,7 @@ module Intern : sig
   (** Number of distinct keys interned so far. *)
 
   val parent : t -> key -> int
-  val event : t -> key -> event
+  val event : t -> key -> Radio_drip.History.entry
 
   val depth : t -> key -> int
   (** Length of the denoted history. *)

@@ -17,8 +17,6 @@ type outcome = {
   trace : Trace.t;
 }
 
-exception Round_limit_exceeded of outcome
-
 type fired = {
   round : int;
   fault : Fault_plan.fault;
@@ -96,38 +94,6 @@ module Agenda = struct
       end
       else settled := true
     done
-end
-
-(* The non-silent history entries of a run, in the order they happened:
-   node, local index, entry.  Histories are built from it once, at the
-   end, as exact-size arrays whose other entries are [Silence]. *)
-module Log = struct
-  type t = {
-    mutable node : int array;
-    mutable index : int array;
-    mutable entry : History.entry array;
-    mutable len : int;
-  }
-
-  let create n =
-    let cap = max 1 n in
-    {
-      node = Array.make cap 0;
-      index = Array.make cap 0;
-      entry = Array.make cap History.Silence;
-      len = 0;
-    }
-
-  let add l v i e =
-    if l.len = Array.length l.node then begin
-      l.node <- Array.append l.node (Array.make l.len 0);
-      l.index <- Array.append l.index (Array.make l.len 0);
-      l.entry <- Array.append l.entry (Array.make l.len History.Silence)
-    end;
-    l.node.(l.len) <- v;
-    l.index.(l.len) <- i;
-    l.entry.(l.len) <- e;
-    l.len <- l.len + 1
 end
 
 (* The instance slot of a node that has none (asleep, or not yet
@@ -253,8 +219,8 @@ let run_plan ?(max_rounds = 100_000) ?(record_trace = false) plan proto config
      ([decide] said [Listen] or [Transmit]), and after Phase B of a round
      also marks a quiet node already told that round's entry; [reported] is
      the last round whose entry the instance has been told, directly or by
-     a [skip].  [born] is the log position where the node's current
-     incarnation starts. *)
+     a [skip].  [hist] gathers the events (non-silent entries) of the
+     node's current incarnation. *)
   let inst = Array.make n no_instance in
   let awake_at = Array.make n (-1) in
   let was_forced = Array.make n false in
@@ -262,8 +228,7 @@ let run_plan ?(max_rounds = 100_000) ?(record_trace = false) plan proto config
   let next_dec = Array.make n (-1) in
   let obs_at = Array.make n (-1) in
   let reported = Array.make n (-1) in
-  let born = Array.make n 0 in
-  let log = Log.create n in
+  let hist = Array.init n (fun _ -> History.Builder.create ()) in
   let agenda = Agenda.create n in
   let remaining = ref n in
   let sleeping = ref n in
@@ -333,7 +298,7 @@ let run_plan ?(max_rounds = 100_000) ?(record_trace = false) plan proto config
           Metrics.Acc.forced_wakeup metrics;
           Trace.Acc.wake trace ~round v (Trace.Forced m);
           let e = History.Message m in
-          Log.add log v 0 e;
+          History.Builder.add hist.(v) 0 e;
           e
       | None ->
           Metrics.Acc.spontaneous_wakeup metrics;
@@ -375,12 +340,8 @@ let run_plan ?(max_rounds = 100_000) ?(record_trace = false) plan proto config
           Metrics.Acc.collision_heard metrics;
           History.Collision
   in
-  (* Only entries other than [Silence] are logged. *)
   let tell v ~round e =
-    (match e with
-    | History.Silence -> ()
-    | History.Message _ | History.Collision ->
-        Log.add log v (round - awake_at.(v)) e);
+    History.Builder.add hist.(v) (round - awake_at.(v)) e;
     inst.(v).Protocol.observe e;
     reported.(v) <- round
   in
@@ -446,7 +407,7 @@ let run_plan ?(max_rounds = 100_000) ?(record_trace = false) plan proto config
                   was_forced.(node) <- false;
                   finished_at.(node) <- -1;
                   next_dec.(node) <- -1;
-                  born.(node) <- log.Log.len;
+                  hist.(node) <- History.Builder.create ();
                   wake_tag.(node) <- max tag r;
                   incr sleeping;
                   incr remaining;
@@ -543,7 +504,7 @@ let run_plan ?(max_rounds = 100_000) ?(record_trace = false) plan proto config
     if !transmitters <> [] then first_tx := Some (r, List.rev !transmitters);
     (* Phase B: receptions.  Nodes that decided to listen or transmit are
        told their entry; a quiet node only when a message or noise reached
-       it.  Only entries other than [Silence] are logged. *)
+       it. *)
     for i = 0 to !next_len - 1 do
       let v = !next.(i) in
       tell v ~round:r (entry_of v ~round:r)
@@ -632,8 +593,7 @@ let run_plan ?(max_rounds = 100_000) ?(record_trace = false) plan proto config
     rounds_done := !round
   done;
   Metrics.Acc.set_rounds metrics !rounds_done;
-  (* Each history is built once: its length follows from how the node's
-     run ended, and its non-silent entries come from the log. *)
+  (* A history's length follows from how the node's run ended. *)
   let length v =
     if awake_at.(v) < 0 then 0
     else if finished_at.(v) >= 0 then finished_at.(v)
@@ -642,12 +602,8 @@ let run_plan ?(max_rounds = 100_000) ?(record_trace = false) plan proto config
     else !rounds_done - awake_at.(v)
   in
   let histories =
-    Array.init n (fun v -> Array.make (length v) History.Silence)
+    Array.init n (fun v -> History.Builder.build hist.(v) ~length:(length v))
   in
-  for p = 0 to log.Log.len - 1 do
-    let v = log.Log.node.(p) in
-    if p >= born.(v) then histories.(v).(log.Log.index.(p)) <- log.Log.entry.(p)
-  done;
   let base =
     {
       config;
@@ -667,10 +623,6 @@ let run_plan ?(max_rounds = 100_000) ?(record_trace = false) plan proto config
 
 let run ?max_rounds ?record_trace proto config =
   (run_plan ?max_rounds ?record_trace Fault_plan.empty proto config).base
-
-let run_exn ?max_rounds ?record_trace proto config =
-  let o = run ?max_rounds ?record_trace proto config in
-  if o.all_terminated then o else raise (Round_limit_exceeded o)
 
 let global_done_round o v =
   if v < 0 || v >= Array.length o.done_local then

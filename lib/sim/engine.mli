@@ -29,15 +29,17 @@
     to decide (a node that answered {!Radio_drip.Protocol.Quiet} is not
     asked again until its horizon ends), those a transmission or noise
     reached, and, while any node sleeps, a scan for wake-ups.  A quiet
-    node's silent rounds reach its instance as one [skip].  Only the
-    history entries other than [Silence] are recorded during the run; each
-    history is built once, at the end, as an array of its exact length. *)
+    node's silent rounds reach its instance as one [skip].  A node's
+    history gathers only its events, the entries other than [Silence], as
+    they happen, so an election's memory follows the messages and noise
+    perceived rather than [n] times the rounds. *)
 
 type outcome = {
   config : Radio_config.Config.t;
   histories : Radio_drip.History.t array;
-      (** per node; index 0 is the wake-up entry; length = [done] local round
-          (the terminate decision consumes no entry) *)
+      (** per node, held as its events ({!Radio_drip.History}); index 0 is
+          the wake-up entry; length = [done] local round (the terminate
+          decision consumes no entry) *)
   wake_round : int array;  (** global wake-up round of each node *)
   forced : bool array;  (** whether the wake-up was forced by a message *)
   done_local : int array;
@@ -55,10 +57,6 @@ type outcome = {
   trace : Trace.t;  (** empty unless [record_trace] *)
 }
 
-exception Round_limit_exceeded of outcome
-(** Raised by {!run_exn} when some node is still running after [max_rounds]
-    global rounds. *)
-
 val run :
   ?max_rounds:int ->
   ?record_trace:bool ->
@@ -67,15 +65,6 @@ val run :
   outcome
 (** Runs until every node has terminated or [max_rounds] (default 100_000)
     global rounds have elapsed; inspect [all_terminated] to tell which. *)
-
-val run_exn :
-  ?max_rounds:int ->
-  ?record_trace:bool ->
-  Radio_drip.Protocol.t ->
-  Radio_config.Config.t ->
-  outcome
-(** Like {!run} but raises {!Round_limit_exceeded} when the protocol did not
-    terminate everywhere. *)
 
 val global_done_round : outcome -> int -> int
 (** [global_done_round o v] is the global round in which node [v] terminated

@@ -35,27 +35,9 @@ let run ?max_rounds ?record_trace e config =
 
 let elects_unique_leader r = Option.is_some r.leader
 
-(* Histories are bucketed by a hash of every entry, so grouping is
-   O(n·R) for R rounds instead of pairwise O(n²·R).  Entries are matched
-   by constructor: a silent round adds nothing, a collision its index, a
-   message its index and its string's hash; the length and a final mix
-   spread the value over the bits the table indexes by. *)
-module Hist_tbl = Hashtbl.Make (struct
-  type t = History.t
-
-  let equal = History.equal
-
-  let hash h =
-    let acc = ref (Array.length h) in
-    for i = 0 to Array.length h - 1 do
-      match h.(i) with
-      | History.Silence -> ()
-      | History.Collision -> acc := (!acc * 31) + (2 * i) + 1
-      | History.Message m ->
-          acc := (!acc * 31) + (2 * i) + (65599 * Hashtbl.hash m)
-    done;
-    Hashtbl.hash !acc
-end)
+(* Histories are bucketed by {!History.hash}, so grouping costs one pass
+   over the events instead of pairwise comparisons. *)
+module Hist_tbl = Hashtbl.Make (History)
 
 (* One grouping pass: classes numbered from 1 in order of first occurrence,
    and [counts.(c)] the size of class [c]. *)
@@ -89,5 +71,4 @@ let history_summary outcome =
       (fun v -> counts.(classes.(v)) = 1)
       (List.init (Array.length classes) Fun.id) )
 
-let history_class_sizes outcome = fst (history_summary outcome)
 let unique_history_nodes outcome = snd (history_summary outcome)

@@ -35,11 +35,8 @@ val history_classes : Engine.outcome -> int array
     this function for the cross-validation. *)
 
 val history_summary : Engine.outcome -> int list * int list
-(** [(history_class_sizes o, unique_history_nodes o)] from one grouping
-    pass. *)
-
-val history_class_sizes : Engine.outcome -> int list
-(** Sorted sizes of the history classes. *)
+(** [(sizes, unique_history_nodes o)] from one grouping pass, [sizes]
+    being the sorted sizes of the history classes. *)
 
 val unique_history_nodes : Engine.outcome -> int list
 (** Nodes whose final history is shared by no other node — the nodes any

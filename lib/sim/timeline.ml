@@ -19,9 +19,9 @@ let symbol outcome tx v r =
     let dn = outcome.Engine.done_local.(v) in
     if dn >= 0 && local = dn then '#'
     else if dn >= 0 && local > dn then ' '
-    else if local >= Array.length outcome.Engine.histories.(v) then ' '
+    else if local >= H.length outcome.Engine.histories.(v) then ' '
     else
-      match outcome.Engine.histories.(v).(local) with
+      match H.get outcome.Engine.histories.(v) local with
       | H.Message _ -> 'm'
       | H.Collision -> '*'
       | H.Silence -> if Hashtbl.mem tx (v, r) then 'T' else ' '

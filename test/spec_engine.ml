@@ -139,7 +139,10 @@ let run ?(max_rounds = 100_000) proto config =
   let by_id = Array.make n (asleep 0) in
   List.iter (fun node -> by_id.(node.id) <- node) nodes;
   {
-    histories = Array.map (fun node -> Array.of_list (List.rev node.events)) by_id;
+    histories =
+      Array.map
+        (fun node -> H.of_array (Array.of_list (List.rev node.events)))
+        by_id;
     wake_round = Array.map (fun node -> node.woke_at) by_id;
     forced = Array.map (fun node -> node.was_forced) by_id;
     done_local = Array.map (fun node -> node.finished) by_id;

@@ -13,6 +13,8 @@ module Can = Election.Canonical
 module Fe = Election.Feasibility
 module Engine = Radio_sim.Engine
 module Runner = Radio_sim.Runner
+module Label = Election.Label
+module RC = Radio_config.Random_config
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -77,7 +79,7 @@ let test_infeasible_plan_has_no_singleton () =
   let plan = plan_of (F.s_family 2) in
   Alcotest.(check (option int)) "no singleton" None plan.Can.singleton_class;
   check "decision always false" true
-    (not (Can.decision plan (Array.make 100 H.Silence)))
+    (not (Can.decision plan (H.of_array (Array.make 100 H.Silence))))
 
 (* ------------------------------------------------------------------ *)
 (* Distributed execution (Theorem 3.15)                                *)
@@ -226,7 +228,7 @@ let test_block_trace_rejects_short_history () =
   let plan = plan_of (F.h_family 2) in
   Alcotest.check_raises "short history"
     (Invalid_argument "Canonical.block_trace: history shorter than the schedule")
-    (fun () -> ignore (Can.block_trace plan [| H.Silence |]))
+    (fun () -> ignore (Can.block_trace plan (H.of_array [| H.Silence |])))
 
 let test_election_time_within_bound () =
   (* Lemma 3.10 / Theorem 3.15: O(n^2 sigma) with our explicit constants,
@@ -259,6 +261,91 @@ let test_foreign_execution_is_well_defined () =
           check_int "schedule respected" (Can.local_termination_round plan) d)
         o.Engine.done_local)
     [ F.s_family 2; F.h_family 5; F.two_cells () ]
+
+(* The per-round reference for [Can.block_trace] and [Can.final_class]:
+   phase by phase, every round of a phase's blocks read off the dense view
+   of the history, as the decision function did before it folded over
+   events. *)
+let reference_replay plan h =
+  let h = H.to_array h in
+  let bounds = Can.phase_bounds plan in
+  let t = Can.num_phases plan in
+  let width = (2 * plan.Can.sigma) + 1 in
+  let match_entry entries ~prev_block ~obs_label =
+    match prev_block with
+    | None -> None
+    | Some pb ->
+        let rec scan k =
+          if k > Array.length entries then None
+          else
+            let e = entries.(k - 1) in
+            if e.Can.prev_class = pb && Label.equal e.Can.label obs_label then
+              Some k
+            else scan (k + 1)
+        in
+        scan 1
+  in
+  let observations j =
+    let obs = ref [] in
+    for offset = 1 to Array.length plan.Can.tables.(j - 1) * width do
+      let seen mark =
+        obs := (((offset - 1) / width) + 1, ((offset - 1) mod width) + 1, mark)
+               :: !obs
+      in
+      match h.(bounds.(j - 1) + offset) with
+      | H.Message _ -> seen Label.One
+      | H.Collision -> seen Label.Many
+      | H.Silence -> ()
+    done;
+    Label.of_observations !obs
+  in
+  let blocks = Array.make t None in
+  let prev_block = ref (Some 1) and prev_obs = ref [] in
+  for j = 1 to t do
+    prev_block :=
+      match_entry plan.Can.tables.(j - 1) ~prev_block:!prev_block
+        ~obs_label:!prev_obs;
+    blocks.(j - 1) <- !prev_block;
+    prev_obs := observations j
+  done;
+  ( blocks,
+    match_entry plan.Can.final_table ~prev_block:!prev_block
+      ~obs_label:!prev_obs )
+
+(* Runs [plan] on [config] and checks the event fold against the
+   reference at every node; returns how many nodes went lost. *)
+let check_replay plan config =
+  let o = Engine.run ~max_rounds:1_000_000 (Can.protocol plan) config in
+  check "terminates" true o.Engine.all_terminated;
+  Array.fold_left
+    (fun lost h ->
+      let blocks, final = reference_replay plan h in
+      Alcotest.(check (array (option int)))
+        "block trace = reference" blocks (Can.block_trace plan h);
+      Alcotest.(check (option int))
+        "final class = reference" final (Can.final_class plan h);
+      if Array.exists Option.is_none blocks then lost + 1 else lost)
+    0 o.Engine.histories
+
+let test_final_class_matches_reference () =
+  let st = Random.State.make [| 26 |] in
+  let random () =
+    let n = 1 + Random.State.int st 14 and span = Random.State.int st 4 in
+    if Random.State.bool st then RC.connected_gnp st ~n ~p:0.35 ~span
+    else RC.random_tree st ~n ~span
+  in
+  for _ = 1 to 60 do
+    let config = random () in
+    check_int "no node lost at home" 0 (check_replay (plan_of config) config)
+  done;
+  (* Foreign configurations (the Prop 4.4 experiment): nodes go lost. *)
+  let lost = ref 0 in
+  List.iter
+    (fun (home, away) -> lost := !lost + check_replay (plan_of home) away)
+    ([ (F.h_family 2, F.s_family 2); (F.h_family 2, F.h_family 5);
+       (F.g_family 2, F.h_family 4) ]
+    @ List.init 30 (fun _ -> (random (), random ())));
+  check "some node went lost" true (!lost > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Quiet horizons: the engine's cost follows the messages               *)
@@ -349,6 +436,8 @@ let () =
         [
           Alcotest.test_case "lost nodes stay scheduled" `Quick
             test_foreign_execution_is_well_defined;
+          Alcotest.test_case "final class = per-round replay" `Quick
+            test_final_class_matches_reference;
         ] );
       ( "quiet",
         [

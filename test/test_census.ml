@@ -392,7 +392,7 @@ let test_pure_rejects_empty_prefix () =
   let plan = Can.plan_of_run (Cl.classify (F.two_cells ())) in
   Alcotest.check_raises "empty prefix"
     (Invalid_argument "Canonical.pure_drip: empty history prefix") (fun () ->
-      ignore (Can.pure_drip plan [||]))
+      ignore (Can.pure_drip plan (Radio_drip.History.of_array [||])))
 
 let () =
   Alcotest.run "census"

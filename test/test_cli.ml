@@ -788,11 +788,17 @@ let test_mc_usage_and_budget () =
   let code, _ = anorad "mc" in
   check_int "missing CONFIG exits 2" 2 code;
   with_family "h" 2 (fun path ->
-      let code, out =
-        anorad ("mc " ^ Filename.quote path ^ " --protocol no-such-machine")
+      let code, err =
+        anorad_stderr
+          ("mc " ^ Filename.quote path ^ " --protocol no-such-machine")
       in
       check_int "unknown protocol exits 2" 2 code;
-      ignore out;
+      Alcotest.(check string)
+        "unknown protocol message"
+        "anorad mc: unknown protocol \"no-such-machine\" (known: drip, \
+         pure-drip, beacon, silent, min-beacon, wave, mutant-greedy-decision, \
+         mutant-early-stop)\n"
+        err;
       let code, out = anorad ("mc " ^ Filename.quote path ^ " --depth 1") in
       check_int "depth budget exits 2" 2 code;
       check "budget named" true (contains out "budget exhausted"))

@@ -24,33 +24,125 @@ let test_entry_equal () =
   check "mixed" false (H.equal_entry H.Silence H.Collision)
 
 let test_history_equal () =
-  let h1 = [| H.Silence; H.Message "1"; H.Collision |] in
-  let h2 = [| H.Silence; H.Message "1"; H.Collision |] in
-  let h3 = [| H.Silence; H.Message "1" |] in
+  let h1 = H.of_array [| H.Silence; H.Message "1"; H.Collision |] in
+  let h2 = H.of_array [| H.Silence; H.Message "1"; H.Collision |] in
+  let h3 = H.of_array [| H.Silence; H.Message "1" |] in
   check "equal" true (H.equal h1 h2);
   check "prefix not equal" false (H.equal h1 h3);
-  check "empty equal" true (H.equal [||] [||])
+  check "empty equal" true (H.equal (H.of_array [||]) (H.of_array [||]))
 
 let test_history_to_string () =
   Alcotest.(check string)
     "render" "∅.(1).*"
-    (H.to_string [| H.Silence; H.Message "1"; H.Collision |])
+    (H.to_string (H.of_array [| H.Silence; H.Message "1"; H.Collision |]))
 
-let test_vec () =
-  let v = H.Vec.create () in
-  check_int "empty" 0 (H.Vec.length v);
-  for i = 1 to 40 do
-    H.Vec.push v (H.Message (string_of_int i))
-  done;
-  check_int "length" 40 (H.Vec.length v);
-  check "get" true (H.equal_entry (H.Message "7") (H.Vec.get v 6));
-  let snap = H.Vec.snapshot v in
-  check_int "snapshot length" 40 (Array.length snap);
-  H.Vec.push v H.Silence;
-  check_int "snapshot unaffected" 40 (Array.length snap);
-  Alcotest.check_raises "out of bounds"
-    (Invalid_argument "History.Vec.get: index out of bounds") (fun () ->
-      ignore (H.Vec.get v 100))
+(* The dense reading every history operation must agree with: one entry
+   per index, rendered and hashed entry by entry. *)
+let dense_to_string a =
+  String.concat "."
+    (Array.to_list (Array.map (Format.asprintf "%a" H.pp_entry) a))
+
+let dense_hash a =
+  let acc = ref (Array.length a) in
+  Array.iteri
+    (fun i e ->
+      match e with
+      | H.Silence -> ()
+      | H.Collision -> acc := (!acc * 31) + (2 * i) + 1
+      | H.Message m -> acc := (!acc * 31) + (2 * i) + (65599 * Hashtbl.hash m))
+    a;
+  Hashtbl.hash !acc
+
+let dense_equal a b =
+  Array.length a = Array.length b && Array.for_all2 H.equal_entry a b
+
+(* Mostly silence, like the engine's histories; two messages and
+   collisions for the rest.  Pairs are often equal or one entry apart. *)
+let arbitrary_pair =
+  let open QCheck.Gen in
+  let entry =
+    frequency
+      [
+        (6, return H.Silence);
+        (1, return H.Collision);
+        (1, map (fun m -> H.Message m) (oneofl [ "1"; "x" ]));
+      ]
+  in
+  let pair =
+    array_size (int_range 0 40) entry >>= fun a ->
+    let tweak =
+      if Array.length a = 0 then return (Array.copy a)
+      else
+        map2
+          (fun i e ->
+            let b = Array.copy a in
+            b.(i) <- e;
+            b)
+          (int_range 0 (Array.length a - 1))
+          entry
+    in
+    let fresh = array_size (int_range 0 40) entry in
+    map (fun b -> (a, b)) (oneof [ return (Array.copy a); tweak; fresh ])
+  in
+  QCheck.make
+    ~print:(fun (a, b) -> dense_to_string a ^ " / " ^ dense_to_string b)
+    pair
+
+let test_builder_matches_dense =
+  QCheck.Test.make ~name:"builder = dense" ~count:500 arbitrary_pair
+    (fun (a, b) ->
+      let h = H.of_array a and hb = H.of_array b in
+      let n = Array.length a in
+      (* The builder fed only the events, built at two lengths. *)
+      let bld = H.Builder.create () in
+      let short = ref None in
+      Array.iteri
+        (fun i e ->
+          if i = n / 2 then short := Some (H.Builder.build bld ~length:i);
+          if not (H.equal_entry e H.Silence) then H.Builder.add bld i e)
+        a;
+      let built = H.Builder.build bld ~length:n in
+      H.length h = n
+      && List.for_all
+           (fun i -> H.equal_entry (H.get h i) a.(i))
+           (List.init n Fun.id)
+      && H.equal built h
+      && (match !short with
+         | Some p -> H.equal p (H.sub h 0 (n / 2))
+         | None -> n = 0)
+      && dense_equal (H.to_array h) a
+      && H.equal h hb = dense_equal a b
+      && String.equal (H.to_string h) (dense_to_string a)
+      && H.hash h = dense_hash a
+      && (not (dense_equal a b) || H.hash h = H.hash hb)
+      && dense_equal
+           (H.to_array (H.sub h (n / 3) (n - (n / 3))))
+           (Array.sub a (n / 3) (n - (n / 3)))
+      && H.fold (fun k i e -> k + if H.equal_entry a.(i) e then 1 else 0) 0 h
+         = Array.fold_left
+             (fun k e -> if H.equal_entry e H.Silence then k else k + 1)
+             0 a)
+
+(* Every operation is total: outside a history there is silence, and the
+   builder ignores what would break index order. *)
+let test_history_bounds () =
+  let h = H.of_array [| H.Message "0"; H.Message "1" |] in
+  let same name a h = check name true (H.equal (H.of_array a) h) in
+  check "get past the end" true (H.equal_entry (H.get h 2) H.Silence);
+  check "get before the start" true (H.equal_entry (H.get h (-1)) H.Silence);
+  same "sub clipped" [| H.Message "1" |] (H.sub h 1 2);
+  same "sub before the start" [| H.Message "0" |] (H.sub h (-1) 2);
+  same "sub outside" [||] (H.sub h 5 2);
+  let b = H.Builder.create () in
+  H.Builder.add b (-1) H.Collision;
+  H.Builder.add b 3 H.Collision;
+  H.Builder.add b 3 (H.Message "again");
+  H.Builder.add b 1 (H.Message "late");
+  same "ascending only" [| H.Silence; H.Silence; H.Silence; H.Collision |]
+    (H.Builder.build b ~length:4);
+  same "events past the length dropped" [| H.Silence; H.Silence |]
+    (H.Builder.build b ~length:2);
+  same "negative length" [||] (H.Builder.build b ~length:(-3))
 
 (* ------------------------------------------------------------------ *)
 (* Protocol adapters                                                   *)
@@ -88,7 +180,7 @@ let test_of_pure_matches_stateful () =
   (* A pure DRIP equivalent to [beacon ~delay:2]: transmit in local round 3. *)
   let pure =
     P.of_pure ~name:"pure-beacon" (fun h ->
-        match Array.length h with
+        match H.length h with
         | 3 -> P.Transmit "1"
         | k when k > 3 -> P.Terminate
         | _ -> P.Listen)
@@ -103,8 +195,8 @@ let test_pure_sees_prefix () =
   let lengths = ref [] in
   let proto =
     P.of_pure ~name:"len-probe" (fun h ->
-        lengths := Array.length h :: !lengths;
-        if Array.length h >= 3 then P.Terminate else P.Listen)
+        lengths := H.length h :: !lengths;
+        if H.length h >= 3 then P.Terminate else P.Listen)
   in
   ignore (drive proto ~wakeup:H.Silence ~script:[ H.Silence; H.Silence; H.Silence ]);
   check "prefix lengths 1,2,3" true (List.rev !lengths = [ 1; 2; 3 ])
@@ -126,20 +218,21 @@ let test_stateful_requires_wakeup () =
 (* ------------------------------------------------------------------ *)
 
 let test_start_round () =
+  let start ~sigma a = Patient.start_round ~sigma (H.of_array a) in
   let sigma = 3 in
   (* forced wake-up: s = 0 *)
   check_int "forced" 0
-    (Patient.start_round ~sigma [| H.Message "m"; H.Silence |]);
+    (start ~sigma [| H.Message "m"; H.Silence |]);
   (* message at round 2 <= sigma: s = 2 *)
   check_int "early message" 2
-    (Patient.start_round ~sigma
+    (start ~sigma
        [| H.Silence; H.Silence; H.Message "m"; H.Silence |]);
   (* no message within sigma: s = sigma *)
   check_int "quiet start" 3
-    (Patient.start_round ~sigma
+    (start ~sigma
        [| H.Silence; H.Silence; H.Silence; H.Silence; H.Message "late" |]);
   (* sigma = 0: start immediately *)
-  check_int "sigma zero" 0 (Patient.start_round ~sigma:0 [| H.Silence |])
+  check_int "sigma zero" 0 (start ~sigma:0 [| H.Silence |])
 
 let test_patient_listens_first () =
   let sigma = 4 in
@@ -202,7 +295,9 @@ let test_patient_preserves_election_outcome () =
         | _, _ -> P.Terminate)
       ~observe:(fun (wake, rounds) _ -> (wake, rounds + 1))
   in
-  let inner_decision h = Array.length h > 0 && not (H.equal_entry h.(0) (H.Message "me")) in
+  let inner_decision h =
+    H.length h > 0 && not (H.equal_entry (H.get h 0) (H.Message "me"))
+  in
   let config = F.two_cells () in
   let sigma = C.span config in
   let wrapped =
@@ -217,11 +312,11 @@ let test_patient_preserves_election_outcome () =
 
 let test_patient_decision_suffix () =
   let sigma = 2 in
-  let f h = Array.length h = 2 && H.equal_entry h.(1) (H.Message "x") in
+  let f h = H.length h = 2 && H.equal_entry (H.get h 1) (H.Message "x") in
   (* Outer history: quiet rounds then the suffix the inner f expects. *)
-  let outer = [| H.Silence; H.Silence; H.Silence; H.Message "x" |] in
+  let outer = H.of_array [| H.Silence; H.Silence; H.Silence; H.Message "x" |] in
   check "suffix applied" true (Patient.decision ~sigma f outer);
-  let outer_forced = [| H.Message "w"; H.Message "x" |] in
+  let outer_forced = H.of_array [| H.Message "w"; H.Message "x" |] in
   check "forced wakeup suffix" true (Patient.decision ~sigma f outer_forced)
 
 let test_patient_rejects_negative_sigma () =
@@ -237,7 +332,8 @@ let () =
           Alcotest.test_case "entry equality" `Quick test_entry_equal;
           Alcotest.test_case "history equality" `Quick test_history_equal;
           Alcotest.test_case "to_string" `Quick test_history_to_string;
-          Alcotest.test_case "vec" `Quick test_vec;
+          QCheck_alcotest.to_alcotest test_builder_matches_dense;
+          Alcotest.test_case "bounds" `Quick test_history_bounds;
         ] );
       ( "protocol",
         [

@@ -261,7 +261,8 @@ let test_crash_semantics () =
   let fo = frun [ FP.Crash { node = 1; round = 3 } ] proto in
   check_int "crashed_at" 3 fo.Engine.crashed_at.(1);
   check_int "never terminates" (-1) fo.Engine.base.Engine.done_local.(1);
-  check_int "history frozen" 2 (Array.length fo.Engine.base.Engine.histories.(1));
+  check_int "history frozen" 2
+    (Radio_drip.History.length fo.Engine.base.Engine.histories.(1));
   check "others unaffected" true fo.Engine.base.Engine.all_terminated;
   check "crash fires unobserved" true
     (fo.Engine.ledger
@@ -284,7 +285,7 @@ let test_drop_semantics () =
   let fo = frun ~config plan (P.beacon ()) in
   check "drop suppresses forced wake" false fo.Engine.base.Engine.forced.(1);
   check "wakes into silence" true
-    (fo.Engine.base.Engine.histories.(1).(0) = H.Silence);
+    (H.equal_entry (H.get fo.Engine.base.Engine.histories.(1) 0) H.Silence);
   check "drop fires at the receiver" true
     (match fo.Engine.ledger with
     | [ { Engine.round = 1; fault = FP.Drop _; observed_by = [ 1 ] } ] -> true
@@ -294,7 +295,7 @@ let test_noise_semantics () =
   (* A listening node hears Collision whatever its neighbours did. *)
   let fo = frun [ FP.Noise { node = 0; round = 2 } ] (P.silent ~lifetime:5 ()) in
   check "listener hears collision" true
-    (fo.Engine.base.Engine.histories.(0).(2) = H.Collision);
+    (H.equal_entry (H.get fo.Engine.base.Engine.histories.(0) 2) H.Collision);
   check "noise fires at the listener" true
     (match fo.Engine.ledger with
     | [ { Engine.round = 2; fault = FP.Noise _; observed_by = [ 0 ] } ] -> true
@@ -307,7 +308,7 @@ let test_noise_suppresses_forced_wake () =
   let fo = frun ~config [ FP.Noise { node = 1; round = 1 } ] (P.beacon ()) in
   check "no forced wake under noise" false fo.Engine.base.Engine.forced.(1);
   check "wakes into silence" true
-    (fo.Engine.base.Engine.histories.(1).(0) = H.Silence)
+    (H.equal_entry (H.get fo.Engine.base.Engine.histories.(1) 0) H.Silence)
 
 let test_jitter_semantics () =
   let config = F.two_cells () in
@@ -370,7 +371,8 @@ let test_leave_semantics () =
   check_int "departed_at" 3 fo.Engine.departed_at.(1);
   check_int "never crashed" (-1) fo.Engine.crashed_at.(1);
   check_int "never terminates" (-1) fo.Engine.base.Engine.done_local.(1);
-  check_int "history frozen" 2 (Array.length fo.Engine.base.Engine.histories.(1));
+  check_int "history frozen" 2
+    (Radio_drip.History.length fo.Engine.base.Engine.histories.(1));
   check "others unaffected" true fo.Engine.base.Engine.all_terminated;
   check "leave observed by the departing node" true
     (match fo.Engine.ledger with
@@ -432,7 +434,7 @@ let test_link_down_suppresses_forced_wake () =
   in
   check "no forced wake" false fo.Engine.base.Engine.forced.(1);
   check "wakes into silence" true
-    (fo.Engine.base.Engine.histories.(1).(0) = H.Silence);
+    (H.equal_entry (H.get fo.Engine.base.Engine.histories.(1) 0) H.Silence);
   check "link-down fires unobserved" true
     (match fo.Engine.ledger with
     | { Engine.round = 1; fault = FP.Link_down _; observed_by = [] } :: _ -> true

@@ -75,7 +75,8 @@ let test_refute_naive_candidates () =
   let shout_and_decide =
     {
       Runner.protocol = P.beacon ();
-      decision = (fun h -> Array.length h > 0 && H.equal_entry h.(0) H.Silence);
+      decision =
+        (fun h -> H.length h > 0 && H.equal_entry (H.get h 0) H.Silence);
     }
   in
   ignore (assert_refuted shout_and_decide);

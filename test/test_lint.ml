@@ -1902,7 +1902,9 @@ let corrupted_outcome_tests =
       (fun () ->
         let o = run (P.beacon ()) in
         (* Node 1 is woken by node 0's lone beacon; forge a collision. *)
-        o.Engine.histories.(1).(1) <- H.Collision;
+        let h = H.to_array o.Engine.histories.(1) in
+        h.(1) <- H.Collision;
+        o.Engine.histories.(1) <- H.of_array h;
         let vs = Invariants.validate o in
         Alcotest.(check bool) "collision semantics" true
           (has_check "collision-semantics" vs));
@@ -2012,9 +2014,10 @@ let faulty_corrupted_tests =
         (* beacon-1 on cycle4: node 1 wakes at its tag 1 and listens in
            round 2, when node 0 transmits alone; the drop silences it. *)
         let fo = frun [ drop_0_to_1 ] (P.beacon ~delay:1 ()) in
-        let h = fo.Engine.base.Engine.histories.(1) in
+        let h = H.to_array fo.Engine.base.Engine.histories.(1) in
         Alcotest.(check bool) "dropped" true (H.equal_entry h.(1) H.Silence);
         h.(1) <- H.Message "1";
+        fo.Engine.base.Engine.histories.(1) <- H.of_array h;
         let vs = Invariants.validate_faulty fo in
         Alcotest.(check bool) "collision-semantics" true
           (has_check "collision-semantics" vs));
@@ -2023,9 +2026,10 @@ let faulty_corrupted_tests =
         let fo =
           frun [ FP.Noise { node = 1; round = 2 } ] (P.beacon ~delay:1 ())
         in
-        let h = fo.Engine.base.Engine.histories.(1) in
+        let h = H.to_array fo.Engine.base.Engine.histories.(1) in
         Alcotest.(check bool) "noisy" true (H.equal_entry h.(1) H.Collision);
         h.(1) <- H.Message "1";
+        fo.Engine.base.Engine.histories.(1) <- H.of_array h;
         let vs = Invariants.validate_faulty fo in
         Alcotest.(check bool) "collision-semantics" true
           (has_check "collision-semantics" vs));

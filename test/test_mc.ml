@@ -28,29 +28,30 @@ let state_tests =
   [
     Alcotest.test_case "interner is a hash-cons" `Quick (fun () ->
         let i = State.Intern.create () in
-        let k1 = State.Intern.get i 0 State.E_silence in
-        let k2 = State.Intern.get i 0 State.E_silence in
-        let k3 = State.Intern.get i k1 (State.E_message "1") in
-        let k4 = State.Intern.get i k1 (State.E_message "1") in
-        let k5 = State.Intern.get i k1 (State.E_message "2") in
+        let k1 = State.Intern.get i 0 Radio_drip.History.Silence in
+        let k2 = State.Intern.get i 0 Radio_drip.History.Silence in
+        let k3 = State.Intern.get i k1 (Radio_drip.History.Message "1") in
+        let k4 = State.Intern.get i k1 (Radio_drip.History.Message "1") in
+        let k5 = State.Intern.get i k1 (Radio_drip.History.Message "2") in
         check_int "same pair same key" k1 k2;
         check_int "same message same key" k3 k4;
         check "distinct message distinct key" true (k4 <> k5);
         check_int "three keys interned" 3 (State.Intern.size i));
     Alcotest.test_case "history materialization" `Quick (fun () ->
         let i = State.Intern.create () in
-        let k1 = State.Intern.get i 0 (State.E_message "m") in
-        let k2 = State.Intern.get i k1 State.E_collision in
-        let k3 = State.Intern.get i k2 State.E_silence in
+        let k1 = State.Intern.get i 0 (Radio_drip.History.Message "m") in
+        let k2 = State.Intern.get i k1 Radio_drip.History.Collision in
+        let k3 = State.Intern.get i k2 Radio_drip.History.Silence in
         let h = State.Intern.history i k3 in
         check_int "depth" 3 (State.Intern.depth i k3);
         check "entries" true
           (Radio_drip.History.equal h
+             (Radio_drip.History.of_array
              [|
                Radio_drip.History.Message "m";
                Radio_drip.History.Collision;
                Radio_drip.History.Silence;
-             |]));
+             |])));
     Alcotest.test_case "canonicalize picks the orbit minimum" `Quick
       (fun () ->
         let config = uniform_cycle 4 in

@@ -61,7 +61,8 @@ let test_adversary_tiny_universe () =
   let self_electing =
     {
       Runner.protocol = P.beacon ();
-      decision = (fun h -> Array.length h > 0 && H.equal_entry h.(0) H.Silence);
+      decision =
+        (fun h -> H.length h > 0 && H.equal_entry (H.get h 0) H.Silence);
     }
   in
   check "survives n=1 universe" true
@@ -107,7 +108,7 @@ let test_adversary_pinned () =
         {
           Runner.protocol = P.beacon ();
           decision =
-            (fun h -> Array.length h > 0 && H.equal_entry h.(0) H.Silence);
+            (fun h -> H.length h > 0 && H.equal_entry (H.get h 0) H.Silence);
         },
         star,
         280 );
@@ -178,7 +179,7 @@ let test_everyone_transmits_forever_times_out () =
   (* Transmitters hear nothing: everybody's history is pure silence. *)
   check "all silence" true
     (Array.for_all
-       (fun h -> Array.for_all (fun e -> H.equal_entry e H.Silence) h)
+       (fun h -> H.fold (fun _ _ _ -> false) true h)
        o.Engine.histories);
   check_int "energy 19 each" 19 o.Engine.transmissions_by_node.(0)
 
@@ -206,7 +207,7 @@ let test_message_content_preserved () =
   let proto = P.beacon ~message:"hello world" () in
   let o = Engine.run ~max_rounds:50 proto config in
   check "payload intact" true
-    (H.equal_entry o.Engine.histories.(1).(0) (H.Message "hello world"))
+    (H.equal_entry (H.get o.Engine.histories.(1) 0) (H.Message "hello world"))
 
 let test_terminate_never_reconsults () =
   (* Once decide returns Terminate the instance must not be polled again;
