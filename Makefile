@@ -18,15 +18,14 @@ test:
 	$(DUNE) runtest
 
 # The source-lint gate on its own (`test` already runs it through
-# `dune runtest`): every rule and analysis, failing on any finding not
-# grandfathered in .radiolint-baseline (docs/LINTING.md).
+# `dune runtest`): every rule and analysis, failing on any finding
+# (docs/LINTING.md).
 lint:
-	$(DUNE) exec bin/anorad.exe -- lint --baseline .radiolint-baseline lib bin
+	$(DUNE) exec bin/anorad.exe -- lint lib bin
 
 # SARIF 2.1.0 report for CI annotation viewers.
 lint-sarif:
-	$(DUNE) exec bin/anorad.exe -- lint --baseline .radiolint-baseline \
-	  --sarif radiolint.sarif lib bin
+	$(DUNE) exec bin/anorad.exe -- lint --sarif radiolint.sarif lib bin
 
 fmt:
 	@if command -v ocamlformat >/dev/null 2>&1; then \

@@ -1,27 +1,6 @@
 (* anorad - command-line frontend for the anonymous-radio-network leader
-   election library (Miller-Pelc-Yadav, SPAA 2020).
-
-   Subcommands:
-     classify   - decide feasibility of a configuration file
-     elect      - compile the dedicated algorithm and simulate the election
-     trace      - space-time diagram + per-round event log
-     family     - print one of the paper's configuration families (G/H/S)
-     refute     - run the Prop 4.4 adversary against a dedicated algorithm
-     compile    - write the dedicated algorithm to a plan artifact
-     run-plan   - execute a compiled plan on a configuration
-     explain    - separation story / residual symmetry groups (+ --dot)
-     repair     - minimal tag change making a configuration feasible
-     audit      - run the full lemma battery on a configuration
-     fragility  - which single tag slips break feasibility
-     census     - exhaustively verify the small-configuration universe
-     catalog    - named example configurations
-     optimal    - exhaustive minimal symmetry-breaking-round search
-     lint       - source-level determinism lint (radiolint rules)
-     mc         - bounded model checking with symmetry reduction
-     check-trace - run the canonical DRIP and verify every model invariant
-     faults     - execute an election under a deterministic fault plan
-     resilience - sweep crash intensity and emit the degradation curve
-     churn      - supervise re-election across link/node flaps (epochs) *)
+   election library (Miller-Pelc-Yadav, SPAA 2020); `anorad --help` lists
+   the subcommands. *)
 
 module C = Radio_config.Config
 module CIo = Radio_config.Config_io
@@ -48,16 +27,28 @@ let config_arg =
   in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"CONFIG" ~doc)
 
-(* The one loader for user-supplied files: a missing or malformed CONFIG,
-   fault plan or compiled plan is a message on stderr, [anorad <cmd>:
-   invalid <what>: <reason>], and exit code 2, never an uncaught
-   exception. *)
+(* The one error path for bad input: a missing or malformed CONFIG,
+   fault plan or compiled plan, or an out-of-range option, is a message
+   on stderr, [anorad <cmd>: invalid <what>: <reason>], and exit code 2,
+   never an uncaught exception.  Each loader handles the exceptions of
+   the one call that reads its input. *)
 let invalid ~cmd what msg =
   Format.eprintf "anorad %s: invalid %s: %s@." cmd what msg;
   exit 2
 
-let load ~cmd what read =
-  try read () with Failure msg | Sys_error msg -> invalid ~cmd what msg
+(* Refuses a numeric option outside [lo .. hi] before any work is done. *)
+let in_range ~cmd ?(hi = max_int) lo name v =
+  if v < lo || v > hi then
+    invalid ~cmd "argument"
+      (if hi = max_int then Printf.sprintf "--%s must be >= %d, got %d" name lo v
+       else Printf.sprintf "--%s must be in %d..%d, got %d" name lo hi v)
+
+(* The universal-mode search (mc --explore, optimal) has a size limit. *)
+let check_explorable ~cmd config =
+  if C.size config > Radio_mc.Checker.max_explore_nodes then
+    invalid ~cmd "configuration"
+      (Printf.sprintf "Checker.explore: crash mask supports n <= %d"
+         Radio_mc.Checker.max_explore_nodes)
 
 (* The one writer for user-named output files: [text] goes to stdout for
    '-', and an unwritable path is [anorad <cmd>: cannot write <what>:
@@ -71,29 +62,35 @@ let write ~cmd what path text =
       exit 2
 
 let load_config ~cmd path =
-  let config =
-    load ~cmd "configuration" (fun () ->
-        if path = "-" then CIo.of_string (In_channel.input_all In_channel.stdin)
-        else CIo.read_file path)
-  in
-  if C.size config = 0 then invalid ~cmd "configuration" "empty configuration";
-  config
+  match
+    if path = "-" then CIo.of_string (In_channel.input_all In_channel.stdin)
+    else CIo.read_file path
+  with
+  | exception (Failure msg | Sys_error msg) -> invalid ~cmd "configuration" msg
+  | config when C.size config = 0 ->
+      invalid ~cmd "configuration" "empty configuration"
+  | config -> config
 
 (* Parse, then validate against the configuration: an out-of-range node is
    an invalid plan too. *)
 let load_plan ~cmd config path =
-  let plan = load ~cmd "plan" (fun () -> FP.read_file path) in
-  match FP.validate config plan with
-  | Ok () -> plan
-  | Error msg -> invalid ~cmd "plan" msg
+  match FP.read_file path with
+  | exception (Failure msg | Sys_error msg) -> invalid ~cmd "plan" msg
+  | plan -> (
+      match FP.validate config plan with
+      | Ok () -> plan
+      | Error msg -> invalid ~cmd "plan" msg)
 
 let verbose_arg =
   let doc = "Print the full refinement trace." in
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
 
-let max_rounds_arg =
+(* Checked when the command line is read, before any work. *)
+let max_rounds_arg cmd =
   let doc = "Abort the simulation after this many global rounds." in
-  Arg.(value & opt int 10_000_000 & info [ "max-rounds" ] ~docv:"N" ~doc)
+  Term.(
+    const (fun n -> in_range ~cmd 0 "max-rounds" n; n)
+    $ Arg.(value & opt int 10_000_000 & info [ "max-rounds" ] ~docv:"N" ~doc))
 
 let jobs_arg =
   let doc =
@@ -123,21 +120,20 @@ let classify_cmd =
          assume connectivity@.";
     let a = Fe.analyze config in
     if verbose then Format.printf "%a@.@." Cl.pp_run a.Fe.run;
-    if a.Fe.feasible then begin
-      Format.printf "FEASIBLE@.";
-      Format.printf "canonical leader: node %d@." (Option.get a.Fe.leader);
-      Format.printf "iterations: %d@." (Cl.num_iterations a.Fe.run);
-      Format.printf "dedicated election terminates in local round %d@."
-        a.Fe.election_local_rounds;
-      0
-    end
-    else begin
-      Format.printf "INFEASIBLE@.";
-      Format.printf
-        "no deterministic distributed algorithm can elect a leader on this \
-         configuration@.";
-      1
-    end
+    match a.Fe.leader with
+    | Some leader ->
+        Format.printf "FEASIBLE@.";
+        Format.printf "canonical leader: node %d@." leader;
+        Format.printf "iterations: %d@." (Cl.num_iterations a.Fe.run);
+        Format.printf "dedicated election terminates in local round %d@."
+          a.Fe.election_local_rounds;
+        0
+    | None ->
+        Format.printf "INFEASIBLE@.";
+        Format.printf
+          "no deterministic distributed algorithm can elect a leader on this \
+           configuration@.";
+        1
   in
   let doc = "decide whether a configuration admits deterministic leader election" in
   Cmd.v
@@ -158,12 +154,12 @@ let elect_cmd =
     end
     else begin
       match Fe.verify_by_simulation ~max_rounds a with
-      | Some r when Runner.elects_unique_leader r ->
-          Format.printf "leader: node %d@." (Option.get r.Runner.leader);
-          Format.printf "elected in %d global rounds@."
-            (Option.get r.Runner.rounds_to_elect);
-          Format.printf "%a@." Radio_sim.Metrics.pp
-            r.Runner.outcome.Engine.metrics;
+      | Some
+          { Runner.leader = Some v; rounds_to_elect = Some rounds; outcome; _ }
+        ->
+          Format.printf "leader: node %d@." v;
+          Format.printf "elected in %d global rounds@." rounds;
+          Format.printf "%a@." Radio_sim.Metrics.pp outcome.Engine.metrics;
           0
       | Some _ | None ->
           Format.printf "simulation did not elect within %d rounds@." max_rounds;
@@ -173,7 +169,7 @@ let elect_cmd =
   let doc = "compile the dedicated algorithm and simulate the election" in
   Cmd.v
     (Cmd.info "elect" ~doc)
-    Term.(const run $ config_arg $ max_rounds_arg)
+    Term.(const run $ config_arg $ max_rounds_arg "elect")
 
 (* ------------------------------------------------------------------ *)
 (* trace                                                               *)
@@ -195,12 +191,14 @@ let trace_cmd =
       (fun v h ->
         Format.printf "node %d history: %a@." v Radio_drip.History.pp h)
       o.Engine.histories;
+    (* a run cut off by --max-rounds decides nothing *)
     if a.Fe.feasible then
       Format.printf "leader (by decision function): %s@."
         (match
            List.filter
              (fun v -> Can.decision a.Fe.plan o.Engine.histories.(v))
-             (List.init (C.size config) Fun.id)
+             (if o.Engine.all_terminated then List.init (C.size config) Fun.id
+              else [])
          with
         | [ v ] -> Printf.sprintf "node %d" v
         | _ -> "none")
@@ -208,7 +206,8 @@ let trace_cmd =
     0
   in
   let doc = "simulate the canonical DRIP with a full per-round event log" in
-  Cmd.v (Cmd.info "trace" ~doc) Term.(const run $ config_arg $ max_rounds_arg)
+  Cmd.v (Cmd.info "trace" ~doc)
+    Term.(const run $ config_arg $ max_rounds_arg "trace")
 
 (* ------------------------------------------------------------------ *)
 (* family                                                              *)
@@ -227,13 +226,12 @@ let family_cmd =
     Arg.(required & pos 1 (some int) None & info [] ~docv:"M" ~doc)
   in
   let run family m =
-    let make =
+    match
       match family with
-      | `G -> F.g_family
-      | `H -> F.h_family
-      | `S -> F.s_family
-    in
-    match make m with
+      | `G -> F.g_family m
+      | `H -> F.h_family m
+      | `S -> F.s_family m
+    with
     | config ->
         print_string (CIo.to_string config);
         0
@@ -313,18 +311,19 @@ let run_plan_cmd =
   in
   let run plan_path config_path max_rounds =
     let plan =
-      load ~cmd:"run-plan" "plan" (fun () ->
-          Election.Plan_io.read_file plan_path)
+      match Election.Plan_io.read_file plan_path with
+      | exception (Failure msg | Sys_error msg) ->
+          invalid ~cmd:"run-plan" "plan" msg
+      | plan -> plan
     in
     let config = load_config ~cmd:"run-plan" config_path in
     let r =
       Radio_sim.Runner.run ~max_rounds (Can.election plan) config
     in
-    (match r.Runner.leader with
-    | Some v ->
-        Format.printf "leader: node %d (in %d global rounds)@." v
-          (Option.get r.Runner.rounds_to_elect)
-    | None ->
+    (match (r.Runner.leader, r.Runner.rounds_to_elect) with
+    | Some v, Some rounds ->
+        Format.printf "leader: node %d (in %d global rounds)@." v rounds
+    | _ ->
         Format.printf
           "no unique leader (plan executed on a foreign or infeasible \
            configuration?)@.");
@@ -333,7 +332,7 @@ let run_plan_cmd =
   let doc = "execute a compiled plan on a configuration (possibly a foreign one)" in
   Cmd.v
     (Cmd.info "run-plan" ~doc)
-    Term.(const run $ plan_arg $ config_pos1 $ max_rounds_arg)
+    Term.(const run $ plan_arg $ config_pos1 $ max_rounds_arg "run-plan")
 
 (* ------------------------------------------------------------------ *)
 (* explain / repair                                                    *)
@@ -421,12 +420,11 @@ let catalog_cmd =
 let optimal_cmd =
   let run path jobs =
     let config = load_config ~cmd:"optimal" path in
+    check_explorable ~cmd:"optimal" config;
     (match
        with_jobs_pool jobs (fun pool ->
            Radio_mc.Optimal.breaking_time ~pool config)
      with
-    | exception Invalid_argument msg ->
-        invalid ~cmd:"optimal" "configuration" msg
     | Radio_mc.Optimal.Broken_at r ->
         Format.printf
           "optimal symmetry-breaking round (over all algorithms): %d@." r
@@ -474,7 +472,8 @@ let audit_cmd =
     "run the full lemma battery (Lemmas 3.4-3.11 and library invariants) on \
      a configuration"
   in
-  Cmd.v (Cmd.info "audit" ~doc) Term.(const run $ config_arg $ max_rounds_arg)
+  Cmd.v (Cmd.info "audit" ~doc)
+    Term.(const run $ config_arg $ max_rounds_arg "audit")
 
 let repair_cmd =
   let max_changes_arg =
@@ -486,6 +485,7 @@ let repair_cmd =
     Arg.(value & opt (some int) None & info [ "max-tag" ] ~docv:"T" ~doc)
   in
   let run path max_changes max_tag =
+    in_range ~cmd:"repair" 1 "max-changes" max_changes;
     let config = load_config ~cmd:"repair" path in
     match Election.Repair.repair ?max_tag ~max_changes config with
     | Some plan ->
@@ -518,76 +518,36 @@ let lint_cmd =
     let doc = "Write a SARIF 2.1.0 report to $(docv) ('-' for stdout)." in
     Arg.(value & opt (some string) None & info [ "sarif" ] ~docv:"FILE" ~doc)
   in
-  let baseline_arg =
-    let doc =
-      "Ignore findings whose fingerprint is listed in $(docv) (one per \
-       line; '#' comments), so new findings gate CI without grandfathered \
-       noise."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "baseline" ] ~docv:"FILE" ~doc)
+  (* The one exit for every file error — a scanned path or the SARIF
+     report: each Sys_error reads "path: reason". *)
+  let file_error msg =
+    Format.eprintf "anorad lint: %s@." msg;
+    exit 2
   in
-  let write_baseline_arg =
-    let doc =
-      "Write the fingerprint of every current finding to $(docv) and exit \
-       0.  The leading '#' lines of an existing $(docv) are kept; entries \
-       no finding matches any more are pruned."
-    in
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "write-baseline" ] ~docv:"FILE" ~doc)
-  in
-  let plural n = if n = 1 then "" else "s" in
-  let gate findings sarif baseline =
-    let findings, suppressed =
-      match baseline with
-      | None -> (findings, 0)
-      | Some file ->
-          let baseline = D.load_baseline file in
-          List.iter
-            (Format.eprintf
-               "anorad lint: warning: stale baseline entry (no matching \
-                finding): %s@.")
-            (D.stale_baseline ~baseline findings);
-          D.apply_baseline ~baseline findings
+  let run paths sarif =
+    let findings =
+      match D.scan paths with
+      | exception Sys_error msg -> file_error msg
+      | findings -> findings
     in
     (match sarif with
     | Some "-" -> print_string (D.to_sarif findings)
-    | Some file ->
-        Out_channel.with_open_text file (fun oc ->
-            output_string oc (D.to_sarif findings));
-        List.iter (Format.printf "%a@." D.pp_finding) findings
-    | None -> List.iter (Format.printf "%a@." D.pp_finding) findings);
-    if suppressed > 0 then
-      Format.eprintf "%d finding%s suppressed by baseline@." suppressed
-        (plural suppressed);
-    match findings with
-    | [] -> 0
-    | vs ->
-        Format.eprintf "%d violation%s@." (List.length vs)
-          (plural (List.length vs));
+    | _ ->
+        Option.iter
+          (fun file ->
+            match
+              Out_channel.with_open_text file (fun oc ->
+                  output_string oc (D.to_sarif findings))
+            with
+            | exception Sys_error msg -> file_error msg
+            | () -> ())
+          sarif;
+        List.iter (Format.printf "%a@." D.pp_finding) findings);
+    match List.length findings with
+    | 0 -> 0
+    | n ->
+        Format.eprintf "%d violation%s@." n (if n = 1 then "" else "s");
         1
-  in
-  let run paths sarif baseline write_baseline =
-    (* The one exit for every file error — a scanned path, the baseline,
-       the SARIF report or the --write-baseline target: each Sys_error
-       reads "path: reason". *)
-    try
-      let findings = D.scan paths in
-      match write_baseline with
-      | None -> gate findings sarif baseline
-      | Some file ->
-          let written, pruned = D.write_baseline file findings in
-          Format.eprintf "anorad lint: wrote %d fingerprint%s to %s@." written
-            (plural written) file;
-          if pruned > 0 then
-            Format.eprintf "anorad lint: pruned %d stale fingerprint%s@."
-              pruned (plural pruned);
-          0
-    with Sys_error msg ->
-      Format.eprintf "anorad lint: %s@." msg;
-      2
   in
   let doc =
     "lint sources for determinism hazards.  Every scan runs the AST rules \
@@ -598,12 +558,12 @@ let lint_cmd =
   in
   let exits =
     [
-      Cmd.Exit.info 0 ~doc:"no findings, or every finding baselined.";
+      Cmd.Exit.info 0 ~doc:"no findings.";
       Cmd.Exit.info 1 ~doc:"lint findings were reported.";
       Cmd.Exit.info 2
         ~doc:
-          "usage error or I/O error: a path, the baseline or an output file \
-           cannot be read or written.";
+          "usage error or I/O error: a path cannot be read or the SARIF \
+           report cannot be written.";
     ]
   in
   let man =
@@ -612,20 +572,20 @@ let lint_cmd =
       `S "SUPPRESSING FINDINGS";
       `P
         "Annotate the offending line (or a comment-only line directly \
-         above it) with (* radiolint: allow <rule> — reason *).  Taint \
-         findings anchor at the function definition, so the annotation \
-         belongs on the $(b,let); effect escapes anchor at the Pool submit \
-         call but take the annotation on the submitting function's \
-         $(b,let); a baselined fingerprint (rule:path:line, \
-         taint:path:Function:sink, or effect:path:Function:class) \
-         suppresses without touching the source.  No annotation can \
-         suppress a $(b,parse-error) finding: the parser never reads it.";
+         above it) with (* radiolint: allow <rule> — reason *); it is the \
+         one way to suppress a finding.  Taint findings anchor at the \
+         function definition, so the annotation belongs on the $(b,let); \
+         effect escapes anchor at the Pool submit call but take the \
+         annotation on the submitting function's $(b,let); partiality \
+         annotations go on a raising line, a definition (a barrier: it \
+         raises nothing to its callers) or a Pool submit line.  No \
+         annotation can suppress a $(b,parse-error) finding: the parser \
+         never reads it.";
     ]
   in
   Cmd.v
     (Cmd.info "lint" ~doc ~exits ~man)
-    Term.(
-      const run $ paths_arg $ sarif_arg $ baseline_arg $ write_baseline_arg)
+    Term.(const run $ paths_arg $ sarif_arg)
 
 (* ------------------------------------------------------------------ *)
 (* effects                                                             *)
@@ -646,16 +606,11 @@ let effects_cmd =
     Arg.(value & flag & info [ "summary" ] ~doc)
   in
   let run paths summary =
-    List.iter
-      (fun root ->
-        if not (Sys.file_exists root) then begin
-          Format.eprintf "anorad effects: no such file or directory: %s@."
-            root;
-          exit 2
-        end)
-      paths;
     let cg =
       match Radiolint_core.Driver.callgraph paths with
+      | exception Sys_error msg ->
+          Format.eprintf "anorad effects: %s@." msg;
+          exit 2
       | Ok cg -> cg
       | Error unparseable ->
           Format.eprintf "anorad effects: %a@." Radiolint_core.Driver.pp_finding
@@ -664,36 +619,35 @@ let effects_cmd =
     in
     let infos = E.classify cg in
     if summary then begin
-      (* Census rows keyed by top module, in first-appearance order
-         (classify sorts by path, so modules group by file). *)
-      let tbl = Hashtbl.create 16 in
-      let order = ref [] in
-      List.iter
-        (fun (i : E.info) ->
-          let m = CG.module_name_of_path i.E.def.CG.def_path in
-          let row =
-            match Hashtbl.find_opt tbl m with
-            | Some r -> r
-            | None ->
-                let r = Array.make 4 0 in
-                Hashtbl.add tbl m r;
-                order := m :: !order;
-                r
-          in
-          row.(E.rank i.E.cls) <- row.(E.rank i.E.cls) + 1)
-        infos;
+      (* One row of per-class counts per top module, in first-appearance
+         order (classify sorts by path, so modules group by file). *)
+      let rows =
+        List.fold_left
+          (fun rows (i : E.info) ->
+            let m = CG.module_name_of_path i.E.def.CG.def_path in
+            let rows, r =
+              match List.assoc_opt m rows with
+              | Some r -> (rows, r)
+              | None ->
+                  let r = Array.make 4 0 in
+                  ((m, r) :: rows, r)
+            in
+            r.(E.rank i.E.cls) <- r.(E.rank i.E.cls) + 1;
+            rows)
+          [] infos
+        |> List.rev
+      in
       let width =
-        List.fold_left (fun w m -> max w (String.length m)) 6 !order
+        List.fold_left (fun w (m, _) -> max w (String.length m)) 6 rows
       in
       Format.printf "%-*s %6s %9s %10s %6s %6s@." width "module" "Pure"
         "LocalMut" "SharedMut" "IO" "total";
       List.iter
-        (fun m ->
-          let r = Hashtbl.find tbl m in
+        (fun (m, r) ->
           Format.printf "%-*s %6d %9d %10d %6d %6d@." width m r.(0) r.(1)
             r.(2) r.(3)
             (r.(0) + r.(1) + r.(2) + r.(3)))
-        (List.rev !order);
+        rows;
       let count c =
         List.length (List.filter (fun (i : E.info) -> i.E.cls = c) infos)
       in
@@ -986,8 +940,13 @@ let mc_cmd =
                N)@.";
             2
         | Some path -> (
+            Option.iter (in_range ~cmd:"mc" 0 "depth") depth;
             let config = load_config ~cmd:"mc" path in
             let known = Machine.names @ Mutant.names in
+            if explore then check_explorable ~cmd:"mc" config;
+            let n = C.size config in
+            let hi = if explore then Checker.max_explore_states ~n else max_int in
+            Option.iter (in_range ~cmd:"mc" ~hi 0 "states") states;
             if explore then
               run_explore config depth states faults (not no_reduction) jobs
             else if not (List.mem protocol known) then begin
@@ -1120,7 +1079,7 @@ let check_trace_cmd =
   in
   Cmd.v
     (Cmd.info "check-trace" ~doc)
-    Term.(const run $ config_arg $ max_rounds_arg $ plan_opt_arg)
+    Term.(const run $ config_arg $ max_rounds_arg "check-trace" $ plan_opt_arg)
 
 (* ------------------------------------------------------------------ *)
 (* faults / resilience                                                 *)
@@ -1185,7 +1144,9 @@ let faults_cmd =
   in
   Cmd.v
     (Cmd.info "faults" ~doc)
-    Term.(const run $ config_arg $ plan_pos1 $ max_rounds_arg $ supervise_arg)
+    Term.(
+      const run $ config_arg $ plan_pos1 $ max_rounds_arg "faults"
+      $ supervise_arg)
 
 let resilience_cmd =
   let module R = Radio_faults.Resilience in
@@ -1206,22 +1167,25 @@ let resilience_cmd =
     Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc)
   in
   let run path trials seed max_intensity csv jobs =
+    in_range ~cmd:"resilience" 0 "trials" trials;
+    Option.iter (in_range ~cmd:"resilience" 0 "max-intensity") max_intensity;
     let config = load_config ~cmd:"resilience" path in
     let name = Filename.remove_extension (Filename.basename path) in
-    match
-      with_jobs_pool jobs (fun pool ->
-          R.crash_sweep ~pool ~seed ~trials ?max_intensity ~name config)
-    with
-    | exception Invalid_argument msg ->
-        Format.eprintf "anorad resilience: %s@." msg;
-        1
-    | curve ->
-        Format.printf "%a@?" R.pp curve;
-        print_string (R.to_chart curve);
-        Option.iter
-          (fun file -> write ~cmd:"resilience" "CSV" file (R.to_csv curve))
-          csv;
-        0
+    if not (Fe.is_feasible config) then begin
+      Format.eprintf "anorad resilience: configuration is infeasible@.";
+      1
+    end
+    else
+      let curve =
+        with_jobs_pool jobs (fun pool ->
+            R.crash_sweep ~pool ~seed ~trials ?max_intensity ~name config)
+      in
+      Format.printf "%a@?" R.pp curve;
+      print_string (R.to_chart curve);
+      Option.iter
+        (fun file -> write ~cmd:"resilience" "CSV" file (R.to_csv curve))
+        csv;
+      0
   in
   let doc =
     "sweep crash-fault intensity over a configuration's dedicated election \
@@ -1286,6 +1250,8 @@ let churn_cmd =
   in
   let run path plan_path seed link_flaps node_flaps retags crashes horizon
       max_attempts max_timeout oracle jobs =
+    in_range ~cmd:"churn" 1 "horizon" horizon;
+    Option.iter (in_range ~cmd:"churn" 0 "oracle") oracle;
     match oracle with
     | Some sequences ->
         let report =
@@ -1305,13 +1271,9 @@ let churn_cmd =
         in
         Format.printf "schedule (%d events):@.@[<v>%a@]@." (List.length plan)
           FP.pp plan;
-        match Ch.run ~max_attempts ?max_timeout ~plan ~horizon config with
-        | exception Invalid_argument msg ->
-            Format.eprintf "anorad churn: %s@." msg;
-            2
-        | r ->
-            Format.printf "%a@?" Ch.pp r;
-            if r.Ch.final_leader <> None then 0 else 1)
+        let r = Ch.run ~max_attempts ?max_timeout ~plan ~horizon config in
+        Format.printf "%a@?" Ch.pp r;
+        if r.Ch.final_leader <> None then 0 else 1)
   in
   let doc =
     "supervise a deployment across topology churn: incremental \

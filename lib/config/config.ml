@@ -20,6 +20,7 @@ let normalize_tags tags =
     let m = Array.fold_left min tags.(0) tags in
     if m = 0 then tags else Array.map (fun t -> t - m) tags
 
+(* radiolint: allow partiality — callers pass one tag >= 0 per vertex *)
 let create ?(normalize = true) graph tags =
   let n = G.size graph in
   if Array.length tags <> n then
@@ -40,6 +41,7 @@ let uniform graph tag =
 let graph c = c.graph
 let size c = G.size c.graph
 
+(* radiolint: allow partiality — callers pass v < size c *)
 let tag c v =
   if v < 0 || v >= size c then invalid "vertex %d out of range" v;
   c.tags.(v)
@@ -69,6 +71,7 @@ let shift_tags c k =
     tags;
   create c.graph tags
 
+(* radiolint: allow partiality — canonical_form passes a permutation *)
 let relabel c perm =
   let n = size c in
   if Array.length perm <> n then invalid "permutation length mismatch";

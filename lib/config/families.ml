@@ -1,5 +1,6 @@
 module Gen = Radio_graph.Gen
 
+(* radiolint: allow partiality — the families check m, so tags is non-empty *)
 let tagged_path tags =
   Config.create (Gen.path (Array.length tags)) tags
 

@@ -28,6 +28,7 @@ let plan_of_run (run : Classifier.run) =
       run.Classifier.iterations
   in
   let rec split_last = function
+    (* radiolint: allow partiality — classifier runs hold an iteration *)
     | [] -> invalid_arg "Canonical.plan_of_run: run with no iterations"
     | [ last ] -> ([], last)
     | x :: rest ->
@@ -216,6 +217,7 @@ let replay_blocks ~caller plan h =
   let bounds = phase_bounds plan in
   let t = num_phases plan in
   if History.length h < bounds.(t) + 1 then
+    (* radiolint: allow partiality — callers decide on terminated nodes only *)
     invalid_arg (caller ^ ": history shorter than the schedule");
   (* [obs.(j)]: phase [j]'s observations, latest first; phase 0 has none. *)
   let obs = Array.make (t + 1) [] in
@@ -255,6 +257,7 @@ let pure_drip plan h =
   let t = num_phases plan in
   (* [h] is the prefix H[0 .. i-1]; we output the action of local round i. *)
   let i = History.length h in
+  (* radiolint: allow partiality — the engine asks after the wake-up entry *)
   if i = 0 then invalid_arg "Canonical.pure_drip: empty history prefix"
   else if i > bounds.(t) then Protocol.Terminate
   else begin

@@ -58,6 +58,7 @@ let classify config =
     else Config.create (Config.graph config) (Config.tags config)
   in
   let n = Config.size config in
+  (* radiolint: allow partiality — n > 0: anorad and serve refuse it at load *)
   if n = 0 then invalid_arg "Classifier.classify: empty configuration";
   (* Init-Aug (Algorithm 1): one class holding every node, represented by
      node 0. *)
@@ -65,6 +66,7 @@ let classify config =
   let rec iterate index ~class_of ~num_classes ~reps acc =
     if index > max_iters then
       (* Lemma 3.4: unreachable for a correct implementation. *)
+      (* radiolint: allow partiality — Lemma 3.4: at most ⌈n/2⌉ iterations *)
       invalid_arg "Classifier.classify: exceeded ⌈n/2⌉ iterations"
     else begin
       let labels = Partition.compute_labels config ~class_of in
@@ -102,12 +104,14 @@ let is_feasible run =
 let last_iteration run =
   match List.rev run.iterations with
   | it :: _ -> it
+  (* radiolint: allow partiality — classify always records an iteration *)
   | [] -> invalid_arg "Classifier.last_iteration: empty run"
 
 let canonical_leader run =
   match run.verdict with
   | Infeasible -> None
   | Feasible { singleton_class } ->
+      (* radiolint: allow partiality — feasible runs have a singleton member *)
       Some (Partition.member_of_class (last_iteration run).new_class singleton_class)
 
 let table_of_iteration it =

@@ -82,7 +82,9 @@ let to_dot e =
   Buffer.add_string buf "graph explanation {\n";
   Array.iteri
     (fun v c ->
-      let singleton = Hashtbl.find sizes c = 1 in
+      let singleton =
+        Option.equal Int.equal (Hashtbl.find_opt sizes c) (Some 1)
+      in
       Buffer.add_string buf
         (Printf.sprintf
            "  %d [label=\"v%d t=%d C%d\"%s];\n" v v

@@ -74,6 +74,7 @@ let kernel ?memo config =
     else Config.create (Config.graph config) (Config.tags config)
   in
   let n = Config.size config in
+  (* radiolint: allow partiality — n > 0: anorad and serve refuse it at load *)
   if n = 0 then invalid_arg "Fast_classifier.classify: empty configuration";
   let g = Config.graph config in
   let max_iters = (n + 1) / 2 in
@@ -136,6 +137,7 @@ let kernel ?memo config =
   in
   let rec iterate k ~class_of ~num_classes ~reps ~prev acc =
     if k > max_iters then
+      (* radiolint: allow partiality — Lemma 3.4: at most ⌈n/2⌉ iterations *)
       invalid_arg "Fast_classifier.classify: exceeded ⌈n/2⌉ iterations"
     else begin
       let labels = labels_at k ~class_of ~prev in

@@ -9,6 +9,7 @@ type report = {
 
 let single_tag ?max_tag config =
   if not (Classifier.is_feasible (Fast_classifier.classify config)) then
+    (* radiolint: allow partiality — anorad fragility checks feasibility *)
     invalid_arg "Fragility.single_tag: configuration is already infeasible";
   let max_tag = Option.value max_tag ~default:(C.span config + 1) in
   let n = C.size config in

@@ -36,6 +36,7 @@ let refute_universal ?horizon ?max_rounds (candidate : Runner.election) =
      forever symmetric.  A candidate that never transmits keeps all four
      histories of H_1 identical, failing just the same. *)
   let m = match probe_round with Some t -> t + 1 | None -> 1 in
+  (* radiolint: allow partiality — m >= 1, since a probe round is >= 0 *)
   let counterexample = Families.h_family m in
   let counterexample_feasible =
     Feasibility.is_feasible counterexample

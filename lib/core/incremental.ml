@@ -230,11 +230,13 @@ let live s = s.nlive
 let present s v = v >= 0 && v < Array.length s.alive && s.alive.(v)
 let current = current_config
 
+(* radiolint: allow partiality — Churn reads the tags of present nodes only *)
 let tag s v =
   if v < 0 || v >= Array.length s.tags then
     invalid_arg "Incremental.tag: node out of range";
   s.tags.(v)
 
+(* radiolint: allow partiality — write_back maps current nodes *)
 let node_of_current s i =
   if i < 0 || i >= s.nlive then
     invalid_arg "Incremental.node_of_current: index out of range";
@@ -315,6 +317,7 @@ module Oracle = struct
 
   let families = [| "path"; "cycle"; "clique"; "chorded" |]
 
+  (* radiolint: allow partiality — loops and mem_edge add new in-range edges *)
   let base_graph family n rng =
     let b = G.Builder.create n in
     for i = 0 to n - 2 do
@@ -423,6 +426,7 @@ module Oracle = struct
     let was_feasible = ref (feasible !st) in
     for step = 1 to edits do
       let e = gen_edit rng !st in
+      (* radiolint: allow partiality — gen_edit draws only valid edits *)
       st := apply !st e;
       let agreed =
         match (current !st, run !st) with
@@ -476,6 +480,7 @@ module Oracle = struct
 
   let run ?pool ?(sequences = 24) ?(edits_per_sequence = 60)
       ?(max_size = 16) ~seed () =
+    (* radiolint: allow partiality — anorad churn refuses a negative --oracle *)
     if sequences < 0 then invalid_arg "Incremental.Oracle.run: sequences < 0";
     let examine i =
       run_sequence

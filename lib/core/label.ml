@@ -36,6 +36,7 @@ let of_observations obs =
   let rec check = function
     | t1 :: (t2 :: _ as rest) ->
         if t1.block = t2.block && t1.slot = t2.slot then
+          (* radiolint: allow partiality — each (block, slot) has one round *)
           invalid_arg "Label.of_observations: duplicate (block, slot)"
         else check rest
     | [ _ ] | [] -> ()

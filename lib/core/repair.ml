@@ -67,6 +67,7 @@ let repair_one ?max_tag config =
    sets are capped at [max_changes]. *)
 let repair ?max_tag ?(max_changes = 2) config =
   let max_tag = Option.value max_tag ~default:(C.span config + 1) in
+  (* radiolint: allow partiality — CLI refuses < 1; the default is 2 *)
   if max_changes < 1 then invalid_arg "Repair.repair: max_changes must be >= 1";
   if feasible config then
     Some { changes = []; repaired = config; cost = 0 }

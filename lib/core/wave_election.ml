@@ -69,4 +69,5 @@ let election_rounds config =
     | Some root ->
         (* Leaves at distance ecc wake at global ecc and terminate at local
            round 2, i.e. global ecc + 2. *)
+        (* radiolint: allow partiality — applies checked connectivity *)
         Some (Props.eccentricity (C.graph config) root + 2)

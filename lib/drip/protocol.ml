@@ -45,6 +45,7 @@ let stateful ~name ~init ~decide ~observe =
     let get () =
       match !state with
       | Some s -> s
+      (* radiolint: allow partiality — the engine decides after on_wakeup *)
       | None -> invalid_arg "Protocol.stateful: decide before on_wakeup"
     in
     let observe e = state := Some (observe (get ()) e) in

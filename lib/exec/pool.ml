@@ -340,6 +340,7 @@ let run_parallel pool ~chunk ~f ~commit xs =
     end
   in
   drain_block ();
+  (* radiolint: allow partiality — each task is checked at its submit line *)
   match !first_err with None -> () | Some ex -> raise ex
 
 (* Batches smaller than this run on the caller: at a few microseconds per
@@ -376,6 +377,7 @@ let map_array t ?chunk ~f xs =
   let n = Array.length xs in
   let out = Array.make n None in
   run_batch t ?chunk ~f:(fun _ x -> f x) ~commit:(fun i y -> out.(i) <- Some y) xs;
+  (* radiolint: allow partiality — run_batch commits every slot *)
   Array.map Option.get out
 
 let map t ?chunk ~f xs = Array.to_list (map_array t ?chunk ~f (Array.of_list xs))

@@ -156,9 +156,11 @@ let elect ~max_attempts ~max_timeout ~budget (analysis : Fe.analysis) =
       (!attempts, !spent, !elected)
 
 let run ?(max_attempts = 5) ?max_timeout ~plan ~horizon config =
+  (* radiolint: allow partiality — anorad churn refuses --horizon < 1 *)
   if horizon <= 0 then invalid_arg "Churn.run: horizon must be positive";
   (match Fault_plan.validate config plan with
   | Ok () -> ()
+  (* radiolint: allow partiality — plans come validated (load_plan, sample) *)
   | Error msg -> invalid_arg ("Churn.run: " ^ msg));
   let max_attempts = max 1 max_attempts in
   let n = Config.size config in

@@ -34,14 +34,16 @@ let crash_sweep ?pool ?(seed = 0xFA17) ?(trials = 20) ?max_intensity
   let n = Config.size config in
   let a = Fe.analyze config in
   if not a.Fe.feasible then
+    (* radiolint: allow partiality — anorad resilience checks feasibility *)
     invalid_arg "Resilience.crash_sweep: configuration is infeasible";
-  let election = Option.get (Fe.dedicated_election a) in
+  let election = Election.Canonical.election a.Fe.plan in
   let max_rounds =
     match max_rounds with
     | Some m -> m
     | None -> 10 * Election.Canonical.local_termination_round a.Fe.plan + 10
   in
   let baseline = Runner.run ~max_rounds election config in
+  (* radiolint: allow partiality — feasible: elects in budget (Lemma 3.11) *)
   let baseline_leader = Option.get baseline.Runner.leader in
   (* Engine rounds, not [rounds_to_elect]: trials measure engine rounds, so
      the intensity-0 overhead must come out as exactly 1.0. *)
@@ -128,6 +130,7 @@ let to_csv c =
        c.points)
 
 let to_chart c =
+  (* radiolint: allow partiality — success rates lie in [0, 100] *)
   Radio_analysis.Chart.series
     ~title:
       (Printf.sprintf "%s: election success vs crash intensity (seed %d)"
@@ -152,6 +155,7 @@ let pp ppf c =
   in
   List.iter
     (fun p ->
+      (* radiolint: allow partiality — one cell per column *)
       Radio_analysis.Table.add_row table
         [
           string_of_int p.intensity;

@@ -9,6 +9,7 @@ let pairs n =
 
 let all_labelled n =
   if n < 0 || n > 6 then
+    (* radiolint: allow partiality — Census.universe checks max_n in 1..6 *)
     invalid_arg "Enumerate.all_labelled: n must be in 0..6";
   let ps = Array.of_list (pairs n) in
   let m = Array.length ps in

@@ -58,6 +58,7 @@ module Builder = struct
     mutable frozen : bool;
   }
 
+  (* radiolint: allow partiality — callers pass a graph's or generator's n *)
   let create n =
     if n < 0 then invalid "negative vertex count %d" n;
     {
@@ -68,12 +69,14 @@ module Builder = struct
       frozen = false;
     }
 
+  (* radiolint: allow partiality — add_edge checks u, v; others loop vertices *)
   let mem_edge b u v =
     check_endpoints b.bn u v;
     (* Scan the shorter adjacency list of the two endpoints. *)
     let u, v = if b.bdeg.(u) <= b.bdeg.(v) then (u, v) else (v, u) in
     List.mem v !(b.badj.(u))
 
+  (* radiolint: allow partiality — generators, induced copies add valid edges *)
   let add_edge b u v =
     if b.frozen then invalid "builder already frozen";
     check_endpoints b.bn u v;
@@ -108,6 +111,7 @@ let empty n =
 let size g = g.n
 let num_edges g = g.m
 
+(* radiolint: allow partiality — callers pass vertices of g *)
 let mem_edge g u v =
   check_endpoints g.n u v;
   sorted_mem g.adj.(u) v
@@ -138,6 +142,7 @@ let endpoint_error n u v =
   else Format.asprintf "self-loop at vertex %d" u
 
 let of_edge_array n ends m =
+  (* radiolint: allow partiality — Config_io.of_string refuses n < 0 first *)
   if n < 0 then invalid "negative vertex count %d" n;
   let deg = Array.make n 0 in
   (* [k]: the first edge with a bad endpoint; only edges before it count *)
@@ -171,6 +176,7 @@ let of_edge_array n ends m =
       Error (k, endpoint_error n ends.(2 * k) ends.((2 * k) + 1))
   | None -> Ok { n; m; adj }
 
+(* radiolint: allow partiality — callers build valid edge lists *)
 let of_edges n edge_list =
   let ends = Array.make (2 * List.length edge_list) 0 in
   List.iteri
@@ -198,6 +204,7 @@ let insert_sorted a x =
   Array.blit a !pos out (!pos + 1) (len - !pos);
   out
 
+(* radiolint: allow partiality — Incremental.apply checks the edge first *)
 let add_edge g u v =
   check_endpoints g.n u v;
   if mem_edge g u v then invalid "duplicate edge {%d, %d}" u v;
@@ -208,6 +215,7 @@ let add_edge g u v =
 
 let remove_sorted a x = Array.of_list (List.filter (( <> ) x) (Array.to_list a))
 
+(* radiolint: allow partiality — Incremental.apply checks the edge first *)
 let remove_edge g u v =
   check_endpoints g.n u v;
   if not (mem_edge g u v) then invalid "absent edge {%d, %d}" u v;
@@ -216,10 +224,12 @@ let remove_edge g u v =
   adj.(v) <- remove_sorted adj.(v) u;
   { g with m = g.m - 1; adj }
 
+(* radiolint: allow partiality — callers pass v < size g (loops, rows) *)
 let neighbours g v =
   check_vertex g.n v;
   Array.to_list g.adj.(v)
 
+(* radiolint: allow partiality — callers pass v < size g (loops, rows) *)
 let degree g v =
   check_vertex g.n v;
   Array.length g.adj.(v)
@@ -246,10 +256,12 @@ let iter_edges g ~f =
 
 let vertices g = List.init g.n Fun.id
 
+(* radiolint: allow partiality — callers pass v < size g (loops, rows) *)
 let fold_neighbours g v ~init ~f =
   check_vertex g.n v;
   Array.fold_left f init g.adj.(v)
 
+(* radiolint: allow partiality — callers pass v < size g (loops, rows) *)
 let iter_neighbours g v ~f =
   check_vertex g.n v;
   Array.iter f g.adj.(v)

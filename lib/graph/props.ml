@@ -5,6 +5,7 @@ let bfs_distances g src =
   dist.(src) <- 0;
   Queue.add src queue;
   while not (Queue.is_empty queue) do
+    (* radiolint: allow partiality — the loop tests the queue is non-empty *)
     let v = Queue.pop queue in
     Graph.iter_neighbours g v ~f:(fun w ->
         if dist.(w) < 0 then begin

@@ -69,6 +69,7 @@ let check ?depth ?(states = 200_000) ~machine config =
   let config = normalize config in
   let g = C.graph config in
   let n = C.size config in
+  (* radiolint: allow partiality — n > 0: anorad and serve refuse it at load *)
   if n = 0 then invalid_arg "Checker.check: empty configuration";
   let depth =
     match depth with Some d -> d | None -> default_depth config
@@ -384,13 +385,19 @@ let reserve c ~used need =
   end;
   c.buf
 
+let max_explore_nodes = 62
+let max_explore_states ~n = (1 lsl 32) / (State.Packed.max_bytes ~n + 2)
+
 let explore ?(depth = 24) ?(states = 2_000_000) ?(reduction = true)
     ?(faults = 0) ?(until_separated = false) ?pool ?progress config =
   let config = normalize config in
   let g = C.graph config in
   let n = C.size config in
+  (* radiolint: allow partiality — n > 0: anorad and serve refuse it at load *)
   if n = 0 then invalid_arg "Checker.explore: empty configuration";
-  if n > 62 then invalid_arg "Checker.explore: crash mask supports n <= 62";
+  if n > max_explore_nodes then
+    (* radiolint: allow partiality — anorad mc and optimal refuse n > 62 *)
+    invalid_arg "Checker.explore: crash mask supports n <= 62";
   let autos = if reduction then Symmetry.automorphisms config else [] in
   let tags = C.tags config in
   let max_tag = Array.fold_left (fun a t -> if t > a then t else a) 0 tags in
@@ -716,6 +723,8 @@ let explore ?(depth = 24) ?(states = 2_000_000) ?(reduction = true)
       (fun i view ->
         chunks.(i).resolve <- Interner.commit intern view;
         if Interner.next_id intern >= max_ids then
+          (* radiolint: allow partiality — callers cap states at
+             max_explore_states (anorad mc checks --states) *)
           invalid_arg
             "Checker.explore: history keys exceed the packed id range")
       views;

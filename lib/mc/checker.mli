@@ -136,6 +136,13 @@ type exploration = {
   stats : stats;
 }
 
+val max_explore_nodes : int
+(** [62]: the largest configuration {!explore} takes (the crash mask). *)
+
+val max_explore_states : n:int -> int
+(** The largest [states] cap whose visited set fits the packed layout at
+    [n] nodes: under 4 GiB of arena, 2^30 slots and 2^30 history keys. *)
+
 val explore :
   ?depth:int ->
   ?states:int ->
@@ -151,8 +158,8 @@ val explore :
     [until_separated] (default off) stops the search before expanding the
     level after the first one that set [separated_at] — that level is
     finished, [exhausted] is left as the caps set it.  Raises
-    [Invalid_argument] on the empty configuration and beyond [n = 62]
-    nodes (the crash mask's width).
+    [Invalid_argument] on the empty configuration and beyond
+    {!max_explore_nodes} nodes.
 
     States live bit-packed ({!State.Packed}) in an open-addressing
     {!Visited} set, and each BFS level's frontier is read back from that

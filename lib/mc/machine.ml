@@ -19,6 +19,7 @@ type t = {
    identically. *)
 let pure_of_protocol (p : Protocol.t) (h : H.t) =
   let len = H.length h in
+  (* radiolint: allow partiality — the checker asks after the wake-up entry *)
   if len = 0 then invalid_arg "Machine.pure_of_protocol: empty history";
   let inst = p.Protocol.spawn () in
   inst.Protocol.on_wakeup (H.get h 0);

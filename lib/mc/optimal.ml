@@ -15,6 +15,7 @@ let breaking_time ?pool ?(horizon = 24) ?(max_states = 200_000) config =
     else C.create (C.graph config) (C.tags config)
   in
   if C.size config = 0 then
+    (* radiolint: allow partiality — n > 0: anorad refuses it at load *)
     invalid_arg "Optimal.breaking_time: empty configuration";
   (* Infeasible configurations never separate (Lemma 3.16): skip the
      search, which would otherwise chase growing histories forever. *)

@@ -64,6 +64,7 @@ let create ?(bits = 12) ~slots () =
      reject state widths whose worst-case code could not round-trip
      through it (cold path: once per explorer run). *)
   if max_code > 0xffff then
+    (* radiolint: allow partiality — n <= 62 keeps codes below 0xffff *)
     invalid_arg "Visited.create: state width overflows the 2-byte entry header";
   {
     table = Array.make capacity 0;
@@ -125,6 +126,7 @@ let grow_table t =
      max_capacity just below *)
   let capacity = 2 * (t.mask + 1) in
   if capacity > max_capacity then
+    (* radiolint: allow partiality — callers cap states at max_explore_states *)
     invalid_arg "Visited: table outgrows the 30-bit hash fragment";
   let table = Array.make capacity 0 in
   let mask = capacity - 1 in
@@ -187,6 +189,8 @@ let add_hashed t ~hash ~round_class ~spent src ~pos =
   if i >= 0 then false (* duplicate: arena rolls back *)
   else begin
     if t.len >= off_mask then
+      (* radiolint: allow partiality — callers cap states at
+         Checker.max_explore_states *)
       invalid_arg "Visited: arena outgrows the 32-bit entry offset";
     let len = t.stop - t.len - entry_header in
     (* radiolint: allow range-index -- ensure_arena reserved

@@ -387,6 +387,7 @@ let process_wave t ~pool (wave : Protocol.parsed array) =
         | Ok req -> (
             match prep.(i) with
             | Some (key, _, perm) ->
+                (* radiolint: allow partiality — the loop above resolved it *)
                 Run { id = p.id; req; analysis = Hashtbl.find resolved key; perm }
             | None -> Ready (internal_error ~id:p.id "request/analysis mismatch")))
       wave

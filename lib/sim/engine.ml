@@ -631,6 +631,7 @@ let global_done_round o v =
     invalid_arg "Engine.global_done_round: node has not terminated";
   o.wake_round.(v) + o.done_local.(v)
 
+(* radiolint: allow partiality — callers ask only once every node terminated *)
 let completion_round o =
   let n = Array.length o.done_local in
   if n = 0 then 0

@@ -185,6 +185,73 @@ let with_plan content f =
       Out_channel.with_open_text path (fun oc -> output_string oc content);
       f path)
 
+(* A run cut off by --max-rounds before every node terminated fails the
+   checks that read whole histories (exit 2, like any failed audit); a
+   negative --max-rounds is refused. *)
+let test_audit_cut_off () =
+  let path3 tags = Printf.sprintf "config 3\ntags %s\n0 1\n1 2\n" tags in
+  List.iter
+    (fun (tags, rounds) ->
+      with_plan (path3 tags) (fun cfg ->
+          let code, out =
+            anorad
+              (Printf.sprintf "audit %s --max-rounds=%d" (Filename.quote cfg)
+                 rounds)
+          in
+          check_int "cut-off audit exit" 2 code;
+          check "blocks check fails" true
+            (contains out
+               (Printf.sprintf "FAIL lemma-3.8-blocks             cut off after \
+                                %d rounds" rounds));
+          check "failures reported" true (contains out "FAILURES PRESENT")))
+    [ ("0 1 2", 3); ("0 0 0", 0) ];
+  with_plan (path3 "0 0 0") (fun cfg ->
+      let code, err =
+        anorad_stderr ("audit " ^ Filename.quote cfg ^ " --max-rounds=-1")
+      in
+      check_int "negative max-rounds exit" 2 code;
+      check "refused" true
+        (contains err "anorad audit: invalid argument: --max-rounds"));
+  with_plan (path3 "0 1 2") (fun cfg ->
+      let code, out = anorad ("trace " ^ Filename.quote cfg ^ " --max-rounds=3") in
+      check_int "cut-off trace exit" 0 code;
+      check "no decision" true
+        (contains out "leader (by decision function): none"))
+
+(* Out-of-range numeric options are refused before any work is done:
+   exit 2 and [anorad <cmd>: invalid argument: ...], never an uncaught
+   exception (125) or the "infeasible" exit (1). *)
+let test_option_ranges () =
+  with_family "h" 2 (fun cfg ->
+      List.iter
+        (fun (cmd, args) ->
+          (* run-plan and faults take the file as their second operand too *)
+          let files =
+            if cmd = "run-plan" || cmd = "faults" then 2 else 1
+          in
+          let line =
+            String.concat " "
+              ((cmd :: List.init files (fun _ -> Filename.quote cfg)) @ [ args ])
+          in
+          let code, err = anorad_stderr line in
+          check_int (line ^ " exit") 2 code;
+          check (line ^ " headline") true
+            (contains err (Printf.sprintf "anorad %s: invalid argument: --" cmd)))
+        [
+          ("repair", "--max-changes=0");
+          ("resilience", "--trials=-1");
+          ("resilience", "--max-intensity=-1");
+          ("elect", "--max-rounds=-5");
+          ("run-plan", "--max-rounds=-1");
+          ("check-trace", "--max-rounds=-1");
+          ("faults", "--max-rounds=-1");
+          ("mc", "--explore --states=-3");
+          ("mc", "--explore --depth=-1");
+          ("mc", "--explore --states=100000000");
+          ("churn", "--horizon=0");
+          ("churn", "--oracle=-1");
+        ])
+
 (* A missing or malformed CONFIG or compiled plan, an out-of-range command
    parameter, or an unwritable output file is one stderr headline and exit
    2, not an uncaught exception (exit 125). *)
@@ -237,6 +304,10 @@ let test_bad_input () =
     (fun cfg ->
       expect "optimal past 62 nodes" ("optimal " ^ Filename.quote cfg)
         "anorad optimal: invalid configuration: Checker.explore: crash mask \
+         supports n <= 62";
+      expect "mc --explore past 62 nodes"
+        ("mc --explore " ^ Filename.quote cfg)
+        "anorad mc: invalid configuration: Checker.explore: crash mask \
          supports n <= 62");
   expect "census size out of range" "census --max-n 9"
     "anorad census: invalid argument: Census.universe: max_n must be in 1..6";
@@ -480,7 +551,7 @@ let test_check_trace_plan_cli () =
           check "headline names the node" true (contains out "at node 0")))
 
 (* ------------------------------------------------------------------ *)
-(* lint: flags, exit codes, SARIF, baseline                            *)
+(* lint: flags, exit codes, SARIF                                      *)
 (* ------------------------------------------------------------------ *)
 
 let write_file path content =
@@ -520,13 +591,12 @@ let test_lint_help () =
   let code, out = anorad "lint --help" in
   check_int "help exit" 0 code;
   check "documents exit status" true (contains out "EXIT STATUS");
-  check "documents the clean exit" true (contains out "every finding baselined");
+  check "documents the clean exit" true (contains out "no findings.");
   check "documents the findings exit" true
     (contains out "lint findings were reported");
   check "documents the usage exit" true (contains out "usage error");
-  check "documents --write-baseline" true (contains out "--write-baseline");
-  check "documents --baseline" true (contains out "--baseline");
-  check "documents --sarif" true (contains out "--sarif")
+  check "documents --sarif" true (contains out "--sarif");
+  check "no baseline option" false (contains out "baseline")
 
 let test_lint_clean_and_findings () =
   with_lint_tree
@@ -598,22 +668,18 @@ let test_lint_effects () =
       check "sarif effect rule" true (contains out "\"ruleId\":\"effect\"");
       check "sarif effectClass property" true
         (contains out "\"properties\":{\"effectClass\":\"SharedMut\"}");
-      (* A baselined fingerprint suppresses it. *)
+      (* An allow annotation on the submitting function suppresses it. *)
       let tally =
         Filename.concat (Filename.dirname lib) "lib/analysis/tally.ml"
       in
-      let baseline = Filename.temp_file "anorad_lint" ".baseline" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove baseline)
-        (fun () ->
-          write_file baseline
-            (Printf.sprintf "effect:%s:Tally.go:SharedMut\n" tally);
-          let code, _ =
-            anorad
-              (Printf.sprintf "lint --baseline %s %s"
-                 (Filename.quote baseline) (Filename.quote lib))
-          in
-          check_int "baselined escape exits 0" 0 code));
+      write_file tally
+        "let cache = Hashtbl.create 16\n\
+         let note x = Hashtbl.replace cache x x\n\
+         (* radiolint: allow effect — single-domain use *)\n\
+         let go pool xs =\n\
+        \  Radio_exec.Pool.map pool ~f:(fun x -> note x) xs\n";
+      let code, _ = anorad ("lint " ^ Filename.quote lib) in
+      check_int "allowed escape exits 0" 0 code);
   (* A pool task that stays pure is clean. *)
   with_lint_tree
     [
@@ -657,44 +723,6 @@ let test_lint_sarif_stdout () =
       check "sarif schema" true (contains out "sarif-schema-2.1.0.json");
       check "ruleId present" true (contains out "\"ruleId\":\"random\""))
 
-let test_lint_baseline () =
-  with_lint_tree
-    [
-      ("lib/core/bad.ml", "let x = Random.int 10\n");
-      ("lib/core/bad.mli", "val x : int\n");
-    ]
-    (fun lib ->
-      let bad = Filename.concat (Filename.dirname lib) "lib/core/bad.ml" in
-      let baseline = Filename.temp_file "anorad_lint" ".baseline" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove baseline)
-        (fun () ->
-          (* Every scan also runs taint, which flags the same call. *)
-          write_file baseline
-            (Printf.sprintf
-               "# grandfathered\nrandom:%s:1\ntaint:%s:Bad.x:Random.int\n" bad
-               bad);
-          let code, _ =
-            anorad
-              (Printf.sprintf "lint --baseline %s %s"
-                 (Filename.quote baseline) (Filename.quote lib))
-          in
-          check_int "baselined finding exits 0" 0 code;
-          (* A baseline for a different line does not mask the finding. *)
-          write_file baseline (Printf.sprintf "random:%s:99\n" bad);
-          let code, _ =
-            anorad
-              (Printf.sprintf "lint --baseline %s %s"
-                 (Filename.quote baseline) (Filename.quote lib))
-          in
-          check_int "stale baseline still fails" 1 code);
-      let code, _ =
-        anorad
-          (Printf.sprintf "lint --baseline /nonexistent.baseline %s"
-             (Filename.quote lib))
-      in
-      check_int "missing baseline exits 2" 2 code)
-
 (* Every file error of the front end is one stderr line naming the path,
    and exit 2 — never an uncaught exception. *)
 let test_lint_io_errors () =
@@ -707,51 +735,14 @@ let test_lint_io_errors () =
       check "SARIF path and reason" true
         (contains err
            "anorad lint: /nonexistent/x.sarif: No such file or directory");
-      let code, err = anorad_stderr (Printf.sprintf "lint --baseline %s %s" q q) in
-      check_int "directory baseline exits 2" 2 code;
-      check "baseline path and reason" true
+      let code, err = anorad_stderr (Printf.sprintf "lint --sarif %s %s" q q) in
+      check_int "directory SARIF target exits 2" 2 code;
+      check "SARIF target path and reason" true
         (contains err (Printf.sprintf "anorad lint: %s: Is a directory" lib));
-      let code, err =
-        anorad_stderr ("lint --write-baseline /nonexistent/b " ^ q)
-      in
-      check_int "unwritable baseline target exits 2" 2 code;
-      check "target path and reason" true
-        (contains err "anorad lint: /nonexistent/b: No such file or directory");
       let code, err = anorad_stderr "lint /nonexistent/path" in
       check_int "missing path exits 2" 2 code;
       check "scanned path and reason" true
         (contains err "anorad lint: /nonexistent/path: No such file or directory"))
-
-let test_lint_write_baseline () =
-  with_lint_tree
-    [
-      ("lib/core/bad.ml", "let x = Obj.magic 10\n");
-      ("lib/core/bad.mli", "val x : int\n");
-    ]
-    (fun lib ->
-      let bad = Filename.concat (Filename.dirname lib) "lib/core/bad.ml" in
-      let baseline = Filename.temp_file "anorad_lint" ".baseline" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove baseline)
-        (fun () ->
-          let header = "# Grandfathered findings.\n#\n# Regenerate me.\n" in
-          write_file baseline (header ^ "random:lib/gone.ml:9\n");
-          let code, _ =
-            anorad
-              (Printf.sprintf "lint --write-baseline %s %s"
-                 (Filename.quote baseline) (Filename.quote lib))
-          in
-          check_int "write exits 0" 0 code;
-          Alcotest.(check string)
-            "header kept, stale entry pruned, finding written"
-            (header ^ Printf.sprintf "obj-magic:%s:1\n" bad)
-            (In_channel.with_open_bin baseline In_channel.input_all);
-          let code, _ =
-            anorad
-              (Printf.sprintf "lint --baseline %s %s"
-                 (Filename.quote baseline) (Filename.quote lib))
-          in
-          check_int "the written baseline gates clean" 0 code))
 
 (* ------------------------------------------------------------------ *)
 (* mc                                                                  *)
@@ -938,6 +929,8 @@ let () =
             test_compile_run_plan_roundtrip;
           Alcotest.test_case "repair" `Quick test_repair;
           Alcotest.test_case "audit" `Quick test_audit;
+          Alcotest.test_case "audit cut off" `Quick test_audit_cut_off;
+          Alcotest.test_case "option ranges" `Quick test_option_ranges;
           Alcotest.test_case "census" `Quick test_census_cli;
           Alcotest.test_case "--jobs determinism" `Quick test_jobs_cli;
           Alcotest.test_case "catalog" `Quick test_catalog_cli;
@@ -969,10 +962,7 @@ let () =
           Alcotest.test_case "effects on unparseable file" `Quick
             test_effects_unparseable;
           Alcotest.test_case "--sarif stdout" `Quick test_lint_sarif_stdout;
-          Alcotest.test_case "--baseline" `Quick test_lint_baseline;
           Alcotest.test_case "I/O errors exit 2" `Quick test_lint_io_errors;
-          Alcotest.test_case "--write-baseline keeps header" `Quick
-            test_lint_write_baseline;
         ] );
       ( "serve",
         [

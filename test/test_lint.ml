@@ -5,7 +5,7 @@
      negatives, aliased forms, unparseable files);
    - Radiolint_core.{Callgraph,Taint,Effects,Ranges,Partiality,Sarif,
      Driver}: the interprocedural analyses with witness chains, the scan,
-     the SARIF 2.1.0 writer, and baseline filtering;
+     and the SARIF 2.1.0 writer;
    - Radio_lint.{Invariants,Purity}: the model-conformance checker, fed both
      clean executions (must accept) and deliberately broken protocols or
      corrupted outcomes (must flag). *)
@@ -299,27 +299,15 @@ let quoted_string_tests =
 
 let ast_ported_tests =
   [
-    Alcotest.test_case "Random.int flagged" `Quick
-      (check_flags "random" ~path:"lib/core/foo.ml"
-         "let x = Random.int 10\n");
     Alcotest.test_case "aliased let r = Random.int flagged" `Quick
       (check_flags "random" ~path:"lib/core/foo.ml"
          "let draw = Random.int\n");
     Alcotest.test_case "module R = Random flagged" `Quick
       (check_flags "random" ~path:"lib/core/foo.ml"
          "module R = Random\n");
-    Alcotest.test_case "Stdlib.Random.bits flagged" `Quick
-      (check_flags "random" ~path:"lib/sim/foo.ml"
-         "let x = Stdlib.Random.bits ()\n");
     Alcotest.test_case "Random.State.make flagged" `Quick
       (check_flags "random" ~path:"lib/core/foo.ml"
          "let st = Random.State.make [| 7 |]\n");
-    Alcotest.test_case "random exempt in lib/baselines" `Quick
-      (check_clean "random" ~path:"lib/baselines/foo.ml"
-         "let x = Random.int 10\n");
-    Alcotest.test_case "string literal never fires on AST" `Quick
-      (check_clean "random" ~path:"lib/core/foo.ml"
-         "let s = \"Random.int\"\n");
     Alcotest.test_case "== flagged" `Quick
       (check_flags "physical-equality" ~path:"lib/core/foo.ml"
          "let b = a == c\n");
@@ -329,9 +317,6 @@ let ast_ported_tests =
     Alcotest.test_case "structural = clean" `Quick
       (check_clean "physical-equality" ~path:"lib/core/foo.ml"
          "let b = a = c && a <> d\n");
-    Alcotest.test_case "Hashtbl.iter flagged in lib/sim" `Quick
-      (check_flags "hashtbl-iteration" ~path:"lib/sim/foo.ml"
-         "let () = Hashtbl.iter f tbl\n");
     Alcotest.test_case "Hashtbl.replace clean" `Quick
       (check_clean "hashtbl-iteration" ~path:"lib/sim/foo.ml"
          "let () = Hashtbl.replace tbl k v\n");
@@ -341,10 +326,6 @@ let ast_ported_tests =
     Alcotest.test_case "fault purity: plan module in lib/sim flagged" `Quick
       (check_flags "fault-purity" ~path:"lib/sim/fault_plan.ml"
          "let () = Random.self_init ()\n");
-    Alcotest.test_case "allow suppresses AST rule" `Quick
-      (check_clean "random" ~path:"lib/core/foo.ml"
-         "(* radiolint: allow random — seeded by caller *)\n\
-          let x = Random.int 10\n");
   ]
 
 let ast_only_tests =
@@ -1133,6 +1114,14 @@ let partiality_of sources =
   let cg = Callgraph.of_sources sources in
   Partiality.findings (Partiality.analyze cg ~asts:(asts_of sources))
 
+let exns_of = List.map (fun f -> f.Partiality.exns)
+
+(* A library that raises its own exception, reached through aliases. *)
+let alias_lib =
+  ( "lib/lib/lib.ml",
+    "exception Boom\nlet boom () = if Sys.opaque_identity true then raise Boom\n"
+  )
+
 let partiality_tests =
   [
     Alcotest.test_case "failwith escapes a CLI entry" `Quick (fun () ->
@@ -1215,6 +1204,91 @@ let partiality_tests =
           (List.length
              (partiality_of
                 [ ("lib/core/foo.ml", "let boom () = failwith \"x\"\n") ])));
+    Alcotest.test_case "a CLI entry reaches a raise through a module alias"
+      `Quick (fun () ->
+        Alcotest.(check (list (list string)))
+          "the alias is followed" [ [ "Lib.Boom" ] ]
+          (exns_of
+             (partiality_of
+                [
+                  alias_lib;
+                  ( "bin/foo.ml",
+                    "module L = Radio_lib.Lib\nlet run_cmd () = L.boom ()\n" );
+                ])));
+    Alcotest.test_case "a Pool task reaches a raise through a module alias"
+      `Quick (fun () ->
+        match
+          partiality_of
+            [
+              alias_lib;
+              ( "lib/exec/work.ml",
+                "module L = Radio_lib.Lib\n\
+                 let run pool xs = Radio_exec.Pool.map pool ~f:L.boom xs\n" );
+            ]
+        with
+        | [ f ] ->
+            Alcotest.(check (list string)) "Boom" [ "Lib.Boom" ] f.Partiality.exns;
+            Alcotest.(check bool) "task finding" true (f.Partiality.kind = `Task)
+        | fs ->
+            Alcotest.failf "expected exactly one finding, got %d"
+              (List.length fs));
+    Alcotest.test_case "a handler naming the exception through an alias \
+                        subtracts it" `Quick (fun () ->
+        Alcotest.(check (list (list string)))
+          "clean" []
+          (exns_of
+             (partiality_of
+                [
+                  alias_lib;
+                  ( "bin/foo.ml",
+                    "module L = Radio_lib.Lib\n\
+                     let run_cmd () = try Lib.boom () with L.Boom -> ()\n" );
+                ])));
+    Alcotest.test_case "a match with an exception case subtracts it" `Quick
+      (fun () ->
+        Alcotest.(check (list (list string)))
+          "clean" []
+          (exns_of
+             (partiality_of
+                [
+                  alias_lib;
+                  ( "bin/foo.ml",
+                    "let run_cmd () =\n\
+                    \  match Lib.boom () with\n\
+                    \  | () -> 0\n\
+                    \  | exception Lib.Boom -> 2\n" );
+                ])));
+    Alcotest.test_case "an unhandled channel opener raises Sys_error" `Quick
+      (fun () ->
+        Alcotest.(check (list (list string)))
+          "Sys_error reported" [ [ "Sys_error" ] ]
+          (exns_of
+             (partiality_of
+                [ ("bin/foo.ml", "let load_cmd path = open_in path\n") ])));
+    Alcotest.test_case "a handled channel opener is clean" `Quick (fun () ->
+        Alcotest.(check (list (list string)))
+          "clean" []
+          (exns_of
+             (partiality_of
+                [
+                  ( "bin/foo.ml",
+                    "let load_cmd path =\n\
+                    \  try In_channel.with_open_text path In_channel.input_all\n\
+                    \  with Sys_error _ -> \"\"\n" );
+                ])));
+    Alcotest.test_case "an allow on a raising line drops that source" `Quick
+      (fun () ->
+        Alcotest.(check (list (list string)))
+          "only the unannotated line" [ [ "Not_found" ] ]
+          (exns_of
+             (partiality_of
+                [
+                  ( "bin/foo.ml",
+                    "let run_cmd tbl =\n\
+                    \  (* radiolint: allow partiality -- tbl holds 1 *)\n\
+                    \  ignore (Option.get (Hashtbl.find_opt tbl 1));\n\
+                    \  Hashtbl.find tbl 2\n" );
+                ])));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1592,7 +1666,7 @@ let differential_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* SARIF + baseline (Driver)                                           *)
+(* SARIF + scan (Driver)                                               *)
 (* ------------------------------------------------------------------ *)
 
 let sample_findings =
@@ -1699,59 +1773,8 @@ let sarif_tests =
           (contains ~needle:"\"version\":\"2.1.0\"" doc));
   ]
 
-let baseline_tests =
+let scan_tests =
   [
-    Alcotest.test_case "baselined fingerprints are suppressed" `Quick
-      (fun () ->
-        let fresh, suppressed =
-          Driver.apply_baseline
-            ~baseline:[ "taint:lib/drip/drip.ml:Drip.step:Random.int" ]
-            sample_findings
-        in
-        Alcotest.(check int) "one suppressed" 1 suppressed;
-        Alcotest.(check (list string))
-          "the other survives"
-          [ "random:lib/core/foo.ml:3" ]
-          (List.map (fun f -> f.Driver.fingerprint) fresh));
-    Alcotest.test_case "load_baseline skips comments and blanks" `Quick
-      (fun () ->
-        let file = Filename.temp_file "radiolint" ".baseline" in
-        Fun.protect
-          ~finally:(fun () -> Sys.remove file)
-          (fun () ->
-            write file "# header\n\nrandom:lib/core/foo.ml:3\n  \n# tail\n";
-            Alcotest.(check (list string))
-              "one fingerprint"
-              [ "random:lib/core/foo.ml:3" ]
-              (Driver.load_baseline file)));
-    Alcotest.test_case "baseline_lines are sorted and deduplicated" `Quick
-      (fun () ->
-        Alcotest.(check (list string))
-          "sorted unique"
-          [
-            "random:lib/core/foo.ml:3";
-            "taint:lib/drip/drip.ml:Drip.step:Random.int";
-          ]
-          (Driver.baseline_lines (sample_findings @ sample_findings)));
-    Alcotest.test_case "stale entries are entries no finding matches" `Quick
-      (fun () ->
-        let baseline =
-          [
-            "random:lib/core/foo.ml:3" (* matches *);
-            "random:lib/gone.ml:9";
-            "taint:lib/drip/drip.ml:Drip.step:Random.int" (* matches *);
-            "taint:lib/gone.ml:Gone.f:Random.int";
-            "effect:lib/gone.ml:Gone.g:IO";
-          ]
-        in
-        Alcotest.(check (list string))
-          "every unmatched entry, whatever its analysis"
-          [
-            "random:lib/gone.ml:9";
-            "taint:lib/gone.ml:Gone.f:Random.int";
-            "effect:lib/gone.ml:Gone.g:IO";
-          ]
-          (Driver.stale_baseline ~baseline sample_findings));
     Alcotest.test_case "unparseable file is a parse-error finding" `Quick
       (fun () ->
         let hazards =
@@ -2075,7 +2098,7 @@ let () =
       ("partiality", partiality_tests);
       ("dataflow-differential", differential_tests);
       ("sarif", sarif_tests);
-      ("baseline", baseline_tests);
+      ("scan", scan_tests);
       ("invariants-clean", clean_tests);
       ("invariants-broken-protocols", broken_protocol_tests);
       ("invariants-corrupted-outcomes", corrupted_outcome_tests);

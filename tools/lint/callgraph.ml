@@ -9,8 +9,9 @@
    [M.(...)] / a toplevel [open M] are additionally recorded with the
    opened module prefixed ([shuffle] under [open Util] also yields
    [Util.shuffle]) — an over-approximation that may add edges but never
-   drops a real one.  Resolution of references to nodes happens in
-   taint.ml — this module only extracts the raw shape.
+   drops a real one.  A path through a module alias ([module Can =
+   Election.Canonical], toplevel or [let module]) is recorded expanded
+   ([Election.Canonical.raw_key]), and {!resolve} maps paths to nodes.
 
    Beyond plain edges, three extra facts feed the effect analysis
    (effects.ml): which toplevel bindings allocate mutable state
@@ -42,6 +43,9 @@ type t = {
   mutables : (string, unit) Hashtbl.t;
       (* keys of module-level mutable bindings (ref / Hashtbl.create ...) *)
   allow : (string, line:int -> rule:string -> bool) Hashtbl.t;
+  aliases : (string, string list) Hashtbl.t;  (* "Top.X" -> A.B *)
+  exns : (string, string list option) Hashtbl.t;
+      (* "Top.E" -> None, or Some A.F for [exception E = A.F] *)
 }
 
 let create () =
@@ -50,11 +54,25 @@ let create () =
     modules = Hashtbl.create 16;
     mutables = Hashtbl.create 16;
     allow = Hashtbl.create 16;
+    aliases = Hashtbl.create 16;
+    exns = Hashtbl.create 16;
   }
 
 let module_name_of_path path =
   String.capitalize_ascii
     (Filename.remove_extension (Filename.basename path))
+
+(* A qualified path through the module aliases of [top]; an alias names
+   one module throughout its file, and a bare name is never one. *)
+let expand t ~top comps =
+  let rec go fuel = function
+    | x :: (_ :: _ as rest) as comps when fuel > 0 -> (
+        match Hashtbl.find_opt t.aliases (top ^ "." ^ x) with
+        | Some target -> go (fuel - 1) (target @ rest)
+        | None -> comps)
+    | comps -> comps
+  in
+  go 8 comps
 
 (* ------------------------------------------------------------------ *)
 (* Extraction                                                          *)
@@ -121,7 +139,7 @@ type extraction = {
    toplevel binding — recording it would fabricate an edge (e.g. a local
    [let run = classify config] inside a body aliasing [Module.run]).
    Qualified references are never scoped out. *)
-let rec extract ~opens e =
+let rec extract ~expand ~opens e =
   let refs = ref [] in
   let sets = ref [] in
   let tasks = ref [] in
@@ -134,10 +152,14 @@ let rec extract ~opens e =
     match target with
     | [ x ] when in_scope x -> ()
     | _ ->
-        refs := { target; ref_line = line } :: !refs;
-        List.iter
-          (fun m -> refs := { target = m @ target; ref_line = line } :: !refs)
-          !cur_opens
+        let expanded = expand target in
+        refs := { target = expanded; ref_line = line } :: !refs;
+        (* an alias of this file shadows what opens could name *)
+        if expanded = target then
+          List.iter
+            (fun m ->
+              refs := { target = expand (m @ target); ref_line = line } :: !refs)
+            !cur_opens
   in
   let rec expr self e =
     let with_frame names k =
@@ -183,12 +205,12 @@ let rec extract ~opens e =
             cur_opens := saved
         | None -> Ast_iterator.default_iterator.expr self e)
     | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, args)
-      when pool_submit (flat txt) ->
+      when pool_submit (expand (flat txt)) ->
         List.iter
           (fun (lbl, a) ->
             match lbl with
             | Asttypes.Labelled "f" ->
-                let sub = extract ~opens:!cur_opens a in
+                let sub = extract ~expand ~opens:!cur_opens a in
                 tasks :=
                   {
                     submit_line = loc.loc_start.Lexing.pos_lnum;
@@ -238,6 +260,13 @@ let binds_mutable vb =
       | _ -> false)
   | _ -> false
 
+(* [module X = A.B] or [let module X = A.B in]: X stands for A.B. *)
+let note_alias t ~top name m =
+  match (name, m.pmod_desc) with
+  | Some x, Pmod_ident { txt; _ } ->
+      Hashtbl.replace t.aliases (top ^ "." ^ x) (flat txt)
+  | _ -> ()
+
 let add_def t ~top ~subpath ~name ~path ~line ~x =
   let key = top ^ "." ^ name in
   let display = String.concat "." ((top :: subpath) @ [ name ]) in
@@ -273,9 +302,9 @@ let rec collect_items t ~top ~subpath ~path ~opens items =
       | Pstr_value (_, vbs) ->
           List.iter
             (fun vb ->
-              let x = extract ~opens:!opens vb.pvb_expr in
               collect_let_modules t ~top ~subpath ~path ~opens:!opens
                 vb.pvb_expr;
+              let x = extract ~expand:(expand t ~top) ~opens:!opens vb.pvb_expr in
               match vars_of_pattern vb.pvb_pat with
               | [] ->
                   (* [let () = ...] and friends: module initialization code
@@ -294,12 +323,13 @@ let rec collect_items t ~top ~subpath ~path ~opens items =
                     vars)
             vbs
       | Pstr_eval (e, _) ->
-          let x = extract ~opens:!opens e in
           collect_let_modules t ~top ~subpath ~path ~opens:!opens e;
+          let x = extract ~expand:(expand t ~top) ~opens:!opens e in
           if x.x_refs <> [] then
             add_def t ~top ~subpath ~name:"(init)" ~path
               ~line:item.pstr_loc.loc_start.Lexing.pos_lnum ~x
       | Pstr_module { pmb_name = { txt; _ }; pmb_expr; _ } ->
+          note_alias t ~top txt pmb_expr;
           let sub = match txt with Some s -> [ s ] | None -> [] in
           collect_module t ~top ~subpath:(subpath @ sub) ~path ~opens:!opens
             pmb_expr
@@ -312,6 +342,13 @@ let rec collect_items t ~top ~subpath ~path ~opens items =
               collect_module t ~top ~subpath:(subpath @ sub) ~path
                 ~opens:!opens mb.pmb_expr)
             mbs
+      | Pstr_exception { ptyexn_constructor = { pext_name; pext_kind; _ }; _ }
+        ->
+          Hashtbl.replace t.exns
+            (top ^ "." ^ pext_name.txt)
+            (match pext_kind with
+            | Pext_rebind { txt; _ } -> Some (flat txt)
+            | Pext_decl _ -> None)
       | Pstr_include { pincl_mod; _ } ->
           collect_module t ~top ~subpath ~path ~opens:!opens pincl_mod
       | _ -> ())
@@ -334,6 +371,7 @@ and collect_module t ~top ~subpath ~path ~opens m =
 and collect_let_modules t ~top ~subpath ~path ~opens e =
   List.iter
     (fun (name, m) ->
+      note_alias t ~top name m;
       let sub = match name with Some s -> [ s ] | None -> [] in
       collect_module t ~top ~subpath:(subpath @ sub) ~path ~opens m)
     (let_modules_of_expr e)
@@ -373,24 +411,36 @@ let allowed t ~path ~line ~rule =
   | Some f -> f ~line ~rule
   | None -> false
 
-(* Resolve a flattened reference made inside [top] to a call-graph key.
-   [f] alone resolves within the same top module; [...; M; ...; f]
-   resolves through the first component naming a scanned module, which
-   handles both direct ([Engine.run]) and library-wrapped
-   ([Radio_sim.Engine.run]) paths.  Shared by every dataflow client. *)
-let resolve t ~top comps =
-  match comps with
-  | [ f ] ->
-      let key = top ^ "." ^ f in
-      if find t key <> None then Some key else None
-  | _ :: _ -> (
-      let f = List.nth comps (List.length comps - 1) in
-      let modules = List.filteri (fun i _ -> i < List.length comps - 1) comps in
-      match List.find_opt (has_module t) modules with
-      | Some m ->
-          let key = m ^ "." ^ f in
-          if find t key <> None then Some key else None
-      | None -> None)
+(* The key a path made inside [top] names, after the file's aliases: [f]
+   alone within [top]; [...; M; ...; f] through the first component naming
+   a scanned module ([Engine.run], [Radio_sim.Engine.run]). *)
+let qualify t ~top comps =
+  match List.rev (expand t ~top comps) with
+  | [ f ] -> Some (top ^ "." ^ f)
+  | f :: rev_modules ->
+      List.find_opt (has_module t) (List.rev rev_modules)
+      |> Option.map (fun m -> m ^ "." ^ f)
   | [] -> None
+
+let resolve t ~top comps =
+  match qualify t ~top comps with
+  | Some key when find t key <> None -> Some key
+  | _ -> None
+
+let exn_name t ~top ~opens comps =
+  let declared top comps =
+    Option.bind (qualify t ~top comps) (fun key ->
+        Option.map (fun target -> (key, target)) (Hashtbl.find_opt t.exns key))
+  in
+  let rec go fuel top comps =
+    match declared top comps with
+    | Some (key, Some target) when fuel > 0 ->
+        go (fuel - 1) (List.hd (String.split_on_char '.' key)) target
+    | Some (key, _) -> key
+    | None -> String.concat "." (expand t ~top comps)
+  in
+  match List.find_opt (fun m -> declared top (m @ comps) <> None) opens with
+  | Some m -> go 8 top (m @ comps)
+  | None -> go 8 top comps
 
 let flatten lid = flat lid

@@ -68,7 +68,8 @@ val allowed : t -> path:string -> line:int -> rule:string -> bool
 val resolve : t -> top:string -> string list -> string option
 (** Resolve a flattened reference made inside top module [top] to a
     call-graph key: [f] alone within the same module, [...; M; ...; f]
-    through the first component naming a scanned module.  The edge
+    through the first component naming a scanned module, after the
+    file's module aliases.  The edge
     relation every dataflow client ({!Taint}, {!Effects}, {!Ranges},
     {!Partiality}) propagates over. *)
 
@@ -76,3 +77,9 @@ val flatten : Longident.t -> string list
 (** Flatten a longident the way reference extraction does ([Stdlib.]
     dropped) — clients walking their own ASTs resolve through
     {!resolve} with the same spelling. *)
+
+val exn_name :
+  t -> top:string -> opens:string list list -> string list -> string
+(** The one name of a constructor spelled [comps] in [top] under [opens]:
+    ["Module.E"] for one a scanned module declares (through aliases, opens
+    and rebindings), the alias-expanded path otherwise ([Not_found]). *)

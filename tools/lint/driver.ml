@@ -1,9 +1,8 @@
 (* Orchestration behind `anorad lint`: expand paths, read and parse each
    file once, run the AST rules and missing-mli on every file and the
    four interprocedural analyses — taint, effects, value ranges and
-   partiality — over one call graph of every parsed file, filter against
-   a committed baseline, and render text or SARIF.  A file that does not
-   parse is a parse-error finding. *)
+   partiality — over one call graph of every parsed file, and render text
+   or SARIF.  A file that does not parse is a parse-error finding. *)
 
 type finding = {
   rule : string;
@@ -50,72 +49,49 @@ let related_of_chain chain =
       (h.Dataflow.hop_path, h.Dataflow.hop_line, h.Dataflow.name))
     chain
 
-let of_violation (v : Rules.violation) =
+(* The fingerprint is [rule:path:key]: [key] is the line for the per-file
+   and range rules, and line-free for the interprocedural findings —
+   [Function:sink], [Function:class], [Function:Exn1+Exn2] — so those
+   survive unrelated edits, while a worse class or a new escaping
+   exception is a new result. *)
+let make ~rule ~path ~line ~message ~key chain =
   {
-    rule = v.Rules.rule;
-    path = v.Rules.path;
-    line = v.Rules.line;
-    message = v.Rules.message;
-    fingerprint = Printf.sprintf "%s:%s:%d" v.Rules.rule v.Rules.path v.Rules.line;
-    related = [];
+    rule;
+    path;
+    line;
+    message;
+    fingerprint = String.concat ":" [ rule; path; key ];
+    related = related_of_chain chain;
   }
+
+let of_violation (v : Rules.violation) =
+  make ~rule:v.Rules.rule ~path:v.Rules.path ~line:v.Rules.line
+    ~message:v.Rules.message ~key:(string_of_int v.Rules.line) []
 
 let of_taint (f : Taint.finding) =
   let d = f.Taint.func in
-  {
-    rule = Taint.rule;
-    path = d.Callgraph.def_path;
-    line = d.Callgraph.def_line;
-    message = Taint.message f;
-    fingerprint =
-      Printf.sprintf "taint:%s:%s:%s" d.Callgraph.def_path
-        d.Callgraph.display f.Taint.sink;
-    related = related_of_chain f.Taint.chain;
-  }
+  make ~rule:Taint.rule ~path:d.Callgraph.def_path ~line:d.Callgraph.def_line
+    ~message:(Taint.message f)
+    ~key:(d.Callgraph.display ^ ":" ^ f.Taint.sink)
+    f.Taint.chain
 
-(* Effect escapes anchor at the Pool submit site (the actionable line);
-   the fingerprint is line-free — effect:path:Function:class — so a
-   baselined escape survives unrelated edits and a class change
-   (SharedMut -> IO) resurfaces. *)
+(* Effect escapes anchor at the Pool submit site (the actionable line). *)
 let of_effect (f : Effects.finding) =
   let d = f.Effects.func in
-  {
-    rule = Effects.rule;
-    path = d.Callgraph.def_path;
-    line = f.Effects.submit_line;
-    message = Effects.message f;
-    fingerprint =
-      Printf.sprintf "effect:%s:%s:%s" d.Callgraph.def_path
-        d.Callgraph.display
-        (Effects.cls_name f.Effects.cls);
-    related = related_of_chain f.Effects.chain;
-  }
+  make ~rule:Effects.rule ~path:d.Callgraph.def_path ~line:f.Effects.submit_line
+    ~message:(Effects.message f)
+    ~key:(d.Callgraph.display ^ ":" ^ Effects.cls_name f.Effects.cls)
+    f.Effects.chain
 
 let of_range (f : Ranges.finding) =
-  {
-    rule = f.Ranges.rule_id;
-    path = f.Ranges.path;
-    line = f.Ranges.line;
-    message = f.Ranges.message;
-    fingerprint =
-      Printf.sprintf "%s:%s:%d" f.Ranges.rule_id f.Ranges.path f.Ranges.line;
-    related = related_of_chain f.Ranges.chain;
-  }
+  make ~rule:f.Ranges.rule_id ~path:f.Ranges.path ~line:f.Ranges.line
+    ~message:f.Ranges.message ~key:(string_of_int f.Ranges.line) f.Ranges.chain
 
-(* Partiality fingerprints are line-free — partiality:path:Function:exn
-   set — so a baselined boundary survives unrelated edits and a new
-   escaping exception resurfaces. *)
 let of_partiality (f : Partiality.finding) =
-  {
-    rule = "partiality";
-    path = f.Partiality.path;
-    line = f.Partiality.line;
-    message = f.Partiality.message;
-    fingerprint =
-      Printf.sprintf "partiality:%s:%s:%s" f.Partiality.path f.Partiality.func
-        (String.concat "+" f.Partiality.exns);
-    related = related_of_chain f.Partiality.chain;
-  }
+  make ~rule:"partiality" ~path:f.Partiality.path ~line:f.Partiality.line
+    ~message:f.Partiality.message
+    ~key:(f.Partiality.func ^ ":" ^ String.concat "+" f.Partiality.exns)
+    f.Partiality.chain
 
 let pp_finding ppf f =
   Format.fprintf ppf "%s:%d: [%s] %s" f.path f.line f.rule f.message
@@ -186,55 +162,6 @@ let scan roots =
     @ List.map of_range (Ranges.analyze cg ~asts)
     @ List.map of_partiality
         (Partiality.findings (Partiality.analyze cg ~asts)))
-
-(* ------------------------------------------------------------------ *)
-(* Baseline                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let load_baseline path =
-  Rules.read_file path |> String.split_on_char '\n'
-  |> List.filter_map (fun l ->
-         let l = String.trim l in
-         if l = "" || l.[0] = '#' then None else Some l)
-
-let apply_baseline ~baseline findings =
-  let fresh, suppressed =
-    List.partition (fun f -> not (List.mem f.fingerprint baseline)) findings
-  in
-  (fresh, List.length suppressed)
-
-let baseline_lines findings =
-  List.map (fun f -> f.fingerprint) findings |> List.sort_uniq compare
-
-let stale_baseline ~baseline findings =
-  List.filter
-    (fun entry -> not (List.exists (fun f -> f.fingerprint = entry) findings))
-    baseline
-
-(* The leading '#' lines of an existing baseline document the file (the
-   fingerprint formats, the policy, how to regenerate it), so a rewrite
-   keeps them and replaces only the fingerprints below. *)
-let write_baseline file findings =
-  let header, old =
-    if not (Sys.file_exists file) then
-      ( [
-          "# radiolint baseline — grandfathered findings, one fingerprint \
-           per line.";
-        ],
-        [] )
-    else
-      let rec leading = function
-        | l :: rest when String.length l > 0 && l.[0] = '#' -> l :: leading rest
-        | _ -> []
-      in
-      ( leading (String.split_on_char '\n' (Rules.read_file file)),
-        load_baseline file )
-  in
-  let lines = baseline_lines findings in
-  Out_channel.with_open_text file (fun oc ->
-      List.iter (fun l -> output_string oc (l ^ "\n")) (header @ lines));
-  let pruned = List.filter (fun o -> not (List.mem o lines)) old in
-  (List.length lines, List.length pruned)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

@@ -14,11 +14,12 @@ type finding = {
   line : int;
   message : string;
   fingerprint : string;
-      (** baseline key: [rule:path:line] for per-file rules (including
-          [range-*] and [parse-error]), [taint:path:Function:sink] for taint,
+      (** SARIF [partialFingerprints] key: [rule:path:line] for per-file
+          rules (including [range-*] and [parse-error]),
+          [taint:path:Function:sink] for taint,
           [effect:path:Function:class] for effect escapes,
           [partiality:path:Function:Exn1+Exn2] for partiality (line-free;
-          a new escaping exception resurfaces) *)
+          a new escaping exception is a new result) *)
   related : (string * int * string) list;
       (** witness chain as [(path, line, text)] — rendered as SARIF
           [relatedLocations]; empty for per-file rules *)
@@ -39,25 +40,6 @@ val callgraph : string list -> (Callgraph.t, finding) result
 (** The call graph of every [.ml] under the roots; [Error] is the
     [parse-error] finding of the first file that does not parse.  Raises
     [Sys_error] like {!scan}. *)
-
-val load_baseline : string -> string list
-(** Fingerprints from a baseline file; blank and [#] lines ignored. *)
-
-val apply_baseline : baseline:string list -> finding list -> finding list * int
-(** Drop baselined findings; returns the suppressed count. *)
-
-val baseline_lines : finding list -> string list
-(** Sorted, deduplicated fingerprints — the baseline file content. *)
-
-val stale_baseline : baseline:string list -> finding list -> string list
-(** Baseline entries that no finding of the (pre-{!apply_baseline}) scan
-    matches. *)
-
-val write_baseline : string -> finding list -> int * int
-(** [write_baseline file findings] writes {!baseline_lines} to [file]
-    under the leading ['#'] lines of the existing file (a one-line header
-    for a new file) and returns the number of fingerprints written and of
-    old entries pruned.  Raises [Sys_error] like {!scan}. *)
 
 val to_sarif : finding list -> string
 (** SARIF 2.1.0 document for a finding set. *)

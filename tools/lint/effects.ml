@@ -39,13 +39,6 @@ let cls_name = function
   | Shared_mut -> "SharedMut"
   | Io -> "IO"
 
-let cls_of_name = function
-  | "Pure" -> Some Pure
-  | "LocalMut" -> Some Local_mut
-  | "SharedMut" -> Some Shared_mut
-  | "IO" -> Some Io
-  | _ -> None
-
 let rule = "effect"
 
 (* ------------------------------------------------------------------ *)
@@ -59,10 +52,6 @@ let sys_pure =
     "opaque_identity"; "word_size"; "int_size"; "big_endian"; "max_string_length";
     "max_array_length"; "max_floatarray_length"; "ocaml_version"; "backend_type";
   ]
-
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
 
 (* Observable input/output: channels, the ambient file system and process
    state, wall-clock and environment reads.  [Format.fprintf ppf] and
@@ -81,11 +70,11 @@ let io_primitive comps =
   | [ "Format"; ("print_string" | "print_newline" | "print_flush") ] -> true
   | [ "Filename"; ("temp_file" | "open_temp_file" | "temp_dir") ] -> true
   | [ f ] ->
-      starts_with ~prefix:"print_" f
-      || starts_with ~prefix:"prerr_" f
-      || starts_with ~prefix:"output" f
-      || starts_with ~prefix:"input" f
-      || starts_with ~prefix:"read_" f
+      String.starts_with ~prefix:"print_" f
+      || String.starts_with ~prefix:"prerr_" f
+      || String.starts_with ~prefix:"output" f
+      || String.starts_with ~prefix:"input" f
+      || String.starts_with ~prefix:"read_" f
       || List.mem f [ "open_in"; "open_out"; "open_in_bin"; "open_out_bin";
                       "close_in"; "close_out"; "flush"; "flush_all"; "exit";
                       "at_exit" ]
@@ -115,7 +104,7 @@ let mutation comps =
   | [ "Hashtbl"; ("create" | "add" | "replace" | "remove" | "reset" | "clear"
                  | "filter_map_inplace") ] ->
       true
-  | [ "Buffer"; f ] -> starts_with ~prefix:"add_" f
+  | [ "Buffer"; f ] -> String.starts_with ~prefix:"add_" f
                        || List.mem f [ "create"; "clear"; "reset"; "truncate" ]
   | [ ("Queue" | "Stack"); ("create" | "push" | "pop" | "add" | "take"
                            | "clear" | "transfer" | "drop_exn") ] ->

@@ -39,8 +39,6 @@ val cls_name : cls -> string
 (** ["Pure"], ["LocalMut"], ["SharedMut"], ["IO"] — the spelling used in
     fingerprints ([effect:path:Function:class]) and SARIF properties. *)
 
-val cls_of_name : string -> cls option
-
 val rule : string
 (** The rule identifier, ["effect"] — also the annotation name that makes
     a function a barrier when placed on its definition. *)

@@ -1,22 +1,8 @@
 (** Partiality analysis: which exceptions can escape each function, a
     Backward {!Dataflow} instance over sets of exception constructor
-    names.
-
-    Sources are explicit [raise]/[raise_notrace] (constructor read from
-    the AST, ["unknown"] for a dynamic exception value), [failwith],
-    [invalid_arg], and the partial stdlib lookups; out-of-bounds
-    [get]/[set] belong to {!Ranges} and [Match_failure] to the
-    compiler's warning 8, so neither is a source here.  [try] handlers
-    subtract what they catch (line-based, applied to seeds and to every
-    propagation edge); a guarded handler subtracts nothing.
-
-    Findings are reported only where partiality crosses an operational
-    boundary: CLI subcommand entries in [bin/] and [Pool] task closures.
-    [(* radiolint: allow partiality *)] on a definition line is a
-    propagation barrier; on a submit line it suppresses that task
-    finding. *)
-
-module SS : Set.S with type elt = string
+    names, reported at CLI entries in [bin/] and [Pool] task closures.
+    Sources, handler subtraction and the [radiolint: allow partiality]
+    barrier are described in the implementation. *)
 
 val rules : (string * string) list
 (** [(rule_id, description)] for the driver's rule table. *)
@@ -41,11 +27,5 @@ val analyze :
     constructors and [try] extents (files without an AST contribute
     ["unknown"] raises and no handlers). *)
 
-val escape_set : result -> string -> SS.t
-(** Escape set of a call-graph key (for tests and tooling). *)
-
-val default_entry : Callgraph.def -> bool
-(** [bin/] bindings named [*_cmd] or [main]. *)
-
-val findings : ?entry:(Callgraph.def -> bool) -> result -> finding list
+val findings : result -> finding list
 (** Boundary findings, sorted by [(path, line, func)]. *)

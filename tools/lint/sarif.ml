@@ -3,7 +3,7 @@
    Emits the subset CI viewers require: $schema/version, one run with
    tool.driver (name, version, informationUri, rules) and results carrying
    ruleId, level, message.text, a physical location (artifact uri +
-   startLine) and a partial fingerprint (the baseline key). *)
+   startLine) and a partial fingerprint (the finding's stable key). *)
 
 type result = {
   rule_id : string;

@@ -4,7 +4,7 @@
     [version], one run with [tool.driver] (name, version, rule metadata)
     and [results] carrying [ruleId], [level], [message.text], a physical
     location (artifact uri + [startLine]) and a partial fingerprint — the
-    same string the baseline file stores. *)
+    finding's stable key ({!Driver.finding}'s [fingerprint]). *)
 
 type result = {
   rule_id : string;
