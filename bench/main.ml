@@ -404,9 +404,13 @@ let e8 () =
     Table.create
       ~title:
         "Classifier paths, identical outputs (wall ms per call; labels \
-         built; doubling = time at this n / time at the previous row's n)"
+         built; minor words allocated per call, kernel rows; doubling = \
+         time at this n / time at the previous row's n)"
       ~columns:
-        [ "workload"; "n"; "impl"; "iters"; "ms"; "labels"; "doubling" ]
+        [
+          "workload"; "n"; "impl"; "iters"; "ms"; "labels"; "words";
+          "doubling";
+        ]
   in
   (* One series: one workload, one implementation, growing n. *)
   let series workload impl sizes make =
@@ -425,12 +429,22 @@ let e8 () =
               let run, cost = Fast.kernel config in
               (run, cost.Fast.computed)
         in
-        let t =
-          time (fun () ->
-              match impl with
-              | `Literal -> ignore (Cl.classify config)
-              | `Fast -> ignore (Fast.classify config)
-              | `Incremental -> ignore (I.run (I.init config)))
+        let call () =
+          match impl with
+          | `Literal -> ignore (Cl.classify config)
+          | `Fast -> ignore (Fast.classify config)
+          | `Incremental -> ignore (I.run (I.init config))
+        in
+        let t = time call in
+        (* Deterministic: the same calls allocate the same words, whatever
+           the host's load or core count. *)
+        let words =
+          match impl with
+          | `Literal -> "-"
+          | `Fast | `Incremental ->
+              let w0 = Gc.minor_words () in
+              call ();
+              Printf.sprintf "%.0f" (Gc.minor_words () -. w0)
         in
         let doubling =
           match !prev with
@@ -450,6 +464,7 @@ let e8 () =
             string_of_int (Cl.num_iterations run);
             ms t;
             string_of_int labels;
+            words;
             doubling;
           ])
       sizes
@@ -475,7 +490,10 @@ let e8 () =
      fast kernel rebuilds only the labels whose inputs moved at the\n\
      previous iteration: 16m - 15 of them on G_m.  A doubling near 4 is\n\
      quadratic, near 8 cubic; the fast G_m rows stay quadratic because\n\
-     every iteration still refines and records all n nodes.\n"
+     every iteration still refines and records all n nodes.  Words are\n\
+     the minor-heap words one call allocates (arrays over 256 words go\n\
+     to the major heap and are not counted): a kernel allocation\n\
+     regression shows there on any host.\n"
 
 (* ------------------------------------------------------------------ *)
 (* E9 - related-work baselines: the price of determinism               *)

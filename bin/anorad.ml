@@ -43,6 +43,13 @@ let in_range ~cmd ?(hi = max_int) lo name v =
       (if hi = max_int then Printf.sprintf "--%s must be >= %d, got %d" name lo v
        else Printf.sprintf "--%s must be in %d..%d, got %d" name lo hi v)
 
+(* The small-configuration universe (census, mc --oracle) is bounded in
+   size and span; bad bounds are refused before any work. *)
+let universe_bounds ~cmd ~max_n ~max_span =
+  match Election.Census.check_bounds ~max_n ~max_span with
+  | Ok () -> ()
+  | Error msg -> invalid ~cmd "argument" msg
+
 (* The universal-mode search (mc --explore, optimal) has a size limit. *)
 let check_explorable ~cmd config =
   if C.size config > Radio_mc.Checker.max_explore_nodes then
@@ -193,10 +200,11 @@ let trace_cmd =
       o.Engine.histories;
     (* a run cut off by --max-rounds decides nothing *)
     if a.Fe.feasible then
+      let decide = Can.decision a.Fe.plan in
       Format.printf "leader (by decision function): %s@."
         (match
            List.filter
-             (fun v -> Can.decision a.Fe.plan o.Engine.histories.(v))
+             (fun v -> decide o.Engine.histories.(v))
              (if o.Engine.all_terminated then List.init (C.size config) Fun.id
               else [])
          with
@@ -374,11 +382,10 @@ let census_cmd =
     Arg.(value & opt int 2 & info [ "max-span" ] ~docv:"S" ~doc)
   in
   let run max_n max_span jobs =
+    universe_bounds ~cmd:"census" ~max_n ~max_span;
     let report =
-      try
-        with_jobs_pool jobs (fun pool ->
-            Election.Census.run ~pool ~max_n ~max_span ())
-      with Invalid_argument msg -> invalid ~cmd:"census" "argument" msg
+      with_jobs_pool jobs (fun pool ->
+          Election.Census.run ~pool ~max_n ~max_span ())
     in
     Format.printf "%a@." Election.Census.pp_report report;
     if report.Election.Census.all_consistent then 0 else 2
@@ -800,11 +807,12 @@ let mc_cmd =
         Printf.eprintf "\rmc oracle: %d/%d configs%!" finished total;
       if finished = total then prerr_newline ()
     in
+    (* the oracle's cells: every span up to 2 *)
+    let max_span = 2 in
+    universe_bounds ~cmd:"mc" ~max_n ~max_span;
     let report =
-      try
-        with_jobs_pool jobs (fun pool ->
-            Oracle.run ~pool ~progress ~max_n ~replay ())
-      with Invalid_argument msg -> invalid ~cmd:"mc" "argument" msg
+      with_jobs_pool jobs (fun pool ->
+          Oracle.run ~pool ~progress ~max_n ~max_span ~replay ())
     in
     Format.printf "%a@." Oracle.pp_report report;
     let results =
@@ -1252,6 +1260,14 @@ let churn_cmd =
       max_attempts max_timeout oracle jobs =
     in_range ~cmd:"churn" 1 "horizon" horizon;
     Option.iter (in_range ~cmd:"churn" 0 "oracle") oracle;
+    List.iter
+      (fun (name, k) -> in_range ~cmd:"churn" 0 name k)
+      [
+        ("link-flaps", link_flaps);
+        ("node-flaps", node_flaps);
+        ("retags", retags);
+        ("crashes", crashes);
+      ];
     match oracle with
     | Some sequences ->
         let report =

@@ -85,9 +85,10 @@ let check_patience config outcome =
 let check_blocks run plan outcome =
   let iterations = Array.of_list run.Classifier.iterations in
   let okay = ref true in
+  let block_trace = Canonical.block_trace plan in
   Array.iteri
     (fun v h ->
-      let trace = Canonical.block_trace plan h in
+      let trace = block_trace h in
       Array.iteri
         (fun j_minus_1 tb ->
           let expected =
@@ -126,9 +127,10 @@ let check_schedule config plan =
     ~no:(Printf.sprintf "termination round %d exceeds bound %d" t bound)
 
 let check_election run plan outcome =
+  let decide = Canonical.decision plan in
   let winners =
     List.filter
-      (fun v -> Canonical.decision plan outcome.Engine.histories.(v))
+      (fun v -> decide outcome.Engine.histories.(v))
       (List.init (Array.length outcome.Engine.histories) Fun.id)
   in
   match Classifier.canonical_leader run with

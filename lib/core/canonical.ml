@@ -79,6 +79,65 @@ let match_entry entries ~prev_block ~obs_label =
       in
       scan 1
 
+(* A class table indexed by key: open addressing over the
+   (prev_class, label) hash, [slots.(s)] an entry index (1-based) or 0
+   for an empty slot.  A key listed twice keeps its first entry, as
+   [match_entry]'s scan finds it. *)
+type index = {
+  entries : entry array;
+  slots : int array;
+  mask : int;
+}
+
+(* The slot holding [(pb, label)]'s entry, or the empty slot where it
+   goes. *)
+let rec probe idx pb label s =
+  let k = idx.slots.(s) in
+  if k = 0 then s
+  else
+    let e = idx.entries.(k - 1) in
+    if e.prev_class = pb && Label.equal e.label label then s
+    else probe idx pb label ((s + 1) land idx.mask)
+
+let slot_of_key idx pb label =
+  probe idx pb label (Label.hash_key pb label land idx.mask)
+
+let index entries =
+  let rec size s = if s >= 2 * Array.length entries then s else size (2 * s) in
+  let size = size 4 in
+  let idx = { entries; slots = Array.make size 0; mask = size - 1 } in
+  Array.iteri
+    (fun i e ->
+      let s = slot_of_key idx e.prev_class e.label in
+      if idx.slots.(s) = 0 then idx.slots.(s) <- i + 1)
+    entries;
+  idx
+
+(* [match_entry] by key. *)
+let lookup idx ~prev_block ~obs_label =
+  match prev_block with
+  | None -> None
+  | Some pb -> (
+      match idx.slots.(slot_of_key idx pb obs_label) with
+      | 0 -> None
+      | k -> Some k)
+
+let entry_lookup entries = lookup (index entries)
+
+(* A plan's tables, indexed once: every phase table and the final one. *)
+type compiled = {
+  plan : plan;
+  phase_index : index array;
+  final_index : index;
+}
+
+let compile plan =
+  {
+    plan;
+    phase_index = Array.map index plan.tables;
+    final_index = index plan.final_table;
+  }
+
 (* The offset of a round within a phase ([1 .. B(2σ+1) + σ]) is slot
    [slot_of] of block [block_of] when [in_blocks], else one of the σ
    trailing listen rounds. *)
@@ -120,7 +179,7 @@ type node = {
   mutable tx_round : int;  (* this phase's transmission; 0 when lost *)
 }
 
-let protocol plan =
+let protocol_of { plan; phase_index; _ } =
   let bounds = phase_bounds plan in
   let t = num_phases plan in
   let sigma = plan.sigma in
@@ -138,7 +197,7 @@ let protocol plan =
     let j = s.phase in
     (if Option.is_some s.tblock then
        let obs_label = Label.of_observations s.obs in
-       s.tblock <- match_entry plan.tables.(j) ~prev_block:s.tblock ~obs_label);
+       s.tblock <- lookup phase_index.(j) ~prev_block:s.tblock ~obs_label);
     s.obs <- [];
     s.phase <- j + 1;
     open_phase s
@@ -177,9 +236,7 @@ let protocol plan =
       else s.rounds_done <- s.rounds_done + k
     end
   in
-  let first_block =
-    match_entry plan.tables.(0) ~prev_block:(Some 1) ~obs_label:[]
-  in
+  let first_block = lookup phase_index.(0) ~prev_block:(Some 1) ~obs_label:[] in
   let spawn () =
     let s =
       {
@@ -200,6 +257,8 @@ let protocol plan =
   in
   { Protocol.name = "canonical"; spawn }
 
+let protocol plan = protocol_of (compile plan)
+
 (* The label a node perceives in phase [j], read round by round (the
    literal reading [pure_drip] keeps). *)
 let observations_of_phase plan bounds h ~j =
@@ -213,7 +272,7 @@ let observations_of_phase plan bounds h ~j =
 (* One replay of [h] through the plan, event by event: the block used in
    each phase, and the label observed in the final phase, which only
    [final_class] needs.  [O(events + phases)]. *)
-let replay_blocks ~caller plan h =
+let replay_blocks ~caller { plan; phase_index; _ } h =
   let bounds = phase_bounds plan in
   let t = num_phases plan in
   if History.length h < bounds.(t) + 1 then
@@ -236,7 +295,7 @@ let replay_blocks ~caller plan h =
   let prev_block = ref (Some 1) in
   for j = 1 to t do
     let tb =
-      match_entry plan.tables.(j - 1) ~prev_block:!prev_block
+      lookup phase_index.(j - 1) ~prev_block:!prev_block
         ~obs_label:(Label.of_observations obs.(j - 1))
     in
     blocks_used.(j - 1) <- tb;
@@ -244,13 +303,16 @@ let replay_blocks ~caller plan h =
   done;
   (blocks_used, Label.of_observations obs.(t))
 
-let block_trace plan h =
-  fst (replay_blocks ~caller:"Canonical.block_trace" plan h)
+let block_trace plan =
+  let c = compile plan in
+  fun h -> fst (replay_blocks ~caller:"Canonical.block_trace" c h)
 
-let final_class plan h =
-  let trace, last_obs = replay_blocks ~caller:"Canonical.final_class" plan h in
-  let t = num_phases plan in
-  match_entry plan.final_table ~prev_block:trace.(t - 1) ~obs_label:last_obs
+let final_class_of c h =
+  let trace, last_obs = replay_blocks ~caller:"Canonical.final_class" c h in
+  let t = num_phases c.plan in
+  lookup c.final_index ~prev_block:trace.(t - 1) ~obs_label:last_obs
+
+let final_class plan = final_class_of (compile plan)
 
 let pure_drip plan h =
   let bounds = phase_bounds plan in
@@ -280,13 +342,16 @@ let pure_drip plan h =
 let pure_protocol plan =
   Protocol.of_pure ~name:"canonical-pure" (pure_drip plan)
 
-let decision plan h =
-  match plan.singleton_class with
+let decision_of c h =
+  match c.plan.singleton_class with
   | None -> false
-  | Some m -> Option.equal Int.equal (final_class plan h) (Some m)
+  | Some m -> Option.equal Int.equal (final_class_of c h) (Some m)
+
+let decision plan = decision_of (compile plan)
 
 let election plan =
-  { Radio_sim.Runner.protocol = protocol plan; decision = decision plan }
+  let c = compile plan in
+  { Radio_sim.Runner.protocol = protocol_of c; decision = decision_of c }
 
 let upper_bound_rounds ~n ~sigma =
   let phases = (n + 1) / 2 in

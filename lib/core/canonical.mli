@@ -44,6 +44,17 @@ type plan = {
 val plan_of_run : Classifier.run -> plan
 (** Compiles a classifier run (feasible or not) into a plan. *)
 
+val entry_lookup :
+  entry array -> prev_block:int option -> obs_label:Label.t -> int option
+(** [entry_lookup table] indexes [table] once by its entries'
+    [(prev_class, label)] hash ({!Label.hash_key}); the function returned
+    gives the 1-based index of the first entry whose key is
+    [(pb, obs_label)] for [prev_block = Some pb], and [None] when no entry
+    matches or [prev_block] is [None] (a lost node stays lost).  This is
+    how {!protocol}, {!final_class} and {!decision} read a class table,
+    each indexing a plan's tables once when applied to the plan;
+    {!pure_drip} keeps the literal linear scan. *)
+
 val num_phases : plan -> int
 (** [T]. *)
 
@@ -74,7 +85,10 @@ val block_trace : plan -> Radio_drip.History.t -> int option array
 (** [block_trace plan h] replays history [h] through the plan and returns,
     for each phase [P_j] (index [j - 1]), the transmission block the node
     used, or [None] from the phase where it went lost onwards.  Raises
-    [Invalid_argument] if [h] is shorter than the full schedule. *)
+    [Invalid_argument] if [h] is shorter than the full schedule.  Like
+    {!final_class} and {!decision}, it indexes the plan's tables when
+    applied to the plan: apply it once and reuse the function over many
+    histories. *)
 
 val final_class : plan -> Radio_drip.History.t -> int option
 (** The node's class in the final partition, recomputed from its history
@@ -85,7 +99,8 @@ val decision : plan -> Radio_drip.History.t -> bool
     for plans of infeasible runs. *)
 
 val election : plan -> Radio_sim.Runner.election
-(** [{protocol; decision}] bundled for {!Radio_sim.Runner.run}. *)
+(** [{protocol; decision}] bundled for {!Radio_sim.Runner.run}, sharing
+    one indexing of the plan's tables. *)
 
 val upper_bound_rounds : n:int -> sigma:int -> int
 (** The paper's [O(n^2 σ)] bound instantiated with explicit constants:

@@ -97,20 +97,27 @@ let universe_size ~max_n ~max_span =
   in
   total 1 0
 
-let universe ~max_n ~max_span =
-  if max_n < 1 || max_n > 6 then invalid_arg "Census.universe: max_n must be in 1..6";
-  if max_span < 0 then invalid_arg "Census.universe: max_span must be >= 0";
+let check_bounds ~max_n ~max_span =
+  if max_n < 1 || max_n > 6 then Error "Census.universe: max_n must be in 1..6"
+  else if max_span < 0 then Error "Census.universe: max_span must be >= 0"
   (* Every span is a cell, empty or not (at max_n = 1 all but span 0 are
      empty), so the span is bounded as well as the configurations. *)
-  if
+  else if
     max_span > max_configurations
     || universe_size ~max_n ~max_span > max_configurations
   then
-    invalid_arg
+    Error
       (Printf.sprintf
          "Census.universe: max_n %d, max_span %d is over the bound of %d \
           configurations"
-         max_n max_span max_configurations);
+         max_n max_span max_configurations)
+  else Ok ()
+
+let universe ~max_n ~max_span =
+  (match check_bounds ~max_n ~max_span with
+  | Ok () -> ()
+  (* radiolint: allow partiality — anorad checks the bounds before the run *)
+  | Error msg -> invalid_arg msg);
   List.concat_map
     (fun n ->
       let graphs = Enumerate.connected_up_to_iso n in

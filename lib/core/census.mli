@@ -50,6 +50,11 @@ val universe :
     ([sum_n |graphs(n)| ((max_span+1)^n - max_span^n)]) or [max_span]
     exceeds that bound. *)
 
+val check_bounds : max_n:int -> max_span:int -> (unit, string) result
+(** The bounds {!universe} enforces, checked without building anything:
+    [Error msg] with the message {!universe} would raise, so a caller can
+    refuse bad bounds before any work. *)
+
 val run : ?pool:Radio_exec.Pool.t -> ?max_n:int -> ?max_span:int -> unit -> report
 (** Audits every cell of {!universe}.  Defaults: [max_n = 4],
     [max_span = 2].  [max_n = 5] multiplies the work by roughly the number

@@ -1,63 +1,215 @@
 module Config = Radio_config.Config
 module G = Radio_graph.Graph
 
-(* Keys are (previous class, label); OCaml's structural hashing and equality
-   on [Label.t] values agree with [Label.equal] because labels are
-   canonically sorted lists of flat records. *)
-module Key = struct
-  type t = int * Label.t
+(* Refine's table: open addressing over a node's (previous class, label)
+   key, in two int arrays — [holder.(s)] is the first node holding the
+   key plus one (0: an empty slot) and [cls.(s)] its new class — with
+   the [filled] slots listed in [used], so clearing costs what filling
+   did.  It starts small and doubles past half full, so it stays in the
+   minor heap unless an iteration has many classes.  A kernel call owns
+   one; refinement runs in pool tasks, so nothing is shared between
+   calls. *)
+type table = {
+  mutable holder : int array;
+  mutable cls : int array;
+  mutable used : int array;
+  mutable filled : int;
+  mutable mask : int;
+}
 
-  let equal (c1, l1) (c2, l2) = c1 = c2 && Label.equal l1 l2
-  let hash = Hashtbl.hash
-end
+let table_of_size size =
+  {
+    holder = Array.make size 0;
+    cls = Array.make size 0;
+    used = Array.make (size / 2) 0;
+    filled = 0;
+    mask = size - 1;
+  }
 
-module Tbl = Hashtbl.Make (Key)
+let new_table () = table_of_size 32
 
 (* Members of a class [c] with [kept c] keep [c] without a table lookup:
    sound when they all carry their representative's label. *)
-let refine ~kept ~old_class ~labels ~num_classes ~reps =
+let refine t ~kept ~old_class ~labels ~num_classes ~reps =
   let n = Array.length old_class in
-  let table = Tbl.create 64 in
+  let hash v = Label.hash_key old_class.(v) labels.(v) in
+  (* The slot holding [v]'s key, or the empty slot where it goes. *)
+  let rec probe v s =
+    let h = t.holder.(s) in
+    if
+      h = 0
+      || old_class.(h - 1) = old_class.(v)
+         && Label.equal labels.(h - 1) labels.(v)
+    then s
+    else probe v ((s + 1) land t.mask)
+  in
+  let slot v = probe v (hash v land t.mask) in
+  let grow () =
+    let g = table_of_size (2 * (t.mask + 1)) in
+    for i = 0 to t.filled - 1 do
+      let s = t.used.(i) in
+      let h = t.holder.(s) in
+      let rec empty s = if g.holder.(s) = 0 then s else empty ((s + 1) land g.mask) in
+      let s' = empty (hash (h - 1) land g.mask) in
+      g.holder.(s') <- h;
+      g.cls.(s') <- t.cls.(s);
+      g.used.(i) <- s'
+    done;
+    t.holder <- g.holder;
+    t.cls <- g.cls;
+    t.used <- g.used;
+    t.mask <- g.mask
+  in
+  let add s v c =
+    t.holder.(s) <- v + 1;
+    t.cls.(s) <- c;
+    t.used.(t.filled) <- s;
+    t.filled <- t.filled + 1;
+    if 2 * t.filled > t.mask then grow ()
+  in
   (* Seed with the previous representatives: a node matching (k, label of
      rep_k) keeps class number k, as in the paper's Refine. *)
   Array.iteri
-    (fun i rep ->
-      if not (kept (i + 1)) then
-        Tbl.replace table (old_class.(rep), labels.(rep)) (i + 1))
+    (fun i rep -> if not (kept (i + 1)) then add (slot rep) rep (i + 1))
     reps;
   let new_class = Array.copy old_class in
   let num = ref num_classes in
-  let new_reps = ref [] in
   for v = 0 to n - 1 do
     if not (kept old_class.(v)) then begin
-      let key = (old_class.(v), labels.(v)) in
-      match Tbl.find_opt table key with
-      | Some k -> new_class.(v) <- k
-      | None ->
-          incr num;
-          Tbl.replace table key !num;
-          new_class.(v) <- !num;
-          new_reps := v :: !new_reps
+      let s = slot v in
+      if t.holder.(s) <> 0 then new_class.(v) <- t.cls.(s)
+      else begin
+        incr num;
+        add s v !num;
+        new_class.(v) <- !num
+      end
     end
   done;
+  (* A new class is represented by its first holder; clearing the table
+     reads them off. *)
   let reps_out = Array.make !num 0 in
   Array.blit reps 0 reps_out 0 (Array.length reps);
-  List.iteri
-    (fun i v -> reps_out.(!num - 1 - i) <- v)
-    !new_reps;
+  for i = 0 to t.filled - 1 do
+    let s = t.used.(i) in
+    if t.cls.(s) > num_classes then reps_out.(t.cls.(s) - 1) <- t.holder.(s) - 1;
+    t.holder.(s) <- 0
+  done;
+  t.filled <- 0;
   (new_class, !num, reps_out)
 
-let refine_with_table = refine ~kept:(fun _ -> false)
+let refine_with_table ~old_class ~labels ~num_classes ~reps =
+  refine (new_table ()) ~kept:(fun _ -> false) ~old_class ~labels ~num_classes
+    ~reps
 
 type memo = {
   previous : Classifier.run;
   dirty : int list;
+  remap : int array option;
 }
 
 type cost = {
   computed : int;
   reused : int;
 }
+
+let sort_run = 32
+
+(* Sorts [buf.(0 .. d-1)] ascending without allocating: insertion sort
+   within runs of [sort_run], then bottom-up merges through [tmp], which
+   is at least [d] long when [d > sort_run]. *)
+let sort_prefix buf tmp d =
+  let lo = ref 0 in
+  while !lo < d do
+    for i = !lo + 1 to min d (!lo + sort_run) - 1 do
+      let x = buf.(i) in
+      let j = ref (i - 1) in
+      while !j >= !lo && buf.(!j) > x do
+        buf.(!j + 1) <- buf.(!j);
+        decr j
+      done;
+      buf.(!j + 1) <- x
+    done;
+    lo := !lo + sort_run
+  done;
+  (* [in_tmp]: the last pass merged into [tmp] *)
+  let src = ref buf and dst = ref tmp and in_tmp = ref false in
+  let width = ref sort_run in
+  while !width < d do
+    let lo = ref 0 in
+    while !lo < d do
+      let mid = min d (!lo + !width) and hi = min d (!lo + (2 * !width)) in
+      let i = ref !lo and j = ref mid in
+      for k = !lo to hi - 1 do
+        if !i < mid && (!j >= hi || !src.(!i) <= !src.(!j)) then begin
+          !dst.(k) <- !src.(!i);
+          incr i
+        end
+        else begin
+          !dst.(k) <- !src.(!j);
+          incr j
+        end
+      done;
+      lo := hi
+    done;
+    let s = !src in
+    src := !dst;
+    dst := s;
+    in_tmp := not !in_tmp;
+    width := 2 * !width
+  done;
+  if !in_tmp then Array.blit tmp 0 buf 0 d
+
+(* [Partition.compute_label] without its lists and sort: a relevant
+   neighbour's (class, slot) pair goes into an int buffer as
+   [class·(2σ+2) + slot] (slots are [1 .. 2σ+1], so the ints order as the
+   pairs do), sorted in place, and runs of equal ints become the label's
+   triples.  The buffers belong to one kernel call.  A span too large to
+   pack falls back to the list version. *)
+let label_builder config =
+  let g = Config.graph config in
+  let n = Config.size config in
+  let sigma = Config.span config in
+  let tags = Config.tags config in
+  let width = (2 * sigma) + 2 in
+  if sigma >= max_int / (2 * (n + 2)) then fun ~class_of v ->
+    Partition.compute_label config ~class_of v
+  else begin
+    let degree = G.max_degree g in
+    let buf = Array.make (max 1 degree) 0 in
+    let tmp = if degree > sort_run then Array.make degree 0 else [||] in
+    (* the node being labelled: its partition, class and tag *)
+    let len = ref 0 and part = ref [||] and cv = ref 0 and tv = ref 0 in
+    let add w =
+      let cw = !part.(w) and tw = tags.(w) in
+      if cw <> !cv || tw <> !tv then begin
+        buf.(!len) <- (cw * width) + sigma + 1 + tw - !tv;
+        incr len
+      end
+    in
+    let rec build i acc =
+      if i < 0 then acc
+      else begin
+        let key = buf.(i) in
+        let j = ref i in
+        while !j > 0 && buf.(!j - 1) = key do
+          decr j
+        done;
+        let mark = if !j = i then Label.One else Label.Many in
+        build (!j - 1)
+          ({ Label.block = key / width; slot = key mod width; mark } :: acc)
+      end
+    in
+    fun ~class_of v ->
+      part := class_of;
+      cv := class_of.(v);
+      tv := tags.(v);
+      len := 0;
+      G.iter_neighbours g v ~f:add;
+      let d = !len in
+      sort_prefix buf tmp d;
+      (* runs from the largest key down, so the list comes out sorted *)
+      build (d - 1) []
+  end
 
 (* The one refinement kernel.  The label of [v] at iteration [k] is a
    function of the configuration and of the classes of [v] and of its
@@ -78,17 +230,26 @@ let kernel ?memo config =
   if n = 0 then invalid_arg "Fast_classifier.classify: empty configuration";
   let g = Config.graph config in
   let max_iters = (n + 1) / 2 in
-  (* σ appears in every label slot: a memo of another span (or size) has
-     nothing to offer. *)
-  let memo_its, struct_dirty =
+  (* σ appears in every label slot: a memo of another span, or over
+     another node count than its remap says, has nothing to offer. *)
+  let memo_its, struct_dirty, prev_index =
     match memo with
-    | Some { previous = { config = c; iterations; _ }; dirty }
-      when Config.size c = n && Config.span c = Config.span config ->
+    | Some { previous = { config = c; iterations; _ }; dirty; remap }
+      when Config.span c = Config.span config
+           &&
+           match remap with
+           | None -> Config.size c = n
+           | Some r -> Array.length r = n ->
         let sd = Array.make n false in
         List.iter (fun v -> sd.(v) <- true) dirty;
-        (Array.of_list iterations, sd)
-    | Some _ | None -> ([||], [||])
+        let prev =
+          match remap with Some r -> r | None -> Array.init n Fun.id
+        in
+        (Array.of_list iterations, sd, prev)
+    | Some _ | None -> ([||], [||], [||])
   in
+  let label_of = label_builder config in
+  let table = new_table () in
   let computed = ref 0 in
   (* [moved_mark.(v) = k] ([memo_mark.(v) = k]): an input of [v]'s label
      at iteration [k] differs from iteration [k - 1]'s (from the memo's). *)
@@ -102,7 +263,8 @@ let kernel ?memo config =
       else begin
         let m = memo_its.(k - 1) in
         for v = 0 to n - 1 do
-          if class_of.(v) <> m.Classifier.old_class.(v) then begin
+          let pv = prev_index.(v) in
+          if pv < 0 || class_of.(v) <> m.Classifier.old_class.(pv) then begin
             memo_mark.(v) <- k;
             G.iter_neighbours g v ~f:(fun w -> memo_mark.(w) <- k)
           end
@@ -112,10 +274,11 @@ let kernel ?memo config =
     in
     let fresh v =
       match from_memo with
-      | Some ml when (not struct_dirty.(v)) && memo_mark.(v) <> k -> ml.(v)
+      | Some ml when (not struct_dirty.(v)) && memo_mark.(v) <> k ->
+          ml.(prev_index.(v))
       | Some _ | None ->
           incr computed;
-          Partition.compute_label config ~class_of v
+          label_of ~class_of v
     in
     match prev with
     | None -> Array.init n fresh
@@ -146,7 +309,7 @@ let kernel ?memo config =
          among them. *)
       let kept c = k > 1 && split_mark.(c) <> k in
       let new_class, new_num, new_reps =
-        refine ~kept ~old_class:class_of ~labels ~num_classes ~reps
+        refine table ~kept ~old_class:class_of ~labels ~num_classes ~reps
       in
       let it =
         {

@@ -29,7 +29,12 @@ type memo = {
   dirty : int list;
       (** the {e structurally dirty} nodes: those whose own tag, a
           neighbour's tag, or whose neighbour set differs between
-          [previous.config] and the configuration being classified *)
+          [previous.config] and the configuration being classified
+          (a node with no previous index among them) *)
+  remap : int array option;
+      (** when the node set changed, each node's index in
+          [previous.config], [-1] for a node it does not hold; [None]
+          when the nodes are the same *)
 }
 
 type cost = {
@@ -43,9 +48,11 @@ val kernel : ?memo:memo -> Radio_config.Config.t -> Classifier.run * cost
 (** The one refinement kernel behind {!classify} and {!Incremental}.  With
     a [memo], a node's label at iteration [k] is also taken from the memo's
     iteration [k] when the node is not structurally dirty and its own and
-    its neighbours' input classes equal the memo's.  A memo over a
-    different node count or span [σ] is ignored (σ appears in every label
-    slot).  The run does not depend on the memo; only the cost does. *)
+    its neighbours' input classes equal the memo's, read through
+    [remap].  A memo of a different span [σ] (σ appears in every label
+    slot), or whose node count does not match [remap] (or, without one,
+    the configuration's), is ignored.  The run does not depend on the
+    memo; only the cost does. *)
 
 val classify : Radio_config.Config.t -> Classifier.run
 (** [kernel] with no memo. *)

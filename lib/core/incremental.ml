@@ -81,14 +81,17 @@ let init config =
     last_d = zero_delta;
   }
 
-(* Full fallback: rebuild the induced configuration and classify it from
-   scratch.  Used for membership edits, where the induced index space
-   itself changes. *)
-let rebuild s ~universe ~tags ~alive =
+(* A membership edit: the node [touched] left or joined, so the induced
+   index space changes.  The induced configuration is rebuilt from the
+   universe, and the kernel reads its memo through a remap (new induced
+   index -> previous one, -1 for the joined node); [touched], when
+   present, and its present neighbours are structurally dirty. *)
+let membership s ~tags ~alive ~touched =
+  let universe = s.universe in
   let n = G.size universe in
   let nlive = Array.fold_left (fun k a -> if a then k + 1 else k) 0 alive in
   let to_cur = Array.make n (-1) in
-  let of_cur = Array.make (max nlive 1) 0 in
+  let of_cur = Array.make nlive 0 in
   let j = ref 0 in
   Array.iteri
     (fun v a ->
@@ -98,25 +101,43 @@ let rebuild s ~universe ~tags ~alive =
         incr j
       end)
     alive;
-  let of_cur = Array.sub of_cur 0 nlive in
   let cache, cost =
     if nlive = 0 then (None, { Fast_classifier.computed = 0; reused = 0 })
     else begin
-      let b = G.Builder.create nlive in
-      List.iter
-        (fun (u, v) ->
-          if alive.(u) && alive.(v) then
-            G.Builder.add_edge b to_cur.(u) to_cur.(v))
-        (G.edges universe);
-      let itags = Array.map (fun v -> tags.(v)) of_cur in
-      let crun, cost =
-        Fast_classifier.kernel (Config.create (G.Builder.finish b) itags)
+      let ends = Array.make (2 * G.num_edges universe) 0 in
+      let m = ref 0 in
+      G.iter_edges universe ~f:(fun u v ->
+          if alive.(u) && alive.(v) then begin
+            ends.(2 * !m) <- to_cur.(u);
+            ends.((2 * !m) + 1) <- to_cur.(v);
+            incr m
+          end);
+      let g =
+        match G.of_edge_array nlive ends !m with
+        | Ok g -> g
+        (* radiolint: allow assert-false — the universe's own edges, renumbered *)
+        | Error _ -> assert false
       in
+      let config = Config.create g (Array.map (fun v -> tags.(v)) of_cur) in
+      let memo =
+        Option.map
+          (fun previous ->
+            {
+              Fast_classifier.previous;
+              dirty =
+                List.filter_map
+                  (fun w -> if alive.(w) then Some to_cur.(w) else None)
+                  (touched :: G.neighbours universe touched);
+              remap = Some (Array.map (fun v -> s.to_cur.(v)) of_cur);
+            })
+          s.cache
+      in
+      let crun, cost = Fast_classifier.kernel ?memo config in
       (Some crun, cost)
     end
   in
   let st, last_d = charge s ~rebuilt:true cost in
-  { universe; tags; alive; nlive; to_cur; of_cur; cache; st; last_d }
+  { s with tags; alive; nlive; to_cur; of_cur; cache; st; last_d }
 
 (* Incremental step on an unchanged vertex set: [new_cfg] is the edited
    induced configuration, [dirty] the induced-index nodes whose label
@@ -127,7 +148,9 @@ let incremental s ~universe ~tags ~new_cfg ~dirty =
   | None -> assert false (* radiolint: allow assert-false — callers check *)
   | Some previous ->
       let crun, cost =
-        Fast_classifier.kernel ~memo:{ Fast_classifier.previous; dirty } new_cfg
+        Fast_classifier.kernel
+          ~memo:{ Fast_classifier.previous; dirty; remap = None }
+          new_cfg
       in
       let st, last_d = charge s ~rebuilt:false cost in
       { s with universe; tags; cache = Some crun; st; last_d }
@@ -214,7 +237,7 @@ let apply s edit =
         invalid_arg "Incremental.apply: leave: node already absent";
       let alive = Array.copy s.alive in
       alive.(v) <- false;
-      rebuild s ~universe:s.universe ~tags:s.tags ~alive
+      membership s ~tags:s.tags ~alive ~touched:v
   | Join (v, t) ->
       check_node "join" v;
       if s.alive.(v) then
@@ -224,7 +247,7 @@ let apply s edit =
       alive.(v) <- true;
       let tags = Array.copy s.tags in
       tags.(v) <- t;
-      rebuild s ~universe:s.universe ~tags ~alive
+      membership s ~tags ~alive ~touched:v
 
 let live s = s.nlive
 let present s v = v >= 0 && v < Array.length s.alive && s.alive.(v)

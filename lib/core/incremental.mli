@@ -28,9 +28,12 @@
     kernel starts from the trivial partition like any run and is immune to
     this.
 
-    Membership edits ({!Leave}, {!Join}) change the induced index space and
-    fall back to a from-scratch classification (reported in {!stats} as
-    [full_rebuilds]); an edit that changes the induced span [σ], which
+    Membership edits ({!Leave}, {!Join}) change the induced index space:
+    the induced configuration is rebuilt, and the kernel reads the memo
+    through a remap from new induced indices to previous ones, with the
+    joined node, and the present neighbours of the node that left or
+    joined, structurally dirty.  They are counted in {!stats} as
+    [full_rebuilds].  An edit that changes the induced span [σ], which
     appears in every label slot, gets no reuse from the memo. *)
 
 type edit =
@@ -49,14 +52,17 @@ val pp_edit : Format.formatter -> edit -> unit
 type delta = {
   labels_computed : int;  (** labels built by the last edit *)
   labels_reused : int;  (** labels the last edit shared instead *)
-  rebuilt : bool;  (** the last edit fell back to a full classification *)
+  rebuilt : bool;
+      (** the last edit was a membership edit, which rebuilds the induced
+          configuration (its labels still reuse the memo) *)
 }
 
 type stats = {
   edits : int;  (** edits applied since {!init} *)
   computed : int;  (** cumulative labels built *)
   reused : int;  (** cumulative labels shared *)
-  full_rebuilds : int;  (** edits that fell back to from-scratch *)
+  full_rebuilds : int;
+      (** membership edits, which rebuild the induced configuration *)
 }
 
 type state

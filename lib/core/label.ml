@@ -26,9 +26,31 @@ let compare_triple t1 t2 =
 
 let compare_labels = List.compare compare_triple
 let compare = compare_labels
-let equal l1 l2 = compare_labels l1 l2 = 0
 
-let of_observations obs =
+let rec equal l1 l2 =
+  match (l1, l2) with
+  | [], [] -> true
+  | t1 :: r1, t2 :: r2 ->
+      t1.block = t2.block && t1.slot = t2.slot
+      && compare_mark t1.mark t2.mark = 0
+      && equal r1 r2
+  | _ :: _, [] | [], _ :: _ -> false
+
+(* A multiplicative fold over the fields, seeded with the key's class;
+   non-negative, so a table can mask it. *)
+let hash_key c l =
+  let rec fold h = function
+    | [] -> h land max_int
+    | t :: rest ->
+        let m = match t.mark with One -> 1 | Many -> 2 in
+        fold ((((((h * 31) + t.block) * 31) + t.slot) * 31) + m) rest
+  in
+  fold (17 + c) l
+
+let hash = hash_key 0
+
+(* Sorts and checks: any order, duplicates refused. *)
+let of_unordered_observations obs =
   let sorted =
     List.sort compare_triple
       (List.map (fun (block, slot, mark) -> { block; slot; mark }) obs)
@@ -43,6 +65,19 @@ let of_observations obs =
   in
   check sorted;
   sorted
+
+let of_observations obs =
+  (* Latest first, as the DRIP records them, the (block, slot) pairs are
+     strictly descending and one reversal makes the label. *)
+  let rec reverse acc = function
+    | [] -> acc
+    | (block, slot, mark) :: rest -> (
+        match acc with
+        | t :: _ when t.block < block || (t.block = block && t.slot <= slot) ->
+            of_unordered_observations obs
+        | _ -> reverse ({ block; slot; mark } :: acc) rest)
+  in
+  reverse [] obs
 
 let of_neighbour_slots slots =
   let compare_slot (b1, s1) (b2, s2) =

@@ -30,10 +30,21 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
+val hash : t -> int
+(** A non-negative hash over every field of every triple, [mark]
+    included: equal labels hash equally. *)
+
+val hash_key : int -> t -> int
+(** [hash_key c l] hashes the key [(c, l)] of a previous class and a
+    label, as {!hash} does [l] ([hash = hash_key 0]): the key of the
+    classifier's [Refine] table and of the DRIP's class-table lookups. *)
+
 val of_observations : (int * int * mark) list -> t
 (** Sorts raw [(block, slot, mark)] observations into a label.  Raises
     [Invalid_argument] if two observations share a [(block, slot)] pair
-    (a node perceives exactly one thing per round). *)
+    (a node perceives exactly one thing per round).  Observations listed
+    latest first, so in strictly descending [(block, slot)] order, take
+    one reversal and no sort. *)
 
 val of_neighbour_slots : (int * int) list -> t
 (** Builds a label from the multiset of [(block, slot)] transmission slots

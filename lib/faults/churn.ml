@@ -32,53 +32,46 @@ type report = {
   final_leader : int option;
 }
 
-(* Epoch boundaries: the distinct rounds (inside the horizon) at which the
-   plan reshapes the topology, plus round 0 for the cold-start election. *)
-let boundaries plan horizon =
-  let rounds =
-    List.filter_map
-      (fun f ->
-        match f with
-        | Fault_plan.Crash { round; _ }
-        | Fault_plan.Link_down { round; _ }
-        | Fault_plan.Link_up { round; _ }
-        | Fault_plan.Leave { round; _ }
-        | Fault_plan.Join { round; _ }
-        | Fault_plan.Retag { round; _ } ->
-            if round < horizon then Some round else None
-        | Fault_plan.Drop _ | Fault_plan.Noise _ | Fault_plan.Jitter _ ->
-            None)
-      (Fault_plan.normalize plan)
+(* The epochs, from one pass over the normalized plan: each boundary —
+   round 0 for the cold-start election, and every round inside the
+   horizon at which the plan reshapes the topology — with its events in
+   the engine's application order: topology events (normalized order)
+   first, then crashes. *)
+let schedule plan horizon =
+  (* drops, noise and jitter never set a boundary *)
+  let round_of = function
+    | Fault_plan.Crash { round; _ }
+    | Fault_plan.Link_down { round; _ }
+    | Fault_plan.Link_up { round; _ }
+    | Fault_plan.Leave { round; _ }
+    | Fault_plan.Join { round; _ }
+    | Fault_plan.Retag { round; _ } ->
+        round
+    | Fault_plan.Drop _ | Fault_plan.Noise _ | Fault_plan.Jitter _ -> horizon
   in
-  List.sort_uniq compare (0 :: rounds)
-
-(* Events applied at a boundary, in the engine's application order:
-   topology events (normalized order) first, then crashes. *)
-let events_at plan r =
-  let at round = round = r in
-  let topo =
-    List.filter
-      (fun f ->
-        match f with
-        | Fault_plan.Link_down { round; _ }
-        | Fault_plan.Link_up { round; _ }
-        | Fault_plan.Leave { round; _ }
-        | Fault_plan.Join { round; _ }
-        | Fault_plan.Retag { round; _ } ->
-            at round
-        | Fault_plan.Crash _ | Fault_plan.Drop _ | Fault_plan.Noise _
-        | Fault_plan.Jitter _ ->
-            false)
-      (Fault_plan.normalize plan)
-  and crashes =
-    List.filter
-      (fun f ->
-        match f with
-        | Fault_plan.Crash { round; _ } -> at round
-        | _ -> false)
-      (Fault_plan.normalize plan)
+  let topo, crashes =
+    List.partition
+      (function Fault_plan.Crash _ -> false | _ -> true)
+      (List.filter (fun f -> round_of f < horizon) (Fault_plan.normalize plan))
   in
-  topo @ crashes
+  (* A stable sort keeps each round's topology events before its crashes,
+     both in normalized order. *)
+  let events =
+    List.stable_sort
+      (fun a b -> Int.compare (round_of a) (round_of b))
+      (topo @ crashes)
+  in
+  let rec group = function
+    | [] -> []
+    | f :: rest -> (
+        let r = round_of f in
+        match group rest with
+        | (r', fs) :: tail when r' = r -> (r, f :: fs) :: tail
+        | tail -> (r, [ f ]) :: tail)
+  in
+  let epochs = group events in
+  if List.mem_assoc 0 epochs then epochs
+  else List.merge (fun (a, _) (b, _) -> Int.compare a b) [ (0, []) ] epochs
 
 (* An event that asks for a state the network is already in (flapping a
    link down twice, a leave of an absent node) is inert, exactly as in the
@@ -171,16 +164,14 @@ let run ?(max_attempts = 5) ?max_timeout ~plan ~horizon config =
   let leader_rounds = ref 0 in
   let re_elections = ref 0 in
   let total_election_rounds = ref 0 in
-  let bs = boundaries plan horizon in
-  List.iteri
-    (fun index b ->
+  let epochs_at = Array.of_list (schedule plan horizon) in
+  Array.iteri
+    (fun index (b, events) ->
       let next =
-        match List.find_opt (fun b' -> b' > b) bs with
-        | Some b' -> b'
-        | None -> horizon
+        if index + 1 < Array.length epochs_at then fst epochs_at.(index + 1)
+        else horizon
       in
       let epoch_len = next - b in
-      let events = events_at plan b in
       let stats_before = I.stats !state in
       (* Apply the boundary's events as incremental edits. *)
       let edits_applied = ref 0 in
@@ -263,7 +254,7 @@ let run ?(max_attempts = 5) ?max_timeout ~plan ~horizon config =
           leader = !standing;
         }
         :: !epochs)
-    bs;
+    epochs_at;
   {
     horizon;
     epochs = List.rev !epochs;

@@ -2,11 +2,12 @@ module Protocol = Radio_drip.Protocol
 module Canonical = Election.Canonical
 
 let greedy_decision plan =
+  let final_class = Canonical.final_class plan in
   {
     Machine.name = "mutant-greedy-decision";
     protocol = Canonical.protocol plan;
     decide = Canonical.pure_drip plan;
-    decision = (fun h -> Option.is_some (Canonical.final_class plan h));
+    decision = (fun h -> Option.is_some (final_class h));
   }
 
 let early_stop plan =
@@ -19,6 +20,7 @@ let early_stop plan =
     if Radio_drip.History.length h >= stop then Protocol.Terminate
     else Canonical.pure_drip plan h
   in
+  let decision = Canonical.decision plan in
   {
     Machine.name = "mutant-early-stop";
     protocol = Protocol.of_pure ~name:"mutant-early-stop" decide;
@@ -26,7 +28,7 @@ let early_stop plan =
     decision =
       (fun h ->
         (* Truncated histories fall off the plan's schedule. *)
-        try Canonical.decision plan h with Invalid_argument _ -> false);
+        try decision h with Invalid_argument _ -> false);
   }
 
 let of_name plan = function

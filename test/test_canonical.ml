@@ -262,6 +262,22 @@ let test_foreign_execution_is_well_defined () =
         o.Engine.done_local)
     [ F.s_family 2; F.h_family 5; F.two_cells () ]
 
+(* The literal class-table reading: the first entry, scanning in order,
+   whose key is the node's previous block and observed label. *)
+let match_entry entries ~prev_block ~obs_label =
+  match prev_block with
+  | None -> None
+  | Some pb ->
+      let rec scan k =
+        if k > Array.length entries then None
+        else
+          let e = entries.(k - 1) in
+          if e.Can.prev_class = pb && Label.equal e.Can.label obs_label then
+            Some k
+          else scan (k + 1)
+      in
+      scan 1
+
 (* The per-round reference for [Can.block_trace] and [Can.final_class]:
    phase by phase, every round of a phase's blocks read off the dense view
    of the history, as the decision function did before it folded over
@@ -271,20 +287,6 @@ let reference_replay plan h =
   let bounds = Can.phase_bounds plan in
   let t = Can.num_phases plan in
   let width = (2 * plan.Can.sigma) + 1 in
-  let match_entry entries ~prev_block ~obs_label =
-    match prev_block with
-    | None -> None
-    | Some pb ->
-        let rec scan k =
-          if k > Array.length entries then None
-          else
-            let e = entries.(k - 1) in
-            if e.Can.prev_class = pb && Label.equal e.Can.label obs_label then
-              Some k
-            else scan (k + 1)
-        in
-        scan 1
-  in
   let observations j =
     let obs = ref [] in
     for offset = 1 to Array.length plan.Can.tables.(j - 1) * width do
@@ -326,6 +328,63 @@ let check_replay plan config =
         "final class = reference" final (Can.final_class plan h);
       if Array.exists Option.is_none blocks then lost + 1 else lost)
     0 o.Engine.histories
+
+(* The hashed class-table lookup against the scan, on every table of
+   every plan of the n <= 5, span <= 2 universe: each entry's own key,
+   the key under the next class, the key with its label cut or grown, and
+   a lost node. *)
+let test_lookup_matches_scan () =
+  let queries = ref 0 and mismatches = ref 0 in
+  let agree table =
+    let lookup = Can.entry_lookup table in
+    let same prev_block obs_label =
+      incr queries;
+      if lookup ~prev_block ~obs_label <> match_entry table ~prev_block ~obs_label
+      then incr mismatches
+    in
+    same None [];
+    Array.iter
+      (fun (e : Can.entry) ->
+        same (Some e.prev_class) e.label;
+        same (Some (e.prev_class + 1)) e.label;
+        same (Some e.prev_class)
+          (match e.label with
+          | [] -> [ { Label.block = 1; slot = 1; mark = Label.One } ]
+          | _ :: rest -> rest))
+      table
+  in
+  List.iter
+    (fun (_, _, configs) ->
+      List.iter
+        (fun config ->
+          let plan = Can.plan_of_run (Election.Fast_classifier.classify config) in
+          Array.iter agree plan.Can.tables;
+          agree plan.Can.final_table)
+        configs)
+    (Election.Census.universe ~max_n:5 ~max_span:2);
+  check "queried" true (!queries > 10_000);
+  check_int "lookup = scan" 0 !mismatches
+
+(* A plan file may list a key twice; the first entry wins, as in the
+   scan, in a phase table and in the final table. *)
+let test_lookup_first_duplicate () =
+  let plan =
+    Election.Plan_io.of_string
+      "drip-plan 1\nsigma 1\nphases 1\nsingleton 1\ntable 1 2\nentry 1 0\n\
+       entry 1 0\ntable final 3\nentry 1 1 1 2 1\nentry 1 0\n\
+       entry 1 1 1 2 1\n"
+  in
+  let in_final = [ { Label.block = 1; slot = 2; mark = Label.One } ] in
+  Alcotest.(check (option int))
+    "phase table" (Some 1)
+    (Can.entry_lookup plan.Can.tables.(0) ~prev_block:(Some 1) ~obs_label:[]);
+  Alcotest.(check (option int))
+    "final table" (Some 1)
+    (Can.entry_lookup plan.Can.final_table ~prev_block:(Some 1)
+       ~obs_label:in_final);
+  Alcotest.(check (option int))
+    "final table, second key" (Some 2)
+    (Can.entry_lookup plan.Can.final_table ~prev_block:(Some 1) ~obs_label:[])
 
 let test_final_class_matches_reference () =
   let st = Random.State.make [| 26 |] in
@@ -438,6 +497,13 @@ let () =
             test_foreign_execution_is_well_defined;
           Alcotest.test_case "final class = per-round replay" `Quick
             test_final_class_matches_reference;
+        ] );
+      ( "lookup",
+        [
+          Alcotest.test_case "hashed lookup = scan" `Quick
+            test_lookup_matches_scan;
+          Alcotest.test_case "first duplicate wins" `Quick
+            test_lookup_first_duplicate;
         ] );
       ( "quiet",
         [

@@ -46,6 +46,17 @@ let test_label_of_observations_rejects_duplicates () =
     (fun () ->
       ignore (Label.of_observations [ (1, 2, Label.One); (1, 2, Label.Many) ]))
 
+(* A mark is part of the key: labels differing only in one mark are
+   different labels, and the hashes the classifier and the DRIP key their
+   tables by tell them apart. *)
+let test_label_mark_matters () =
+  let one = [ { Label.block = 1; slot = 2; mark = Label.One } ] in
+  let many = [ { Label.block = 1; slot = 2; mark = Label.Many } ] in
+  check "equal sees the mark" false (Label.equal one many);
+  check "hash sees the mark" true (Label.hash one <> Label.hash many);
+  check "key hash sees the mark" true
+    (Label.hash_key 3 one <> Label.hash_key 3 many)
+
 let test_label_mem () =
   let l = Label.of_neighbour_slots [ (1, 2); (1, 4); (1, 4) ] in
   check "found one" true (Label.mem ~block:1 ~slot:2 l = Some Label.One);
@@ -297,6 +308,8 @@ let () =
           Alcotest.test_case "merge" `Quick test_label_merge;
           Alcotest.test_case "duplicate rejection" `Quick
             test_label_of_observations_rejects_duplicates;
+          Alcotest.test_case "mark in equality and hash" `Quick
+            test_label_mark_matters;
           Alcotest.test_case "mem" `Quick test_label_mem;
           Alcotest.test_case "to_string" `Quick test_label_to_string;
         ] );

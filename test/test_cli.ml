@@ -250,6 +250,10 @@ let test_option_ranges () =
           ("mc", "--explore --states=100000000");
           ("churn", "--horizon=0");
           ("churn", "--oracle=-1");
+          ("churn", "--link-flaps=-1");
+          ("churn", "--node-flaps=-1");
+          ("churn", "--retags=-1");
+          ("churn", "--crashes=-1");
         ])
 
 (* A missing or malformed CONFIG or compiled plan, an out-of-range command

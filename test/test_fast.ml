@@ -66,7 +66,15 @@ let test_random_configs_equivalent () =
     let n = 2 + Random.State.int st 20 in
     let span = Random.State.int st 5 in
     assert_equivalent (RC.connected_gnp st ~n ~p:0.3 ~span)
-  done
+  done;
+  (* Degrees past the kernel's insertion-sort run of 32, one merge pass
+     or several, with repeated (class, slot) pairs. *)
+  List.iter
+    (fun (n, p) ->
+      for _ = 1 to 3 do
+        assert_equivalent (RC.connected_gnp st ~n ~p ~span:(Random.State.int st 4))
+      done)
+    [ (45, 0.9); (80, 0.8); (150, 0.7) ]
 
 let test_refine_with_table_unit () =
   (* One refinement step by hand: old partition {1,1,2}, labels a/b/b:
@@ -147,9 +155,13 @@ let random_config rs =
 
 (* The literal Classifier, Fast_classifier, Incremental from scratch and
    Incremental after every edit of a random sequence all produce the same
-   run as the literal Classifier on the same configuration. *)
+   run as the literal Classifier on the same configuration.  A leave or
+   join that keeps σ classifies through the memo: when some present node
+   is neither the one that left or joined nor its neighbour, it reuses
+   at least that node's first label. *)
 let test_one_differential () =
   let rs = Random.State.make [| 2026 |] in
+  let membership_checked = ref 0 in
   for _ = 1 to 300 do
     let c = random_config rs in
     let literal = Cl.classify c in
@@ -160,7 +172,9 @@ let test_one_differential () =
     let st = ref (I.init c) in
     for _ = 1 to 16 do
       let before = I.run !st in
-      st := I.apply !st (random_edit rs g !st);
+      let span_before = Option.map C.span (I.current !st) in
+      let edit = random_edit rs g !st in
+      st := I.apply !st edit;
       match (I.current !st, I.run !st) with
       | Some c', Some r ->
           check "incremental after edits = literal" true
@@ -172,10 +186,23 @@ let test_one_differential () =
           check_int "every label computed or reused"
             (if Option.fold ~none:false ~some:(( == ) r) before then 0
              else C.size c' * Cl.num_iterations r)
-            (d.I.labels_computed + d.I.labels_reused)
+            (d.I.labels_computed + d.I.labels_reused);
+          let untouched v =
+            List.exists
+              (fun w -> w <> v && I.present !st w && not (G.mem_edge !g v w))
+              (List.init (G.size !g) Fun.id)
+          in
+          (match edit with
+          | (I.Leave v | I.Join (v, _))
+            when span_before = Some (C.span c') && untouched v ->
+              incr membership_checked;
+              check "a membership edit reuses the memo" true
+                (d.I.labels_computed < C.size c' * Cl.num_iterations r)
+          | _ -> ())
       | _ -> Alcotest.fail "a live node without a run"
     done
-  done
+  done;
+  check "membership edits checked" true (!membership_checked >= 50)
 
 let test_kernel_counter_g_m () =
   (* On G_m (n = 4m + 1, m iterations) the kernel builds n labels at

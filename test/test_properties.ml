@@ -716,6 +716,57 @@ let prop_patient_drip_matches_spec =
           Spec_engine.agrees_with_engine s o)
         [ C.span config; C.span config + 2 ])
 
+(* Raw observations: distinct (block, slot) pairs with random marks,
+   listed latest first as the DRIP records them (strictly descending). *)
+let gen_observations =
+  QCheck.make
+    ~print:(fun obs ->
+      String.concat " "
+        (List.map
+           (fun (b, s, m) ->
+             Printf.sprintf "(%d,%d,%s)" b s
+               (match m with Label.One -> "1" | Label.Many -> "*"))
+           obs))
+    QCheck.Gen.(
+      map
+        (fun l ->
+          List.sort_uniq
+            (fun (b1, s1, _) (b2, s2, _) -> compare (b2, s2) (b1, s1))
+            (List.map
+               (fun (b, s, many) ->
+                 (b, s, if many then Label.Many else Label.One))
+               l))
+        (list_size (int_range 0 12)
+           (triple (int_range 1 6) (int_range 1 7) bool)))
+
+(* The sort-based reading of observations, kept as the oracle. *)
+let sorted_label obs =
+  List.sort Label.compare_triple
+    (List.map (fun (block, slot, mark) -> { Label.block; slot; mark }) obs)
+
+(* P32: latest-first observations take the reversal path; the label is
+   the one the sort gives, in any order of the same observations. *)
+let prop_observations_latest_first =
+  QCheck.Test.make ~name:"of_observations latest first == sorted"
+    ~count:500 gen_observations (fun obs ->
+      let expected = sorted_label obs in
+      Label.equal (Label.of_observations obs) expected
+      && Label.equal (Label.of_observations (List.rev obs)) expected
+      && Label.equal
+           (Label.of_observations
+              (List.sort (fun (_, s1, _) (_, s2, _) -> compare s1 s2) obs))
+           expected)
+
+(* P33: equal labels, built apart, hash equally, alone and keyed by a
+   class. *)
+let prop_equal_labels_hash_equally =
+  QCheck.Test.make ~name:"equal labels have equal hashes" ~count:500
+    (QCheck.pair gen_observations QCheck.small_nat) (fun (obs, c) ->
+      let a = Label.of_observations obs and b = sorted_label obs in
+      Label.equal a b
+      && Label.hash a = Label.hash b
+      && Label.hash_key c a = Label.hash_key c b)
+
 let () =
   Alcotest.run "properties"
     [
@@ -760,6 +811,9 @@ let () =
             prop_nested_topology_roundtrip;
             prop_churn_replay_deterministic;
           ] );
+      ( "label",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_observations_latest_first; prop_equal_labels_hash_equally ] );
       ( "quiet",
         List.map QCheck_alcotest.to_alcotest
           [ prop_quiet_horizons_are_invisible; prop_patient_drip_matches_spec ]
