@@ -104,7 +104,7 @@ let refine_with_table ~old_class ~labels ~num_classes ~reps =
 type memo = {
   previous : Classifier.run;
   dirty : int list;
-  remap : int array option;
+  remap : int array;
 }
 
 type cost = {
@@ -112,59 +112,34 @@ type cost = {
   reused : int;
 }
 
-let sort_run = 32
-
-(* Sorts [buf.(0 .. d-1)] ascending without allocating: insertion sort
-   within runs of [sort_run], then bottom-up merges through [tmp], which
-   is at least [d] long when [d > sort_run]. *)
-let sort_prefix buf tmp d =
-  let lo = ref 0 in
-  while !lo < d do
-    for i = !lo + 1 to min d (!lo + sort_run) - 1 do
+(* The keys [buf.(0 .. d-1)] ascending, in the first [d] cells of the
+   result: sorted in place by insertion when there are few, else a sorted
+   copy (the stdlib merge sort, O(d log d)). *)
+let sorted_keys buf d =
+  if d > 32 then begin
+    let keys = Array.sub buf 0 d in
+    Array.stable_sort Int.compare keys;
+    keys
+  end
+  else begin
+    for i = 1 to d - 1 do
       let x = buf.(i) in
       let j = ref (i - 1) in
-      while !j >= !lo && buf.(!j) > x do
+      while !j >= 0 && buf.(!j) > x do
         buf.(!j + 1) <- buf.(!j);
         decr j
       done;
       buf.(!j + 1) <- x
     done;
-    lo := !lo + sort_run
-  done;
-  (* [in_tmp]: the last pass merged into [tmp] *)
-  let src = ref buf and dst = ref tmp and in_tmp = ref false in
-  let width = ref sort_run in
-  while !width < d do
-    let lo = ref 0 in
-    while !lo < d do
-      let mid = min d (!lo + !width) and hi = min d (!lo + (2 * !width)) in
-      let i = ref !lo and j = ref mid in
-      for k = !lo to hi - 1 do
-        if !i < mid && (!j >= hi || !src.(!i) <= !src.(!j)) then begin
-          !dst.(k) <- !src.(!i);
-          incr i
-        end
-        else begin
-          !dst.(k) <- !src.(!j);
-          incr j
-        end
-      done;
-      lo := hi
-    done;
-    let s = !src in
-    src := !dst;
-    dst := s;
-    in_tmp := not !in_tmp;
-    width := 2 * !width
-  done;
-  if !in_tmp then Array.blit tmp 0 buf 0 d
+    buf
+  end
 
 (* [Partition.compute_label] without its lists and sort: a relevant
    neighbour's (class, slot) pair goes into an int buffer as
    [class·(2σ+2) + slot] (slots are [1 .. 2σ+1], so the ints order as the
-   pairs do), sorted in place, and runs of equal ints become the label's
-   triples.  The buffers belong to one kernel call.  A span too large to
-   pack falls back to the list version. *)
+   pairs do), sorted, and runs of equal ints become the label's triples.
+   The buffer belongs to one kernel call.  A span too large to pack falls
+   back to the list version. *)
 let label_builder config =
   let g = Config.graph config in
   let n = Config.size config in
@@ -174,9 +149,7 @@ let label_builder config =
   if sigma >= max_int / (2 * (n + 2)) then fun ~class_of v ->
     Partition.compute_label config ~class_of v
   else begin
-    let degree = G.max_degree g in
-    let buf = Array.make (max 1 degree) 0 in
-    let tmp = if degree > sort_run then Array.make degree 0 else [||] in
+    let buf = Array.make (G.max_degree g) 0 in
     (* the node being labelled: its partition, class and tag *)
     let len = ref 0 and part = ref [||] and cv = ref 0 and tv = ref 0 in
     let add w =
@@ -186,16 +159,16 @@ let label_builder config =
         incr len
       end
     in
-    let rec build i acc =
+    let rec build keys i acc =
       if i < 0 then acc
       else begin
-        let key = buf.(i) in
+        let key = keys.(i) in
         let j = ref i in
-        while !j > 0 && buf.(!j - 1) = key do
+        while !j > 0 && keys.(!j - 1) = key do
           decr j
         done;
         let mark = if !j = i then Label.One else Label.Many in
-        build (!j - 1)
+        build keys (!j - 1)
           ({ Label.block = key / width; slot = key mod width; mark } :: acc)
       end
     in
@@ -205,10 +178,9 @@ let label_builder config =
       tv := tags.(v);
       len := 0;
       G.iter_neighbours g v ~f:add;
-      let d = !len in
-      sort_prefix buf tmp d;
+      let keys = sorted_keys buf !len in
       (* runs from the largest key down, so the list comes out sorted *)
-      build (d - 1) []
+      build keys (!len - 1) []
   end
 
 (* The one refinement kernel.  The label of [v] at iteration [k] is a
@@ -230,22 +202,15 @@ let kernel ?memo config =
   if n = 0 then invalid_arg "Fast_classifier.classify: empty configuration";
   let g = Config.graph config in
   let max_iters = (n + 1) / 2 in
-  (* σ appears in every label slot: a memo of another span, or over
-     another node count than its remap says, has nothing to offer. *)
+  (* σ appears in every label slot: a memo of another span, or whose
+     remap is not over this configuration's nodes, has nothing to offer. *)
   let memo_its, struct_dirty, prev_index =
     match memo with
     | Some { previous = { config = c; iterations; _ }; dirty; remap }
-      when Config.span c = Config.span config
-           &&
-           match remap with
-           | None -> Config.size c = n
-           | Some r -> Array.length r = n ->
+      when Config.span c = Config.span config && Array.length remap = n ->
         let sd = Array.make n false in
         List.iter (fun v -> sd.(v) <- true) dirty;
-        let prev =
-          match remap with Some r -> r | None -> Array.init n Fun.id
-        in
-        (Array.of_list iterations, sd, prev)
+        (Array.of_list iterations, sd, remap)
     | Some _ | None -> ([||], [||], [||])
   in
   let label_of = label_builder config in

@@ -31,10 +31,9 @@ type memo = {
           neighbour's tag, or whose neighbour set differs between
           [previous.config] and the configuration being classified
           (a node with no previous index among them) *)
-  remap : int array option;
-      (** when the node set changed, each node's index in
-          [previous.config], [-1] for a node it does not hold; [None]
-          when the nodes are the same *)
+  remap : int array;
+      (** each node's index in [previous.config], [-1] for a node it
+          does not hold (the identity when the nodes are the same) *)
 }
 
 type cost = {
@@ -50,9 +49,9 @@ val kernel : ?memo:memo -> Radio_config.Config.t -> Classifier.run * cost
     iteration [k] when the node is not structurally dirty and its own and
     its neighbours' input classes equal the memo's, read through
     [remap].  A memo of a different span [σ] (σ appears in every label
-    slot), or whose node count does not match [remap] (or, without one,
-    the configuration's), is ignored.  The run does not depend on the
-    memo; only the cost does. *)
+    slot), or whose [remap] length is not the configuration's node count,
+    is ignored.  The run does not depend on the memo; only the cost
+    does. *)
 
 val classify : Radio_config.Config.t -> Classifier.run
 (** [kernel] with no memo. *)

@@ -128,7 +128,7 @@ let membership s ~tags ~alive ~touched =
                 List.filter_map
                   (fun w -> if alive.(w) then Some to_cur.(w) else None)
                   (touched :: G.neighbours universe touched);
-              remap = Some (Array.map (fun v -> s.to_cur.(v)) of_cur);
+              remap = Array.map (fun v -> s.to_cur.(v)) of_cur;
             })
           s.cache
       in
@@ -149,7 +149,12 @@ let incremental s ~universe ~tags ~new_cfg ~dirty =
   | Some previous ->
       let crun, cost =
         Fast_classifier.kernel
-          ~memo:{ Fast_classifier.previous; dirty; remap = None }
+          ~memo:
+            {
+              Fast_classifier.previous;
+              dirty;
+              remap = Array.init (Config.size new_cfg) Fun.id;
+            }
           new_cfg
       in
       let st, last_d = charge s ~rebuilt:false cost in

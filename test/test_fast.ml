@@ -67,14 +67,15 @@ let test_random_configs_equivalent () =
     let span = Random.State.int st 5 in
     assert_equivalent (RC.connected_gnp st ~n ~p:0.3 ~span)
   done;
-  (* Degrees past the kernel's insertion-sort run of 32, one merge pass
-     or several, with repeated (class, slot) pairs. *)
-  List.iter
-    (fun (n, p) ->
-      for _ = 1 to 3 do
-        assert_equivalent (RC.connected_gnp st ~n ~p ~span:(Random.State.int st 4))
-      done)
-    [ (45, 0.9); (80, 0.8); (150, 0.7) ]
+  (* A span too large to pack a (class, slot) pair into one int: the
+     kernel builds labels with [Partition.compute_label] instead. *)
+  let big = 1 lsl 60 in
+  List.iter assert_equivalent
+    [
+      C.create (Gen.path 5) [| 0; big; 3; big; 0 |];
+      F.tagged_cycle [| 0; big; 0; 1; big; 1 |];
+      C.create (Gen.complete 4) [| big; 0; big; 2 |];
+    ]
 
 let test_refine_with_table_unit () =
   (* One refinement step by hand: old partition {1,1,2}, labels a/b/b:
