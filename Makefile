@@ -45,18 +45,27 @@ resilience-smoke:
 
 # Bounded model checking end to end: the differential oracle over every
 # connected configuration with n <= 4 (with concrete engine replay of each
-# extracted trace), a verified family run with a SARIF artifact, and a
-# seeded mutant that must produce exit code 1 with a counterexample.
+# extracted trace), a verified H_2 run with a SARIF artifact, and every
+# registered machine and seeded mutant on H_2 with its pinned exit code:
+# the drip machines verify (0); the other machines and both mutants
+# produce a counterexample (1).
 mc-smoke:
 	@tmp=$$(mktemp); sarif=$$(mktemp); status=0; \
 	$(DUNE) exec bin/anorad.exe -- mc --oracle 4 --replay && \
-	$(DUNE) exec bin/anorad.exe -- family h 2 > $$tmp && \
+	$(DUNE) exec bin/anorad.exe -- catalog h2 > $$tmp && \
 	$(DUNE) exec bin/anorad.exe -- mc $$tmp --replay --sarif $$sarif && \
 	grep -q '"results":\[\]' $$sarif || status=1; \
 	if [ $$status -eq 0 ]; then \
-	  $(DUNE) exec bin/anorad.exe -- mc $$tmp \
-	    --protocol mutant-greedy-decision > /dev/null; \
-	  [ $$? -eq 1 ] || status=1; \
+	  for pair in drip:0 pure-drip:0 beacon:1 silent:1 min-beacon:1 \
+	      wave:1 mutant-greedy-decision:1 mutant-early-stop:1; do \
+	    name=$${pair%%:*}; want=$${pair##*:}; \
+	    $(DUNE) exec bin/anorad.exe -- mc $$tmp --protocol $$name \
+	      > /dev/null; \
+	    got=$$?; \
+	    [ $$got -eq $$want ] || { \
+	      echo "mc-smoke: mc --protocol $$name exited $$got, expected $$want"; \
+	      status=1; }; \
+	  done; \
 	fi; \
 	if [ $$status -eq 0 ]; then \
 	  par=$$(mktemp); \

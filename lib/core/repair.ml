@@ -62,9 +62,36 @@ let repair_one ?max_tag config =
   end
 
 (* Best-first over change sets: explored in order of (number of nodes
-   touched, total displacement).  The frontier enumerates change sets by
-   adding one candidate change for a yet-untouched node to an existing set;
-   sets are capped at [max_changes]. *)
+   touched, total displacement).  A change set extends by one candidate
+   change, at a later candidate index, for a yet-untouched node; sets are
+   capped at [max_changes].  The extensions of one set are generated
+   lazily, in the order the queue pops them (by displacement, then
+   index): popping an extension pushes its next sibling.  The queue then
+   holds a few entries per popped set instead of every extension, and
+   the pop order, so the plan found, is that of pushing them all at
+   once. *)
+type entry = {
+  touched : int;
+  cost : int;
+  from_index : int;  (* extensions use candidates from here on *)
+  changes : change list;  (* latest change first *)
+  parent : entry option;  (* the set this one extends *)
+  rank : int;  (* the added change's position in the extension order *)
+}
+
+let compare_entry e1 e2 =
+  match Int.compare e1.touched e2.touched with
+  | 0 -> (
+      match Int.compare e1.cost e2.cost with
+      | 0 -> (
+          match Int.compare e1.from_index e2.from_index with
+          | 0 -> List.compare compare_change e1.changes e2.changes
+          | c -> c)
+      | c -> c)
+  | c -> c
+
+let displacement ch = abs (ch.new_tag - ch.old_tag)
+
 let repair ?max_tag ?(max_changes = 2) config =
   let max_tag = Option.value max_tag ~default:(C.span config + 1) in
   (* radiolint: allow partiality — CLI refuses < 1; the default is 2 *)
@@ -73,50 +100,69 @@ let repair ?max_tag ?(max_changes = 2) config =
     Some { changes = []; repaired = config; cost = 0 }
   else begin
     let candidates = Array.of_list (candidate_changes config ~max_tag) in
+    (* the extension order: by displacement, ties by candidate index *)
+    let order = Array.init (Array.length candidates) Fun.id in
+    Array.stable_sort
+      (fun i j ->
+        Int.compare (displacement candidates.(i)) (displacement candidates.(j)))
+      order;
     let module Pq = Set.Make (struct
-      (* (touched, cost, next candidate index, change set) — lexicographic *)
-      type t = int * int * int * change list
+      type t = entry
 
-      let compare (t1, c1, i1, l1) (t2, c2, i2, l2) =
-        match Int.compare t1 t2 with
-        | 0 -> (
-            match Int.compare c1 c2 with
-            | 0 -> (
-                match Int.compare i1 i2 with
-                | 0 -> List.compare compare_change l1 l2
-                | c -> c)
-            | c -> c)
-        | c -> c
+      let compare = compare_entry
     end) in
-    let cost_of changes =
-      List.fold_left (fun a ch -> a + abs (ch.new_tag - ch.old_tag)) 0 changes
-    in
     let frontier = ref Pq.empty in
-    let push changes from_index =
-      frontier :=
-        Pq.add
-          (List.length changes, cost_of changes, from_index, changes)
-          !frontier
+    (* Pushes the first extension of [p] ranked after [after]. *)
+    let extend p ~after =
+      let fits k =
+        order.(k) >= p.from_index
+        && not
+             (List.exists (fun c -> c.node = candidates.(order.(k)).node)
+                p.changes)
+      in
+      let k = ref (after + 1) in
+      while !k < Array.length order && not (fits !k) do
+        incr k
+      done;
+      if !k < Array.length order then
+        let ch = candidates.(order.(!k)) in
+        frontier :=
+          Pq.add
+            {
+              touched = p.touched + 1;
+              cost = p.cost + displacement ch;
+              from_index = order.(!k) + 1;
+              changes = ch :: p.changes;
+              parent = Some p;
+              rank = !k;
+            }
+            !frontier
     in
-    push [] 0;
+    frontier :=
+      Pq.singleton
+        {
+          touched = 0;
+          cost = 0;
+          from_index = 0;
+          changes = [];
+          parent = None;
+          rank = -1;
+        };
     let result = ref None in
-    while !result = None && not (Pq.is_empty !frontier) do
-      let ((touched, _cost, from_index, changes) as el) = Pq.min_elt !frontier in
-      frontier := Pq.remove el !frontier;
-      if changes <> [] && feasible (plan_of_changes config changes).repaired
-      then result := Some (plan_of_changes config changes)
-      else if touched < max_changes then
-        (* extend with any later candidate touching a fresh node *)
-        for i = from_index to Array.length candidates - 1 do
-          let ch = candidates.(i) in
-          if not (List.exists (fun c -> c.node = ch.node) changes) then
-            push (ch :: changes) (i + 1)
-        done
+    while Option.is_none !result && not (Pq.is_empty !frontier) do
+      let e = Pq.min_elt !frontier in
+      frontier := Pq.remove e !frontier;
+      let plan = plan_of_changes config e.changes in
+      if e.changes <> [] && feasible plan.repaired then result := Some plan
+      else begin
+        Option.iter (fun p -> extend p ~after:e.rank) e.parent;
+        if e.touched < max_changes then extend e ~after:(-1)
+      end
     done;
     !result
   end
 
-let pp_plan ppf p =
+let pp_plan ppf (p : plan) =
   Format.fprintf ppf "@[<v>repair plan (cost %d):" p.cost;
   if p.changes = [] then Format.fprintf ppf "@ already feasible, no change"
   else

@@ -101,6 +101,8 @@ let get t k =
   let r = find_ord t k in
   if r >= 0 then 1 + r else 1 + insert t k (-r - 1)
 
+let key t id = t.keys.(id - 1)
+
 let find t k =
   let r = find_ord t k in
   if r >= 0 then Some (1 + r) else None

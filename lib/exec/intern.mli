@@ -37,6 +37,9 @@ val get : t -> int -> int
 (** Sequential find-or-add against the global table.  Must not be called
     concurrently with itself or with {!local} tasks in flight. *)
 
+val key : t -> int -> int
+(** [key t id] is the key that received global id [id]. *)
+
 val find : t -> int -> int option
 (** Read-only lookup.  Safe to call from many domains concurrently as
     long as no [get]/[commit] mutates the table at the same time (the

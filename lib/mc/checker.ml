@@ -54,12 +54,45 @@ let normalize config =
 
 let global_bound ~n ~sigma = sigma + Canonical.upper_bound_rounds ~n ~sigma
 
-let senders_of g tx v =
-  G.fold_neighbours g v ~init:[] ~f:(fun acc w ->
-      match tx.(w) with Some m -> m :: acc | None -> acc)
-
 let default_depth config =
   global_bound ~n:(C.size config) ~sigma:(C.span config) + 1
+
+(* Interner keys: a history key [(parent, event)] packed into one int,
+   the parent in the high bits and the receive-event code in the low 32 —
+   silence 0, noise 1, a message at its index plus 2.  Universal-mode
+   messages are the sender's class key; protocol mode numbers each run's
+   message strings in a table of its own.  The codes are a bijection onto
+   the history entries, and both modes intern these ints in one
+   {!Radio_exec.Intern}, which numbers first-seen keys from 1. *)
+let ev_silence = 0
+let ev_noise = 1
+
+(* radiolint: allow range-overflow -- parents are interner ids, kept
+   below 2^30 in both modes (max_ids), so the shift fits *)
+let pack parent code = (parent lsl 32) lor code
+
+(* The id bound that keeps [pack] lossless: parents in 30 bits, message
+   codes in 32. *)
+let max_ids = 1 lsl 30
+
+(* Neighbour lists as one offset array over one target array: the
+   neighbours of [v] are [adj.(i)] for [adj_start.(v) <= i <
+   adj_start.(v + 1)].  Both modes count senders over it. *)
+let adjacency g =
+  let n = G.size g in
+  let adj_start = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    adj_start.(v + 1) <- adj_start.(v) + G.degree g v
+  done;
+  let adj = Array.make adj_start.(n) 0 in
+  for v = 0 to n - 1 do
+    ignore
+      (G.fold_neighbours g v ~init:adj_start.(v) ~f:(fun i w ->
+           adj.(i) <- w;
+           i + 1)
+        : int)
+  done;
+  (adj_start, adj)
 
 (* Protocol mode: the machine is deterministic, so the transition system is
    a single chain of interned state vectors; walking it is still a static
@@ -67,24 +100,83 @@ let default_depth config =
    across rounds), and the visited chain doubles as the concrete trace. *)
 let check ?depth ?(states = 200_000) ~machine config =
   let config = normalize config in
-  let g = C.graph config in
   let n = C.size config in
   (* radiolint: allow partiality — n > 0: anorad and serve refuse it at load *)
   if n = 0 then invalid_arg "Checker.check: empty configuration";
   let depth =
     match depth with Some d -> d | None -> default_depth config
   in
-  let intern = State.Intern.create () in
+  (* A round interns at most one key per node, so this cap keeps every
+     id below [max_ids]. *)
+  let states = Int.min states (max_ids - n - 2) in
+  let adj_start, adj = adjacency (C.graph config) in
+  let intern = Interner.create () in
+  (* The run's message table: each distinct message string gets the next
+     index, in first-transmitted order. *)
+  let index : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  let messages = ref (Array.make 16 "") in
+  let code_of m =
+    match Hashtbl.find_opt index m with
+    | Some i -> i + 2
+    | None ->
+        let i = Hashtbl.length index in
+        Hashtbl.replace index m i;
+        if i = Array.length !messages then
+          messages := Array.append !messages (Array.make i "");
+        !messages.(i) <- m;
+        i + 2
+  in
+  let event code =
+    if code = ev_silence then History.Silence
+    else if code = ev_noise then History.Collision
+    else History.Message !messages.(code - 2)
+  in
+  (* The history key [k] denotes.  The chain from [k] up to the root runs
+     from the last entry to the first: entries are added on the way back
+     down, in index order. *)
+  let history k =
+    let b = History.Builder.create () in
+    let rec add k =
+      if k = 0 then 0
+      else begin
+        let key = Interner.key intern k in
+        let i = add (key lsr 32) in
+        History.Builder.add b i (event (key land 0xffff_ffff));
+        i + 1
+      end
+    in
+    History.Builder.build b ~length:(add k)
+  in
   let decide_cache : (int, Protocol.action) Hashtbl.t = Hashtbl.create 256 in
   let decide k =
     match Hashtbl.find_opt decide_cache k with
     | Some a -> a
     | None ->
-        let a = machine.Machine.decide (State.Intern.history intern k) in
+        let a = machine.Machine.decide (history k) in
         Hashtbl.replace decide_cache k a;
         a
   in
-  let decision k = machine.Machine.decision (State.Intern.history intern k) in
+  let decision k = machine.Machine.decision (history k) in
+  (* per node: the code of the message it transmits this round, else 0 *)
+  let tx = Array.make n 0 in
+  (* What [v] hears: silence, the lone transmitting neighbour's message,
+     or noise. *)
+  let heard v =
+    let code = ref ev_silence in
+    let i = ref adj_start.(v) in
+    let stop = adj_start.(v + 1) in
+    while !i < stop do
+      let c = tx.(adj.(!i)) in
+      if c <> 0 then
+        if !code = ev_silence then code := c
+        else begin
+          code := ev_noise;
+          i := stop
+        end;
+      incr i
+    done;
+    !code
+  in
   let state = ref (State.initial n) in
   let leaders = ref [] in
   let rev_trace = ref [] in
@@ -101,12 +193,12 @@ let check ?depth ?(states = 200_000) ~machine config =
           | [] -> Non_election { classes = State.classes !state }
           | ls -> Violated (Two_leaders (List.sort Int.compare ls)))
     else if !r >= depth then verdict := Some (Exhausted `Depth)
-    else if State.Intern.size intern > states then
+    else if Interner.size intern > states then
       verdict := Some (Exhausted `States)
     else begin
       let cur = !state in
       let next = Array.copy cur in
-      let tx : string option array = Array.make n None in
+      Array.fill tx 0 n 0;
       let transmitters = ref [] in
       let terminated = ref [] in
       let woken = ref [] in
@@ -120,37 +212,29 @@ let check ?depth ?(states = 200_000) ~machine config =
               terminated := v :: !terminated;
               if decision cur.(v) then leaders := v :: !leaders
           | Protocol.Transmit m ->
-              tx.(v) <- Some m;
+              tx.(v) <- code_of m;
               transmitters := (v, m) :: !transmitters
           | Protocol.Listen | Protocol.Quiet _ -> ()
       done;
-      (* Phase B: receptions at nodes still running after Phase A. *)
+      (* Phase B: receptions at nodes still running after Phase A;
+         transmitters hear nothing. *)
       for v = 0 to n - 1 do
-        if cur.(v) > 0 && next.(v) > 0 then begin
-          let event =
-            match tx.(v) with
-            | Some _ -> History.Silence (* transmitters hear nothing *)
-            | None -> (
-                match senders_of g tx v with
-                | [] -> History.Silence
-                | [ m ] -> History.Message m
-                | _ -> History.Collision)
-          in
-          next.(v) <- State.Intern.get intern cur.(v) event
-        end
+        if cur.(v) > 0 && next.(v) > 0 then
+          let code = if tx.(v) <> 0 then ev_silence else heard v in
+          next.(v) <- Interner.get intern (pack cur.(v) code)
       done;
       (* Phase C: wake-ups of sleeping nodes. *)
       for v = n - 1 downto 0 do
         if cur.(v) = 0 then begin
-          match senders_of g tx v with
-          | [ m ] ->
-              next.(v) <- State.Intern.get intern 0 (History.Message m);
-              woken := (v, Trace.Forced m) :: !woken
-          | _ ->
-              if C.tag config v = !r then begin
-                next.(v) <- State.Intern.get intern 0 History.Silence;
-                woken := (v, Trace.Spontaneous) :: !woken
-              end
+          let code = heard v in
+          if code > ev_noise then begin
+            next.(v) <- Interner.get intern (pack 0 code);
+            woken := (v, Trace.Forced !messages.(code - 2)) :: !woken
+          end
+          else if C.tag config v = !r then begin
+            next.(v) <- Interner.get intern (pack 0 ev_silence);
+            woken := (v, Trace.Spontaneous) :: !woken
+          end
         end
       done;
       (match !terminated with [] -> () | _ -> last_term_round := !r);
@@ -192,7 +276,7 @@ let check ?depth ?(states = 200_000) ~machine config =
         states_raw = !rounds + 1;
         peak_frontier = 1;
         depth_reached = !rounds;
-        distinct_keys = State.Intern.size intern;
+        distinct_keys = Interner.size intern;
         automorphisms = 1;
         canonicalizations = 0;
         visited_bytes = 0;
@@ -297,23 +381,6 @@ let separated (s : State.t) =
   let rec outer v = v < n && (unique v || outer (v + 1)) in
   outer 0
 
-(* Interner keys: a history key [(parent, event)] packed into one int,
-   the parent in the high bits and the receive-event code in the low 32 —
-   silence 0, noise 1, message [m] at [m + 2] (universal-mode messages are
-   always the sender's class key).  The codes are a bijection onto the
-   history entries {!State.Intern} keys on, so the interned key space — and
-   with it every state count — is that of the boxed entries. *)
-let ev_silence = 0
-let ev_noise = 1
-
-(* radiolint: allow range-overflow -- parents are interner ids, kept
-   below 2^30 by the check at every commit, so the shift fits *)
-let pack parent code = (parent lsl 32) lor code
-
-(* The id bound that keeps [pack] lossless: parents in 30 bits, message
-   codes in 32. *)
-let max_ids = 1 lsl 30
-
 (* Frontier waves: each BFS level is expanded in slices of this many
    entries — expand and stage the whole slice (in parallel when a pool is
    given), then insert it in submission order.  The size is a constant, never
@@ -405,19 +472,7 @@ let explore ?(depth = 24) ?(states = 2_000_000) ?(reduction = true)
      transition relation is round-invariant and states may be merged
      across rounds. *)
   let round_class r = if r > max_tag then max_tag + 1 else r in
-  (* Neighbour lists as one offset array over one target array. *)
-  let adj_start = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    adj_start.(v + 1) <- adj_start.(v) + G.degree g v
-  done;
-  let adj = Array.make adj_start.(n) 0 in
-  for v = 0 to n - 1 do
-    ignore
-      (G.fold_neighbours g v ~init:adj_start.(v) ~f:(fun i w ->
-           adj.(i) <- w;
-           i + 1)
-        : int)
-  done;
+  let adj_start, adj = adjacency g in
   let width = n + 2 in
   let intern = Interner.create () in
   let visited = Visited.create ~slots:n () in

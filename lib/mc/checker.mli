@@ -1,13 +1,18 @@
 (** Bounded model checking of the election transition system.
 
-    Two exploration modes share the interned state encoding of {!State}:
+    Two exploration modes share the state encoding of {!State}, one
+    {!Radio_exec.Intern} of packed [(parent, event)] history keys per run
+    and one flat adjacency to count senders over:
 
     {b Protocol mode} ({!check} / {!verify}) fixes a deterministic
     {!Machine.t}; the transition system is then a single chain of state
     vectors, walked without instantiating the protocol (the machine's pure
-    [decide] is memoized per interned history key) and doubling as a
-    concrete {!Radio_sim.Trace.t} — the counterexample format, replayable
-    through {!Radio_sim.Engine} ({!replay}, [anorad check-trace]).
+    [decide] is memoized per interned history key, on the history the key
+    materializes; messages are numbered in a per-run table) and doubling
+    as a concrete {!Radio_sim.Trace.t} — the counterexample format,
+    replayable through {!Radio_sim.Engine} ({!replay}, [anorad
+    check-trace]).  Its round loop is its own, not the engine's, so a
+    replay compares two independent traces.
     {!verify} judges the terminal state against the classifier: a feasible
     configuration must elect exactly the canonical leader within the
     paper's [O(n^2 σ)] bound, an infeasible one must reach a terminal
@@ -37,7 +42,7 @@ type stats = {
   distinct_keys : int;  (** interned history keys *)
   automorphisms : int;  (** group size used for the quotient (1 = none) *)
   canonicalizations : int;
-      (** [State.canonicalize] calls — exactly [states_raw + 1] (one per
+      (** canonicalizations — exactly [states_raw + 1] (one per
           raw successor plus the initial state) on runs that do not trip
           the state cap: the single-probe visited set never canonicalizes
           a state twice (protocol mode: 0) *)

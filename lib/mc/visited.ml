@@ -223,24 +223,8 @@ let add t ~round_class ~spent s =
   add_hashed t ~hash:(hash_state ~round_class ~spent s) ~round_class ~spent s
     ~pos:0
 
-let mem t ~round_class ~spent s =
-  probe t
-    ~frag:(hash_state ~round_class ~spent s land frag_mask)
-    ~round_class ~spent s ~pos:0
-  >= 0
-
 let cursor t = t.len
 
 let next t off = off + entry_header + code_len t off
 
 let decode t off s = State.Packed.read_into t.arena ~pos:(off + entry_header) s
-
-let iter t ~slots ~f =
-  let off = ref 0 in
-  while !off < t.len do
-    let len = code_len t !off in
-    let code = Bytes.sub t.arena (!off + entry_header) len in
-    let round_class, spent, s = State.Packed.unpack ~n:slots code in
-    f ~round_class ~spent s;
-    off := !off + entry_header + len
-  done

@@ -14,10 +14,11 @@
     probe: the candidate code is written once into the arena tail and
     either published (fresh) or rolled back (duplicate), arena bytes are
     compared only where the stored fragment matches, and growth
-    re-places slots from their fragments without reading the arena.
-    Membership testing allocates nothing.  The fragment is 30 bits and
-    the offset 32, so a set holds at most 2^29 entries in at most 4 GiB
-    of codes; past either bound an insert raises [Invalid_argument]. *)
+    re-places slots from their fragments without reading the arena.  An
+    insert allocates nothing beyond amortized growth, and its result is
+    the set's only membership answer.  The fragment is 30 bits and the
+    offset 32, so a set holds at most 2^29 entries in at most 4 GiB of
+    codes; past either bound an insert raises [Invalid_argument]. *)
 
 type t
 
@@ -49,9 +50,6 @@ val prefetch : t -> hash:int -> unit
 val add : t -> round_class:int -> spent:int -> State.t -> bool
 (** [add t ~round_class ~spent s] is {!add_hashed} with [s]'s {!hash}. *)
 
-val mem : t -> round_class:int -> spent:int -> State.t -> bool
-(** Membership without insertion. *)
-
 val size : t -> int
 (** Number of states held. *)
 
@@ -79,11 +77,3 @@ val decode : t -> int -> State.t -> int
 (** [decode t off s] writes the slots of the entry at [off] into [s]
     (which must have the set's slot count) and returns the entry's
     [spent].  Allocates nothing. *)
-
-val iter :
-  t ->
-  slots:int ->
-  f:(round_class:int -> spent:int -> State.t -> unit) ->
-  unit
-(** Visit every entry in insertion order (test / debugging aid; unpacks
-    each code). *)

@@ -68,8 +68,6 @@ let is_topology = function
 
 let has_topology p = List.exists is_topology p
 
-let topology_events p = List.filter is_topology (normalize p)
-
 let validate config p =
   let n = Config.size config in
   let g = Config.graph config in
@@ -181,72 +179,6 @@ let apply_jitter p config =
     let tags = Config.tags config in
     Array.iteri (fun v t -> tags.(v) <- max 0 (t + jitter_of p v)) tags;
     Config.create ~normalize:false (Config.graph config) tags
-
-(* ------------------------------------------------------------------ *)
-(* Effective topology                                                  *)
-(* ------------------------------------------------------------------ *)
-
-type topology = {
-  graph : G.t;
-  present : bool array;
-  tags : int array;
-}
-
-(* Application order within a plan: by round, then by the kind order of
-   [key] (link-down, link-up, leave, join, retag), then by node — the same
-   deterministic order [Engine.run_plan] applies events in at the top of
-   each round. *)
-let apply_order a b =
-  let k1, r1, x1, y1, _ = key a and k2, r2, x2, y2, _ = key b in
-  compare (r1, k1, x1, y1) (r2, k2, x2, y2)
-
-let topology_at ~round config p =
-  let n = Config.size config in
-  let g = Config.graph config in
-  let present = Array.make n true in
-  let crashed = Array.make n false in
-  let tags = Config.tags config in
-  let adj = Array.make_matrix n n false in
-  List.iter (fun (u, v) -> adj.(u).(v) <- true; adj.(v).(u) <- true) (G.edges g);
-  let events =
-    List.filter
-      (fun f ->
-        match f with
-        | Crash { round = r; _ } -> r <= round
-        | _ ->
-            (match key f with _, r, _, _, _ -> r <= round) && is_topology f)
-      (normalize p)
-  in
-  List.iter
-    (fun f ->
-      match f with
-      | Crash { node; _ } ->
-          crashed.(node) <- true;
-          present.(node) <- false
-      | Link_down { u; v; _ } ->
-          adj.(u).(v) <- false;
-          adj.(v).(u) <- false
-      | Link_up { u; v; _ } ->
-          if u <> v then begin
-            adj.(u).(v) <- true;
-            adj.(v).(u) <- true
-          end
-      | Leave { node; _ } -> present.(node) <- false
-      | Join { node; tag; _ } ->
-          if not crashed.(node) then begin
-            present.(node) <- true;
-            tags.(node) <- tag
-          end
-      | Retag { node; tag; _ } -> tags.(node) <- tag
-      | Drop _ | Noise _ | Jitter _ -> ())
-    (List.sort apply_order events);
-  let b = G.Builder.create n in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      if adj.(u).(v) then G.Builder.add_edge b u v
-    done
-  done;
-  { graph = G.Builder.finish b; present; tags }
 
 (* ------------------------------------------------------------------ *)
 (* Seeded sampling: a local splitmix-style generator so fault plans     *)

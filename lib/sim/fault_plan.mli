@@ -73,9 +73,6 @@ val has_topology : t -> bool
     ({!Radio_lint.Invariants.validate_faulty}'s one trace pass recomputes
     semantics against a static graph). *)
 
-val topology_events : t -> t
-(** The topology events of the plan, normalized. *)
-
 val validate : Radio_config.Config.t -> t -> (unit, string) result
 (** Checks every fault names nodes inside the configuration, rounds are
     non-negative, and every [Drop] follows an existing edge. *)
@@ -96,24 +93,6 @@ val apply_jitter : t -> Radio_config.Config.t -> Radio_config.Config.t
 (** The effective configuration: every tag shifted by its jitter, clamped at
     0, {e not} re-normalized (a slipped clock moves one alarm, not the global
     round numbering). *)
-
-(** {1 Effective topology} *)
-
-type topology = {
-  graph : Radio_graph.Graph.t;
-      (** full vertex set, the edge set after all link events up to the
-          round (edges incident to absent nodes are kept but inert) *)
-  present : bool array;
-      (** [false] for nodes that crashed or left (and did not rejoin) *)
-  tags : int array;  (** raw tags after joins and retags *)
-}
-
-val topology_at : round:int -> Radio_config.Config.t -> t -> topology
-(** [topology_at ~round config p] folds every topology event (and crash)
-    scheduled at rounds [<= round] over the base configuration, in the
-    deterministic application order.  Jitter, drops and noise do not touch
-    the topology.  This is the supervisor's view of the network between
-    churn epochs; the engine evolves the same state in-run. *)
 
 (** {1 Seeded sampling} *)
 

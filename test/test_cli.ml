@@ -96,7 +96,24 @@ let test_repair () =
       let code, out = anorad ("repair " ^ Filename.quote path) in
       check_int "exit" 0 code;
       check "plan shown" true (contains out "repair plan");
-      check "repaired config printed" true (contains out "config 4"))
+      check "repaired config printed" true (contains out "config 4"));
+  (* Four isolated nodes never elect, so the search runs dry over every
+     pair of the 4,004 candidate changes: in bounded memory, not one queue
+     entry per pair. *)
+  let path = Filename.temp_file "anorad_cli" ".cfg" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc "config 4\ntags 0 3 1000 0\n");
+      let code, out =
+        run_cmd
+          (Printf.sprintf "ulimit -v 524288; %s repair %s"
+             (Filename.quote binary) (Filename.quote path))
+      in
+      check_int "no repair exit" 1 code;
+      check "no plan" true
+        (contains out "no feasible tag assignment within the budget"))
 
 let test_audit () =
   with_family "h" 1 (fun path ->

@@ -242,7 +242,8 @@ let test_intern_sequential () =
   Alcotest.(check int) "size" 2 (Intern.size t);
   Alcotest.(check int) "next" 3 (Intern.next_id t);
   Alcotest.(check (option int)) "find hit" (Some 2) (Intern.find t 20);
-  Alcotest.(check (option int)) "find miss" None (Intern.find t 30)
+  Alcotest.(check (option int)) "find miss" None (Intern.find t 30);
+  Alcotest.(check int) "key of an id" 20 (Intern.key t 2)
 
 (* Keys embed a parent id in the high bits, as the explorer's packed
    history keys do. *)

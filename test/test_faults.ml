@@ -146,9 +146,7 @@ let test_topology_roundtrip () =
   check "link endpoints canonicalized" true
     (List.mem (FP.Link_down { u = 0; v = 1; round = 2 }) p);
   check "has_topology" true (FP.has_topology p);
-  check "crash-only plan has none" false (FP.has_topology mixed_plan);
-  check_int "topology_events filters" 5
-    (List.length (FP.topology_events p))
+  check "crash-only plan has none" false (FP.has_topology mixed_plan)
 
 let test_parser_positions_errors () =
   let fails_mentioning src frag =
@@ -223,31 +221,6 @@ let test_sample_topology () =
                p)
       | _ -> ())
     p
-
-let test_topology_at () =
-  let plan =
-    [
-      FP.Link_down { u = 0; v = 1; round = 2 };
-      FP.Leave { node = 3; round = 3 };
-      FP.Join { node = 3; round = 6; tag = 5 };
-      FP.Retag { node = 2; round = 4; tag = 7 };
-      FP.Crash { node = 1; round = 5 };
-    ]
-  in
-  let at r = FP.topology_at ~round:r cycle4 plan in
-  let t1 = at 1 in
-  check "nothing yet" true
-    (Array.for_all Fun.id t1.FP.present
-    && G.mem_edge t1.FP.graph 0 1
-    && t1.FP.tags = [| 0; 1; 2; 3 |]);
-  let t3 = at 3 in
-  check "link down and leave applied" true
-    ((not (G.mem_edge t3.FP.graph 0 1)) && not t3.FP.present.(3));
-  let t6 = at 6 in
-  check "join restores presence with new tag" true
-    (t6.FP.present.(3) && t6.FP.tags.(3) = 5);
-  check "retag applied" true (t6.FP.tags.(2) = 7);
-  check "crash removes presence" false t6.FP.present.(1)
 
 (* ------------------------------------------------------------------ *)
 (* Engine.run_plan: per-fault semantics and the ledger                 *)
@@ -722,8 +695,6 @@ let () =
           Alcotest.test_case "validate topology events" `Quick
             test_topology_validate;
           Alcotest.test_case "seeded flap sampling" `Quick test_sample_topology;
-          Alcotest.test_case "topology_at folds events" `Quick
-            test_topology_at;
         ] );
       ( "engine",
         [

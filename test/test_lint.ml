@@ -1197,6 +1197,31 @@ let partiality_tests =
                      let run pool xs = Radio_exec.Pool.map pool ~f:risky \
                      xs\n" );
                 ])));
+    Alcotest.test_case "merged same-named definitions need the allow on \
+                        each" `Quick (fun () ->
+        (* [Dup.Inner.get] and [Dup.get] share one call-graph node; an
+           allow on the first alone must not cover the second. *)
+        let dup ~second =
+          [
+            ( "lib/core/dup.ml",
+              "module Inner = struct\n\
+              \  (* radiolint: allow partiality -- callers pass a cons *)\n\
+              \  let get x = List.hd x\n\
+               end\n" ^ second ^ "let get x = List.hd x\n" );
+            ("bin/foo.ml", "let run_cmd () = Dup.get []\n");
+          ]
+        in
+        Alcotest.(check (list (list string)))
+          "one allow covers neither" [ [ "Failure" ] ]
+          (exns_of (partiality_of (dup ~second:"")));
+        Alcotest.(check (list (list string)))
+          "an allow on each is a barrier" []
+          (exns_of
+             (partiality_of
+                (dup
+                   ~second:
+                     "(* radiolint: allow partiality -- callers pass a cons \
+                      *)\n"))));
     Alcotest.test_case "non-entry lib functions are not reported" `Quick
       (fun () ->
         Alcotest.(check int)

@@ -24,58 +24,69 @@ let uniform_cycle n = C.uniform (Radio_graph.Gen.cycle n) 0
 
 (* --- State encoding ------------------------------------------------- *)
 
+(* The boxed state encoding the explorer replaced, kept as this file's
+   oracle: a decimal string key per state and a list-based orbit minimum.
+   The packed visited set and the explorer's in-place canonicalization
+   must draw the same separations. *)
+let compare_states (a : State.t) (b : State.t) =
+  match Int.compare (Array.length a) (Array.length b) with
+  | 0 ->
+      let rec go i =
+        if i = Array.length a then 0
+        else
+          match Int.compare a.(i) b.(i) with
+          | 0 -> go (i + 1)
+          | c -> c
+      in
+      go 0
+  | c -> c
+
+let state_equal a b = compare_states a b = 0
+
+let encode ~round_class (s : State.t) =
+  String.concat "."
+    (string_of_int round_class :: List.map string_of_int (Array.to_list s))
+
+(* [permute phi s]: the state in which node [phi.(v)] carries [s.(v)]. *)
+let permute (phi : int array) (s : State.t) : State.t =
+  let out = Array.make (Array.length s) 0 in
+  Array.iteri (fun v k -> out.(phi.(v)) <- k) s;
+  out
+
+(* Lexicographically smallest variant over a list of automorphisms. *)
+let canonicalize autos (s : State.t) : State.t =
+  List.fold_left
+    (fun best phi ->
+      let cand = permute phi s in
+      if compare_states cand best < 0 then cand else best)
+    s autos
+
 let state_tests =
   [
-    Alcotest.test_case "interner is a hash-cons" `Quick (fun () ->
-        let i = State.Intern.create () in
-        let k1 = State.Intern.get i 0 Radio_drip.History.Silence in
-        let k2 = State.Intern.get i 0 Radio_drip.History.Silence in
-        let k3 = State.Intern.get i k1 (Radio_drip.History.Message "1") in
-        let k4 = State.Intern.get i k1 (Radio_drip.History.Message "1") in
-        let k5 = State.Intern.get i k1 (Radio_drip.History.Message "2") in
-        check_int "same pair same key" k1 k2;
-        check_int "same message same key" k3 k4;
-        check "distinct message distinct key" true (k4 <> k5);
-        check_int "three keys interned" 3 (State.Intern.size i));
-    Alcotest.test_case "history materialization" `Quick (fun () ->
-        let i = State.Intern.create () in
-        let k1 = State.Intern.get i 0 (Radio_drip.History.Message "m") in
-        let k2 = State.Intern.get i k1 Radio_drip.History.Collision in
-        let k3 = State.Intern.get i k2 Radio_drip.History.Silence in
-        let h = State.Intern.history i k3 in
-        check_int "depth" 3 (State.Intern.depth i k3);
-        check "entries" true
-          (Radio_drip.History.equal h
-             (Radio_drip.History.of_array
-             [|
-               Radio_drip.History.Message "m";
-               Radio_drip.History.Collision;
-               Radio_drip.History.Silence;
-             |])));
     Alcotest.test_case "canonicalize picks the orbit minimum" `Quick
       (fun () ->
         let config = uniform_cycle 4 in
         let autos = Sym.automorphisms config in
         check_int "C4 has the dihedral group" 8 (List.length autos);
         let s = [| 3; 1; 1; 1 |] in
-        let canon = State.canonicalize autos s in
+        let canon = canonicalize autos s in
         check "canonical is minimal" true
-          (State.equal canon [| 1; 1; 1; 3 |]);
+          (state_equal canon [| 1; 1; 1; 3 |]);
         (* every permuted variant canonicalizes identically *)
         List.iter
           (fun phi ->
             check "orbit collapses" true
-              (State.equal canon
-                 (State.canonicalize autos (State.permute phi s))))
+              (state_equal canon
+                 (canonicalize autos (permute phi s))))
           autos);
     Alcotest.test_case "encode separates round classes" `Quick (fun () ->
         let s = [| 1; 0 |] in
         check "same state, different round class" true
-          (State.encode ~round_class:0 s <> State.encode ~round_class:1 s);
+          (encode ~round_class:0 s <> encode ~round_class:1 s);
         check "same round class" true
           (String.equal
-             (State.encode ~round_class:2 s)
-             (State.encode ~round_class:2 [| 1; 0 |])));
+             (encode ~round_class:2 s)
+             (encode ~round_class:2 [| 1; 0 |])));
   ]
 
 (* --- Automorphism groups -------------------------------------------- *)
@@ -168,6 +179,48 @@ let verify_tests =
         in
         check "same trace" true
           (Checker.trace_equal r1.Checker.trace r2.Checker.trace));
+    Alcotest.test_case "distinct messages stay distinct events" `Quick
+      (fun () ->
+        (* A relay that appends to what woke it, sends that twice, then
+           echoes the last message it heard: the strings differ from hop
+           to hop and repeat, and what a node echoes depends on the exact
+           strings it received, so a merged or misnumbered entry of the
+           run's message table shows as a trace that differs from the
+           engine's. *)
+        let module H = Radio_drip.History in
+        let module P = Radio_drip.Protocol in
+        let base h =
+          match H.get h 0 with
+          | H.Silence -> "a"
+          | H.Message m -> m ^ "b"
+          | H.Collision -> "x"
+        in
+        let last_heard h =
+          H.fold
+            (fun acc i e ->
+              match e with H.Message m when i > 0 -> m | _ -> acc)
+            "none" h
+        in
+        let relay h =
+          match H.length h with
+          | 1 | 3 -> P.Transmit (base h)
+          | 5 -> P.Transmit (last_heard h ^ "c")
+          | i when i < 8 -> P.Listen
+          | _ -> P.Terminate
+        in
+        let machine = Machine.of_protocol (P.of_pure ~name:"relay" relay) in
+        let res =
+          Checker.check ~machine (F.tagged_path [| 0; 9; 9; 9; 9; 9 |])
+        in
+        let sent =
+          List.sort_uniq String.compare
+            (List.concat_map
+               (fun e -> List.map snd e.Radio_sim.Trace.transmitters)
+               res.Checker.trace)
+        in
+        check "many distinct messages" true (List.length sent >= 8);
+        check "trace equality" true
+          (Checker.replay ~machine res).Checker.trace_matches);
     Alcotest.test_case "wave machine verifies on its domain" `Quick (fun () ->
         (* a depth-tagged star: node 0 tag 0, leaves woken by the wave *)
         let g = Radio_graph.Gen.star 4 in
@@ -242,6 +295,28 @@ let slot_pool = [| 0; 1; 2; -1; -2; 5; -7; 300; -300; 40_000 |]
 let synth_state ~n i =
   Array.init n (fun v -> slot_pool.((i * 7 + v * 3 + (i / 11)) mod 10))
 
+(* The code of one state, written at offset 0 of a fresh buffer. *)
+let pack ~round_class ~spent (s : State.t) =
+  let n = Array.length s in
+  let buf = Bytes.create (State.Packed.max_bytes ~n) in
+  let len =
+    State.Packed.write_sub buf ~pos:0 ~round_class ~spent s ~off:0 ~n
+  in
+  Bytes.sub buf 0 len
+
+(* Every entry of a visited set as [(spent, slots)], in insertion order,
+   read the way the explorer reads a frontier: [cursor], [next], [decode]. *)
+let set_entries v ~slots =
+  let s = Array.make slots 0 in
+  let stop = Visited.cursor v in
+  let rec walk off acc =
+    if off >= stop then List.rev acc
+    else
+      let spent = Visited.decode v off s in
+      walk (Visited.next v off) ((spent, Array.to_list s) :: acc)
+  in
+  walk 0 []
+
 let packed_tests =
   [
     Alcotest.test_case "zigzag is the standard bijection" `Quick (fun () ->
@@ -259,21 +334,27 @@ let packed_tests =
           for i = 0 to 199 do
             let s = synth_state ~n i in
             let round_class = i mod 3 and spent = i mod 2 in
-            let code = State.Packed.pack ~round_class ~spent s in
+            let code = pack ~round_class ~spent s in
             check "code within bound" true
               (Bytes.length code <= State.Packed.max_bytes ~n);
-            let rc', spent', s' = State.Packed.unpack ~n code in
-            check_int "round class survives" round_class rc';
-            check_int "spent survives" spent spent';
-            check "slots survive" true (State.equal s s')
+            let s' = Array.make n 0 in
+            check_int "spent survives" spent
+              (State.Packed.read_into code ~pos:0 s');
+            check "slots survive" true (state_equal s s')
           done
         done);
     Alcotest.test_case "write agrees with pack at any offset" `Quick
       (fun () ->
+        (* the state sits mid-array and is written mid-buffer, as in the
+           explorer's chunks and the visited set's arena *)
         let s = [| 3; 0; -5; 40_000 |] in
-        let code = State.Packed.pack ~round_class:2 ~spent:1 s in
+        let code = pack ~round_class:2 ~spent:1 s in
+        let src = Array.append [| 9; 9 |] s in
         let buf = Bytes.make (16 + State.Packed.max_bytes ~n:4) '\xff' in
-        let stop = State.Packed.write buf ~pos:16 ~round_class:2 ~spent:1 s in
+        let stop =
+          State.Packed.write_sub buf ~pos:16 ~round_class:2 ~spent:1 src
+            ~off:2 ~n:4
+        in
         check_int "length" (Bytes.length code) (stop - 16);
         check "bytes equal" true
           (Bytes.equal code (Bytes.sub buf 16 (Bytes.length code))));
@@ -282,8 +363,8 @@ let packed_tests =
       (fun () ->
         (* Differential test over the full n <= 4 configuration universe:
            the packed open-addressing set must draw exactly the separations
-           the old [State.encode]-keyed hashtable drew, on canonicalized
-           states (pack after canonicalize = the legacy boxed key). *)
+           the old [encode]-keyed hashtable drew, on canonicalized states
+           (pack after canonicalize = the legacy boxed key). *)
         let configs = small_configs () in
         check "universe rebuilt" true (List.length configs = 434);
         List.iter
@@ -294,59 +375,42 @@ let packed_tests =
             let legacy = Hashtbl.create 64 in
             for i = 0 to 99 do
               let round_class = i mod 3 and spent = i mod 2 in
-              let canon = State.canonicalize autos (synth_state ~n i) in
+              let canon = canonicalize autos (synth_state ~n i) in
               let key =
                 Printf.sprintf "%d|%d|%s" round_class spent
-                  (State.encode ~round_class canon)
+                  (encode ~round_class canon)
               in
-              check "mem agrees before insert"
-                (Hashtbl.mem legacy key)
-                (Visited.mem visited ~round_class ~spent canon);
               let fresh = Visited.add visited ~round_class ~spent canon in
               check "add reports freshness" (not (Hashtbl.mem legacy key))
                 fresh;
               Hashtbl.replace legacy key ();
-              check "mem sees the insert" true
-                (Visited.mem visited ~round_class ~spent canon)
+              check "a second add sees the first" false
+                (Visited.add visited ~round_class ~spent canon)
             done;
             check_int "same cardinality" (Hashtbl.length legacy)
               (Visited.size visited))
           configs);
-    Alcotest.test_case "iter recovers every packed entry" `Quick (fun () ->
+    Alcotest.test_case "cursor walk reads every entry" `Quick
+      (fun () ->
         (* Push the set through several table doublings and arena growths,
-           then unpack everything back out. *)
+           then decode everything back out in insertion order. *)
         let n = 3 in
         let visited = Visited.create ~bits:4 ~slots:n () in
-        let reference = Hashtbl.create 64 in
+        let inserted = ref [] in
         for i = 0 to 9_999 do
           let s = [| i - 5_000; (i * 17) - 80_000; i mod 7 |] in
           let round_class = i mod 5 and spent = i mod 3 in
           check "all fresh" true (Visited.add visited ~round_class ~spent s);
-          Hashtbl.replace reference
-            (Printf.sprintf "%d|%d|%s" round_class spent
-               (State.encode ~round_class s))
-            ()
+          inserted := (spent, Array.to_list s) :: !inserted
         done;
         check_int "all held" 10_000 (Visited.size visited);
         check "footprint reported" true (Visited.memory_bytes visited > 0);
-        let seen = ref 0 in
-        Visited.iter visited ~slots:n ~f:(fun ~round_class ~spent s ->
-            incr seen;
-            check "entry known" true
-              (Hashtbl.mem reference
-                 (Printf.sprintf "%d|%d|%s" round_class spent
-                    (State.encode ~round_class s))));
-        check_int "iter visits everything" 10_000 !seen);
+        check "every entry, in order" true
+          (set_entries visited ~slots:n = List.rev !inserted));
   ]
 
 
 (* --- Arena growth boundaries and varint width thresholds ------------- *)
-
-let set_entries v ~slots =
-  let acc = ref [] in
-  Visited.iter v ~slots ~f:(fun ~round_class ~spent s ->
-      acc := (round_class, spent, Array.to_list s) :: !acc);
-  List.rev !acc
 
 let visited_edge_tests =
   [
@@ -372,8 +436,8 @@ let visited_edge_tests =
               (Visited.add visited ~round_class:0 ~spent:0 s);
             if Visited.memory_bytes visited > before then
               incr dup_growths;
-            check "duplicate still member" true
-              (Visited.mem visited ~round_class:0 ~spent:0 s)
+            check "duplicate still rejected" false
+              (Visited.add visited ~round_class:0 ~spent:0 s)
           end;
           check "fresh state accepted" true
             (Visited.add visited ~round_class:0 ~spent:0 (state i));
@@ -381,25 +445,16 @@ let visited_edge_tests =
         done;
         check "a duplicate probe grew the arena" true (!dup_growths > 0);
         (* Nothing was corrupted by the speculative writes: every entry
-           unpacks back out exactly once. *)
-        let seen = Hashtbl.create 64 in
-        Visited.iter visited ~slots:n ~f:(fun ~round_class ~spent s ->
-            check_int "round class" 0 round_class;
-            check_int "spent" 0 spent;
-            Hashtbl.replace seen (State.encode ~round_class s) ());
-        check_int "iter recovers every entry" 1_500 (Hashtbl.length seen);
-        for i = 0 to 1_499 do
-          check "entry survives growth" true
-            (Hashtbl.mem seen (State.encode ~round_class:0 (state i)))
-        done);
+           decodes back out exactly once, in insertion order. *)
+        check "every entry survives growth" true
+          (set_entries visited ~slots:n
+          = List.init 1_500 (fun i -> (0, Array.to_list (state i)))));
     Alcotest.test_case "slot codes change width exactly at the varint \
                         thresholds" `Quick (fun () ->
         (* zigzag maps k to 2|k| - (k < 0): the 1->2 byte boundary sits at
            zigzag = 0x7f/0x80, i.e. k = -64 vs 64, and the 2->3 byte
            boundary at k = -8192 vs 8192. *)
-        let code_len k =
-          Bytes.length (State.Packed.pack ~round_class:0 ~spent:0 [| k |])
-        in
+        let code_len k = Bytes.length (pack ~round_class:0 ~spent:0 [| k |]) in
         let base = code_len 0 in
         List.iter
           (fun (k, extra) -> check_int "code width" (base + extra)
@@ -473,11 +528,12 @@ let visited_edge_tests =
         check "6 or more doublings" true
           (Visited.memory_bytes v >= (8 * (8 lsl 6)) + 4096);
         for i = 0 to 599 do
-          check "member after growth" true
-            (Visited.mem v ~round_class:(i mod 4) ~spent:0 (state i));
-          check "no false member" false
-            (Visited.mem v ~round_class:((i + 1) mod 4) ~spent:0 (state i))
-        done);
+          check "member after growth" false
+            (Visited.add v ~round_class:(i mod 4) ~spent:0 (state i));
+          check "no false member" true
+            (Visited.add v ~round_class:((i + 1) mod 4) ~spent:0 (state i))
+        done;
+        check_int "members plus the new round classes" 1_200 (Visited.size v));
     Alcotest.test_case "create rejects widths the entry header cannot \
                         hold" `Quick (fun () ->
         check "reasonable width accepted" true
@@ -699,6 +755,186 @@ let golden_tests =
       ~levels:[ 1; 2; 12; 100; 1_176; 19_268 ];
   ]
 
+(* Protocol mode pinned the same way: every registered machine and
+   mutant on five configurations, with the verdict, the rounds simulated,
+   the interned key count and an MD5 of the [Trace.pp] text of each run.
+   A wrong event code, a lost or merged message or a mis-materialized
+   history moves the key count, the trace or the verdict. *)
+let protocol_golden =
+  [
+    ( "h2", "drip",
+      "elected node 0 in round 14",
+      15, 35, "42914c25347d39b641ef782d771abf53" );
+    ( "h2", "pure-drip",
+      "elected node 0 in round 14",
+      15, 35, "42914c25347d39b641ef782d771abf53" );
+    ( "h2", "beacon",
+      "non-election: terminal symmetric state with classes {0,3} {1,2}",
+      4, 4, "98f560f89b3f1ae103b0bbd58de08bbf" );
+    ( "h2", "silent",
+      "non-election: terminal symmetric state with classes {0,1,2,3}",
+      5, 1, "aeb014340bea0d1b27d8ca2e936d334e" );
+    ( "h2", "min-beacon",
+      "VIOLATION: two leaders elected: nodes 1, 2",
+      3, 3, "523636ff6713de980877a26646811bcf" );
+    ( "h2", "wave",
+      "VIOLATION: two leaders elected: nodes 1, 2",
+      3, 4, "2d6af0a22557bbd59b320558a6258a7a" );
+    ( "h2", "mutant-greedy-decision",
+      "VIOLATION: two leaders elected: nodes 1, 2",
+      12, 32, "8e27618a6678d1452de949273cfc6a3f" );
+    ( "h2", "mutant-early-stop",
+      "non-election: terminal symmetric state with classes {0} {1} {2} {3}",
+      14, 31, "a742adbb1f1d413c56ccf486a40de3e9" );
+    ( "g2", "drip",
+      "elected node 4 in round 16",
+      17, 50, "c4b5e29b1d1e29464d5c4ff74962dad2" );
+    ( "g2", "pure-drip",
+      "elected node 4 in round 16",
+      17, 50, "c4b5e29b1d1e29464d5c4ff74962dad2" );
+    ( "g2", "beacon",
+      "non-election: terminal symmetric state with classes {0,1,3,4,5,7,8} {2,6}",
+      4, 4, "64a2a276e6b20c264d5f597402e1854f" );
+    ( "g2", "silent",
+      "non-election: terminal symmetric state with classes {0,1,2,3,4,5,6,7,8}",
+      3, 1, "76233b1cd267f7c202eb9d1eef1cbe8c" );
+    ( "g2", "min-beacon",
+      "VIOLATION: two leaders elected: nodes 0, 1, 7, 8",
+      3, 3, "e50f2e28d8a57b6f1db6baf3f17f62d0" );
+    ( "g2", "wave",
+      "VIOLATION: two leaders elected: nodes 0, 1, 7, 8",
+      3, 4, "55ce3435af434e8fdc85e7cedae5fc1e" );
+    ( "g2", "mutant-greedy-decision",
+      "VIOLATION: two leaders elected: nodes 0, 1, 7, 8",
+      16, 50, "5ecfedfb81c78ba45c037a3507e67204" );
+    ( "g2", "mutant-early-stop",
+      "non-election: terminal symmetric state with classes {0,8} {1,7} {2,6} {3,5} {4}",
+      16, 45, "f7b6d9cc95dfa1e237776999eca97bd7" );
+    ( "s2", "drip",
+      "non-election: terminal symmetric state with classes {0,3} {1,2}",
+      23, 39, "2c8b38900a879e02605ebe7dee74da51" );
+    ( "s2", "pure-drip",
+      "non-election: terminal symmetric state with classes {0,3} {1,2}",
+      23, 39, "2c8b38900a879e02605ebe7dee74da51" );
+    ( "s2", "beacon",
+      "non-election: terminal symmetric state with classes {0,3} {1,2}",
+      4, 4, "98f560f89b3f1ae103b0bbd58de08bbf" );
+    ( "s2", "silent",
+      "non-election: terminal symmetric state with classes {0,1,2,3}",
+      4, 1, "3bff12671bdf583b963232e7e79dfc4d" );
+    ( "s2", "min-beacon",
+      "VIOLATION: two leaders elected: nodes 1, 2",
+      3, 3, "523636ff6713de980877a26646811bcf" );
+    ( "s2", "wave",
+      "VIOLATION: two leaders elected: nodes 1, 2",
+      3, 4, "2d6af0a22557bbd59b320558a6258a7a" );
+    ( "s2", "mutant-greedy-decision",
+      "VIOLATION: two leaders elected: nodes 1, 2",
+      21, 38, "de29ca93166954edc71b5e3b3060f99a" );
+    ( "s2", "mutant-early-stop",
+      "non-election: terminal symmetric state with classes {0,3} {1,2}",
+      22, 37, "8d0be00c6dbc4698e24cf709ecdad5b5" );
+    ( "path7", "drip",
+      "elected node 3 in round 16",
+      17, 47, "41dcc359bebd7927e5ef1cf2ac9b7086" );
+    ( "path7", "pure-drip",
+      "elected node 3 in round 16",
+      17, 47, "41dcc359bebd7927e5ef1cf2ac9b7086" );
+    ( "path7", "beacon",
+      "non-election: terminal symmetric state with classes {0,2,3,4,6} {1,5}",
+      4, 4, "991d75156a8828e159081b292e81a25c" );
+    ( "path7", "silent",
+      "non-election: terminal symmetric state with classes {0,1,2,3,4,5,6}",
+      3, 1, "4784c27535855d5e9859011a89bf3a47" );
+    ( "path7", "min-beacon",
+      "VIOLATION: two leaders elected: nodes 0, 6",
+      3, 3, "540f59619def064e11d8b377206262b8" );
+    ( "path7", "wave",
+      "VIOLATION: two leaders elected: nodes 0, 6",
+      3, 4, "e3b08e81ae4b1f4ab04f6171a2fca8a3" );
+    ( "path7", "mutant-greedy-decision",
+      "VIOLATION: two leaders elected: nodes 0, 6",
+      16, 47, "ba3a628ec446ca37b69da649a0928827" );
+    ( "path7", "mutant-early-stop",
+      "non-election: terminal symmetric state with classes {0,6} {1,5} {2,4} {3}",
+      16, 43, "749a92cacffb628d3310856cd58e22d8" );
+    ( "ring6", "drip",
+      "elected node 1 in round 6",
+      7, 15, "c00d8b6a9e84d78a104fef965955e114" );
+    ( "ring6", "pure-drip",
+      "elected node 1 in round 6",
+      7, 15, "c00d8b6a9e84d78a104fef965955e114" );
+    ( "ring6", "beacon",
+      "non-election: terminal symmetric state with classes {0,1,2,4} {3,5}",
+      4, 4, "decbe0debbf7338493c018994be3bb9a" );
+    ( "ring6", "silent",
+      "non-election: terminal symmetric state with classes {0,1,2,3,4,5}",
+      3, 1, "457085def31eaf70f1e92a353776a92a" );
+    ( "ring6", "min-beacon",
+      "VIOLATION: two leaders elected: nodes 0, 2",
+      3, 3, "5be9cb38d5e136f1d6962a1fb40f8294" );
+    ( "ring6", "wave",
+      "VIOLATION: two leaders elected: nodes 0, 2",
+      3, 4, "a3cdfdf592b3924bf06e8da8c5951de6" );
+    ( "ring6", "mutant-greedy-decision",
+      "VIOLATION: two leaders elected: nodes 0, 2",
+      6, 15, "14513d2204b6d3c2a2a783fc5f23dbcf" );
+    ( "ring6", "mutant-early-stop",
+      "non-election: terminal symmetric state with classes {0,2} {1} {3,5} {4}",
+      6, 11, "89039ecebd68a1e896d48714a53ebc08" );
+  ]
+
+let protocol_golden_tests =
+  let row (config, machine, verdict, rounds, keys, trace) =
+    Printf.sprintf "%s %s: %s; %d rounds, %d keys, trace %s" config machine
+      verdict rounds keys trace
+  in
+  let configs =
+    [
+      ( "h2",
+        (Option.get (Radio_config.Catalog.find "h2")).Radio_config.Catalog.config
+      );
+      ("g2", F.g_family 2);
+      ("s2", F.s_family 2);
+      ("path7", F.tagged_path [| 0; 1; 1; 1; 1; 1; 0 |]);
+      ("ring6", F.tagged_cycle [| 0; 1; 0; 1; 1; 1 |]);
+    ]
+  in
+  [
+    Alcotest.test_case "protocol mode: every machine on five configs" `Quick
+      (fun () ->
+        let seen =
+          List.concat_map
+            (fun (cname, config) ->
+              let plan = (Fe.analyze config).Fe.plan in
+              List.map
+                (fun name ->
+                  let machine =
+                    match Machine.of_name plan name with
+                    | Some m -> m
+                    | None -> Option.get (Mutant.of_name plan name)
+                  in
+                  let r = Checker.check ~machine config in
+                  row
+                    ( cname,
+                      name,
+                      Format.asprintf "%a" Checker.pp_verdict
+                        r.Checker.verdict,
+                      r.Checker.rounds,
+                      r.Checker.stats.Checker.distinct_keys,
+                      Digest.to_hex
+                        (Digest.string
+                           (Format.asprintf "%a" Radio_sim.Trace.pp
+                              r.Checker.trace)) ))
+                (Machine.names @ Mutant.names))
+            configs
+        in
+        Alcotest.(check (list string))
+          "verdict, rounds, keys, trace digest"
+          (List.map row protocol_golden)
+          seen);
+  ]
+
 (* --- Differential oracle --------------------------------------------- *)
 
 let oracle_tests =
@@ -756,6 +992,6 @@ let () =
       ("packed", packed_tests);
       ("visited-edges", visited_edge_tests);
       ("explore", explore_tests);
-      ("golden", golden_tests);
+      ("golden", golden_tests @ protocol_golden_tests);
       ("oracle", oracle_tests);
     ]

@@ -129,6 +129,82 @@ let test_repair_pp () =
       check "mentions cost" true (contains s "cost")
   | None -> Alcotest.fail "expected repair"
 
+(* The search that pushed every extension of a popped change set at once,
+   kept as the oracle of the lazy one: same queue order, so the same
+   plan. *)
+let eager_repair ?max_tag ~max_changes config =
+  let max_tag = Option.value max_tag ~default:(C.span config + 1) in
+  let feasible c = Fe.is_feasible c in
+  let apply changes =
+    let tags = C.tags config in
+    List.iter (fun ch -> tags.(ch.Repair.node) <- ch.Repair.new_tag) changes;
+    C.create (C.graph config) tags
+  in
+  if feasible config then Some []
+  else begin
+    let candidates =
+      Array.of_list
+        (List.concat_map
+           (fun node ->
+             let old_tag = C.tag config node in
+             List.filter_map
+               (fun new_tag ->
+                 if new_tag = old_tag then None
+                 else Some { Repair.node; old_tag; new_tag })
+               (List.init (max_tag + 1) Fun.id))
+           (List.init (C.size config) Fun.id))
+    in
+    let cost_of changes =
+      List.fold_left
+        (fun a ch -> a + abs (ch.Repair.new_tag - ch.Repair.old_tag))
+        0 changes
+    in
+    let frontier = ref [ (0, 0, 0, []) ] in
+    let result = ref None in
+    while !result = None && !frontier <> [] do
+      let sorted = List.sort compare !frontier in
+      let ((touched, _, from_index, changes) as el) = List.hd sorted in
+      frontier := List.filter (fun x -> x != el) sorted;
+      if changes <> [] && feasible (apply changes) then
+        result := Some (List.sort compare changes)
+      else if touched < max_changes then
+        for i = from_index to Array.length candidates - 1 do
+          let ch = candidates.(i) in
+          if not (List.exists (fun c -> c.Repair.node = ch.Repair.node) changes)
+          then
+            frontier :=
+              (touched + 1, cost_of (ch :: changes), i + 1, ch :: changes)
+              :: !frontier
+        done
+    done;
+    !result
+  end
+
+(* Every infeasible configuration of the n <= 5 universe, plus inputs
+   whose search runs dry (edgeless graphs never elect) or goes deep. *)
+let test_repair_lazy_equals_eager () =
+  let same ~max_changes config =
+    check
+      (Format.asprintf "%a, %d changes" C.pp config max_changes)
+      true
+      (Option.map (fun p -> p.Repair.changes) (Repair.repair ~max_changes config)
+      = eager_repair ~max_changes config)
+  in
+  List.iter
+    (fun (max_n, max_changes) ->
+      List.iter
+        (fun (_, _, configs) -> List.iter (same ~max_changes) configs)
+        (Election.Census.universe ~max_n ~max_span:2))
+    [ (4, 1); (4, 2); (4, 3); (5, 2) ];
+  List.iter
+    (fun config -> List.iter (fun max_changes -> same ~max_changes config) [ 1; 2; 3 ])
+    [
+      C.create (G.empty 3) [| 0; 0; 2 |];
+      C.create (G.empty 4) [| 0; 3; 1; 0 |];
+      C.uniform (Gen.cycle 6) 0;
+      F.s_family 3;
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Plan serialization                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -340,6 +416,8 @@ let () =
           Alcotest.test_case "prefers few changes" `Quick
             test_repair_multi_cheaper_than_nothing;
           Alcotest.test_case "pp" `Quick test_repair_pp;
+          Alcotest.test_case "lazy search = eager oracle" `Quick
+            test_repair_lazy_equals_eager;
         ] );
       ( "plan-io",
         [

@@ -32,6 +32,7 @@ type def = {
   display : string;  (* full dotted path, e.g. "Trace.Acc.wake" *)
   def_path : string;
   def_line : int;
+  mutable sites : (string * int) list;  (* every merged definition *)
   mutable refs : reference list;
   mutable setfield_lines : int list;  (* [r.f <- v] mutation sites *)
   mutable tasks : task list;  (* Pool task closures submitted in the body *)
@@ -274,7 +275,9 @@ let add_def t ~top ~subpath ~name ~path ~line ~x =
   | Some d ->
       (* Same unqualified name defined twice under one top module (e.g. in
          two submodules): merge the edges — an over-approximation that
-         keeps the analysis sound. *)
+         keeps the analysis sound — and keep both sites, so an allow
+         barrier must sit on each ({!allowed_def}). *)
+      d.sites <- d.sites @ [ (path, line) ];
       d.refs <- d.refs @ x.x_refs;
       d.setfield_lines <- d.setfield_lines @ x.x_setfields;
       d.tasks <- d.tasks @ x.x_tasks
@@ -285,6 +288,7 @@ let add_def t ~top ~subpath ~name ~path ~line ~x =
           display;
           def_path = path;
           def_line = line;
+          sites = [ (path, line) ];
           refs = x.x_refs;
           setfield_lines = x.x_setfields;
           tasks = x.x_tasks;
@@ -410,6 +414,9 @@ let allowed t ~path ~line ~rule =
   match Hashtbl.find_opt t.allow path with
   | Some f -> f ~line ~rule
   | None -> false
+
+let allowed_def t (d : def) ~rule =
+  List.for_all (fun (path, line) -> allowed t ~path ~line ~rule) d.sites
 
 (* The key a path made inside [top] names, after the file's aliases: [f]
    alone within [top]; [...; M; ...; f] through the first component naming

@@ -27,7 +27,11 @@ type def = {
   key : string;  (** ["Module.name"] — top module + unqualified name *)
   display : string;  (** full dotted path, e.g. ["Trace.Acc.wake"] *)
   def_path : string;
-  def_line : int;
+  def_line : int;  (** the first definition's line *)
+  mutable sites : (string * int) list;
+      (** [(path, line)] of every definition merged into this node, in
+          scan order: same-named bindings under one top module (in two
+          submodules, say) share one node *)
   mutable refs : reference list;
   mutable setfield_lines : int list;
       (** lines holding a record-field mutation ([r.f <- v]) — the one
@@ -64,6 +68,11 @@ val is_mutable : t -> string -> bool
 
 val allowed : t -> path:string -> line:int -> rule:string -> bool
 (** The [radiolint: allow] predicate of the file at [path]. *)
+
+val allowed_def : t -> def -> rule:string -> bool
+(** [rule] is allowed at every one of the definition's [sites]: the
+    barrier test of the dataflow clients, so an annotation on one of two
+    merged bindings covers neither. *)
 
 val resolve : t -> top:string -> string list -> string option
 (** Resolve a flattened reference made inside top module [top] to a

@@ -178,9 +178,7 @@ let direct_of cg ~top (r : Callgraph.reference) =
 
 let analyze ?(exempt = intern_exempt) cg =
   let barrier (d : Callgraph.def) =
-    exempt d.Callgraph.def_path
-    || Callgraph.allowed cg ~path:d.Callgraph.def_path
-         ~line:d.Callgraph.def_line ~rule
+    exempt d.Callgraph.def_path || Callgraph.allowed_def cg d ~rule
   in
   let seeds ~top (d : Callgraph.def) =
     List.filter_map (direct_of cg ~top) d.Callgraph.refs

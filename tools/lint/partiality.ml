@@ -237,9 +237,7 @@ let analyze cg ~asts =
       Hashtbl.replace facts path
         (facts_of_ast ~exn_name:(Callgraph.exn_name cg ~top) ast))
     asts;
-  let barrier (d : Callgraph.def) =
-    Callgraph.allowed cg ~path:d.def_path ~line:d.def_line ~rule:"partiality"
-  in
+  let barrier d = Callgraph.allowed_def cg d ~rule:"partiality" in
   let seeds ~top:_ (d : Callgraph.def) =
     let file = facts_in facts d.def_path in
     List.filter_map

@@ -53,9 +53,7 @@ end)
 let analyze ?(checked = Rules.deterministic_boundary)
     ?(exempt = Rules.random_allowed) cg =
   let barrier (d : Callgraph.def) =
-    exempt d.Callgraph.def_path
-    || Callgraph.allowed cg ~path:d.Callgraph.def_path
-         ~line:d.Callgraph.def_line ~rule
+    exempt d.Callgraph.def_path || Callgraph.allowed_def cg d ~rule
   in
   let seeds ~top:_ (d : Callgraph.def) =
     List.filter_map
