@@ -6,7 +6,7 @@ DUNE ?= dune
 
 .PHONY: check build test lint lint-sarif fmt resilience-smoke mc-smoke \
   par-smoke churn-smoke serve-smoke elect-smoke bench-churn bench-parallel \
-  bench-serve clean
+  bench-serve bench-elect clean
 
 check: build test fmt resilience-smoke mc-smoke par-smoke churn-smoke \
   serve-smoke elect-smoke
@@ -196,6 +196,12 @@ elect-smoke:
 	echo "$$out" | grep -qx 'leader: node 1024' || { \
 	  echo "elect-smoke: G_512 did not elect node 1024 within 1 GiB"; \
 	  exit 1; }
+
+# E2 only: regenerate the election series (BENCH_elect.json: rounds,
+# node-rounds and the engine's time per node-round) in the working
+# directory.
+bench-elect:
+	$(DUNE) exec bench/main.exe -- e2
 
 # E22 only: regenerate the serve series (BENCH_serve.json) in the working
 # directory.

@@ -1,6 +1,6 @@
 (* The benchmark harness: regenerates every experiment E1-E22 of DESIGN.md
    (the paper's theorems and propositions turned into measurements) and
-   writes the BENCH_*.json series of E19-E22.
+   writes the BENCH_*.json series of E2 and E19-E22.
 
    Run with: dune exec bench/main.exe -- [--quick] [--jobs N] [SUITE ...]
    where SUITE is e1 ... e22 or an alias (mc = e19, par = e20, churn = e21,
@@ -125,13 +125,13 @@ let e1 () =
 (* E2 - Theorem 3.15: dedicated election in O(n^2 σ) rounds            *)
 (* ------------------------------------------------------------------ *)
 
-let e2 () =
+let e2 ~quick =
   section "E2  Dedicated election time (Theorem 3.15, O(n^2 sigma))";
   let table =
     Table.create
       ~title:
-        "Election rounds vs n and sigma (random feasible G(n,p), G_m), and \
-         the engine's cost per node-round"
+        "Election rounds vs n and sigma (random feasible G(n,p), paths and \
+         trees, G_m), and the engine's cost per node-round"
       ~columns:
         [
           "config"; "n"; "sigma"; "rounds (global)"; "schedule r_T+1";
@@ -139,6 +139,7 @@ let e2 () =
           "ns/node-round"; "words/node-round";
         ]
   in
+  let json_rows = ref [] in
   let st = Workloads.state () in
   let row name config =
     let n = C.size config in
@@ -156,6 +157,7 @@ let e2 () =
         let words = Gc.minor_words () -. w0 in
         let t = time run in
         let per x = x /. float_of_int (max 1 node_rounds) in
+        let m = o.Engine.metrics in
         Table.add_row table
           [
             name;
@@ -165,22 +167,58 @@ let e2 () =
             string_of_int a.Fe.election_local_rounds;
             string_of_int (Can.upper_bound_rounds ~n ~sigma);
             string_of_int node_rounds;
-            string_of_int o.Engine.metrics.Radio_sim.Metrics.transmissions;
+            string_of_int m.Radio_sim.Metrics.transmissions;
             ms t;
             Table.cell_float ~decimals:1 (per (t.median *. 1e9));
             Table.cell_float ~decimals:2 (per words);
-          ]
+          ];
+        json_rows :=
+          ([
+             ("family", j_str name);
+             ("n", string_of_int n);
+             ("sigma", string_of_int sigma);
+             ("rounds", string_of_int o.Engine.rounds);
+             ("node_rounds", string_of_int node_rounds);
+             ("transmissions", string_of_int m.Radio_sim.Metrics.transmissions);
+             ("deliveries", string_of_int m.Radio_sim.Metrics.deliveries);
+           ]
+          @ j_time "engine_ms"
+              { median = 1000.0 *. t.median; iqr = 1000.0 *. t.iqr }
+          @ [
+              ("ns_per_node_round", j_num 2 (per (t.median *. 1e9)));
+              ("words_per_node_round", j_num 3 (per words));
+            ])
+          :: !json_rows
     | _ ->
         Table.add_row table
           (name :: string_of_int n :: List.init 9 (fun _ -> "-"))
   in
+  let small (n, _) = (not quick) || n <= 64 in
   List.iter
     (fun (n, span) -> row "G(n,p)" (Workloads.feasible_gnp st ~n ~p:0.2 ~span))
-    [ (8, 2); (16, 2); (32, 2); (8, 8); (16, 8); (32, 8); (64, 4) ];
+    (List.filter small
+       [ (8, 2); (16, 2); (32, 2); (8, 8); (16, 8); (32, 8); (64, 4) ]);
+  (* serve-distinct's path and tree families *)
+  let sizes =
+    List.filter small
+      (List.concat_map
+         (fun n -> List.map (fun span -> (n, span)) [ 1; 2; 3 ])
+         [ 64; 128; 256 ])
+  in
+  List.iter
+    (fun (n, span) ->
+      row "path" (Workloads.feasible (fun () -> RC.random_path st ~n ~span)))
+    sizes;
+  List.iter
+    (fun (n, span) ->
+      row "tree" (Workloads.feasible (fun () -> RC.random_tree st ~n ~span)))
+    sizes;
   List.iter
     (fun m -> row (Printf.sprintf "G_%d" m) (F.g_family m))
-    [ 8; 16; 32; 64 ];
+    (if quick then [ 8 ] else [ 8; 16; 32; 64 ]);
   Table.print table;
+  write_bench "BENCH_elect.json" ~experiment:"E2" ~kernel:"Radio_sim.Engine.run"
+    [ ("rows", List.rev !json_rows) ];
   Printf.printf
     "Measured rounds must stay below the explicit O(n^2 sigma) budget and\n\
      typically sit far below it (few refinement iterations needed on G(n,p);\n\
@@ -1591,13 +1629,14 @@ let e22 ~quick ~jobs =
 (* Command line: [--quick] [--jobs N] [SUITE ...]                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Every suite in run order.  --quick shrinks E20-E22 for the smokes and
-   the test suite; --jobs sets their pool size (E20 defaults to 4 workers,
-   2 under --quick; E21 and E22 to 2). *)
+(* Every suite in run order.  --quick shrinks E2 and E20-E22 for the
+   smokes and the test suite; --jobs sets the pool size of E20-E22 (E20
+   defaults to 4 workers, 2 under --quick; E21 and E22 to 2). *)
 let suites =
   let plain f ~quick:_ ~jobs:_ = f () in
   [
-    ("e1", plain e1); ("e2", plain e2); ("e3", plain e3); ("e4", plain e4);
+    ("e1", plain e1); ("e2", fun ~quick ~jobs:_ -> e2 ~quick);
+    ("e3", plain e3); ("e4", plain e4);
     ("e5", plain e5); ("e6", plain e6); ("e7", plain e7); ("e8", plain e8);
     ("e9", plain e9); ("e10", plain e10); ("e11", plain e11);
     ("e12", plain e12); ("e13", plain e13); ("e14", plain e14);
@@ -1617,7 +1656,9 @@ let () =
   in
   let specs =
     [
-      ("--quick", Arg.Set quick, " smaller E20-E22 workloads (smoke runs)");
+      ( "--quick",
+        Arg.Set quick,
+        " smaller E2 and E20-E22 workloads (smoke runs)" );
       ( "--jobs",
         Arg.Int
           (fun j ->

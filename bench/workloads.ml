@@ -9,17 +9,20 @@ let seed = 0xC0FFEE
 
 let state () = Random.State.make [| seed |]
 
-(* A feasible random configuration: resample tags until the classifier says
-   yes (a handful of draws at most for span >= 2). *)
-let feasible_gnp st ~n ~p ~span =
+(* A feasible random configuration: redraw until the classifier says yes
+   (a handful of draws at most for span >= 2). *)
+let feasible draw =
   let rec attempt k =
     if k > 50 then
-      invalid_arg "Workloads.feasible_gnp: could not find a feasible config"
+      invalid_arg "Workloads.feasible: could not find a feasible config"
     else
-      let config = RC.connected_gnp st ~n ~p ~span in
+      let config = draw () in
       if Election.Feasibility.is_feasible config then config else attempt (k + 1)
   in
   attempt 0
+
+let feasible_gnp st ~n ~p ~span =
+  feasible (fun () -> RC.connected_gnp st ~n ~p ~span)
 
 let path_config st n = RC.random_path st ~n ~span:3
 

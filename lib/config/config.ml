@@ -17,7 +17,7 @@ let invalid fmt = Format.kasprintf (fun s -> raise (Invalid_configuration s)) fm
 let normalize_tags tags =
   if Array.length tags = 0 then tags
   else
-    let m = Array.fold_left min tags.(0) tags in
+    let m = Array.fold_left Int.min tags.(0) tags in
     if m = 0 then tags else Array.map (fun t -> t - m) tags
 
 (* radiolint: allow partiality — callers pass one tag >= 0 per vertex *)
@@ -29,8 +29,8 @@ let create ?(normalize = true) graph tags =
   Array.iteri (fun v t -> if t < 0 then invalid "negative tag %d at vertex %d" t v) tags;
   let tags = Array.copy tags in
   let tags = if normalize then normalize_tags tags else tags in
-  let lo = Array.fold_left min (if n = 0 then 0 else tags.(0)) tags in
-  let hi = Array.fold_left max lo tags in
+  let lo = Array.fold_left Int.min (if n = 0 then 0 else tags.(0)) tags in
+  let hi = Array.fold_left Int.max lo tags in
   { graph; tags; lo; hi }
 
 

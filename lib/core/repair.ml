@@ -32,6 +32,14 @@ let plan_of_changes config changes =
     cost = List.fold_left (fun a ch -> a + abs (ch.new_tag - ch.old_tag)) 0 changes;
   }
 
+let max_candidates = 100_000
+
+(* Whether the n x (max_tag + 1) candidate changes pass [max_candidates],
+   tested without forming the product, which may overflow. *)
+let over_budget config ~max_tag =
+  let n = C.size config in
+  n > 0 && max_tag >= max_candidates / n
+
 let candidate_changes config ~max_tag =
   let n = C.size config in
   let acc = ref [] in
@@ -48,6 +56,7 @@ let repair_one ?max_tag config =
   if max_tag < 0 then invalid_arg "Repair.repair_one: max_tag must be >= 0";
   if feasible config then
     Some { changes = []; repaired = config; cost = 0 }
+  else if over_budget config ~max_tag then None
   else begin
     let plans =
       List.filter_map
@@ -98,6 +107,7 @@ let repair ?max_tag ?(max_changes = 2) config =
   if max_changes < 1 then invalid_arg "Repair.repair: max_changes must be >= 1";
   if feasible config then
     Some { changes = []; repaired = config; cost = 0 }
+  else if over_budget config ~max_tag then None
   else begin
     let candidates = Array.of_list (candidate_changes config ~max_tag) in
     (* the extension order: by displacement, ties by candidate index *)

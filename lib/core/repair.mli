@@ -27,10 +27,17 @@ type plan = {
   cost : int;  (** sum of |new - old| *)
 }
 
+val max_candidates : int
+(** [100_000]: the most candidate changes, [n x (max_tag + 1)], a search
+    considers.  Past it, {!repair_one} and {!repair} return [None] (no
+    repair within the budget) before building any candidate; an input
+    that is already feasible still gets its empty plan. *)
+
 val repair_one :
   ?max_tag:int -> Radio_config.Config.t -> plan option
 (** Cheapest single-node repair with new tags in [0 .. max_tag]
-    (default: [span + 1]).  [None] when no single change suffices.
+    (default: [span + 1]).  [None] when no single change suffices or
+    the candidates pass {!max_candidates}.
     Returns immediately with an empty plan when the input is already
     feasible. *)
 
@@ -38,6 +45,6 @@ val repair :
   ?max_tag:int -> ?max_changes:int -> Radio_config.Config.t -> plan option
 (** Best-first search touching at most [max_changes] (default 2) nodes.
     Complete within its budget: returns [None] only if no assignment within
-    the budget is feasible. *)
+    the budget is feasible, or the candidates pass {!max_candidates}. *)
 
 val pp_plan : Format.formatter -> plan -> unit

@@ -33,12 +33,12 @@ let fold f init h =
   !acc
 
 let sub h pos len =
-  let stop = min h.length (pos + len) and pos = max 0 pos in
+  let stop = Int.min h.length (pos + len) and pos = Int.max 0 pos in
   let events = Array.length h.index in
   let first = lower_bound h.index 0 events pos in
-  let count = max 0 (lower_bound h.index 0 events stop - first) in
+  let count = Int.max 0 (lower_bound h.index 0 events stop - first) in
   {
-    length = max 0 (stop - pos);
+    length = Int.max 0 (stop - pos);
     index = Array.init count (fun k -> h.index.(first + k) - pos);
     entry = Array.sub h.entry first count;
   }
@@ -106,7 +106,7 @@ module Builder = struct
     then begin
       if b.len = Array.length b.index then begin
         let grow a fill =
-          let a' = Array.make (max 8 (2 * b.len)) fill in
+          let a' = Array.make (Int.max 8 (2 * b.len)) fill in
           Array.blit a 0 a' 0 b.len;
           a'
         in
@@ -121,7 +121,7 @@ module Builder = struct
   let build b ~length : history =
     let count = lower_bound b.index 0 b.len length in
     {
-      length = max 0 length;
+      length = Int.max 0 length;
       index = Array.sub b.index 0 count;
       entry = Array.sub b.entry 0 count;
     }

@@ -84,62 +84,88 @@ let parse_hex4 cur =
   done;
   !v
 
+(* The end of the run of bytes a string copies as they are (neither a
+   quote, a backslash nor a control character) that starts at [i]. *)
+let rec run_end src i =
+  if i >= String.length src then i
+  else
+    match src.[i] with
+    | '"' | '\\' -> i
+    | c when Char.code c < 0x20 -> i
+    | _ -> run_end src (i + 1)
+
+(* Each unescaped run is copied whole: a string without escapes is one
+   [String.sub]. *)
 let parse_string_body cur =
   expect cur '"';
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    match peek cur with
-    | None -> fail cur.pos "unterminated string"
-    | Some '"' ->
-        advance cur;
-        Buffer.contents buf
-    | Some '\\' -> (
-        advance cur;
-        match peek cur with
-        | None -> fail cur.pos "unterminated escape"
-        | Some c ->
-            advance cur;
-            (match c with
-            | '"' -> Buffer.add_char buf '"'
-            | '\\' -> Buffer.add_char buf '\\'
-            | '/' -> Buffer.add_char buf '/'
-            | 'b' -> Buffer.add_char buf '\b'
-            | 'f' -> Buffer.add_char buf '\012'
-            | 'n' -> Buffer.add_char buf '\n'
-            | 'r' -> Buffer.add_char buf '\r'
-            | 't' -> Buffer.add_char buf '\t'
-            | 'u' ->
-                let hi = parse_hex4 cur in
-                if hi >= 0xD800 && hi <= 0xDBFF then begin
-                  (* high surrogate: require the paired low surrogate *)
-                  if
-                    cur.pos + 2 <= String.length cur.src
-                    && cur.src.[cur.pos] = '\\'
-                    && cur.src.[cur.pos + 1] = 'u'
-                  then begin
-                    advance cur;
-                    advance cur;
-                    let lo = parse_hex4 cur in
-                    if lo < 0xDC00 || lo > 0xDFFF then
-                      fail cur.pos "invalid low surrogate";
-                    add_utf8 buf
-                      (0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00))
+  let src = cur.src in
+  let start = cur.pos in
+  let stop = run_end src start in
+  if stop < String.length src && src.[stop] = '"' then begin
+    cur.pos <- stop + 1;
+    String.sub src start (stop - start)
+  end
+  else begin
+    let buf = Buffer.create (stop - start + 16) in
+    Buffer.add_substring buf src start (stop - start);
+    cur.pos <- stop;
+    let rec loop () =
+      match peek cur with
+      | None -> fail cur.pos "unterminated string"
+      | Some '"' ->
+          advance cur;
+          Buffer.contents buf
+      | Some '\\' -> (
+          advance cur;
+          match peek cur with
+          | None -> fail cur.pos "unterminated escape"
+          | Some c ->
+              advance cur;
+              (match c with
+              | '"' -> Buffer.add_char buf '"'
+              | '\\' -> Buffer.add_char buf '\\'
+              | '/' -> Buffer.add_char buf '/'
+              | 'b' -> Buffer.add_char buf '\b'
+              | 'f' -> Buffer.add_char buf '\012'
+              | 'n' -> Buffer.add_char buf '\n'
+              | 'r' -> Buffer.add_char buf '\r'
+              | 't' -> Buffer.add_char buf '\t'
+              | 'u' ->
+                  let hi = parse_hex4 cur in
+                  if hi >= 0xD800 && hi <= 0xDBFF then begin
+                    (* high surrogate: require the paired low surrogate *)
+                    if
+                      cur.pos + 2 <= String.length src
+                      && src.[cur.pos] = '\\'
+                      && src.[cur.pos + 1] = 'u'
+                    then begin
+                      advance cur;
+                      advance cur;
+                      let lo = parse_hex4 cur in
+                      if lo < 0xDC00 || lo > 0xDFFF then
+                        fail cur.pos "invalid low surrogate";
+                      add_utf8 buf
+                        (0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00))
+                    end
+                    else fail cur.pos "unpaired high surrogate"
                   end
-                  else fail cur.pos "unpaired high surrogate"
-                end
-                else if hi >= 0xDC00 && hi <= 0xDFFF then
-                  fail cur.pos "unpaired low surrogate"
-                else add_utf8 buf hi
-            | _ -> fail (cur.pos - 1) (Printf.sprintf "invalid escape '\\%c'" c));
-            loop ())
-    | Some c when Char.code c < 0x20 ->
-        fail cur.pos "unescaped control character in string"
-    | Some c ->
-        advance cur;
-        Buffer.add_char buf c;
-        loop ()
-  in
-  loop ()
+                  else if hi >= 0xDC00 && hi <= 0xDFFF then
+                    fail cur.pos "unpaired low surrogate"
+                  else add_utf8 buf hi
+              | _ ->
+                  fail (cur.pos - 1)
+                    (Printf.sprintf "invalid escape '\\%c'" c));
+              copy_run ())
+      | Some _ -> fail cur.pos "unescaped control character in string"
+    and copy_run () =
+      let i = cur.pos in
+      let j = run_end src i in
+      Buffer.add_substring buf src i (j - i);
+      cur.pos <- j;
+      loop ()
+    in
+    loop ()
+  end
 
 let parse_number cur =
   let start = cur.pos in

@@ -33,67 +33,58 @@ type plan_outcome = {
 }
 
 (* Nodes inside a quiet horizon, keyed by the global round of their next
-   decision and then by node, so that one round's entries pop in ascending
-   node order: a binary min-heap over two flat int arrays.  An entry whose
-   node no longer waits for that round (it crashed, left or rejoined in the
-   meantime) is dropped when it surfaces. *)
+   decision and then by node: one int per entry, [(round lsl bits) lor
+   node] with [bits] the width of the largest node index, so that int order
+   is (round, node) order and one round's entries pop in ascending node
+   order.  A binary min-heap over one flat int array whose sift loops
+   compare those ints inline: O(log h) int compares per decision for h
+   waiting nodes.  Keys hold rounds below [2^(62 - bits)]; [run_plan]
+   never pushes a round at or past that bound (see [limit] there).  An
+   entry whose node no longer waits for that round (it crashed, left or
+   rejoined in the meantime) is dropped when it surfaces. *)
 module Agenda = struct
   type t = {
-    mutable round : int array;
-    mutable node : int array;
+    mutable keys : int array;
     mutable len : int;
   }
 
-  let create n =
-    let cap = max 1 n in
-    { round = Array.make cap 0; node = Array.make cap 0; len = 0 }
+  let create n = { keys = Array.make (Int.max 1 n) 0; len = 0 }
 
-  let less a i j =
-    a.round.(i) < a.round.(j)
-    || (a.round.(i) = a.round.(j) && a.node.(i) < a.node.(j))
-
-  let swap a i j =
-    let r = a.round.(i) and v = a.node.(i) in
-    a.round.(i) <- a.round.(j);
-    a.node.(i) <- a.node.(j);
-    a.round.(j) <- r;
-    a.node.(j) <- v
-
-  let push a r v =
-    if a.len = Array.length a.round then begin
-      let grow x = Array.append x (Array.make a.len 0) in
-      a.round <- grow a.round;
-      a.node <- grow a.node
-    end;
-    a.round.(a.len) <- r;
-    a.node.(a.len) <- v;
+  let push a k =
+    if a.len = Array.length a.keys then
+      a.keys <- Array.append a.keys (Array.make a.len 0);
+    let keys = a.keys in
     let i = ref a.len in
     a.len <- a.len + 1;
-    while !i > 0 && less a !i ((!i - 1) / 2) do
-      swap a !i ((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done
+    while !i > 0 && keys.((!i - 1) lsr 1) > k do
+      keys.(!i) <- keys.((!i - 1) lsr 1);
+      i := (!i - 1) lsr 1
+    done;
+    keys.(!i) <- k
 
-  let top_round a = if a.len = 0 then max_int else a.round.(0)
-  let top_node a = a.node.(0)
+  (* The least key, [max_int] when empty. *)
+  let top a = if a.len = 0 then max_int else a.keys.(0)
 
   let pop a =
-    a.len <- a.len - 1;
-    a.round.(0) <- a.round.(a.len);
-    a.node.(0) <- a.node.(a.len);
+    let len = a.len - 1 in
+    a.len <- len;
+    let keys = a.keys in
+    let k = keys.(len) in
     let i = ref 0 in
     let settled = ref false in
     while not !settled do
       let l = (2 * !i) + 1 in
-      let m =
-        if l + 1 < a.len && less a (l + 1) l then l + 1 else l
-      in
-      if m < a.len && less a m !i then begin
-        swap a !i m;
-        i := m
+      if l >= len then settled := true
+      else begin
+        let m = if l + 1 < len && keys.(l + 1) < keys.(l) then l + 1 else l in
+        if keys.(m) < k then begin
+          keys.(!i) <- keys.(m);
+          i := m
+        end
+        else settled := true
       end
-      else settled := true
-    done
+    done;
+    keys.(!i) <- k
 end
 
 (* The instance slot of a node that has none (asleep, or not yet
@@ -230,6 +221,21 @@ let run_plan ?(max_rounds = 100_000) ?(record_trace = false) plan proto config
   let reported = Array.make n (-1) in
   let hist = Array.init n (fun _ -> History.Builder.create ()) in
   let agenda = Agenda.create n in
+  (* An agenda key is [(round lsl bits) lor node]; it holds rounds below
+     [2^(62 - bits)] (any round when [bits = 0]), so a horizon at or past
+     [limit] is treated like one at [max_rounds]: never pushed, never
+     reached. *)
+  let bits =
+    let b = ref 0 in
+    while 1 lsl !b < n do
+      incr b
+    done;
+    !b
+  in
+  let mask = (1 lsl bits) - 1 in
+  let limit =
+    if bits = 0 then max_rounds else Int.min max_rounds (1 lsl (62 - bits))
+  in
   let remaining = ref n in
   let sleeping = ref n in
   let first_tx = ref None in
@@ -260,25 +266,38 @@ let run_plan ?(max_rounds = 100_000) ?(record_trace = false) plan proto config
   let mem_link u v =
     match adj with None -> G.mem_edge g u v | Some m -> m.(u).(v)
   in
-  let deliver ~round drops_r w m =
-    let reach v =
-      if not (List.mem (w, v) drops_r) then begin
-        if aud_at.(v) = round then audible.(v) <- audible.(v) + 1
-        else begin
-          aud_at.(v) <- round;
-          audible.(v) <- 1;
-          touched.(!touched_len) <- v;
-          incr touched_len
-        end;
-        heard.(v) <- m
-      end
+  (* The transmission being delivered, set by [deliver] for [hear], so
+     that one closure serves every transmission of the run. *)
+  let tx_round = ref 0 in
+  let tx_src = ref 0 in
+  let tx_msg = ref "" in
+  let tx_drops = ref [] in
+  let hear v =
+    let dropped =
+      match !tx_drops with [] -> false | d -> List.mem (!tx_src, v) d
     in
+    if not dropped then begin
+      if aud_at.(v) = !tx_round then audible.(v) <- audible.(v) + 1
+      else begin
+        aud_at.(v) <- !tx_round;
+        audible.(v) <- 1;
+        touched.(!touched_len) <- v;
+        incr touched_len
+      end;
+      heard.(v) <- !tx_msg
+    end
+  in
+  let deliver ~round drops_r w m =
+    tx_round := round;
+    tx_src := w;
+    tx_msg := m;
+    tx_drops := drops_r;
     match adj with
-    | None -> G.iter_neighbours g w ~f:reach
+    | None -> G.iter_neighbours g w ~f:hear
     | Some mat ->
         let row = mat.(w) in
         for v = 0 to n - 1 do
-          if row.(v) then reach v
+          if row.(v) then hear v
         done
   in
   (* [forced_by] is the lone audible transmitter's message of a forced
@@ -289,7 +308,7 @@ let run_plan ?(max_rounds = 100_000) ?(record_trace = false) plan proto config
     awake_at.(v) <- round;
     reported.(v) <- round;
     next_dec.(v) <- round + 1;
-    if round + 1 < max_rounds then Agenda.push agenda (round + 1) v;
+    if round + 1 < limit then Agenda.push agenda (((round + 1) lsl bits) lor v);
     decr sleeping;
     let entry =
       match forced_by with
@@ -408,7 +427,7 @@ let run_plan ?(max_rounds = 100_000) ?(record_trace = false) plan proto config
                   finished_at.(node) <- -1;
                   next_dec.(node) <- -1;
                   hist.(node) <- History.Builder.create ();
-                  wake_tag.(node) <- max tag r;
+                  wake_tag.(node) <- Int.max tag r;
                   incr sleeping;
                   incr remaining;
                   fire ~round:r f [ node ]
@@ -416,7 +435,7 @@ let run_plan ?(max_rounds = 100_000) ?(record_trace = false) plan proto config
             | Fault_plan.Retag { node; tag; _ } ->
                 if node >= 0 && node < n && live node && awake_at.(node) < 0
                 then begin
-                  let alarm = max tag r in
+                  let alarm = Int.max tag r in
                   if alarm <> wake_tag.(node) then begin
                     wake_tag.(node) <- alarm;
                     fire ~round:r f [ node ]
@@ -460,15 +479,15 @@ let run_plan ?(max_rounds = 100_000) ?(record_trace = false) plan proto config
        visited. *)
     let transmitters = ref [] in
     let di = ref 0 in
-    while !di < !due_len || Agenda.top_round agenda <= r do
+    (* The agenda's keys for round [r] are those below [stop]. *)
+    let stop = if r + 1 >= limit then max_int else (r + 1) lsl bits in
+    while !di < !due_len || Agenda.top agenda < stop do
+      let top = Agenda.top agenda in
       let v =
-        if
-          Agenda.top_round agenda <= r
-          && (!di >= !due_len || Agenda.top_node agenda < !due.(!di))
+        if top < stop && (!di >= !due_len || top land mask < !due.(!di))
         then begin
-          let v = Agenda.top_node agenda in
           Agenda.pop agenda;
-          v
+          top land mask
         end
         else begin
           let v = !due.(!di) in
@@ -495,10 +514,11 @@ let run_plan ?(max_rounds = 100_000) ?(record_trace = false) plan proto config
         | Protocol.Listen -> observe_next v ~round:r
         | Protocol.Quiet k ->
             let until =
-              if k >= max_rounds - r then max_rounds else r + max 1 k
+              if k >= limit - r then max_rounds else r + Int.max 1 k
             in
             next_dec.(v) <- until;
-            if until < max_rounds then Agenda.push agenda until v
+            if until < max_rounds then
+              Agenda.push agenda ((until lsl bits) lor v)
       end
     done;
     if !transmitters <> [] then first_tx := Some (r, List.rev !transmitters);
@@ -638,7 +658,7 @@ let completion_round o =
   else begin
     let best = ref 0 in
     for v = 0 to n - 1 do
-      best := max !best (global_done_round o v)
+      best := Int.max !best (global_done_round o v)
     done;
     !best
   end

@@ -29,7 +29,14 @@
     to decide (a node that answered {!Radio_drip.Protocol.Quiet} is not
     asked again until its horizon ends), those a transmission or noise
     reached, and, while any node sleeps, a scan for wake-ups.  A quiet
-    node's silent rounds reach its instance as one [skip].  A node's
+    node's silent rounds reach its instance as one [skip].  Quiet nodes
+    wait in one min-heap of packed int keys, [(round lsl b) lor node] with
+    [b] the bits of the largest node index, popped in (round, node) order:
+    [O(log h)] inline int compares per decision for [h] waiting nodes.  A
+    key holds rounds below [2^(62 - b)]; a horizon at or past that bound,
+    which only a [max_rounds] above it allows and no run that iterates
+    rounds one at a time ever reaches, is treated like one at
+    [max_rounds] (the node is not asked again).  A node's
     history gathers only its events, the entries other than [Silence], as
     they happen, so an election's memory follows the messages and noise
     perceived rather than [n] times the rounds. *)

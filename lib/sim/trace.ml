@@ -47,24 +47,28 @@ module Acc = struct
           { round; transmitters = []; woken = []; terminated = [] }
           :: a.rev_rounds
 
+  (* Callers test [enabled] first, so a run without a trace allocates no
+     update closure. *)
   let update a round f =
-    if a.enabled then begin
-      current a round;
-      match a.rev_rounds with
-      | ev :: rest -> a.rev_rounds <- f ev :: rest
-      (* radiolint: allow assert-false — [current] above just pushed the
-         event record for this round, so the list is non-empty. *)
-      | [] -> assert false
-    end
+    current a round;
+    match a.rev_rounds with
+    | ev :: rest -> a.rev_rounds <- f ev :: rest
+    (* radiolint: allow assert-false — [current] above just pushed the
+       event record for this round, so the list is non-empty. *)
+    | [] -> assert false
 
   let transmit a ~round v m =
-    update a round (fun ev -> { ev with transmitters = (v, m) :: ev.transmitters })
+    if a.enabled then
+      update a round (fun ev ->
+          { ev with transmitters = (v, m) :: ev.transmitters })
 
   let wake a ~round v k =
-    update a round (fun ev -> { ev with woken = (v, k) :: ev.woken })
+    if a.enabled then
+      update a round (fun ev -> { ev with woken = (v, k) :: ev.woken })
 
   let terminate a ~round v =
-    update a round (fun ev -> { ev with terminated = v :: ev.terminated })
+    if a.enabled then
+      update a round (fun ev -> { ev with terminated = v :: ev.terminated })
 
   let freeze a =
     List.rev_map

@@ -414,30 +414,56 @@ let contains hay needle =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
-let test_bench_parallel_json () =
-  let rc = Sys.command (Filename.quote bench ^ " par --quick > /dev/null 2>&1") in
-  Alcotest.(check int) "bench par --quick exits 0" 0 rc;
-  let json =
-    In_channel.with_open_text "BENCH_parallel.json" In_channel.input_all
-  in
-  Alcotest.(check bool) "well-formed json" true (json_well_formed json);
-  List.iter
-    (fun key ->
-      Alcotest.(check bool)
-        (Printf.sprintf "key %s present" key)
-        true
-        (contains json (Printf.sprintf "\"%s\"" key)))
-    [ "host_cores"; "workload"; "jobs"; "seq_s"; "par_s"; "speedup"; "equal" ]
-
-(* The bench's one parser: an unknown suite or option is exit 2 with the
-   usage on stderr, before any suite runs or any BENCH file is written. *)
-let test_bench_bad_args () =
+(* Runs [f dir] in a fresh temporary directory, removed afterwards with
+   whatever the bench wrote there: the bench writes its BENCH files into
+   its working directory, never into the checkout. *)
+let in_temp_dir f =
   let dir = Filename.temp_dir "anorad_bench" "" in
   Fun.protect
     ~finally:(fun () ->
       Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
       Sys.rmdir dir)
-    (fun () ->
+    (fun () -> f dir)
+
+(* [bench SUITE --quick] in a temporary directory writes a well-formed
+   [file] carrying every one of [keys]. *)
+let check_bench_json ~suite ~file keys =
+  in_temp_dir (fun dir ->
+      let rc =
+        Sys.command
+          (Printf.sprintf "cd %s && %s %s --quick > /dev/null 2>&1"
+             (Filename.quote dir) (Filename.quote bench) suite)
+      in
+      Alcotest.(check int) ("bench " ^ suite ^ " --quick exits 0") 0 rc;
+      let json =
+        In_channel.with_open_text (Filename.concat dir file)
+          In_channel.input_all
+      in
+      Alcotest.(check bool) "well-formed json" true (json_well_formed json);
+      List.iter
+        (fun key ->
+          Alcotest.(check bool)
+            (Printf.sprintf "key %s present" key)
+            true
+            (contains json (Printf.sprintf "\"%s\"" key)))
+        keys)
+
+let test_bench_parallel_json () =
+  check_bench_json ~suite:"par" ~file:"BENCH_parallel.json"
+    [ "host_cores"; "workload"; "jobs"; "seq_s"; "par_s"; "speedup"; "equal" ]
+
+let test_bench_elect_json () =
+  check_bench_json ~suite:"e2" ~file:"BENCH_elect.json"
+    [
+      "host_cores"; "family"; "n"; "sigma"; "rounds"; "node_rounds";
+      "transmissions"; "deliveries"; "engine_ms"; "engine_ms_iqr";
+      "ns_per_node_round"; "words_per_node_round";
+    ]
+
+(* The bench's one parser: an unknown suite or option is exit 2 with the
+   usage on stderr, before any suite runs or any BENCH file is written. *)
+let test_bench_bad_args () =
+  in_temp_dir (fun dir ->
       List.iter
         (fun args ->
           let err = Filename.concat dir "stderr" in
@@ -497,6 +523,7 @@ let () =
       ( "bench",
         [
           Alcotest.test_case "E20 json" `Slow test_bench_parallel_json;
+          Alcotest.test_case "E2 json" `Slow test_bench_elect_json;
           Alcotest.test_case "bad arguments" `Quick test_bench_bad_args;
         ] );
     ]

@@ -110,6 +110,357 @@ let test_json_depth () =
   check "request depth column" true
     (e.P.column = Some (String.length prefix + (5 * (J.max_depth - 1)) + 1))
 
+(* The character-at-a-time parser that [Json.parse]'s run-copying string
+   scanner replaced, kept as its oracle. *)
+module Oracle_json = struct
+  type t = J.t =
+    | Null
+    | Bool of bool
+    | Int of int
+    | Str of string
+    | List of t list
+    | Obj of (string * t) list
+
+  type error = J.error = { column : int; message : string }
+
+  exception Fail of error
+
+  let fail pos message = raise (Fail { column = pos + 1; message })
+
+  (* ------------------------------------------------------------------ *)
+  (* Parsing                                                            *)
+
+  type cursor = { src : string; mutable pos : int }
+
+  let peek cur = if cur.pos < String.length cur.src then Some cur.src.[cur.pos] else None
+
+  let advance cur = cur.pos <- cur.pos + 1
+
+  let skip_ws cur =
+    let n = String.length cur.src in
+    while
+      cur.pos < n
+      && (match cur.src.[cur.pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
+    do
+      advance cur
+    done
+
+  let expect cur c =
+    match peek cur with
+    | Some c' when c' = c -> advance cur
+    | Some c' -> fail cur.pos (Printf.sprintf "expected '%c', found '%c'" c c')
+    | None -> fail cur.pos (Printf.sprintf "expected '%c', found end of input" c)
+
+  let literal cur word value =
+    let n = String.length word in
+    if
+      cur.pos + n <= String.length cur.src
+      && String.sub cur.src cur.pos n = word
+    then (
+      cur.pos <- cur.pos + n;
+      value)
+    else fail cur.pos (Printf.sprintf "expected \"%s\"" word)
+
+  let hex_digit cur c =
+    match c with
+    | '0' .. '9' -> Char.code c - Char.code '0'
+    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+    | _ -> fail cur.pos "invalid hex digit in \\u escape"
+
+  (* Encode a Unicode scalar value as UTF-8.  Surrogate pairs in the input
+     are combined by the caller.  [add_uint8] keeps the low byte of each
+     computed code unit, which is already below 256. *)
+  let add_utf8 buf code =
+    if code < 0x80 then Buffer.add_uint8 buf code
+    else if code < 0x800 then begin
+      Buffer.add_uint8 buf (0xC0 lor (code lsr 6));
+      Buffer.add_uint8 buf (0x80 lor (code land 0x3F))
+    end
+    else if code < 0x10000 then begin
+      Buffer.add_uint8 buf (0xE0 lor (code lsr 12));
+      Buffer.add_uint8 buf (0x80 lor ((code lsr 6) land 0x3F));
+      Buffer.add_uint8 buf (0x80 lor (code land 0x3F))
+    end
+    else begin
+      Buffer.add_uint8 buf (0xF0 lor (code lsr 18));
+      Buffer.add_uint8 buf (0x80 lor ((code lsr 12) land 0x3F));
+      Buffer.add_uint8 buf (0x80 lor ((code lsr 6) land 0x3F));
+      Buffer.add_uint8 buf (0x80 lor (code land 0x3F))
+    end
+
+  let parse_hex4 cur =
+    if cur.pos + 4 > String.length cur.src then
+      fail cur.pos "truncated \\u escape";
+    let v = ref 0 in
+    for _ = 1 to 4 do
+      v := (!v * 16) + hex_digit cur cur.src.[cur.pos];
+      advance cur
+    done;
+    !v
+
+  let parse_string_body cur =
+    expect cur '"';
+    let buf = Buffer.create 16 in
+    let rec loop () =
+      match peek cur with
+      | None -> fail cur.pos "unterminated string"
+      | Some '"' ->
+          advance cur;
+          Buffer.contents buf
+      | Some '\\' -> (
+          advance cur;
+          match peek cur with
+          | None -> fail cur.pos "unterminated escape"
+          | Some c ->
+              advance cur;
+              (match c with
+              | '"' -> Buffer.add_char buf '"'
+              | '\\' -> Buffer.add_char buf '\\'
+              | '/' -> Buffer.add_char buf '/'
+              | 'b' -> Buffer.add_char buf '\b'
+              | 'f' -> Buffer.add_char buf '\012'
+              | 'n' -> Buffer.add_char buf '\n'
+              | 'r' -> Buffer.add_char buf '\r'
+              | 't' -> Buffer.add_char buf '\t'
+              | 'u' ->
+                  let hi = parse_hex4 cur in
+                  if hi >= 0xD800 && hi <= 0xDBFF then begin
+                    (* high surrogate: require the paired low surrogate *)
+                    if
+                      cur.pos + 2 <= String.length cur.src
+                      && cur.src.[cur.pos] = '\\'
+                      && cur.src.[cur.pos + 1] = 'u'
+                    then begin
+                      advance cur;
+                      advance cur;
+                      let lo = parse_hex4 cur in
+                      if lo < 0xDC00 || lo > 0xDFFF then
+                        fail cur.pos "invalid low surrogate";
+                      add_utf8 buf
+                        (0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00))
+                    end
+                    else fail cur.pos "unpaired high surrogate"
+                  end
+                  else if hi >= 0xDC00 && hi <= 0xDFFF then
+                    fail cur.pos "unpaired low surrogate"
+                  else add_utf8 buf hi
+              | _ -> fail (cur.pos - 1) (Printf.sprintf "invalid escape '\\%c'" c));
+              loop ())
+      | Some c when Char.code c < 0x20 ->
+          fail cur.pos "unescaped control character in string"
+      | Some c ->
+          advance cur;
+          Buffer.add_char buf c;
+          loop ()
+    in
+    loop ()
+
+  let parse_number cur =
+    let start = cur.pos in
+    (match peek cur with Some '-' -> advance cur | _ -> ());
+    let digits = ref 0 in
+    let rec eat () =
+      match peek cur with
+      | Some ('0' .. '9') ->
+          incr digits;
+          advance cur;
+          eat ()
+      | _ -> ()
+    in
+    eat ();
+    if !digits = 0 then fail start "invalid number";
+    (match peek cur with
+    | Some ('.' | 'e' | 'E') ->
+        fail cur.pos "non-integer numbers are not supported"
+    | _ -> ());
+    let s = String.sub cur.src start (cur.pos - start) in
+    match int_of_string_opt s with
+    | Some n -> Int n
+    | None -> fail start "integer out of range"
+
+  let max_depth = 64
+
+  (* [depth] counts the arrays and objects that enclose the value; opening
+     one more than [max_depth] fails at its bracket, so a line of brackets
+     costs bounded stack whatever its length. *)
+  let rec parse_value cur depth =
+    skip_ws cur;
+    match peek cur with
+    | None -> fail cur.pos "unexpected end of input"
+    | Some ('{' | '[') when depth >= max_depth ->
+        fail cur.pos (Printf.sprintf "nesting deeper than %d" max_depth)
+    | Some '{' ->
+        advance cur;
+        skip_ws cur;
+        if peek cur = Some '}' then (
+          advance cur;
+          Obj [])
+        else begin
+          let fields = ref [] in
+          let seen = ref [] in
+          let rec members () =
+            skip_ws cur;
+            let key_pos = cur.pos in
+            let key = parse_string_body cur in
+            if List.mem key !seen then
+              fail key_pos (Printf.sprintf "duplicate key \"%s\"" key);
+            seen := key :: !seen;
+            skip_ws cur;
+            expect cur ':';
+            let v = parse_value cur (depth + 1) in
+            fields := (key, v) :: !fields;
+            skip_ws cur;
+            match peek cur with
+            | Some ',' ->
+                advance cur;
+                members ()
+            | Some '}' -> advance cur
+            | Some c ->
+                fail cur.pos (Printf.sprintf "expected ',' or '}', found '%c'" c)
+            | None -> fail cur.pos "unterminated object"
+          in
+          members ();
+          Obj (List.rev !fields)
+        end
+    | Some '[' ->
+        advance cur;
+        skip_ws cur;
+        if peek cur = Some ']' then (
+          advance cur;
+          List [])
+        else begin
+          let items = ref [] in
+          let rec elements () =
+            let v = parse_value cur (depth + 1) in
+            items := v :: !items;
+            skip_ws cur;
+            match peek cur with
+            | Some ',' ->
+                advance cur;
+                elements ()
+            | Some ']' -> advance cur
+            | Some c ->
+                fail cur.pos (Printf.sprintf "expected ',' or ']', found '%c'" c)
+            | None -> fail cur.pos "unterminated array"
+          in
+          elements ();
+          List (List.rev !items)
+        end
+    | Some '"' -> Str (parse_string_body cur)
+    | Some 't' -> literal cur "true" (Bool true)
+    | Some 'f' -> literal cur "false" (Bool false)
+    | Some 'n' -> literal cur "null" Null
+    | Some ('-' | '0' .. '9') -> parse_number cur
+    | Some c -> fail cur.pos (Printf.sprintf "unexpected character '%c'" c)
+
+  let parse s =
+    let cur = { src = s; pos = 0 } in
+    try
+      let v = parse_value cur 0 in
+      skip_ws cur;
+      match peek cur with
+      | None -> Ok v
+      | Some c ->
+          Error
+            {
+              column = cur.pos + 1;
+              message = Printf.sprintf "trailing input starting at '%c'" c;
+            }
+    with Fail e -> Error e
+end
+
+(* The request lines of perfbench's serve-distinct templates (seed 1): the
+   same draws as perfbench/gen.ml, so the oracle sees the lines the daemon
+   parses most. *)
+let distinct_template_lines () =
+  let module RC = Radio_config.Random_config in
+  let module F = Radio_config.Families in
+  let st = Random.State.make [| 1; 1 |] in
+  let between lo hi = lo + Random.State.int st (hi - lo + 1) in
+  let relabel c =
+    let p = Array.init (C.size c) Fun.id in
+    for i = Array.length p - 1 downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let x = p.(i) in
+      p.(i) <- p.(j);
+      p.(j) <- x
+    done;
+    C.relabel c p
+  in
+  List.init 512 (fun k ->
+      let span = between 1 3 in
+      let n = between 32 256 in
+      let config =
+        match k / 10 mod 4 with
+        | 0 -> relabel (F.g_family (between 8 24))
+        | 1 ->
+            relabel
+              (RC.connected_gnp st ~n ~p:(2.0 /. float_of_int n) ~span)
+        | 2 -> RC.random_tree st ~n ~span
+        | _ -> relabel (RC.random_path st ~n ~span)
+      in
+      let kind =
+        match k mod 10 with
+        | 0 | 1 | 2 | 3 | 4 -> "classify"
+        | 5 | 6 | 7 -> "elect"
+        | _ -> "simulate"
+      in
+      J.to_string
+        (J.Obj
+           [
+             ("id", J.Int k);
+             ("kind", J.Str kind);
+             ("config", J.Str (Radio_config.Config_io.to_string config));
+           ]))
+
+(* [Json.parse] = the oracle, value or positioned error, on the template
+   lines and on mutations of each: escapes, surrogates (paired, unpaired,
+   bad low half), invalid escapes, raw control characters and truncations
+   spliced into the config string. *)
+let test_json_string_oracle () =
+  let st = Random.State.make [| 0x5eed |] in
+  let splices =
+    [|
+      {|\"|}; {|\\|}; {|\/|}; {|\b\f\n\r\t|}; {|\u00e9|}; {|\u20ac|};
+      {|\ud83d\ude00|}; {|\ud83d|}; {|\udc00|}; {|\ud83dA|};
+      {|\ud83d\|}; {|\x|}; {|\u12|}; {|\u12g4|}; "\001"; "\031"; "\127";
+      "\xc3\xa9"; {|"|}; {|\|}; "";
+    |]
+  in
+  let same line =
+    match (J.parse line, Oracle_json.parse line) with
+    | Ok a, Ok b -> a = b
+    | Error a, Error b -> a = b
+    | _ -> false
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun line ->
+      let len = String.length line in
+      (* the config string's body starts after the line's last colon and
+         opening quote *)
+      let rec body i =
+        if String.sub line i 2 = {|:"|} then i + 2 else body (i - 1)
+      in
+      let body = body (len - 2) in
+      let variants =
+        line
+        :: List.init 6 (fun _ ->
+               let at = body + Random.State.int st (len - body) in
+               let s = splices.(Random.State.int st (Array.length splices)) in
+               String.sub line 0 at ^ s ^ String.sub line at (len - at))
+        @ List.init 3 (fun _ -> String.sub line 0 (Random.State.int st len))
+      in
+      List.iter
+        (fun v ->
+          incr checked;
+          if not (same v) then
+            Alcotest.failf "Json.parse differs from the oracle on %S" v)
+        variants)
+    (distinct_template_lines ());
+  check_int "lines checked" (512 * 10) !checked
+
 (* ------------------------------------------------------------------ *)
 (* Cache                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -736,6 +1087,8 @@ let () =
           Alcotest.test_case "unicode" `Quick test_json_unicode;
           Alcotest.test_case "negative" `Quick test_json_negative;
           Alcotest.test_case "nesting depth" `Quick test_json_depth;
+          Alcotest.test_case "string scanner = oracle" `Quick
+            test_json_string_oracle;
         ] );
       ( "cache",
         [
