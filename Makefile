@@ -140,13 +140,14 @@ churn-smoke:
 	fi; exit $$status
 
 # Serve determinism end to end: a request script covering every request
-# kind (plus a malformed line, and mc-checks of a relabelled configuration
-# and of a mutant, which resolve through the same cache entry) through
-# `anorad serve --stdio` must render
-# byte-identical responses at --jobs 1 and --jobs 2, with the cache
-# disabled, and on a warm replay (the stream is fed twice and the second
-# half compared against the first run) — the headline invariant of
-# docs/SERVE.md.
+# kind (plus a malformed line, mc-checks of a relabelled configuration
+# and of a mutant, which resolve through the same cache entry, and elect
+# and simulate cut off before H_2's completion round 14, which run the
+# engine, and at its 15 rounds, which read the outcome off the analysis)
+# through `anorad serve --stdio` must render byte-identical responses at
+# --jobs 1 and --jobs 2, with the cache disabled, and on a warm replay
+# (the stream is fed twice and the second half compared against the
+# first run) — the headline invariant of docs/SERVE.md.
 serve-smoke:
 	@script=$$(mktemp); a=$$(mktemp); b=$$(mktemp); status=0; \
 	cfg='config 4\ntags 2 0 0 3\n0 1\n1 2\n2 3\n'; \
@@ -158,6 +159,10 @@ serve-smoke:
 	  '{"id":4,"kind":"mc-check","config":"'"$$cfg"'"}' \
 	  '{"id":5,"kind":"mc-check","config":"'"$$rev"'"}' \
 	  '{"id":6,"kind":"mc-check","config":"'"$$cfg"'","protocol":"mutant-greedy-decision"}' \
+	  '{"id":8,"kind":"elect","config":"'"$$cfg"'","max_rounds":13}' \
+	  '{"id":9,"kind":"simulate","config":"'"$$cfg"'","max_rounds":13}' \
+	  '{"id":10,"kind":"elect","config":"'"$$cfg"'","max_rounds":15}' \
+	  '{"id":11,"kind":"simulate","config":"'"$$cfg"'","max_rounds":15}' \
 	  'not json at all' \
 	  '{"id":7,"kind":"stats"}' > $$script; \
 	$(DUNE) build bin/anorad.exe && \

@@ -131,12 +131,13 @@ let e2 ~quick =
     Table.create
       ~title:
         "Election rounds vs n and sigma (random feasible G(n,p), paths and \
-         trees, G_m), and the engine's cost per node-round"
+         trees, G_m), the engine's cost per node-round, and the same \
+         outcome read off the classifier run"
       ~columns:
         [
           "config"; "n"; "sigma"; "rounds (global)"; "schedule r_T+1";
           "O(n^2 sigma) budget"; "node-rounds"; "tx"; "engine ms";
-          "ns/node-round"; "words/node-round";
+          "ns/node-round"; "words/node-round"; "outcome us";
         ]
   in
   let json_rows = ref [] in
@@ -156,6 +157,10 @@ let e2 ~quick =
         ignore (Sys.opaque_identity (run ()));
         let words = Gc.minor_words () -. w0 in
         let t = time run in
+        let t_outcome =
+          time (fun () ->
+              Can.outcome a.Fe.run a.Fe.plan ~hi:(C.max_tag config))
+        in
         let per x = x /. float_of_int (max 1 node_rounds) in
         let m = o.Engine.metrics in
         Table.add_row table
@@ -171,6 +176,7 @@ let e2 ~quick =
             ms t;
             Table.cell_float ~decimals:1 (per (t.median *. 1e9));
             Table.cell_float ~decimals:2 (per words);
+            Table.cell_float ~decimals:1 (1e6 *. t_outcome.median);
           ];
         json_rows :=
           ([
@@ -187,11 +193,13 @@ let e2 ~quick =
           @ [
               ("ns_per_node_round", j_num 2 (per (t.median *. 1e9)));
               ("words_per_node_round", j_num 3 (per words));
-            ])
+            ]
+          @ j_time "outcome_us"
+              { median = 1e6 *. t_outcome.median; iqr = 1e6 *. t_outcome.iqr })
           :: !json_rows
     | _ ->
         Table.add_row table
-          (name :: string_of_int n :: List.init 9 (fun _ -> "-"))
+          (name :: string_of_int n :: List.init 10 (fun _ -> "-"))
   in
   let small (n, _) = (not quick) || n <= 64 in
   List.iter
@@ -224,7 +232,9 @@ let e2 ~quick =
      typically sit far below it (few refinement iterations needed on G(n,p);\n\
      G_m needs m of them).  The engine visits a node only when it decides,\n\
      hears something or wakes, so its cost per node-round falls as the\n\
-     phases, and the quiet stretches between transmissions, grow.\n"
+     phases, and the quiet stretches between transmissions, grow.  The\n\
+     outcome column is Canonical.outcome: the same metrics and election\n\
+     round read off the classifier run (Lemma 3.9), with no simulation.\n"
 
 (* ------------------------------------------------------------------ *)
 (* E3 - Proposition 4.1: Ω(n) on the G_m family                        *)

@@ -353,6 +353,45 @@ let election plan =
   let c = compile plan in
   { Radio_sim.Runner.protocol = protocol_of c; decision = decision_of c }
 
+type outcome = {
+  metrics : Radio_sim.Metrics.t;
+  completion_round : int;
+  final_class : int array;
+}
+
+(* Lemma 3.9: a phase's receptions are the iteration's labels, one
+   triple per non-silent round, so a [One] is a delivery and a [Many] a
+   collision heard. *)
+let outcome (run : Classifier.run) plan ~hi =
+  let n = Radio_config.Config.size run.Classifier.config in
+  let ones = ref 0 and manys = ref 0 in
+  let rec count = function
+    | [] -> ()
+    | { Label.mark = Label.One; _ } :: rest ->
+        incr ones;
+        count rest
+    | { Label.mark = Label.Many; _ } :: rest ->
+        incr manys;
+        count rest
+  in
+  List.iter
+    (fun (it : Classifier.iteration) -> Array.iter count it.labels)
+    run.Classifier.iterations;
+  let completion_round = hi + local_termination_round plan in
+  {
+    metrics =
+      {
+        Radio_sim.Metrics.transmissions = n * num_phases plan;
+        deliveries = !ones;
+        collisions_heard = !manys;
+        forced_wakeups = 0;
+        spontaneous_wakeups = n;
+        rounds = completion_round + 1;
+      };
+    completion_round;
+    final_class = (Classifier.last_iteration run).new_class;
+  }
+
 let upper_bound_rounds ~n ~sigma =
   let phases = (n + 1) / 2 in
   (phases * ((n * ((2 * sigma) + 1)) + sigma)) + 1

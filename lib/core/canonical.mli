@@ -102,6 +102,43 @@ val election : plan -> Radio_sim.Runner.election
 (** [{protocol; decision}] bundled for {!Radio_sim.Runner.run}, sharing
     one indexing of the plan's tables. *)
 
+(** {1 The outcome without a simulation} *)
+
+type outcome = {
+  metrics : Radio_sim.Metrics.t;
+  completion_round : int;
+      (** the global round in which the last node terminates *)
+  final_class : int array;
+      (** the final partition [P_T], node-indexed like the run: two nodes
+          end with equal histories iff they share a class *)
+}
+
+val outcome : Classifier.run -> plan -> hi:int -> outcome
+(** [outcome run (plan_of_run run) ~hi] is what {!protocol} does when
+    it runs on the configuration it was compiled from, given as that
+    configuration with its raw tags, [hi] the largest of them (serve
+    keeps raw tags, so [hi] need not be [σ]).  Nothing is simulated:
+    by Lemma 3.9 the receptions of phase [P_j] are exactly iteration
+    [j]'s labels, so every field is read off the run.  With [n] nodes
+    and [T] iterations:
+    - every node wakes spontaneously on its tag ([forced_wakeups = 0],
+      [spontaneous_wakeups = n]): its first transmission is local round
+      [σ + 1], after every tag;
+    - every node transmits once per phase: [transmissions = n T];
+    - [deliveries] and [collisions_heard] count the [One] and [Many]
+      triples over every iteration's labels: a transmission sits in the
+      middle of a [2σ + 1]-round block, so every reception falls inside
+      a phase's blocks and is one triple of the hearing node's label;
+    - the node with tag [hi] terminates last, in global round
+      [completion_round = hi + {!local_termination_round}], and
+      [rounds = completion_round + 1];
+    - the history classes are the last iteration's [new_class].
+
+    The engine run {!Radio_sim.Engine.run} [(protocol plan) config]
+    gives the same metrics and completion round, and histories whose
+    equality classes are [final_class], whenever its [max_rounds] is at
+    least [rounds]; the test suite checks that differentially. *)
+
 val upper_bound_rounds : n:int -> sigma:int -> int
 (** The paper's [O(n^2 σ)] bound instantiated with explicit constants:
     [⌈n/2⌉ · (n (2σ + 1) + σ) + 1], an upper bound on

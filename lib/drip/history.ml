@@ -14,7 +14,7 @@ let length h = h.length
 
 (* The first position in [lo .. hi - 1] of the ascending [index] holding
    [>= i], else [hi]. *)
-let rec lower_bound index lo hi i =
+let rec lower_bound (index : int array) lo hi (i : int) =
   if lo >= hi then lo
   else
     let mid = (lo + hi) / 2 in

@@ -117,7 +117,15 @@ let render_classify ~id (a : Fe.analysis) perm =
       ("local_rounds", Json.Int a.election_local_rounds);
     ]
 
-let render_elect ~id ~max_rounds (a : Fe.analysis) config =
+(* The canonical DRIP's outcome on the request configuration, read off
+   the cached analysis (Lemma 3.9, {!Can.outcome}) when [max_rounds]
+   lets the run finish; [None] when it cuts the run off and only the
+   engine can tell what the cut leaves. *)
+let derived ~max_rounds (a : Fe.analysis) config =
+  let o = Can.outcome a.run a.plan ~hi:(C.max_tag config) in
+  if o.metrics.rounds <= max_rounds then Some o else None
+
+let render_elect ~id ~max_rounds (a : Fe.analysis) config perm =
   if not a.feasible then
     Protocol.response_ok ~id ~kind:"elect"
       ~cost:[ ("rounds", Json.Int 0); ("bits", Json.Int 0) ]
@@ -128,30 +136,44 @@ let render_elect ~id ~max_rounds (a : Fe.analysis) config =
         ("rounds", Json.Null);
       ]
   else begin
-    let election = Can.election a.plan in
-    let r = Radio_sim.Runner.run ~max_rounds election config in
-    let m = r.outcome.metrics in
+    let m, leader, rounds =
+      match derived ~max_rounds a config with
+      | Some o ->
+          ( o.metrics,
+            Option.map (unrelabel perm) a.leader,
+            Some o.completion_round )
+      | None ->
+          let r = Radio_sim.Runner.run ~max_rounds (Can.election a.plan) config in
+          (r.outcome.metrics, r.leader, r.rounds_to_elect)
+    in
     Protocol.response_ok ~id ~kind:"elect"
       ~cost:
         [ ("rounds", Json.Int m.rounds); ("bits", Json.Int m.transmissions) ]
       [
         ("feasible", Json.Bool true);
-        ("elected", Json.Bool (r.leader <> None));
-        ("leader", int_opt r.leader);
-        ("rounds", int_opt r.rounds_to_elect);
+        ("elected", Json.Bool (leader <> None));
+        ("leader", int_opt leader);
+        ("rounds", int_opt rounds);
         ("metrics", Json.Obj (metrics_fields m));
       ]
   end
 
-let render_simulate ~id ~max_rounds (a : Fe.analysis) config =
-  let o = Radio_sim.Engine.run ~max_rounds (Can.protocol a.plan) config in
-  let m = o.metrics in
-  let sizes, unique = Radio_sim.Runner.history_summary o in
+let render_simulate ~id ~max_rounds (a : Fe.analysis) config perm =
+  let m, all_terminated, (sizes, unique) =
+    match derived ~max_rounds a config with
+    | Some o ->
+        (* [final_class] is indexed by canonical ids *)
+        let classes = Array.map (fun c -> o.final_class.(c)) perm in
+        (o.metrics, true, Radio_sim.Runner.class_summary classes)
+    | None ->
+        let o = Radio_sim.Engine.run ~max_rounds (Can.protocol a.plan) config in
+        (o.metrics, o.all_terminated, Radio_sim.Runner.history_summary o)
+  in
   Protocol.response_ok ~id ~kind:"simulate"
-    ~cost:[ ("rounds", Json.Int o.rounds); ("bits", Json.Int m.transmissions) ]
+    ~cost:[ ("rounds", Json.Int m.rounds); ("bits", Json.Int m.transmissions) ]
     [
-      ("rounds", Json.Int o.rounds);
-      ("all_terminated", Json.Bool o.all_terminated);
+      ("rounds", Json.Int m.rounds);
+      ("all_terminated", Json.Bool all_terminated);
       ("class_sizes", Json.List (List.map (fun s -> Json.Int s) sizes));
       ("unique_nodes", Json.List (List.map (fun v -> Json.Int v) unique));
       ("metrics", Json.Obj (metrics_fields m));
@@ -307,9 +329,9 @@ let render = function
         | _, Error msg -> internal_error ~id msg
         | Protocol.Classify _, Ok a -> render_classify ~id a perm
         | Protocol.Elect { config; max_rounds }, Ok a ->
-            render_elect ~id ~max_rounds a config
+            render_elect ~id ~max_rounds a config perm
         | Protocol.Simulate { config; max_rounds }, Ok a ->
-            render_simulate ~id ~max_rounds a config
+            render_simulate ~id ~max_rounds a config perm
         | Protocol.Mc_check { protocol; depth; states; _ }, Ok a ->
             render_mc ~id ~protocol ~depth ~states a perm
         | Protocol.Stats, Ok _ -> internal_error ~id "request/analysis mismatch"

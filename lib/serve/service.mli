@@ -44,7 +44,8 @@ val process_wave :
     cache lookups and inserts stay on the caller, in request order.
     Distinct missing canonical keys are analyzed in parallel
     (first-occurrence order), then
-    every request's heavy work (simulation, model checking, rendering)
+    every request's heavy work (model checking, an engine run when
+    [max_rounds] cuts an [elect] or [simulate] run off, rendering)
     runs as one parallel batch; both stages commit deterministically.
 
     A [Stats] request reports counters that include every request of its

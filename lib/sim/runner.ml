@@ -39,36 +39,27 @@ let elects_unique_leader r = Option.is_some r.leader
    over the events instead of pairwise comparisons. *)
 module Hist_tbl = Hashtbl.Make (History)
 
-(* One grouping pass: classes numbered from 1 in order of first occurrence,
-   and [counts.(c)] the size of class [c]. *)
-let grouping outcome =
+let history_classes outcome =
   let hists = outcome.Engine.histories in
   let ids = Hist_tbl.create (Array.length hists) in
-  let counts = Array.make (Array.length hists + 1) 0 in
-  let classes =
-    Array.map
-      (fun h ->
-        let c =
-          match Hist_tbl.find_opt ids h with
-          | Some c -> c
-          | None ->
-              let c = Hist_tbl.length ids + 1 in
-              Hist_tbl.add ids h c;
-              c
-        in
-        counts.(c) <- counts.(c) + 1;
-        c)
-      hists
-  in
-  (classes, counts)
+  Array.map
+    (fun h ->
+      match Hist_tbl.find_opt ids h with
+      | Some c -> c
+      | None ->
+          let c = Hist_tbl.length ids + 1 in
+          Hist_tbl.add ids h c;
+          c)
+    hists
 
-let history_classes outcome = fst (grouping outcome)
-
-let history_summary outcome =
-  let classes, counts = grouping outcome in
-  ( List.sort compare (List.filter (fun s -> s > 0) (Array.to_list counts)),
+let class_summary classes =
+  let counts = Array.make (Array.length classes + 1) 0 in
+  Array.iter (fun c -> counts.(c) <- counts.(c) + 1) classes;
+  ( List.sort Int.compare (List.filter (fun s -> s > 0) (Array.to_list counts)),
     List.filter
       (fun v -> counts.(classes.(v)) = 1)
       (List.init (Array.length classes) Fun.id) )
+
+let history_summary outcome = class_summary (history_classes outcome)
 
 let unique_history_nodes outcome = snd (history_summary outcome)

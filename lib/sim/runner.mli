@@ -34,9 +34,14 @@ val history_classes : Engine.outcome -> int array
     classifier's partition when running the canonical DRIP — tests rely on
     this function for the cross-validation. *)
 
+val class_summary : int array -> int list * int list
+(** [(sizes, unique)] of a partition of nodes [0 .. n-1] given as
+    [classes.(v)], a class index in [0 .. n]: [sizes] the sorted class
+    sizes, [unique] the nodes alone in their class, ascending. *)
+
 val history_summary : Engine.outcome -> int list * int list
-(** [(sizes, unique_history_nodes o)] from one grouping pass, [sizes]
-    being the sorted sizes of the history classes. *)
+(** [class_summary (history_classes o)]: the sorted sizes of the history
+    classes and {!unique_history_nodes}. *)
 
 val unique_history_nodes : Engine.outcome -> int list
 (** Nodes whose final history is shared by no other node — the nodes any

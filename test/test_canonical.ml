@@ -457,6 +457,223 @@ let test_calls_follow_the_messages () =
         133 );
     ]
 
+(* ------------------------------------------------------------------ *)
+(* The outcome read off the classifier run (Lemma 3.9) = the engine's   *)
+(* ------------------------------------------------------------------ *)
+
+(* The inputs: the n <= 5, span <= 2 universe, the catalog, seeded
+   G(n,p), paths and trees up to n = 256, the paper's families,
+   infeasible configurations, relabelled n <= 8 configurations and tags
+   shifted without normalizing (so the largest tag is not σ). *)
+let outcome_inputs () =
+  let st = Random.State.make [| 31 |] in
+  let universe =
+    List.concat_map
+      (fun (_, _, configs) -> configs)
+      (Election.Census.universe ~max_n:5 ~max_span:2)
+  in
+  let catalog =
+    List.map (fun (e : Radio_config.Catalog.entry) -> e.config)
+      (Radio_config.Catalog.all ())
+  in
+  let families =
+    List.map F.g_family [ 2; 3; 6 ]
+    @ List.map F.h_family [ 1; 3; 5 ]
+    @ List.map F.s_family [ 1; 2; 4 ]
+  in
+  let infeasible =
+    [
+      F.symmetric_pair ();
+      C.uniform (Gen.cycle 9) 0;
+      F.tagged_cycle [| 0; 1; 0; 1; 0; 1 |];
+      C.uniform (Gen.complete 5) 2;
+    ]
+  in
+  let random =
+    List.concat_map
+      (fun n ->
+        let span = 1 + Random.State.int st 3 in
+        [
+          RC.connected_gnp st ~n ~p:(3.0 /. float_of_int n) ~span;
+          RC.random_path st ~n ~span;
+          RC.random_tree st ~n ~span;
+        ])
+      [ 6; 17; 40; 96; 256 ]
+  in
+  let relabelled =
+    List.init 60 (fun i ->
+        let n = 2 + (i mod 7) in
+        let c = RC.connected_gnp st ~n ~p:0.45 ~span:(i mod 3) in
+        let perm = Array.init n Fun.id in
+        for k = n - 1 downto 1 do
+          let j = Random.State.int st (k + 1) in
+          let t = perm.(k) in
+          perm.(k) <- perm.(j);
+          perm.(j) <- t
+        done;
+        C.relabel c perm)
+  in
+  let shift k c =
+    C.create ~normalize:false (C.graph c) (Array.map (fun t -> t + k) (C.tags c))
+  in
+  let shifted =
+    List.mapi (fun i c -> shift (1 + (i mod 5)) c)
+      (catalog @ families @ infeasible @ random @ relabelled)
+  in
+  universe @ catalog @ families @ infeasible @ random @ relabelled @ shifted
+
+(* The request pipeline's view of [config]: the analysis of its
+   canonical representative, [perm] onto it, and the derived outcome. *)
+let derive config =
+  let canon, perm = Can.canonical_form config in
+  let a = Fe.analyze canon in
+  (a, perm, Can.outcome a.Fe.run a.Fe.plan ~hi:(C.max_tag config))
+
+let metrics_string m = Format.asprintf "%a" Radio_sim.Metrics.pp m
+
+let test_outcome_matches_engine () =
+  let derived = ref 0 and cut = ref 0 in
+  List.iter
+    (fun config ->
+      let a, perm, o = derive config in
+      let n = C.size config in
+      let name = Radio_config.Config_io.to_string config in
+      List.iter
+        (fun max_rounds ->
+          let e = Engine.run ~max_rounds (Can.protocol a.Fe.plan) config in
+          let r = Runner.run ~max_rounds (Can.election a.Fe.plan) config in
+          if o.Can.metrics.rounds <= max_rounds then begin
+            incr derived;
+            check (name ^ " terminates") true e.Engine.all_terminated;
+            Alcotest.(check string)
+              (name ^ " engine metrics")
+              (metrics_string e.Engine.metrics)
+              (metrics_string o.Can.metrics);
+            Alcotest.(check string)
+              (name ^ " runner metrics")
+              (metrics_string r.Runner.outcome.Engine.metrics)
+              (metrics_string o.Can.metrics);
+            check_int (name ^ " completion round")
+              (Engine.completion_round e) o.Can.completion_round;
+            let hist = Runner.history_classes e in
+            for v = 0 to n - 1 do
+              for w = v + 1 to n - 1 do
+                check (name ^ " history classes") true
+                  (hist.(v) = hist.(w)
+                  = (o.Can.final_class.(perm.(v)) = o.Can.final_class.(perm.(w))))
+              done
+            done;
+            let back lc =
+              let u = ref (-1) in
+              Array.iteri (fun v c -> if c = lc then u := v) perm;
+              !u
+            in
+            Alcotest.(check (option int))
+              (name ^ " leader") (Option.map back a.Fe.leader) r.Runner.leader;
+            Alcotest.(check (option int))
+              (name ^ " rounds to elect")
+              (if a.Fe.feasible then Some o.Can.completion_round else None)
+              r.Runner.rounds_to_elect
+          end
+          else begin
+            (* One round short: the engine is cut off, so the outcome
+               cannot stand in for it. *)
+            incr cut;
+            check (name ^ " cut off") false e.Engine.all_terminated
+          end)
+        [ o.Can.completion_round; o.Can.completion_round + 1;
+          o.Can.completion_round + 2 ])
+    (outcome_inputs ());
+  check "derived and cut-off runs both checked" true (!derived > 5_000 && !cut > 2_500)
+
+(* Serve's elect and simulate as they were rendered before the outcome
+   was derived: every field from a run of the engine on the request's
+   own configuration. *)
+module Engine_render = struct
+  module Json = Radio_serve.Json
+  module Protocol = Radio_serve.Protocol
+
+  let metrics_fields (m : Radio_sim.Metrics.t) =
+    [
+      ("transmissions", Json.Int m.transmissions);
+      ("deliveries", Json.Int m.deliveries);
+      ("collisions_heard", Json.Int m.collisions_heard);
+      ("forced_wakeups", Json.Int m.forced_wakeups);
+      ("spontaneous_wakeups", Json.Int m.spontaneous_wakeups);
+    ]
+
+  let int_opt = function Some n -> Json.Int n | None -> Json.Null
+
+  let elect ~id ~max_rounds (a : Fe.analysis) config =
+    if not a.feasible then
+      Protocol.response_ok ~id ~kind:"elect"
+        ~cost:[ ("rounds", Json.Int 0); ("bits", Json.Int 0) ]
+        [
+          ("feasible", Json.Bool false);
+          ("elected", Json.Bool false);
+          ("leader", Json.Null);
+          ("rounds", Json.Null);
+        ]
+    else
+      let r = Runner.run ~max_rounds (Can.election a.plan) config in
+      let m = r.outcome.metrics in
+      Protocol.response_ok ~id ~kind:"elect"
+        ~cost:
+          [ ("rounds", Json.Int m.rounds); ("bits", Json.Int m.transmissions) ]
+        [
+          ("feasible", Json.Bool true);
+          ("elected", Json.Bool (r.leader <> None));
+          ("leader", int_opt r.leader);
+          ("rounds", int_opt r.rounds_to_elect);
+          ("metrics", Json.Obj (metrics_fields m));
+        ]
+
+  let simulate ~id ~max_rounds (a : Fe.analysis) config =
+    let o = Engine.run ~max_rounds (Can.protocol a.plan) config in
+    let m = o.metrics in
+    let sizes, unique = Runner.history_summary o in
+    Protocol.response_ok ~id ~kind:"simulate"
+      ~cost:[ ("rounds", Json.Int o.rounds); ("bits", Json.Int m.transmissions) ]
+      [
+        ("rounds", Json.Int o.rounds);
+        ("all_terminated", Json.Bool o.all_terminated);
+        ("class_sizes", Json.List (List.map (fun s -> Json.Int s) sizes));
+        ("unique_nodes", Json.List (List.map (fun v -> Json.Int v) unique));
+        ("metrics", Json.Obj (metrics_fields m));
+      ]
+end
+
+let test_serve_matches_engine () =
+  let module Json = Radio_serve.Json in
+  let requests = ref [] and expected = ref [] and id = ref 0 in
+  List.iter
+    (fun config ->
+      let a, _, o = derive config in
+      let text = Json.to_string (Json.Str (Radio_config.Config_io.to_string config)) in
+      List.iter
+        (fun max_rounds ->
+          List.iter
+            (fun (kind, render) ->
+              incr id;
+              requests :=
+                Printf.sprintf "{\"id\":%d,\"kind\":%S,\"config\":%s,\"max_rounds\":%d}"
+                  !id kind text max_rounds
+                :: !requests;
+              expected := render ~id:(Json.Int !id) ~max_rounds a config :: !expected)
+            [ ("elect", Engine_render.elect); ("simulate", Engine_render.simulate) ])
+        [ o.Can.completion_round; o.Can.completion_round + 1;
+          o.Can.completion_round + 2 ])
+    (outcome_inputs ());
+  let out =
+    Radio_serve.Server.run_string
+      { Radio_serve.Server.default_options with jobs = Some 1; cache_entries = 0 }
+      (String.concat "\n" (List.rev !requests) ^ "\n")
+  in
+  let got = String.split_on_char '\n' (String.trim out) in
+  let want = List.rev !expected in
+  check_int "one response per request" (List.length want) (List.length got);
+  List.iter2 (fun w g -> Alcotest.(check string) "response" w g) want got
+
 let () =
   Alcotest.run "canonical"
     [
@@ -509,5 +726,12 @@ let () =
         [
           Alcotest.test_case "instance calls follow the messages" `Quick
             test_calls_follow_the_messages;
+        ] );
+      ( "outcome",
+        [
+          Alcotest.test_case "outcome = engine" `Quick
+            test_outcome_matches_engine;
+          Alcotest.test_case "serve elect/simulate = engine" `Quick
+            test_serve_matches_engine;
         ] );
     ]

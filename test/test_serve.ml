@@ -1076,6 +1076,85 @@ let test_mc_check_agrees_with_classify () =
       | _ -> Alcotest.fail "expected three leaders")
     [ family_h2; h2_reversed; star ]
 
+(* A pinned elect/simulate stream: the catalog, G_m, seeded G(n,p), trees
+   and paths, relabelled n <= 8 configurations and tags shifted off zero,
+   each asked without a cut-off and with max_rounds one below, at and one
+   past the run's completion round (the last global round a node
+   terminates in, [max tag + r_T + 1]). *)
+let golden_configs () =
+  let module F = Radio_config.Families in
+  let module RC = Radio_config.Random_config in
+  let st = Random.State.make [| 0x5E7E |] in
+  let rand = rng 0x601D in
+  let catalog =
+    List.map (fun (e : Radio_config.Catalog.entry) -> e.config)
+      (Radio_config.Catalog.all ())
+  in
+  let families =
+    List.map F.g_family [ 2; 3; 5 ]
+    @ List.map F.h_family [ 2; 3 ]
+    @ List.map F.s_family [ 2; 3 ]
+  in
+  let random =
+    List.concat_map
+      (fun n ->
+        [
+          RC.connected_gnp st ~n ~p:0.3 ~span:2;
+          RC.random_tree st ~n ~span:3;
+          RC.random_path st ~n ~span:1;
+        ])
+      [ 5; 9; 16; 33; 48 ]
+  in
+  let relabelled =
+    List.concat_map
+      (fun n ->
+        let c = RC.connected_gnp st ~n ~p:0.5 ~span:(n mod 3) in
+        [ c; C.relabel c (random_perm rand n) ])
+      [ 3; 4; 5; 6; 7; 8; 8 ]
+  in
+  let shifted =
+    List.map
+      (fun c ->
+        C.create ~normalize:false (C.graph c)
+          (Array.map (fun t -> t + 3) (C.tags c)))
+      (F.h_family 2 :: List.filteri (fun i _ -> i mod 3 = 0) (random @ relabelled))
+  in
+  catalog @ families @ random @ relabelled @ shifted
+
+let golden_lines () =
+  let id = ref 0 in
+  List.concat_map
+    (fun c ->
+      let a = Election.Feasibility.analyze c in
+      let completion = C.max_tag c + Can.local_termination_round a.plan in
+      let text = quote (Radio_config.Config_io.to_string c) in
+      List.concat_map
+        (fun kind ->
+          List.map
+            (fun cut ->
+              incr id;
+              Printf.sprintf "{\"id\":%d,\"kind\":%S,\"config\":%s%s}" !id kind
+                text
+                (match cut with
+                | None -> ""
+                | Some r -> Printf.sprintf ",\"max_rounds\":%d" r))
+            [ None; Some (completion - 1); Some completion; Some (completion + 1) ])
+        [ "elect"; "simulate" ])
+    (golden_configs ())
+
+let test_golden_stream () =
+  let lines = golden_lines () in
+  List.iter
+    (fun jobs ->
+      let out = serve ~cache:0 ~jobs lines in
+      check_int "one response per request" (List.length lines)
+        (List.length (String.split_on_char '\n' (String.trim out)));
+      check_string
+        (Printf.sprintf "MD5 at jobs %d" jobs)
+        "befdee817b4da10d4212c1695e25f6f7"
+        (Digest.to_hex (Digest.string out)))
+    [ 1; 2 ]
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -1126,5 +1205,7 @@ let () =
           Alcotest.test_case "eof mid-line" `Quick test_eof_mid_line;
           Alcotest.test_case "mc-check agrees with classify" `Slow
             test_mc_check_agrees_with_classify;
+          Alcotest.test_case "pinned elect/simulate golden" `Quick
+            test_golden_stream;
         ] );
     ]
