@@ -137,7 +137,10 @@ val outcome : Classifier.run -> plan -> hi:int -> outcome
     The engine run {!Radio_sim.Engine.run} [(protocol plan) config]
     gives the same metrics and completion round, and histories whose
     equality classes are [final_class], whenever its [max_rounds] is at
-    least [rounds]; the test suite checks that differentially. *)
+    least [rounds]; the test suite checks that differentially.
+    [hi + local_termination_round plan + 1] must fit in an int (tags
+    near [max_int] wrap it): callers check that before calling, without
+    summing, as serve does against its [max_rounds]. *)
 
 val upper_bound_rounds : n:int -> sigma:int -> int
 (** The paper's [O(n^2 σ)] bound instantiated with explicit constants:

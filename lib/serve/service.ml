@@ -120,10 +120,18 @@ let render_classify ~id (a : Fe.analysis) perm =
 (* The canonical DRIP's outcome on the request configuration, read off
    the cached analysis (Lemma 3.9, {!Can.outcome}) when [max_rounds]
    lets the run finish; [None] when it cuts the run off and only the
-   engine can tell what the cut leaves. *)
+   engine can tell what the cut leaves.  The run lasts [hi + r_T + 2]
+   rounds, which need not fit in an int when tags come near [max_int],
+   so [hi] is never summed; and [σ] is checked against [max_rounds] (at
+   most 100,000) before [r_T], linear in [σ] and quadratic in [n], is
+   computed, so [r_T] cannot wrap either. *)
 let derived ~max_rounds (a : Fe.analysis) config =
-  let o = Can.outcome a.run a.plan ~hi:(C.max_tag config) in
-  if o.metrics.rounds <= max_rounds then Some o else None
+  let hi = C.max_tag config in
+  if
+    a.plan.Can.sigma < max_rounds
+    && hi <= max_rounds - Can.local_termination_round a.plan - 1
+  then Some (Can.outcome a.run a.plan ~hi)
+  else None
 
 let render_elect ~id ~max_rounds (a : Fe.analysis) config perm =
   if not a.feasible then

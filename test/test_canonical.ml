@@ -537,30 +537,40 @@ let test_outcome_matches_engine () =
     (fun config ->
       let a, perm, o = derive config in
       let n = C.size config in
-      let name = Radio_config.Config_io.to_string config in
+      (* One failure naming the configuration on the first mismatch:
+         an Alcotest check per field and node pair would log the
+         configuration text millions of times (over a gigabyte). *)
+      let expect what want got =
+        if want <> got then
+          Alcotest.failf "%s%s: expected %s, got %s"
+            (Radio_config.Config_io.to_string config)
+            what want got
+      in
+      let opt = function Some r -> string_of_int r | None -> "none" in
       List.iter
         (fun max_rounds ->
           let e = Engine.run ~max_rounds (Can.protocol a.Fe.plan) config in
           let r = Runner.run ~max_rounds (Can.election a.Fe.plan) config in
           if o.Can.metrics.rounds <= max_rounds then begin
             incr derived;
-            check (name ^ " terminates") true e.Engine.all_terminated;
-            Alcotest.(check string)
-              (name ^ " engine metrics")
+            expect "terminates" "true" (string_of_bool e.Engine.all_terminated);
+            expect "engine metrics"
               (metrics_string e.Engine.metrics)
               (metrics_string o.Can.metrics);
-            Alcotest.(check string)
-              (name ^ " runner metrics")
+            expect "runner metrics"
               (metrics_string r.Runner.outcome.Engine.metrics)
               (metrics_string o.Can.metrics);
-            check_int (name ^ " completion round")
-              (Engine.completion_round e) o.Can.completion_round;
+            expect "completion round"
+              (string_of_int (Engine.completion_round e))
+              (string_of_int o.Can.completion_round);
             let hist = Runner.history_classes e in
             for v = 0 to n - 1 do
               for w = v + 1 to n - 1 do
-                check (name ^ " history classes") true
-                  (hist.(v) = hist.(w)
-                  = (o.Can.final_class.(perm.(v)) = o.Can.final_class.(perm.(w))))
+                expect
+                  (Printf.sprintf "history classes of %d and %d" v w)
+                  (string_of_bool (hist.(v) = hist.(w)))
+                  (string_of_bool
+                     (o.Can.final_class.(perm.(v)) = o.Can.final_class.(perm.(w))))
               done
             done;
             let back lc =
@@ -568,111 +578,21 @@ let test_outcome_matches_engine () =
               Array.iteri (fun v c -> if c = lc then u := v) perm;
               !u
             in
-            Alcotest.(check (option int))
-              (name ^ " leader") (Option.map back a.Fe.leader) r.Runner.leader;
-            Alcotest.(check (option int))
-              (name ^ " rounds to elect")
-              (if a.Fe.feasible then Some o.Can.completion_round else None)
-              r.Runner.rounds_to_elect
+            expect "leader" (opt r.Runner.leader) (opt (Option.map back a.Fe.leader));
+            expect "rounds to elect"
+              (opt r.Runner.rounds_to_elect)
+              (opt (if a.Fe.feasible then Some o.Can.completion_round else None))
           end
           else begin
             (* One round short: the engine is cut off, so the outcome
                cannot stand in for it. *)
             incr cut;
-            check (name ^ " cut off") false e.Engine.all_terminated
+            expect "cut off" "false" (string_of_bool e.Engine.all_terminated)
           end)
         [ o.Can.completion_round; o.Can.completion_round + 1;
           o.Can.completion_round + 2 ])
     (outcome_inputs ());
   check "derived and cut-off runs both checked" true (!derived > 5_000 && !cut > 2_500)
-
-(* Serve's elect and simulate as they were rendered before the outcome
-   was derived: every field from a run of the engine on the request's
-   own configuration. *)
-module Engine_render = struct
-  module Json = Radio_serve.Json
-  module Protocol = Radio_serve.Protocol
-
-  let metrics_fields (m : Radio_sim.Metrics.t) =
-    [
-      ("transmissions", Json.Int m.transmissions);
-      ("deliveries", Json.Int m.deliveries);
-      ("collisions_heard", Json.Int m.collisions_heard);
-      ("forced_wakeups", Json.Int m.forced_wakeups);
-      ("spontaneous_wakeups", Json.Int m.spontaneous_wakeups);
-    ]
-
-  let int_opt = function Some n -> Json.Int n | None -> Json.Null
-
-  let elect ~id ~max_rounds (a : Fe.analysis) config =
-    if not a.feasible then
-      Protocol.response_ok ~id ~kind:"elect"
-        ~cost:[ ("rounds", Json.Int 0); ("bits", Json.Int 0) ]
-        [
-          ("feasible", Json.Bool false);
-          ("elected", Json.Bool false);
-          ("leader", Json.Null);
-          ("rounds", Json.Null);
-        ]
-    else
-      let r = Runner.run ~max_rounds (Can.election a.plan) config in
-      let m = r.outcome.metrics in
-      Protocol.response_ok ~id ~kind:"elect"
-        ~cost:
-          [ ("rounds", Json.Int m.rounds); ("bits", Json.Int m.transmissions) ]
-        [
-          ("feasible", Json.Bool true);
-          ("elected", Json.Bool (r.leader <> None));
-          ("leader", int_opt r.leader);
-          ("rounds", int_opt r.rounds_to_elect);
-          ("metrics", Json.Obj (metrics_fields m));
-        ]
-
-  let simulate ~id ~max_rounds (a : Fe.analysis) config =
-    let o = Engine.run ~max_rounds (Can.protocol a.plan) config in
-    let m = o.metrics in
-    let sizes, unique = Runner.history_summary o in
-    Protocol.response_ok ~id ~kind:"simulate"
-      ~cost:[ ("rounds", Json.Int o.rounds); ("bits", Json.Int m.transmissions) ]
-      [
-        ("rounds", Json.Int o.rounds);
-        ("all_terminated", Json.Bool o.all_terminated);
-        ("class_sizes", Json.List (List.map (fun s -> Json.Int s) sizes));
-        ("unique_nodes", Json.List (List.map (fun v -> Json.Int v) unique));
-        ("metrics", Json.Obj (metrics_fields m));
-      ]
-end
-
-let test_serve_matches_engine () =
-  let module Json = Radio_serve.Json in
-  let requests = ref [] and expected = ref [] and id = ref 0 in
-  List.iter
-    (fun config ->
-      let a, _, o = derive config in
-      let text = Json.to_string (Json.Str (Radio_config.Config_io.to_string config)) in
-      List.iter
-        (fun max_rounds ->
-          List.iter
-            (fun (kind, render) ->
-              incr id;
-              requests :=
-                Printf.sprintf "{\"id\":%d,\"kind\":%S,\"config\":%s,\"max_rounds\":%d}"
-                  !id kind text max_rounds
-                :: !requests;
-              expected := render ~id:(Json.Int !id) ~max_rounds a config :: !expected)
-            [ ("elect", Engine_render.elect); ("simulate", Engine_render.simulate) ])
-        [ o.Can.completion_round; o.Can.completion_round + 1;
-          o.Can.completion_round + 2 ])
-    (outcome_inputs ());
-  let out =
-    Radio_serve.Server.run_string
-      { Radio_serve.Server.default_options with jobs = Some 1; cache_entries = 0 }
-      (String.concat "\n" (List.rev !requests) ^ "\n")
-  in
-  let got = String.split_on_char '\n' (String.trim out) in
-  let want = List.rev !expected in
-  check_int "one response per request" (List.length want) (List.length got);
-  List.iter2 (fun w g -> Alcotest.(check string) "response" w g) want got
 
 let () =
   Alcotest.run "canonical"
@@ -731,7 +651,5 @@ let () =
         [
           Alcotest.test_case "outcome = engine" `Quick
             test_outcome_matches_engine;
-          Alcotest.test_case "serve elect/simulate = engine" `Quick
-            test_serve_matches_engine;
         ] );
     ]

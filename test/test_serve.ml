@@ -1076,11 +1076,10 @@ let test_mc_check_agrees_with_classify () =
       | _ -> Alcotest.fail "expected three leaders")
     [ family_h2; h2_reversed; star ]
 
-(* A pinned elect/simulate stream: the catalog, G_m, seeded G(n,p), trees
-   and paths, relabelled n <= 8 configurations and tags shifted off zero,
-   each asked without a cut-off and with max_rounds one below, at and one
-   past the run's completion round (the last global round a node
-   terminates in, [max tag + r_T + 1]). *)
+(* The elect/simulate corpus: the catalog, G_m, seeded G(n,p), trees and
+   paths, relabelled n <= 8 configurations and tags shifted off zero.
+   The pinned golden streams it as is; the engine oracle adds
+   [huge_tag_configs]. *)
 let golden_configs () =
   let module F = Radio_config.Families in
   let module RC = Radio_config.Random_config in
@@ -1121,29 +1120,64 @@ let golden_configs () =
   in
   catalog @ families @ random @ relabelled @ shifted
 
-let golden_lines () =
+(* Tags within [r_T + 1] of [max_int], where the run's length does not
+   fit in an int; a span of [2^61], whose [r_T = 3σ + 1] wraps to a
+   negative int; and a span just under the default [max_rounds], whose
+   run outlasts it: serve must leave these to the engine, which gives up
+   at [max_rounds]. *)
+let huge_tag_configs () =
+  List.map Radio_config.Config_io.of_string
+    [
+      Printf.sprintf "config 2\ntags %d %d\n0 1\n" (max_int - 1) max_int;
+      Printf.sprintf "config 2\ntags 0 %d\n0 1\n" max_int;
+      Printf.sprintf "config 2\ntags 0 %d\n0 1\n" (1 lsl 61);
+      Printf.sprintf "config 3\ntags %d %d %d\n0 1\n1 2\n" (max_int - 3)
+        max_int (max_int - 2);
+      "config 3\ntags 0 99990 0\n0 1\n1 2\n";
+    ]
+
+(* The max_rounds a config is asked at: none, and one below, at and one
+   past the run's completion round (the last global round a node
+   terminates in, [max tag + r_T + 1]) where that is a valid max_rounds;
+   a few fixed cut-offs when the tags alone pass the largest one. *)
+let cuts c =
+  if C.max_tag c > P.default_max_rounds then [ None; Some 1; Some 7 ]
+  else
+    let a = Election.Feasibility.analyze c in
+    let completion = C.max_tag c + Can.local_termination_round a.plan in
+    List.filter
+      (function Some r -> r <= P.default_max_rounds | None -> true)
+      [ None; Some (completion - 1); Some completion; Some (completion + 1) ]
+
+(* Every config asked as elect and simulate at each of its [cuts]:
+   [(id, line, kind, config, max_rounds)] in id order. *)
+let elect_simulate_requests configs =
   let id = ref 0 in
   List.concat_map
     (fun c ->
-      let a = Election.Feasibility.analyze c in
-      let completion = C.max_tag c + Can.local_termination_round a.plan in
       let text = quote (Radio_config.Config_io.to_string c) in
       List.concat_map
         (fun kind ->
           List.map
             (fun cut ->
               incr id;
-              Printf.sprintf "{\"id\":%d,\"kind\":%S,\"config\":%s%s}" !id kind
-                text
-                (match cut with
-                | None -> ""
-                | Some r -> Printf.sprintf ",\"max_rounds\":%d" r))
-            [ None; Some (completion - 1); Some completion; Some (completion + 1) ])
+              let line =
+                Printf.sprintf "{\"id\":%d,\"kind\":%S,\"config\":%s%s}" !id
+                  kind text
+                  (match cut with
+                  | None -> ""
+                  | Some r -> Printf.sprintf ",\"max_rounds\":%d" r)
+              in
+              (!id, line, kind, c, Option.value cut ~default:P.default_max_rounds))
+            (cuts c))
         [ "elect"; "simulate" ])
-    (golden_configs ())
+    configs
 
 let test_golden_stream () =
-  let lines = golden_lines () in
+  let lines =
+    List.map (fun (_, line, _, _, _) -> line)
+      (elect_simulate_requests (golden_configs ()))
+  in
   List.iter
     (fun jobs ->
       let out = serve ~cache:0 ~jobs lines in
@@ -1154,6 +1188,80 @@ let test_golden_stream () =
         "befdee817b4da10d4212c1695e25f6f7"
         (Digest.to_hex (Digest.string out)))
     [ 1; 2 ]
+
+(* Serve's elect and simulate as they were rendered before the outcome
+   was read off the analysis: every field from a run of the engine on the
+   request's own configuration, with the plan of its canonical form. *)
+module Engine_render = struct
+  module Runner = Radio_sim.Runner
+  module Engine = Radio_sim.Engine
+
+  let metrics_fields (m : Radio_sim.Metrics.t) =
+    [
+      ("transmissions", J.Int m.transmissions);
+      ("deliveries", J.Int m.deliveries);
+      ("collisions_heard", J.Int m.collisions_heard);
+      ("forced_wakeups", J.Int m.forced_wakeups);
+      ("spontaneous_wakeups", J.Int m.spontaneous_wakeups);
+    ]
+
+  let int_opt = function Some n -> J.Int n | None -> J.Null
+
+  let elect ~id ~max_rounds (a : Election.Feasibility.analysis) config =
+    if not a.feasible then
+      P.response_ok ~id ~kind:"elect"
+        ~cost:[ ("rounds", J.Int 0); ("bits", J.Int 0) ]
+        [
+          ("feasible", J.Bool false);
+          ("elected", J.Bool false);
+          ("leader", J.Null);
+          ("rounds", J.Null);
+        ]
+    else
+      let r = Runner.run ~max_rounds (Can.election a.plan) config in
+      let m = r.outcome.metrics in
+      P.response_ok ~id ~kind:"elect"
+        ~cost:[ ("rounds", J.Int m.rounds); ("bits", J.Int m.transmissions) ]
+        [
+          ("feasible", J.Bool true);
+          ("elected", J.Bool (r.leader <> None));
+          ("leader", int_opt r.leader);
+          ("rounds", int_opt r.rounds_to_elect);
+          ("metrics", J.Obj (metrics_fields m));
+        ]
+
+  let simulate ~id ~max_rounds (a : Election.Feasibility.analysis) config =
+    let o = Engine.run ~max_rounds (Can.protocol a.plan) config in
+    let m = o.metrics in
+    let sizes, unique = Runner.history_summary o in
+    P.response_ok ~id ~kind:"simulate"
+      ~cost:[ ("rounds", J.Int o.rounds); ("bits", J.Int m.transmissions) ]
+      [
+        ("rounds", J.Int o.rounds);
+        ("all_terminated", J.Bool o.all_terminated);
+        ("class_sizes", J.List (List.map (fun s -> J.Int s) sizes));
+        ("unique_nodes", J.List (List.map (fun v -> J.Int v) unique));
+        ("metrics", J.Obj (metrics_fields m));
+      ]
+end
+
+let test_engine_oracle () =
+  let requests =
+    elect_simulate_requests (golden_configs () @ huge_tag_configs ())
+  in
+  let out =
+    serve ~cache:0 (List.map (fun (_, line, _, _, _) -> line) requests)
+  in
+  let got = String.split_on_char '\n' (String.trim out) in
+  check_int "one response per request" (List.length requests) (List.length got);
+  List.iter2
+    (fun (id, line, kind, config, max_rounds) response ->
+      let a = Election.Feasibility.analyze (fst (Can.canonical_form config)) in
+      let render =
+        if kind = "elect" then Engine_render.elect else Engine_render.simulate
+      in
+      check_string line (render ~id:(J.Int id) ~max_rounds a config) response)
+    requests got
 
 (* ------------------------------------------------------------------ *)
 
@@ -1207,5 +1315,7 @@ let () =
             test_mc_check_agrees_with_classify;
           Alcotest.test_case "pinned elect/simulate golden" `Quick
             test_golden_stream;
+          Alcotest.test_case "elect/simulate = engine oracle" `Quick
+            test_engine_oracle;
         ] );
     ]
